@@ -4,30 +4,28 @@
 // scripts/compare_bench.py gates regressions).
 //
 // The coalescable scenarios (word-granular shared memory AND chunk-granular
-// MPB put/get) run four ways — per-resource-horizon coalescing with
-// sync-aware wake chains, legacy global-horizon coalescing, sync-blind
-// per-resource coalescing, and coalescing off — and verify the engine's
+// MPB put/get) run with coalescing on and off and verify the engine's
 // equivalence bar: coalescing may eliminate events but must leave the
-// makespan and every per-task completion Tick bit-identical across all
-// modes. Scenarios with a plan-driven twin (ExecutionPlan-launched,
-// regions mapped in the cacheability map) hold the twin to the same
-// bit-identity bar, and the mixed_policy_8ue scenario gates the
-// ExecutionPlan payoff: a per-region cached/uncached split must beat both
-// machine-wide settings. A violated bar makes the process exit non-zero,
-// so this binary doubles as a CI smoke test.
+// makespan and every per-task completion Tick bit-identical. Scenarios with
+// a plan-driven twin (ExecutionPlan-launched, regions mapped in the
+// cacheability map) hold the twin to the same bit-identity bar, and the
+// mixed_policy_8ue scenario gates the ExecutionPlan payoff: a per-region
+// cached/uncached split must beat both machine-wide settings. A violated
+// bar makes the process exit non-zero, so this binary doubles as a CI
+// smoke test.
 //
 // Reported per timed run: host wall seconds, engine events, events/sec,
 // simulated uncached words / MPB chunks and the engine events they cost
-// (their combined ratio is the coalescing rate), plus derived
-// speedup/reduction ratios per scenario. A separate sweep quantifies the
-// Tick error of the fairness quanta > 1 against the exact path on the
-// contended scenarios.
-#include <cmath>
+// (their combined ratio is the coalescing rate), the makespan and a
+// sim_hash fingerprint of the run's completions and result bytes (gated
+// exactly against the baseline), plus derived speedup/reduction ratios per
+// scenario.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <map>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -46,10 +44,7 @@ using namespace hsm;
 using sim::Tick;
 
 struct Mode {
-  bool coalescing = true;      ///< gates both shm_coalescing and mpb_coalescing
-  bool per_resource = true;    ///< scoped (controller/port) vs global horizon
-  std::uint32_t quantum = 1;   ///< shm word AND mpb chunk fairness quantum
-  bool sync_aware = true;      ///< wake-chain horizon refinement
+  bool coalescing = true;  ///< SccConfig::coalescing
   /// Shared-memory routing: 0 = uncached words, 1 = swcache write-back,
   /// 2 = swcache write-through no-allocate.
   int swcache = 0;
@@ -166,12 +161,7 @@ RunStats runWorkloadOnce(const Workload& w, const Mode& mode,
   RunStats stats;
   for (int rep = 0; rep < w.repetitions; ++rep) {
     sim::SccConfig cfg;
-    cfg.shm_coalescing = mode.coalescing;
-    cfg.mpb_coalescing = mode.coalescing;
-    cfg.per_resource_horizon = mode.per_resource;
-    cfg.sync_aware_horizon = mode.sync_aware;
-    cfg.shm_fairness_quantum_words = mode.quantum;
-    cfg.mpb_fairness_quantum_chunks = mode.quantum;
+    cfg.coalescing = mode.coalescing;
     cfg.shm_swcache = mode.swcache != 0;
     cfg.swcache_policy = mode.swcache == 2 ? 1 : 0;
     cfg.engine_lanes = mode.lanes;
@@ -650,15 +640,13 @@ struct DrfRun {
 };
 
 DrfRun runDrfOnce(bool drf, bool word_granular, std::uint32_t lanes,
-                  bool coalescing, bool per_resource, int ues,
+                  bool coalescing, int ues,
                   const std::function<void(sim::SccMachine&)>& setup) {
   sim::SccConfig cfg;
   cfg.drf_check = drf;
   cfg.drf_word_granular = word_granular;
   cfg.engine_lanes = lanes;
-  cfg.shm_coalescing = coalescing;
-  cfg.mpb_coalescing = coalescing;
-  cfg.per_resource_horizon = per_resource;
+  cfg.coalescing = coalescing;
   sim::SccMachine m(cfg);
   setup(m);
   DrfRun r;
@@ -679,6 +667,19 @@ DrfRun runDrfOnce(bool drf, bool word_granular, std::uint32_t lanes,
 
 // --- JSON emission ----------------------------------------------------------
 
+/// FNV-1a over the per-task completion Ticks (little-endian bytes) and the
+/// extracted result bytes: the sim-domain fingerprint of a run, gated
+/// exactly against the baseline by compare_bench.py.
+std::uint64_t simHash(const RunStats& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint8_t b) { h = (h ^ b) * 0x100000001b3ull; };
+  for (const Tick t : s.completions) {
+    for (int i = 0; i < 8; ++i) mix(static_cast<std::uint8_t>(t >> (8 * i)));
+  }
+  for (const std::uint8_t b : s.result_bytes) mix(b);
+  return h;
+}
+
 void printRun(std::string* out, const char* key, const RunStats& s) {
   // "shm_words"/"shm_words_per_sec" cover the *logical* shared-word workload
   // (RunStats::logicalWords) so the compare_bench.py throughput metric stays
@@ -692,7 +693,8 @@ void printRun(std::string* out, const char* key, const RunStats& s) {
                 "\"mpb_chunks_per_sec\": %.0f, "
                 "\"swcache_words\": %llu, \"swcache_line_txns\": %llu, "
                 "\"swcache_line_events\": %llu, \"swcache_hit_rate\": %.4f, "
-                "\"coalescing_rate\": %.4f, \"makespan_ps\": %llu}",
+                "\"coalescing_rate\": %.4f, \"makespan_ps\": %llu, "
+                "\"sim_hash\": \"%016llx\"}",
                 key, s.wall_seconds, static_cast<unsigned long long>(s.events),
                 s.eventsPerSec(),
                 static_cast<unsigned long long>(s.logicalWords()),
@@ -703,7 +705,8 @@ void printRun(std::string* out, const char* key, const RunStats& s) {
                 static_cast<unsigned long long>(s.swcache_line_txns),
                 static_cast<unsigned long long>(s.swcache_line_events),
                 s.swcacheHitRate(), s.coalescingRate(),
-                static_cast<unsigned long long>(s.makespan));
+                static_cast<unsigned long long>(s.makespan),
+                static_cast<unsigned long long>(simHash(s)));
   *out += buf;
   // Lane telemetry: configured lanes and what actually ran. Per-lane event
   // counts and the min/max lane share only exist when the engine really
@@ -743,12 +746,6 @@ ParallelCheck checkParallel(const RunStats& seq, const RunStats& par) {
   return c;
 }
 
-double relError(Tick approx, Tick exact) {
-  if (exact == 0) return approx == 0 ? 0.0 : 1.0;
-  return std::abs(static_cast<double>(approx) - static_cast<double>(exact)) /
-         static_cast<double>(exact);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -781,6 +778,13 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--scenario" && i + 1 < argc) only = argv[i + 1];
     if (std::string(argv[i]) == "--trace-out" && i + 1 < argc) trace_out = argv[i + 1];
   }
+  // A misspelled --scenario would otherwise run nothing and exit 0.
+  if (!only.empty() && std::find(std::begin(kScenarioNames), std::end(kScenarioNames),
+                                 only) == std::end(kScenarioNames)) {
+    std::fprintf(stderr, "micro_sim: unknown scenario '%s'; valid names:\n", only.c_str());
+    for (const char* name : kScenarioNames) std::fprintf(stderr, "  %s\n", name);
+    return 2;
+  }
   const auto want = [&only](const std::string& name) {
     return only.empty() || only == name;
   };
@@ -788,9 +792,8 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   std::string json = "{\n  \"bench\": \"micro_sim\",\n  \"scenarios\": [\n";
 
-  // Shared-memory word-granular scenarios: three-way equivalence matrix
-  // (per-controller horizon / legacy global horizon / coalescing off) with a
-  // hard tick-equivalence check across all modes.
+  // Shared-memory word-granular scenarios: coalescing on vs off with a hard
+  // tick-equivalence check.
   //
   // The two MPB scenarios launch plan-driven: an ExecutionPlan supplies the
   // per-UE owner sets that used to be hand-built MpbScope lambdas. The plans
@@ -900,34 +903,22 @@ int main(int argc, char** argv) {
 
   bool first = true;
   bool parallel_ok = true;
-  std::map<std::string, RunStats> exact_stats;  // reused by the quantum sweep
   for (const Workload& w : ab) {
     if (!want(w.name)) continue;
-    const RunStats on = runWorkload(w, Mode{true, true, 1, true});
-    exact_stats[w.name] = on;
-    const RunStats global = runWorkload(w, Mode{true, false, 1, true});
-    const RunStats off = runWorkload(w, Mode{false, false, 1, true});
-    // Sync-blind: scoped horizons but the blunt any-blocked-task-goes-global
-    // fallback — isolates what the wake-chain rule buys on synced phases.
-    const RunStats blind = runWorkload(w, Mode{true, true, 1, false});
+    const RunStats on = runWorkload(w, Mode{});
+    const RunStats off = runWorkload(w, Mode{false});
     // Lanes=4 twin of the tracked configuration: the conservative-PDES
     // bit-identity contract (runs the engine sharded when the components
     // prove disjoint, the sequential fallback otherwise — identical either
     // way).
-    const RunStats par = runWorkload(w, Mode{true, true, 1, true, 0, 4});
+    const RunStats par = runWorkload(w, Mode{true, 0, 4});
     const ParallelCheck pc = checkParallel(on, par);
     parallel_ok = parallel_ok && pc.identical;
-    bool identical = on.makespan == off.makespan &&
-                     on.completions == off.completions &&
-                     global.makespan == off.makespan &&
-                     global.completions == off.completions &&
-                     blind.makespan == off.makespan &&
-                     blind.completions == off.completions;
+    bool identical = on.makespan == off.makespan && on.completions == off.completions;
     if (w.setup_plan) {
       // ExecutionPlan-launched, cacheability-mapped twin: the plan-driven
       // API must not move a single Tick on legacy-knob scenarios.
-      const RunStats plan_run =
-          runWorkload(w, Mode{true, true, 1, true}, /*plan_setup=*/true);
+      const RunStats plan_run = runWorkload(w, Mode{}, /*plan_setup=*/true);
       identical = identical && plan_run.makespan == off.makespan &&
                   plan_run.completions == off.completions;
     }
@@ -937,10 +928,6 @@ int main(int argc, char** argv) {
         off.events > 0
             ? 1.0 - static_cast<double>(on.events) / static_cast<double>(off.events)
             : 0.0;
-    const double event_reduction_global =
-        off.events > 0
-            ? 1.0 - static_cast<double>(global.events) / static_cast<double>(off.events)
-            : 0.0;
     const double wall_speedup =
         on.wall_seconds > 0 ? off.wall_seconds / on.wall_seconds : 0.0;
 
@@ -949,20 +936,15 @@ int main(int argc, char** argv) {
     json += "    {\"name\": \"" + w.name + "\",\n";
     printRun(&json, "coalesced", on);
     json += ",\n";
-    printRun(&json, "global_horizon", global);
-    json += ",\n";
-    printRun(&json, "sync_blind", blind);
-    json += ",\n";
     printRun(&json, "legacy", off);
     json += ",\n";
     printRun(&json, "parallel", par);
     char buf[400];
     std::snprintf(buf, sizeof(buf),
                   ",\n      \"ticks_identical\": %s, \"event_reduction\": %.4f, "
-                  "\"event_reduction_global_horizon\": %.4f, \"wall_speedup\": %.2f, "
+                  "\"wall_speedup\": %.2f, "
                   "\"parallel_identical\": %s, \"parallel_speedup\": %.2f}",
-                  identical ? "true" : "false", event_reduction,
-                  event_reduction_global, wall_speedup,
+                  identical ? "true" : "false", event_reduction, wall_speedup,
                   pc.identical ? "true" : "false", pc.speedup);
     json += buf;
   }
@@ -991,8 +973,8 @@ int main(int argc, char** argv) {
   };
   for (const Workload& w : substrate) {
     if (!want(w.name)) continue;
-    const RunStats s = runWorkload(w, Mode{true, true, 1});
-    const RunStats par = runWorkload(w, Mode{true, true, 1, true, 0, 4});
+    const RunStats s = runWorkload(w, Mode{});
+    const RunStats par = runWorkload(w, Mode{true, 0, 4});
     const ParallelCheck pc = checkParallel(s, par);
     parallel_ok = parallel_ok && pc.identical;
     if (!first) json += ",\n";
@@ -1053,11 +1035,10 @@ int main(int argc, char** argv) {
     };
     for (const Workload& w : cached_ab) {
       if (!want(w.name)) continue;
-      const RunStats cached = runWorkload(w, Mode{true, true, 1, true, 1});
-      const RunStats uncached = runWorkload(w, Mode{true, true, 1, true, 0});
-      const RunStats wthrough = runWorkload(w, Mode{true, true, 1, true, 2});
-      const ParallelCheck pc =
-          checkParallel(cached, runWorkload(w, Mode{true, true, 1, true, 1, 4}));
+      const RunStats cached = runWorkload(w, Mode{true, 1});
+      const RunStats uncached = runWorkload(w, Mode{true, 0});
+      const RunStats wthrough = runWorkload(w, Mode{true, 2});
+      const ParallelCheck pc = checkParallel(cached, runWorkload(w, Mode{true, 1, 4}));
       parallel_ok = parallel_ok && pc.identical;
       const bool functional = cached.result_bytes == uncached.result_bytes &&
                               wthrough.result_bytes == uncached.result_bytes;
@@ -1138,9 +1119,9 @@ int main(int argc, char** argv) {
       };
       return w;
     };
-    const RunStats mixed = runWorkload(makeWorkload(0), Mode{true, true, 1, true, 0});
-    const RunStats cached = runWorkload(makeWorkload(1), Mode{true, true, 1, true, 1});
-    const RunStats uncached = runWorkload(makeWorkload(2), Mode{true, true, 1, true, 0});
+    const RunStats mixed = runWorkload(makeWorkload(0), Mode{true, 0});
+    const RunStats cached = runWorkload(makeWorkload(1), Mode{true, 1});
+    const RunStats uncached = runWorkload(makeWorkload(2), Mode{true, 0});
 
     // Simulated words per simulated second: deterministic (derived from the
     // makespan, not host wall time), so the "mixed beats both" bar is exact.
@@ -1316,12 +1297,12 @@ int main(int argc, char** argv) {
       };
       return w;
     };
-    const RunStats placed = runWorkload(kvWorkload(placed_plan), Mode{true, true, 1, true});
-    const RunStats striped = runWorkload(kvWorkload(striped_plan), Mode{true, true, 1, true});
+    const RunStats placed = runWorkload(kvWorkload(placed_plan), Mode{});
+    const RunStats striped = runWorkload(kvWorkload(striped_plan), Mode{});
     // Lanes=4 twin (controller placement forces the sequential fallback, so
     // this checks the fallback leaves placement runs untouched).
-    const ParallelCheck kv_pc = checkParallel(
-        placed, runWorkload(kvWorkload(placed_plan), Mode{true, true, 1, true, 0, 4}));
+    const ParallelCheck kv_pc =
+        checkParallel(placed, runWorkload(kvWorkload(placed_plan), Mode{true, 0, 4}));
     parallel_ok = parallel_ok && kv_pc.identical;
 
     // Verification and the per-controller load spread ride the Benchmark
@@ -1393,17 +1374,15 @@ int main(int argc, char** argv) {
         return racyCounter(ctx, counter, 4);
       }));
     };
-    const DrfRun line = runDrfOnce(true, false, 1, true, true, 8, setup);
-    const DrfRun word = runDrfOnce(true, true, 1, true, true, 8, setup);
-    const DrfRun off = runDrfOnce(false, false, 1, true, true, 8, setup);
-    const DrfRun lanes4 = runDrfOnce(true, false, 4, true, true, 8, setup);
-    const DrfRun global = runDrfOnce(true, false, 1, true, false, 8, setup);
-    const DrfRun nocoal = runDrfOnce(true, false, 1, false, false, 8, setup);
+    const DrfRun line = runDrfOnce(true, false, 1, true, 8, setup);
+    const DrfRun word = runDrfOnce(true, true, 1, true, 8, setup);
+    const DrfRun off = runDrfOnce(false, false, 1, true, 8, setup);
+    const DrfRun lanes4 = runDrfOnce(true, false, 4, true, 8, setup);
+    const DrfRun nocoal = runDrfOnce(true, false, 1, false, 8, setup);
     const bool detected = line.races > 0 && word.races > 0;
     const bool deterministic =
-        lanes4.reports == line.reports && global.reports == line.reports &&
-        nocoal.reports == line.reports && lanes4.makespan == line.makespan &&
-        lanes4.completions == line.completions;
+        lanes4.reports == line.reports && nocoal.reports == line.reports &&
+        lanes4.makespan == line.makespan && lanes4.completions == line.completions;
     const bool ticks_unchanged =
         off.makespan == line.makespan && off.completions == line.completions;
     drf_ok = drf_ok && detected && deterministic && ticks_unchanged;
@@ -1432,10 +1411,10 @@ int main(int argc, char** argv) {
         return falseSharingSlots(ctx, base, 4);
       }));
     };
-    const DrfRun line = runDrfOnce(true, false, 1, true, true, 8, setup);
-    const DrfRun word = runDrfOnce(true, true, 1, true, true, 8, setup);
-    const DrfRun lanes4 = runDrfOnce(true, false, 4, true, true, 8, setup);
-    const DrfRun nocoal = runDrfOnce(true, false, 1, false, false, 8, setup);
+    const DrfRun line = runDrfOnce(true, false, 1, true, 8, setup);
+    const DrfRun word = runDrfOnce(true, true, 1, true, 8, setup);
+    const DrfRun lanes4 = runDrfOnce(true, false, 4, true, 8, setup);
+    const DrfRun nocoal = runDrfOnce(true, false, 1, false, 8, setup);
     const bool detected =
         line.races > 0 && line.false_sharing_only && word.races == 0;
     const bool deterministic =
@@ -1506,41 +1485,6 @@ int main(int argc, char** argv) {
   }
   json += "\n  ],\n";
 
-  // Fairness-quantum error sweep: Tick error of shm_fairness_quantum_words
-  // > 1 versus the exact path (quantum = 1) on the contended scenarios. The
-  // quantum only matters inside contention windows, so the exact-equivalence
-  // scenarios above are unaffected by construction.
-  json += "  \"quantum_sweep\": [\n";
-  bool first_q = true;
-  for (const Workload& w : ab) {
-    if (w.name == "shm_words_single_ue") continue;  // no contention window
-    if (exact_stats.find(w.name) == exact_stats.end()) continue;  // filtered out
-    const RunStats& exact = exact_stats.at(w.name);  // measured in the A/B loop
-    for (const std::uint32_t q : {4u, 16u, 64u}) {
-      const RunStats approx = runWorkload(w, Mode{true, true, q});
-      double max_completion_err = 0.0;
-      for (std::size_t i = 0;
-           i < approx.completions.size() && i < exact.completions.size(); ++i) {
-        max_completion_err =
-            std::max(max_completion_err, relError(approx.completions[i],
-                                                  exact.completions[i]));
-      }
-      const double wall_speedup =
-          approx.wall_seconds > 0 ? exact.wall_seconds / approx.wall_seconds : 0.0;
-      char buf[320];
-      std::snprintf(buf, sizeof(buf),
-                    "%s    {\"scenario\": \"%s\", \"quantum\": %u, "
-                    "\"makespan_rel_error\": %.6f, \"max_completion_rel_error\": %.6f, "
-                    "\"coalescing_rate\": %.4f, \"wall_speedup_vs_exact\": %.2f}",
-                    first_q ? "" : ",\n", w.name.c_str(), q,
-                    relError(approx.makespan, exact.makespan), max_completion_err,
-                    approx.coalescingRate(), wall_speedup);
-      first_q = false;
-      json += buf;
-    }
-  }
-  json += "\n  ],\n";
-
   // Observability section: the determinism contract of the simulated-time
   // tracer (docs/observability.md), checked on live scenario kernels rather
   // than unit fixtures. A traced run must export byte-identical Chrome JSON
@@ -1560,8 +1504,7 @@ int main(int argc, char** argv) {
     };
     const auto runSynced = [&](bool traced, bool coalescing) {
       sim::SccConfig cfg;
-      cfg.shm_coalescing = coalescing;
-      cfg.mpb_coalescing = coalescing;
+      cfg.coalescing = coalescing;
       cfg.trace_enabled = traced;
       sim::SccMachine m(cfg);
       const std::uint64_t base = m.shmalloc(8 * kBlock + 8);
@@ -1620,8 +1563,8 @@ int main(int argc, char** argv) {
         if (w.name == "barrier_32ue") barrier = &w;
       }
       if (barrier != nullptr) {
-        const RunStats plain = runWorkload(*barrier, Mode{true, true, 1});
-        Mode traced_mode{true, true, 1};
+        const RunStats plain = runWorkload(*barrier, Mode{});
+        Mode traced_mode;
         traced_mode.trace = true;
         const RunStats with_trace = runWorkload(*barrier, traced_mode);
         obs_ok = obs_ok && plain.makespan == with_trace.makespan &&

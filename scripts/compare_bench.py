@@ -25,6 +25,12 @@ Fails (exit 1) when:
     controller while owner-compute stays flat), or the deterministic
     controller_load_cv values shift against the baseline (striped must not
     fall, placed must not rise),
+  * any sim-domain value present in both files differs from the baseline:
+    every run's makespan_ps and sim_hash (FNV-1a over its per-task
+    completion Ticks and extracted result bytes), and every scenario-level
+    *makespan_ps field. Simulated time is a pure function of program and
+    config, so any difference is a model change that needs a deliberate
+    baseline regeneration — never noise,
   * a scenario present in the baseline is missing from the PR run,
   * simulator throughput of a scenario's coalesced run regresses more than
     the tolerance (default 15%, override with --tolerance) after normalizing
@@ -63,6 +69,33 @@ import math
 import sys
 
 RATE_EPSILON = 0.005  # coalescing_rate is emitted with 4 decimals
+EXACT_RUN_FIELDS = ("makespan_ps", "sim_hash")
+
+
+def exact_mismatches(baseline, pr):
+    """(values checked, failures) of the exact sim-domain gate."""
+    checked = 0
+    failures = []
+    pr_scenarios = {s["name"]: s for s in pr.get("scenarios", [])}
+    for base_scenario in baseline.get("scenarios", []):
+        name = base_scenario["name"]
+        pr_scenario = pr_scenarios.get(name, {})
+        for key, base_value in base_scenario.items():
+            pr_value = pr_scenario.get(key)
+            if isinstance(base_value, dict) and isinstance(pr_value, dict):
+                values = [(f"{key}.{field}", base_value.get(field), pr_value.get(field))
+                          for field in EXACT_RUN_FIELDS]
+            elif key.endswith("makespan_ps"):
+                values = [(key, base_value, pr_value)]
+            else:
+                continue
+            for label, base, new in values:
+                if base is None or new is None:
+                    continue
+                checked += 1
+                if base != new:
+                    failures.append(f"{name}.{label} changed {base} -> {new}")
+    return checked, failures
 
 
 def main() -> int:
@@ -207,6 +240,11 @@ def main() -> int:
             print(
                 f"ok fault_recovery_rate {base_recovery:.4f} -> {pr_recovery:.4f}"
             )
+
+    checked, exact_failures = exact_mismatches(baseline, pr)
+    failures.extend(exact_failures)
+    if not exact_failures:
+        print(f"ok exact sim-domain gate: {checked} values match the baseline")
 
     def throughput(run):
         """(metric name, value): simulated-work/sec if any, else events/sec."""

@@ -46,7 +46,7 @@ class RcceEnv {
 /// `put` moves data into the *target* UE's MPB; `get` pulls from the
 /// *source* UE's MPB — the one-sided primitives RCCE is built on. Both are
 /// chunk loops over the owning tile's port; uncontended runs of chunks
-/// coalesce into single engine events (config.mpb_coalescing) with
+/// coalesce into single engine events (config.coalescing) with
 /// bit-identical Ticks.
 [[nodiscard]] inline sim::SubTask put(sim::CoreContext& ctx, int target_ue,
                                       std::uint64_t mpb_offset, const void* src,

@@ -244,7 +244,7 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource) const {
   // running task itself has no pending event either; it is excluded, not
   // blocked. A blocked task reaching this resource collapses the horizon to
   // the global one UNLESS every such task is registered against a sync
-  // object whose waker chain the kernel can bound (sync_aware_).
+  // object whose waker chain the kernel can bound.
   const std::size_t running = currentTaskId();
   const bool adjust_cur = running != kNoTask && running >= counted_tasks_from_ &&
                           running < task_class_.size();
@@ -255,11 +255,7 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource) const {
     std::int64_t blocked = classes_[cls].alive -
                            static_cast<std::int64_t>(classes_[cls].pending.size());
     if (adjust_cur && cur_cls == cls) --blocked;
-    if (blocked > 0) {
-      if (!sync_aware_ || blocked > classes_[cls].blocked_registered) {
-        return nextEventTime();
-      }
-    }
+    if (blocked > classes_[cls].blocked_registered) return nextEventTime();
     for (const Tick t : classes_[cls].pending) horizon = std::min(horizon, t);
   }
 
@@ -267,30 +263,24 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource) const {
       unaffined_alive_ - static_cast<std::int64_t>(unaffined_pending_.size() -
                                                    uncounted_unaffined_pending_);
   if (adjust_cur && cur_cls == kUniversalClass) --blocked_universal;
-  if (blocked_universal > 0) {
-    if (!sync_aware_ || blocked_universal > universal_blocked_registered_) {
-      return nextEventTime();
-    }
-  }
+  if (blocked_universal > universal_blocked_registered_) return nextEventTime();
   for (const Tick t : unaffined_pending_) horizon = std::min(horizon, t);
 
-  if (sync_aware_) {
-    // Every registered blocked task that can reach this resource bounds the
-    // horizon by the earliest execution of its wake chain. Parallel runs
-    // file parks lane-locally, and only this lane's component can reach
-    // `resource`, so the lane list is the complete blocked set for it. The
-    // recursion scratch is thread_local (reused allocation-free per lane).
-    const Lane* lane = activeLane();
-    const std::vector<std::size_t>& blocked =
-        lane != nullptr ? lane->blocked_tasks : blocked_tasks_;
-    static thread_local std::vector<std::size_t> wake_path;
-    for (const std::size_t b : blocked) {
-      const std::uint32_t cls = classOfTask(b);
-      if (cls != kUniversalClass && !classReaches(cls, resource)) continue;
-      wake_path.clear();
-      wake_path.push_back(b);
-      horizon = std::min(horizon, wakeBound(b, wake_path));
-    }
+  // Every registered blocked task that can reach this resource bounds the
+  // horizon by the earliest execution of its wake chain. Parallel runs file
+  // parks lane-locally, and only this lane's component can reach `resource`,
+  // so the lane list is the complete blocked set for it. The recursion
+  // scratch is thread_local (reused allocation-free per lane).
+  const Lane* lane = activeLane();
+  const std::vector<std::size_t>& blocked =
+      lane != nullptr ? lane->blocked_tasks : blocked_tasks_;
+  static thread_local std::vector<std::size_t> wake_path;
+  for (const std::size_t b : blocked) {
+    const std::uint32_t cls = classOfTask(b);
+    if (cls != kUniversalClass && !classReaches(cls, resource)) continue;
+    wake_path.clear();
+    wake_path.push_back(b);
+    horizon = std::min(horizon, wakeBound(b, wake_path));
   }
   return horizon;
 }

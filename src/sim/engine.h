@@ -67,8 +67,7 @@
 // Under these rules coalescing may reduce `eventsProcessed()` but never
 // changes any Tick: makespan, per-task completion times, and every
 // resource-timeline state transition are bit-identical with coalescing on
-// or off, with per-resource or global horizons, and with sync-aware wake
-// chains on or off.
+// or off.
 #pragma once
 
 #include <algorithm>
@@ -321,13 +320,8 @@ class Engine {
   /// bounded further by the wake chains of blocked tasks reaching
   /// `resource` (see the header comment for the exactness argument). Falls
   /// back to the global nextEventTime() when a blocked task's waker set is
-  /// unknown or sync-aware horizons are disabled.
+  /// unknown or no resources are registered.
   [[nodiscard]] Tick nextEventTimeFor(std::uint32_t resource) const;
-
-  /// Toggle the sync-aware wake-chain refinement of nextEventTimeFor()
-  /// (default on). Off reproduces the blunt rule: any blocked task that can
-  /// reach the queried resource collapses the horizon to the global one.
-  void setSyncAwareHorizon(bool enabled) { sync_aware_ = enabled; }
 
   // -- synchronization-object registry (wake-chain tracking) --
   /// How a sync object's waker set gates its waiters' wakes. kAny: any
@@ -660,7 +654,6 @@ class Engine {
   std::size_t counted_tasks_from_ = 0;  ///< ids below predate registerResources
 
   // -- sync-object / wake-chain tracking --
-  bool sync_aware_ = true;
   std::vector<SyncObject> syncs_;
   std::vector<std::uint32_t> task_blocked_sync_;  ///< per task: sync or kNoSync
   std::vector<std::size_t> blocked_tasks_;        ///< registered blocked tasks

@@ -796,29 +796,21 @@ SccMachine::SccMachine(SccConfig config)
   // controllers plus every tile's MPB port. launch() gives each task a reach
   // set of its core's controller and the ports it may touch.
   engine_.registerResources(mesh_.numResources());
-  engine_.setSyncAwareHorizon(config_.sync_aware_horizon);
   engine_.reserveEvents(config_.num_cores * 2);
   // Robustness layer: at machine level a drained heap with live tasks is
   // ALWAYS the silent-hang bug (machine tasks never park across run()
   // calls), so hang detection is unconditional; the timeout and watchdog
   // knobs come from the config (off by default).
   fault_ = FaultInjector(config_.fault);
-  // Round-robin contention batching rides on the coalescing machinery and
-  // replays the default quantum's per-word interleaving exactly; a custom
-  // quantum is already a different (approximate) contention model, so the
-  // batch solver stays out of its way.
   shm_word_runs_.resize(config_.num_mem_controllers);
   shm_run_seq_.assign(config_.num_mem_controllers, 1);
-  shm_batching_ = config_.shm_contention_batching && config_.shm_coalescing &&
-                  config_.shm_fairness_quantum_words <= 1;
   engine_.setHangDetection(true);
   engine_.setSyncTimeout(config_.sync_timeout_ticks);
   engine_.setWatchdogEventLimit(config_.watchdog_events_per_tick);
   // Observability: the recorder always exists, but the engine only learns
   // about it when tracing is on — disabled runs short-circuit every hook on
   // the null pointer and never reach the recorder's own enabled() check.
-  trace_.configure(config_.trace_enabled, config_.trace_ring_capacity,
-                   config_.trace_batches);
+  trace_.configure(config_.trace_enabled, config_.trace_ring_capacity);
   if (config_.trace_enabled) engine_.setTraceRecorder(&trace_);
   // Happens-before race detection (sim/drf/): drf_active_ is the cached
   // hot-path gate of every noteDrf* hook; sync objects get the checker
@@ -1250,7 +1242,6 @@ Tick SccMachine::shmAccessCompletion(int core, Tick start, std::uint64_t offset,
 }
 
 Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& timeline,
-                                     bool coalescing, std::size_t quantum,
                                      Tick issue_overhead, Tick hop_one_way, Tick service,
                                      Tick start, std::size_t max_txns,
                                      std::size_t* done) {
@@ -1265,12 +1256,8 @@ Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& t
   // falls back to the global horizon itself when it cannot). The first
   // transaction is always safe: its request is issued "now", while this
   // coroutine holds the engine. With coalescing off the horizon degenerates
-  // to 0, i.e. every transaction after the quantum is contended.
-  Tick horizon = 0;
-  if (coalescing) {
-    horizon = config_.per_resource_horizon ? engine_.nextEventTimeFor(resource)
-                                           : engine_.nextEventTime();
-  }
+  // to 0: one transaction per event, the per-word/per-chunk reference path.
+  const Tick horizon = config_.coalescing ? engine_.nextEventTimeFor(resource) : 0;
 
   // Memory-controller stall faults: keyed by (resource id, per-resource
   // transaction index). The transaction order per resource is identical
@@ -1281,7 +1268,7 @@ Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& t
   Tick t = start;
   std::size_t n = 0;
   while (n < max_txns) {
-    if (n > 0 && t >= horizon && n >= quantum) break;
+    if (n > 0 && t >= horizon) break;
     const Tick arrival = t + issue_overhead + hop_one_way;
     Tick svc = service;
     if (stall_armed) {
@@ -1302,13 +1289,6 @@ Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& t
     ++n;
   }
   *done = n;
-  // Batch-boundary spans are inherently coalescing-mode-dependent (that is
-  // what they visualize) — opt-in and excluded from the identity contract.
-  if (trace_.batchesEnabled() && n > 1) {
-    trace_.record(engine_.currentTaskId(),
-                  obs::TraceEvent{start, t, n, 0, 0, resource,
-                                  obs::TraceEventKind::kBatch});
-  }
   return t;
 }
 
@@ -1491,10 +1471,6 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
     r.remaining = m.remaining;
     r.seq = m.seq;
   }
-  if (trace_.batchesEnabled() && *words_done > 1) {
-    trace_.record(self, obs::TraceEvent{start, *completion, *words_done, 0, 0,
-                                        mc_id, obs::TraceEventKind::kBatch});
-  }
   return true;
 }
 
@@ -1504,7 +1480,7 @@ Tick SccMachine::shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way,
   // Round-robin contention batching (header comment at WordRun). Placement-
   // routed runs can aim at controllers outside the accessor's reach class,
   // which would break the closure proof — the batch layer stands down.
-  const bool batching = shm_batching_ && !ctrl_placement_active_;
+  const bool batching = config_.coalescing && !ctrl_placement_active_;
   if (batching) {
     Tick batched = 0;
     if (consumeSolvedRun(mc_id, words_done, &batched)) return batched;
@@ -1513,11 +1489,9 @@ Tick SccMachine::shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way,
       return batched;
     }
   }
-  const std::size_t quantum =
-      config_.shm_fairness_quantum_words > 0 ? config_.shm_fairness_quantum_words : 1;
-  const Tick t = coalescedCompletion(mc_id, mc_[mc_id], config_.shm_coalescing,
-                                     quantum, uncached_overhead_ticks_, hop_one_way,
-                                     word_service_ticks_, start, max_words, words_done);
+  const Tick t = coalescedCompletion(mc_id, mc_[mc_id], uncached_overhead_ticks_,
+                                     hop_one_way, word_service_ticks_, start, max_words,
+                                     words_done);
   shm_words_.fetch_add(*words_done, std::memory_order_relaxed);
   mc_traffic_[mc_id] += *words_done;
   shm_word_events_.fetch_add(1, std::memory_order_relaxed);
@@ -1577,12 +1551,10 @@ Tick SccMachine::shmWordsAtCompletion(int core, Tick start, std::uint64_t offset
 Tick SccMachine::swcacheLinesCompletion(int core, Tick start, std::size_t max_lines,
                                         std::size_t* lines_done) {
   const std::uint32_t mc_id = core_mc_[static_cast<std::size_t>(core)];
-  const std::size_t quantum =
-      config_.shm_fairness_quantum_words > 0 ? config_.shm_fairness_quantum_words : 1;
   const Tick t = coalescedCompletion(
-      mc_id, mc_[mc_id], config_.shm_coalescing, quantum,
-      swcache_line_overhead_ticks_, core_mc_hop_ticks_[static_cast<std::size_t>(core)],
-      line_service_ticks_, start, max_lines, lines_done);
+      mc_id, mc_[mc_id], swcache_line_overhead_ticks_,
+      core_mc_hop_ticks_[static_cast<std::size_t>(core)], line_service_ticks_, start,
+      max_lines, lines_done);
   swcache_lines_sim_.fetch_add(*lines_done, std::memory_order_relaxed);
   mc_traffic_[mc_id] += *lines_done;
   swcache_line_events_.fetch_add(1, std::memory_order_relaxed);
@@ -1607,12 +1579,8 @@ Tick SccMachine::mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
       mesh_.hopsBetweenCores(static_cast<std::uint32_t>(core), owner_core);
   const Tick hop_one_way =
       mesh_clock_.cycles(static_cast<std::uint64_t>(config_.mesh_hop_cycles) * hops);
-  const std::size_t quantum = config_.mpb_fairness_quantum_chunks > 0
-                                  ? config_.mpb_fairness_quantum_chunks
-                                  : 1;
-  const Tick t = coalescedCompletion(port_id, mpb_port_[tile], config_.mpb_coalescing,
-                                     quantum, mpb_overhead_ticks_, hop_one_way,
-                                     chunk_service_ticks_, start, max_chunks,
+  const Tick t = coalescedCompletion(port_id, mpb_port_[tile], mpb_overhead_ticks_,
+                                     hop_one_way, chunk_service_ticks_, start, max_chunks,
                                      chunks_done);
   mpb_chunks_.fetch_add(*chunks_done, std::memory_order_relaxed);
   mpb_chunk_events_.fetch_add(1, std::memory_order_relaxed);

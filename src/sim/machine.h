@@ -175,7 +175,7 @@ class CoreContext {
   // independent blocking transaction through the core's memory controller
   // (the uncached-access semantics of the SCC's shared pages). Runs of words
   // that are provably uncontended are coalesced into a single engine event
-  // (config.shm_coalescing); contention windows fall back to per-word events
+  // (config.coalescing); contention windows fall back to per-word events
   // so concurrent cores interleave fairly. Either way the simulated Ticks
   // are identical — see sim/engine.h.
   //
@@ -225,7 +225,7 @@ class CoreContext {
   // Chunk-granular: every cache-line-sized chunk is an independent blocking
   // transaction through the owning tile's MPB port (the core moves MPB data
   // line by line, as RCCE put/get do). Runs of provably-uncontended chunks
-  // are coalesced into a single engine event (config.mpb_coalescing),
+  // are coalesced into a single engine event (config.coalescing),
   // mirroring the shared-memory word path; Ticks are identical either way.
   [[nodiscard]] SubTask mpbRead(int owner_ue, std::uint64_t offset, void* out,
                                 std::size_t bytes);
@@ -465,7 +465,7 @@ class SccMachine {
     return mpb_chunks_.load(std::memory_order_relaxed);
   }
   /// Engine events those chunks cost (== mpbChunksSimulated() with
-  /// mpb_coalescing off).
+  /// coalescing off).
   [[nodiscard]] std::uint64_t mpbChunkEvents() const {
     return mpb_chunk_events_.load(std::memory_order_relaxed);
   }
@@ -674,14 +674,12 @@ class SccMachine {
                            bool write, void* data_out, const void* data_in);
   /// Service up to `max_words` uncached word transactions starting at
   /// `start`, coalescing as many as the coalescing horizon proves safe (at
-  /// least one; exactly one when contended with the default fairness
-  /// quantum). The horizon is scoped to this core's memory controller
-  /// (Engine::nextEventTimeFor) so pending traffic on *other* resources
-  /// does not break the run; config.per_resource_horizon=false falls back
-  /// to the global horizon. Returns the completion Tick of the serviced
-  /// words and stores how many were serviced in `*words_done`. The
-  /// arithmetic is the exact per-word recurrence, so Ticks match the
-  /// per-event path bit for bit.
+  /// least one; exactly one when contended). The horizon is scoped to this
+  /// core's memory controller (Engine::nextEventTimeFor) so pending traffic
+  /// on *other* resources does not break the run. Returns the completion
+  /// Tick of the serviced words and stores how many were serviced in
+  /// `*words_done`. The arithmetic is the exact per-word recurrence, so
+  /// Ticks match the per-event path bit for bit.
   Tick shmWordsCompletion(int core, Tick start, std::size_t max_words,
                           std::size_t* words_done);
   /// Offset-aware twin of shmWordsCompletion for planned regions: routes
@@ -695,14 +693,13 @@ class SccMachine {
   /// MPB twin of shmWordsCompletion: service up to `max_chunks` cache-line
   /// chunks of `ue`'s transfer against owner_ue's tile port, coalescing as
   /// many as the port's horizon proves safe. Same exact recurrence, same
-  /// bit-identity guarantee (config.mpb_coalescing gates batching).
+  /// bit-identity guarantee (config.coalescing gates batching).
   Tick mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
                            std::size_t max_chunks, std::size_t* chunks_done);
   /// Swcache twin of shmWordsCompletion: service up to `max_lines` swcache
   /// line transfers (fills or dirty write-backs) against the core's memory
   /// controller, coalescing as many as the controller's horizon proves safe
-  /// (config.shm_coalescing / shm_fairness_quantum_words gate batching, the
-  /// same knobs as the word path they replace).
+  /// (config.coalescing gates batching, as on the word path they replace).
   Tick swcacheLinesCompletion(int core, Tick start, std::size_t max_lines,
                               std::size_t* lines_done);
   Tick shmBulkCompletion(int core, Tick start, std::uint64_t offset, std::size_t bytes,
@@ -717,7 +714,7 @@ class SccMachine {
   Tick shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way, Tick start,
                             std::size_t max_words, std::size_t* words_done);
 
-  // -- round-robin contention batching (config.shm_contention_batching) --
+  // -- round-robin contention batching (config.coalescing) --
   // A contended controller serves k word-runs interleaved, one word per
   // engine event each. When the machine can prove the contention pattern is
   // CLOSED — every alive task whose reach includes the controller is mid
@@ -770,14 +767,13 @@ class SccMachine {
   /// request issued `issue_overhead + hop_one_way` after the previous
   /// completion, serviced for `service`, completion seen `hop_one_way`
   /// later — batching while the resource's coalescing horizon proves no
-  /// other coroutine can interleave (at least one transaction; at most
-  /// `quantum` once contended). The recurrence is exactly the per-event
-  /// execution's, so Ticks are bit-identical whether a run is one event or
-  /// many.
+  /// other coroutine can interleave (at least one transaction; exactly one
+  /// once contended or with config.coalescing off). The recurrence is
+  /// exactly the per-event execution's, so Ticks are bit-identical whether
+  /// a run is one event or many.
   Tick coalescedCompletion(std::uint32_t resource, ResourceTimeline& timeline,
-                           bool coalescing, std::size_t quantum, Tick issue_overhead,
-                           Tick hop_one_way, Tick service, Tick start,
-                           std::size_t max_txns, std::size_t* done);
+                           Tick issue_overhead, Tick hop_one_way, Tick service,
+                           Tick start, std::size_t max_txns, std::size_t* done);
 
  private:
   SccConfig config_;
@@ -878,9 +874,6 @@ class SccMachine {
   /// ordering while staying lane-exclusive under parallel lanes (one shared
   /// counter would be a cross-lane data race AND schedule-dependent).
   std::vector<std::uint64_t> shm_run_seq_;
-  /// Cached hot-path gate: config_.shm_contention_batching AND
-  /// shm_coalescing (the off mode stays the untouched per-word reference).
-  bool shm_batching_ = false;
 
   FaultInjector fault_;  ///< built from config_.fault at construction
   /// Scratch for swcacheFlushChecked's flushed-line addresses (reused to

@@ -15,7 +15,7 @@ constexpr std::array<const char*, static_cast<std::size_t>(TraceEventKind::kNumK
         "shm_read",      "shm_write",    "shm_bulk_read", "shm_bulk_write",
         "swcache_read",  "swcache_write", "swcache_flush", "mpb_get",
         "mpb_put",       "barrier_wait", "lock_wait",     "freeze",
-        "batch",         "block",        "wake",          "lock_release",
+        "retired",       "block",        "wake",          "lock_release",
         "fault_inject",  "fault_retry",  "mc_stall",      "report",
         "race",
 };
@@ -73,9 +73,6 @@ std::string argsJson(const TraceEvent& ev) {
     case TraceEventKind::kFreeze:
       field("permanent", ev.a);
       break;
-    case TraceEventKind::kBatch:
-      field("events", ev.a);
-      break;
     case TraceEventKind::kFaultInject:
     case TraceEventKind::kFaultRetry:
       field("class", ev.a);
@@ -127,11 +124,9 @@ const char* traceEventName(TraceEventKind kind) {
 
 bool traceEventIsSpan(TraceEventKind kind) { return kind < TraceEventKind::kBlock; }
 
-void TraceRecorder::configure(bool enabled, std::size_t ring_capacity,
-                              bool record_batches) {
+void TraceRecorder::configure(bool enabled, std::size_t ring_capacity) {
   enabled_ = enabled;
   cap_ = ring_capacity;
-  batches_ = record_batches;
 }
 
 void TraceRecorder::prepare(std::size_t num_tasks) {

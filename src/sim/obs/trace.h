@@ -8,15 +8,13 @@
 // modes, and the conservative-PDES proof (docs/engine_parallel.md)
 // guarantees are bit-identical across engine_lanes=1/N. Recording at the
 // per-engine-event level instead would break both contracts: intermediate
-// event counts and ticks are mode-dependent by design. The one deliberately
-// mode-dependent category — coalesced-batch boundaries — is opt-in
-// (trace_batches) and documented as excluded from the identity contract.
+// event counts and ticks are mode-dependent by design.
 //
 // Determinism contract (a new oracle, tested in tests/test_obs.cpp):
 //   - traces contain only simulated time (Ticks), never wall clock;
-//   - with trace_batches off, an enabled trace is byte-identical across
-//     engine_lanes=1/N, all coalescing modes, and zero-rate armed fault
-//     plans (fault events are recorded only when a fault actually fires).
+//   - an enabled trace is byte-identical across engine_lanes=1/N, coalescing
+//     on or off, and zero-rate armed fault plans (fault events are recorded
+//     only when a fault actually fires).
 //
 // Zero overhead when disabled: every hook site is gated on one cached bool
 // (enabled()), the same discipline as FaultInjector::anyArmed(). The
@@ -55,9 +53,10 @@ enum class TraceEventKind : std::uint8_t {
   kBarrierWait,    ///< arrival..release per waiter; a=sync_id b=episode
   kLockWait,       ///< request..grant; a=sync_id b=1 if the grant was queued
   kFreeze,         ///< injected core freeze; a=1 if permanent
-  kBatch,          ///< coalesced batch (mode-dependent, opt-in); a=events
   // ---- instants (end == start) ----
-  kBlock,          ///< task parked on a sync object; a=sync_id
+  // Value 12 is retired and never recorded; the explicit 13 keeps every
+  // later kind's value, and so the binary trace bytes, stable.
+  kBlock = 13,     ///< task parked on a sync object; a=sync_id
   kWake,           ///< parked task rescheduled;      a=sync_id
   kLockRelease,    ///< lock handoff initiated;       a=sync_id
   kFaultInject,    ///< fault fired; a=fault class
@@ -100,13 +99,11 @@ class TraceRecorder {
  public:
   /// ring_capacity: max retained events per task (0 = unbounded). Overflow
   /// keeps the newest events and counts the evicted ones in droppedEvents().
-  void configure(bool enabled, std::size_t ring_capacity, bool record_batches);
+  void configure(bool enabled, std::size_t ring_capacity);
 
   /// The one hot-path gate. Hook sites test this cached bool and nothing
   /// else; when false the recorder costs one predictable branch per site.
   [[nodiscard]] bool enabled() const { return enabled_; }
-  /// Gate for the mode-dependent batch-boundary category.
-  [[nodiscard]] bool batchesEnabled() const { return enabled_ && batches_; }
 
   /// Size per-task buffers for `num_tasks` root tasks. Must be called before
   /// a parallel run so lanes never resize the outer vector concurrently.
@@ -156,7 +153,6 @@ class TraceRecorder {
   TaskBuf host_;
   std::size_t cap_ = 0;
   bool enabled_ = false;
-  bool batches_ = false;
 };
 
 }  // namespace hsm::sim::obs

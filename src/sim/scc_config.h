@@ -100,38 +100,14 @@ struct SccConfig {
   std::uint32_t swcache_line_core_overhead_cycles = 20;
 
   // -- simulation kernel knobs (simulator speed, not architecture) --
-  /// Coalesce runs of uncached shared-memory word transactions into one
-  /// engine event whenever the engine can prove no other event interleaves
-  /// (see sim/engine.h's coalescing invariant). Never changes any Tick;
-  /// exposed so equivalence tests and benchmarks can A/B the two paths.
-  bool shm_coalescing = true;
-  /// Coalesce runs of MPB chunk transactions (RCCE put/get loops) the same
-  /// way, against the owning tile's port timeline. Never changes any Tick;
-  /// mirrors shm_coalescing for the on-chip path.
-  bool mpb_coalescing = true;
-  /// Scope the coalescing safety horizon to the accessed serially-reusable
-  /// resource — the memory controller for shared-memory words, the tile's
-  /// MPB port for chunk transfers (Engine::nextEventTimeFor) — instead of
-  /// the whole event queue, so runs keep coalescing while *other* resources
-  /// have pending traffic. Tick-exact either way; exposed so benchmarks and
-  /// equivalence tests can A/B per-resource against the legacy global
-  /// horizon.
-  bool per_resource_horizon = true;
-  /// Refine blocked-task horizon fallbacks through registered sync objects:
-  /// a task parked on a lock/barrier bounds a horizon by its potential
-  /// waker chain's earliest execution instead of collapsing it to the
-  /// global event queue (sim/engine.h's wake-chain rule). Tick-exact either
-  /// way; off reproduces the blunt any-blocked-task-goes-global fallback.
-  bool sync_aware_horizon = true;
-  /// Words serviced per engine event inside a contention window (when other
-  /// pending events forbid further provably-safe coalescing). 1 (default)
-  /// reproduces the per-word interleaving exactly; larger values trade
-  /// controller fairness accuracy for simulator speed and MAY change
-  /// simulated Ticks under contention (measured error: see ROADMAP.md).
-  std::uint32_t shm_fairness_quantum_words = 1;
-  /// MPB counterpart of shm_fairness_quantum_words: chunks serviced per
-  /// engine event inside a port contention window.
-  std::uint32_t mpb_fairness_quantum_chunks = 1;
+  /// Batch provably uninterleaved transactions into one engine event: runs
+  /// of uncached shared-memory words and swcache line transfers against a
+  /// memory controller, runs of MPB chunks against a tile port (each bounded
+  /// by the resource's horizon, Engine::nextEventTimeFor), and closed
+  /// round-robin contention on one controller (SccMachine's joint replay).
+  /// Never changes any Tick; off runs the per-word/per-chunk reference path
+  /// the equivalence tests compare against.
+  bool coalescing = true;
   /// Worker lanes for the conservative-PDES engine (docs/engine_parallel.md).
   /// 1 (default) runs the classic single-threaded event loop. N>1 partitions
   /// tasks into disjoint components (reach classes merged across shared
@@ -140,14 +116,6 @@ struct SccConfig {
   /// makespans are bit-identical to lanes=1; runs whose components cannot be
   /// proven disjoint fall back to the sequential loop automatically.
   std::uint32_t engine_lanes = 1;
-  /// Round-robin contention batching: when every alive task that can reach a
-  /// memory controller is running an identical word-run against it (the
-  /// provably-interleaved round-robin pattern of shm_words_contended_8ue),
-  /// fold all k interleaved per-word turns into one engine event per task by
-  /// replaying the joint FCFS recurrence inline. Tick-exact by construction
-  /// (the controller timeline sees the same arrival order); exposed so the
-  /// equivalence tests and benchmarks can A/B it.
-  bool shm_contention_batching = true;
 
   // -- deterministic observability (sim/obs/; docs/observability.md) --
   /// Record the simulated-time trace (operation spans, sync episodes, fault
@@ -161,10 +129,6 @@ struct SccConfig {
   /// mode). 0 = unbounded. Overflow keeps the newest events per task and is
   /// accounted in TraceRecorder::droppedEvents().
   std::size_t trace_ring_capacity = 0;
-  /// Also record coalesced-batch boundary spans. These are inherently
-  /// coalescing-mode-dependent (that is what they visualize), so they are
-  /// opt-in and EXCLUDED from the byte-identity contract.
-  bool trace_batches = false;
   /// Aggregate per-region shared-DRAM profiles (reads/writes/hits/misses/
   /// per-controller transactions for every named rcce::ShmArray region;
   /// MetricsSnapshot::regions). Off by default: registration no-ops and the

@@ -365,20 +365,15 @@ TEST(DrfMachine, ReportsByteIdenticalAcrossLanesAndCoalescingModes) {
 
   for (const std::uint32_t lanes : {1u, 4u}) {
     for (const bool coalescing : {true, false}) {
-      for (const bool per_resource : {true, false}) {
-        SccConfig cfg;
-        cfg.drf_check = true;
-        cfg.engine_lanes = lanes;
-        cfg.shm_coalescing = coalescing;
-        cfg.mpb_coalescing = coalescing;
-        cfg.per_resource_horizon = per_resource;
-        const MachineRun run = runMachine(cfg, 8, setup);
-        EXPECT_EQ(run.reports, ref.reports)
-            << "lanes=" << lanes << " coalescing=" << coalescing
-            << " per_resource=" << per_resource;
-        EXPECT_EQ(run.makespan, ref.makespan);
-        EXPECT_EQ(run.completions, ref.completions);
-      }
+      SccConfig cfg;
+      cfg.drf_check = true;
+      cfg.engine_lanes = lanes;
+      cfg.coalescing = coalescing;
+      const MachineRun run = runMachine(cfg, 8, setup);
+      EXPECT_EQ(run.reports, ref.reports)
+          << "lanes=" << lanes << " coalescing=" << coalescing;
+      EXPECT_EQ(run.makespan, ref.makespan);
+      EXPECT_EQ(run.completions, ref.completions);
     }
   }
 }

@@ -250,31 +250,27 @@ SimTask probeOne(Engine& engine, Tick at, std::uint32_t resource,
 
 // The satellite case: a blocked-on-lock task reaching the queried resource,
 // whose only potential waker is a task that cannot reach that resource and
-// runs late. The sync-aware horizon stays narrow (the blocked task cannot be
-// woken before its waker runs); the blunt rule would collapse to the global
-// next event — here an unrelated early other-resource event.
+// runs late. The horizon stays narrow (the blocked task cannot be woken
+// before its waker runs) instead of collapsing to the global next event —
+// here an unrelated early other-resource event.
 TEST(Engine, BlockedTaskBoundedByLateWakerKeepsNarrowHorizon) {
-  for (const bool sync_aware : {true, false}) {
-    Engine engine;
-    engine.setSyncAwareHorizon(sync_aware);
-    engine.registerResources(2);
-    const std::uint32_t lock = engine.registerSyncObject();
-    std::coroutine_handle<> parked;
-    std::size_t parked_task = Engine::kNoTask;
-    std::vector<Tick> horizons;
-    engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, 0);
-    engine.spawn(idleUntil(engine, 100), 0, 0);  // res-0 pending @100
-    const std::size_t waker =
-        engine.spawn(wakeParked(engine, 700, parked, parked_task), 0, 1);
-    engine.spawn(idleUntil(engine, 50), 0, 1);  // unrelated res-1 @50
-    engine.spawn(probeOne(engine, 40, 0, horizons), 0, 0);
-    engine.setSyncWakers(lock, {waker});
-    engine.run();
-    ASSERT_EQ(horizons.size(), 1u);
-    // Sync-aware: min(scoped @100, waker bound @700) = 100. Blunt: the
-    // blocked task forces the global next event, the unrelated @50.
-    EXPECT_EQ(horizons[0], sync_aware ? 100u : 50u);
-  }
+  Engine engine;
+  engine.registerResources(2);
+  const std::uint32_t lock = engine.registerSyncObject();
+  std::coroutine_handle<> parked;
+  std::size_t parked_task = Engine::kNoTask;
+  std::vector<Tick> horizons;
+  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, 0);
+  engine.spawn(idleUntil(engine, 100), 0, 0);  // res-0 pending @100
+  const std::size_t waker =
+      engine.spawn(wakeParked(engine, 700, parked, parked_task), 0, 1);
+  engine.spawn(idleUntil(engine, 50), 0, 1);  // unrelated res-1 @50
+  engine.spawn(probeOne(engine, 40, 0, horizons), 0, 0);
+  engine.setSyncWakers(lock, {waker});
+  engine.run();
+  ASSERT_EQ(horizons.size(), 1u);
+  // min(scoped @100, waker bound @700) = 100, not the unrelated @50.
+  EXPECT_EQ(horizons[0], 100u);
 }
 
 // A lock whose holder is the probing task itself: the holder cannot release

@@ -410,7 +410,7 @@ TEST(Machine, FullyDeterministic) {
 }
 
 // --- coalescing equivalence -------------------------------------------------
-// The hard bar for the coalesced word path (config.shm_coalescing): identical
+// The hard bar for the coalesced word path (config.coalescing): identical
 // makespan AND identical per-task completion Ticks versus the per-word legacy
 // path, while processing fewer engine events.
 
@@ -432,10 +432,9 @@ SimTask streamKernel(CoreContext& ctx, std::uint64_t base, int blocks,
   }
 }
 
-SimResult runStream(bool coalescing, int ues, bool per_controller = true) {
+SimResult runStream(bool coalescing, int ues) {
   SccConfig cfg;
-  cfg.shm_coalescing = coalescing;
-  cfg.per_resource_horizon = per_controller;
+  cfg.coalescing = coalescing;
   SccMachine machine(cfg);
   const std::uint64_t base = machine.shmalloc(16 * 4096);
   machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) { return streamKernel(ctx, base, 16, 4096); }));
@@ -493,10 +492,9 @@ SimTask contendedKernel(CoreContext& ctx, std::uint64_t blocks_base,
   (*out)[static_cast<std::size_t>(ctx.ue())] = final_counter;
 }
 
-SimResult runContended(bool coalescing, int ues, bool per_controller = true) {
+SimResult runContended(bool coalescing, int ues) {
   SccConfig cfg;
-  cfg.shm_coalescing = coalescing;
-  cfg.per_resource_horizon = per_controller;
+  cfg.coalescing = coalescing;
   SccMachine machine(cfg);
   const std::uint64_t blocks = machine.shmalloc(static_cast<std::size_t>(ues) * 1024);
   const std::uint64_t counter = machine.shmalloc(8);
@@ -528,22 +526,19 @@ TEST(Machine, CoalescingBitIdenticalContendedMultiCore) {
   for (const std::uint64_t seen : off.data) EXPECT_EQ(seen, 32u);
 }
 
-// Full equivalence matrix on the contended lock+barrier kernel: coalescing
-// off, global-horizon coalescing, and per-controller-horizon coalescing must
-// all produce bit-identical Ticks and workload output; tighter horizons may
-// only reduce the event count.
-TEST(Machine, HorizonModesEquivalenceMatrixContended) {
+// The wake-chain rule must change only the event count, never a Tick. On the
+// lock+barrier kernel a task parked on a lock or barrier bounds the horizon
+// through its wakers instead of collapsing it to the global one; the pinned
+// word-event count catches any loss of that narrowing.
+TEST(Machine, WakeChainHorizonBitIdenticalAndPinsWordEvents) {
+  const SimResult on = runContended(true, 8);
   const SimResult off = runContended(false, 8);
-  const SimResult global = runContended(true, 8, /*per_controller=*/false);
-  const SimResult per_mc = runContended(true, 8, /*per_controller=*/true);
-  for (const SimResult* r : {&global, &per_mc}) {
-    EXPECT_EQ(r->makespan, off.makespan);
-    EXPECT_EQ(r->completions, off.completions);
-    EXPECT_EQ(r->data, off.data);
-    EXPECT_EQ(r->shm_words, off.shm_words);
-  }
-  EXPECT_LE(per_mc.events, global.events);
-  EXPECT_LE(global.events, off.events);
+  EXPECT_EQ(on.makespan, off.makespan);
+  EXPECT_EQ(on.completions, off.completions);
+  EXPECT_EQ(on.data, off.data);
+  EXPECT_EQ(on.shm_words, 8264u);
+  EXPECT_EQ(off.shm_word_events, off.shm_words);
+  EXPECT_EQ(on.shm_word_events, 220u);
 }
 
 /// Compute phases skewed by UE followed by block IO: cores take turns at the
@@ -559,9 +554,9 @@ SimTask staggeredKernel(CoreContext& ctx, std::uint64_t base, int iterations) {
   }
 }
 
-SimResult runStaggered(bool per_controller) {
+SimResult runStaggered(bool coalescing) {
   SccConfig cfg;
-  cfg.per_resource_horizon = per_controller;
+  cfg.coalescing = coalescing;
   SccMachine machine(cfg);
   const std::uint64_t base = machine.shmalloc(8 * 4096);
   machine.launch(LaunchSpec(8, [&](CoreContext& ctx) { return staggeredKernel(ctx, base, 8); }));
@@ -576,20 +571,19 @@ SimResult runStaggered(bool per_controller) {
   return r;
 }
 
-// The tentpole claim: on a multi-controller contended mix (8 UEs spread
-// across the four controllers, desynchronized by compute skew), the
-// per-controller horizon keeps coalescing alive — pending traffic bound for
-// *other* controllers no longer truncates a word run — while the global
-// horizon degrades toward per-word events. Ticks stay bit-identical.
-TEST(Machine, PerControllerHorizonOutCoalescesGlobalAcrossControllers) {
-  const SimResult global = runStaggered(/*per_controller=*/false);
-  const SimResult per_mc = runStaggered(/*per_controller=*/true);
-  EXPECT_EQ(per_mc.makespan, global.makespan);
-  EXPECT_EQ(per_mc.completions, global.completions);
-  EXPECT_EQ(per_mc.shm_words, global.shm_words);
-  EXPECT_LT(per_mc.shm_word_events * 2, global.shm_word_events)
-      << "per-controller horizons should at least halve the word events that "
-         "survive on the staggered multi-controller mix";
+// On a multi-controller mix (8 UEs spread across the four controllers,
+// desynchronized by compute skew) the per-controller horizon keeps
+// coalescing alive: pending traffic bound for *other* controllers does not
+// truncate a word run, which the pinned event count guards. Ticks stay
+// bit-identical.
+TEST(Machine, PerControllerHorizonPinsStaggeredWordEvents) {
+  const SimResult on = runStaggered(true);
+  const SimResult off = runStaggered(false);
+  EXPECT_EQ(on.makespan, off.makespan);
+  EXPECT_EQ(on.completions, off.completions);
+  EXPECT_EQ(on.shm_words, 65536u);
+  EXPECT_EQ(off.shm_word_events, off.shm_words);
+  EXPECT_EQ(on.shm_word_events, 141u);
 }
 
 /// Reverse-staggered arrivals into a barrier, then a lock dogpile: all wakes
@@ -615,7 +609,7 @@ SimTask wakeOrderKernel(CoreContext& ctx, std::uint64_t base,
 
 std::pair<std::vector<int>, std::vector<int>> runWakeOrder(bool coalescing) {
   SccConfig cfg;
-  cfg.shm_coalescing = coalescing;
+  cfg.coalescing = coalescing;
   SccMachine machine(cfg);
   const std::uint64_t base = machine.shmalloc(8 * 512);
   std::vector<int> wake_order;
@@ -649,8 +643,8 @@ TEST(Machine, CoalescingStatsAccountAllWords) {
 // --- MPB chunk coalescing ----------------------------------------------------
 // The same hard bar as the shm word path, now for the chunk-granular MPB
 // path: identical makespan, per-task completion Ticks, and workload output
-// across mpb_coalescing on (per-resource horizon), on (global horizon), and
-// off — while the coalesced runs process fewer engine events.
+// with coalescing on and off — while the coalesced runs process fewer engine
+// events.
 
 struct MpbResult {
   Tick makespan = 0;
@@ -677,10 +671,9 @@ SimTask mpbContendedKernel(CoreContext& ctx, std::uint64_t slot, int rounds,
   (*out)[static_cast<std::size_t>(ctx.ue())] = buf[bytes - 1];
 }
 
-MpbResult runMpbContended(bool coalescing, bool per_resource, int ues) {
+MpbResult runMpbContended(bool coalescing, int ues) {
   SccConfig cfg;
-  cfg.mpb_coalescing = coalescing;
-  cfg.per_resource_horizon = per_resource;
+  cfg.coalescing = coalescing;
   SccMachine machine(cfg);
   const std::uint64_t slot = machine.mpbMalloc(0, 1024);
   for (int ue = 1; ue < ues; ++ue) machine.mpbMalloc(ue, 1024);
@@ -700,19 +693,17 @@ MpbResult runMpbContended(bool coalescing, bool per_resource, int ues) {
 }
 
 TEST(Machine, MpbCoalescingBitIdenticalContendedPutGet) {
-  const MpbResult off = runMpbContended(false, false, 6);
-  const MpbResult global = runMpbContended(true, false, 6);
-  const MpbResult per_res = runMpbContended(true, true, 6);
-  for (const MpbResult* r : {&global, &per_res}) {
-    EXPECT_EQ(r->makespan, off.makespan);
-    EXPECT_EQ(r->completions, off.completions);
-    EXPECT_EQ(r->data, off.data);
-    EXPECT_EQ(r->chunks, off.chunks);
-  }
-  EXPECT_LE(per_res.events, global.events);
-  EXPECT_LE(global.events, off.events);
-  // With coalescing off every chunk is its own event.
+  const MpbResult off = runMpbContended(false, 6);
+  const MpbResult on = runMpbContended(true, 6);
+  EXPECT_EQ(on.makespan, off.makespan);
+  EXPECT_EQ(on.completions, off.completions);
+  EXPECT_EQ(on.data, off.data);
+  EXPECT_EQ(on.chunks, off.chunks);
+  EXPECT_LE(on.events, off.events);
+  // With coalescing off every chunk is its own event; lockstep contention
+  // leaves only a few provably uncontended runs to coalesce.
   EXPECT_EQ(off.chunk_events, off.chunks);
+  EXPECT_EQ(on.chunk_events, 1528u);
   // Four rounds of ring shift: each UE ends up with the byte that started
   // four places to its left, value (ue - 4 mod 6) + 1.
   for (int ue = 0; ue < 6; ++ue) {
@@ -738,9 +729,9 @@ SimTask portPairKernel(CoreContext& ctx, std::uint64_t slot, int rounds) {
   co_await ctx.barrier();
 }
 
-MpbResult runPortPairs(bool per_resource) {
+MpbResult runPortPairs(bool coalescing) {
   SccConfig cfg;
-  cfg.per_resource_horizon = per_resource;
+  cfg.coalescing = coalescing;
   SccMachine machine(cfg);
   std::uint64_t slot = 0;
   for (int ue = 0; ue < 4; ++ue) slot = machine.mpbMalloc(ue, 1024);
@@ -759,19 +750,17 @@ MpbResult runPortPairs(bool per_resource) {
 }
 
 // Port-horizon isolation: traffic bound for tile A's port must not truncate
-// coalesced runs on tile B's port. Under the global horizon each writer's
-// batch breaks at the other stream's next pending event; with per-resource
-// horizons and disjoint declared scopes both streams coalesce fully. Ticks
-// stay bit-identical.
+// coalesced runs on tile B's port. With per-port horizons and disjoint
+// declared scopes both streams coalesce fully: one event per 32-chunk put.
+// Ticks stay bit-identical.
 TEST(Machine, PortHorizonIsolationAcrossTiles) {
-  const MpbResult global = runPortPairs(false);
-  const MpbResult per_res = runPortPairs(true);
-  EXPECT_EQ(per_res.makespan, global.makespan);
-  EXPECT_EQ(per_res.completions, global.completions);
-  EXPECT_EQ(per_res.chunks, global.chunks);
-  EXPECT_LT(per_res.chunk_events * 2, global.chunk_events)
-      << "per-port horizons should at least halve the chunk events that "
-         "survive on independent per-tile streams";
+  const MpbResult on = runPortPairs(true);
+  const MpbResult off = runPortPairs(false);
+  EXPECT_EQ(on.makespan, off.makespan);
+  EXPECT_EQ(on.completions, off.completions);
+  EXPECT_EQ(on.chunks, 1024u);
+  EXPECT_EQ(off.chunk_events, off.chunks);
+  EXPECT_EQ(on.chunk_events, 32u);
 }
 
 TEST(Machine, MpbScopeViolationsCounted) {
@@ -798,69 +787,13 @@ TEST(Machine, MpbScopeViolationsCounted) {
 }
 
 TEST(Machine, MpbChunkStatsAccountAllChunks) {
-  const MpbResult off = runMpbContended(false, false, 4);
+  const MpbResult off = runMpbContended(false, 4);
   // 4 rounds x (1024B put + 1024B get) / 32B chunks per UE.
   EXPECT_EQ(off.chunks, 4u * 4u * 2u * (1024u / 32u));
   EXPECT_EQ(off.chunk_events, off.chunks);
-  const MpbResult on = runMpbContended(true, true, 4);
+  const MpbResult on = runMpbContended(true, 4);
   EXPECT_EQ(on.chunks, off.chunks);
   EXPECT_LE(on.chunk_events, off.chunk_events);
-}
-
-// --- sync-aware horizons at machine level ------------------------------------
-
-SimResult runContendedSyncAware(bool sync_aware) {
-  SccConfig cfg;
-  cfg.sync_aware_horizon = sync_aware;
-  SccMachine machine(cfg);
-  const std::uint64_t blocks = machine.shmalloc(8 * 1024);
-  const std::uint64_t counter = machine.shmalloc(8);
-  SimResult r;
-  r.data.resize(8, 0);
-  machine.launch(LaunchSpec(8, [&](CoreContext& ctx) {
-    return contendedKernel(ctx, blocks, counter, &r.data);
-  }));
-  r.makespan = machine.run();
-  for (int ue = 0; ue < 8; ++ue) {
-    r.completions.push_back(machine.engine().completionTime(static_cast<std::size_t>(ue)));
-  }
-  r.events = machine.engine().eventsProcessed();
-  r.shm_words = machine.shmWordsSimulated();
-  r.shm_word_events = machine.shmWordEvents();
-  return r;
-}
-
-// The wake-chain rule must change only the event count, never a Tick: the
-// lock+barrier kernel runs bit-identically with sync-aware horizons on and
-// off, and the sync-aware run coalesces strictly better (the blunt fallback
-// forfeits whole batches whenever any sibling is parked).
-TEST(Machine, SyncAwareHorizonBitIdenticalAndCoalescesBetter) {
-  const SimResult blunt = runContendedSyncAware(false);
-  const SimResult aware = runContendedSyncAware(true);
-  EXPECT_EQ(aware.makespan, blunt.makespan);
-  EXPECT_EQ(aware.completions, blunt.completions);
-  EXPECT_EQ(aware.data, blunt.data);
-  EXPECT_EQ(aware.shm_words, blunt.shm_words);
-  EXPECT_LT(aware.shm_word_events, blunt.shm_word_events);
-}
-
-TEST(Machine, FairnessQuantumApproximationCompletes) {
-  // A coarse fairness quantum is an explicit accuracy/speed trade: the run
-  // must still complete, move every word, and stay self-deterministic.
-  auto run_quantum = [] {
-    SccConfig cfg;
-    cfg.shm_fairness_quantum_words = 64;
-    SccMachine machine(cfg);
-    const std::uint64_t base = machine.shmalloc(8 * 1024);
-    machine.launch(LaunchSpec(8, [&](CoreContext& ctx) { return streamKernel(ctx, base, 2, 1024); }));
-    const Tick makespan = machine.run();
-    return std::pair<Tick, std::uint64_t>{makespan, machine.shmWordsSimulated()};
-  };
-  const auto a = run_quantum();
-  const auto b = run_quantum();
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.second, 8u * 2u * 1024u / 8u);
-  EXPECT_GT(a.first, 0u);
 }
 
 // --- conservative-PDES lanes at machine level --------------------------------
@@ -899,7 +832,7 @@ LaneMachineResult runPaired(std::uint32_t lanes, bool coalescing, int ues,
                             const FaultPlan* fault = nullptr) {
   SccConfig cfg;
   cfg.engine_lanes = lanes;
-  cfg.shm_coalescing = coalescing;
+  cfg.coalescing = coalescing;
   if (fault != nullptr) cfg.fault = *fault;
   SccMachine machine(cfg);
   const std::uint64_t base = machine.shmalloc(static_cast<std::size_t>(ues) * 256);

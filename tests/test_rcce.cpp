@@ -123,9 +123,9 @@ SimTask ringExchange(CoreContext& ctx, std::uint64_t slot, std::size_t bytes,
   (*out)[static_cast<std::size_t>(ctx.ue())] = buf[bytes - 1];
 }
 
-std::pair<std::vector<std::uint8_t>, sim::Tick> runRing(bool mpb_coalescing) {
+std::pair<std::vector<std::uint8_t>, sim::Tick> runRing(bool coalescing) {
   sim::SccConfig cfg;
-  cfg.mpb_coalescing = mpb_coalescing;
+  cfg.coalescing = coalescing;
   SccMachine machine(cfg);
   RcceEnv env(machine);
   const std::uint64_t slot = env.mpbMallocSymmetric(4, 256);

@@ -302,26 +302,22 @@ struct RoutingMode {
   bool swcache;
   std::uint32_t policy;
   bool coalescing;
-  bool per_resource;
   bool uncached() const { return !swcache; }
 };
 
 const RoutingMode kMatrix[] = {
-    {"uncached/coalesced", false, 0, true, true},
-    {"uncached/global", false, 0, true, false},
-    {"uncached/off", false, 0, false, false},
-    {"swcache-wb/coalesced", true, 0, true, true},
-    {"swcache-wb/off", true, 0, false, false},
-    {"swcache-wt/coalesced", true, 1, true, true},
+    {"uncached/coalesced", false, 0, true},
+    {"uncached/off", false, 0, false},
+    {"swcache-wb/coalesced", true, 0, true},
+    {"swcache-wb/off", true, 0, false},
+    {"swcache-wt/coalesced", true, 1, true},
 };
 
 SccConfig configFor(const RoutingMode& m) {
   SccConfig cfg;
   cfg.shm_swcache = m.swcache;
   cfg.swcache_policy = m.policy;
-  cfg.shm_coalescing = m.coalescing;
-  cfg.mpb_coalescing = m.coalescing;
-  cfg.per_resource_horizon = m.per_resource;
+  cfg.coalescing = m.coalescing;
   return cfg;
 }
 
