@@ -48,10 +48,6 @@ struct Mode {
   /// Shared-memory routing: 0 = uncached words, 1 = swcache write-back,
   /// 2 = swcache write-through no-allocate.
   int swcache = 0;
-  /// Conservative-PDES worker lanes (SccConfig::engine_lanes). Runs whose
-  /// components the engine cannot prove disjoint fall back to the sequential
-  /// loop (lanes_used reports what actually ran).
-  std::uint32_t lanes = 1;
   /// Simulated-time trace recorder (SccConfig::trace_enabled). Enabled only
   /// by the obs_trace_8ue section: the tracked runs stay untraced so their
   /// events/sec trajectory measures the engine, not the recorder.
@@ -71,9 +67,6 @@ struct RunStats {
   std::uint64_t swcache_line_txns = 0;  ///< line fills + dirty write-backs
   std::uint64_t swcache_line_events = 0;
   std::uint64_t mpb_scope_violations = 0;  ///< accesses outside a declared plan
-  std::uint32_t engine_lanes = 1;  ///< configured worker lanes
-  std::uint32_t lanes_used = 1;    ///< lanes the engine actually ran (rep 0)
-  std::vector<std::uint64_t> lane_events;  ///< per-lane events (rep 0, parallel only)
   Tick makespan = 0;
   std::vector<Tick> completions;
   std::vector<std::uint8_t> result_bytes;  ///< extracted output region
@@ -112,26 +105,6 @@ struct RunStats {
                                    static_cast<double>(swcache_words)
                              : 0.0;
   }
-  /// Smallest / largest per-lane share of the parallel run's events
-  /// (lane_events[i] / total). Even sharding would put every lane at
-  /// 1/lanes_used; compare_bench.py flags a min share collapsing below half
-  /// of that. Zero when the run fell back to the sequential loop.
-  [[nodiscard]] double laneShareMin() const {
-    std::uint64_t total = 0, least = ~0ull;
-    for (const std::uint64_t n : lane_events) {
-      total += n;
-      least = std::min(least, n);
-    }
-    return total > 0 ? static_cast<double>(least) / static_cast<double>(total) : 0.0;
-  }
-  [[nodiscard]] double laneShareMax() const {
-    std::uint64_t total = 0, most = 0;
-    for (const std::uint64_t n : lane_events) {
-      total += n;
-      most = std::max(most, n);
-    }
-    return total > 0 ? static_cast<double>(most) / static_cast<double>(total) : 0.0;
-  }
 };
 
 struct Workload {
@@ -164,7 +137,6 @@ RunStats runWorkloadOnce(const Workload& w, const Mode& mode,
     cfg.coalescing = mode.coalescing;
     cfg.shm_swcache = mode.swcache != 0;
     cfg.swcache_policy = mode.swcache == 2 ? 1 : 0;
-    cfg.engine_lanes = mode.lanes;
     cfg.trace_enabled = mode.trace;
     sim::SccMachine machine(cfg);
     (plan_setup ? w.setup_plan : w.setup)(machine);
@@ -183,9 +155,6 @@ RunStats runWorkloadOnce(const Workload& w, const Mode& mode,
     stats.swcache_line_events += machine.swcacheLineEvents();
     stats.mpb_scope_violations += machine.mpbScopeViolations();
     if (rep == 0) {
-      stats.engine_lanes = mode.lanes;
-      stats.lanes_used = machine.engine().lanesUsed();
-      stats.lane_events = machine.engine().laneEventCounts();
       for (int ue = 0; ue < w.ues; ++ue) {
         stats.completions.push_back(
             machine.engine().completionTime(static_cast<std::size_t>(ue)));
@@ -276,14 +245,12 @@ sim::SimTask wordHammer(sim::CoreContext& ctx, std::uint64_t base, int words) {
   }
 }
 
-/// The conservative-PDES showcase: controller-sharing UE pairs ({ue, ue+4}
-/// land in the same mesh quadrant) that compute, read-modify-write their own
-/// disjoint block on their own quadrant controller, and synchronize only
-/// inside the pair (sync group ue%4). With an empty declared MPB scope the
-/// reach set of each pair is exactly its one controller plus its one group
-/// barrier, so the engine proves four disjoint components and shards the
-/// event heap across up to four lanes. The spin loop makes the workload
-/// event-dominated — the regime where per-lane heaps actually pay.
+/// Controller-sharing UE pairs ({ue, ue+4} land in the same mesh quadrant)
+/// that compute, read-modify-write their own disjoint block on their own
+/// quadrant controller, and synchronize only inside the pair (sync group
+/// ue%4). With an empty declared MPB scope the reach set of each pair is
+/// exactly its one controller plus its one group barrier: four disjoint
+/// components. The spin loop makes the workload event-dominated.
 sim::SimTask quadrantPairs(sim::CoreContext& ctx, std::uint64_t base, int rounds,
                            int spins, std::size_t block_bytes) {
   std::vector<std::uint8_t> buf(block_bytes);
@@ -628,7 +595,7 @@ FaultRun runFaultSweep(const sim::FaultPlan& plan, Tick sync_timeout_ticks,
 
 /// One detector-instrumented run: Ticks plus the checker's verdict. The
 /// formatted report string is the byte-identity oracle — two runs that
-/// differ only in engine_lanes or coalescing mode must reproduce it exactly
+/// differ only in coalescing mode must reproduce it exactly
 /// (docs/race_detection.md, "Determinism contract").
 struct DrfRun {
   Tick makespan = 0;
@@ -639,13 +606,11 @@ struct DrfRun {
   std::string reports;              ///< DrfChecker::formatReports()
 };
 
-DrfRun runDrfOnce(bool drf, bool word_granular, std::uint32_t lanes,
-                  bool coalescing, int ues,
+DrfRun runDrfOnce(bool drf, bool word_granular, bool coalescing, int ues,
                   const std::function<void(sim::SccMachine&)>& setup) {
   sim::SccConfig cfg;
   cfg.drf_check = drf;
   cfg.drf_word_granular = word_granular;
-  cfg.engine_lanes = lanes;
   cfg.coalescing = coalescing;
   sim::SccMachine m(cfg);
   setup(m);
@@ -708,42 +673,6 @@ void printRun(std::string* out, const char* key, const RunStats& s) {
                 static_cast<unsigned long long>(s.makespan),
                 static_cast<unsigned long long>(simHash(s)));
   *out += buf;
-  // Lane telemetry: configured lanes and what actually ran. Per-lane event
-  // counts and the min/max lane share only exist when the engine really
-  // sharded (a sequential fallback reports lanes_used = 1 and no lanes list).
-  std::snprintf(buf, sizeof(buf), ", \"engine_lanes\": %u, \"lanes_used\": %u",
-                s.engine_lanes, s.lanes_used);
-  out->insert(out->size() - 1, buf);
-  if (!s.lane_events.empty()) {
-    std::string lanes = ", \"lane_events\": [";
-    for (std::size_t i = 0; i < s.lane_events.size(); ++i) {
-      if (i > 0) lanes += ", ";
-      lanes += std::to_string(s.lane_events[i]);
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "], \"lane_utilization\": {\"min_share\": %.4f, "
-                  "\"max_share\": %.4f}",
-                  s.laneShareMin(), s.laneShareMax());
-    lanes += buf;
-    out->insert(out->size() - 1, lanes);
-  }
-}
-
-/// One scenario's lanes=1 vs lanes=N twin check: the conservative-PDES
-/// correctness contract. The parallel run (or its sequential fallback) must
-/// reproduce the makespan, every per-task completion Tick, and the extracted
-/// output region byte for byte.
-struct ParallelCheck {
-  bool identical = true;
-  double speedup = 0.0;  ///< sequential wall / parallel wall (host-dependent)
-};
-
-ParallelCheck checkParallel(const RunStats& seq, const RunStats& par) {
-  ParallelCheck c;
-  c.identical = par.makespan == seq.makespan && par.completions == seq.completions &&
-                par.result_bytes == seq.result_bytes;
-  c.speedup = par.wall_seconds > 0 ? seq.wall_seconds / par.wall_seconds : 0.0;
-  return c;
 }
 
 }  // namespace
@@ -848,8 +777,7 @@ int main(int argc, char** argv) {
       {"quadrant_pairs_8ue", 8, 12,
        [&](sim::SccMachine& m) {
          // Controller-sharing UE pairs with pair-local sync groups and an
-         // empty MPB scope: four provably disjoint components, the scenario
-         // the conservative-PDES lanes are built for (docs/engine_parallel.md).
+         // empty MPB scope: four disjoint reach components.
          const std::uint64_t base = m.shmalloc(8 * 256);
          m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
                     return quadrantPairs(ctx, base, 6, 300, 256);
@@ -902,18 +830,10 @@ int main(int argc, char** argv) {
   };
 
   bool first = true;
-  bool parallel_ok = true;
   for (const Workload& w : ab) {
     if (!want(w.name)) continue;
     const RunStats on = runWorkload(w, Mode{});
     const RunStats off = runWorkload(w, Mode{false});
-    // Lanes=4 twin of the tracked configuration: the conservative-PDES
-    // bit-identity contract (runs the engine sharded when the components
-    // prove disjoint, the sequential fallback otherwise — identical either
-    // way).
-    const RunStats par = runWorkload(w, Mode{true, 0, 4});
-    const ParallelCheck pc = checkParallel(on, par);
-    parallel_ok = parallel_ok && pc.identical;
     bool identical = on.makespan == off.makespan && on.completions == off.completions;
     if (w.setup_plan) {
       // ExecutionPlan-launched, cacheability-mapped twin: the plan-driven
@@ -937,15 +857,11 @@ int main(int argc, char** argv) {
     printRun(&json, "coalesced", on);
     json += ",\n";
     printRun(&json, "legacy", off);
-    json += ",\n";
-    printRun(&json, "parallel", par);
     char buf[400];
     std::snprintf(buf, sizeof(buf),
                   ",\n      \"ticks_identical\": %s, \"event_reduction\": %.4f, "
-                  "\"wall_speedup\": %.2f, "
-                  "\"parallel_identical\": %s, \"parallel_speedup\": %.2f}",
-                  identical ? "true" : "false", event_reduction, wall_speedup,
-                  pc.identical ? "true" : "false", pc.speedup);
+                  "\"wall_speedup\": %.2f}",
+                  identical ? "true" : "false", event_reduction, wall_speedup);
     json += buf;
   }
 
@@ -974,20 +890,11 @@ int main(int argc, char** argv) {
   for (const Workload& w : substrate) {
     if (!want(w.name)) continue;
     const RunStats s = runWorkload(w, Mode{});
-    const RunStats par = runWorkload(w, Mode{true, 0, 4});
-    const ParallelCheck pc = checkParallel(s, par);
-    parallel_ok = parallel_ok && pc.identical;
     if (!first) json += ",\n";
     first = false;
     json += "    {\"name\": \"" + w.name + "\",\n";
     printRun(&json, "coalesced", s);
-    json += ",\n";
-    printRun(&json, "parallel", par);
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  ",\n      \"parallel_identical\": %s, \"parallel_speedup\": %.2f}",
-                  pc.identical ? "true" : "false", pc.speedup);
-    json += buf;
+    json += "}";
   }
 
   // Swcache scenarios: shared-memory routing A/B (software-managed
@@ -1038,8 +945,6 @@ int main(int argc, char** argv) {
       const RunStats cached = runWorkload(w, Mode{true, 1});
       const RunStats uncached = runWorkload(w, Mode{true, 0});
       const RunStats wthrough = runWorkload(w, Mode{true, 2});
-      const ParallelCheck pc = checkParallel(cached, runWorkload(w, Mode{true, 1, 4}));
-      parallel_ok = parallel_ok && pc.identical;
       const bool functional = cached.result_bytes == uncached.result_bytes &&
                               wthrough.result_bytes == uncached.result_bytes;
       const double hit_rate = cached.swcacheHitRate();
@@ -1060,10 +965,8 @@ int main(int argc, char** argv) {
       std::snprintf(buf, sizeof(buf),
                     ",\n      \"functional_identical\": %s, "
                     "\"swcache_hit_rate\": %.4f, "
-                    "\"words_speedup_vs_uncached\": %.2f, "
-                    "\"parallel_identical\": %s}",
-                    functional ? "true" : "false", hit_rate, words_speedup,
-                    pc.identical ? "true" : "false");
+                    "\"words_speedup_vs_uncached\": %.2f}",
+                    functional ? "true" : "false", hit_rate, words_speedup);
       json += buf;
     }
   }
@@ -1299,11 +1202,6 @@ int main(int argc, char** argv) {
     };
     const RunStats placed = runWorkload(kvWorkload(placed_plan), Mode{});
     const RunStats striped = runWorkload(kvWorkload(striped_plan), Mode{});
-    // Lanes=4 twin (controller placement forces the sequential fallback, so
-    // this checks the fallback leaves placement runs untouched).
-    const ParallelCheck kv_pc =
-        checkParallel(placed, runWorkload(kvWorkload(placed_plan), Mode{true, 0, 4}));
-    parallel_ok = parallel_ok && kv_pc.identical;
 
     // Verification and the per-controller load spread ride the Benchmark
     // API (RunResult::controller_load_cv) — same kernel, same default
@@ -1343,13 +1241,12 @@ int main(int argc, char** argv) {
                   "\"controller_load_cv_placed\": %.4f, "
                   "\"controller_load_cv_striped\": %.4f,\n"
                   "      \"controller_traffic_placed\": %s, "
-                  "\"controller_traffic_striped\": %s, \"kv_checks_ok\": %s, "
-                  "\"parallel_identical\": %s}",
+                  "\"controller_traffic_striped\": %s, \"kv_checks_ok\": %s}",
                   placed_r.verified ? "true" : "false",
                   striped_r.verified ? "true" : "false", kv_cv_placed,
                   kv_cv_striped, trafficJson(placed_r.controller_traffic).c_str(),
                   trafficJson(striped_r.controller_traffic).c_str(),
-                  kv_ok ? "true" : "false", kv_pc.identical ? "true" : "false");
+                  kv_ok ? "true" : "false");
     json += buf;
   }
 
@@ -1357,7 +1254,7 @@ int main(int argc, char** argv) {
   // all folded into drf_checks_ok and the exit code:
   //   * drf_racy_8ue — a lockless shared counter the detector MUST flag in
   //     both granularity modes, with byte-identical reports across
-  //     engine_lanes=1/4 and every coalescing mode, and drf_check=true must
+  //     coalescing modes, and drf_check=true must
   //     not move a single Tick against the drf_check=false twin;
   //   * drf_false_sharing_8ue — per-UE slots packed four to a cached line:
   //     line-granular mode must flag it FALSE-SHARING, word-granular mode
@@ -1374,15 +1271,14 @@ int main(int argc, char** argv) {
         return racyCounter(ctx, counter, 4);
       }));
     };
-    const DrfRun line = runDrfOnce(true, false, 1, true, 8, setup);
-    const DrfRun word = runDrfOnce(true, true, 1, true, 8, setup);
-    const DrfRun off = runDrfOnce(false, false, 1, true, 8, setup);
-    const DrfRun lanes4 = runDrfOnce(true, false, 4, true, 8, setup);
-    const DrfRun nocoal = runDrfOnce(true, false, 1, false, 8, setup);
+    const DrfRun line = runDrfOnce(true, false, true, 8, setup);
+    const DrfRun word = runDrfOnce(true, true, true, 8, setup);
+    const DrfRun off = runDrfOnce(false, false, true, 8, setup);
+    const DrfRun nocoal = runDrfOnce(true, false, false, 8, setup);
     const bool detected = line.races > 0 && word.races > 0;
-    const bool deterministic =
-        lanes4.reports == line.reports && nocoal.reports == line.reports &&
-        lanes4.makespan == line.makespan && lanes4.completions == line.completions;
+    const bool deterministic = nocoal.reports == line.reports &&
+                               nocoal.makespan == line.makespan &&
+                               nocoal.completions == line.completions;
     const bool ticks_unchanged =
         off.makespan == line.makespan && off.completions == line.completions;
     drf_ok = drf_ok && detected && deterministic && ticks_unchanged;
@@ -1411,14 +1307,12 @@ int main(int argc, char** argv) {
         return falseSharingSlots(ctx, base, 4);
       }));
     };
-    const DrfRun line = runDrfOnce(true, false, 1, true, 8, setup);
-    const DrfRun word = runDrfOnce(true, true, 1, true, 8, setup);
-    const DrfRun lanes4 = runDrfOnce(true, false, 4, true, 8, setup);
-    const DrfRun nocoal = runDrfOnce(true, false, 1, false, 8, setup);
+    const DrfRun line = runDrfOnce(true, false, true, 8, setup);
+    const DrfRun word = runDrfOnce(true, true, true, 8, setup);
+    const DrfRun nocoal = runDrfOnce(true, false, false, 8, setup);
     const bool detected =
         line.races > 0 && line.false_sharing_only && word.races == 0;
-    const bool deterministic =
-        lanes4.reports == line.reports && nocoal.reports == line.reports;
+    const bool deterministic = nocoal.reports == line.reports;
     drf_ok = drf_ok && detected && deterministic;
     if (!first) json += ",\n";
     first = false;
@@ -1488,8 +1382,7 @@ int main(int argc, char** argv) {
   // Observability section: the determinism contract of the simulated-time
   // tracer (docs/observability.md), checked on live scenario kernels rather
   // than unit fixtures. A traced run must export byte-identical Chrome JSON
-  // across coalescing modes and across engine_lanes=1/4 (on the sharded
-  // quadrant-pairs kernel), and enabling the trace must not move a single
+  // across coalescing modes, and enabling the trace must not move a single
   // Tick. barrier_32ue measured traced-vs-untraced quantifies the recorder's
   // enabled-mode wall cost as trace_overhead (>= 1.0, tracked not gated).
   bool obs_ok = true;
@@ -1498,7 +1391,6 @@ int main(int argc, char** argv) {
   if (want("obs_trace_8ue") || !trace_out.empty()) {
     struct TracedRun {
       Tick makespan = 0;
-      std::uint32_t lanes_used = 1;
       std::uint64_t recorded = 0;
       std::string json;
     };
@@ -1520,26 +1412,6 @@ int main(int argc, char** argv) {
       r.json = os.str();
       return r;
     };
-    const auto runPairsTraced = [&](std::uint32_t lanes) {
-      sim::SccConfig cfg;
-      cfg.trace_enabled = true;
-      cfg.engine_lanes = lanes;
-      sim::SccMachine m(cfg);
-      const std::uint64_t base = m.shmalloc(8 * 256);
-      m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
-                 return quadrantPairs(ctx, base, 6, 300, 256);
-               })
-                   .withScope([](int, int) { return std::vector<int>{}; })
-                   .withSyncGroups([](int ue, int) { return ue % 4; }));
-      TracedRun r;
-      r.makespan = m.run();
-      r.lanes_used = m.engine().lanesUsed();
-      r.recorded = m.traceRecorder().recordedEvents();
-      std::ostringstream os;
-      m.writeTrace(os);
-      r.json = os.str();
-      return r;
-    };
 
     const TracedRun traced = runSynced(true, true);
     trace_events = traced.recorded;
@@ -1550,12 +1422,8 @@ int main(int argc, char** argv) {
     if (want("obs_trace_8ue")) {
       const TracedRun traced_off = runSynced(true, false);
       const TracedRun untraced = runSynced(false, true);
-      const TracedRun seq = runPairsTraced(1);
-      const TracedRun par = runPairsTraced(4);
       obs_ok = traced.recorded > 0 && traced.json == traced_off.json &&
-               traced.makespan == untraced.makespan &&
-               par.lanes_used > 1 && seq.json == par.json &&
-               seq.makespan == par.makespan;
+               traced.makespan == untraced.makespan;
 
       // barrier_32ue traced vs untraced, best-of-3 walls each side.
       const Workload* barrier = nullptr;
@@ -1578,8 +1446,6 @@ int main(int argc, char** argv) {
 
   json += std::string("  \"ticks_identical_all\": ") +
           (all_identical ? "true" : "false") + ",\n";
-  json += std::string("  \"parallel_checks_ok\": ") +
-          (parallel_ok ? "true" : "false") + ",\n";
   json += std::string("  \"swcache_checks_ok\": ") + (swcache_ok ? "true" : "false") +
           ",\n";
   json += std::string("  \"policy_checks_ok\": ") + (policy_ok ? "true" : "false") +
@@ -1607,7 +1473,7 @@ int main(int argc, char** argv) {
                 fault_recovery_rate);
   json += rate_buf;
   std::fputs(json.c_str(), stdout);
-  return all_identical && parallel_ok && swcache_ok && policy_ok && fault_ok &&
+  return all_identical && swcache_ok && policy_ok && fault_ok &&
                  kv_ok && drf_ok && obs_ok
              ? 0
              : 1;

@@ -11,15 +11,9 @@ Fails (exit 1) when:
     plan must beat both machine-wide cacheability settings on simulated
     words per simulated second, with bit-identical functional results and
     zero MPB scope violations),
-  * any parallel-lane check is violated (parallel_checks_ok: every
-    scenario's engine_lanes=4 twin must reproduce the sequential run's
-    makespan, completions, and extracted memory bit for bit), or a sharded
-    run's lane utilization collapses (a lane's event share falling below
-    half of an even split means the partition degenerated),
   * any observability check is violated (obs_checks_ok: a traced run must
-    export byte-identical Chrome JSON across coalescing modes and across
-    engine_lanes=1/4, and enabling the trace must not move a single Tick
-    of the barrier_32ue run),
+    export byte-identical Chrome JSON across coalescing modes, and enabling
+    the trace must not move a single Tick of the barrier_32ue run),
   * any KV Zipf check is violated (kv_zipf_8ue: both placement plans must
     verify against the host replay and the striped plan must hot-spot one
     controller while owner-compute stays flat), or the deterministic
@@ -141,43 +135,12 @@ def main() -> int:
             "recovery, same-seed replay, the deadlock report, or the sync "
             "timeout check failed (see fault_sweep_8ue in BENCH_pr.json)"
         )
-    # Absent in pre-PDES-lane result files; present files must pass.
-    if not pr.get("parallel_checks_ok", True):
-        failures.append(
-            "parallel_checks_ok is false: an engine_lanes=4 twin diverged "
-            "from its sequential run (makespan, completions, or extracted "
-            "memory — see the parallel runs in BENCH_pr.json)"
-        )
-    # Lane utilization of every sharded parallel run: the partition is
-    # deterministic, so a lane's event share collapsing below half of an
-    # even split is a lane-assignment code change, not noise.
-    for scenario in pr.get("scenarios", []):
-        par = scenario.get("parallel")
-        if not isinstance(par, dict):
-            continue
-        lanes_used = par.get("lanes_used", 1)
-        util = par.get("lane_utilization")
-        if lanes_used <= 1 or not isinstance(util, dict):
-            continue
-        min_share = util.get("min_share", 0.0)
-        floor_share = 0.5 / lanes_used
-        if min_share < floor_share:
-            failures.append(
-                f"{scenario['name']}: lane utilization collapsed — min lane "
-                f"share {min_share:.4f} below {floor_share:.4f} "
-                f"(half of an even split across {lanes_used} lanes)"
-            )
-        else:
-            print(
-                f"ok {scenario['name']}: {lanes_used} lanes, min lane share "
-                f"{min_share:.4f} (floor {floor_share:.4f})"
-            )
     # Absent in pre-observability result files; present files must pass.
     if not pr.get("obs_checks_ok", True):
         failures.append(
             "obs_checks_ok is false: a traced run's export diverged across "
-            "coalescing modes or engine lanes, or enabling the trace moved "
-            "a Tick (see docs/observability.md for the contract)"
+            "coalescing modes, or enabling the trace moved a Tick (see "
+            "docs/observability.md for the contract)"
         )
     # Enabled-trace wall cost on barrier_32ue (traced wall / untraced wall):
     # tracked, not hard-gated — wall ratios are noisy across machines, so
@@ -203,8 +166,8 @@ def main() -> int:
     if not pr.get("drf_checks_ok", True):
         failures.append(
             "drf_checks_ok is false: the race detector missed a seeded racy/"
-            "false-sharing scenario, its reports diverged across engine lanes "
-            "or coalescing modes, drf_check=true moved a Tick, or a paper "
+            "false-sharing scenario, its reports diverged across coalescing "
+            "modes, drf_check=true moved a Tick, or a paper "
             "benchmark stopped running detector-clean (see the drf_* "
             "scenarios in BENCH_pr.json and docs/race_detection.md)"
         )

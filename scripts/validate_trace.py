@@ -7,7 +7,7 @@ Perfetto cannot open. Checks (stdlib only):
 
   * top-level shape: {"displayTimeUnit": "ns", "traceEvents": [...]}
   * every event has ph/pid/tid, and ph is one of M/X/i/b/e/C
-  * the three process groups (pid 1 UEs, pid 2 lanes, pid 3 controllers)
+  * the three process groups (pid 1 UEs, pid 2 reach components, pid 3 controllers)
     have process_name metadata, and every (pid, tid) that carries events
     has thread_name metadata
   * X spans have non-negative dur; all timestamps are non-negative ints

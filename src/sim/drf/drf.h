@@ -1,9 +1,8 @@
 // Simulated-time happens-before race detection (docs/race_detection.md).
 //
 // Every correctness layer in this simulator — swcache release consistency,
-// event coalescing, the conservative-PDES lanes — is conditional on the
-// program being data-race-free at the granularity the memory model
-// documents. This checker enforces that contract from the inside: a
+// event coalescing — is conditional on the program being data-race-free at
+// the granularity the memory model documents. This checker enforces that contract from the inside: a
 // vector-clock happens-before detector over the simulator's shared-memory
 // accesses, driven by the existing sync hooks (TasLock acquire/release,
 // SyncBarrier release, threadrt spawn) and the shm/swcache/MPB access paths.
@@ -129,8 +128,7 @@ struct RaceReport {
 };
 
 /// The detector. One instance per SccMachine; all methods assume the
-/// machine's sequential (time, task_id) execution order — SccMachine::run
-/// pins the engine to one lane whenever the checker is active.
+/// engine's sequential (time, task_id) execution order.
 class DrfChecker {
  public:
   /// `word_granular`: check words even on cached ranges (the future
@@ -173,7 +171,7 @@ class DrfChecker {
   [[nodiscard]] bool wordGranular() const { return word_granular_; }
 
   /// All reports, one format() line each — the byte-identity oracle the
-  /// determinism tests compare across engine_lanes and coalescing modes.
+  /// determinism tests compare across coalescing modes.
   [[nodiscard]] std::string formatReports() const;
 
   /// Drop shadow state, clocks, and reports (exempt ranges and regions

@@ -8,8 +8,6 @@
 
 namespace hsm::sim {
 
-thread_local Engine::Lane* Engine::active_lane_ = nullptr;
-
 std::string HangReport::format() const {
   std::string out = "no-progress report at t=" + std::to_string(at) + " ps: " +
                     std::to_string(waiters.size()) + " unfinished task(s)\n";
@@ -49,26 +47,13 @@ void ResumeAt::await_suspend(std::coroutine_handle<> h) const {
 }
 
 void Engine::schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id) {
-  Lane* lane = activeLane();
-  const Tick floor = lane != nullptr ? lane->now : now_;
-  if (when < floor) when = floor;
+  if (when < now_) when = now_;
   const bool tracked = !resource_classes_.empty();
   // Host events and tasks predating registerResources have no alive-counter
   // entry: file them universal (bounding every horizon) and tally them
   // separately so the blocked computation stays exact.
   const bool counted = tracked && task_id != kNoTask && task_id >= counted_tasks_from_;
   const std::uint32_t cls = counted ? classOfTask(task_id) : kUniversalClass;
-  if (lane != nullptr &&
-      (cls == kUniversalClass || cls >= class_lane_.size() ||
-       class_lane_[cls] != lane->index)) {
-    // The lane partition proved components disjoint; an event aimed across
-    // that proof (or at an unaffined task) means the disjointness argument
-    // was wrong. Fail loudly rather than corrupt another lane's state.
-    throw std::logic_error(
-        "Engine: cross-lane or unaffined schedule during a parallel run "
-        "(task " +
-        std::to_string(task_id) + ")");
-  }
   if (tracked) {
     if (cls == kUniversalClass) {
       unaffined_pending_.push_back(when);
@@ -79,27 +64,23 @@ void Engine::schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id)
   }
   if (task_id != kNoTask && task_id < task_pending_when_.size()) {
     task_pending_when_[task_id] = when;
-    // A schedule aimed at a blocked task IS its wake: clear the park. In a
-    // parallel run the park was filed in this lane's local list (the woken
-    // task shares the scheduler's component by the partition proof).
+    // A schedule aimed at a blocked task IS its wake: clear the park.
     if (task_blocked_sync_[task_id] != kNoSync) {
       if (trace_ != nullptr && trace_->enabled()) {
         // The park-clearing schedule IS the wake. `when` is the woken
         // task's resume Tick — an operation boundary, identical across
-        // coalescing modes and lane counts.
+        // coalescing modes.
         trace_->record(task_id,
                        obs::TraceEvent{when, when, task_blocked_sync_[task_id], 0, 0,
                                        obs::kNoTraceResource,
                                        obs::TraceEventKind::kWake});
       }
-      std::vector<std::size_t>& blocked =
-          lane != nullptr ? lane->blocked_tasks : blocked_tasks_;
       task_blocked_sync_[task_id] = kNoSync;
       const std::size_t i = task_blocked_index_[task_id];
-      const std::size_t last = blocked.back();
-      blocked[i] = last;
+      const std::size_t last = blocked_tasks_.back();
+      blocked_tasks_[i] = last;
       task_blocked_index_[last] = i;
-      blocked.pop_back();
+      blocked_tasks_.pop_back();
       if (task_id >= counted_tasks_from_) {
         const std::uint32_t bcls = classOfTask(task_id);
         if (bcls == kUniversalClass) {
@@ -110,10 +91,8 @@ void Engine::schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id)
       }
     }
   }
-  std::vector<Event>& heap = lane != nullptr ? lane->events : events_;
-  std::uint64_t& seq = lane != nullptr ? lane->next_seq : next_seq_;
-  heap.push_back(Event{when, task_id, seq++, cls, tracked, counted, h});
-  std::push_heap(heap.begin(), heap.end(), EventAfter{});
+  events_.push_back(Event{when, task_id, next_seq_++, cls, tracked, counted, h});
+  std::push_heap(events_.begin(), events_.end(), EventAfter{});
 }
 
 void Engine::registerResources(std::uint32_t count) {
@@ -267,31 +246,18 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource) const {
   for (const Tick t : unaffined_pending_) horizon = std::min(horizon, t);
 
   // Every registered blocked task that can reach this resource bounds the
-  // horizon by the earliest execution of its wake chain. Parallel runs file
-  // parks lane-locally, and only this lane's component can reach `resource`,
-  // so the lane list is the complete blocked set for it. The recursion
-  // scratch is thread_local (reused allocation-free per lane).
-  const Lane* lane = activeLane();
-  const std::vector<std::size_t>& blocked =
-      lane != nullptr ? lane->blocked_tasks : blocked_tasks_;
-  static thread_local std::vector<std::size_t> wake_path;
-  for (const std::size_t b : blocked) {
+  // horizon by the earliest execution of its wake chain.
+  for (const std::size_t b : blocked_tasks_) {
     const std::uint32_t cls = classOfTask(b);
     if (cls != kUniversalClass && !classReaches(cls, resource)) continue;
-    wake_path.clear();
-    wake_path.push_back(b);
-    horizon = std::min(horizon, wakeBound(b, wake_path));
+    wake_path_.clear();
+    wake_path_.push_back(b);
+    horizon = std::min(horizon, wakeBound(b, wake_path_));
   }
   return horizon;
 }
 
 std::uint32_t Engine::registerSyncObject() {
-  if (parallel_running_) {
-    // The lane plan enumerated every sync object up front; a new one now
-    // would be invisible to the partition proof (and resizing syncs_ would
-    // race with the lanes reading it).
-    throw std::logic_error("Engine: registerSyncObject during a parallel run");
-  }
   syncs_.push_back({});
   return static_cast<std::uint32_t>(syncs_.size() - 1);
 }
@@ -300,7 +266,6 @@ void Engine::bindSyncParticipants(std::uint32_t sync,
                                   std::vector<std::size_t> tasks) {
   if (sync >= syncs_.size()) return;
   syncs_[sync].participants = std::move(tasks);
-  syncs_[sync].participants_bound = true;
 }
 
 std::size_t Engine::aliveTasksReaching(std::uint32_t resource) const {
@@ -405,25 +370,15 @@ void Engine::clearSyncWakers(std::uint32_t sync) {
 
 void Engine::blockOnSync(std::size_t task, std::uint32_t sync) {
   if (task == kNoTask || task >= task_blocked_sync_.size()) return;
-  Lane* lane = activeLane();
-  if (lane != nullptr &&
-      (sync >= syncs_.size() || !syncs_[sync].participants_bound)) {
-    // Parks on a sync object the lane plan never saw bound cannot be
-    // proven lane-local; the plan should have fallen back to sequential.
-    throw std::logic_error(
-        "Engine: blockOnSync on an unbound sync object during a parallel run");
-  }
-  std::vector<std::size_t>& blocked =
-      lane != nullptr ? lane->blocked_tasks : blocked_tasks_;
   if (task_blocked_sync_[task] == kNoSync) {
-    task_blocked_index_[task] = blocked.size();
-    task_blocked_at_[task] = lane != nullptr ? lane->now : now_;
+    task_blocked_index_[task] = blocked_tasks_.size();
+    task_blocked_at_[task] = now_;
     if (trace_ != nullptr && trace_->enabled()) {
       const Tick at = task_blocked_at_[task];
       trace_->record(task, obs::TraceEvent{at, at, sync, 0, 0, obs::kNoTraceResource,
                                            obs::TraceEventKind::kBlock});
     }
-    blocked.push_back(task);
+    blocked_tasks_.push_back(task);
     if (task >= counted_tasks_from_) {
       const std::uint32_t cls = classOfTask(task);
       if (cls == kUniversalClass) {
@@ -438,9 +393,6 @@ void Engine::blockOnSync(std::size_t task, std::uint32_t sync) {
 
 std::size_t Engine::spawnReaching(SimTask task, Tick start,
                                   std::vector<std::uint32_t> reach) {
-  if (parallel_running_) {
-    throw std::logic_error("Engine: spawn during a parallel run");
-  }
   const std::size_t id = tasks_.size();
   const std::uint32_t cls = resource_classes_.empty()
                                 ? kUniversalClass
@@ -526,193 +478,7 @@ void Engine::checkSyncTimeouts() {
   }
 }
 
-std::uint32_t Engine::planParallelRun() {
-  if (resource_classes_.empty() || classes_.empty()) return 0;
-  // Residual universal-reach activity (unaffined tasks, host events, tasks
-  // predating registerResources) couples every class.
-  if (unaffined_alive_ != 0 || !unaffined_pending_.empty() ||
-      universal_blocked_registered_ != 0 || uncounted_unaffined_pending_ != 0) {
-    return 0;
-  }
-  // The per-event no-progress machinery observes the global event order.
-  if (sync_timeout_ != 0 || watchdog_limit_ != 0) return 0;
-  // Tasks already parked entered that state outside any lane; their wakes
-  // would arrive with no lane context.
-  if (!blocked_tasks_.empty()) return 0;
-  for (std::size_t id = 0; id < counted_tasks_from_ && id < tasks_.size(); ++id) {
-    if (id >= task_done_.size() || !task_done_[id]) return 0;
-  }
-  for (const Event& ev : events_) {
-    if (!ev.counted || ev.cls == kUniversalClass || ev.cls >= classes_.size()) {
-      return 0;
-    }
-  }
-  // Every sync object must carry a lifetime participant binding: an unbound
-  // one (a lock any task may take) could couple arbitrary classes at run
-  // time, which the static partition cannot see.
-  for (const SyncObject& s : syncs_) {
-    if (!s.participants_bound) return 0;
-  }
-
-  // Union-find over reach classes: classes sharing a resource, or appearing
-  // together in a sync object's participant set, must advance on one lane.
-  std::vector<std::uint32_t> parent(classes_.size());
-  std::iota(parent.begin(), parent.end(), 0U);
-  auto find = [&parent](std::uint32_t c) {
-    while (parent[c] != c) {
-      parent[c] = parent[parent[c]];
-      c = parent[c];
-    }
-    return c;
-  };
-  auto unite = [&parent, &find](std::uint32_t a, std::uint32_t b) {
-    parent[find(a)] = find(b);
-  };
-  for (const std::vector<std::uint32_t>& sharers : resource_classes_) {
-    for (std::size_t i = 1; i < sharers.size(); ++i) {
-      unite(sharers[0], sharers[i]);
-    }
-  }
-  for (const SyncObject& s : syncs_) {
-    std::uint32_t first = kUniversalClass;
-    for (const std::size_t t : s.participants) {
-      if (t < task_done_.size() && task_done_[t] != 0) continue;  // inert forever
-      const std::uint32_t cls = classOfTask(t);
-      if (cls == kUniversalClass) return 0;  // unpartitionable participant
-      if (first == kUniversalClass) {
-        first = cls;
-      } else {
-        unite(first, cls);
-      }
-    }
-  }
-
-  // Components in class-id discovery order (deterministic); only ones with
-  // live work count. Fewer than two means sharding buys nothing.
-  std::vector<std::uint32_t> root_component(classes_.size(), kUniversalClass);
-  std::uint32_t components = 0;
-  for (std::uint32_t c = 0; c < classes_.size(); ++c) {
-    if (classes_[c].alive <= 0 && classes_[c].pending.empty()) continue;
-    const std::uint32_t root = find(c);
-    if (root_component[root] == kUniversalClass) root_component[root] = components++;
-  }
-  if (components < 2) return 0;
-  const std::uint32_t lane_count = std::min(engine_lanes_, components);
-  class_lane_.assign(classes_.size(), 0);
-  for (std::uint32_t c = 0; c < classes_.size(); ++c) {
-    const std::uint32_t comp = root_component[find(c)];
-    class_lane_[c] = comp == kUniversalClass ? 0 : comp % lane_count;
-  }
-  return lane_count;
-}
-
-void Engine::laneLoop(Lane& lane) {
-  active_lane_ = &lane;
-  try {
-    std::vector<Event>& heap = lane.events;
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), EventAfter{});
-      const Event ev = heap.back();
-      heap.pop_back();
-      // Eligibility proved every event tracked and counted, so the
-      // sequential loop's uncounted-tally branch cannot arise here.
-      dropPending(ev.cls, ev.when);
-      task_pending_when_[ev.task] = kNever;
-      lane.now = ev.when;
-      lane.current_task = ev.task;
-      ++lane.events_processed;
-      ev.handle.resume();
-    }
-    lane.current_task = kNoTask;
-  } catch (...) {
-    // Structured errors (the cross-lane logic_error guards) unwind out of
-    // resume() on this lane's thread; park them for the host to re-raise.
-    lane.error = std::current_exception();
-    lane.current_task = kNoTask;
-  }
-  active_lane_ = nullptr;
-}
-
-Tick Engine::runParallel(std::uint32_t lane_count) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  struct WallGuard {
-    Engine& e;
-    std::chrono::steady_clock::time_point start;
-    ~WallGuard() {
-      e.wall_seconds_ +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-              .count();
-    }
-  } wall_guard{*this, wall_start};
-
-  std::vector<Lane> lanes(lane_count);
-  for (std::uint32_t i = 0; i < lane_count; ++i) {
-    lanes[i].engine = this;
-    lanes[i].index = i;
-    lanes[i].next_seq = next_seq_;  // fresh seqs order after every partitioned one
-    lanes[i].now = now_;
-  }
-  for (const Event& ev : events_) {
-    lanes[class_lane_[ev.cls]].events.push_back(ev);
-  }
-  events_.clear();
-  for (Lane& lane : lanes) {
-    std::make_heap(lane.events.begin(), lane.events.end(), EventAfter{});
-  }
-
-  parallel_running_ = true;
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(lane_count - 1);
-    for (std::uint32_t i = 1; i < lane_count; ++i) {
-      workers.emplace_back([this, &lanes, i] { laneLoop(lanes[i]); });
-    }
-    laneLoop(lanes[0]);
-    for (std::thread& worker : workers) worker.join();
-  }
-  parallel_running_ = false;
-
-  lanes_used_ = lane_count;
-  lane_event_counts_.assign(lane_count, 0);
-  Tick end = now_;
-  for (std::uint32_t i = 0; i < lane_count; ++i) {
-    Lane& lane = lanes[i];
-    lane_event_counts_[i] = lane.events_processed;
-    events_processed_ += lane.events_processed;
-    next_seq_ = std::max(next_seq_, lane.next_seq);
-    if (lane.events_processed > 0) end = std::max(end, lane.now);
-    // Tasks still parked when the lane drained (hang detection below, or a
-    // host-driven wake across run() calls) rejoin the global blocked list.
-    for (const std::size_t task : lane.blocked_tasks) {
-      task_blocked_index_[task] = blocked_tasks_.size();
-      blocked_tasks_.push_back(task);
-    }
-    // A lane stopped by an error leaves events behind; keep them so state
-    // stays inspectable after the rethrow.
-    for (const Event& ev : lane.events) events_.push_back(ev);
-  }
-  if (!events_.empty()) {
-    std::make_heap(events_.begin(), events_.end(), EventAfter{});
-  }
-  now_ = end;
-  current_task_ = kNoTask;
-  for (const Lane& lane : lanes) {
-    if (lane.error) std::rethrow_exception(lane.error);
-  }
-  if (hang_detection_ && unfinishedTasks() > 0) {
-    traceHangReport(0, now_);
-    throw DeadlockError(hangReport());
-  }
-  return now_;
-}
-
 Tick Engine::run() {
-  if (engine_lanes_ > 1) {
-    const std::uint32_t lane_count = planParallelRun();
-    if (lane_count > 1) return runParallel(lane_count);
-  }
-  lanes_used_ = 1;
-  lane_event_counts_.clear();
   const auto wall_start = std::chrono::steady_clock::now();
   // Accumulate host wall time on every exit path, including the structured
   // hang/timeout/watchdog throws below.
@@ -777,11 +543,9 @@ Tick Engine::makespan() const {
 std::vector<std::uint32_t> Engine::taskComponents() const {
   std::vector<std::uint32_t> component(tasks_.size(), 0);
   if (classes_.empty()) return component;
-  // Same merge rule as planParallelRun — classes sharing a resource or a
-  // sync object's participant set coalesce — but over the full structure:
-  // done-ness, eligibility gates, and engine_lanes_ are ignored, so the
-  // partition (and any trace exported with it) is identical no matter how
-  // the run was executed.
+  // Classes sharing a resource or a sync object's participant set coalesce.
+  // Done-ness is ignored, so the partition (and any trace exported with it)
+  // is the same whenever it is taken.
   std::vector<std::uint32_t> parent(classes_.size());
   std::iota(parent.begin(), parent.end(), 0U);
   auto find = [&parent](std::uint32_t c) {
@@ -811,9 +575,9 @@ std::vector<std::uint32_t> Engine::taskComponents() const {
       }
     }
   }
-  // Dense component ids in class-id discovery order (every class counts —
-  // unlike the lane plan, live-work filtering would make the numbering
-  // depend on when the partition is taken).
+  // Dense component ids in class-id discovery order (every class counts:
+  // live-work filtering would make the numbering depend on when the
+  // partition is taken).
   std::vector<std::uint32_t> root_component(classes_.size(), kUniversalClass);
   std::uint32_t components = 0;
   for (std::uint32_t c = 0; c < classes_.size(); ++c) {

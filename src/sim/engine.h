@@ -3,18 +3,8 @@
 // Deterministic: simulated concurrency comes from C++20 coroutines
 // (SimTask). Each simulated core runs one coroutine; every architectural
 // operation computes its completion time (consulting shared resource
-// timelines for contention) and suspends until then.
-//
-// The kernel normally runs single-threaded. With setEngineLanes(N>1) it
-// becomes a conservative parallel-DES engine (docs/engine_parallel.md):
-// reach classes are merged into components by union-find over shared
-// resources and sync-object participant sets (bindSyncParticipants), and
-// fully disjoint components advance on worker-thread lanes concurrently —
-// each lane is the unmodified sequential loop over its own heap, so Ticks,
-// per-task completions, and final memory are bit-identical to lanes=1. Runs
-// whose components cannot be proven disjoint (universal-reach tasks,
-// unbound sync objects, pre-parked tasks, sync timeouts or watchdog armed,
-// fewer than two components) fall back to the sequential loop.
+// timelines for contention) and suspends until then. One sequential event
+// loop drains one heap on the host thread.
 //
 // Ordering contract: every event carries the id of the root SimTask it
 // resumes (wake events for blocked tasks carry the *woken* task's id,
@@ -78,7 +68,6 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/time.h"
@@ -279,10 +268,8 @@ class Engine {
   /// Sync-object id of tasks not blocked on any registered sync object.
   static constexpr std::uint32_t kNoSync = static_cast<std::uint32_t>(-1);
 
-  /// Simulated time of the event being processed. During a parallel run
-  /// each lane has its own clock; the accessor routes through the calling
-  /// thread's active lane (defined after the class, once Lane is declared).
-  [[nodiscard]] Tick now() const;
+  /// Simulated time of the event being processed.
+  [[nodiscard]] Tick now() const { return now_; }
 
   /// Schedule `h` to resume at absolute time `when` (clamped to now) on
   /// behalf of the currently running task (the usual suspend path).
@@ -299,16 +286,15 @@ class Engine {
   /// Id of the root task whose event is currently being processed
   /// (kNoTask outside run()). Lock/barrier implementations capture this
   /// when a coroutine blocks so its eventual wake is filed under it.
-  [[nodiscard]] std::size_t currentTaskId() const;
+  [[nodiscard]] std::size_t currentTaskId() const { return current_task_; }
 
   /// Earliest pending event, or kNever if the queue is empty. During event
   /// processing the running event has already been popped, so this is the
   /// next thing that can execute besides the current coroutine — the global
   /// "horizon" that bounds safe event coalescing (see header comment).
-  /// During a parallel run this is the calling lane's heap front: every
-  /// other lane's events are component-disjoint from the caller, so they
-  /// can never touch a resource the caller's component owns.
-  [[nodiscard]] Tick nextEventTime() const;
+  [[nodiscard]] Tick nextEventTime() const {
+    return events_.empty() ? kNever : events_.front().when;
+  }
 
   /// Declare `count` coalescable resources (memory controllers, MPB ports —
   /// one shared id namespace). Must be called before tasks that use reach
@@ -365,12 +351,11 @@ class Engine {
   /// automatically when a wake is scheduled for the task.
   void blockOnSync(std::size_t task, std::uint32_t sync);
   /// Declare the COMPLETE set of tasks that will ever block on or wake
-  /// `sync` over its whole lifetime (a barrier's participants). This is the
-  /// lane-partition contract: parallel runs merge the reach classes of all
-  /// participants into one component so every operation on `sync` stays on
-  /// one lane. A sync object with no binding (e.g. a lock any task may
-  /// take) forces the whole run onto the sequential loop — conservative,
-  /// never wrong.
+  /// `sync` over its whole lifetime (a barrier's participants).
+  /// taskComponents() merges the reach classes of all participants into one
+  /// component, which the trace export draws as one pid-2 track. A sync
+  /// object with no binding (e.g. a lock any task may take) couples no
+  /// classes.
   void bindSyncParticipants(std::uint32_t sync, std::vector<std::size_t> tasks);
 
   /// Number of alive (spawned, unfinished) tasks whose reach set contains
@@ -381,21 +366,6 @@ class Engine {
   /// CLOSED: round-robin contention batching fires only when every task
   /// that could ever touch a controller is a known member of the batch.
   [[nodiscard]] std::size_t aliveTasksReaching(std::uint32_t resource) const;
-
-  // -- conservative-PDES lanes (docs/engine_parallel.md) --
-  /// Worker lanes for run(): 1 (default) is the classic sequential loop;
-  /// N>1 advances disjoint components concurrently when the partition is
-  /// provably safe (see header comment), else falls back to sequential.
-  void setEngineLanes(std::uint32_t lanes) { engine_lanes_ = lanes == 0 ? 1 : lanes; }
-  [[nodiscard]] std::uint32_t engineLanes() const { return engine_lanes_; }
-  /// Lanes the most recent run() actually used (1 after a sequential run
-  /// or fallback).
-  [[nodiscard]] std::uint32_t lanesUsed() const { return lanes_used_; }
-  /// Events processed per lane in the most recent parallel run (empty after
-  /// a sequential run).
-  [[nodiscard]] const std::vector<std::uint64_t>& laneEventCounts() const {
-    return lane_event_counts_;
-  }
 
   /// Pre-size the event heap (one slot per concurrently pending coroutine
   /// is enough; larger reservations just avoid early regrowth).
@@ -486,13 +456,13 @@ class Engine {
   void setTraceRecorder(obs::TraceRecorder* recorder) { trace_ = recorder; }
   [[nodiscard]] obs::TraceRecorder* traceRecorder() const { return trace_; }
 
-  /// Deterministic component partition for trace export: union-find over
-  /// reach classes (tasks sharing a registered resource) and sync-object
-  /// participant sets, exactly the planParallelRun() merge rule but ignoring
-  /// done-ness, eligibility gates, and the configured lane count — so the
-  /// result (task id -> dense component id, discovery order) is identical
-  /// whether the run executed on one lane or N. Tasks with universal reach
-  /// share component 0 with the first reach class.
+  /// Deterministic component partition for trace export (the pid-2
+  /// component tracks): union-find over reach classes (tasks sharing a
+  /// registered resource) and sync-object participant sets
+  /// (bindSyncParticipants), ignoring done-ness, so the result (task id ->
+  /// dense component id, discovery order) does not depend on when it is
+  /// taken. Tasks with universal reach share component 0 with the first
+  /// reach class.
   [[nodiscard]] std::vector<std::uint32_t> taskComponents() const;
 
   /// Convenience awaitable: suspend for `dt` picoseconds.
@@ -523,33 +493,6 @@ class Engine {
       return a.seq > b.seq;
     }
   };
-
-  /// One worker lane of a parallel run: the full per-run mutable state of
-  /// the sequential loop, duplicated so a lane IS the sequential engine
-  /// restricted to its components' events. Components assigned to the same
-  /// lane share its heap — they are mutually disjoint, so the merged
-  /// time-ordered drain is indistinguishable from draining them separately.
-  struct Lane {
-    Engine* engine = nullptr;
-    std::uint32_t index = 0;
-    std::vector<Event> events;  ///< binary heap, same EventAfter order
-    Tick now = 0;
-    std::size_t current_task = kNoTask;
-    std::uint64_t next_seq = 0;  ///< seeded past every partitioned seq
-    std::uint64_t events_processed = 0;
-    std::vector<std::size_t> blocked_tasks;  ///< lane-local blockOnSync list
-    std::exception_ptr error;
-  };
-  /// The lane the calling thread is currently draining (null on the host
-  /// thread outside a parallel run). Routes now()/schedule()/horizon
-  /// queries to lane-local state with zero locks: components are disjoint,
-  /// so no two lanes ever touch the same class bucket, task slot, sync
-  /// object, or resource timeline.
-  static thread_local Lane* active_lane_;
-  [[nodiscard]] Lane* activeLane() const {
-    Lane* lane = active_lane_;
-    return lane != nullptr && lane->engine == this ? lane : nullptr;
-  }
 
   /// A distinct reach set shared by one or more tasks. Tasks with equal
   /// sets are interned into one class, so scheduling stays O(1) per event
@@ -583,10 +526,9 @@ class Engine {
     WakerRule rule = WakerRule::kAny;
     /// Lifetime participant set (bindSyncParticipants): every task that can
     /// ever block on or wake this object. Distinct from `wakers` (the
-    /// current episode's potential wakers): participants gate the lane
-    /// partition, wakers gate the coalescing horizon.
+    /// current episode's potential wakers): participants define the trace's
+    /// components, wakers gate the coalescing horizon.
     std::vector<std::size_t> participants;
-    bool participants_bound = false;
 
     [[nodiscard]] bool removedThisEpisode(std::size_t task) const {
       return task < removed_gen.size() && removed_gen[task] == generation;
@@ -614,16 +556,6 @@ class Engine {
   /// Record a hang-report instant (deadlock / sync timeout / watchdog) into
   /// the attached trace recorder, if any. Out-of-line, cold.
   void traceHangReport(std::uint64_t kind, Tick at);
-  /// Decide whether this run may shard (every condition in the header
-  /// comment) and, if so, union-find the reach classes into components and
-  /// fill class_lane_. Returns the lane count to use (0: run sequential).
-  [[nodiscard]] std::uint32_t planParallelRun();
-  /// Drain disjoint components on `lane_count` worker lanes; merges lane
-  /// state back and re-raises the lowest-lane error, then applies the same
-  /// post-drain hang detection as the sequential loop.
-  Tick runParallel(std::uint32_t lane_count);
-  /// The unmodified sequential event loop, restricted to one lane's heap.
-  void laneLoop(Lane& lane);
 
   std::vector<Event> events_;  ///< binary heap via std::push_heap/pop_heap
   Tick now_ = 0;
@@ -660,19 +592,10 @@ class Engine {
   std::vector<std::size_t> task_blocked_index_;   ///< position in blocked_tasks_
   std::vector<Tick> task_pending_when_;  ///< per task: pending event or kNever
   std::vector<Tick> task_blocked_at_;    ///< per task: when blockOnSync ran
-  /// Per-task done flags. uint8_t, not bool: vector<bool> packs bits, and
-  /// concurrent lanes completing different tasks would race on the shared
-  /// words; byte elements make per-index writes race-free.
-  std::vector<std::uint8_t> task_done_;
-
-  // -- conservative-PDES lanes --
-  std::uint32_t engine_lanes_ = 1;
-  bool parallel_running_ = false;  ///< set across the worker-lane section
-  std::uint32_t lanes_used_ = 1;
-  std::vector<std::uint64_t> lane_event_counts_;
-  /// Per reach class: owning lane of the class's component during the
-  /// current parallel run (filled by planParallelRun).
-  std::vector<std::uint32_t> class_lane_;
+  std::vector<std::uint8_t> task_done_;  ///< per task: finished
+  /// Recursion scratch for nextEventTimeFor's wake-chain walk, reused so
+  /// the horizon query stays allocation-free in steady state.
+  mutable std::vector<std::size_t> wake_path_;
 
   // -- robustness / no-progress detection --
   bool hang_detection_ = false;
@@ -685,22 +608,6 @@ class Engine {
   /// setTraceRecorder), so every engine hook is one null check when off.
   obs::TraceRecorder* trace_ = nullptr;
 };
-
-inline Tick Engine::now() const {
-  const Lane* lane = activeLane();
-  return lane != nullptr ? lane->now : now_;
-}
-
-inline std::size_t Engine::currentTaskId() const {
-  const Lane* lane = activeLane();
-  return lane != nullptr ? lane->current_task : current_task_;
-}
-
-inline Tick Engine::nextEventTime() const {
-  const Lane* lane = activeLane();
-  const std::vector<Event>& heap = lane != nullptr ? lane->events : events_;
-  return heap.empty() ? kNever : heap.front().when;
-}
 
 inline void SimTask::promise_type::FinalAwaiter::await_suspend(
     std::coroutine_handle<promise_type> h) const noexcept {

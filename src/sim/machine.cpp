@@ -23,10 +23,10 @@ inline obs::TraceRecorder* tracer(Engine& engine) {
 
 void SyncBarrier::setParticipantTasks(std::vector<std::size_t> tasks) {
   participant_tasks_ = std::move(tasks);
-  // Lifetime binding for the engine's lane partition: these are ALL the
-  // tasks that will ever arrive here. An empty set is a real promise too —
-  // "nobody synchronizes through this barrier" (the machine-wide barrier of
-  // a sync-groups launch) — distinct from the conservative unbound state.
+  // Lifetime binding for the engine's component partition (the trace's
+  // pid-2 tracks): these are ALL the tasks that will ever arrive here. An
+  // empty set is a real promise too — "nobody synchronizes through this
+  // barrier" (the machine-wide barrier of a sync-groups launch).
   engine_.bindSyncParticipants(sync_, participant_tasks_);
   if (participant_tasks_.empty()) return;  // wakers unknown: stays conservative
   // A waiter can only be released by a participant that has not arrived yet
@@ -59,8 +59,6 @@ void SyncBarrier::onArrive(std::coroutine_handle<> h) {
     // All wakes land at one Tick; the engine's (time, task_id) key resumes
     // them in task-id order no matter what order arrivals happened in.
     // Each schedule also clears the waiter's blocked-on-sync state.
-    // Every waiter is a barrier participant, hence in the recording task's
-    // own lane component — cross-task trace writes here are lane-safe.
     obs::TraceRecorder* tr = tracer(engine_);
     for (const Waiter& w : waiting_) {
       if (tr != nullptr) {
@@ -140,9 +138,7 @@ void TasLock::release() {
     drf_->acquire(next.task, sync_);
   }
   if (tr != nullptr && next.task != Engine::kNoTask) {
-    // Contended grant: request Tick .. ownership transfer. The next holder
-    // shares this lock's sync object with the releaser, so they are in the
-    // same lane component — the cross-task write is lane-safe.
+    // Contended grant: request Tick .. ownership transfer.
     tr->record(next.task, obs::TraceEvent{next.arrived, engine_.now() + roundtrip_,
                                           sync_, 1, 0, obs::kNoTraceResource,
                                           obs::TraceEventKind::kLockWait});
@@ -981,7 +977,7 @@ void SccMachine::launch(const LaunchSpec& spec) {
     // One barrier per group, sized to the group; CoreContext::barrier()
     // routes through barrierFor. The machine-wide barrier is bound to an
     // EMPTY participant set — a real promise that no task arrives at it —
-    // so it cannot merge the groups' reach classes into one lane component.
+    // so it cannot merge the groups' reach classes into one component.
     const Tick arrive = core_clock_.cycles(config_.barrier_flag_core_cycles);
     std::vector<std::vector<std::size_t>> group_tasks(num_groups);
     for (int ue = 0; ue < num_ues; ++ue) {
@@ -1045,22 +1041,8 @@ std::uint32_t SccMachine::controllerForShmAccess(int core, std::uint64_t offset)
 }
 
 Tick SccMachine::run() {
-  // Per-task trace buffers must exist before any lane can record into them
-  // (lanes never resize the outer vector; see TraceRecorder::prepare).
+  // Per-task trace buffers are sized once up front (TraceRecorder::prepare).
   if (trace_.enabled()) trace_.prepare(engine_.taskCount());
-  // Parallel lanes partition by task reach sets, but placement-routed
-  // accesses reach controllers OUTSIDE the accessor's declared quadrant
-  // reach, fault runs funnel draws through the shared FaultStats sink, and
-  // region profiling aggregates plain cross-lane counters — all three force
-  // the classic sequential loop (the engine additionally falls back on its
-  // own ineligibility conditions; see planParallelRun). Tracing itself does
-  // NOT pin lanes: per-task buffers are lane-exclusive by construction.
-  // The race detector's shadow/clock state is sequential, so a drf run pins
-  // to one lane too — which also makes its reports trivially lane-invariant.
-  engine_.setEngineLanes(ctrl_placement_active_ || fault_.anyArmed() ||
-                                 region_profiling_ || drf_active_
-                             ? 1
-                             : config_.engine_lanes);
   engine_.run();
   // End-of-run drain: dirty lines a program never released (it should — see
   // docs/memory_model.md) are written back functionally and untimed so that
@@ -1305,7 +1287,7 @@ bool SccMachine::consumeSolvedRun(std::uint32_t mc_id, std::size_t* words_done,
   // for any words beyond the replayed prefix. One event either way.
   *words_done = it->second.done;
   *completion = it->second.final_t;
-  shm_word_events_.fetch_add(1, std::memory_order_relaxed);
+  ++shm_word_events_;
   runs.erase(it);
   return true;
 }
@@ -1430,8 +1412,6 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   mc_[mc_id] = scratch;
   shm_run_seq_[mc_id] = next_stamp;
   if (tr != nullptr) {
-    // Members all reach this controller, hence share one lane component —
-    // recording under peer task ids is lane-safe.
     for (const StallRec& s : stall_recs) {
       tr->record(s.task, obs::TraceEvent{s.at, s.at, s.stall, 0, 0, mc_id,
                                          obs::TraceEventKind::kMcStall});
@@ -1440,12 +1420,10 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   for (std::uint64_t i = 0; i < stalls_injected; ++i) {
     fault_.noteInjected(FaultClass::kMcStall);
   }
-  // Machine-global, non-atomic: only written when a stall actually fired,
-  // which implies an armed plan — and armed plans pin the run to one lane.
   if (stall_total > 0) fault_.stats().stall_ticks += stall_total;
-  shm_words_.fetch_add(total_words, std::memory_order_relaxed);
+  shm_words_ += total_words;
   mc_traffic_[mc_id] += total_words;
-  shm_word_events_.fetch_add(1, std::memory_order_relaxed);  // self's event
+  ++shm_word_events_;  // self's event
   for (const Member& m : members) {
     if (m.is_self) {
       if (m.remaining == 0) {
@@ -1492,9 +1470,9 @@ Tick SccMachine::shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way,
   const Tick t = coalescedCompletion(mc_id, mc_[mc_id], uncached_overhead_ticks_,
                                      hop_one_way, word_service_ticks_, start, max_words,
                                      words_done);
-  shm_words_.fetch_add(*words_done, std::memory_order_relaxed);
+  shm_words_ += *words_done;
   mc_traffic_[mc_id] += *words_done;
-  shm_word_events_.fetch_add(1, std::memory_order_relaxed);
+  ++shm_word_events_;
   if (batching) {
     // Track the in-flight run so a peer entering later can prove the
     // contention pattern closed and solve the joint recurrence.
@@ -1555,9 +1533,9 @@ Tick SccMachine::swcacheLinesCompletion(int core, Tick start, std::size_t max_li
       mc_id, mc_[mc_id], swcache_line_overhead_ticks_,
       core_mc_hop_ticks_[static_cast<std::size_t>(core)], line_service_ticks_, start,
       max_lines, lines_done);
-  swcache_lines_sim_.fetch_add(*lines_done, std::memory_order_relaxed);
+  swcache_lines_sim_ += *lines_done;
   mc_traffic_[mc_id] += *lines_done;
-  swcache_line_events_.fetch_add(1, std::memory_order_relaxed);
+  ++swcache_line_events_;
   return t;
 }
 
@@ -1573,7 +1551,7 @@ Tick SccMachine::mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
     // The declared scope was a promise the engine's reach sets rely on
     // (an empty declared set promises no MPB traffic at all); still service
     // the access, but flag that port isolation is void.
-    mpb_scope_violations_.fetch_add(1, std::memory_order_relaxed);
+    ++mpb_scope_violations_;
   }
   const std::uint32_t hops =
       mesh_.hopsBetweenCores(static_cast<std::uint32_t>(core), owner_core);
@@ -1582,8 +1560,8 @@ Tick SccMachine::mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
   const Tick t = coalescedCompletion(port_id, mpb_port_[tile], mpb_overhead_ticks_,
                                      hop_one_way, chunk_service_ticks_, start, max_chunks,
                                      chunks_done);
-  mpb_chunks_.fetch_add(*chunks_done, std::memory_order_relaxed);
-  mpb_chunk_events_.fetch_add(1, std::memory_order_relaxed);
+  mpb_chunks_ += *chunks_done;
+  ++mpb_chunk_events_;
   return t;
 }
 
@@ -1607,7 +1585,7 @@ Tick SccMachine::shmBulkCompletion(int core, Tick start, std::uint64_t offset,
           : core_mc_hop_ticks_[static_cast<std::size_t>(core)];
   const std::size_t line = config_.cache_line_bytes;
   const std::size_t lines = (bytes + line - 1) / line;
-  shm_bulk_lines_.fetch_add(lines, std::memory_order_relaxed);
+  shm_bulk_lines_ += lines;
   mc_traffic_[mc_id] += lines;
   if (region_profiling_) noteShmBulkImpl(offset, lines, write, mc_id);
   const Tick service =
@@ -1659,7 +1637,7 @@ void SccMachine::registerShmRegion(std::string name, std::uint64_t begin,
   if (drf_active_) drf_.registerRegion(name, begin, end);
   // No-op unless the profiling knob is on: workloads register their region
   // names unconditionally (makeShmArray), and a disabled knob must leave the
-  // hot paths with nothing to scan and the lane gate untouched.
+  // hot paths with nothing to scan.
   if (!config_.region_metrics) return;
   obs::RegionProfile region;
   region.name = std::move(name);

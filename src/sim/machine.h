@@ -18,7 +18,6 @@
 //     chunks at core-local latencies plus mesh hops to the owning tile.
 #pragma once
 
-#include <atomic>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -342,11 +341,11 @@ struct LaunchSpec {
   /// ids are densified in first-appearance order). Each group gets its OWN
   /// SyncBarrier sized to the group, CoreContext::barrier() routes to it,
   /// and the machine-wide barrier is created but bound to an empty
-  /// participant set (no task ever arrives at it). Declaring groups is the
-  /// lane-partition contract for barriers: the engine then merges reach
-  /// classes per group instead of across the whole launch, so groups whose
-  /// resources are disjoint can advance on parallel lanes
-  /// (docs/engine_parallel.md). Like MpbScope this is a promise — a program
+  /// participant set (no task ever arrives at it). The engine's component
+  /// partition (Engine::taskComponents, the trace's pid-2 tracks) then
+  /// merges reach classes per group instead of across the whole launch, so
+  /// groups whose resources are disjoint export as separate components
+  /// (docs/observability.md). Like MpbScope this is a promise — a program
   /// that synchronizes across groups through the machine-wide barrier
   /// anyway deadlocks exactly as it would with mismatched participants.
   using SyncGroups = std::function<int(int ue, int num_ues)>;
@@ -453,26 +452,26 @@ class SccMachine {
   [[nodiscard]] const Cache& l2(int core) const { return l2_[static_cast<std::size_t>(core)]; }
   /// Uncached word transactions simulated through the word-granular path.
   [[nodiscard]] std::uint64_t shmWordsSimulated() const {
-    return shm_words_.load(std::memory_order_relaxed);
+    return shm_words_;
   }
   /// Engine events those words cost (== shmWordsSimulated() with coalescing
   /// off; the gap is the number of events coalescing eliminated).
   [[nodiscard]] std::uint64_t shmWordEvents() const {
-    return shm_word_events_.load(std::memory_order_relaxed);
+    return shm_word_events_;
   }
   /// MPB chunk transactions simulated through the chunk-granular path.
   [[nodiscard]] std::uint64_t mpbChunksSimulated() const {
-    return mpb_chunks_.load(std::memory_order_relaxed);
+    return mpb_chunks_;
   }
   /// Engine events those chunks cost (== mpbChunksSimulated() with
   /// coalescing off).
   [[nodiscard]] std::uint64_t mpbChunkEvents() const {
-    return mpb_chunk_events_.load(std::memory_order_relaxed);
+    return mpb_chunk_events_;
   }
   /// MPB accesses that fell outside the task's declared MpbScope. Any
   /// non-zero count voids the port-isolation timing guarantee of that run.
   [[nodiscard]] std::uint64_t mpbScopeViolations() const {
-    return mpb_scope_violations_.load(std::memory_order_relaxed);
+    return mpb_scope_violations_;
   }
 
   // -- per-controller shared-DRAM traffic --
@@ -487,7 +486,7 @@ class SccMachine {
   }
   /// Lines moved by sequential bulk transfers (shmReadBulk/shmWriteBulk).
   [[nodiscard]] std::uint64_t shmBulkLinesSimulated() const {
-    return shm_bulk_lines_.load(std::memory_order_relaxed);
+    return shm_bulk_lines_;
   }
 
   // -- per-region controller placement (ExecutionPlan policy) --
@@ -540,12 +539,12 @@ class SccMachine {
   [[nodiscard]] SwCacheStats swcacheTotals() const;
   /// Swcache line transfers (fills + dirty write-backs) simulated.
   [[nodiscard]] std::uint64_t swcacheLinesSimulated() const {
-    return swcache_lines_sim_.load(std::memory_order_relaxed);
+    return swcache_lines_sim_;
   }
   /// Engine events those line transfers cost (the gap to
   /// swcacheLinesSimulated() is what fill/flush batching eliminated).
   [[nodiscard]] std::uint64_t swcacheLineEvents() const {
-    return swcache_line_events_.load(std::memory_order_relaxed);
+    return swcache_line_events_;
   }
   /// Dirty / resident line counts of `core`'s swcache (0 when disabled) —
   /// the accounting-invariant hooks the fault-reconciliation tests use.
@@ -567,11 +566,11 @@ class SccMachine {
   /// engine at construction.
   [[nodiscard]] obs::TraceRecorder& traceRecorder() { return trace_; }
   [[nodiscard]] const obs::TraceRecorder& traceRecorder() const { return trace_; }
-  /// Deterministic export context: the engine's lane-count-independent
-  /// component partition, per-task completion Ticks, and the makespan.
+  /// Deterministic export context: the engine's component partition,
+  /// per-task completion Ticks, and the makespan.
   [[nodiscard]] obs::TraceExportMeta traceExportMeta() const;
   /// Chrome trace-event JSON (Perfetto-loadable): one track per UE task,
-  /// per lane component, and per memory controller.
+  /// per reach component, and per memory controller.
   void writeTrace(std::ostream& out) const;
   /// Compact binary ring-buffer dump (schema in docs/observability.md).
   void writeTraceBinary(std::ostream& out) const;
@@ -799,19 +798,15 @@ class SccMachine {
   Tick swcache_line_overhead_ticks_ = 0;  ///< per line-transfer issue
   Tick line_service_ticks_ = 0;       ///< controller service per 32 B line
 
-  // Machine-wide transaction tallies. Atomic (relaxed) because parallel
-  // engine lanes bump them concurrently; they are pure counters — no Tick
-  // ever depends on them, so relaxed increments keep the totals exact
-  // without ordering anything. mc_traffic_ stays plain: each controller
-  // belongs to exactly one lane's component, so its slot has one writer.
-  std::atomic<std::uint64_t> shm_words_{0};
-  std::atomic<std::uint64_t> shm_word_events_{0};
-  std::atomic<std::uint64_t> mpb_chunks_{0};
-  std::atomic<std::uint64_t> mpb_chunk_events_{0};
-  std::atomic<std::uint64_t> mpb_scope_violations_{0};
-  std::atomic<std::uint64_t> swcache_lines_sim_{0};
-  std::atomic<std::uint64_t> swcache_line_events_{0};
-  std::atomic<std::uint64_t> shm_bulk_lines_{0};
+  // Machine-wide transaction tallies: pure counters, no Tick depends on them.
+  std::uint64_t shm_words_ = 0;
+  std::uint64_t shm_word_events_ = 0;
+  std::uint64_t mpb_chunks_ = 0;
+  std::uint64_t mpb_chunk_events_ = 0;
+  std::uint64_t mpb_scope_violations_ = 0;
+  std::uint64_t swcache_lines_sim_ = 0;
+  std::uint64_t swcache_line_events_ = 0;
+  std::uint64_t shm_bulk_lines_ = 0;
   std::vector<std::uint64_t> mc_traffic_;  ///< shared-DRAM txns per controller
 
   std::vector<std::uint8_t> shared_dram_;
@@ -861,8 +856,7 @@ class SccMachine {
   std::unordered_map<std::uint64_t, std::uint32_t> first_touch_claims_;
 
   /// Per controller: tasks mid word-run against it (round-robin contention
-  /// batching bookkeeping; a handful of entries at most). Touched only by
-  /// the lane owning the controller's component, so lane-safe without locks.
+  /// batching bookkeeping; a handful of entries at most).
   std::vector<std::unordered_map<std::size_t, WordRun>> shm_word_runs_;
   /// Per controller: monotone stamp mirroring the engine's event-schedule
   /// order. A WordRun recorded later has a later pending event, so ties at
@@ -871,8 +865,7 @@ class SccMachine {
   /// its first acquire happens inside the live event, ahead of every pending
   /// event that shares its tick. Stamps are only ever compared within one
   /// controller's run set, so a per-controller counter preserves the exact
-  /// ordering while staying lane-exclusive under parallel lanes (one shared
-  /// counter would be a cross-lane data race AND schedule-dependent).
+  /// ordering.
   std::vector<std::uint64_t> shm_run_seq_;
 
   FaultInjector fault_;  ///< built from config_.fault at construction
@@ -885,9 +878,7 @@ class SccMachine {
   /// recorder's enabled() check on engine hooks (null pointer short-circuit).
   obs::TraceRecorder trace_;
   /// Named shared-DRAM regions being profiled; newest-first lookup like the
-  /// cacheability map. region_profiling_ is the hot-path gate AND a lane
-  /// pin: the profile counters are plain (cross-region aggregation), so a
-  /// profiled run uses the sequential loop (Ticks are lane-invariant).
+  /// cacheability map. region_profiling_ is the hot-path gate.
   std::vector<obs::RegionProfile> shm_regions_;
   bool region_profiling_ = false;
   [[nodiscard]] obs::RegionProfile* regionAt(std::uint64_t offset);
@@ -898,8 +889,7 @@ class SccMachine {
                        std::uint32_t mc);
 
   /// Race detector (sim/drf/drf.h). drf_active_ caches config_.drf_check —
-  /// the hot-path gate of the noteDrf* hooks above — and also pins run() to
-  /// one engine lane (the detector's shadow state is sequential).
+  /// the hot-path gate of the noteDrf* hooks above.
   drf::DrfChecker drf_;
   bool drf_active_ = false;
   void drfShmImpl(std::uint64_t offset, std::size_t bytes, bool write);

@@ -178,13 +178,9 @@ MetricsSnapshot collectMetrics(const SccMachine& machine) {
   // ---- engine (sim domain) -------------------------------------------
   reg.counter("events").add(engine.eventsProcessed());
   reg.counter("makespan_ticks").add(engine.makespan());
-  reg.counter("lanes_used").add(engine.lanesUsed());
-  const std::vector<std::uint64_t>& lane_events = engine.laneEventCounts();
-  Histogram& lane_hist = reg.histogram("lane_events");
-  for (std::size_t lane = 0; lane < lane_events.size(); ++lane) {
-    reg.counter("lane" + std::to_string(lane) + "_events").add(lane_events[lane]);
-    lane_hist.observe(static_cast<double>(lane_events[lane]));
-  }
+  // Always 1 since the engine is one sequential loop; kept so existing
+  // consumers that fingerprint every sim counter see an unchanged set.
+  reg.counter("lanes_used").add(1);
 
   // ---- shared-memory / MPB traffic -----------------------------------
   reg.counter("shm_words").add(machine.shmWordsSimulated());

@@ -2,11 +2,10 @@
 //
 // The second face of src/sim/obs: one named counter/gauge/histogram
 // facility that absorbs the scattered end-of-run stats (engine wall
-// seconds, swcache totals, controller traffic, FaultStats, lane event
-// counts) behind a single MetricsSnapshot::toJson(). Metrics are split into
+// seconds, swcache totals, controller traffic, FaultStats) behind a single MetricsSnapshot::toJson(). Metrics are split into
 // two domains that can never be conflated:
 //   - kSim:  derived purely from simulated time / simulated state; identical
-//            across hosts, lane counts, and coalescing modes.
+//            across hosts and coalescing modes.
 //   - kHost: wall-clock-derived simulator throughput (host seconds,
 //            events per host second); machine-dependent by nature.
 // toJson() renders the domains in separate objects and summary() (used for
@@ -134,7 +133,7 @@ class MetricsRegistry {
 };
 
 /// Absorb every end-of-run stat a finished SccMachine exposes into one
-/// snapshot: engine (events, makespan, lane counts), shared-memory word and
+/// snapshot: engine (events, makespan), shared-memory word and
 /// bulk traffic, MPB chunks and scope violations, swcache totals, controller
 /// traffic (counters + a spread histogram), fault statistics, host
 /// throughput, and the named per-region profiles.

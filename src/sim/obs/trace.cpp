@@ -198,6 +198,8 @@ void TraceRecorder::writeChromeJson(std::ostream& out,
         task < meta.task_component.size() ? meta.task_component[task] : 0;
     num_components = std::max(num_components, comp + 1);
   }
+  // The "lanes"/"lane N" labels are part of the pinned export bytes; each
+  // names one Engine::taskComponents() component.
   for (std::uint32_t comp = 0; comp < num_components; ++comp) {
     emitMeta(out, 2, "thread_name", comp, "lane " + std::to_string(comp), first);
   }
@@ -209,7 +211,7 @@ void TraceRecorder::writeChromeJson(std::ostream& out,
   // Merge all per-task buffers into one global order. The key
   // (start, task, in-task index) is a pure function of the recorded data,
   // so the merged order — and therefore the output bytes — cannot depend on
-  // lane count or coalescing mode.
+  // the coalescing mode.
   struct Merged {
     TraceEvent ev;
     std::size_t task;
@@ -243,7 +245,7 @@ void TraceRecorder::writeChromeJson(std::ostream& out,
     out << ",\"args\":" << argsJson(ev) << '}';
   }
 
-  // ---- pid 2: task lifetimes grouped by lane component ----------------
+  // ---- pid 2: task lifetimes grouped by reach component ---------------
   // Tasks in one component are simulated-concurrent, so lifetimes on the
   // same track overlap; async (b/e) spans keyed by task id render stacked.
   struct Life {

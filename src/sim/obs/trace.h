@@ -5,26 +5,19 @@
 // and exit Ticks of shmRead/shmWrite/swcacheRw/mpbRead/mpbWrite/bulk/sync
 // operations. Those boundary Ticks are exactly the quantities the coalescing
 // invariant (engine.h) guarantees are bit-identical across all coalescing
-// modes, and the conservative-PDES proof (docs/engine_parallel.md)
-// guarantees are bit-identical across engine_lanes=1/N. Recording at the
-// per-engine-event level instead would break both contracts: intermediate
-// event counts and ticks are mode-dependent by design.
+// modes. Recording at the per-engine-event level instead would break that
+// contract: intermediate event counts and ticks are mode-dependent by design.
 //
 // Determinism contract (a new oracle, tested in tests/test_obs.cpp):
 //   - traces contain only simulated time (Ticks), never wall clock;
-//   - an enabled trace is byte-identical across engine_lanes=1/N, coalescing
-//     on or off, and zero-rate armed fault plans (fault events are recorded
-//     only when a fault actually fires).
+//   - an enabled trace is byte-identical across coalescing on or off and
+//     zero-rate armed fault plans (fault events are recorded only when a
+//     fault actually fires).
 //
 // Zero overhead when disabled: every hook site is gated on one cached bool
 // (enabled()), the same discipline as FaultInjector::anyArmed(). The
 // recorder is wired but dormant unless SccConfig::trace_enabled is set.
-//
-// Lane safety: events are recorded into per-task buffers. Each root task is
-// resumed only on the lane that owns its component, and every cross-task
-// recording site (barrier release, lock grant) writes only to tasks in the
-// *same* component as the recording task, so no buffer is ever touched by
-// two lanes. Buffers are pre-sized by prepare() before lanes start.
+// Events are recorded into per-task buffers, pre-sized by prepare().
 #pragma once
 
 #include <cstddef>
@@ -71,9 +64,8 @@ enum class TraceEventKind : std::uint8_t {
 [[nodiscard]] bool traceEventIsSpan(TraceEventKind kind);
 
 /// One recorded event. Task id is implicit (the buffer it lives in); the
-/// executing lane is deliberately NOT recorded — lane identity is derived at
-/// export time from the engine's deterministic component partition so the
-/// bytes cannot depend on engine_lanes.
+/// task's component is derived at export time from the engine's
+/// deterministic component partition.
 struct TraceEvent {
   Tick start = 0;
   Tick end = 0;
@@ -86,7 +78,7 @@ struct TraceEvent {
 
 /// Everything the exporter needs beyond the raw buffers. Built by
 /// SccMachine::traceExportMeta(); every field is a deterministic function of
-/// the run (component partition ignores lane count and done-ness).
+/// the run (the component partition ignores done-ness).
 struct TraceExportMeta {
   std::vector<std::uint32_t> task_component;  ///< task id -> component id
   std::vector<Tick> task_completion;          ///< task id -> completion Tick
@@ -106,12 +98,11 @@ class TraceRecorder {
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Size per-task buffers for `num_tasks` root tasks. Must be called before
-  /// a parallel run so lanes never resize the outer vector concurrently.
+  /// the run: record() files ids without a buffer in the host buffer.
   void prepare(std::size_t num_tasks);
 
   /// Record under a root task. Out-of-range ids (Engine::kNoTask, host
-  /// context) land in the shared host buffer — callers in parallel regions
-  /// always have a valid task id, so the host buffer stays single-threaded.
+  /// context) land in the shared host buffer.
   void record(std::size_t task_id, const TraceEvent& ev);
   void recordHost(const TraceEvent& ev) { record(kHostSlot, ev); }
 
@@ -124,7 +115,7 @@ class TraceRecorder {
 
   /// Chrome trace-event JSON (catapult / Perfetto "traceEvents" array):
   /// pid 1 = one thread per UE/task (spans + instants), pid 2 = one thread
-  /// per lane component (async task-lifetime spans), pid 3 = one counter
+  /// per reach component (async task-lifetime spans), pid 3 = one counter
   /// thread per memory controller (cumulative word transactions). Output is
   /// a deterministic function of the recorded events and meta.
   void writeChromeJson(std::ostream& out, const TraceExportMeta& meta) const;

@@ -108,22 +108,14 @@ struct SccConfig {
   /// Never changes any Tick; off runs the per-word/per-chunk reference path
   /// the equivalence tests compare against.
   bool coalescing = true;
-  /// Worker lanes for the conservative-PDES engine (docs/engine_parallel.md).
-  /// 1 (default) runs the classic single-threaded event loop. N>1 partitions
-  /// tasks into disjoint components (reach classes merged across shared
-  /// resources and sync-object participant sets) and advances up to N
-  /// components on worker threads concurrently. Ticks, final memory, and
-  /// makespans are bit-identical to lanes=1; runs whose components cannot be
-  /// proven disjoint fall back to the sequential loop automatically.
-  std::uint32_t engine_lanes = 1;
 
   // -- deterministic observability (sim/obs/; docs/observability.md) --
   /// Record the simulated-time trace (operation spans, sync episodes, fault
   /// fires, hang reports). Off by default: every hook is gated on one cached
   /// bool — the FaultInjector discipline — so untraced runs pay one
   /// predictable branch per operation and stay bit-identical. An enabled
-  /// trace contains only simulated Ticks and is byte-identical across
-  /// engine_lanes=1/N and all coalescing modes (see docs/observability.md).
+  /// trace contains only simulated Ticks and is byte-identical across all
+  /// coalescing modes (see docs/observability.md).
   bool trace_enabled = false;
   /// Max retained trace events per task (the bounded-memory ring-buffer
   /// mode). 0 = unbounded. Overflow keeps the newest events per task and is
@@ -132,18 +124,15 @@ struct SccConfig {
   /// Aggregate per-region shared-DRAM profiles (reads/writes/hits/misses/
   /// per-controller transactions for every named rcce::ShmArray region;
   /// MetricsSnapshot::regions). Off by default: registration no-ops and the
-  /// access hooks stay one cached-bool branch. On, the plain cross-lane
-  /// counters pin the engine to the sequential loop (engine_lanes=1) —
-  /// Ticks are unchanged either way.
+  /// access hooks stay one cached-bool branch. Ticks are unchanged either
+  /// way.
   bool region_metrics = false;
   /// Happens-before data-race detection over shared-memory accesses
   /// (sim/drf/drf.h; docs/race_detection.md). Off by default: every hook is
   /// one cached bool and the detector is untimed, so drf_check=false runs
   /// are bit-identical to the pre-detector machine and drf_check=true runs
-  /// simulate the exact same Ticks. On, the checker's sequential shadow
-  /// state pins the engine to one lane (engine_lanes=1) — reports are a
-  /// deterministic function of the program, byte-identical across lane
-  /// counts and coalescing modes.
+  /// simulate the exact same Ticks. Reports are a deterministic function of
+  /// the program, byte-identical across coalescing modes.
   bool drf_check = false;
   /// Check words instead of whole cache lines on swcache-cached ranges —
   /// the FUTURE contract of the ROADMAP's word-granular swcache item. The

@@ -781,132 +781,26 @@ TEST(Engine, WatchdogSparesBoundedSameTickBursts) {
   EXPECT_EQ(log.size(), 20u);
 }
 
-// --- conservative-PDES lanes (engine_lanes > 1) ------------------------------
+// --- trace component partition and horizon probes ---------------------------
 
-/// Result bundle for comparing one workload construction across lane counts.
-struct LaneRun {
-  Tick makespan = 0;
-  std::uint32_t lanes_used = 0;
-  std::uint64_t events = 0;
-  std::vector<std::uint64_t> lane_events;
-  std::vector<std::vector<int>> logs;
-  std::vector<Tick> completions;
-};
-
-/// Four disjoint components (one per resource), each with two tasks whose
-/// second events collide on one Tick — the equal-Tick task-id contract must
-/// hold inside a lane exactly as it does on the sequential loop. Per-resource
-/// stagger keeps the component makespans distinct.
-LaneRun runFourComponentWorkload(std::uint32_t lanes) {
+// taskComponents() (the trace's pid-2 tracks) merges reach classes that share
+// a bound sync object; unbound classes stay apart, and universal-reach tasks
+// join component 0. Ids are dense in class discovery order.
+TEST(Engine, TaskComponentsMergeSyncParticipantsAcrossClasses) {
   Engine engine;
-  engine.setEngineLanes(lanes);
   engine.registerResources(4);
-  LaneRun r;
-  r.logs.resize(4);
-  std::vector<std::size_t> ids;
-  for (std::uint32_t res = 0; res < 4; ++res) {
-    const Tick stagger = static_cast<Tick>(res) * 7;
-    // Later task id inserts its collision event FIRST (see
-    // EqualTickResumeFollowsTaskIdNotInsertionOrder); resume order must come
-    // out ascending anyway.
-    ids.push_back(engine.spawn(
-        twoStep(engine, r.logs[res], static_cast<int>(10 * res), 30 + stagger, 10),
-        0, res));
-    ids.push_back(engine.spawn(
-        twoStep(engine, r.logs[res], static_cast<int>(10 * res + 1), 10 + stagger, 30),
-        0, res));
-  }
-  r.makespan = engine.run();
-  r.lanes_used = engine.lanesUsed();
-  r.events = engine.eventsProcessed();
-  r.lane_events = engine.laneEventCounts();
-  for (const std::size_t id : ids) r.completions.push_back(engine.completionTime(id));
-  return r;
-}
-
-TEST(EngineLanes, ParallelRunBitIdenticalToSequential) {
-  const LaneRun seq = runFourComponentWorkload(1);
-  ASSERT_EQ(seq.lanes_used, 1u);
-  EXPECT_TRUE(seq.lane_events.empty());
-  for (const std::uint32_t lanes : {2u, 4u}) {
-    const LaneRun par = runFourComponentWorkload(lanes);
-    EXPECT_EQ(par.lanes_used, lanes);
-    EXPECT_EQ(par.makespan, seq.makespan);
-    EXPECT_EQ(par.completions, seq.completions);
-    EXPECT_EQ(par.logs, seq.logs);  // per-component orders, incl. the collisions
-    EXPECT_EQ(par.events, seq.events);
-    ASSERT_EQ(par.lane_events.size(), lanes);
-    std::uint64_t total = 0;
-    for (const std::uint64_t n : par.lane_events) {
-      EXPECT_GT(n, 0u);  // every lane got a component
-      total += n;
-    }
-    EXPECT_EQ(total, seq.events);  // telemetry accounts for every event
-  }
-}
-
-/// A bound sync object whose participants span two reach classes merges them
-/// into ONE component: equal-Tick collisions across those classes then happen
-/// on one lane and must interleave exactly as the sequential loop would.
-/// Returns {merged-pair log, makespan, lanes_used}.
-LaneRun runMergedPairWorkload(std::uint32_t lanes) {
-  Engine engine;
-  engine.setEngineLanes(lanes);
-  engine.registerResources(4);
-  LaneRun r;
-  r.logs.resize(1);
-  // Classes 0 and 2 collide at t=40 writing one shared log; binding a sync
-  // over their tasks is the lane-partition contract that makes this safe.
-  const std::size_t a = engine.spawn(twoStep(engine, r.logs[0], 0, 30, 10), 0, 0);
-  const std::size_t b = engine.spawn(twoStep(engine, r.logs[0], 1, 10, 30), 0, 2);
+  std::vector<int> log;
+  const std::size_t a = engine.spawn(recorder(engine, log, 0, 10), 0, 0);
+  const std::size_t b = engine.spawn(recorder(engine, log, 1, 10), 0, 2);
   const std::uint32_t sync = engine.registerSyncObject();
   engine.bindSyncParticipants(sync, {a, b});
-  std::vector<int> ignored_1;
-  std::vector<int> ignored_3;
-  engine.spawn(recorder(engine, ignored_1, 5, 25), 0, 1);
-  engine.spawn(recorder(engine, ignored_3, 6, 35), 0, 3);
-  r.makespan = engine.run();
-  r.lanes_used = engine.lanesUsed();
-  return r;
-}
-
-TEST(EngineLanes, SyncParticipantsMergeClassesOntoOneLane) {
-  const LaneRun seq = runMergedPairWorkload(1);
-  const LaneRun par = runMergedPairWorkload(4);
-  // {0,2} merged + {1} + {3} = three live components.
-  EXPECT_EQ(par.lanes_used, 3u);
-  EXPECT_EQ(par.makespan, seq.makespan);
-  EXPECT_EQ(par.logs, seq.logs);  // cross-class equal-Tick order preserved
-}
-
-/// A waker chain spanning two classes: task W parks on a bound sync, task S
-/// (a different reach class, same sync) schedules its wake. The binding keeps
-/// the whole chain on one lane; the engine's cross-lane schedule guard would
-/// throw if the partition ever split it.
-Tick runCrossClassWake(std::uint32_t lanes, std::uint32_t* lanes_used) {
-  Engine engine;
-  engine.setEngineLanes(lanes);
-  engine.registerResources(4);
-  std::coroutine_handle<> slot;
-  std::size_t parked_task = Engine::kNoTask;
-  const std::uint32_t sync = engine.registerSyncObject();
-  const std::size_t w = engine.spawn(parkOnSync(engine, sync, slot, parked_task), 0, 0);
-  const std::size_t s = engine.spawn(wakeParked(engine, 50, slot, parked_task), 0, 2);
-  engine.bindSyncParticipants(sync, {w, s});
-  std::vector<int> ignored_1;
-  std::vector<int> ignored_3;
-  engine.spawn(recorder(engine, ignored_1, 5, 25), 0, 1);
-  engine.spawn(recorder(engine, ignored_3, 6, 35), 0, 3);
+  engine.spawn(recorder(engine, log, 2, 10), 0, 1);
+  engine.spawn(recorder(engine, log, 3, 10), 0, 3);
+  engine.spawn(recorder(engine, log, 4, 10));  // universal reach
+  EXPECT_EQ(engine.taskComponents(), (std::vector<std::uint32_t>{0, 0, 1, 2, 0}));
   engine.run();
-  if (lanes_used != nullptr) *lanes_used = engine.lanesUsed();
-  return engine.completionTime(w);
-}
-
-TEST(EngineLanes, WakerChainAcrossClassesStaysOnOneLane) {
-  EXPECT_EQ(runCrossClassWake(1, nullptr), 50u);
-  std::uint32_t lanes_used = 0;
-  EXPECT_EQ(runCrossClassWake(4, &lanes_used), 50u);
-  EXPECT_EQ(lanes_used, 3u);
+  // Done-ness is ignored: the partition is the same after the run.
+  EXPECT_EQ(engine.taskComponents(), (std::vector<std::uint32_t>{0, 0, 1, 2, 0}));
 }
 
 SimTask probeSeries(Engine& engine, std::uint32_t resource, std::vector<Tick>& out) {
@@ -916,138 +810,21 @@ SimTask probeSeries(Engine& engine, std::uint32_t resource, std::vector<Tick>& o
   }
 }
 
-// Horizon bounds observed from inside a lane are the lane's own component
-// state: they must be monotone as the partner's events drain and must match
-// the sequential run's probes exactly (bound monotonicity across the run).
-TEST(EngineLanes, HorizonBoundsInsideLaneMatchSequentialAndStayMonotone) {
-  std::vector<std::vector<Tick>> probes;
-  for (const std::uint32_t lanes : {1u, 4u}) {
-    Engine engine;
-    engine.setEngineLanes(lanes);
-    engine.registerResources(4);
-    std::vector<Tick>& out = probes.emplace_back();
-    engine.spawn(probeSeries(engine, 0, out), 0, 0);  // probes at 25, 50, 75, 100
-    std::vector<int> plog;
-    engine.spawn(recorder(engine, plog, 9, 40), 0, 0);  // partner events at 40, 80
-    for (std::uint32_t res = 1; res < 4; ++res) {
-      engine.spawn(idleUntil(engine, 60 + static_cast<Tick>(res)), 0, res);
-    }
-    engine.run();
-    EXPECT_EQ(engine.lanesUsed(), lanes);
-    ASSERT_EQ(out.size(), 4u);
-    for (std::size_t i = 1; i < out.size(); ++i) EXPECT_GE(out[i], out[i - 1]);
+// A resource's horizon sees only its own reach class: the partner's events
+// bound it, the idle tasks on other resources never do, and the bound is
+// monotone as the partner's events drain.
+TEST(Engine, HorizonProbesTrackOnlyTheResourcesOwnClass) {
+  Engine engine;
+  engine.registerResources(4);
+  std::vector<Tick> out;
+  engine.spawn(probeSeries(engine, 0, out), 0, 0);  // probes at 25, 50, 75, 100
+  std::vector<int> plog;
+  engine.spawn(recorder(engine, plog, 9, 40), 0, 0);  // partner events at 40, 80
+  for (std::uint32_t res = 1; res < 4; ++res) {
+    engine.spawn(idleUntil(engine, 60 + static_cast<Tick>(res)), 0, res);
   }
-  EXPECT_EQ(probes[0], probes[1]);
-  EXPECT_EQ(probes[0], (std::vector<Tick>{40, 80, 80, Engine::kNever}));
-}
-
-// A lane that drains with a parked task rejoins it to the global blocked
-// list; with hang detection on, the post-join check must surface the same
-// wait-for report a sequential run would.
-TEST(EngineLanes, DeadlockReportSurvivesParkedLanes) {
-  Engine engine;
-  engine.setEngineLanes(2);
-  engine.setHangDetection(true);
-  engine.registerResources(2);
-  const std::uint32_t sync = engine.registerSyncObject();
-  const std::size_t blocked_id =
-      engine.spawn(parkOnSyncAfter(engine, sync, 10), 0, 0);  // parks, never woken
-  engine.bindSyncParticipants(sync, {blocked_id});
-  engine.spawn(parkAfter(engine, 20), 0, 1);  // wedged, no sync
-  std::vector<int> log;
-  engine.spawn(recorder(engine, log, 7, 5), 0, 1);  // completes
-  try {
-    engine.run();
-    FAIL() << "expected DeadlockError";
-  } catch (const DeadlockError& e) {
-    EXPECT_EQ(engine.lanesUsed(), 2u);
-    ASSERT_EQ(e.report().waiters.size(), 2u);  // the finished task is absent
-    const HangReport::Waiter& blocked = e.report().waiters[0];
-    EXPECT_EQ(blocked.task, blocked_id);
-    EXPECT_EQ(blocked.sync, sync);
-    EXPECT_EQ(blocked.blocked_since, 10u);  // the lane-local park time
-    const HangReport::Waiter& wedged = e.report().waiters[1];
-    EXPECT_EQ(wedged.task, 1u);
-    EXPECT_EQ(wedged.sync, Engine::kNoSync);
-  }
-}
-
-TEST(EngineLanes, UnboundSyncObjectForcesSequential) {
-  Engine engine;
-  engine.setEngineLanes(4);
-  engine.registerResources(2);
-  std::vector<int> log0;
-  std::vector<int> log1;
-  engine.spawn(recorder(engine, log0, 0, 10), 0, 0);
-  engine.spawn(recorder(engine, log1, 1, 20), 0, 1);
-  engine.registerSyncObject();  // never bound: any task might take it
-  EXPECT_EQ(engine.run(), 40u);
-  EXPECT_EQ(engine.lanesUsed(), 1u);
-  EXPECT_TRUE(engine.laneEventCounts().empty());
-}
-
-TEST(EngineLanes, UnaffinedTaskForcesSequential) {
-  Engine engine;
-  engine.setEngineLanes(4);
-  engine.registerResources(2);
-  std::vector<int> log0;
-  std::vector<int> log1;
-  engine.spawn(recorder(engine, log0, 0, 10), 0, 0);
-  engine.spawn(recorder(engine, log1, 1, 20), 0, 1);
-  engine.spawn(idleUntil(engine, 15));  // universal reach couples everything
   engine.run();
-  EXPECT_EQ(engine.lanesUsed(), 1u);
-}
-
-TEST(EngineLanes, PerEventDiagnosticsForceSequential) {
-  for (const int knob : {0, 1}) {
-    Engine engine;
-    engine.setEngineLanes(4);
-    engine.registerResources(2);
-    if (knob == 0) {
-      engine.setSyncTimeout(10'000);  // observes global event order
-    } else {
-      engine.setWatchdogEventLimit(10'000);
-    }
-    std::vector<int> log0;
-    std::vector<int> log1;
-    engine.spawn(recorder(engine, log0, 0, 10), 0, 0);
-    engine.spawn(recorder(engine, log1, 1, 20), 0, 1);
-    engine.run();
-    EXPECT_EQ(engine.lanesUsed(), 1u);
-  }
-}
-
-TEST(EngineLanes, SingleComponentFallsBackToSequential) {
-  Engine engine;
-  engine.setEngineLanes(4);
-  engine.registerResources(2);
-  std::vector<int> log;
-  engine.spawn(recorder(engine, log, 0, 10), 0, 0);
-  engine.spawn(recorder(engine, log, 1, 20), 0, 0);  // same class: one component
-  engine.run();
-  EXPECT_EQ(engine.lanesUsed(), 1u);
-}
-
-TEST(EngineLanes, NoRegisteredResourcesFallsBackToSequential) {
-  Engine engine;
-  engine.setEngineLanes(4);
-  std::vector<int> log;
-  engine.spawn(recorder(engine, log, 0, 10));
-  engine.spawn(recorder(engine, log, 1, 20));
-  engine.run();
-  EXPECT_EQ(engine.lanesUsed(), 1u);
-}
-
-TEST(EngineLanes, MoreComponentsThanLanesShareLanesDeterministically) {
-  // Four components on two lanes: comp % lane_count pairs {0,2} and {1,3};
-  // results must still be bit-identical to sequential (covered above) and
-  // both lanes must see work.
-  const LaneRun par = runFourComponentWorkload(2);
-  EXPECT_EQ(par.lanes_used, 2u);
-  ASSERT_EQ(par.lane_events.size(), 2u);
-  EXPECT_GT(par.lane_events[0], 0u);
-  EXPECT_GT(par.lane_events[1], 0u);
+  EXPECT_EQ(out, (std::vector<Tick>{40, 80, 80, Engine::kNever}));
 }
 
 }  // namespace

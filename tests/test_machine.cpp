@@ -796,15 +796,14 @@ TEST(Machine, MpbChunkStatsAccountAllChunks) {
   EXPECT_LE(on.chunk_events, off.chunk_events);
 }
 
-// --- conservative-PDES lanes at machine level --------------------------------
-// The hard bar for engine_lanes > 1 (docs/engine_parallel.md): byte-identical
-// shared memory, identical makespan, and identical per-task completion Ticks
-// versus the sequential loop, across coalescing modes and under fault replay.
+// --- sync-group launches -------------------------------------------------------
+// Pair-local barriers (LaunchSpec::withSyncGroups) with an empty MPB scope:
+// byte-identical shared memory, identical makespan, and identical per-task
+// completion Ticks with coalescing on and off.
 
 /// Quadrant-paired kernel: each UE round-trips its own 256-byte block on its
 /// own quadrant controller and synchronizes only with its pair partner
-/// (sync group ue % 4), so the reach classes split into one component per
-/// quadrant. All written values are timing-independent.
+/// (sync group ue % 4). All written values are timing-independent.
 SimTask pairedKernel(CoreContext& ctx, std::uint64_t base, int rounds) {
   std::vector<std::uint8_t> buf(256);
   const auto ue = static_cast<std::uint64_t>(ctx.ue());
@@ -820,106 +819,41 @@ SimTask pairedKernel(CoreContext& ctx, std::uint64_t base, int rounds) {
   }
 }
 
-struct LaneMachineResult {
+struct PairedResult {
   Tick makespan = 0;
   std::vector<Tick> completions;
   std::vector<std::uint8_t> memory;  ///< full workload region after the run
-  std::uint32_t lanes_used = 0;
-  std::uint64_t events = 0;
 };
 
-LaneMachineResult runPaired(std::uint32_t lanes, bool coalescing, int ues,
-                            const FaultPlan* fault = nullptr) {
+PairedResult runPaired(bool coalescing, int ues) {
   SccConfig cfg;
-  cfg.engine_lanes = lanes;
   cfg.coalescing = coalescing;
-  if (fault != nullptr) cfg.fault = *fault;
   SccMachine machine(cfg);
   const std::uint64_t base = machine.shmalloc(static_cast<std::size_t>(ues) * 256);
   machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) { return pairedKernel(ctx, base, 4); })
                      .withScope([](int, int) { return std::vector<int>{}; })
                      .withSyncGroups([](int ue, int) { return ue % 4; }));
-  LaneMachineResult r;
+  PairedResult r;
   r.makespan = machine.run();
   for (int ue = 0; ue < ues; ++ue) {
     r.completions.push_back(machine.engine().completionTime(static_cast<std::size_t>(ue)));
   }
   const std::uint8_t* data = machine.shmData(base);
   r.memory.assign(data, data + static_cast<std::size_t>(ues) * 256);
-  r.lanes_used = machine.engine().lanesUsed();
-  r.events = machine.engine().eventsProcessed();
   return r;
 }
 
-TEST(MachineLanes, BitIdenticalMatrixLanesByCoalescing) {
-  const LaneMachineResult ref = runPaired(1, /*coalescing=*/false, 8);
-  ASSERT_EQ(ref.lanes_used, 1u);
-  for (const std::uint32_t lanes : {1u, 2u, 4u}) {
-    for (const bool coalescing : {false, true}) {
-      const LaneMachineResult r = runPaired(lanes, coalescing, 8);
-      EXPECT_EQ(r.makespan, ref.makespan) << "lanes=" << lanes << " coal=" << coalescing;
-      EXPECT_EQ(r.completions, ref.completions) << "lanes=" << lanes;
-      EXPECT_EQ(r.memory, ref.memory) << "lanes=" << lanes;
-      // Four quadrant components: the run actually shards up to min(lanes, 4).
-      EXPECT_EQ(r.lanes_used, lanes) << "lanes=" << lanes;
-    }
+// 64 UEs oversubscribe the 48 cores: UE ids beyond the core table fall back
+// to the direct quadrant computation, so the per-tile horizons see the same
+// controller mapping as the 8-UE launch.
+TEST(Machine, SyncGroupsLaunchBitIdenticalAcrossCoalescing) {
+  for (const int ues : {8, 64}) {
+    const PairedResult ref = runPaired(/*coalescing=*/false, ues);
+    const PairedResult r = runPaired(/*coalescing=*/true, ues);
+    EXPECT_EQ(r.makespan, ref.makespan) << "ues=" << ues;
+    EXPECT_EQ(r.completions, ref.completions) << "ues=" << ues;
+    EXPECT_EQ(r.memory, ref.memory) << "ues=" << ues;
   }
-}
-
-TEST(MachineLanes, ArmedFaultPlanForcesSequentialAndStaysIdentical) {
-  FaultPlan hot{};
-  hot.enabled = true;
-  hot.shm_write.rate = 0.05;
-  hot.mc_stall.rate = 0.02;
-  const LaneMachineResult seq = runPaired(1, true, 8, &hot);
-  const LaneMachineResult par = runPaired(4, true, 8, &hot);
-  // Fault draws are replayed against the sequential event order; an armed
-  // plan must pin the engine to one lane regardless of the config knob.
-  EXPECT_EQ(seq.lanes_used, 1u);
-  EXPECT_EQ(par.lanes_used, 1u);
-  EXPECT_EQ(par.makespan, seq.makespan);
-  EXPECT_EQ(par.completions, seq.completions);
-  EXPECT_EQ(par.memory, seq.memory);
-}
-
-// Oversubscribed launch (64 UEs on 48 cores): UE ids beyond the core table
-// fall back to the direct quadrant computation, so the per-tile horizons and
-// the lane partition see the same controller mapping. The matrix bar holds
-// unchanged.
-TEST(MachineLanes, OversubscribedLanesMatrixBitIdentical) {
-  const LaneMachineResult ref = runPaired(1, true, 64);
-  for (const std::uint32_t lanes : {2u, 4u}) {
-    const LaneMachineResult r = runPaired(lanes, true, 64);
-    EXPECT_EQ(r.makespan, ref.makespan) << "lanes=" << lanes;
-    EXPECT_EQ(r.completions, ref.completions) << "lanes=" << lanes;
-    EXPECT_EQ(r.memory, ref.memory) << "lanes=" << lanes;
-    EXPECT_EQ(r.lanes_used, lanes) << "lanes=" << lanes;
-    EXPECT_EQ(r.events, ref.events) << "lanes=" << lanes;
-  }
-}
-
-// An ungrouped launch binds the machine-wide barrier to every task: one
-// component, so the engine must fall back to the sequential loop even with
-// lanes configured — and the results must not change.
-TEST(MachineLanes, UngroupedLaunchFallsBackToSequential) {
-  auto run_once = [](std::uint32_t lanes) {
-    SccConfig cfg;
-    cfg.engine_lanes = lanes;
-    SccMachine machine(cfg);
-    const std::uint64_t base = machine.shmalloc(8 * 256);
-    machine.launch(LaunchSpec(8, [&](CoreContext& ctx) { return pairedKernel(ctx, base, 4); }));
-    LaneMachineResult r;
-    r.makespan = machine.run();
-    r.lanes_used = machine.engine().lanesUsed();
-    const std::uint8_t* data = machine.shmData(base);
-    r.memory.assign(data, data + 8 * 256);
-    return r;
-  };
-  const LaneMachineResult seq = run_once(1);
-  const LaneMachineResult par = run_once(4);
-  EXPECT_EQ(par.lanes_used, 1u);
-  EXPECT_EQ(par.makespan, seq.makespan);
-  EXPECT_EQ(par.memory, seq.memory);
 }
 
 }  // namespace

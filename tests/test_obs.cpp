@@ -2,9 +2,9 @@
 // metrics registry (docs/observability.md).
 //
 // The load-bearing oracle is byte identity: an enabled trace must export the
-// exact same bytes across engine_lanes=1/N, every coalescing mode, and under
-// a zero-rate armed fault plan — and enabling the trace must not move a
-// single simulated Tick relative to an untraced run. The registry tests pin
+// exact same bytes across every coalescing mode and under a zero-rate armed
+// fault plan — and enabling the trace must not move a single simulated Tick
+// relative to an untraced run. The registry tests pin
 // the counter/gauge/histogram semantics and the sim/host domain split that
 // keeps RunResult::detail reproducible.
 #include <gtest/gtest.h>
@@ -128,9 +128,8 @@ TEST(TraceRecorder, RingKeepsNewestAndAccountsDropped) {
 
 /// Full-mix kernel: uncached shm block IO, an MPB deposit, a lock-guarded
 /// counter, and a global barrier per round — every traced operation family
-/// in one component (the global sync objects merge all tasks, so this runs
-/// sequential regardless of engine_lanes; the lanes oracle below uses the
-/// pair kernel instead).
+/// in one component (the global sync objects merge all tasks; the component
+/// oracle below uses the pair kernel instead).
 sim::SimTask obsMix(sim::CoreContext& ctx, std::uint64_t base, std::uint64_t counter,
                     std::uint64_t slot, int rounds, std::size_t block) {
   std::vector<std::uint8_t> buf(block);
@@ -155,9 +154,8 @@ sim::SimTask obsMix(sim::CoreContext& ctx, std::uint64_t base, std::uint64_t cou
 }
 
 /// Controller-sharing UE pairs with pair-local sync groups and an empty MPB
-/// scope (the quadrant_pairs shape): four provably disjoint components, so
-/// engine_lanes=4 really shards — the regime the lane byte-identity oracle
-/// must cover.
+/// scope (the quadrant_pairs shape): four disjoint components, each drawn as
+/// its own pid-2 track.
 sim::SimTask pairKernel(sim::CoreContext& ctx, std::uint64_t base, int rounds,
                         std::size_t block) {
   std::vector<std::uint8_t> buf(block);
@@ -176,7 +174,7 @@ sim::SimTask pairKernel(sim::CoreContext& ctx, std::uint64_t base, int rounds,
 struct TraceRun {
   Tick makespan = 0;
   std::vector<Tick> completions;
-  std::uint32_t lanes_used = 1;
+  std::vector<std::uint32_t> components;  ///< traceExportMeta().task_component
   std::uint64_t recorded = 0;
   std::uint64_t dropped = 0;
   std::string json;
@@ -197,7 +195,6 @@ TraceRun runObsMix(const SccConfig& cfg) {
   for (int ue = 0; ue < 8; ++ue) {
     r.completions.push_back(m.engine().completionTime(static_cast<std::size_t>(ue)));
   }
-  r.lanes_used = m.engine().lanesUsed();
   r.recorded = m.traceRecorder().recordedEvents();
   r.dropped = m.traceRecorder().droppedEvents();
   std::ostringstream js, bs;
@@ -218,13 +215,11 @@ TraceRun runPairs(const SccConfig& cfg) {
                .withSyncGroups([](int ue, int) { return ue % 4; }));
   TraceRun r;
   r.makespan = m.run();
-  r.lanes_used = m.engine().lanesUsed();
+  r.components = m.traceExportMeta().task_component;
   r.recorded = m.traceRecorder().recordedEvents();
-  std::ostringstream js, bs;
+  std::ostringstream js;
   m.writeTrace(js);
-  m.writeTraceBinary(bs);
   r.json = js.str();
-  r.binary = bs.str();
   return r;
 }
 
@@ -263,20 +258,24 @@ TEST(ObsTrace, ByteIdenticalAcrossSwcacheCoalescing) {
   EXPECT_EQ(a.binary, b.binary);
 }
 
-TEST(ObsTrace, ByteIdenticalAcrossEngineLanes) {
-  SccConfig seq = tracedConfig();
-  SccConfig par = tracedConfig();
-  par.engine_lanes = 4;
-
-  const TraceRun s = runPairs(seq);
-  const TraceRun p = runPairs(par);
-  EXPECT_GT(s.recorded, 0u);
-  // The parallel run must actually shard (otherwise this oracle is vacuous)…
-  EXPECT_GT(p.lanes_used, 1u);
-  // …and still export the exact same bytes.
-  EXPECT_EQ(s.makespan, p.makespan);
-  EXPECT_EQ(s.json, p.json);
-  EXPECT_EQ(s.binary, p.binary);
+TEST(ObsTrace, SyncGroupedPairsExportFourComponents) {
+  // Pair-local barriers keep the pairs' reach classes apart, so the pid-2
+  // group gets one track per pair {ue, ue+4} and no more.
+  const TraceRun r = runPairs(tracedConfig());
+  EXPECT_GT(r.recorded, 0u);
+  EXPECT_EQ(r.components, (std::vector<std::uint32_t>{0, 1, 2, 3, 0, 1, 2, 3}));
+  for (int comp = 0; comp < 4; ++comp) {
+    const std::string track = R"({"ph":"M","pid":2,"tid":)" + std::to_string(comp) +
+                              R"(,"name":"thread_name","args":{"name":"lane )" +
+                              std::to_string(comp) + R"("}})";
+    EXPECT_NE(r.json.find(track), std::string::npos) << track;
+  }
+  EXPECT_EQ(r.json.find(R"("name":"lane 4")"), std::string::npos);
+  // Each task's lifetime span sits on its pair's track.
+  EXPECT_NE(r.json.find(R"("name":"task 4","ph":"b","cat":"task","id":4,"pid":2,"tid":0)"),
+            std::string::npos);
+  EXPECT_NE(r.json.find(R"("name":"task 7","ph":"b","cat":"task","id":7,"pid":2,"tid":3)"),
+            std::string::npos);
 }
 
 TEST(ObsTrace, ZeroRateArmedFaultPlanIsByteIdentical) {
