@@ -77,7 +77,11 @@ TranslationResult Translator::translate(const std::string& source,
   // strip pthread bookkeeping, and the derivation reads both.
   result.execution_plan = partition::deriveExecutionPlan(result.analysis, result.plan);
 
-  transform::PassContext pass_ctx{context, result.analysis, result.plan, diags};
+  transform::PassContext pass_ctx{.ast = context,
+                                  .analysis = result.analysis,
+                                  .plan = result.plan,
+                                  .diags = diags,
+                                  .core_bound_tasks = {}};
   transform::Driver driver;
   // Stage 5 pass pipeline; order matters (see each pass's header).
   driver.add(std::make_unique<transform::RenameMainPass>());

@@ -2,6 +2,14 @@
 // Work per candidate grows with its value, so block partitioning leaves the
 // high-range cores with ~2x the average work — the load imbalance behind
 // CountPrimes' ~16x (not 32x) in Fig. 6.1.
+//
+// Simulated time charges every trial division of that loop. The host does
+// not run it: each candidate's result and trial count come in closed form
+// from a smallest-prime-factor table built once per CountPrimes object
+// (count_primes.h), and the run is verified against a separate Sieve of
+// Eratosthenes.
+#include "workloads/count_primes.h"
+
 #include <cstring>
 
 #include "rcce/rcce.h"
@@ -10,6 +18,29 @@
 #include "workloads/benchmark.h"
 
 namespace hsm::workloads {
+
+std::vector<std::uint32_t> smallestPrimeFactors(std::size_t limit) {
+  std::vector<std::uint32_t> spf(limit + 1, 0);
+  for (std::size_t p = 2; p <= limit; ++p) {
+    if (spf[p] != 0) continue;
+    for (std::size_t m = p; m <= limit; m += p) {
+      if (spf[m] == 0) spf[m] = static_cast<std::uint32_t>(p);
+    }
+  }
+  return spf;
+}
+
+long long sievePrimeCount(std::size_t limit) {
+  std::vector<bool> composite(limit + 1, false);
+  long long count = 0;
+  for (std::size_t i = 2; i <= limit; ++i) {
+    if (composite[i]) continue;
+    ++count;
+    for (std::size_t m = i * i; m <= limit; m += i) composite[m] = true;
+  }
+  return count;
+}
+
 namespace {
 
 constexpr int kSumLock = 0;
@@ -18,28 +49,12 @@ struct PrimesParams {
   std::size_t limit = 20'000;
 };
 
-/// Executes Algorithm 11's inner loop for one candidate; returns
-/// {is_prime, trial_divisions_performed}.
-std::pair<bool, std::size_t> trialDivide(std::size_t i) {
-  if (i < 2) return {false, 0};
-  std::size_t trials = 0;
-  for (std::size_t j = 2; j < i; ++j) {
-    ++trials;
-    if (i % j == 0) return {false, trials};
-  }
-  return {true, trials};
-}
-
-long long referenceCount(std::size_t limit) {
-  long long total = 0;
-  for (std::size_t i = 2; i <= limit; ++i) total += trialDivide(i).first ? 1 : 0;
-  return total;
-}
-
 // Candidates are batched (one event per batch) while accumulating the
-// simulated division cost exactly.
+// simulated division cost exactly. `spf` is the owning CountPrimes object's
+// table, which outlives every run it launches.
 
 sim::SimTask primesThread(threadrt::ThreadContext& ctx, PrimesParams p,
+                          const std::vector<std::uint32_t>* spf,
                           std::uint64_t count_addr) {
   const Slice s = blockSlice(p.limit - 1, ctx.numThreads(), ctx.tid());
   const std::size_t lo = 2 + s.first;
@@ -50,7 +65,7 @@ sim::SimTask primesThread(threadrt::ThreadContext& ctx, PrimesParams p,
     const std::size_t end = std::min(i + kBatch, hi);
     std::uint64_t divisions = 0;
     for (std::size_t c = i; c < end; ++c) {
-      const auto [is_prime, trials] = trialDivide(c);
+      const auto [is_prime, trials] = primeTrials(*spf, c);
       primes += is_prime ? 1 : 0;
       divisions += trials;
     }
@@ -66,6 +81,7 @@ sim::SimTask primesThread(threadrt::ThreadContext& ctx, PrimesParams p,
 }
 
 sim::SimTask primesRcce(sim::CoreContext& ctx, PrimesParams p,
+                        const std::vector<std::uint32_t>* spf,
                         rcce::ShmArray<long long> acc,
                         rcce::MpbArray<long long> mpb_acc, bool use_mpb) {
   const Slice s = blockSlice(p.limit - 1, ctx.numUes(), ctx.ue());
@@ -77,7 +93,7 @@ sim::SimTask primesRcce(sim::CoreContext& ctx, PrimesParams p,
     const std::size_t end = std::min(i + kBatch, hi);
     std::uint64_t divisions = 0;
     for (std::size_t c = i; c < end; ++c) {
-      const auto [is_prime, trials] = trialDivide(c);
+      const auto [is_prime, trials] = primeTrials(*spf, c);
       primes += is_prime ? 1 : 0;
       divisions += trials;
     }
@@ -101,10 +117,8 @@ sim::SimTask primesRcce(sim::CoreContext& ctx, PrimesParams p,
 
 class CountPrimes final : public Benchmark {
  public:
-  explicit CountPrimes(double scale) {
-    params_.limit = static_cast<std::size_t>(static_cast<double>(params_.limit) * scale);
-    if (params_.limit < 100) params_.limit = 100;
-  }
+  explicit CountPrimes(double scale)
+      : params_(scaledParams(scale)), spf_(smallestPrimeFactors(params_.limit)) {}
 
   [[nodiscard]] std::string name() const override { return "CountPrimes"; }
 
@@ -125,7 +139,7 @@ class CountPrimes final : public Benchmark {
       const std::uint64_t count_addr = 0;
       std::memset(rt.machine().privData(0, count_addr), 0, sizeof(long long));
       rt.launch(units, [&](threadrt::ThreadContext& ctx) {
-        return primesThread(ctx, p, count_addr);
+        return primesThread(ctx, p, &spf_, count_addr);
       });
       result.makespan = rt.run();
       std::memcpy(&computed, rt.machine().privData(0, count_addr), sizeof(long long));
@@ -142,7 +156,7 @@ class CountPrimes final : public Benchmark {
       *acc.hostData() = 0;
       *mpb_acc.hostData(0) = 0;
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
-        return primesRcce(ctx, p, acc, mpb_acc, use_mpb);
+        return primesRcce(ctx, p, &spf_, acc, mpb_acc, use_mpb);
       }).withPlan(plan));
       result.makespan = machine.run();
       recordMachineRobustness(result, machine);
@@ -150,13 +164,21 @@ class CountPrimes final : public Benchmark {
       computed = use_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
     }
 
-    result.verified = computed == referenceCount(p.limit);
+    result.verified = computed == sievePrimeCount(p.limit);
     deriveDetail(result, "primes=" + std::to_string(computed));
     return result;
   }
 
  private:
+  static PrimesParams scaledParams(double scale) {
+    PrimesParams p;
+    p.limit = static_cast<std::size_t>(static_cast<double>(p.limit) * scale);
+    if (p.limit < 100) p.limit = 100;
+    return p;
+  }
+
   PrimesParams params_;
+  const std::vector<std::uint32_t> spf_;  ///< smallestPrimeFactors(params_.limit)
 };
 
 }  // namespace

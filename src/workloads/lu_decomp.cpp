@@ -49,11 +49,6 @@ bool verifyLu(const double* m, std::size_t n) {
   return true;
 }
 
-/// The elimination work one unit performs at step k: returns FP op count.
-std::uint64_t eliminationOps(std::size_t n, std::size_t k) {
-  return 1 + 2 * (n - k - 1);  // one divide + mul/sub per trailing column
-}
-
 sim::SimTask luThread(threadrt::ThreadContext& ctx, LuParams p, std::uint64_t m0) {
   const std::size_t n = p.n;
   const int P = ctx.numThreads();

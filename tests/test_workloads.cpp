@@ -3,7 +3,10 @@
 // rests on (parallel speedup, MPB vs off-chip ordering, load imbalance).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "workloads/benchmark.h"
+#include "workloads/count_primes.h"
 
 namespace hsm::workloads {
 namespace {
@@ -149,12 +152,91 @@ TEST(PerformanceShape, MoreCoresMoreSpeed) {
   EXPECT_LT(r16.makespan, r4.makespan / 3);
 }
 
-TEST(Workloads, DeterministicRuns) {
-  const auto stream = makeStream(kTestScale);
+// Exact makespans: a simulated result is a pure function of program, config
+// and seed, so any Tick drift in any program or mode fails here by name.
+TEST(Workloads, ExactMakespansPinned) {
+  struct Pin {
+    const char* benchmark;
+    sim::Tick pthread, offchip, mpb;
+  };
+  const Pin pins[] = {
+      {"PiApprox", 3'554'235'638, 443'162'564, 443'222'500},
+      {"3-5-Sum", 17'710'345'638, 2'203'960'064, 2'204'020'000},
+      {"CountPrimes", 4'604'138'138, 1'008'795'008, 1'008'827'500},
+      {"Stream", 549'023'816, 180'717'658, 25'679'380},
+      {"DotProduct", 1'100'884'590, 151'813'120, 42'989'004},
+      {"LU", 53'093'318, 56'807'416, 56'768'804},
+  };
   const sim::SccConfig config;
-  const RunResult a = stream->run(Mode::RcceMpb, 8, config);
-  const RunResult b = stream->run(Mode::RcceMpb, 8, config);
-  EXPECT_EQ(a.makespan, b.makespan);
+  for (const Pin& pin : pins) {
+    const auto bench = make(pin.benchmark, kTestScale);
+    ASSERT_NE(bench, nullptr) << pin.benchmark;
+    EXPECT_EQ(bench->run(Mode::PthreadSingleCore, 8, config).makespan, pin.pthread)
+        << pin.benchmark;
+    EXPECT_EQ(bench->run(Mode::RcceOffChip, 8, config).makespan, pin.offchip)
+        << pin.benchmark;
+    EXPECT_EQ(bench->run(Mode::RcceMpb, 8, config).makespan, pin.mpb) << pin.benchmark;
+  }
+}
+
+// Fig. 6.1 at the paper's scale (32 UEs, scale 1.0): exact makespans, plus
+// CountPrimes' load-imbalance shape (paper: 16x instead of 32x).
+TEST(PaperFigure61, ExactMakespansAtPaperScale) {
+  struct Pin {
+    const char* benchmark;
+    sim::Tick pthread, offchip;
+  };
+  const Pin pins[] = {
+      {"PiApprox", 71'129'885'638, 2'214'955'256},
+      {"3-5-Sum", 354'261'005'638, 11'018'740'256},
+      {"CountPrimes", 1'255'715'743'138, 81'104'197'508},
+      {"Stream", 27'401'875'392, 1'259'876'648},
+  };
+  const sim::SccConfig config;
+  for (const Pin& pin : pins) {
+    const auto bench = make(pin.benchmark, 1.0);
+    ASSERT_NE(bench, nullptr) << pin.benchmark;
+    const RunResult base = bench->run(Mode::PthreadSingleCore, 32, config);
+    const RunResult rcce = bench->run(Mode::RcceOffChip, 32, config);
+    EXPECT_TRUE(base.verified && rcce.verified) << pin.benchmark;
+    EXPECT_EQ(base.makespan, pin.pthread) << pin.benchmark;
+    EXPECT_EQ(rcce.makespan, pin.offchip) << pin.benchmark;
+    if (std::string(pin.benchmark) == "CountPrimes") {
+      const double speedup =
+          static_cast<double>(base.makespan) / static_cast<double>(rcce.makespan);
+      EXPECT_GE(speedup, 12.0);
+      EXPECT_LE(speedup, 20.0);
+    }
+  }
+}
+
+// --- CountPrimes' closed-form host arithmetic ---------------------------------
+
+// Algorithm 11's literal inner loop: the oracle for primeTrials.
+std::pair<bool, std::size_t> trialDivide(std::size_t i) {
+  if (i < 2) return {false, 0};
+  std::size_t trials = 0;
+  for (std::size_t j = 2; j < i; ++j) {
+    ++trials;
+    if (i % j == 0) return {false, trials};
+  }
+  return {true, trials};
+}
+
+TEST(CountPrimesClosedForm, MatchesTrialDivisionLoop) {
+  constexpr std::size_t kLimit = 20'000;  // CountPrimes' limit at scale 1.0
+  const std::vector<std::uint32_t> spf = smallestPrimeFactors(kLimit);
+  ASSERT_EQ(spf.size(), kLimit + 1);
+  for (std::size_t c = 0; c <= kLimit; ++c) {
+    ASSERT_EQ(primeTrials(spf, c), trialDivide(c)) << "candidate " << c;
+  }
+}
+
+TEST(CountPrimesClosedForm, SieveReferenceCountsPrimes) {
+  EXPECT_EQ(sievePrimeCount(1), 0);
+  EXPECT_EQ(sievePrimeCount(2), 1);
+  EXPECT_EQ(sievePrimeCount(1000), 168);
+  EXPECT_EQ(sievePrimeCount(20'000), 2262);
 }
 
 TEST(Workloads, SuiteHasSixBenchmarksInPaperOrder) {
