@@ -156,6 +156,11 @@ Tick Engine::wakeBound(std::size_t task, std::vector<std::size_t>& visited) cons
     // the latest of their earliest executions. A required waker that can
     // never act again (the running task mid-batch, a finished task, a
     // deadlocked chain) means the wake cannot fire within any horizon.
+    // The running task being a current waker is the common case (tasks
+    // parked at a barrier the caller has not reached) and is answered in
+    // O(1): the scan below would return kNever on reaching it, and every
+    // return it could take before that is kNever too.
+    if (running != task && s.isCurrentWaker(running)) return kNever;
     Tick bound = 0;
     for (const std::size_t w : s.wakers) {
       if (s.episodic && s.removedThisEpisode(w)) continue;  // already arrived
@@ -290,6 +295,30 @@ std::size_t Engine::aliveTasksReaching(std::uint32_t resource) const {
   return n < 0 ? kInexact : static_cast<std::size_t>(n);
 }
 
+std::size_t Engine::blockedTasksReaching(std::uint32_t resource) const {
+  if (resource_classes_.empty() || resource >= resource_classes_.size()) return 0;
+  std::int64_t n = universal_blocked_registered_;
+  for (const std::uint32_t cls : resource_classes_[resource]) {
+    n += classes_[cls].blocked_registered;
+  }
+  return n < 0 ? 0 : static_cast<std::size_t>(n);
+}
+
+std::size_t Engine::parkedTasksReaching(std::uint32_t resource) const {
+  if (resource_classes_.empty() || resource >= resource_classes_.size()) return 0;
+  std::size_t n = 0;
+  for (const std::size_t b : blocked_tasks_) {
+    // Same population as the blocked_registered tallies: counted tasks only.
+    if (b < counted_tasks_from_) continue;
+    const std::uint32_t cls = classOfTask(b);
+    if (cls != kUniversalClass && !classReaches(cls, resource)) continue;
+    wake_path_.clear();
+    wake_path_.push_back(b);
+    if (wakeBound(b, wake_path_) == kNever) ++n;
+  }
+  return n;
+}
+
 void Engine::setSyncWakers(std::uint32_t sync, std::vector<std::size_t> wakers,
                            WakerRule rule) {
   if (sync >= syncs_.size()) return;
@@ -321,8 +350,12 @@ void Engine::setSyncEpisodeWakers(std::uint32_t sync, std::vector<std::size_t> w
   }
   s.wakers = std::move(wakers);
   std::size_t max_id = 0;
-  for (const std::size_t w : s.wakers) {
-    if (w != kNoTask && w >= max_id) max_id = w + 1;
+  for (std::size_t i = 0; i < s.wakers.size(); ++i) {
+    const std::size_t w = s.wakers[i];
+    if (w == kNoTask) continue;
+    if (w >= max_id) max_id = w + 1;
+    if (w >= s.waker_pos.size()) s.waker_pos.resize(w + 1, 0);
+    s.waker_pos[w] = i + 1;  // membership only: removal stamps removed_gen
   }
   s.removed_gen.assign(max_id, 0);
   s.generation = 1;

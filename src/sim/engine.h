@@ -53,7 +53,12 @@
 // horizon is only ever consulted mid-batch, and a batch replaces a
 // contiguous run of memory operations during which the caller performs no
 // sync-object operations — so a kAny sync skips it and a kAll sync whose
-// wakers include it can never release mid-batch at all.
+// wakers include it can never release mid-batch at all (answered in O(1)
+// from the sync object's membership index, without walking the wakers).
+// The same rule lets a platform model widen a closure proof: a blocked
+// task whose wake bound is kNever (parkedTasksReaching) cannot touch any
+// resource until the running task performs a sync operation, so a batch
+// that ends while the running task is still mid-run may treat it as absent.
 // Under these rules coalescing may reduce `eventsProcessed()` but never
 // changes any Tick: makespan, per-task completion times, and every
 // resource-timeline state transition are bit-identical with coalescing on
@@ -366,6 +371,18 @@ class Engine {
   /// CLOSED: round-robin contention batching fires only when every task
   /// that could ever touch a controller is a known member of the batch.
   [[nodiscard]] std::size_t aliveTasksReaching(std::uint32_t resource) const;
+  /// Tasks registered as blocked (blockOnSync) whose reach set contains
+  /// `resource`, universal-reach ones included. O(reach classes): the cheap
+  /// precheck before parkedTasksReaching. Tasks parked by a mechanism the
+  /// kernel does not know (e.g. a permanent core freeze) are not counted.
+  [[nodiscard]] std::size_t blockedTasksReaching(std::uint32_t resource) const;
+  /// Of those, the tasks whose wake chain can never fire while the running
+  /// task stays mid-batch (wake bound kNever: parked at a kAll barrier the
+  /// running task has not reached, on a lock the running task holds, or on
+  /// a chain that can never fire at all). O(registered blocked tasks).
+  /// Platform models use it to widen a closure proof: such tasks cannot
+  /// touch `resource` until the running task performs a sync operation.
+  [[nodiscard]] std::size_t parkedTasksReaching(std::uint32_t resource) const;
 
   /// Pre-size the event heap (one slot per concurrently pending coroutine
   /// is enough; larger reservations just avoid early regrowth).
@@ -512,7 +529,8 @@ class Engine {
     /// (barrier arrivals used to scan the waker set linearly, ~30% of
     /// barrier-only microbench time at 32 participants). Sized to the
     /// largest waker task id ever set; swap-removals keep it current.
-    /// Unused in episodic mode (removal is a generation stamp there).
+    /// In episodic mode it indexes the declared membership instead (removal
+    /// is a generation stamp there), so isCurrentWaker is O(1) either way.
     std::vector<std::size_t> waker_pos;
     /// Episodic mode (setSyncEpisodeWakers): `wakers` is the immutable full
     /// membership; a task is currently removed iff its stamp equals the
@@ -532,6 +550,13 @@ class Engine {
 
     [[nodiscard]] bool removedThisEpisode(std::size_t task) const {
       return task < removed_gen.size() && removed_gen[task] == generation;
+    }
+    /// `task` is in the current waker set: declared (and, for episodic
+    /// objects, not yet removed this episode). Host wakers (kNoTask) are
+    /// never indexed, so this is a sound under-approximation.
+    [[nodiscard]] bool isCurrentWaker(std::size_t task) const {
+      return task < waker_pos.size() && waker_pos[task] != 0 &&
+             !(episodic && removedThisEpisode(task));
     }
   };
 

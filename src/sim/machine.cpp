@@ -1303,29 +1303,29 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   // Closure proof: every registered run must be an unsolved in-flight peer
   // (a solved-but-unconsumed entry means that task's next move is already
   // decided and acquired — nothing new may interleave until it resumes),
-  // and the peers plus this task must be ALL the alive tasks whose reach
-  // includes the controller. Then every pending event that can touch this
-  // timeline belongs to a member, and the joint replay below IS the engine's
-  // own schedule.
+  // and every OTHER alive task whose reach includes the controller must be
+  // parked where it cannot be woken while this task stays mid-run (header
+  // comment at WordRun). Then every event that can touch this timeline
+  // inside the replayed prefix belongs to a member, and the joint replay
+  // below IS the engine's own schedule.
   std::size_t peers = 0;
   for (const auto& [tid, r] : runs) {
     if (r.solved || r.remaining == 0) return false;
     if (tid != self) ++peers;
   }
   if (peers == 0) return false;
-  if (engine_.aliveTasksReaching(mc_id) != peers + 1) return false;
+  const std::size_t alive = engine_.aliveTasksReaching(mc_id);
+  if (alive != peers + 1) {
+    // The wake-chain walk runs only once the O(classes) tally says every
+    // non-member is registered blocked (lock-heavy runs rarely get here).
+    if (alive == static_cast<std::size_t>(-1) || alive < peers + 1) return false;
+    const std::size_t others = alive - (peers + 1);
+    if (engine_.blockedTasksReaching(mc_id) != others) return false;
+    if (engine_.parkedTasksReaching(mc_id) != others) return false;
+  }
 
-  struct Member {
-    std::size_t task;
-    Tick t;        ///< completion of its last word (next-event instant)
-    Tick hop;
-    std::size_t remaining;
-    std::uint64_t seq;  ///< schedule order of its pending event
-    bool is_self;
-    std::size_t done = 0;  ///< words serviced by this replay
-  };
-  std::vector<Member> members;
-  members.reserve(peers + 1);
+  std::vector<ReplayMember>& members = replay_members_;
+  members.clear();
   for (const auto& [tid, r] : runs) {
     if (tid != self) {
       members.push_back({tid, r.t, r.hop, r.remaining, r.seq, false});
@@ -1353,13 +1353,9 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   // Trace records are deferred until the replay commits: a declined replay
   // (boundary tie below) must leave no observable side effect.
   obs::TraceRecorder* tr = tracer(engine_);
-  struct StallRec {
-    std::size_t task;
-    Tick at;
-    Tick stall;
-  };
-  std::vector<StallRec> stall_recs;
-  const Member* finisher = nullptr;
+  std::vector<ReplayStall>& stall_recs = replay_stalls_;
+  stall_recs.clear();
+  const ReplayMember* finisher = nullptr;
   while (finisher == nullptr) {
     std::size_t pick = members.size();
     for (std::size_t i = 0; i < members.size(); ++i) {
@@ -1369,7 +1365,7 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
         pick = i;
       }
     }
-    Member& m = members[pick];
+    ReplayMember& m = members[pick];
     const Tick arrival = m.t + uncached_overhead_ticks_ + m.hop;
     Tick svc = word_service_ticks_;
     if (stall_armed) {
@@ -1398,9 +1394,9 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   // could invert the acquire order, so decline (nothing committed yet —
   // the per-event fallback is exact). Untouched members keep their
   // original pending events and need no guard.
-  std::vector<Tick> boundary;
-  boundary.reserve(members.size());
-  for (const Member& m : members) {
+  std::vector<Tick>& boundary = replay_boundary_;
+  boundary.clear();
+  for (const ReplayMember& m : members) {
     if (m.done > 0) boundary.push_back(m.t);
   }
   std::sort(boundary.begin(), boundary.end());
@@ -1412,7 +1408,7 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   mc_[mc_id] = scratch;
   shm_run_seq_[mc_id] = next_stamp;
   if (tr != nullptr) {
-    for (const StallRec& s : stall_recs) {
+    for (const ReplayStall& s : stall_recs) {
       tr->record(s.task, obs::TraceEvent{s.at, s.at, s.stall, 0, 0, mc_id,
                                          obs::TraceEventKind::kMcStall});
     }
@@ -1424,7 +1420,7 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   shm_words_ += total_words;
   mc_traffic_[mc_id] += total_words;
   ++shm_word_events_;  // self's event
-  for (const Member& m : members) {
+  for (const ReplayMember& m : members) {
     if (m.is_self) {
       if (m.remaining == 0) {
         runs.erase(self);  // a continuation call's own stale entry, if any

@@ -716,8 +716,11 @@ class SccMachine {
   // -- round-robin contention batching (config.coalescing) --
   // A contended controller serves k word-runs interleaved, one word per
   // engine event each. When the machine can prove the contention pattern is
-  // CLOSED — every alive task whose reach includes the controller is mid
-  // word-run against it (Engine::aliveTasksReaching) — the joint FCFS
+  // CLOSED — every alive task whose reach includes the controller
+  // (Engine::aliveTasksReaching) is either mid word-run against it or
+  // parked where it cannot be woken while the caller stays mid-run
+  // (Engine::parkedTasksReaching: a kNever wake chain, e.g. a barrier the
+  // caller has not reached or a lock the caller holds) — the joint FCFS
   // recurrence over all k runs is replayed inline in engine order
   // ((completion, schedule seq), the event heap's own order), so the
   // controller timeline sees the exact per-event acquire sequence: same
@@ -732,13 +735,18 @@ class SccMachine {
   // could otherwise disagree with the order the per-event execution would
   // have produced. Within those guards the batch is Tick-exact by
   // construction; only the event count drops (a handful of events per
-  // member per window instead of one per word). The closure proof also
-  // leans on the machine's task model: every UE task spawns in launch(),
-  // before run(), so no task that could reach the controller appears after
-  // the count is taken. Data ops still execute in each task's program
-  // order but no longer interleave across tasks word by word, so
-  // functional results are preserved for data-race-free programs (the same
-  // contract the swcache states in docs/memory_model.md).
+  // member per window instead of one per word). Parked tasks stay out of
+  // the replay because it ends at the first finished run: every member,
+  // the caller included, is mid-run throughout the replayed prefix and
+  // performs no sync operation in it, so a kNever wake chain cannot fire
+  // inside it — the same "cannot arrive mid-batch" rule the per-resource
+  // horizon applies. The closure proof also leans on the machine's task
+  // model: every UE task spawns in launch(), before run(), so no task that
+  // could reach the controller appears after the count is taken. Data ops
+  // still execute in each task's program order but no longer interleave
+  // across tasks word by word, so functional results are preserved for
+  // data-race-free programs (the same contract the swcache states in
+  // docs/memory_model.md).
   /// One task's in-flight word-run against a controller.
   struct WordRun {
     Tick t = 0;        ///< completion of its last serviced word
@@ -748,6 +756,22 @@ class SccMachine {
     bool solved = false;        ///< a joint replay precomputed words for it
     std::size_t done = 0;       ///< words the replay serviced (when solved)
     Tick final_t = 0;  ///< completion of the last replayed word (when solved)
+  };
+  /// One member of a joint replay (solveContendedRuns' working set).
+  struct ReplayMember {
+    std::size_t task;
+    Tick t;        ///< completion of its last word (next-event instant)
+    Tick hop;
+    std::size_t remaining;
+    std::uint64_t seq;  ///< schedule order of its pending event
+    bool is_self;
+    std::size_t done = 0;  ///< words serviced by this replay
+  };
+  /// A kMcStall drawn during a replay, traced only once the replay commits.
+  struct ReplayStall {
+    std::size_t task;
+    Tick at;
+    Tick stall;
   };
   /// Consume the calling task's precomputed joint-solve result, if any:
   /// stores the full remaining word count and returns the run's completion.
@@ -867,6 +891,11 @@ class SccMachine {
   /// controller's run set, so a per-controller counter preserves the exact
   /// ordering.
   std::vector<std::uint64_t> shm_run_seq_;
+  /// solveContendedRuns' per-call working sets, reused so the replay stays
+  /// allocation-free in steady state (cleared on entry, never shrunk).
+  std::vector<ReplayMember> replay_members_;
+  std::vector<Tick> replay_boundary_;
+  std::vector<ReplayStall> replay_stalls_;
 
   FaultInjector fault_;  ///< built from config_.fault at construction
   /// Scratch for swcacheFlushChecked's flushed-line addresses (reused to

@@ -2,6 +2,8 @@
 // tasks, subtasks, resource timelines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <vector>
 
 #include "sim/engine.h"
@@ -513,6 +515,234 @@ TEST(Engine, AllWakersRuleWithCurrentTaskRequiredNeverFiresMidBatch) {
   engine.run();
   ASSERT_EQ(horizons.size(), 1u);
   EXPECT_EQ(horizons[0], 400u);  // only the scoped pending event remains
+}
+
+// --- the O(1) kAll bound against the reference scan --------------------------
+
+/// How one randomized kAll waker is occupied when the probe runs.
+enum class WakerState : std::uint8_t { kPending, kDone, kUnknownPark, kChained };
+
+/// The kAll wake bound as the engine's O(wakers) scan computes it, over the
+/// test's own record of the waker set: the reference the engine's O(1)
+/// shortcut must reproduce. `current` lists the wakers still required.
+Tick referenceAllBound(const std::vector<std::size_t>& current, std::size_t blocked,
+                       std::size_t running, const std::vector<WakerState>& state,
+                       const std::vector<Tick>& earliest, Tick global_next) {
+  Tick bound = 0;
+  for (const std::size_t w : current) {
+    if (w == blocked) continue;
+    if (w == running) return Engine::kNever;  // cannot arrive mid-batch
+    Tick t = 0;
+    switch (state[w]) {
+      case WakerState::kDone: return Engine::kNever;
+      case WakerState::kPending:
+      case WakerState::kChained: t = earliest[w]; break;
+      case WakerState::kUnknownPark: t = global_next; break;
+    }
+    bound = std::max(bound, t);
+  }
+  return bound;
+}
+
+// Random kAll waker sets (episodic and not), random removal states, and a
+// running prober that may or may not be a current waker: the horizon the
+// engine reports for the barrier-parked task must equal the reference scan
+// in every trial, so the O(1) shortcut can only ever return what the scan
+// would have.
+TEST(Engine, AllWakersShortcutMatchesReferenceScan) {
+  std::mt19937 rng(20240615);
+  int shortcut_trials = 0;
+  int scanned_trials = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    Engine engine;
+    engine.registerResources(2);
+    const std::uint32_t barrier = engine.registerSyncObject();
+    std::coroutine_handle<> parked;
+    std::size_t parked_task = Engine::kNoTask;
+    // Task 0: the barrier-parked task, alone in res 0's class, so res 0's
+    // horizon is exactly its wake bound.
+    const std::size_t blocked =
+        engine.spawn(parkOnSync(engine, barrier, parked, parked_task), 0, 0);
+
+    const int n = static_cast<int>(rng() % 7) + 1;
+    std::vector<WakerState> state(static_cast<std::size_t>(2 * n + 2), WakerState::kPending);
+    std::vector<Tick> earliest(state.size(), 0);
+    std::vector<std::coroutine_handle<>> slots(state.size());
+    std::vector<std::size_t> slot_tasks(state.size(), Engine::kNoTask);
+    std::vector<std::size_t> wakers;
+    std::vector<std::pair<std::uint32_t, std::size_t>> chains;  // lock, releaser
+    Tick global_next = Engine::kNever;
+    for (int i = 0; i < n; ++i) {
+      const auto pick = static_cast<WakerState>(rng() % 4);
+      const Tick when = 50 + rng() % 1000;
+      std::size_t id = 0;
+      switch (pick) {
+        case WakerState::kPending:
+          id = engine.spawn(idleUntil(engine, when), 0, 1);
+          global_next = std::min(global_next, when);
+          break;
+        case WakerState::kDone:
+          id = engine.spawn(idleUntil(engine, 10), 0, 1);  // finished by the probe
+          break;
+        case WakerState::kUnknownPark:
+          id = engine.spawn(parkThenFinish(engine, slots[wakers.size()],
+                                           slot_tasks[wakers.size()]),
+                            0, 1);
+          break;
+        case WakerState::kChained: {
+          // Blocked on its own lock whose holder runs at `when`.
+          const std::uint32_t lock = engine.registerSyncObject();
+          id = engine.spawn(parkOnSync(engine, lock, slots[wakers.size()],
+                                       slot_tasks[wakers.size()]),
+                            0, 1);
+          const std::size_t releaser = engine.spawn(idleUntil(engine, when), 0, 1);
+          global_next = std::min(global_next, when);
+          chains.emplace_back(lock, releaser);
+          break;
+        }
+      }
+      state[id] = pick;
+      earliest[id] = when;
+      wakers.push_back(id);
+    }
+    std::vector<Tick> horizons;
+    const std::size_t prober = engine.spawn(probeOne(engine, 40, 0, horizons), 0, 1);
+    if (rng() % 2 == 0) wakers.push_back(prober);
+    if (rng() % 5 == 0) wakers.push_back(blocked);  // a task cannot wake itself
+    std::shuffle(wakers.begin(), wakers.end(), rng);
+
+    const bool episodic = rng() % 2 == 0;
+    if (episodic) {
+      engine.setSyncEpisodeWakers(barrier, wakers, Engine::WakerRule::kAll);
+      if (rng() % 2 == 0) {
+        // Stale stamps from an earlier episode must not count as removals.
+        for (const std::size_t w : wakers) {
+          if (rng() % 2 == 0) engine.removeSyncWaker(barrier, w);
+        }
+        engine.resetSyncEpisode(barrier);
+      }
+    } else {
+      engine.setSyncWakers(barrier, wakers, Engine::WakerRule::kAll);
+    }
+    std::vector<std::size_t> current;
+    for (const std::size_t w : wakers) {
+      if (rng() % 3 == 0) {
+        engine.removeSyncWaker(barrier, w);
+      } else {
+        current.push_back(w);
+      }
+    }
+    for (const auto& [lock, releaser] : chains) engine.setSyncWakers(lock, {releaser});
+    const bool shortcut =
+        std::find(current.begin(), current.end(), prober) != current.end();
+    (shortcut ? shortcut_trials : scanned_trials) += 1;
+    const Tick expected =
+        referenceAllBound(current, blocked, prober, state, earliest, global_next);
+
+    engine.run();
+    ASSERT_EQ(horizons.size(), 1u) << "trial " << trial;
+    EXPECT_EQ(horizons[0], expected) << "trial " << trial << " episodic " << episodic;
+  }
+  // Both the shortcut and the full scan were exercised.
+  EXPECT_GT(shortcut_trials, 50);
+  EXPECT_GT(scanned_trials, 50);
+}
+
+// --- parked tasks: the widened closure proof ----------------------------------
+
+struct ParkCounts {
+  std::size_t alive = 0;
+  std::size_t blocked = 0;
+  std::size_t parked = 0;
+};
+
+SimTask probeParked(Engine& engine, Tick at, std::uint32_t resource, ParkCounts& out) {
+  co_await engine.resumeAt(at);
+  out = {engine.aliveTasksReaching(resource), engine.blockedTasksReaching(resource),
+         engine.parkedTasksReaching(resource)};
+}
+
+// A waiter on a lock the running task holds cannot be woken until the
+// running task releases it — never mid-batch — so it counts as parked.
+TEST(Engine, ParkedTasksCountLockHeldByRunningTask) {
+  Engine engine;
+  engine.registerResources(2);
+  const std::uint32_t lock = engine.registerSyncObject();
+  std::coroutine_handle<> parked;
+  std::size_t parked_task = Engine::kNoTask;
+  ParkCounts counts;
+  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, 0);
+  const std::size_t prober = engine.spawn(probeParked(engine, 40, 0, counts), 0, 0);
+  engine.setSyncWakers(lock, {prober});
+  engine.run();
+  EXPECT_EQ(counts.alive, 2u);
+  EXPECT_EQ(counts.blocked, 1u);
+  EXPECT_EQ(counts.parked, 1u);
+}
+
+// The barrier case: the running task has not arrived, so the release (the
+// last arrival) cannot happen mid-batch.
+TEST(Engine, ParkedTasksCountBarrierTheRunningTaskHasNotReached) {
+  Engine engine;
+  engine.registerResources(2);
+  const std::uint32_t barrier = engine.registerSyncObject();
+  std::coroutine_handle<> parked;
+  std::size_t parked_task = Engine::kNoTask;
+  ParkCounts counts;
+  const std::size_t b =
+      engine.spawn(parkOnSync(engine, barrier, parked, parked_task), 0, 0);
+  const std::size_t peer = engine.spawn(idleUntil(engine, 500), 0, 1);
+  const std::size_t prober = engine.spawn(probeParked(engine, 40, 0, counts), 0, 0);
+  engine.setSyncEpisodeWakers(barrier, {b, peer, prober}, Engine::WakerRule::kAll);
+  engine.removeSyncWaker(barrier, b);
+  engine.run();
+  EXPECT_EQ(counts.blocked, 1u);
+  EXPECT_EQ(counts.parked, 1u);
+}
+
+// A waiter on a lock held by a peer with a pending event can be woken the
+// moment that peer runs: it is blocked, but not parked.
+TEST(Engine, ParkedTasksExcludeLockHeldByPendingPeer) {
+  Engine engine;
+  engine.registerResources(2);
+  const std::uint32_t lock = engine.registerSyncObject();
+  std::coroutine_handle<> parked;
+  std::size_t parked_task = Engine::kNoTask;
+  ParkCounts counts;
+  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, 0);
+  const std::size_t holder = engine.spawn(idleUntil(engine, 500), 0, 1);
+  engine.spawn(probeParked(engine, 40, 0, counts), 0, 0);
+  engine.setSyncWakers(lock, {holder});
+  engine.run();
+  EXPECT_EQ(counts.blocked, 1u);
+  EXPECT_EQ(counts.parked, 0u);
+}
+
+/// Suspends forever with no pending event and no sync object — what an
+/// injected permanent core freeze (FreezeForever) does.
+struct WedgeAwaiter {
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> /*h*/) const noexcept {}
+  void await_resume() const noexcept {}
+};
+
+SimTask wedge(Engine& engine, Tick at) {
+  co_await engine.resumeAt(at);
+  co_await WedgeAwaiter{};
+}
+
+// A wedged task (unknown park) is alive but neither blocked nor parked, so
+// alive − members can never equal the parked count: closure stays unproven.
+TEST(Engine, WedgedTaskStillBreaksClosure) {
+  Engine engine;
+  engine.registerResources(2);
+  ParkCounts counts;
+  engine.spawn(wedge(engine, 10), 0, 0);
+  engine.spawn(probeParked(engine, 40, 0, counts), 0, 0);
+  engine.run();
+  EXPECT_EQ(counts.alive, 2u);  // the wedged task plus the prober
+  EXPECT_EQ(counts.blocked, 0u);
+  EXPECT_EQ(counts.parked, 0u);
 }
 
 TEST(Engine, CompletionTimesRecorded) {

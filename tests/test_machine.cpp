@@ -541,6 +541,131 @@ TEST(Machine, WakeChainHorizonBitIdenticalAndPinsWordEvents) {
   EXPECT_EQ(on.shm_word_events, 220u);
 }
 
+/// LU-shaped kernel (the paper's barrier-per-step decomposition): at step k
+/// every UE reads the pivot row, then reads each row i > k it owns (i % P,
+/// so ownership is uneven and shrinks with k), computes, and writes the row
+/// back; one barrier ends each step. UEs with no row left in a step park at
+/// the barrier while their controller peers are still mid word-run — the
+/// pattern the barrier-aware closure proof batches.
+SimTask luShapedKernel(CoreContext& ctx, std::uint64_t m0, std::size_t n) {
+  const auto me = static_cast<std::size_t>(ctx.ue());
+  const auto p = static_cast<std::size_t>(ctx.numUes());
+  std::vector<std::uint64_t> row_k(n);
+  std::vector<std::uint64_t> row_i(n);
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    const std::size_t len = n - k;
+    co_await ctx.shmRead(m0 + (k * n + k) * 8, row_k.data(), len * 8);
+    for (std::size_t i = k + 1; i < n; ++i) {
+      if (i % p != me) continue;
+      co_await ctx.shmRead(m0 + (i * n + k) * 8, row_i.data(), len * 8);
+      for (std::size_t j = 1; j < len; ++j) row_i[j] = row_i[j] * 3 + row_k[j] * row_i[0];
+      co_await ctx.compute(2 * len);
+      co_await ctx.shmWrite(m0 + (i * n + k) * 8, row_i.data(), len * 8);
+    }
+    co_await ctx.barrier();
+  }
+}
+
+SimResult runLuShaped(bool coalescing) {
+  constexpr int kUes = 32;
+  constexpr std::size_t kN = 40;
+  SccConfig cfg;
+  cfg.coalescing = coalescing;
+  SccMachine machine(cfg);
+  const std::uint64_t m0 = machine.shmalloc(kN * kN * 8);
+  for (std::size_t e = 0; e < kN * kN; ++e) {
+    const std::uint64_t v = e * 2654435761U + 1;
+    std::memcpy(machine.shmData(m0 + e * 8), &v, 8);
+  }
+  machine.launch(LaunchSpec(kUes, [&](CoreContext& ctx) { return luShapedKernel(ctx, m0, kN); }));
+  SimResult r;
+  r.makespan = machine.run();
+  for (int ue = 0; ue < kUes; ++ue) {
+    r.completions.push_back(machine.engine().completionTime(static_cast<std::size_t>(ue)));
+  }
+  r.events = machine.engine().eventsProcessed();
+  r.shm_words = machine.shmWordsSimulated();
+  r.shm_word_events = machine.shmWordEvents();
+  r.data.resize(kN * kN);
+  std::memcpy(r.data.data(), machine.shmData(m0), kN * kN * 8);
+  return r;
+}
+
+// 32 UEs on four controllers: the tasks parked at the step barrier reach the
+// same controllers as the row runs still in flight. They cannot be woken
+// before the running task arrives, so the joint word replay counts them as
+// closed instead of falling back to one word per event. Ticks and data stay
+// bit-identical; the pinned word-event count catches any loss of that rule.
+TEST(Machine, BarrierParkedTasksKeepContentionClosedAndPinWordEvents) {
+  const SimResult on = runLuShaped(true);
+  const SimResult off = runLuShaped(false);
+  EXPECT_EQ(on.makespan, off.makespan);
+  EXPECT_EQ(on.completions, off.completions);
+  EXPECT_EQ(on.data, off.data);
+  EXPECT_EQ(on.shm_words, off.shm_words);
+  EXPECT_EQ(off.shm_word_events, off.shm_words);
+  EXPECT_EQ(on.shm_word_events, 7777u);
+}
+
+/// Roles on 12 UEs (three per controller): two readers contend on one
+/// controller while a third UE there waits on a lock held by a UE on another
+/// controller, which releases it mid-way through the readers' runs. Every
+/// other UE finishes at once.
+SimTask lockWaitKernel(CoreContext& ctx, int reader_a, int reader_b, int waiter,
+                       int holder, std::uint64_t base, std::vector<Tick>* read_done) {
+  std::vector<std::uint8_t> buf(4096);
+  const int me = ctx.ue();
+  const std::uint64_t mine = base + static_cast<std::uint64_t>(me) * buf.size();
+  if (me == holder) {
+    co_await ctx.lockAcquire(0);
+    co_await ctx.compute(3000);
+    co_await ctx.lockRelease(0);
+  } else if (me == waiter) {
+    co_await ctx.compute(100);  // the holder takes the lock first
+    co_await ctx.lockAcquire(0);
+    co_await ctx.shmRead(mine, buf.data(), buf.size());
+    co_await ctx.lockRelease(0);
+  } else if (me == reader_a || me == reader_b) {
+    co_await ctx.shmRead(mine, buf.data(), buf.size());
+  }
+  (*read_done)[static_cast<std::size_t>(me)] = ctx.now();
+}
+
+std::vector<Tick> runLockWait(bool coalescing) {
+  constexpr int kUes = 12;
+  SccConfig cfg;
+  cfg.coalescing = coalescing;
+  const MeshTopology mesh(cfg);
+  std::vector<int> on_a;
+  int holder = -1;
+  const std::uint32_t mc_a = mesh.controllerForUe(0, kUes);
+  for (int ue = 0; ue < kUes; ++ue) {
+    if (mesh.controllerForUe(ue, kUes) == mc_a) {
+      on_a.push_back(ue);
+    } else if (holder < 0) {
+      holder = ue;
+    }
+  }
+  EXPECT_EQ(on_a.size(), 3u);
+  SccMachine machine(cfg);
+  const std::uint64_t base = machine.shmalloc(kUes * 4096);
+  std::vector<Tick> done(kUes, 0);
+  machine.launch(LaunchSpec(kUes, [&](CoreContext& ctx) {
+    return lockWaitKernel(ctx, on_a[0], on_a[1], on_a[2], holder, base, &done);
+  }));
+  machine.run();
+  return done;
+}
+
+// The unsafe side of the parked-task rule: a lock waiter whose holder is a
+// non-member with a pending event can be woken inside the readers' joint
+// schedule, so it must keep the contention open (its wake bound is finite,
+// not kNever). Batching it away would service the readers' later words
+// ahead of the waiter's and shift every Tick after the release.
+TEST(Machine, LockWaiterWokenByNonMemberKeepsContentionOpen) {
+  EXPECT_EQ(runLockWait(true), runLockWait(false));
+}
+
 /// Compute phases skewed by UE followed by block IO: cores take turns at the
 /// controllers instead of hammering in lockstep, so there is always pending
 /// cross-controller traffic but only sparse same-controller traffic.

@@ -210,6 +210,19 @@ TEST(PaperFigure61, ExactMakespansAtPaperScale) {
   }
 }
 
+// LU, Fig. 6.1's barrier-per-step kernel, at paper scale: exact makespan
+// and exact engine event count. UEs parked at the step barrier keep the
+// joint word replay closed; without that rule the same run takes 180,689
+// events, so losing it fails here long before it shows up as host time.
+TEST(PaperFigure61, LuEventsPinnedAtPaperScale) {
+  const auto bench = make("LU", 1.0);
+  ASSERT_NE(bench, nullptr);
+  const RunResult rcce = bench->run(Mode::RcceOffChip, 32, sim::SccConfig{});
+  EXPECT_TRUE(rcce.verified);
+  EXPECT_EQ(rcce.makespan, 1'605'641'606);
+  EXPECT_EQ(rcce.metrics.sim_counters.at("events"), 49'081u);
+}
+
 // --- CountPrimes' closed-form host arithmetic ---------------------------------
 
 // Algorithm 11's literal inner loop: the oracle for primeTrials.
