@@ -2,7 +2,8 @@
 // application of the multiprocessor RCCE program with varying core count.
 //
 // The paper shows Pi Approximation scaling near-linearly with core count on
-// the SCC (compute-bound, on-die MPB communication only).
+// the SCC (compute-bound, on-die MPB communication only). Exits non-zero if
+// the baseline or any row fails verification.
 #include <cstdio>
 
 #include "sim/scc_config.h"
@@ -22,6 +23,7 @@ int main(int argc, char** argv) {
       pi->run(workloads::Mode::PthreadSingleCore, 32, config);
   std::printf("baseline (32 threads, 1 core): %.3f ms  verified=%s\n",
               sim::ticksToMilliseconds(base.makespan), base.verified ? "yes" : "NO");
+  bool all_verified = base.verified;
   std::printf("%-8s %14s %10s %12s\n", "cores", "rcce [ms]", "speedup", "efficiency");
   std::printf("%s\n", std::string(48, '-').c_str());
 
@@ -32,6 +34,7 @@ int main(int argc, char** argv) {
     std::printf("%-8d %14.3f %9.1fx %11.1f%% %s\n", cores,
                 sim::ticksToMilliseconds(r.makespan), speedup,
                 100.0 * speedup / cores, r.verified ? "" : " UNVERIFIED");
+    all_verified = all_verified && r.verified;
   }
-  return 0;
+  return all_verified ? 0 : 1;
 }

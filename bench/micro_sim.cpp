@@ -126,7 +126,7 @@ struct Workload {
   /// mapped in the cacheability map): when present, its Ticks must be
   /// bit-identical to the legacy-knob runs — the plan API cutover must not
   /// move a single Tick on existing scenarios.
-  std::function<void(sim::SccMachine&)> setup_plan;
+  std::function<void(sim::SccMachine&)> setup_plan = nullptr;
 };
 
 RunStats runWorkloadOnce(const Workload& w, const Mode& mode,

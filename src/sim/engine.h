@@ -655,6 +655,15 @@ class ResourceTimeline {
     return next_free_;
   }
 
+  /// Account `requests` back-to-back acquires in one step: the timeline
+  /// frees `dt` later and was busy `busy` more. For replays that have proven
+  /// those acquires' exact outcome in closed form (sim/contention.h).
+  void advance(Tick dt, Tick busy, std::uint64_t requests) {
+    next_free_ += dt;
+    total_busy_ += busy;
+    requests_ += requests;
+  }
+
   [[nodiscard]] Tick nextFree() const { return next_free_; }
   [[nodiscard]] Tick totalBusy() const { return total_busy_; }
   [[nodiscard]] std::uint64_t requests() const { return requests_; }

@@ -1336,57 +1336,39 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   // recorded stamps start at 1) encodes that priority.
   members.push_back({self, start, hop_one_way, max_words, 0, true});
 
-  // Replay the joint FCFS recurrence in ENGINE order on a SCRATCH timeline:
-  // the next word always belongs to the member whose pending event is
-  // earliest under the heap's own (time, schedule seq) key, and each word's
-  // acquire happens the instant its event would have fired. Arrival times,
-  // acquire order, and per-resource request indices (the kMcStall draw
-  // keys) are therefore identical to the per-event execution. The replay
-  // stops at the first completed run — beyond that instant the finished
-  // member may add traffic the joint schedule cannot see.
+  // Replay the joint FCFS recurrence in ENGINE order on a SCRATCH timeline
+  // (sim/contention.h): each word goes to the member whose pending event is
+  // earliest under the heap's own (time, schedule seq) key and is acquired
+  // the instant that event would have fired, so arrivals, acquire order and
+  // per-resource request indices (the kMcStall draw keys) are identical to
+  // the per-event execution; periodic stretches are jumped in closed form.
+  // The replay stops at the first completed run — beyond that instant the
+  // finished member may add traffic the joint schedule cannot see.
   ResourceTimeline scratch = mc_[mc_id];
-  const bool stall_armed = fault_.armed(FaultClass::kMcStall);
   std::uint64_t next_stamp = shm_run_seq_[mc_id];
   Tick stall_total = 0;
   std::uint64_t stalls_injected = 0;
-  std::uint64_t total_words = 0;
   // Trace records are deferred until the replay commits: a declined replay
   // (boundary tie below) must leave no observable side effect.
   obs::TraceRecorder* tr = tracer(engine_);
   std::vector<ReplayStall>& stall_recs = replay_stalls_;
   stall_recs.clear();
-  const ReplayMember* finisher = nullptr;
-  while (finisher == nullptr) {
-    std::size_t pick = members.size();
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (members[i].remaining == 0) continue;
-      if (pick == members.size() || members[i].t < members[pick].t ||
-          (members[i].t == members[pick].t && members[i].seq < members[pick].seq)) {
-        pick = i;
-      }
-    }
-    ReplayMember& m = members[pick];
-    const Tick arrival = m.t + uncached_overhead_ticks_ + m.hop;
-    Tick svc = word_service_ticks_;
-    if (stall_armed) {
-      const Tick stall =
-          fault_.stallTicks(mc_id, scratch.requests(), arrival, word_service_ticks_);
-      if (stall > 0) {
-        svc += stall;
-        stall_total += stall;
+  ReplayStallFn stall;
+  if (fault_.armed(FaultClass::kMcStall)) {
+    stall = [&](const ReplayMember& m, Tick arrival, std::uint64_t request) {
+      const Tick extra = fault_.stallTicks(mc_id, request, arrival, word_service_ticks_);
+      if (extra > 0) {
+        stall_total += extra;
         ++stalls_injected;
-        if (tr != nullptr) stall_recs.push_back({m.task, arrival, stall});
+        if (tr != nullptr) stall_recs.push_back({m.task, arrival, extra});
       }
-    }
-    const Tick serviced = scratch.acquire(arrival, svc);
-    m.t = serviced + m.hop;
-    // Completing a word schedules the member's next event NOW, in replay
-    // order — exactly the stamp the engine's next_seq counter would hand it.
-    m.seq = next_stamp++;
-    ++m.done;
-    ++total_words;
-    if (--m.remaining == 0) finisher = &m;
+      return extra;
+    };
   }
+  const std::uint64_t total_words =
+      replayJointRuns(members, scratch, next_stamp, uncached_overhead_ticks_,
+                      word_service_ticks_, stall)
+          .words;
 
   // Boundary guard: every member the replay advanced resumes through a
   // RE-scheduled event whose heap seq reflects this execution, not the

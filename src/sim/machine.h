@@ -27,6 +27,7 @@
 
 #include "partition/execution_plan.h"
 #include "sim/cache.h"
+#include "sim/contention.h"
 #include "sim/drf/drf.h"
 #include "sim/engine.h"
 #include "sim/fault/fault.h"
@@ -735,7 +736,18 @@ class SccMachine {
   // could otherwise disagree with the order the per-event execution would
   // have produced. Within those guards the batch is Tick-exact by
   // construction; only the event count drops (a handful of events per
-  // member per window instead of one per word). Parked tasks stay out of
+  // member per window instead of one per word). The replay itself
+  // (replayJointRuns, sim/contention.h) costs O(members) per round, not per
+  // word: once a round of M picks serves every member exactly once and
+  // leaves each member's (t - nextFree) and pick order as the round before
+  // did, the joint state is that round's translated by (Δ Ticks, M stamps).
+  // acquire is max(arrival, next_free) + service and the pick compares
+  // (t, seq) only, so the recurrence commutes with that translation and
+  // every later round repeats it until a run runs out: the replay jumps
+  // min(remaining) - 1 rounds at once (ResourceTimeline::advance) and
+  // finishes word by word, meeting the same finisher with the same stamps.
+  // No saturation argument is needed; stall faults, drawn per request,
+  // switch the jump off. Parked tasks stay out of
   // the replay because it ends at the first finished run: every member,
   // the caller included, is mid-run throughout the replayed prefix and
   // performs no sync operation in it, so a kNever wake chain cannot fire
@@ -756,16 +768,6 @@ class SccMachine {
     bool solved = false;        ///< a joint replay precomputed words for it
     std::size_t done = 0;       ///< words the replay serviced (when solved)
     Tick final_t = 0;  ///< completion of the last replayed word (when solved)
-  };
-  /// One member of a joint replay (solveContendedRuns' working set).
-  struct ReplayMember {
-    std::size_t task;
-    Tick t;        ///< completion of its last word (next-event instant)
-    Tick hop;
-    std::size_t remaining;
-    std::uint64_t seq;  ///< schedule order of its pending event
-    bool is_self;
-    std::size_t done = 0;  ///< words serviced by this replay
   };
   /// A kMcStall drawn during a replay, traced only once the replay commits.
   struct ReplayStall {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "rcce/rcce.h"
 #include "sim/machine.h"
@@ -58,11 +59,11 @@ void buildSlab(const KvParams& p, std::uint64_t* slots) {
   }
 }
 
-sim::SimTask kvRcce(sim::CoreContext& ctx, KvParams p, std::uint32_t mask,
+sim::SimTask kvRcce(sim::CoreContext& ctx, KvParams p, ZipfCdf cdf, std::uint32_t mask,
                     rcce::ShmArray<std::uint64_t> index,
                     rcce::ShmArray<std::uint64_t> slots,
                     rcce::ShmArray<std::uint64_t> checks) {
-  ZipfGenerator zipf(p.num_keys, p.alpha, ueSeed(p.seed, ctx.ue()));
+  ZipfGenerator zipf(std::move(cdf), ueSeed(p.seed, ctx.ue()));
   std::uint64_t chk = 0;
   std::uint64_t item[kWordsPerItem];
   for (std::uint32_t i = 0; i < p.ops_per_ue; ++i) {
@@ -90,10 +91,10 @@ sim::SimTask kvRcce(sim::CoreContext& ctx, KvParams p, std::uint32_t mask,
   co_await ctx.barrier();
 }
 
-sim::SimTask kvThread(threadrt::ThreadContext& ctx, KvParams p, std::uint32_t mask,
-                      std::uint64_t index0, std::uint64_t slots0,
+sim::SimTask kvThread(threadrt::ThreadContext& ctx, KvParams p, ZipfCdf cdf,
+                      std::uint32_t mask, std::uint64_t index0, std::uint64_t slots0,
                       std::uint64_t checks0) {
-  ZipfGenerator zipf(p.num_keys, p.alpha, ueSeed(p.seed, ctx.tid()));
+  ZipfGenerator zipf(std::move(cdf), ueSeed(p.seed, ctx.tid()));
   std::uint64_t chk = 0;
   std::uint64_t item[kWordsPerItem];
   for (std::uint32_t i = 0; i < p.ops_per_ue; ++i) {
@@ -143,6 +144,7 @@ class KvStore final : public Benchmark {
     const KvParams p = params_;
     const std::uint32_t cap = indexCapacity(p.num_keys);
     const std::uint32_t mask = cap - 1;
+    const ZipfCdf cdf = makeZipfCdf(p.num_keys, p.alpha);
 
     std::vector<std::uint64_t> computed(static_cast<std::size_t>(units), 0);
     bool slab_canonical = true;
@@ -159,7 +161,7 @@ class KvStore final : public Benchmark {
       std::memset(rt.machine().privData(0, checks0), 0,
                   static_cast<std::size_t>(units) * 8);
       rt.launch(units, [&](threadrt::ThreadContext& ctx) {
-        return kvThread(ctx, p, mask, index0, slots0, checks0);
+        return kvThread(ctx, p, cdf, mask, index0, slots0, checks0);
       });
       result.makespan = rt.run();
       std::memcpy(computed.data(), rt.machine().privData(0, checks0),
@@ -169,7 +171,7 @@ class KvStore final : public Benchmark {
       slab_canonical = slabCanonical(p, slab);
     } else {
       sim::SccMachine machine(config);
-      const KvLayout layout = setupKvRcce(machine, p, units, plan, mode);
+      const KvLayout layout = setupKvRcce(machine, p, units, plan, mode, cdf);
       result.makespan = machine.run();
       recordMachineRobustness(result, machine);
       result.plan_regions_unrealized =
@@ -184,7 +186,7 @@ class KvStore final : public Benchmark {
     bool checks_ok = slab_canonical;
     for (int u = 0; u < units; ++u) {
       checks_ok = checks_ok &&
-                  computed[static_cast<std::size_t>(u)] == kvReferenceChecksum(p, u);
+                  computed[static_cast<std::size_t>(u)] == kvReferenceChecksum(p, cdf, u);
     }
     result.verified = checks_ok;
     deriveDetail(result,
@@ -211,8 +213,9 @@ class KvStore final : public Benchmark {
 }  // namespace
 
 KvLayout setupKvRcce(sim::SccMachine& machine, const KvParams& params, int ues,
-                     const partition::ExecutionPlan* plan, Mode mode) {
+                     const partition::ExecutionPlan* plan, Mode mode, ZipfCdf cdf) {
   const KvParams p = params;
+  if (cdf == nullptr) cdf = makeZipfCdf(p.num_keys, p.alpha);
   const std::uint32_t cap = indexCapacity(p.num_keys);
   const std::uint32_t mask = cap - 1;
   rcce::RcceEnv env(machine);
@@ -240,13 +243,13 @@ KvLayout setupKvRcce(sim::SccMachine& machine, const KvParams& params, int ues,
   // launch() invokes the program lambda synchronously per context; the
   // coroutine copies the ShmArrays into its frame, so the locals may die.
   machine.launch(sim::LaunchSpec(ues, [&](sim::CoreContext& ctx) {
-                   return kvRcce(ctx, p, mask, index, slots, checks);
+                   return kvRcce(ctx, p, cdf, mask, index, slots, checks);
                  }).withPlan(plan));
   return KvLayout{index.byteOffset(0), slots.byteOffset(0), checks.byteOffset(0)};
 }
 
-std::uint64_t kvReferenceChecksum(const KvParams& params, int ue) {
-  ZipfGenerator zipf(params.num_keys, params.alpha, ueSeed(params.seed, ue));
+std::uint64_t kvReferenceChecksum(const KvParams& params, const ZipfCdf& cdf, int ue) {
+  ZipfGenerator zipf(cdf, ueSeed(params.seed, ue));
   std::uint64_t chk = 0;
   for (std::uint32_t i = 0; i < params.ops_per_ue; ++i) {
     const std::uint32_t key = zipf.next();
@@ -258,28 +261,35 @@ std::uint64_t kvReferenceChecksum(const KvParams& params, int ue) {
   return chk;
 }
 
-ZipfGenerator::ZipfGenerator(std::uint32_t num_keys, double alpha, std::uint64_t seed)
-    : seed_(seed) {
+ZipfCdf makeZipfCdf(std::uint32_t num_keys, double alpha) {
   if (num_keys == 0) num_keys = 1;
-  cdf_.resize(num_keys);
+  auto cdf = std::make_shared<std::vector<double>>(num_keys);
   double total = 0.0;
   for (std::uint32_t k = 0; k < num_keys; ++k) {
     total += 1.0 / std::pow(static_cast<double>(k + 1), alpha);
-    cdf_[k] = total;
+    (*cdf)[k] = total;
   }
-  for (std::uint32_t k = 0; k < num_keys; ++k) cdf_[k] /= total;
-  cdf_.back() = 1.0;  // guard against accumulated rounding at the tail
+  for (double& c : *cdf) c /= total;
+  cdf->back() = 1.0;  // guard against accumulated rounding at the tail
+  return cdf;
 }
+
+ZipfGenerator::ZipfGenerator(std::uint32_t num_keys, double alpha, std::uint64_t seed)
+    : ZipfGenerator(makeZipfCdf(num_keys, alpha), seed) {}
+
+ZipfGenerator::ZipfGenerator(ZipfCdf cdf, std::uint64_t seed)
+    : cdf_(std::move(cdf)), seed_(seed) {}
 
 std::uint32_t ZipfGenerator::next() {
   const std::uint64_t bits = kvMix64(seed_ ^ (counter_++ * 0x9E3779B97F4A7C15ULL));
   const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
   // Inverse CDF by binary search: first rank whose cumulative mass covers u.
+  const std::vector<double>& cdf = *cdf_;
   std::uint32_t lo = 0;
-  std::uint32_t hi = static_cast<std::uint32_t>(cdf_.size()) - 1;
+  std::uint32_t hi = static_cast<std::uint32_t>(cdf.size()) - 1;
   while (lo < hi) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] <= u) {
+    if (cdf[mid] <= u) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -289,8 +299,9 @@ std::uint32_t ZipfGenerator::next() {
 }
 
 double ZipfGenerator::probability(std::uint32_t k) const {
-  if (k >= cdf_.size()) return 0.0;
-  return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
+  const std::vector<double>& cdf = *cdf_;
+  if (k >= cdf.size()) return 0.0;
+  return k == 0 ? cdf[0] : cdf[k] - cdf[k - 1];
 }
 
 std::unique_ptr<Benchmark> makeKvStore(double scale) {

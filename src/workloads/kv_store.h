@@ -32,6 +32,12 @@ namespace hsm::workloads {
   return x ^ (x >> 31);
 }
 
+/// A Zipf(alpha) CDF over ranks [0, num_keys): cdf[k] = P(rank <= k),
+/// cdf.back() == 1. Read-only once built, so one table serves every
+/// generator of a run.
+using ZipfCdf = std::shared_ptr<const std::vector<double>>;
+[[nodiscard]] ZipfCdf makeZipfCdf(std::uint32_t num_keys, double alpha);
+
 /// Deterministic Zipf(alpha) key generator over ranks [0, num_keys):
 /// a precomputed inverse-CDF table indexed by counter-based splitmix64
 /// uniforms. Stateless beyond the draw counter — two generators built with
@@ -41,17 +47,19 @@ namespace hsm::workloads {
 class ZipfGenerator {
  public:
   ZipfGenerator(std::uint32_t num_keys, double alpha, std::uint64_t seed);
+  /// Draw from a shared table built by makeZipfCdf.
+  ZipfGenerator(ZipfCdf cdf, std::uint64_t seed);
 
   /// Next key rank (0 = the hottest key).
   [[nodiscard]] std::uint32_t next();
   [[nodiscard]] std::uint32_t numKeys() const {
-    return static_cast<std::uint32_t>(cdf_.size());
+    return static_cast<std::uint32_t>(cdf_->size());
   }
   /// Probability mass of rank `k` (for skew assertions in tests).
   [[nodiscard]] double probability(std::uint32_t k) const;
 
  private:
-  std::vector<double> cdf_;  ///< cdf_[k] = P(rank <= k), cdf_.back() == 1
+  ZipfCdf cdf_;
   std::uint64_t seed_;
   std::uint64_t counter_ = 0;
 };
@@ -82,14 +90,17 @@ struct KvLayout {
 /// UEs of the RCCE kernel under `plan` — the Benchmark's RCCE realization
 /// exposed for harnesses (bench/micro_sim) that own the machine and read its
 /// stats. The caller runs machine.run(); kvReferenceChecksum replays the
-/// expected per-UE results.
+/// expected per-UE results. `cdf` is the run's shared
+/// makeZipfCdf(params.num_keys, params.alpha) table; null builds it here.
 KvLayout setupKvRcce(sim::SccMachine& machine, const KvParams& params, int ues,
                      const partition::ExecutionPlan* plan,
-                     Mode mode = Mode::RcceOffChip);
+                     Mode mode = Mode::RcceOffChip, ZipfCdf cdf = nullptr);
 
 /// Expected checksum of UE `ue`'s get stream: the untimed host-side replay
 /// the benchmark verifies against (gets always observe canonical items —
-/// see the DRF note above).
-[[nodiscard]] std::uint64_t kvReferenceChecksum(const KvParams& params, int ue);
+/// see the DRF note above). `cdf` is makeZipfCdf(params.num_keys,
+/// params.alpha).
+[[nodiscard]] std::uint64_t kvReferenceChecksum(const KvParams& params,
+                                                const ZipfCdf& cdf, int ue);
 
 }  // namespace hsm::workloads

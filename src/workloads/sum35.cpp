@@ -7,6 +7,7 @@
 #include "sim/machine.h"
 #include "threadrt/baseline.h"
 #include "workloads/benchmark.h"
+#include "workloads/sum35.h"
 
 namespace hsm::workloads {
 namespace {
@@ -18,17 +19,8 @@ struct Sum35Params {
   std::size_t limit = 3'000'000;
 };
 
-long long chunkSum(std::size_t first, std::size_t last) {
-  long long sum = 0;
-  for (std::size_t i = first; i < last; ++i) {
-    if (i % 3 == 0 || i % 5 == 0) sum += static_cast<long long>(i);
-  }
-  return sum;
-}
-
-long long referenceSum(std::size_t limit) { return chunkSum(0, limit); }
-
-// Per-candidate cost: two integer modulo operations plus loop/add ALU work.
+// Per-candidate simulated cost: two integer modulo operations plus loop/add
+// ALU work. The host sums each chunk in closed form (workloads/sum35.h).
 
 sim::SimTask sum35Thread(threadrt::ThreadContext& ctx, Sum35Params p,
                          std::uint64_t sum_addr) {
@@ -36,7 +28,7 @@ sim::SimTask sum35Thread(threadrt::ThreadContext& ctx, Sum35Params p,
   long long sum = 0;
   for (std::size_t i = s.first; i < s.last; i += kChunk) {
     const std::size_t c = std::min(kChunk, s.last - i);
-    sum += chunkSum(i, i + c);
+    sum += sum35Range(i, i + c);
     co_await ctx.computeOps(2 * c, sim::OpClass::IntDiv);
     co_await ctx.computeOps(2 * c, sim::OpClass::IntAlu);
   }
@@ -55,7 +47,7 @@ sim::SimTask sum35Rcce(sim::CoreContext& ctx, Sum35Params p,
   long long sum = 0;
   for (std::size_t i = s.first; i < s.last; i += kChunk) {
     const std::size_t c = std::min(kChunk, s.last - i);
-    sum += chunkSum(i, i + c);
+    sum += sum35Range(i, i + c);
     co_await ctx.computeOps(2 * c, sim::OpClass::IntDiv);
     co_await ctx.computeOps(2 * c, sim::OpClass::IntAlu);
   }
@@ -125,7 +117,7 @@ class Sum35 final : public Benchmark {
       computed = use_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
     }
 
-    result.verified = computed == referenceSum(p.limit);
+    result.verified = computed == sum35Reference(p.limit);
     deriveDetail(result, "sum=" + std::to_string(computed));
     return result;
   }
@@ -135,6 +127,16 @@ class Sum35 final : public Benchmark {
 };
 
 }  // namespace
+
+long long sum35Reference(std::size_t limit) {
+  const std::size_t periods = limit / 15;
+  const auto q = static_cast<long long>(periods);
+  long long sum = 105 * (q * (q - 1) / 2) + 45 * q;
+  for (std::size_t i = periods * 15; i < limit; ++i) {
+    if (i % 3 == 0 || i % 5 == 0) sum += static_cast<long long>(i);
+  }
+  return sum;
+}
 
 std::unique_ptr<Benchmark> makeSum35(double scale) {
   return std::make_unique<Sum35>(scale);

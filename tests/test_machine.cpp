@@ -3,8 +3,13 @@
 // timing), barrier, and test-and-set locks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <random>
+#include <sstream>
+#include <string>
 
+#include "sim/contention.h"
 #include "sim/machine.h"
 
 namespace hsm::sim {
@@ -421,6 +426,8 @@ struct SimResult {
   std::uint64_t shm_words = 0;
   std::uint64_t shm_word_events = 0;
   std::vector<std::uint64_t> data;  ///< workload output (functional check)
+  FaultStats faults;                ///< when a fault plan is armed
+  std::string trace;                ///< Chrome JSON, when tracing is on
 };
 
 SimTask streamKernel(CoreContext& ctx, std::uint64_t base, int blocks,
@@ -566,10 +573,9 @@ SimTask luShapedKernel(CoreContext& ctx, std::uint64_t m0, std::size_t n) {
   }
 }
 
-SimResult runLuShaped(bool coalescing) {
+SimResult runLuShaped(bool coalescing, SccConfig cfg = {}) {
   constexpr int kUes = 32;
   constexpr std::size_t kN = 40;
-  SccConfig cfg;
   cfg.coalescing = coalescing;
   SccMachine machine(cfg);
   const std::uint64_t m0 = machine.shmalloc(kN * kN * 8);
@@ -588,6 +594,12 @@ SimResult runLuShaped(bool coalescing) {
   r.shm_word_events = machine.shmWordEvents();
   r.data.resize(kN * kN);
   std::memcpy(r.data.data(), machine.shmData(m0), kN * kN * 8);
+  r.faults = machine.faultStats();
+  if (cfg.trace_enabled) {
+    std::ostringstream out;
+    machine.writeTrace(out);
+    r.trace = out.str();
+  }
   return r;
 }
 
@@ -605,6 +617,29 @@ TEST(Machine, BarrierParkedTasksKeepContentionClosedAndPinWordEvents) {
   EXPECT_EQ(on.shm_words, off.shm_words);
   EXPECT_EQ(off.shm_word_events, off.shm_words);
   EXPECT_EQ(on.shm_word_events, 7777u);
+}
+
+// Stall faults are drawn per controller request, so an armed kMcStall turns
+// the replay's round jumps off; the word-by-word replay must still match the
+// per-event path draw for draw, and record the same stall trace events.
+TEST(Machine, StallArmedContentionBitIdenticalAcrossCoalescing) {
+  SccConfig cfg;
+  cfg.fault.enabled = true;
+  cfg.fault.mc_stall.rate = 0.05;
+  cfg.trace_enabled = true;
+  const SimResult on = runLuShaped(true, cfg);
+  const SimResult off = runLuShaped(false, cfg);
+  const auto stall = static_cast<std::size_t>(FaultClass::kMcStall);
+  EXPECT_GT(off.faults.injected[stall], 0u);
+  EXPECT_EQ(on.faults.injected[stall], off.faults.injected[stall]);
+  EXPECT_EQ(on.faults.stall_ticks, off.faults.stall_ticks);
+  EXPECT_EQ(on.makespan, off.makespan);
+  EXPECT_EQ(on.completions, off.completions);
+  EXPECT_EQ(on.data, off.data);
+  EXPECT_FALSE(off.trace.empty());
+  EXPECT_EQ(on.trace, off.trace);
+  // The batch layer still engaged (the replay ran, word by word).
+  EXPECT_LT(on.shm_word_events, off.shm_word_events);
 }
 
 /// Roles on 12 UEs (three per controller): two readers contend on one
@@ -978,6 +1013,145 @@ TEST(Machine, SyncGroupsLaunchBitIdenticalAcrossCoalescing) {
     EXPECT_EQ(r.makespan, ref.makespan) << "ues=" << ues;
     EXPECT_EQ(r.completions, ref.completions) << "ues=" << ues;
     EXPECT_EQ(r.memory, ref.memory) << "ues=" << ues;
+  }
+}
+
+// --- joint contention replay: round jumps vs the word-by-word oracle ---------
+
+/// The joint replay one word at a time, as SccMachine ran it before round
+/// jumps: the oracle for replayJointRuns.
+void replayWordByWord(std::vector<ReplayMember>& members,
+                             ResourceTimeline& timeline, std::uint64_t& next_stamp,
+                             Tick issue_overhead, Tick service) {
+  for (;;) {
+    std::size_t pick = members.size();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (members[i].remaining == 0) continue;
+      if (pick == members.size() || members[i].t < members[pick].t ||
+          (members[i].t == members[pick].t && members[i].seq < members[pick].seq)) {
+        pick = i;
+      }
+    }
+    ReplayMember& m = members[pick];
+    m.t = timeline.acquire(m.t + issue_overhead + m.hop, service) + m.hop;
+    m.seq = next_stamp++;
+    ++m.done;
+    if (--m.remaining == 0) return;
+  }
+}
+
+struct ReplayCase {
+  std::vector<ReplayMember> members;
+  ResourceTimeline timeline;
+  std::uint64_t next_stamp = 0;
+  Tick overhead = 0;
+  Tick service = 0;
+};
+
+/// Random members against one controller: 0-8 mesh hops of 2.5 ns each
+/// (Table 6.1's mesh), starts scattered `spread` Ticks around the instant
+/// the timeline frees, distinct stamps with one stamp-0 self.
+ReplayCase randomReplayCase(std::mt19937_64& rng, std::size_t n, std::size_t max_run,
+                            Tick overhead, Tick spread, Tick service = 7504) {
+  ReplayCase c;
+  c.overhead = overhead;
+  c.service = service;  // default: 8 DRAM cycles at 1066 MHz
+  constexpr Tick kBase = 1'000'000'000;
+  c.timeline.acquire(kBase - service, service);  // nextFree() == kBase
+  c.timeline.acquire(kBase + std::uniform_int_distribution<Tick>(0, spread)(rng), service);
+  std::vector<std::uint64_t> stamps(n);
+  for (std::size_t i = 0; i < n; ++i) stamps[i] = 1 + 3 * i;
+  std::shuffle(stamps.begin(), stamps.end(), rng);
+  stamps[0] = 0;  // the caller: its acquire precedes every pending event
+  c.next_stamp = 1 + 3 * n;
+  for (std::size_t i = 0; i < n; ++i) {
+    ReplayMember m{};
+    m.task = i;
+    m.t = kBase - spread + std::uniform_int_distribution<Tick>(0, 2 * spread)(rng);
+    m.hop = 2500 * std::uniform_int_distribution<Tick>(0, 8)(rng);
+    m.remaining = std::uniform_int_distribution<std::size_t>(1, max_run)(rng);
+    m.seq = stamps[i];
+    m.is_self = i == 0;
+    c.members.push_back(m);
+  }
+  return c;
+}
+
+/// Runs `c` both ways and requires identical outcomes; returns the jumped
+/// replay's result.
+JointReplay expectReplayMatchesOracle(const ReplayCase& c, const std::string& what) {
+  ReplayCase jumped = c;
+  ReplayCase oracle = c;
+  const JointReplay r = replayJointRuns(jumped.members, jumped.timeline,
+                                        jumped.next_stamp, c.overhead, c.service);
+  replayWordByWord(oracle.members, oracle.timeline, oracle.next_stamp, c.overhead,
+                   c.service);
+  EXPECT_EQ(jumped.timeline.nextFree(), oracle.timeline.nextFree()) << what;
+  EXPECT_EQ(jumped.timeline.totalBusy(), oracle.timeline.totalBusy()) << what;
+  EXPECT_EQ(jumped.timeline.requests(), oracle.timeline.requests()) << what;
+  EXPECT_EQ(jumped.next_stamp, oracle.next_stamp) << what;
+  std::uint64_t words = 0;
+  for (std::size_t i = 0; i < c.members.size(); ++i) {
+    const ReplayMember& a = jumped.members[i];
+    const ReplayMember& b = oracle.members[i];
+    EXPECT_EQ(a.t, b.t) << what << " member " << i;
+    EXPECT_EQ(a.seq, b.seq) << what << " member " << i;
+    EXPECT_EQ(a.done, b.done) << what << " member " << i;
+    EXPECT_EQ(a.remaining, b.remaining) << what << " member " << i;
+    words += b.done;
+  }
+  EXPECT_EQ(r.words, words) << what;
+  return r;
+}
+
+// Member counts 2-16, mixed hops, runs of 1-2000 words, scattered start
+// offsets, on a saturated controller (15 ns issue overhead: requests queue)
+// and an unsaturated one (1 us overhead: the controller idles between
+// words). A 7.5 ns service (three hops) makes members tie on t, so the
+// stamp tie-break decides picks. Every timeline counter and per-member
+// result must equal the word-by-word replay's.
+TEST(ContentionReplay, RoundJumpMatchesWordByWordOracle) {
+  std::mt19937_64 rng(0x5CC0FFEEULL);
+  std::uint64_t jumped_cases = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = std::uniform_int_distribution<std::size_t>(2, 16)(rng);
+    const Tick overhead = trial % 3 == 2 ? 1'000'000 : 15'000;
+    const Tick spread = trial % 2 == 0 ? 0 : 200'000;
+    const std::size_t max_run = trial % 5 == 0 ? 20 : 2000;
+    const Tick service = trial % 4 == 3 ? 7500 : 7504;
+    const ReplayCase c = randomReplayCase(rng, n, max_run, overhead, spread, service);
+    const JointReplay r = expectReplayMatchesOracle(c, "trial " + std::to_string(trial));
+    if (r.stepped < r.words) ++jumped_cases;
+  }
+  EXPECT_GT(jumped_cases, 300u);
+  // Zero-latency words (no issue overhead, hop or service): a window can
+  // leave every t in place while serving one member twice and another not
+  // at all, so only the stamp check tells a translation from a stall.
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = std::uniform_int_distribution<std::size_t>(2, 16)(rng);
+    ReplayCase c = randomReplayCase(rng, n, 50, 0, trial % 2 == 0 ? 30 : 0, 0);
+    for (ReplayMember& m : c.members) m.hop = 0;
+    expectReplayMatchesOracle(c, "zero-latency trial " + std::to_string(trial));
+  }
+}
+
+// Twelve members saturating one controller with equal runs (the shape a
+// barrier release produces), their hops within one word service of each
+// other (0-2 mesh hops): once the controller saturates, the pick order is
+// fixed, so the replay must detect its periodic round within three windows
+// and jump, stepping at most three windows plus the tail one word at a time.
+// (Wider hop spreads reorder the picks for a few more windows before the
+// round settles; the randomized oracle test above covers them.)
+TEST(ContentionReplay, SaturatedRoundJumpFires) {
+  std::mt19937_64 rng(42);
+  for (int trial = 0; trial < 50; ++trial) {
+    ReplayCase c = randomReplayCase(rng, 12, 2000, 15'000, trial % 2 == 0 ? 0 : 20'000);
+    for (ReplayMember& m : c.members) {
+      m.remaining = 2000;
+      m.hop = 2500 * (m.task % 3);
+    }
+    const JointReplay r = expectReplayMatchesOracle(c, "trial " + std::to_string(trial));
+    EXPECT_LE(r.stepped, 3u * 12u + 12u) << "trial " << trial;
   }
 }
 

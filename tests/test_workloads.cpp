@@ -3,10 +3,13 @@
 // rests on (parallel speedup, MPB vs off-chip ordering, load imbalance).
 #include <gtest/gtest.h>
 
+#include <random>
 #include <utility>
+#include <vector>
 
 #include "workloads/benchmark.h"
 #include "workloads/count_primes.h"
+#include "workloads/sum35.h"
 
 namespace hsm::workloads {
 namespace {
@@ -250,6 +253,52 @@ TEST(CountPrimesClosedForm, SieveReferenceCountsPrimes) {
   EXPECT_EQ(sievePrimeCount(2), 1);
   EXPECT_EQ(sievePrimeCount(1000), 168);
   EXPECT_EQ(sievePrimeCount(20'000), 2262);
+}
+
+// --- 3-5-Sum's closed-form host arithmetic -----------------------------------
+
+// The twin's former per-candidate loop: the oracle for both closed forms.
+long long sum35Loop(std::size_t first, std::size_t last) {
+  long long sum = 0;
+  for (std::size_t i = first; i < last; ++i) {
+    if (i % 3 == 0 || i % 5 == 0) sum += static_cast<long long>(i);
+  }
+  return sum;
+}
+
+TEST(Sum35ClosedForm, MatchesLoop) {
+  // Every chunk [a, b) with b <= 20000, against prefix sums of the loop.
+  constexpr std::size_t kMax = 20'000;
+  std::vector<long long> prefix(kMax + 1, 0);
+  for (std::size_t n = 1; n <= kMax; ++n) prefix[n] = prefix[n - 1] + sum35Loop(n - 1, n);
+  for (std::size_t b = 0; b <= kMax; ++b) {
+    for (std::size_t a = 0; a <= b; ++a) {
+      if (sum35Range(a, b) != prefix[b] - prefix[a]) {
+        FAIL() << "[" << a << ", " << b << "): " << sum35Range(a, b) << " vs "
+               << prefix[b] - prefix[a];
+      }
+    }
+  }
+  // Random chunks up to the paper-scale limit, against the loop itself.
+  std::mt19937_64 rng(35);
+  std::uniform_int_distribution<std::size_t> point(0, 3'000'000);
+  for (int trial = 0; trial < 64; ++trial) {
+    std::size_t a = point(rng);
+    std::size_t b = point(rng);
+    if (a > b) std::swap(a, b);
+    ASSERT_EQ(sum35Range(a, b), sum35Loop(a, b)) << "[" << a << ", " << b << ")";
+  }
+  EXPECT_EQ(sum35Range(0, 3'000'000), sum35Loop(0, 3'000'000));
+}
+
+TEST(Sum35ClosedForm, ReferenceMatchesLoop) {
+  long long loop = 0;
+  for (std::size_t n = 0; n <= 20'000; ++n) {
+    ASSERT_EQ(sum35Reference(n), loop) << "limit " << n;
+    loop += sum35Loop(n, n + 1);
+  }
+  EXPECT_EQ(sum35Reference(1000), 233'168);  // Project Euler 1
+  EXPECT_EQ(sum35Reference(3'000'000), sum35Loop(0, 3'000'000));
 }
 
 TEST(Workloads, SuiteHasSixBenchmarksInPaperOrder) {
