@@ -48,19 +48,26 @@ traffic, events_per_sec for substrate scenarios with neither.
 
 The committed baseline was measured on one machine and CI runs on another,
 so raw events/sec comparisons would gate on hardware, not code. To separate
-the two, the PR/baseline throughput ratios are normalized by their geometric
-mean across all scenarios: a uniformly slower (or faster) machine moves every
+the two, the PR/baseline throughput ratios are normalized by their median
+across all scenarios: a uniformly slower (or faster) machine moves every
 ratio and cancels out, while a single scenario regressing relative to its
-peers is exactly what survives the normalization. The committed baseline
-should be regenerated (./build/bench/micro_sim > BENCH_baseline.json)
-whenever a PR intentionally shifts the trajectory, making the shift
-reviewable in the diff.
+peers is exactly what survives the normalization. The median, unlike a
+geometric mean, cannot be moved by one scenario's real gain (a 5x faster
+scenario would lift a geomean and push untouched peers under the floor).
+The committed baseline should be regenerated
+(./build/bench/micro_sim > BENCH_baseline.json) whenever a PR intentionally
+shifts the trajectory, making the shift reviewable in the diff.
+
+`--self-test` checks the judge itself on planted copies of the committed
+baseline (no build needed).
 """
 
 import argparse
+import copy
 import json
-import math
+import statistics
 import sys
+from pathlib import Path
 
 RATE_EPSILON = 0.005  # coalescing_rate is emitted with 4 decimals
 EXACT_RUN_FIELDS = ("makespan_ps", "sim_hash")
@@ -92,23 +99,20 @@ def exact_mismatches(baseline, pr):
     return checked, failures
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", help="committed BENCH_baseline.json")
-    parser.add_argument("pr", help="freshly generated BENCH_pr.json")
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.15,
-        help="allowed fractional events/sec regression (default 0.15)",
-    )
-    args = parser.parse_args()
+THROUGHPUT_FIELDS = ("shm_words_per_sec", "mpb_chunks_per_sec", "events_per_sec")
 
-    with open(args.baseline, encoding="utf-8") as f:
-        baseline = json.load(f)
-    with open(args.pr, encoding="utf-8") as f:
-        pr = json.load(f)
 
+def throughput(run):
+    """(metric name, value): simulated-work/sec if any, else events/sec."""
+    if run.get("shm_words", 0) > 0:
+        return "shm_words_per_sec", run["shm_words_per_sec"]
+    if run.get("mpb_chunks", 0) > 0:
+        return "mpb_chunks_per_sec", run["mpb_chunks_per_sec"]
+    return "events_per_sec", run["events_per_sec"]
+
+
+def judge(baseline, pr, tolerance, say=print):
+    """Every gate failure of `pr` against `baseline` (empty: passed)."""
     failures = []
 
     if not pr.get("ticks_identical_all", False):
@@ -153,7 +157,7 @@ def main() -> int:
             "(traced wall / untraced wall; expected around 2x)"
         )
     elif pr_overhead > 0.0:
-        print(f"ok trace_overhead_barrier_32ue {pr_overhead:.2f}x (soft cap 4x)")
+        say(f"ok trace_overhead_barrier_32ue {pr_overhead:.2f}x (soft cap 4x)")
     # Absent in pre-KV result files; present files must pass.
     if not pr.get("kv_checks_ok", True):
         failures.append(
@@ -188,7 +192,7 @@ def main() -> int:
         if (must_not == "fall" and fell) or (must_not == "rise" and rose):
             failures.append(f"{key} shifted {base_cv:.4f} -> {pr_cv:.4f}")
         else:
-            print(f"ok {key} {base_cv:.4f} -> {pr_cv:.4f}")
+            say(f"ok {key} {base_cv:.4f} -> {pr_cv:.4f}")
     # Retry-success rate of the seeded fault sweep: deterministic, so any
     # drop below the baseline is a recovery-layer code change, not noise.
     base_recovery = baseline.get("fault_recovery_rate")
@@ -200,22 +204,14 @@ def main() -> int:
                 f"{pr_recovery:.4f}"
             )
         else:
-            print(
+            say(
                 f"ok fault_recovery_rate {base_recovery:.4f} -> {pr_recovery:.4f}"
             )
 
     checked, exact_failures = exact_mismatches(baseline, pr)
     failures.extend(exact_failures)
     if not exact_failures:
-        print(f"ok exact sim-domain gate: {checked} values match the baseline")
-
-    def throughput(run):
-        """(metric name, value): simulated-work/sec if any, else events/sec."""
-        if run.get("shm_words", 0) > 0:
-            return "shm_words_per_sec", run["shm_words_per_sec"]
-        if run.get("mpb_chunks", 0) > 0:
-            return "mpb_chunks_per_sec", run["mpb_chunks_per_sec"]
-        return "events_per_sec", run["events_per_sec"]
+        say(f"ok exact sim-domain gate: {checked} values match the baseline")
 
     pr_scenarios = {s["name"]: s for s in pr.get("scenarios", [])}
     baseline_names = {s["name"] for s in baseline.get("scenarios", [])}
@@ -237,7 +233,7 @@ def main() -> int:
             continue
         metric, value = throughput(pr_scenario["coalesced"])
         rate = pr_scenario["coalesced"].get("coalescing_rate", 0.0)
-        print(
+        say(
             f"new {name}: {metric} {value:.0f}, coalescing rate {rate:.4f} "
             "(not in baseline, not gated — regenerate BENCH_baseline.json "
             "to track it)"
@@ -249,21 +245,19 @@ def main() -> int:
         _, pr_value = throughput(pr_run)
         if base_value > 0 and pr_value > 0:
             ratios.append(pr_value / base_value)
-    machine_speed = (
-        math.exp(sum(math.log(r) for r in ratios) / len(ratios)) if ratios else 1.0
-    )
-    print(f"machine speed vs baseline (geomean of ratios): {machine_speed:.3f}")
+    machine_speed = statistics.median(ratios) if ratios else 1.0
+    say(f"machine speed vs baseline (median of ratios): {machine_speed:.3f}")
 
     for name, base_run, pr_run in pairs:
         metric, base_value = throughput(base_run)
         _, pr_value = throughput(pr_run)
         normalized = pr_value / machine_speed if machine_speed > 0 else pr_value
-        floor = (1.0 - args.tolerance) * base_value
+        floor = (1.0 - tolerance) * base_value
         if normalized < floor:
             failures.append(
                 f"{name}: {metric} regressed {base_value:.0f} -> {pr_value:.0f} "
                 f"({normalized:.0f} machine-normalized, floor {floor:.0f}, "
-                f"tolerance {args.tolerance:.0%})"
+                f"tolerance {tolerance:.0%})"
             )
 
         base_rate = base_run.get("coalescing_rate", 0.0)
@@ -283,12 +277,86 @@ def main() -> int:
                 )
             hit_note = f", swcache hit rate {base_hit:.4f} -> {pr_hit:.4f}"
 
-        print(
+        say(
             f"ok {name}: {metric} {base_value:.0f} -> {pr_value:.0f} "
             f"({normalized:.0f} normalized), "
             f"coalescing rate {base_rate:.4f} -> {pr_rate:.4f}" + hit_note
         )
 
+    return failures
+
+
+def self_test():
+    """Check the judge on planted copies of the committed baseline."""
+    base_path = Path(__file__).resolve().parent.parent / "BENCH_baseline.json"
+    with open(base_path, encoding="utf-8") as f:
+        baseline = json.load(f)
+    timed = [s for s in baseline["scenarios"] if "coalesced" in s]
+    victim, other, drifted = (s["name"] for s in timed[:3])
+
+    def planted(scales=None, tick_delta=0):
+        """Copy of the baseline; `scales` maps a scenario (None: all) to a
+        factor on its throughput."""
+        pr = copy.deepcopy(baseline)
+        for scenario in pr["scenarios"]:
+            run = scenario.get("coalesced")
+            scale = (scales or {}).get(scenario["name"], (scales or {}).get(None))
+            if run is None or scale is None:
+                continue
+            for field in THROUGHPUT_FIELDS:
+                if field in run:
+                    run[field] *= scale
+        if tick_delta:
+            next(s for s in pr["scenarios"] if s["name"] == victim)[
+                "coalesced"]["makespan_ps"] += tick_delta
+        return pr
+
+    cases = [
+        ("unchanged copy passes", False, planted()),
+        ("uniform 0.8x machine passes", False, planted({None: 0.8})),
+        (f"{victim} 2x slower fails", True, planted({victim: 0.5})),
+        # A real 5x gain must not drag a peer's tolerated 10% drift under
+        # the floor (a geometric-mean normalizer would: 5^(1/16) ~ 1.11).
+        (f"{other} 5x faster leaves the rest passing", False,
+         planted({other: 5.0, drifted: 0.9})),
+        (f"{victim} makespan_ps +1 fails", True, planted(tick_delta=1)),
+    ]
+    bad = 0
+    for name, expect_fail, pr in cases:
+        failures = judge(baseline, pr, 0.15, say=lambda *_: None)
+        ok = bool(failures) == expect_fail
+        if expect_fail and failures and not all(victim in f for f in failures):
+            ok = False  # flagged, but not (only) the planted scenario
+        bad += not ok
+        print(f"{'ok' if ok else 'FAIL'} {name}" + (f": {failures}" if not ok else ""))
+    print("self-test " + ("passed" if bad == 0 else f"FAILED ({bad} cases)"))
+    return 1 if bad else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("baseline", nargs="?", help="committed BENCH_baseline.json")
+    parser.add_argument("pr", nargs="?", help="freshly generated BENCH_pr.json")
+    parser.add_argument(
+        "--tolerance",
+        type=float,
+        default=0.15,
+        help="allowed fractional events/sec regression (default 0.15)",
+    )
+    parser.add_argument("--self-test", action="store_true",
+                        help="check the judge on planted copies of the baseline")
+    args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.baseline is None or args.pr is None:
+        parser.error("baseline and pr are required")
+
+    with open(args.baseline, encoding="utf-8") as f:
+        baseline = json.load(f)
+    with open(args.pr, encoding="utf-8") as f:
+        pr = json.load(f)
+
+    failures = judge(baseline, pr, args.tolerance)
     if failures:
         print("\nBENCH trajectory check FAILED:", file=sys.stderr)
         for failure in failures:

@@ -54,12 +54,13 @@ namespace hsm::sim::drf {
 /// Address-space tag of a checked access. Shared off-chip DRAM and each
 /// owner UE's MPB are distinct address spaces; threadrt's single-core
 /// process memory is a third.
-inline constexpr std::uint32_t kSpaceShm = 0;
-inline constexpr std::uint32_t kSpacePriv = 1;
-[[nodiscard]] inline std::uint32_t mpbSpace(int owner_ue) {
-  return 2 + static_cast<std::uint32_t>(owner_ue);
+using Space = std::uint32_t;
+inline constexpr Space kSpaceShm = 0;
+inline constexpr Space kSpacePriv = 1;
+[[nodiscard]] inline Space mpbSpace(int owner_ue) {
+  return 2 + static_cast<Space>(owner_ue);
 }
-[[nodiscard]] std::string spaceName(std::uint32_t space);
+[[nodiscard]] std::string spaceName(Space space);
 
 /// Vector clock over task ids. Sized lazily; absent entries read as 0.
 class VectorClock {
@@ -163,7 +164,7 @@ class DrfChecker {
   /// for this range (ignored in word-granular mode). Returns the number of
   /// NEW reports appended (0 almost always), so callers can emit trace
   /// instants without scanning.
-  std::size_t access(std::size_t task, std::uint32_t space, std::uint64_t offset,
+  std::size_t access(std::size_t task, Space space, std::uint64_t offset,
                      std::size_t bytes, bool write, bool cached, Tick tick);
 
   [[nodiscard]] const std::vector<RaceReport>& reports() const { return reports_; }

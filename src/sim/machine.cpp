@@ -15,6 +15,10 @@ inline obs::TraceRecorder* tracer(Engine& engine) {
   return tr != nullptr && tr->enabled() ? tr : nullptr;
 }
 
+/// The shared-DRAM buffer of this thread's last destroyed machine, kept for
+/// the next one (see the SccMachine constructor).
+thread_local std::vector<std::uint8_t> spare_shared_dram;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -212,122 +216,161 @@ ResumeAt CoreContext::privTouch(std::uint64_t addr, std::size_t bytes, bool writ
   return machine_.engine().resumeAt(done);
 }
 
+/// One attempt of a data transfer: the functional copy plus its timed run.
+/// Fault-free ops drive it inline (no extra coroutine frame);
+/// verifiedTransfer drives it once per attempt. A write's payload lands
+/// before the run and a read's result after it; a bulk burst copies inside
+/// shmBulkCompletion.
+struct CoreContext::Transfer {
+  enum class Run : std::uint8_t { kShmWords, kMpbChunks, kShmBulk };
+  Run run;
+  int owner;             ///< kMpbChunks: UE owning the MPB slice
+  std::uint64_t offset;  ///< shared-DRAM offset / offset in the owner's slice
+  void* out;             ///< read destination (nullptr: timing only)
+  const void* src;       ///< write payload (nullptr: timing only)
+  std::size_t bytes;
+  bool write;
+  std::size_t units = 0;  ///< transactions per attempt (a bulk burst is one)
+  std::size_t left = 0;   ///< transactions still to service this attempt
+  std::uint64_t cur = 0;  ///< offset of the next uncached word
+
+  [[nodiscard]] std::uint8_t* memory(SccMachine& m) const {
+    return run == Run::kMpbChunks ? m.mpbData(owner, offset) : m.shmData(offset);
+  }
+  /// Armed class and a caller-side buffer to check: the verified path.
+  /// Shared-DRAM reads are never verified.
+  [[nodiscard]] bool verifiedUnder(const FaultInjector& inj, FaultClass cls) const {
+    return (write || run == Run::kMpbChunks) && (write ? src : out) != nullptr &&
+           bytes > 0 && inj.anyArmed() && inj.armed(cls);
+  }
+  void begin(SccMachine& m) {
+    left = units;
+    cur = offset;
+    if (run != Run::kShmBulk && write && src != nullptr) std::memcpy(memory(m), src, bytes);
+  }
+  /// Service the next batch (as many transactions as the coalescing
+  /// horizon proves safe); returns the Tick to resume at.
+  Tick step(CoreContext& ctx) {
+    SccMachine& m = ctx.machine_;
+    std::size_t done = 1;
+    Tick t = 0;
+    switch (run) {
+      case Run::kShmWords:
+        t = m.shmWordsAtCompletion(ctx.core_, ctx.now(), cur, left, &done);
+        cur += static_cast<std::uint64_t>(done) * m.config().shm_transaction_bytes;
+        break;
+      case Run::kMpbChunks:
+        t = m.mpbChunksCompletion(ctx.core_, ctx.ue_, owner, ctx.now(), left, &done);
+        break;
+      case Run::kShmBulk:
+        t = m.shmBulkCompletion(ctx.core_, ctx.now(), offset, bytes, write, out, src);
+        break;
+    }
+    left -= done;
+    return t;
+  }
+  void end(SccMachine& m) {
+    if (run != Run::kShmBulk && !write && out != nullptr) std::memcpy(out, memory(m), bytes);
+  }
+};
+
 SubTask CoreContext::shmRead(std::uint64_t offset, void* out, std::size_t bytes) {
-  // Race check once per logical operation, at initiation (before any retry
-  // or coalescing-dependent resumption): the checked stream is identical
-  // across coalescing modes.
-  machine_.noteDrfShm(offset, bytes, /*write=*/false);
-  if (machine_.faultsActive()) co_await faultPreOp();
-  if (machine_.shmCached(offset)) {
-    co_await swcacheRw(offset, out, nullptr, bytes, false);
-    co_return;
-  }
-  obs::TraceRecorder* tr = tracer(machine_.engine());
-  const Tick t0 = tr != nullptr ? now() : 0;
-  const std::size_t txn = machine_.config().shm_transaction_bytes;
-  const std::size_t total_words = bytes == 0 ? 0 : (bytes + txn - 1) / txn;
-  std::size_t words = total_words;
-  std::uint64_t cur = offset;
-  while (words > 0) {
-    std::size_t serviced = 0;
-    const Tick done =
-        machine_.shmWordsAtCompletion(core_, now(), cur, words, &serviced);
-    co_await machine_.engine().resumeAt(done);
-    words -= serviced;
-    cur += static_cast<std::uint64_t>(serviced) * txn;
-  }
-  if (out != nullptr) std::memcpy(out, machine_.shmData(offset), bytes);
-  machine_.noteShmWords(core_, offset, bytes, /*write=*/false);
-  if (tr != nullptr) {
-    tr->record(machine_.engine().currentTaskId(),
-               obs::TraceEvent{t0, now(), offset, total_words, 0,
-                               machine_.shmControllerOf(core_, offset),
-                               obs::TraceEventKind::kShmRead});
-  }
+  return access({Transfer::Run::kShmWords, 0, offset, out, nullptr, bytes, false});
 }
 
 SubTask CoreContext::shmWrite(std::uint64_t offset, const void* src, std::size_t bytes) {
-  // Once at initiation — NOT per retry attempt: a fault-retried store is one
-  // logical write, and repair traffic must not look like extra accesses.
-  machine_.noteDrfShm(offset, bytes, /*write=*/true);
-  FaultInjector& inj = machine_.faultInjector();
-  if (inj.anyArmed()) co_await faultPreOp();
-  if (machine_.shmCached(offset)) {
-    co_await swcacheRw(offset, nullptr, src, bytes, true);
+  return access({Transfer::Run::kShmWords, 0, offset, nullptr, src, bytes, true});
+}
+
+SubTask CoreContext::mpbRead(int owner_ue, std::uint64_t offset, void* out,
+                             std::size_t bytes) {
+  return access({Transfer::Run::kMpbChunks, owner_ue, offset, out, nullptr, bytes, false});
+}
+
+SubTask CoreContext::mpbWrite(int owner_ue, std::uint64_t offset, const void* src,
+                              std::size_t bytes) {
+  return access({Transfer::Run::kMpbChunks, owner_ue, offset, nullptr, src, bytes, true});
+}
+
+SubTask CoreContext::access(Transfer x) {
+  const bool mpb = x.run == Transfer::Run::kMpbChunks;
+  // Race check once per logical operation, at initiation (before any retry
+  // or coalescing-dependent resumption): a fault-retried store is one
+  // logical write, and the checked stream is identical across coalescing
+  // modes.
+  machine_.noteDrf(mpb ? drf::mpbSpace(x.owner) : drf::kSpaceShm, x.offset, x.bytes,
+                   x.write);
+  if (machine_.faultsActive()) co_await faultPreOp();
+  if (!mpb && machine_.shmCached(x.offset)) {
+    co_await swcacheRw(x.offset, x.out, x.src, x.bytes, x.write);
     co_return;
   }
-  obs::TraceRecorder* tr = tracer(machine_.engine());
-  const Tick t0 = tr != nullptr ? now() : 0;
-  const std::size_t txn = machine_.config().shm_transaction_bytes;
-  const std::size_t total_words = bytes == 0 ? 0 : (bytes + txn - 1) / txn;
-  const auto record_span = [&](std::uint32_t attempts) {
-    if (tr == nullptr) return;
-    tr->record(machine_.engine().currentTaskId(),
-               obs::TraceEvent{t0, now(), offset, total_words, attempts,
-                               machine_.shmControllerOf(core_, offset),
-                               obs::TraceEventKind::kShmWrite});
-  };
-  // Transient shared-DRAM word-flip faults: retry with checksum-verify and
-  // exponential backoff. The verify (an exact compare of the landed bytes
-  // against the intended payload) is modeled untimed — redundancy the MIU's
-  // store path provides — so zero-rate fault runs add no simulated time.
-  const bool check = inj.anyArmed() && inj.armed(FaultClass::kShmWrite) &&
-                     src != nullptr && bytes > 0;
-  const std::uint64_t xfer = check ? shm_write_seq_++ : 0;
+  const Tick t0 = now();
+  const std::size_t unit =
+      mpb ? machine_.config().cache_line_bytes : machine_.config().shm_transaction_bytes;
+  x.units = x.bytes == 0 ? 0 : (x.bytes + unit - 1) / unit;
+  const FaultClass cls = mpb ? FaultClass::kMpbTransfer : FaultClass::kShmWrite;
+  std::uint32_t attempts = 1;
+  if (x.verifiedUnder(machine_.faultInjector(), cls)) {
+    // A write verifies the landed memory against its payload, an MPB get
+    // its landed buffer against the MPB (rcce::put/get wrap these paths).
+    std::uint8_t* memory = x.memory(machine_);
+    co_await verifiedTransfer(cls, mpb ? mpb_xfer_seq_ : shm_write_seq_, x,
+                              x.write ? memory : x.out, x.write ? x.src : memory,
+                              attempts);
+  } else {
+    for (x.begin(machine_); x.left > 0;) co_await machine_.engine().resumeAt(x.step(*this));
+    x.end(machine_);
+  }
+  if (machine_.observing()) {
+    using Kind = obs::TraceEventKind;
+    machine_.recordOp(
+        core_,
+        obs::TraceEvent{t0, now(), x.offset, x.units,
+                        mpb ? static_cast<std::uint64_t>(x.owner) : (x.write ? attempts : 0),
+                        mpb ? machine_.mpbPortIdOf(x.owner)
+                            : machine_.shmControllerOf(core_, x.offset),
+                        mpb ? (x.write ? Kind::kMpbPut : Kind::kMpbGet)
+                            : (x.write ? Kind::kShmWrite : Kind::kShmRead)},
+        attempts);
+  }
+}
+
+SubTask CoreContext::verifiedTransfer(FaultClass cls, std::uint64_t& seq, Transfer& x,
+                                      void* landed, const void* expected,
+                                      std::uint32_t& attempts) {
+  // Transient transfer faults corrupt the landed bytes; an exact compare
+  // against the expected bytes detects it and the transfer retries with
+  // exponential backoff in simulated ticks. The verify is modeled untimed —
+  // redundancy the hardware store/DMA path provides — so zero-rate fault
+  // runs add no simulated time. Draws are keyed by (UE, transfer, attempt).
+  FaultInjector& inj = machine_.faultInjector();
+  const auto stream = static_cast<std::uint64_t>(ue_);
+  const std::uint64_t xfer = seq++;
   std::uint64_t faults_here = 0;
   for (std::uint32_t attempt = 0;; ++attempt) {
-    if (src != nullptr) std::memcpy(machine_.shmData(offset), src, bytes);
-    std::size_t words = total_words;
-    std::uint64_t cur = offset;
-    while (words > 0) {
-      std::size_t serviced = 0;
-      const Tick done =
-          machine_.shmWordsAtCompletion(core_, now(), cur, words, &serviced);
-      co_await machine_.engine().resumeAt(done);
-      words -= serviced;
-      cur += static_cast<std::uint64_t>(serviced) * txn;
-    }
-    machine_.noteShmWords(core_, offset, bytes, /*write=*/true);
-    if (!check) {
-      record_span(attempt + 1);
-      co_return;
-    }
+    for (x.begin(machine_); x.left > 0;) co_await machine_.engine().resumeAt(x.step(*this));
+    x.end(machine_);
+    attempts = attempt + 1;
     const std::uint64_t draw = (xfer << 16) ^ attempt;
-    if (inj.fires(FaultClass::kShmWrite, static_cast<std::uint64_t>(ue_), draw,
-                  now())) {
-      inj.corruptBytes(machine_.shmData(offset), bytes, FaultClass::kShmWrite,
-                       static_cast<std::uint64_t>(ue_), draw);
-      inj.noteInjected(FaultClass::kShmWrite);
+    if (inj.fires(cls, stream, draw, now())) {
+      inj.corruptBytes(landed, x.bytes, cls, stream, draw);
+      inj.noteInjected(cls);
       ++faults_here;
-      if (tr != nullptr) {
-        tr->record(machine_.engine().currentTaskId(),
-                   obs::TraceEvent{now(), now(),
-                                   static_cast<std::uint64_t>(FaultClass::kShmWrite),
-                                   0, 0, obs::kNoTraceResource,
-                                   obs::TraceEventKind::kFaultInject});
-      }
+      machine_.traceFaultInstant(obs::TraceEventKind::kFaultInject, cls);
     }
-    if (std::memcmp(machine_.shmData(offset), src, bytes) == 0) {
-      constexpr auto kCls = static_cast<std::size_t>(FaultClass::kShmWrite);
-      inj.stats().recovered[kCls] += faults_here;
-      record_span(attempt + 1);
+    if (std::memcmp(landed, expected, x.bytes) == 0) {
+      inj.stats().recovered[static_cast<std::size_t>(cls)] += faults_here;
       co_return;
     }
     if (attempt >= inj.maxRetries()) {
       // Retry budget exhausted: record it for the harness to gate on (no
       // exception — coroutine frames must not throw; see engine.h).
       ++inj.stats().unrecovered;
-      record_span(attempt + 1);
       co_return;
     }
     ++inj.stats().retries;
-    if (tr != nullptr) {
-      tr->record(machine_.engine().currentTaskId(),
-                 obs::TraceEvent{now(), now(),
-                                 static_cast<std::uint64_t>(FaultClass::kShmWrite),
-                                 0, 0, obs::kNoTraceResource,
-                                 obs::TraceEventKind::kFaultRetry});
-    }
+    machine_.traceFaultInstant(obs::TraceEventKind::kFaultRetry, cls);
     co_await machine_.engine().delay(inj.backoff(attempt));
   }
 }
@@ -338,8 +381,7 @@ SubTask CoreContext::swcacheRw(std::uint64_t offset, void* out, const void* src,
   // atomic snapshot, the same granularity the uncached path's single memcpy
   // has — racy interleavings below sync granularity are outside the DRF
   // contract either way). The plan records what to charge.
-  obs::TraceRecorder* tr = tracer(machine_.engine());
-  const Tick t0 = tr != nullptr ? now() : 0;
+  const Tick t0 = now();
   const SwCache::AccessPlan plan =
       machine_.swcacheAccess(core_, offset, bytes, write, out, src);
   // Timed phase: aggregated hit-touch time first, then the batched line
@@ -360,13 +402,11 @@ SubTask CoreContext::swcacheRw(std::uint64_t offset, void* out, const void* src,
     co_await machine_.engine().resumeAt(done);
     words -= serviced;
   }
-  machine_.noteShmSwcache(core_, offset, write, plan.hit_touches, plan.line_txns);
-  if (tr != nullptr) {
-    tr->record(machine_.engine().currentTaskId(),
-               obs::TraceEvent{t0, now(), offset, plan.hit_touches, plan.line_txns,
-                               machine_.controllerOfCore(core_),
-                               write ? obs::TraceEventKind::kSwcacheWrite
-                                     : obs::TraceEventKind::kSwcacheRead});
+  if (machine_.observing()) {
+    machine_.recordOp(core_, obs::TraceEvent{t0, now(), offset, plan.hit_touches,
+                                             plan.line_txns, machine_.controllerOfCore(core_),
+                                             write ? obs::TraceEventKind::kSwcacheWrite
+                                                   : obs::TraceEventKind::kSwcacheRead});
   }
 }
 
@@ -381,8 +421,7 @@ SubTask CoreContext::swcacheLines(std::size_t lines) {
 
 SubTask CoreContext::swcacheRelease() {
   FaultInjector& inj = machine_.faultInjector();
-  obs::TraceRecorder* tr = tracer(machine_.engine());
-  const Tick t0 = tr != nullptr ? now() : 0;
+  const Tick t0 = now();
   std::size_t lines = 0;
   if (inj.anyArmed() && inj.armed(FaultClass::kSwcacheFlush)) {
     lines = machine_.swcacheFlushChecked(core_, flush_seq_++);
@@ -390,11 +429,10 @@ SubTask CoreContext::swcacheRelease() {
     lines = machine_.swcacheFlush(core_);
   }
   co_await swcacheLines(lines);
-  if (tr != nullptr) {
-    tr->record(machine_.engine().currentTaskId(),
-               obs::TraceEvent{t0, now(), lines, 0, 0,
-                               machine_.controllerOfCore(core_),
-                               obs::TraceEventKind::kSwcacheFlush});
+  if (machine_.observing()) {
+    machine_.recordOp(core_, obs::TraceEvent{t0, now(), lines, 0, 0,
+                                             machine_.controllerOfCore(core_),
+                                             obs::TraceEventKind::kSwcacheFlush});
   }
 }
 
@@ -411,6 +449,20 @@ std::coroutine_handle<> CoreContext::BulkAwaiter::await_suspend(
   return std::noop_coroutine();
 }
 
+namespace {
+
+/// Span of a bulk burst: a=offset b=lines.
+obs::TraceEvent bulkSpan(SccMachine& m, int core, Tick start, Tick end,
+                         std::uint64_t offset, std::size_t bytes, bool write) {
+  const std::size_t line = m.config().cache_line_bytes;
+  return obs::TraceEvent{start, end, offset, bytes == 0 ? 0 : (bytes + line - 1) / line,
+                         0, m.shmControllerOf(core, offset),
+                         write ? obs::TraceEventKind::kShmBulkWrite
+                               : obs::TraceEventKind::kShmBulkRead};
+}
+
+}  // namespace
+
 SubTask CoreContext::bulkFenced(std::uint64_t offset, void* out, const void* src,
                                 std::size_t bytes, bool write) {
   // Bulk read: write back overlapping dirty lines so the burst observes this
@@ -418,269 +470,49 @@ SubTask CoreContext::bulkFenced(std::uint64_t offset, void* out, const void* src
   // write: additionally drop every overlapping line — the burst supersedes
   // any cached copy, and the prior write-back keeps untouched bytes of
   // partially-overlapped lines correct.
-  obs::TraceRecorder* tr = tracer(machine_.engine());
-  const Tick t0 = tr != nullptr ? now() : 0;
-  const std::size_t line = machine_.config().cache_line_bytes;
-  const std::uint64_t total_lines = bytes == 0 ? 0 : (bytes + line - 1) / line;
-  const auto record_span = [&]() {
-    if (tr == nullptr) return;
-    tr->record(machine_.engine().currentTaskId(),
-               obs::TraceEvent{t0, now(), offset, total_lines, 0,
-                               machine_.shmControllerOf(core_, offset),
-                               write ? obs::TraceEventKind::kShmBulkWrite
-                                     : obs::TraceEventKind::kShmBulkRead});
-  };
+  const Tick t0 = now();
   if (machine_.swcacheActive()) {
     co_await swcacheLines(machine_.swcacheSyncRange(core_, offset, bytes, write));
   }
-  FaultInjector& inj = machine_.faultInjector();
-  const bool check = inj.anyArmed() && inj.armed(FaultClass::kShmWrite) && write &&
-                     src != nullptr && bytes > 0;
-  if (!check) {
-    const Tick done =
-        machine_.shmBulkCompletion(core_, now(), offset, bytes, write, out, src);
-    co_await machine_.engine().resumeAt(done);
-    record_span();
-    co_return;
+  Transfer x{Transfer::Run::kShmBulk, 0, offset, out, src, bytes, write, 1};
+  std::uint32_t attempts = 1;
+  if (x.verifiedUnder(machine_.faultInjector(), FaultClass::kShmWrite)) {
+    // Bulk writes share the shm_write fault class with the word path.
+    co_await verifiedTransfer(FaultClass::kShmWrite, shm_write_seq_, x,
+                              machine_.shmData(offset), src, attempts);
+  } else {
+    for (x.begin(machine_); x.left > 0;) co_await machine_.engine().resumeAt(x.step(*this));
   }
-  // Bulk writes share the shm_write fault class and the same verify/retry/
-  // backoff discipline as the word path above.
-  const std::uint64_t xfer = shm_write_seq_++;
-  std::uint64_t faults_here = 0;
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    const Tick done =
-        machine_.shmBulkCompletion(core_, now(), offset, bytes, true, nullptr, src);
-    co_await machine_.engine().resumeAt(done);
-    const std::uint64_t draw = (xfer << 16) ^ attempt;
-    if (inj.fires(FaultClass::kShmWrite, static_cast<std::uint64_t>(ue_), draw,
-                  now())) {
-      inj.corruptBytes(machine_.shmData(offset), bytes, FaultClass::kShmWrite,
-                       static_cast<std::uint64_t>(ue_), draw);
-      inj.noteInjected(FaultClass::kShmWrite);
-      ++faults_here;
-      if (tr != nullptr) {
-        tr->record(machine_.engine().currentTaskId(),
-                   obs::TraceEvent{now(), now(),
-                                   static_cast<std::uint64_t>(FaultClass::kShmWrite),
-                                   0, 0, obs::kNoTraceResource,
-                                   obs::TraceEventKind::kFaultInject});
-      }
-    }
-    if (std::memcmp(machine_.shmData(offset), src, bytes) == 0) {
-      constexpr auto kCls = static_cast<std::size_t>(FaultClass::kShmWrite);
-      inj.stats().recovered[kCls] += faults_here;
-      record_span();
-      co_return;
-    }
-    if (attempt >= inj.maxRetries()) {
-      ++inj.stats().unrecovered;
-      record_span();
-      co_return;
-    }
-    ++inj.stats().retries;
-    if (tr != nullptr) {
-      tr->record(machine_.engine().currentTaskId(),
-                 obs::TraceEvent{now(), now(),
-                                 static_cast<std::uint64_t>(FaultClass::kShmWrite),
-                                 0, 0, obs::kNoTraceResource,
-                                 obs::TraceEventKind::kFaultRetry});
-    }
-    co_await machine_.engine().delay(inj.backoff(attempt));
+  if (machine_.observing()) {
+    machine_.recordOp(core_, bulkSpan(machine_, core_, t0, now(), offset, bytes, write),
+                      attempts);
   }
 }
 
 CoreContext::BulkAwaiter CoreContext::shmReadBulk(std::uint64_t offset, void* out,
                                                   std::size_t bytes) {
-  machine_.noteDrfShm(offset, bytes, /*write=*/false);
-  if (machine_.swcacheActive()) {
-    return BulkAwaiter(machine_.engine(), bulkFenced(offset, out, nullptr, bytes, false));
-  }
-  const Tick t0 = now();
-  const Tick done =
-      machine_.shmBulkCompletion(core_, t0, offset, bytes, false, out, nullptr);
-  if (obs::TraceRecorder* tr = tracer(machine_.engine())) {
-    const std::size_t line = machine_.config().cache_line_bytes;
-    tr->record(machine_.engine().currentTaskId(),
-               obs::TraceEvent{t0, done, offset,
-                               bytes == 0 ? 0 : (bytes + line - 1) / line, 0,
-                               machine_.shmControllerOf(core_, offset),
-                               obs::TraceEventKind::kShmBulkRead});
-  }
-  return BulkAwaiter(machine_.engine(), done);
+  return bulk(offset, out, nullptr, bytes, false);
 }
 
 CoreContext::BulkAwaiter CoreContext::shmWriteBulk(std::uint64_t offset,
                                                    const void* src, std::size_t bytes) {
-  machine_.noteDrfShm(offset, bytes, /*write=*/true);
-  if (machine_.swcacheActive() || machine_.faultsActive()) {
-    return BulkAwaiter(machine_.engine(), bulkFenced(offset, nullptr, src, bytes, true));
+  return bulk(offset, nullptr, src, bytes, true);
+}
+
+CoreContext::BulkAwaiter CoreContext::bulk(std::uint64_t offset, void* out,
+                                           const void* src, std::size_t bytes,
+                                           bool write) {
+  machine_.noteDrf(drf::kSpaceShm, offset, bytes, write);
+  // With faults armed a write takes the fenced path, which verifies it.
+  if (machine_.swcacheActive() || (write && machine_.faultsActive())) {
+    return BulkAwaiter(machine_.engine(), bulkFenced(offset, out, src, bytes, write));
   }
   const Tick t0 = now();
-  const Tick done =
-      machine_.shmBulkCompletion(core_, t0, offset, bytes, true, nullptr, src);
-  if (obs::TraceRecorder* tr = tracer(machine_.engine())) {
-    const std::size_t line = machine_.config().cache_line_bytes;
-    tr->record(machine_.engine().currentTaskId(),
-               obs::TraceEvent{t0, done, offset,
-                               bytes == 0 ? 0 : (bytes + line - 1) / line, 0,
-                               machine_.shmControllerOf(core_, offset),
-                               obs::TraceEventKind::kShmBulkWrite});
+  const Tick done = machine_.shmBulkCompletion(core_, t0, offset, bytes, write, out, src);
+  if (machine_.observing()) {
+    machine_.recordOp(core_, bulkSpan(machine_, core_, t0, done, offset, bytes, write));
   }
   return BulkAwaiter(machine_.engine(), done);
-}
-
-SubTask CoreContext::mpbRead(int owner_ue, std::uint64_t offset, void* out,
-                             std::size_t bytes) {
-  machine_.noteDrfMpb(owner_ue, offset, bytes, /*write=*/false);
-  FaultInjector& inj = machine_.faultInjector();
-  if (inj.anyArmed()) co_await faultPreOp();
-  obs::TraceRecorder* tr = tracer(machine_.engine());
-  const Tick t0 = tr != nullptr ? now() : 0;
-  const std::size_t chunk = machine_.config().cache_line_bytes;
-  const std::size_t total_chunks = bytes == 0 ? 0 : (bytes + chunk - 1) / chunk;
-  const auto record_span = [&]() {
-    if (tr == nullptr) return;
-    tr->record(machine_.engine().currentTaskId(),
-               obs::TraceEvent{t0, now(), offset, total_chunks,
-                               static_cast<std::uint64_t>(owner_ue),
-                               machine_.mpbPortIdOf(owner_ue),
-                               obs::TraceEventKind::kMpbGet});
-  };
-  // Transient MPB transfer faults (rcce::get is a thin wrapper over this
-  // path): the landed destination buffer is corrupted; an untimed exact
-  // compare against the MPB source detects it and the transfer retries with
-  // exponential backoff in simulated ticks.
-  const bool check = inj.anyArmed() && inj.armed(FaultClass::kMpbTransfer) &&
-                     out != nullptr && bytes > 0;
-  const std::uint64_t xfer = check ? mpb_xfer_seq_++ : 0;
-  std::uint64_t faults_here = 0;
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    std::size_t chunks = total_chunks;
-    while (chunks > 0) {
-      std::size_t serviced = 0;
-      const Tick done =
-          machine_.mpbChunksCompletion(core_, ue_, owner_ue, now(), chunks, &serviced);
-      co_await machine_.engine().resumeAt(done);
-      chunks -= serviced;
-    }
-    if (out != nullptr) std::memcpy(out, machine_.mpbData(owner_ue, offset), bytes);
-    if (!check) {
-      record_span();
-      co_return;
-    }
-    const std::uint64_t draw = (xfer << 16) ^ attempt;
-    if (inj.fires(FaultClass::kMpbTransfer, static_cast<std::uint64_t>(ue_), draw,
-                  now())) {
-      inj.corruptBytes(out, bytes, FaultClass::kMpbTransfer,
-                       static_cast<std::uint64_t>(ue_), draw);
-      inj.noteInjected(FaultClass::kMpbTransfer);
-      ++faults_here;
-      if (tr != nullptr) {
-        tr->record(machine_.engine().currentTaskId(),
-                   obs::TraceEvent{now(), now(),
-                                   static_cast<std::uint64_t>(FaultClass::kMpbTransfer),
-                                   0, 0, obs::kNoTraceResource,
-                                   obs::TraceEventKind::kFaultInject});
-      }
-    }
-    if (std::memcmp(out, machine_.mpbData(owner_ue, offset), bytes) == 0) {
-      constexpr auto kCls = static_cast<std::size_t>(FaultClass::kMpbTransfer);
-      inj.stats().recovered[kCls] += faults_here;
-      record_span();
-      co_return;
-    }
-    if (attempt >= inj.maxRetries()) {
-      ++inj.stats().unrecovered;
-      record_span();
-      co_return;
-    }
-    ++inj.stats().retries;
-    if (tr != nullptr) {
-      tr->record(machine_.engine().currentTaskId(),
-                 obs::TraceEvent{now(), now(),
-                                 static_cast<std::uint64_t>(FaultClass::kMpbTransfer),
-                                 0, 0, obs::kNoTraceResource,
-                                 obs::TraceEventKind::kFaultRetry});
-    }
-    co_await machine_.engine().delay(inj.backoff(attempt));
-  }
-}
-
-SubTask CoreContext::mpbWrite(int owner_ue, std::uint64_t offset, const void* src,
-                              std::size_t bytes) {
-  machine_.noteDrfMpb(owner_ue, offset, bytes, /*write=*/true);
-  FaultInjector& inj = machine_.faultInjector();
-  if (inj.anyArmed()) co_await faultPreOp();
-  obs::TraceRecorder* tr = tracer(machine_.engine());
-  const Tick t0 = tr != nullptr ? now() : 0;
-  const std::size_t chunk = machine_.config().cache_line_bytes;
-  const std::size_t total_chunks = bytes == 0 ? 0 : (bytes + chunk - 1) / chunk;
-  const auto record_span = [&]() {
-    if (tr == nullptr) return;
-    tr->record(machine_.engine().currentTaskId(),
-               obs::TraceEvent{t0, now(), offset, total_chunks,
-                               static_cast<std::uint64_t>(owner_ue),
-                               machine_.mpbPortIdOf(owner_ue),
-                               obs::TraceEventKind::kMpbPut});
-  };
-  // Transient MPB transfer faults on the put side (rcce::put wraps this):
-  // the landed MPB bytes are corrupted, detected by comparing against the
-  // source payload, and the transfer retries — same discipline as mpbRead.
-  const bool check = inj.anyArmed() && inj.armed(FaultClass::kMpbTransfer) &&
-                     src != nullptr && bytes > 0;
-  const std::uint64_t xfer = check ? mpb_xfer_seq_++ : 0;
-  std::uint64_t faults_here = 0;
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    if (src != nullptr) std::memcpy(machine_.mpbData(owner_ue, offset), src, bytes);
-    std::size_t chunks = total_chunks;
-    while (chunks > 0) {
-      std::size_t serviced = 0;
-      const Tick done =
-          machine_.mpbChunksCompletion(core_, ue_, owner_ue, now(), chunks, &serviced);
-      co_await machine_.engine().resumeAt(done);
-      chunks -= serviced;
-    }
-    if (!check) {
-      record_span();
-      co_return;
-    }
-    const std::uint64_t draw = (xfer << 16) ^ attempt;
-    if (inj.fires(FaultClass::kMpbTransfer, static_cast<std::uint64_t>(ue_), draw,
-                  now())) {
-      inj.corruptBytes(machine_.mpbData(owner_ue, offset), bytes,
-                       FaultClass::kMpbTransfer, static_cast<std::uint64_t>(ue_),
-                       draw);
-      inj.noteInjected(FaultClass::kMpbTransfer);
-      ++faults_here;
-      if (tr != nullptr) {
-        tr->record(machine_.engine().currentTaskId(),
-                   obs::TraceEvent{now(), now(),
-                                   static_cast<std::uint64_t>(FaultClass::kMpbTransfer),
-                                   0, 0, obs::kNoTraceResource,
-                                   obs::TraceEventKind::kFaultInject});
-      }
-    }
-    if (std::memcmp(machine_.mpbData(owner_ue, offset), src, bytes) == 0) {
-      constexpr auto kCls = static_cast<std::size_t>(FaultClass::kMpbTransfer);
-      inj.stats().recovered[kCls] += faults_here;
-      record_span();
-      co_return;
-    }
-    if (attempt >= inj.maxRetries()) {
-      ++inj.stats().unrecovered;
-      record_span();
-      co_return;
-    }
-    ++inj.stats().retries;
-    if (tr != nullptr) {
-      tr->record(machine_.engine().currentTaskId(),
-                 obs::TraceEvent{now(), now(),
-                                 static_cast<std::uint64_t>(FaultClass::kMpbTransfer),
-                                 0, 0, obs::kNoTraceResource,
-                                 obs::TraceEventKind::kFaultRetry});
-    }
-    co_await machine_.engine().delay(inj.backoff(attempt));
-  }
 }
 
 bool CoreContext::SyncAwaiter::await_ready() {
@@ -749,8 +581,14 @@ SubTask CoreContext::lockReleaseReconcile(int lock_id) {
 SccMachine::SccMachine(SccConfig config)
     : config_(config), mesh_(config_), core_clock_(config_.coreClock()),
       mesh_clock_(config_.meshClock()), dram_clock_(config_.dramClock()) {
-  // The shared region grows on demand in shmalloc (up to the configured
-  // capacity); reserving 64 MB eagerly would dominate small simulations.
+  // The shared region grows on demand in shmalloc inside a buffer reserved
+  // at the configured capacity, so growth never moves or copies it. A
+  // reservation that large gets its own mapping (glibc maps blocks above
+  // 32 MB) in which only pages in use are resident: the footprint does not
+  // depend on how fragmented the heap is. Consecutive machines on a thread
+  // hand the buffer on, already resident.
+  shared_dram_.swap(spare_shared_dram);
+  shared_dram_.reserve(config_.shared_dram_bytes);
   mpb_.resize(config_.mpbTotalBytes(), 0);
   private_mem_.resize(config_.num_cores);
   l1_.reserve(config_.num_cores);
@@ -808,9 +646,10 @@ SccMachine::SccMachine(SccConfig config)
   // the null pointer and never reach the recorder's own enabled() check.
   trace_.configure(config_.trace_enabled, config_.trace_ring_capacity);
   if (config_.trace_enabled) engine_.setTraceRecorder(&trace_);
+  observing_ = config_.trace_enabled;
   // Happens-before race detection (sim/drf/): drf_active_ is the cached
-  // hot-path gate of every noteDrf* hook; sync objects get the checker
-  // pointer at creation (setupBarrier / launch / lock).
+  // hot-path gate of noteDrf; sync objects get the checker pointer at
+  // creation (setupBarrier / launch / lock).
   drf_active_ = config_.drf_check;
   drf_.configure(config_.drf_word_granular, config_.cache_line_bytes,
                  config_.shm_transaction_bytes);
@@ -845,6 +684,13 @@ void SccMachine::setShmCacheability(std::uint64_t begin, std::uint64_t end,
   if (cached) ensureSwcache();
 }
 
+SccMachine::~SccMachine() {
+  shared_dram_.clear();
+  if (shared_dram_.capacity() > spare_shared_dram.capacity()) {
+    spare_shared_dram.swap(shared_dram_);
+  }
+}
+
 std::uint64_t SccMachine::shmalloc(std::size_t bytes, std::size_t align) {
   if (align < 8) align = 8;
   shm_brk_ = (shm_brk_ + align - 1) & ~static_cast<std::uint64_t>(align - 1);
@@ -857,8 +703,8 @@ std::uint64_t SccMachine::shmalloc(std::size_t bytes) {
   const std::uint64_t offset = shm_brk_;
   shm_brk_ += bytes;
   if (shm_brk_ > shared_dram_.size()) {
-    // Growth invalidates raw pointers; all internal accesses re-fetch
-    // through shmData on every operation.
+    // Within the reserved capacity: the buffer never moves. Internal
+    // accesses still re-fetch through shmData on every operation.
     shared_dram_.resize(shm_brk_, 0);
   }
   return offset;
@@ -1121,16 +967,8 @@ std::size_t SccMachine::swcacheFlushChecked(int core, std::uint64_t seq) {
                            shared_dram_.size());
     lines += repaired;
     ++fault_.stats().retries;
-    if (obs::TraceRecorder* tr = tracer(engine_)) {
-      const Tick at = engine_.now();
-      const auto cls = static_cast<std::uint64_t>(FaultClass::kSwcacheFlush);
-      tr->record(engine_.currentTaskId(),
-                 obs::TraceEvent{at, at, cls, 0, 0, obs::kNoTraceResource,
-                                 obs::TraceEventKind::kFaultInject});
-      tr->record(engine_.currentTaskId(),
-                 obs::TraceEvent{at, at, cls, 0, 0, obs::kNoTraceResource,
-                                 obs::TraceEventKind::kFaultRetry});
-    }
+    traceFaultInstant(obs::TraceEventKind::kFaultInject, FaultClass::kSwcacheFlush);
+    traceFaultInstant(obs::TraceEventKind::kFaultRetry, FaultClass::kSwcacheFlush);
   }
   // Every corruption above was repaired before the release takes effect
   // (the repair runs inside the same reconciliation step).
@@ -1565,7 +1403,6 @@ Tick SccMachine::shmBulkCompletion(int core, Tick start, std::uint64_t offset,
   const std::size_t lines = (bytes + line - 1) / line;
   shm_bulk_lines_ += lines;
   mc_traffic_[mc_id] += lines;
-  if (region_profiling_) noteShmBulkImpl(offset, lines, write, mc_id);
   const Tick service =
       dram_clock_.cycles(config_.dram_line_service_cycles +
                          (lines > 0 ? lines - 1 : 0) * config_.dram_burst_line_service_cycles);
@@ -1624,6 +1461,7 @@ void SccMachine::registerShmRegion(std::string name, std::uint64_t begin,
   region.controller_txns.assign(config_.num_mem_controllers, 0);
   shm_regions_.push_back(std::move(region));
   region_profiling_ = true;
+  observing_ = true;
 }
 
 obs::RegionProfile* SccMachine::regionAt(std::uint64_t offset) {
@@ -1633,110 +1471,93 @@ obs::RegionProfile* SccMachine::regionAt(std::uint64_t offset) {
   return nullptr;
 }
 
-void SccMachine::noteShmWordsImpl(int core, std::uint64_t offset, std::size_t bytes,
-                                  bool write) {
-  obs::RegionProfile* region = regionAt(offset);
-  if (region == nullptr) return;
-  const std::size_t txn = config_.shm_transaction_bytes;
-  const std::size_t words = bytes == 0 ? 0 : (bytes + txn - 1) / txn;
-  if (write) {
-    ++region->writes;
-    region->write_words += words;
-  } else {
-    ++region->reads;
-    region->read_words += words;
+void SccMachine::recordOp(int core, const obs::TraceEvent& op, std::uint32_t attempts) {
+  if (obs::TraceRecorder* tr = tracer(engine_)) tr->record(engine_.currentTaskId(), op);
+  if (!region_profiling_) return;
+  using Kind = obs::TraceEventKind;
+  bool write = false;
+  switch (op.kind) {
+    case Kind::kShmWrite:
+    case Kind::kShmBulkWrite:
+    case Kind::kSwcacheWrite:
+      write = true;
+      break;
+    case Kind::kShmRead:
+    case Kind::kShmBulkRead:
+    case Kind::kSwcacheRead:
+      break;
+    default:
+      return;  // no shared-DRAM offset in a=
   }
+  obs::RegionProfile* region = regionAt(op.a);
+  if (region == nullptr) return;
+  (write ? region->writes : region->reads) += attempts;
+  if (op.kind == Kind::kSwcacheRead || op.kind == Kind::kSwcacheWrite) {
+    region->hits += op.b;
+    region->misses += op.c;
+    // Cached regions fill requester-locally regardless of placement (the
+    // composition rule in docs/execution_plan.md): resource is core's own.
+    region->controller_txns[op.resource] += op.c;
+    return;
+  }
+  const std::uint64_t units = op.b * attempts;
+  if (op.kind == Kind::kShmBulkRead || op.kind == Kind::kShmBulkWrite) {
+    region->bulk_lines += units;
+    region->controller_txns[op.resource] += units;
+    return;
+  }
+  (write ? region->write_words : region->read_words) += units;
   if (!ctrl_placement_active_) {
-    region->controller_txns[core_mc_[static_cast<std::size_t>(core)]] += words;
+    region->controller_txns[op.resource] += units;
     return;
   }
   // Placement-routed regions switch controllers at stripe boundaries: walk
-  // the stripes the access covers. Called post-access, so first-touch claims
-  // are already made and the controller lookup is a pure function.
+  // the stripes the access covers. Recorded post-access, so first-touch
+  // claims are already made and the controller lookup is a pure function.
+  const std::size_t txn = config_.shm_transaction_bytes;
   const std::uint64_t stripe_bytes = config_.shm_controller_stripe_bytes;
-  std::uint64_t cur = offset;
-  std::size_t left = words;
+  std::uint64_t cur = op.a;
+  std::size_t left = op.b;
   while (left > 0) {
     const std::uint64_t stripe_end = (cur / stripe_bytes + 1) * stripe_bytes;
     const auto in_stripe =
         static_cast<std::size_t>((stripe_end - cur + txn - 1) / txn);
     const std::size_t take = std::min(left, in_stripe);
-    region->controller_txns[controllerForShmAccess(core, cur)] += take;
+    region->controller_txns[controllerForShmAccess(core, cur)] += take * attempts;
     left -= take;
     cur += static_cast<std::uint64_t>(take) * txn;
   }
 }
 
-void SccMachine::noteShmSwcacheImpl(int core, std::uint64_t offset, bool write,
-                                    std::uint64_t hits, std::uint64_t line_txns) {
-  obs::RegionProfile* region = regionAt(offset);
-  if (region == nullptr) return;
-  if (write) {
-    ++region->writes;
-  } else {
-    ++region->reads;
+void SccMachine::traceFaultInstant(obs::TraceEventKind kind, FaultClass cls) {
+  if (obs::TraceRecorder* tr = tracer(engine_)) {
+    tr->record(engine_.currentTaskId(),
+               obs::TraceEvent{engine_.now(), engine_.now(),
+                               static_cast<std::uint64_t>(cls), 0, 0,
+                               obs::kNoTraceResource, kind});
   }
-  region->hits += hits;
-  region->misses += line_txns;
-  // Cached regions fill requester-locally regardless of placement (the
-  // composition rule in docs/execution_plan.md).
-  region->controller_txns[core_mc_[static_cast<std::size_t>(core)]] += line_txns;
 }
 
-void SccMachine::noteShmBulkImpl(std::uint64_t offset, std::size_t lines, bool write,
-                                 std::uint32_t mc) {
-  obs::RegionProfile* region = regionAt(offset);
-  if (region == nullptr) return;
-  if (write) {
-    ++region->writes;
-  } else {
-    ++region->reads;
-  }
-  region->bulk_lines += lines;
-  region->controller_txns[mc] += lines;
-}
-
-// -- race-detection hooks (gated by drf_active_ at the inline call sites) --
-// All untimed: they read engine_.now() but never move it, so a drf run
-// simulates the exact Ticks of the unchecked run it observes.
-
-void SccMachine::drfShmImpl(std::uint64_t offset, std::size_t bytes, bool write) {
+// Untimed: the race check reads engine_.now() but never moves it, so a drf
+// run simulates the exact Ticks of the unchecked run it observes.
+void SccMachine::drfAccess(drf::Space space, std::uint64_t offset, std::size_t bytes,
+                           bool write) {
   const std::size_t task = engine_.currentTaskId();
   // Untimed host-context accesses (setup/verification) are outside the
   // happens-before model — the launch boundary orders them anyway.
   if (task == Engine::kNoTask) return;
-  const std::size_t fresh = drf_.access(task, drf::kSpaceShm, offset, bytes, write,
-                                        shmCached(offset), engine_.now());
-  if (fresh > 0) drfEmit(fresh);
-}
-
-void SccMachine::drfMpbImpl(int owner_ue, std::uint64_t offset, std::size_t bytes,
-                            bool write) {
-  const std::size_t task = engine_.currentTaskId();
-  if (task == Engine::kNoTask) return;
-  const std::size_t fresh = drf_.access(task, drf::mpbSpace(owner_ue), offset, bytes,
-                                        write, /*cached=*/false, engine_.now());
-  if (fresh > 0) drfEmit(fresh);
-}
-
-void SccMachine::drfPrivImpl(std::uint64_t addr, std::size_t bytes, bool write) {
-  const std::size_t task = engine_.currentTaskId();
-  if (task == Engine::kNoTask) return;
-  const std::size_t fresh = drf_.access(task, drf::kSpacePriv, addr, bytes, write,
-                                        /*cached=*/false, engine_.now());
-  if (fresh > 0) drfEmit(fresh);
-}
-
-void SccMachine::drfEmit(std::size_t fresh) {
+  const bool cached = space == drf::kSpaceShm && shmCached(offset);
+  const std::size_t fresh =
+      drf_.access(task, space, offset, bytes, write, cached, engine_.now());
   obs::TraceRecorder* tr = tracer(engine_);
-  if (tr == nullptr) return;
+  if (fresh == 0 || tr == nullptr) return;
+  // One kRace trace instant per freshly appended report.
   const std::vector<drf::RaceReport>& reports = drf_.reports();
   for (std::size_t i = reports.size() - fresh; i < reports.size(); ++i) {
     const drf::RaceReport& r = reports[i];
-    tr->record(engine_.currentTaskId(),
-               obs::TraceEvent{engine_.now(), engine_.now(), r.granule_begin,
-                               static_cast<std::uint64_t>(r.kind), r.prior.task,
-                               obs::kNoTraceResource, obs::TraceEventKind::kRace});
+    tr->record(task, obs::TraceEvent{engine_.now(), engine_.now(), r.granule_begin,
+                                     static_cast<std::uint64_t>(r.kind), r.prior.task,
+                                     obs::kNoTraceResource, obs::TraceEventKind::kRace});
   }
 }
 

@@ -192,11 +192,9 @@ class CoreContext {
   // are whole translated variables, so they never do).
   [[nodiscard]] SubTask shmRead(std::uint64_t offset, void* out, std::size_t bytes);
   [[nodiscard]] SubTask shmWrite(std::uint64_t offset, const void* src, std::size_t bytes);
-  /// Awaitable of the bulk transfers below: with the swcache disabled the
-  /// completion Tick was computed eagerly and this suspends straight to it
-  /// (no coroutine frame — the pre-swcache ResumeAt behavior, bit-identical
-  /// and allocation-free); with it enabled it runs the coherence-fence
-  /// coroutine.
+  /// Awaitable of the bulk transfers below: with no swcache (and, for a
+  /// write, no armed fault) the completion Tick was computed eagerly and
+  /// this suspends straight to it, frame-free; otherwise it runs bulkFenced.
   class [[nodiscard]] BulkAwaiter {
    public:
     BulkAwaiter(Engine& engine, Tick when) : engine_(engine), when_(when) {}
@@ -209,7 +207,7 @@ class CoreContext {
    private:
     Engine& engine_;
     Tick when_ = 0;
-    SubTask fenced_;  ///< engaged only when the swcache is enabled
+    SubTask fenced_;  ///< engaged only on the fenced path
   };
   /// Sequential bulk transfer (RCCE-style block copy): pays one transaction
   /// setup and then streams lines at row-buffer-hit service rates. Bypasses
@@ -279,6 +277,20 @@ class CoreContext {
   /// injected core freeze (transient = a simulated stall; permanent = never
   /// resumes). Only awaited when the injector is armed.
   SubTask faultPreOp();
+  /// One attempt of a data transfer: copy plus timed run (machine.cpp).
+  struct Transfer;
+  /// shmRead/shmWrite/mpbRead/mpbWrite: race check, fault pre-op, swcache
+  /// routing, the transfer, then the operation record.
+  SubTask access(Transfer x);
+  /// The one verify-and-retry loop (docs/fault_model.md), reached only when
+  /// `cls` is armed: runs `x` once per attempt, corrupts `landed` per the
+  /// (seq, attempt) draw, compares it against `expected`, and backs off
+  /// before each retry. Stores the attempts made in `attempts`.
+  SubTask verifiedTransfer(FaultClass cls, std::uint64_t& seq, Transfer& x, void* landed,
+                           const void* expected, std::uint32_t& attempts);
+  /// shmReadBulk/shmWriteBulk: the fenced coroutine or the eager burst.
+  BulkAwaiter bulk(std::uint64_t offset, void* out, const void* src, std::size_t bytes,
+                   bool write);
   /// Shared-memory access through the software-managed cache: functional
   /// phase first (line store <-> backing), then the timed phase charges hit
   /// touches, batched line transfers, and written-through words.
@@ -289,8 +301,8 @@ class CoreContext {
   /// Release point: functionally flush dirty lines, then charge the
   /// write-back transfers.
   SubTask swcacheRelease();
-  /// Coherence-fenced bulk transfer behind BulkAwaiter (swcache enabled
-  /// only): sync overlapping cached lines, then the bypassing burst copy.
+  /// Coherence-fenced bulk transfer behind BulkAwaiter (swcache enabled or
+  /// faults armed): sync overlapping cached lines, then the bypassing burst.
   SubTask bulkFenced(std::uint64_t offset, void* out, const void* src,
                      std::size_t bytes, bool write);
   // Reconciliation coroutines behind SyncAwaiter (swcache enabled only).
@@ -384,6 +396,7 @@ struct LaunchSpec {
 class SccMachine {
  public:
   explicit SccMachine(SccConfig config = {});
+  ~SccMachine();
 
   [[nodiscard]] Engine& engine() { return engine_; }
   [[nodiscard]] const Engine& engine() const { return engine_; }
@@ -590,18 +603,12 @@ class SccMachine {
   void setShmDrfExempt(std::uint64_t begin, std::uint64_t end) {
     if (drf_active_) drf_.addShmExemptRange(begin, end);
   }
-  /// Access hooks (CoreContext / threadrt op entry). Called ONCE per logical
-  /// operation at its initiation Tick — before any retry loop or
+  /// The access hook (CoreContext / threadrt op entry). Called ONCE per
+  /// logical operation at its initiation Tick — before any retry loop or
   /// coalescing-dependent resumption — so the checked access stream is
   /// bit-identical across coalescing modes and fault retries.
-  void noteDrfShm(std::uint64_t offset, std::size_t bytes, bool write) {
-    if (drf_active_) drfShmImpl(offset, bytes, write);
-  }
-  void noteDrfMpb(int owner_ue, std::uint64_t offset, std::size_t bytes, bool write) {
-    if (drf_active_) drfMpbImpl(owner_ue, offset, bytes, write);
-  }
-  void noteDrfPriv(std::uint64_t addr, std::size_t bytes, bool write) {
-    if (drf_active_) drfPrivImpl(addr, bytes, write);
+  void noteDrf(drf::Space space, std::uint64_t offset, std::size_t bytes, bool write) {
+    if (drf_active_) drfAccess(space, offset, bytes, write);
   }
 
   /// Name shared-DRAM range [begin, end) for per-region profiling (the
@@ -617,15 +624,15 @@ class SccMachine {
     return shm_regions_;
   }
   [[nodiscard]] bool regionProfilingActive() const { return region_profiling_; }
-  /// Region-accounting hooks (CoreContext op paths). Inline gate first: a
-  /// run with no registered region pays one predictable branch per call.
-  void noteShmWords(int core, std::uint64_t offset, std::size_t bytes, bool write) {
-    if (region_profiling_) noteShmWordsImpl(core, offset, bytes, write);
-  }
-  void noteShmSwcache(int core, std::uint64_t offset, bool write, std::uint64_t hits,
-                      std::uint64_t line_txns) {
-    if (region_profiling_) noteShmSwcacheImpl(core, offset, write, hits, line_txns);
-  }
+  /// Anything consumes operation records (trace on, or a region profiled):
+  /// the one cached gate a CoreContext op tests before building its record.
+  [[nodiscard]] bool observing() const { return observing_; }
+  /// The operation record: the span a CoreContext op ends with, issued by
+  /// `core`. Traced as is; shared-DRAM kinds also feed the region profile,
+  /// `attempts` times (each verify-retry attempt moved the data again).
+  void recordOp(int core, const obs::TraceEvent& op, std::uint32_t attempts = 1);
+  /// Trace a kFaultInject / kFaultRetry instant of `cls` at now().
+  void traceFaultInstant(obs::TraceEventKind kind, FaultClass cls);
   /// Controller that served (or would serve) an access to `offset` from
   /// `core`. Trace/profile use only — call AFTER the access so first-touch
   /// claims are already made and the lookup is a pure function.
@@ -912,22 +919,15 @@ class SccMachine {
   /// cacheability map. region_profiling_ is the hot-path gate.
   std::vector<obs::RegionProfile> shm_regions_;
   bool region_profiling_ = false;
+  bool observing_ = false;  ///< trace on || region_profiling_
   [[nodiscard]] obs::RegionProfile* regionAt(std::uint64_t offset);
-  void noteShmWordsImpl(int core, std::uint64_t offset, std::size_t bytes, bool write);
-  void noteShmSwcacheImpl(int core, std::uint64_t offset, bool write,
-                          std::uint64_t hits, std::uint64_t line_txns);
-  void noteShmBulkImpl(std::uint64_t offset, std::size_t lines, bool write,
-                       std::uint32_t mc);
 
   /// Race detector (sim/drf/drf.h). drf_active_ caches config_.drf_check —
-  /// the hot-path gate of the noteDrf* hooks above.
+  /// the hot-path gate of noteDrf above.
   drf::DrfChecker drf_;
   bool drf_active_ = false;
-  void drfShmImpl(std::uint64_t offset, std::size_t bytes, bool write);
-  void drfMpbImpl(int owner_ue, std::uint64_t offset, std::size_t bytes, bool write);
-  void drfPrivImpl(std::uint64_t addr, std::size_t bytes, bool write);
-  /// Shared tail: emit a kRace trace instant per freshly appended report.
-  void drfEmit(std::size_t fresh);
+  /// Check one access and emit a kRace trace instant per fresh report.
+  void drfAccess(drf::Space space, std::uint64_t offset, std::size_t bytes, bool write);
 
   /// Instantiate the per-core swcaches if not already present (config
   /// default on, or first cacheable region registered).

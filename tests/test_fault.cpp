@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/fault/fault.h"
@@ -428,6 +430,208 @@ TEST(FaultMachine, GenerousSyncTimeoutDoesNotFire) {
     return ctx.ue() == 0 ? holdLockLong(ctx) : contendLock(ctx);
   }));
   EXPECT_NO_THROW(m.run());
+}
+
+
+// --- pinned verified paths ----------------------------------------------------
+
+/// FNV-1a over a byte string (the binary trace dump).
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Bulk twin of blockWriter: every block goes out through shmWriteBulk.
+SimTask bulkBlockWriter(CoreContext& ctx, std::uint64_t base) {
+  std::vector<std::uint8_t> buf(kBlock);
+  for (int b = 0; b < kBlocksPerUe; ++b) {
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      buf[i] = static_cast<std::uint8_t>(ctx.ue() * 13 + b * 5 + i);
+    }
+    const std::uint64_t off =
+        base + (static_cast<std::uint64_t>(ctx.ue()) * kBlocksPerUe + b) * kBlock;
+    co_await ctx.shmWriteBulk(off, buf.data(), kBlock);
+  }
+  co_await ctx.barrier();
+}
+
+/// kBlocksPerUe MPB puts into the UE's own slice.
+SimTask mpbPutter(CoreContext& ctx) {
+  std::vector<std::uint8_t> buf(kBlock);
+  for (int b = 0; b < kBlocksPerUe; ++b) {
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      buf[i] = static_cast<std::uint8_t>(ctx.ue() * 29 + b * 3 + i);
+    }
+    co_await ctx.mpbWrite(ctx.ue(), static_cast<std::uint64_t>(b) * kBlock, buf.data(),
+                          kBlock);
+  }
+  co_await ctx.barrier();
+}
+
+/// kBlocksPerUe MPB gets from the right neighbor's host-seeded slice.
+SimTask mpbGetter(CoreContext& ctx) {
+  std::vector<std::uint8_t> buf(kBlock);
+  const int peer = (ctx.ue() + 1) % ctx.numUes();
+  for (int b = 0; b < kBlocksPerUe; ++b) {
+    co_await ctx.mpbRead(peer, static_cast<std::uint64_t>(b) * kBlock, buf.data(),
+                         kBlock);
+  }
+  co_await ctx.barrier();
+}
+
+enum class VerifiedPath { kShmWord, kShmBulk, kMpbPut, kMpbGet, kSwcacheFlush };
+
+struct PinnedRun {
+  Tick makespan = 0;
+  FaultStats stats;
+  std::uint64_t trace_fnv = 0;
+};
+
+/// One small traced 4-UE kernel on `path` with that path's class armed.
+PinnedRun runVerifiedPath(VerifiedPath path) {
+  constexpr int kUes = 4;
+  SccConfig cfg;
+  cfg.trace_enabled = true;
+  cfg.fault.enabled = true;
+  switch (path) {
+    case VerifiedPath::kShmWord: cfg.fault.shm_write.rate = 0.3; break;
+    case VerifiedPath::kShmBulk: cfg.fault.shm_write.rate = 0.5; break;
+    case VerifiedPath::kMpbPut:
+    case VerifiedPath::kMpbGet: cfg.fault.mpb_transfer.rate = 0.4; break;
+    case VerifiedPath::kSwcacheFlush: cfg.fault.swcache_flush.rate = 0.5; break;
+  }
+  SccMachine m(cfg);
+  const std::size_t bytes = static_cast<std::size_t>(kUes) * kBlocksPerUe * kBlock;
+  const std::uint64_t base = m.shmalloc(bytes, cfg.cache_line_bytes);
+  if (path == VerifiedPath::kSwcacheFlush) m.setShmCacheability(base, base + bytes, true);
+  if (path == VerifiedPath::kMpbGet) {
+    for (int ue = 0; ue < kUes; ++ue) {
+      for (std::size_t i = 0; i < kBlocksPerUe * kBlock; ++i) {
+        *m.mpbData(ue, i) = static_cast<std::uint8_t>(ue * 41 + i);
+      }
+    }
+  }
+  m.launch(LaunchSpec(kUes, [=](CoreContext& ctx) {
+    switch (path) {
+      case VerifiedPath::kShmBulk: return bulkBlockWriter(ctx, base);
+      case VerifiedPath::kMpbPut: return mpbPutter(ctx);
+      case VerifiedPath::kMpbGet: return mpbGetter(ctx);
+      default: return blockWriter(ctx, base);
+    }
+  }));
+  PinnedRun r;
+  r.makespan = m.run();
+  r.stats = m.faultStats();
+  std::ostringstream bin;
+  m.writeTraceBinary(bin);
+  r.trace_fnv = fnv1a(bin.str());
+  return r;
+}
+
+struct PinnedPath {
+  VerifiedPath path;
+  const char* name;
+  Tick makespan;
+  std::uint64_t injected[kNumFaultClasses];
+  std::uint64_t recovered[kNumFaultClasses];
+  std::uint64_t retries;
+  std::uint64_t stall_ticks;
+  std::uint64_t freezes;
+  std::uint64_t unrecovered;
+  std::uint64_t trace_fnv;
+};
+
+TEST(FaultMachine, VerifiedPathsPinned) {
+  // Exact pins of every verify-and-retry path: makespan, every FaultStats
+  // field and the binary trace bytes (FNV-1a), so any change to the draw
+  // keys, stats bookkeeping, backoff or fault instants shows up here.
+  const PinnedPath kPins[] = {
+      // path, name, makespan, injected[], recovered[], retries, stall, freezes,
+      // unrecovered, trace FNV-1a
+      {VerifiedPath::kShmWord, "shm_word", 20756664, {0, 11, 0, 0, 0},
+       {0, 11, 0, 0, 0}, 11, 0, 0, 0, 0x90845497858e556eull},
+      // One bulk write exhausts its retry budget (five straight fires).
+      {VerifiedPath::kShmBulk, "shm_bulk", 14645656, {0, 24, 0, 0, 0},
+       {0, 19, 0, 0, 0}, 23, 0, 0, 1, 0x64899748a6de7cccull},
+      {VerifiedPath::kMpbPut, "mpb_put", 16185000, {26, 0, 0, 0, 0},
+       {26, 0, 0, 0, 0}, 26, 0, 0, 0, 0xa7b1e89aec21b105ull},
+      {VerifiedPath::kMpbGet, "mpb_get", 19985000, {26, 0, 0, 0, 0},
+       {26, 0, 0, 0, 0}, 26, 0, 0, 0, 0x6c3ced65cc4af4dbull},
+      {VerifiedPath::kSwcacheFlush, "swcache_flush", 8956664, {0, 0, 5, 0, 0},
+       {0, 0, 5, 0, 0}, 5, 0, 0, 0, 0x01fbd3dc357df34aull},
+  };
+  for (const PinnedPath& pin : kPins) {
+    const PinnedRun r = runVerifiedPath(pin.path);
+    SCOPED_TRACE(pin.name);
+    std::ostringstream got;
+    got << r.makespan << " {";
+    for (const std::uint64_t v : r.stats.injected) got << v << ",";
+    got << "} {";
+    for (const std::uint64_t v : r.stats.recovered) got << v << ",";
+    got << "} " << r.stats.retries << " " << r.stats.stall_ticks << " "
+        << r.stats.freezes << " " << r.stats.unrecovered << " 0x" << std::hex
+        << r.trace_fnv;
+    EXPECT_EQ(r.makespan, pin.makespan) << got.str();
+    for (std::size_t c = 0; c < kNumFaultClasses; ++c) {
+      EXPECT_EQ(r.stats.injected[c], pin.injected[c]) << got.str();
+      EXPECT_EQ(r.stats.recovered[c], pin.recovered[c]) << got.str();
+    }
+    EXPECT_EQ(r.stats.retries, pin.retries) << got.str();
+    EXPECT_EQ(r.stats.stall_ticks, pin.stall_ticks) << got.str();
+    EXPECT_EQ(r.stats.freezes, pin.freezes) << got.str();
+    EXPECT_EQ(r.stats.unrecovered, pin.unrecovered) << got.str();
+    EXPECT_EQ(r.trace_fnv, pin.trace_fnv) << got.str();
+  }
+}
+
+/// Every verified op of one UE: an MPB put and get, an uncached word write
+/// and a bulk write.
+SimTask everyVerifiedOp(CoreContext& ctx, std::uint64_t base) {
+  std::vector<std::uint8_t> buf(kBlock, static_cast<std::uint8_t>(ctx.ue() + 1));
+  const auto ue = static_cast<std::uint64_t>(ctx.ue());
+  co_await ctx.mpbWrite(ctx.ue(), 0, buf.data(), kBlock);
+  co_await ctx.barrier();
+  co_await ctx.mpbRead((ctx.ue() + 1) % ctx.numUes(), 0, buf.data(), kBlock);
+  co_await ctx.shmWrite(base + ue * 2 * kBlock, buf.data(), kBlock);
+  co_await ctx.shmWriteBulk(base + (ue * 2 + 1) * kBlock, buf.data(), kBlock);
+  co_await ctx.barrier();
+}
+
+TEST(FaultMachine, RetryExhaustionRecordsUnrecoveredAndCompletes) {
+  // No retry budget and every draw firing: each verified op fails its only
+  // attempt and is counted unrecovered — no retry, no backoff, no throw.
+  SccConfig cfg;
+  cfg.trace_enabled = true;
+  cfg.fault.enabled = true;
+  cfg.fault.max_retries = 0;
+  cfg.fault.shm_write.rate = 1.0;
+  cfg.fault.mpb_transfer.rate = 1.0;
+  SccMachine m(cfg);
+  const std::uint64_t base = m.shmalloc(4 * kBlock);
+  m.launch(LaunchSpec(2, [=](CoreContext& ctx) { return everyVerifiedOp(ctx, base); }));
+  EXPECT_NO_THROW(m.run());
+  const FaultStats& s = m.faultStats();
+  const auto shm = static_cast<std::size_t>(FaultClass::kShmWrite);
+  const auto mpb = static_cast<std::size_t>(FaultClass::kMpbTransfer);
+  EXPECT_EQ(s.unrecovered, 8u);  // 2 UEs x (put, get, word write, bulk write)
+  EXPECT_EQ(s.retries, 0u);
+  EXPECT_EQ(s.injected[shm], 4u);
+  EXPECT_EQ(s.injected[mpb], 4u);
+  EXPECT_EQ(s.totalRecovered(), 0u);
+  std::size_t shm_write_spans = 0;
+  for (std::size_t task = 0; task < 2; ++task) {
+    for (const obs::TraceEvent& ev : m.traceRecorder().taskEvents(task)) {
+      EXPECT_NE(ev.kind, obs::TraceEventKind::kFaultRetry);
+      if (ev.kind != obs::TraceEventKind::kShmWrite) continue;
+      ++shm_write_spans;
+      EXPECT_EQ(ev.c, 1u);  // attempts: the initial try only
+    }
+  }
+  EXPECT_EQ(shm_write_spans, 2u);
 }
 
 }  // namespace

@@ -232,6 +232,24 @@ TEST(Machine, ShmallocSequentialAndAligned) {
   EXPECT_GE(b, a + 10);
 }
 
+TEST(Machine, SharedDramStaysPutAndStartsZeroed) {
+  {
+    // Dirty the whole region a machine grew, then destroy it: the next
+    // machine on this thread takes over its buffer.
+    SccMachine first;
+    const std::uint64_t off = first.shmalloc(1 << 20);
+    std::memset(first.shmData(off), 0xA5, 1 << 20);
+  }
+  SccMachine machine;
+  const std::uint64_t a = machine.shmalloc(4096);
+  std::uint8_t* const base = machine.shmData(a);
+  const std::uint64_t b = machine.shmalloc(4 << 20);  // growth never moves the buffer
+  EXPECT_EQ(machine.shmData(a), base);
+  const std::uint8_t* const p = machine.shmData(b);
+  EXPECT_TRUE(std::all_of(base, base + 4096, [](std::uint8_t v) { return v == 0; }));
+  EXPECT_TRUE(std::all_of(p, p + (4 << 20), [](std::uint8_t v) { return v == 0; }));
+}
+
 TEST(Machine, MpbMallocExhaustionThrows) {
   SccMachine machine;
   (void)machine.mpbMalloc(0, 8 * 1024);

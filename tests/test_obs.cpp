@@ -412,5 +412,91 @@ TEST(ObsMetrics, RegionProfilesCoverAllSevenBenchmarks) {
   }
 }
 
+/// One region's profile as a single comparable line.
+std::string regionLine(const obs::RegionProfile& r) {
+  std::ostringstream out;
+  out << r.name << " r=" << r.reads << " w=" << r.writes << " rw=" << r.read_words
+      << " ww=" << r.write_words << " h=" << r.hits << " m=" << r.misses
+      << " bl=" << r.bulk_lines << " mc=";
+  for (std::size_t mc = 0; mc < r.controller_txns.size(); ++mc) {
+    out << (mc > 0 ? "/" : "") << r.controller_txns[mc];
+  }
+  return out.str();
+}
+
+std::vector<std::string> regionLines(const std::vector<obs::RegionProfile>& regions) {
+  std::vector<std::string> lines;
+  for (const obs::RegionProfile& r : regions) lines.push_back(regionLine(r));
+  return lines;
+}
+
+/// Every region-profiled path of one UE: uncached word writes and reads,
+/// a bulk write and read, and cached writes and reads.
+sim::SimTask regionMix(sim::CoreContext& ctx, std::uint64_t words, std::uint64_t bulk,
+                       std::uint64_t cached) {
+  std::vector<std::uint8_t> buf(256, static_cast<std::uint8_t>(ctx.ue() + 1));
+  const auto ue = static_cast<std::uint64_t>(ctx.ue());
+  for (int r = 0; r < 3; ++r) {
+    co_await ctx.shmWrite(words + ue * 64, buf.data(), 64);
+    co_await ctx.shmRead(words + ue * 64, buf.data(), 64);
+    co_await ctx.shmWriteBulk(bulk + ue * 256, buf.data(), 256);
+    co_await ctx.shmReadBulk(bulk + ue * 256, buf.data(), 256);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      co_await ctx.shmWrite(cached + ue * 128 + i * 8, buf.data(), 8);
+      co_await ctx.shmRead(cached + ue * 128 + i * 16, buf.data(), 8);
+    }
+    co_await ctx.barrier();
+  }
+}
+
+std::vector<std::string> regionMixProfile(const SccConfig& cfg, bool cache_region) {
+  SccMachine m(cfg);
+  const std::uint64_t words = m.shmalloc(4 * 64, cfg.cache_line_bytes);
+  const std::uint64_t bulk = m.shmalloc(4 * 256, cfg.cache_line_bytes);
+  const std::uint64_t cached = m.shmalloc(4 * 128, cfg.cache_line_bytes);
+  m.registerShmRegion("words", words, words + 4 * 64);
+  m.registerShmRegion("bulk", bulk, bulk + 4 * 256);
+  m.registerShmRegion("cached", cached, cached + 4 * 128);
+  if (cache_region) m.setShmCacheability(cached, cached + 4 * 128, true);
+  m.launch(sim::LaunchSpec(4, [=](sim::CoreContext& ctx) {
+    return regionMix(ctx, words, bulk, cached);
+  }));
+  m.run();
+  return regionLines(m.shmRegionProfiles());
+}
+
+TEST(ObsMetrics, RegionProfilesPinned) {
+  SccConfig cfg;
+  cfg.region_metrics = true;
+
+  // A paper program whose placement walks controller stripes.
+  const workloads::RunResult lu =
+      workloads::makeLuDecomposition(0.05)->run(workloads::Mode::RcceOffChip, 8, cfg);
+  EXPECT_TRUE(lu.verified) << lu.detail;
+  EXPECT_EQ(regionLines(lu.metrics.regions),
+            (std::vector<std::string>{
+                "m r=378 w=210 rw=4928 ww=3080 h=0 m=0 bl=0 mc=2162/1832/1952/2062"}));
+
+  // Uncached words, the unfenced bulk path, and the cached range routed
+  // uncached (no swcache instance exists).
+  EXPECT_EQ(regionMixProfile(cfg, /*cache_region=*/false),
+            (std::vector<std::string>{
+                "words r=12 w=12 rw=96 ww=96 h=0 m=0 bl=0 mc=48/48/48/48",
+                "bulk r=12 w=12 rw=0 ww=0 h=0 m=0 bl=192 mc=48/48/48/48",
+                "cached r=48 w=48 rw=48 ww=48 h=0 m=0 bl=0 mc=24/24/24/24"}));
+
+  // shm_write faults retry word and bulk writes: their counts are per
+  // attempt (each retry moved the words again), so writes exceed the 12
+  // logical writes per region. The cached region counts hits and misses.
+  SccConfig faulted = cfg;
+  faulted.fault.enabled = true;
+  faulted.fault.shm_write.rate = 0.5;
+  EXPECT_EQ(regionMixProfile(faulted, /*cache_region=*/true),
+            (std::vector<std::string>{
+                "words r=12 w=24 rw=96 ww=192 h=0 m=0 bl=0 mc=64/104/64/56",
+                "bulk r=12 w=23 rw=0 ww=0 h=0 m=0 bl=280 mc=64/56/72/88",
+                "cached r=48 w=48 rw=0 ww=0 h=72 m=24 bl=0 mc=6/6/6/6"}));
+}
+
 }  // namespace
 }  // namespace hsm
