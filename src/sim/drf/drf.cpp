@@ -59,7 +59,16 @@ void DrfChecker::registerTask(std::size_t task, int ue) {
 
 void DrfChecker::addShmExemptRange(std::uint64_t begin, std::uint64_t end) {
   if (end <= begin) return;
-  shm_exempt_.push_back(Range{begin, end, true});
+  // Keep the list sorted and disjoint: absorb every range this one touches.
+  auto it = std::lower_bound(shm_exempt_.begin(), shm_exempt_.end(), begin,
+                             [](const Range& r, std::uint64_t b) { return r.end < b; });
+  auto stop = it;
+  for (; stop != shm_exempt_.end() && stop->begin <= end; ++stop) {
+    begin = std::min(begin, stop->begin);
+    end = std::max(end, stop->end);
+  }
+  it = shm_exempt_.erase(it, stop);
+  shm_exempt_.insert(it, Range{begin, end});
 }
 
 void DrfChecker::registerRegion(std::string name, std::uint64_t begin,
@@ -93,28 +102,113 @@ std::size_t DrfChecker::access(std::size_t task, std::uint32_t space,
                                std::uint64_t offset, std::size_t bytes, bool write,
                                bool cached, Tick tick) {
   if (bytes == 0) return 0;
-  if (space == kSpaceShm && shmExempt(offset)) return 0;
-  ++accesses_checked_;
   pending_reports_ = 0;
-  const VectorClock& clock = clockOf(task);
   // Contract granularity: cached shared DRAM is line-granular unless the
   // word-granular (future-contract) mode is on; everything else — uncached
   // words, MPB chunks, private process memory — is word-granular always.
   const bool line = !word_granular_ && cached && space == kSpaceShm;
-  const std::uint64_t granule =
-      static_cast<std::uint64_t>(line ? line_bytes_ : word_bytes_);
+  Touch t{task, nullptr, space, line, line ? line_bytes_ : word_bytes_, write, tick};
+  // Clip to the bytes outside exempt ranges (shared DRAM only); the access
+  // counts as checked when any byte survives.
+  auto exempt = space == kSpaceShm
+                    ? std::upper_bound(shm_exempt_.begin(), shm_exempt_.end(), offset,
+                                       [](std::uint64_t o, const Range& r) {
+                                         return o < r.end;
+                                       })
+                    : shm_exempt_.end();
   const std::uint64_t end = offset + bytes;
-  for (std::uint64_t gbegin = offset - offset % granule; gbegin < end;
-       gbegin += granule) {
-    const std::uint64_t lo = std::max(gbegin, offset);
-    const std::uint64_t hi = std::min(gbegin + granule, end);
-    const std::uint64_t key = (static_cast<std::uint64_t>(space) << 40) |
-                              (static_cast<std::uint64_t>(line) << 39) |
-                              (gbegin / granule);
-    checkGranule(task, clock, space, key, gbegin,
-                 static_cast<std::size_t>(granule), line, lo, hi, write, tick);
+  for (std::uint64_t lo = offset; lo < end;) {
+    std::uint64_t hi = end;
+    if (exempt != shm_exempt_.end() && exempt->begin < end) {
+      if (exempt->begin <= lo) {
+        lo = (exempt++)->end;
+        continue;
+      }
+      hi = exempt->begin;
+    }
+    if (t.clock == nullptr) {
+      ++accesses_checked_;
+      t.clock = &clockOf(task);
+    }
+    checkBytes(t, lo, hi);
+    lo = hi;
   }
   return pending_reports_;
+}
+
+void DrfChecker::checkBytes(const Touch& t, std::uint64_t lo, std::uint64_t hi) {
+  const std::size_t slot = static_cast<std::size_t>(t.space) * 2 + (t.line ? 1 : 0);
+  if (slot >= shadow_.size()) shadow_.resize(slot + 1);
+  RunMap& runs = shadow_[slot];
+  const std::uint64_t g = t.granule;
+  const std::uint64_t first = lo / g;
+  const std::uint64_t last = (hi - 1) / g;
+  const auto rel = [g](std::uint64_t byte, std::uint64_t granule) {
+    return static_cast<std::uint32_t>(byte - granule * g);
+  };
+  if (first == last) {
+    checkSegment(t, runs, first, first, rel(lo, first), rel(hi, first));
+    return;
+  }
+  // At most three uniform segments: a partial first granule, the full
+  // interior, a partial last granule.
+  std::uint64_t inner_first = first;
+  std::uint64_t inner_last = last;
+  if (lo % g != 0) {
+    checkSegment(t, runs, first, first, rel(lo, first), static_cast<std::uint32_t>(g));
+    ++inner_first;
+  }
+  if (hi % g != 0) --inner_last;
+  if (inner_first <= inner_last) {
+    checkSegment(t, runs, inner_first, inner_last, 0, static_cast<std::uint32_t>(g));
+  }
+  if (hi % g != 0) checkSegment(t, runs, last, last, 0, rel(hi, last));
+}
+
+void DrfChecker::checkSegment(const Touch& t, RunMap& runs, std::uint64_t first,
+                              std::uint64_t last, std::uint32_t lo, std::uint32_t hi) {
+  // Split the runs straddling the segment's edges so every run below lies
+  // wholly inside or wholly outside it.
+  const auto split_before = [&runs](std::uint64_t at) {
+    auto it = runs.upper_bound(at);
+    if (it == runs.begin()) return;
+    --it;
+    if (it->first < at && it->second.last >= at) {
+      runs.emplace_hint(std::next(it), at, Run{it->second.last, it->second.state});
+      it->second.last = at - 1;
+    }
+  };
+  split_before(first);
+  split_before(last + 1);
+
+  const AccessInfo cur{t.clock->get(t.task), static_cast<std::uint32_t>(t.task), t.tick,
+                       lo, hi};
+  auto it = runs.lower_bound(first);
+  for (std::uint64_t at = first; at <= last;) {
+    if (it == runs.end() || it->first > at) {
+      // Never-touched gap: default state, inserted as its own run.
+      const std::uint64_t gap_last =
+          it == runs.end() || it->first > last ? last : it->first - 1;
+      it = runs.emplace_hint(it, at, Run{gap_last, Shadow{}});
+    }
+    checkRun(t, it->second.state, it->first, it->second.last, cur);
+    at = it->second.last + 1;
+    ++it;
+  }
+
+  // Merge equal neighbours, from the run before the segment through the run
+  // after it.
+  it = runs.find(first);
+  if (it != runs.begin()) --it;
+  for (auto next = std::next(it); next != runs.end() && next->first <= last + 1;
+       next = std::next(it)) {
+    if (it->second.last + 1 == next->first && it->second.state == next->second.state) {
+      it->second.last = next->second.last;
+      runs.erase(next);
+    } else {
+      it = next;
+    }
+  }
 }
 
 std::string DrfChecker::formatReports() const {
@@ -145,11 +239,10 @@ VectorClock& DrfChecker::clockOf(std::size_t task) {
   return clock;
 }
 
-bool DrfChecker::shmExempt(std::uint64_t offset) const {
-  for (auto it = shm_exempt_.rbegin(); it != shm_exempt_.rend(); ++it) {
-    if (offset >= it->begin && offset < it->end) return it->exempt;
-  }
-  return false;
+std::size_t DrfChecker::shadowRuns() const {
+  std::size_t n = 0;
+  for (const RunMap& runs : shadow_) n += runs.size();
+  return n;
 }
 
 std::string DrfChecker::regionNameAt(std::uint64_t offset) const {
@@ -159,43 +252,43 @@ std::string DrfChecker::regionNameAt(std::uint64_t offset) const {
   return {};
 }
 
-void DrfChecker::report(RaceKind kind, std::uint32_t space,
-                        std::uint64_t granule_begin, std::size_t granule_bytes,
-                        bool line_granular, const AccessInfo& prior, bool prior_write,
-                        const AccessInfo& current, bool current_write) {
-  RaceReport r;
-  r.kind = kind;
-  r.space = space;
-  r.granule_begin = granule_begin;
-  r.granule_bytes = static_cast<std::uint32_t>(granule_bytes);
-  r.line_granular = line_granular;
-  r.prior.task = prior.task;
-  r.prior.ue = prior.task < task_ue_.size() ? task_ue_[prior.task] : -1;
-  r.prior.tick = prior.tick;
-  r.prior.write = prior_write;
-  r.prior.lo = prior.lo;
-  r.prior.hi = prior.hi;
-  r.current.task = current.task;
-  r.current.ue = current.task < task_ue_.size() ? task_ue_[current.task] : -1;
-  r.current.tick = current.tick;
-  r.current.write = current_write;
-  r.current.lo = current.lo;
-  r.current.hi = current.hi;
-  r.false_sharing =
-      r.line_granular && (prior.hi <= current.lo || current.hi <= prior.lo);
-  if (space == kSpaceShm) r.region = regionNameAt(granule_begin);
-  reports_.push_back(std::move(r));
-  ++pending_reports_;
+void DrfChecker::report(RaceKind kind, const Touch& t, std::uint64_t first,
+                        std::uint64_t last, const AccessInfo& prior, bool prior_write,
+                        const AccessInfo& current) {
+  const auto site = [this](const AccessInfo& a, bool write, std::uint64_t base) {
+    RaceSite s;
+    s.task = a.task;
+    s.ue = a.task < task_ue_.size() ? task_ue_[a.task] : -1;
+    s.tick = a.tick;
+    s.write = write;
+    s.lo = base + a.lo;
+    s.hi = base + a.hi;
+    return s;
+  };
+  // One report per granule of the run, ascending — what a granule-by-granule
+  // check would have appended.
+  for (std::uint64_t g = first; g <= last; ++g) {
+    RaceReport r;
+    r.kind = kind;
+    r.space = t.space;
+    r.granule_begin = g * t.granule;
+    r.granule_bytes = static_cast<std::uint32_t>(t.granule);
+    r.line_granular = t.line;
+    r.prior = site(prior, prior_write, r.granule_begin);
+    r.current = site(current, t.write, r.granule_begin);
+    r.false_sharing =
+        r.line_granular && (prior.hi <= current.lo || current.hi <= prior.lo);
+    if (t.space == kSpaceShm) r.region = regionNameAt(r.granule_begin);
+    reports_.push_back(std::move(r));
+    ++pending_reports_;
+  }
 }
 
-void DrfChecker::checkGranule(std::size_t task, const VectorClock& clock,
-                              std::uint32_t space, std::uint64_t key,
-                              std::uint64_t granule_begin, std::size_t granule_bytes,
-                              bool line_granular, std::uint64_t lo, std::uint64_t hi,
-                              bool write, Tick tick) {
-  Shadow& s = shadow_[key];
-  const AccessInfo cur{clock.get(task), static_cast<std::uint32_t>(task), tick, lo,
-                       hi};
+void DrfChecker::checkRun(const Touch& t, Shadow& s, std::uint64_t first,
+                          std::uint64_t last, const AccessInfo& cur) {
+  const VectorClock& clock = *t.clock;
+  const std::size_t task = t.task;
+  const bool write = t.write;
   const auto races_with = [&clock, task](const AccessInfo& prior) {
     return prior.clock != 0 && prior.task != task &&
            !clock.covers(prior.clock, prior.task);
@@ -205,17 +298,15 @@ void DrfChecker::checkGranule(std::size_t task, const VectorClock& clock,
   // distinct races, not iterations.
   if (!s.reported) {
     if (races_with(s.write)) {
-      report(write ? RaceKind::kWriteWrite : RaceKind::kWriteRead, space,
-             granule_begin, granule_bytes, line_granular, s.write,
-             /*prior_write=*/true, cur, write);
+      report(write ? RaceKind::kWriteWrite : RaceKind::kWriteRead, t, first, last,
+             s.write, /*prior_write=*/true, cur);
       s.reported = true;
     }
     if (!s.reported && write) {
       if (s.shared_reads.empty()) {
         if (races_with(s.read)) {
-          report(RaceKind::kReadWrite, space, granule_begin, granule_bytes,
-                 line_granular, s.read, /*prior_write=*/false, cur,
-                 /*current_write=*/true);
+          report(RaceKind::kReadWrite, t, first, last, s.read, /*prior_write=*/false,
+                 cur);
           s.reported = true;
         }
       } else {
@@ -224,9 +315,7 @@ void DrfChecker::checkGranule(std::size_t task, const VectorClock& clock,
         // deterministic.
         for (const AccessInfo& r : s.shared_reads) {
           if (races_with(r)) {
-            report(RaceKind::kReadWrite, space, granule_begin, granule_bytes,
-                   line_granular, r, /*prior_write=*/false, cur,
-                   /*current_write=*/true);
+            report(RaceKind::kReadWrite, t, first, last, r, /*prior_write=*/false, cur);
             s.reported = true;
             break;
           }
@@ -262,7 +351,7 @@ void DrfChecker::checkGranule(std::size_t task, const VectorClock& clock,
   }
   const auto it = std::lower_bound(
       s.shared_reads.begin(), s.shared_reads.end(), cur.task,
-      [](const AccessInfo& a, std::uint32_t t) { return a.task < t; });
+      [](const AccessInfo& a, std::uint32_t id) { return a.task < id; });
   if (it != s.shared_reads.end() && it->task == cur.task) {
     *it = cur;
   } else {

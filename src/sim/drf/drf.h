@@ -15,11 +15,14 @@
 //     Release: L_m := C_t, then C_t[t]++. A barrier joins ALL participants'
 //     clocks and redistributes the join (then each increments its own
 //     entry) — arrivals happen-before every departure.
-//   - Shadow state per touched granule is O(1) in the common case: one
-//     write epoch and one read epoch. Only genuinely concurrent readers
-//     inflate the read side into a per-reader list (bounded by the UE
-//     count), so total shadow cost is O(granules touched), not
-//     O(granules x UEs).
+//   - Shadow state is one write epoch and one read epoch per granule in the
+//     common case. Only genuinely concurrent readers inflate the read side
+//     into a per-reader list (bounded by the UE count). Granules are stored
+//     as RUNS: a range [first, last] of consecutive granules in one state,
+//     with each epoch's touched bytes kept relative to its granule. Accesses
+//     are long uniform ranges, so an access costs O(log runs + runs touched
+//     + readers), not O(granules), and shadow memory grows with the number
+//     of distinct access shapes, not with the bytes touched.
 //   - Granularity is the CONTRACT granularity: accesses to a swcache-cached
 //     range check whole cache lines (two UEs touching different words of
 //     one cached line race — false sharing under the line-granular
@@ -43,8 +46,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.h"
@@ -146,8 +149,8 @@ class DrfChecker {
 
   /// Exempt [begin, end) of shared DRAM from checking — for deliberate
   /// benign races (e.g. idempotent last-writer-wins stores of canonical
-  /// values). Newest registration wins on overlap, mirroring the machine's
-  /// cacheability map.
+  /// values). Ranges accumulate (their union is exempt); an access that
+  /// straddles an exemption boundary is checked on its non-exempt bytes only.
   void addShmExemptRange(std::uint64_t begin, std::uint64_t end);
 
   /// Name [begin, end) of shared DRAM for reports.
@@ -170,6 +173,8 @@ class DrfChecker {
   [[nodiscard]] const std::vector<RaceReport>& reports() const { return reports_; }
   [[nodiscard]] std::uint64_t accessesChecked() const { return accesses_checked_; }
   [[nodiscard]] bool wordGranular() const { return word_granular_; }
+  /// Shadow runs currently stored, over every address space.
+  [[nodiscard]] std::size_t shadowRuns() const;
 
   /// All reports, one format() line each — the byte-identity oracle the
   /// determinism tests compare across coalescing modes.
@@ -180,12 +185,16 @@ class DrfChecker {
   void resetExecutionState();
 
  private:
+  /// One recorded access of every granule in a run. lo/hi are the touched
+  /// bytes RELATIVE to the granule's first byte, so one value describes the
+  /// same (full or partial) touch of each granule of the run.
   struct AccessInfo {
     std::uint32_t clock = 0;  ///< 0 = no access recorded (clocks start at 1)
     std::uint32_t task = 0;
     Tick tick = 0;
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    bool operator==(const AccessInfo&) const = default;
   };
 
   struct Shadow {
@@ -196,12 +205,22 @@ class DrfChecker {
     /// genuinely read-shared pay for it.
     std::vector<AccessInfo> shared_reads;
     bool reported = false;
+    bool operator==(const Shadow&) const = default;
   };
 
+  /// Consecutive granules [first, last] in one Shadow state; keyed by first.
+  struct Run {
+    std::uint64_t last = 0;
+    Shadow state;
+  };
+  /// Disjoint runs of one (space, granularity); granules in no run were
+  /// never touched (default Shadow).
+  using RunMap = std::map<std::uint64_t, Run>;
+
+  /// One exempt range of shared DRAM; the list is sorted and disjoint.
   struct Range {
     std::uint64_t begin = 0;
     std::uint64_t end = 0;
-    bool exempt = false;
   };
 
   struct Region {
@@ -210,17 +229,30 @@ class DrfChecker {
     std::uint64_t end = 0;
   };
 
+  /// What one access does to its granules, fixed for the whole access.
+  struct Touch {
+    std::size_t task = 0;
+    const VectorClock* clock = nullptr;
+    Space space = kSpaceShm;
+    bool line = false;
+    std::uint64_t granule = 0;
+    bool write = false;
+    Tick tick = 0;
+  };
+
   [[nodiscard]] VectorClock& clockOf(std::size_t task);
-  [[nodiscard]] bool shmExempt(std::uint64_t offset) const;
   [[nodiscard]] std::string regionNameAt(std::uint64_t offset) const;
-  void report(RaceKind kind, std::uint32_t space, std::uint64_t granule_begin,
-              std::size_t granule_bytes, bool line_granular, const AccessInfo& prior,
-              bool prior_write, const AccessInfo& current, bool current_write);
-  /// One granule of one access.
-  void checkGranule(std::size_t task, const VectorClock& clock, std::uint32_t space,
-                    std::uint64_t key, std::uint64_t granule_begin,
-                    std::size_t granule_bytes, bool line_granular, std::uint64_t lo,
-                    std::uint64_t hi, bool write, Tick tick);
+  /// Check the non-exempt byte range [lo, hi) of one access.
+  void checkBytes(const Touch& t, std::uint64_t lo, std::uint64_t hi);
+  /// Granules [first, last], each touched at relative bytes [lo, hi).
+  void checkSegment(const Touch& t, RunMap& runs, std::uint64_t first,
+                    std::uint64_t last, std::uint32_t lo, std::uint32_t hi);
+  /// One run of identical prior state: the race verdict and the shadow
+  /// update are computed once; a race yields one report per granule.
+  void checkRun(const Touch& t, Shadow& s, std::uint64_t first, std::uint64_t last,
+                const AccessInfo& cur);
+  void report(RaceKind kind, const Touch& t, std::uint64_t first, std::uint64_t last,
+              const AccessInfo& prior, bool prior_write, const AccessInfo& current);
 
   bool word_granular_ = false;
   std::size_t line_bytes_ = 32;
@@ -230,11 +262,10 @@ class DrfChecker {
   std::vector<int> task_ue_;
   /// Sync-object clocks indexed by the engine's sequential sync ids.
   std::vector<VectorClock> sync_clocks_;
-  /// Shadow granules keyed by (space, contract granularity, granule index).
-  /// The granularity bit keeps a line-checked granule and a word-checked
-  /// granule of the same bytes from colliding (a range's cacheability can
-  /// change between launches).
-  std::unordered_map<std::uint64_t, Shadow> shadow_;
+  /// Shadow runs indexed by space * 2 + (line-granular). Separate maps keep
+  /// a line-checked granule and a word-checked granule of the same bytes
+  /// from colliding (a range's cacheability can change between launches).
+  std::vector<RunMap> shadow_;
   std::vector<Range> shm_exempt_;
   std::vector<Region> regions_;
   std::vector<RaceReport> reports_;

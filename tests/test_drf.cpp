@@ -5,8 +5,13 @@
 // (src/partition/drf_lint.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "partition/drf_lint.h"
@@ -210,6 +215,27 @@ TEST(DrfChecker, ExemptRangeSuppressesChecking) {
   EXPECT_EQ(c.reports().size(), 1u);
 }
 
+TEST(DrfChecker, ExemptRangeClipsStraddlingAccess) {
+  // Exempt [64, 128). An access is checked on its non-exempt bytes only,
+  // whichever side of the exemption it starts on.
+  drf::DrfChecker c = makeChecker();
+  c.addShmExemptRange(64, 128);
+  // Starts before the range and runs into it: only words 32..56 race.
+  c.access(0, drf::kSpaceShm, 32, 64, /*write=*/true, false, 10);
+  EXPECT_EQ(c.access(1, drf::kSpaceShm, 32, 64, /*write=*/true, false, 20), 4u);
+  // Starts inside the range and runs past it: words 128..152 still race.
+  c.access(0, drf::kSpaceShm, 96, 64, /*write=*/true, false, 30);
+  EXPECT_EQ(c.access(1, drf::kSpaceShm, 96, 64, /*write=*/true, false, 40), 4u);
+  ASSERT_EQ(c.reports().size(), 8u);
+  const std::uint64_t granules[] = {32, 40, 48, 56, 128, 136, 144, 152};
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(c.reports()[i].granule_begin, granules[i]) << i;
+  }
+  // A wholly exempt access is not counted as checked.
+  c.access(0, drf::kSpaceShm, 64, 64, /*write=*/true, false, 50);
+  EXPECT_EQ(c.accessesChecked(), 4u);
+}
+
 TEST(DrfChecker, ReportsCarryRegionNameAndFormat) {
   drf::DrfChecker c = makeChecker();
   c.registerRegion("result_slots", 0, 128);
@@ -244,6 +270,533 @@ TEST(DrfChecker, ResetExecutionStateKeepsAddressSpaceFacts) {
   c.access(1, drf::kSpaceShm, 40, 8, /*write=*/true, false, 40);
   ASSERT_EQ(c.reports().size(), 1u);
   EXPECT_EQ(c.reports()[0].region, "arr");
+}
+
+// --- run-granular shadow vs the per-granule oracle ---------------------------
+
+/// The per-granule checker the run-granular shadow replaced, kept verbatim as
+/// the oracle: one hash-map node per granule, checked one granule at a time.
+namespace oracle {
+
+using drf::kSpaceShm;
+using drf::RaceKind;
+using drf::RaceReport;
+using drf::Space;
+using drf::VectorClock;
+
+class PerGranuleChecker {
+ public:
+  /// `word_granular`: check words even on cached ranges (the future
+  /// contract). `line_bytes`/`word_bytes`: the machine's cache line and
+  /// shared-memory transaction sizes.
+  void configure(bool word_granular, std::size_t line_bytes, std::size_t word_bytes);
+
+  /// Map `task` to a UE/thread id for reporting and give it a fresh clock.
+  /// Tasks spawn from untimed host context, so siblings start mutually
+  /// concurrent (C_t = {t: 1}) — exactly pthread_create's guarantee that
+  /// only data the parent wrote BEFORE the spawn is visible, which the
+  /// simulator realizes as untimed (unchecked) host initialization.
+  void registerTask(std::size_t task, int ue);
+
+  /// Exempt [begin, end) of shared DRAM from checking — for deliberate
+  /// benign races (e.g. idempotent last-writer-wins stores of canonical
+  /// values). Newest registration wins on overlap, mirroring the machine's
+  /// cacheability map.
+  void addShmExemptRange(std::uint64_t begin, std::uint64_t end);
+
+  /// Name [begin, end) of shared DRAM for reports.
+  void registerRegion(std::string name, std::uint64_t begin, std::uint64_t end);
+
+  // -- happens-before edges (driven by the machine's sync objects) --
+  void acquire(std::size_t task, std::uint64_t sync);
+  void release(std::size_t task, std::uint64_t sync);
+  /// All of `tasks` arrived at a barrier whose release is now: join every
+  /// participant's clock and redistribute.
+  void barrierRelease(const std::size_t* tasks, std::size_t count);
+
+  /// Check one logical access. `cached` selects the line-granular contract
+  /// for this range (ignored in word-granular mode). Returns the number of
+  /// NEW reports appended (0 almost always), so callers can emit trace
+  /// instants without scanning.
+  std::size_t access(std::size_t task, Space space, std::uint64_t offset,
+                     std::size_t bytes, bool write, bool cached, Tick tick);
+
+  [[nodiscard]] const std::vector<RaceReport>& reports() const { return reports_; }
+  [[nodiscard]] std::uint64_t accessesChecked() const { return accesses_checked_; }
+  [[nodiscard]] bool wordGranular() const { return word_granular_; }
+
+  /// All reports, one format() line each — the byte-identity oracle the
+  /// determinism tests compare across coalescing modes.
+  [[nodiscard]] std::string formatReports() const;
+
+  /// Drop shadow state, clocks, and reports (exempt ranges and regions
+  /// stay — they describe the address space, not the execution).
+  void resetExecutionState();
+
+ private:
+  struct AccessInfo {
+    std::uint32_t clock = 0;  ///< 0 = no access recorded (clocks start at 1)
+    std::uint32_t task = 0;
+    Tick tick = 0;
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+  };
+
+  struct Shadow {
+    AccessInfo write;
+    AccessInfo read;  ///< exclusive-reader epoch (the FastTrack fast path)
+    /// Concurrent readers, task-ascending; non-empty iff the read side
+    /// inflated. Bounded by the task count, but only granules that are
+    /// genuinely read-shared pay for it.
+    std::vector<AccessInfo> shared_reads;
+    bool reported = false;
+  };
+
+  struct Range {
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+    bool exempt = false;
+  };
+
+  struct Region {
+    std::string name;
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+  };
+
+  [[nodiscard]] VectorClock& clockOf(std::size_t task);
+  [[nodiscard]] bool shmExempt(std::uint64_t offset) const;
+  [[nodiscard]] std::string regionNameAt(std::uint64_t offset) const;
+  void report(RaceKind kind, std::uint32_t space, std::uint64_t granule_begin,
+              std::size_t granule_bytes, bool line_granular, const AccessInfo& prior,
+              bool prior_write, const AccessInfo& current, bool current_write);
+  /// One granule of one access.
+  void checkGranule(std::size_t task, const VectorClock& clock, std::uint32_t space,
+                    std::uint64_t key, std::uint64_t granule_begin,
+                    std::size_t granule_bytes, bool line_granular, std::uint64_t lo,
+                    std::uint64_t hi, bool write, Tick tick);
+
+  bool word_granular_ = false;
+  std::size_t line_bytes_ = 32;
+  std::size_t word_bytes_ = 8;
+
+  std::vector<VectorClock> task_clocks_;
+  std::vector<int> task_ue_;
+  /// Sync-object clocks indexed by the engine's sequential sync ids.
+  std::vector<VectorClock> sync_clocks_;
+  /// Shadow granules keyed by (space, contract granularity, granule index).
+  /// The granularity bit keeps a line-checked granule and a word-checked
+  /// granule of the same bytes from colliding (a range's cacheability can
+  /// change between launches).
+  std::unordered_map<std::uint64_t, Shadow> shadow_;
+  std::vector<Range> shm_exempt_;
+  std::vector<Region> regions_;
+  std::vector<RaceReport> reports_;
+  std::uint64_t accesses_checked_ = 0;
+  std::size_t pending_reports_ = 0;  ///< new reports in the current access()
+};
+
+void PerGranuleChecker::configure(bool word_granular, std::size_t line_bytes,
+                           std::size_t word_bytes) {
+  word_granular_ = word_granular;
+  if (line_bytes > 0) line_bytes_ = line_bytes;
+  if (word_bytes > 0) word_bytes_ = word_bytes;
+}
+
+void PerGranuleChecker::registerTask(std::size_t task, int ue) {
+  VectorClock& clock = clockOf(task);
+  (void)clock;
+  task_ue_[task] = ue;
+}
+
+void PerGranuleChecker::addShmExemptRange(std::uint64_t begin, std::uint64_t end) {
+  if (end <= begin) return;
+  shm_exempt_.push_back(Range{begin, end, true});
+}
+
+void PerGranuleChecker::registerRegion(std::string name, std::uint64_t begin,
+                                std::uint64_t end) {
+  if (end <= begin) return;
+  regions_.push_back(Region{std::move(name), begin, end});
+}
+
+void PerGranuleChecker::acquire(std::size_t task, std::uint64_t sync) {
+  if (sync < sync_clocks_.size()) clockOf(task).join(sync_clocks_[sync]);
+}
+
+void PerGranuleChecker::release(std::size_t task, std::uint64_t sync) {
+  VectorClock& clock = clockOf(task);
+  if (sync >= sync_clocks_.size()) sync_clocks_.resize(sync + 1);
+  sync_clocks_[sync] = clock;
+  clock.bump(task);
+}
+
+void PerGranuleChecker::barrierRelease(const std::size_t* tasks, std::size_t count) {
+  VectorClock joined;
+  for (std::size_t i = 0; i < count; ++i) joined.join(clockOf(tasks[i]));
+  for (std::size_t i = 0; i < count; ++i) {
+    VectorClock& clock = clockOf(tasks[i]);
+    clock = joined;
+    clock.bump(tasks[i]);
+  }
+}
+
+std::size_t PerGranuleChecker::access(std::size_t task, std::uint32_t space,
+                               std::uint64_t offset, std::size_t bytes, bool write,
+                               bool cached, Tick tick) {
+  if (bytes == 0) return 0;
+  if (space == kSpaceShm && shmExempt(offset)) return 0;
+  ++accesses_checked_;
+  pending_reports_ = 0;
+  const VectorClock& clock = clockOf(task);
+  // Contract granularity: cached shared DRAM is line-granular unless the
+  // word-granular (future-contract) mode is on; everything else — uncached
+  // words, MPB chunks, private process memory — is word-granular always.
+  const bool line = !word_granular_ && cached && space == kSpaceShm;
+  const std::uint64_t granule =
+      static_cast<std::uint64_t>(line ? line_bytes_ : word_bytes_);
+  const std::uint64_t end = offset + bytes;
+  for (std::uint64_t gbegin = offset - offset % granule; gbegin < end;
+       gbegin += granule) {
+    const std::uint64_t lo = std::max(gbegin, offset);
+    const std::uint64_t hi = std::min(gbegin + granule, end);
+    const std::uint64_t key = (static_cast<std::uint64_t>(space) << 40) |
+                              (static_cast<std::uint64_t>(line) << 39) |
+                              (gbegin / granule);
+    checkGranule(task, clock, space, key, gbegin,
+                 static_cast<std::size_t>(granule), line, lo, hi, write, tick);
+  }
+  return pending_reports_;
+}
+
+std::string PerGranuleChecker::formatReports() const {
+  std::ostringstream out;
+  for (const RaceReport& r : reports_) out << r.format() << '\n';
+  return out.str();
+}
+
+void PerGranuleChecker::resetExecutionState() {
+  task_clocks_.clear();
+  task_ue_.clear();
+  sync_clocks_.clear();
+  shadow_.clear();
+  reports_.clear();
+  accesses_checked_ = 0;
+  pending_reports_ = 0;
+}
+
+VectorClock& PerGranuleChecker::clockOf(std::size_t task) {
+  if (task >= task_clocks_.size()) {
+    task_clocks_.resize(task + 1);
+    task_ue_.resize(task + 1, -1);
+  }
+  VectorClock& clock = task_clocks_[task];
+  // Lazy init: every task's own component starts at 1, so epoch clock 0
+  // unambiguously means "no recorded access" in the shadow state.
+  if (clock.get(task) == 0) clock.set(task, 1);
+  return clock;
+}
+
+bool PerGranuleChecker::shmExempt(std::uint64_t offset) const {
+  for (auto it = shm_exempt_.rbegin(); it != shm_exempt_.rend(); ++it) {
+    if (offset >= it->begin && offset < it->end) return it->exempt;
+  }
+  return false;
+}
+
+std::string PerGranuleChecker::regionNameAt(std::uint64_t offset) const {
+  for (auto it = regions_.rbegin(); it != regions_.rend(); ++it) {
+    if (offset >= it->begin && offset < it->end) return it->name;
+  }
+  return {};
+}
+
+void PerGranuleChecker::report(RaceKind kind, std::uint32_t space,
+                        std::uint64_t granule_begin, std::size_t granule_bytes,
+                        bool line_granular, const AccessInfo& prior, bool prior_write,
+                        const AccessInfo& current, bool current_write) {
+  RaceReport r;
+  r.kind = kind;
+  r.space = space;
+  r.granule_begin = granule_begin;
+  r.granule_bytes = static_cast<std::uint32_t>(granule_bytes);
+  r.line_granular = line_granular;
+  r.prior.task = prior.task;
+  r.prior.ue = prior.task < task_ue_.size() ? task_ue_[prior.task] : -1;
+  r.prior.tick = prior.tick;
+  r.prior.write = prior_write;
+  r.prior.lo = prior.lo;
+  r.prior.hi = prior.hi;
+  r.current.task = current.task;
+  r.current.ue = current.task < task_ue_.size() ? task_ue_[current.task] : -1;
+  r.current.tick = current.tick;
+  r.current.write = current_write;
+  r.current.lo = current.lo;
+  r.current.hi = current.hi;
+  r.false_sharing =
+      r.line_granular && (prior.hi <= current.lo || current.hi <= prior.lo);
+  if (space == kSpaceShm) r.region = regionNameAt(granule_begin);
+  reports_.push_back(std::move(r));
+  ++pending_reports_;
+}
+
+void PerGranuleChecker::checkGranule(std::size_t task, const VectorClock& clock,
+                              std::uint32_t space, std::uint64_t key,
+                              std::uint64_t granule_begin, std::size_t granule_bytes,
+                              bool line_granular, std::uint64_t lo, std::uint64_t hi,
+                              bool write, Tick tick) {
+  Shadow& s = shadow_[key];
+  const AccessInfo cur{clock.get(task), static_cast<std::uint32_t>(task), tick, lo,
+                       hi};
+  const auto races_with = [&clock, task](const AccessInfo& prior) {
+    return prior.clock != 0 && prior.task != task &&
+           !clock.covers(prior.clock, prior.task);
+  };
+  // First conflict per granule only: a hot racy word must not flood the
+  // report list, and downstream consumers (trace instants, counters) want
+  // distinct races, not iterations.
+  if (!s.reported) {
+    if (races_with(s.write)) {
+      report(write ? RaceKind::kWriteWrite : RaceKind::kWriteRead, space,
+             granule_begin, granule_bytes, line_granular, s.write,
+             /*prior_write=*/true, cur, write);
+      s.reported = true;
+    }
+    if (!s.reported && write) {
+      if (s.shared_reads.empty()) {
+        if (races_with(s.read)) {
+          report(RaceKind::kReadWrite, space, granule_begin, granule_bytes,
+                 line_granular, s.read, /*prior_write=*/false, cur,
+                 /*current_write=*/true);
+          s.reported = true;
+        }
+      } else {
+        // Inflated read side: every concurrent reader must be ordered
+        // before this write. Task-ascending scan keeps the reported reader
+        // deterministic.
+        for (const AccessInfo& r : s.shared_reads) {
+          if (races_with(r)) {
+            report(RaceKind::kReadWrite, space, granule_begin, granule_bytes,
+                   line_granular, r, /*prior_write=*/false, cur,
+                   /*current_write=*/true);
+            s.reported = true;
+            break;
+          }
+        }
+      }
+    }
+  }
+  // Shadow update (FastTrack): a write owns the granule — the read side
+  // collapses back to the O(1) representation.
+  if (write) {
+    s.write = cur;
+    s.read = AccessInfo{};
+    s.shared_reads.clear();
+    return;
+  }
+  if (s.shared_reads.empty()) {
+    if (s.read.clock == 0 || s.read.task == cur.task ||
+        clock.covers(s.read.clock, s.read.task)) {
+      s.read = cur;  // exclusive-reader fast path: one epoch, no vector
+      return;
+    }
+    // Two concurrent readers: inflate to the per-reader list.
+    s.shared_reads.reserve(2);
+    if (s.read.task < cur.task) {
+      s.shared_reads.push_back(s.read);
+      s.shared_reads.push_back(cur);
+    } else {
+      s.shared_reads.push_back(cur);
+      s.shared_reads.push_back(s.read);
+    }
+    s.read = AccessInfo{};
+    return;
+  }
+  const auto it = std::lower_bound(
+      s.shared_reads.begin(), s.shared_reads.end(), cur.task,
+      [](const AccessInfo& a, std::uint32_t t) { return a.task < t; });
+  if (it != s.shared_reads.end() && it->task == cur.task) {
+    *it = cur;
+  } else {
+    s.shared_reads.insert(it, cur);
+  }
+}
+
+}  // namespace oracle
+
+/// splitmix64: the seeded stream behind the oracle comparison.
+struct SplitMix64 {
+  std::uint64_t state;
+  std::uint64_t next() {
+    std::uint64_t x = (state += 0x9E3779B97F4A7C15ULL);
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+  }
+  std::uint64_t below(std::uint64_t n) { return next() % n; }
+};
+
+/// Drive both checkers with one seeded stream of sync edges and accesses and
+/// require identical answers at every step.
+void compareWithOracle(std::uint64_t seed) {
+  SplitMix64 rng{seed};
+  const std::size_t tasks = 2 + rng.below(7);
+  const bool word_granular = rng.below(2) == 0;
+  // Racy streams rarely synchronize; the rest mostly do.
+  const bool racy = rng.below(2) == 0;
+  drf::DrfChecker run;
+  oracle::PerGranuleChecker ref;
+  run.configure(word_granular, 32, 8);
+  ref.configure(word_granular, 32, 8);
+  const auto register_tasks = [&] {
+    for (std::size_t t = 0; t < tasks; ++t) {
+      run.registerTask(t, static_cast<int>(t) + 3);
+      ref.registerTask(t, static_cast<int>(t) + 3);
+    }
+  };
+  register_tasks();
+  // Exempt ranges on 512 B blocks; accesses are cut at their boundaries so
+  // the oracle's first-byte rule and the run checker's clipping agree.
+  std::vector<std::uint64_t> exempt_edges;
+  for (std::uint64_t i = rng.below(3); i > 0; --i) {
+    const std::uint64_t begin = rng.below(16) * 512;
+    const std::uint64_t end = begin + (1 + rng.below(2)) * 512;
+    run.addShmExemptRange(begin, end);
+    ref.addShmExemptRange(begin, end);
+    exempt_edges.push_back(begin);
+    exempt_edges.push_back(end);
+  }
+  for (std::uint64_t i = rng.below(4); i > 0; --i) {
+    const std::uint64_t begin = rng.below(8192);
+    const std::uint64_t end = begin + 1 + rng.below(4096);
+    const std::string name = "region" + std::to_string(i);
+    run.registerRegion(name, begin, end);
+    ref.registerRegion(name, begin, end);
+  }
+  std::vector<std::size_t> all(tasks);
+  for (std::size_t t = 0; t < tasks; ++t) all[t] = t;
+  struct Shape {
+    drf::Space space;
+    std::uint64_t offset;
+    std::uint64_t bytes;
+    bool cached;
+  };
+  std::vector<Shape> recent;
+  Tick tick = 0;
+  for (int op = 0; op < 200; ++op) {
+    const std::size_t task = rng.below(tasks);
+    const std::uint64_t kind = rng.below(100);
+    const std::uint64_t sync_pct = racy ? 4 : 30;
+    if (kind < sync_pct) {
+      const std::uint64_t sync = rng.below(4);
+      switch (rng.below(4)) {
+        case 0:
+          run.acquire(task, sync);
+          ref.acquire(task, sync);
+          break;
+        case 1:
+          run.release(task, sync);
+          ref.release(task, sync);
+          break;
+        case 2:
+          run.barrierRelease(all.data(), all.size());
+          ref.barrierRelease(all.data(), all.size());
+          break;
+        default: {
+          const std::size_t count = 1 + rng.below(tasks);
+          run.barrierRelease(all.data() + (tasks - count), count);
+          ref.barrierRelease(all.data() + (tasks - count), count);
+          break;
+        }
+      }
+      continue;
+    }
+    if (kind == 99 && rng.below(4) == 0) {
+      ASSERT_EQ(run.formatReports(), ref.formatReports()) << "seed " << seed;
+      run.resetExecutionState();
+      ref.resetExecutionState();
+      register_tasks();
+      continue;
+    }
+    Shape shape;
+    if (!recent.empty() && rng.below(10) < 4) {
+      // Re-touch a recent range: the same-shape traffic runs are built for.
+      shape = recent[rng.below(recent.size())];
+    } else {
+      const std::uint64_t space_pick = rng.below(10);
+      shape.space = space_pick < 6   ? drf::kSpaceShm
+                    : space_pick < 8 ? drf::kSpacePriv
+                                     : drf::mpbSpace(static_cast<int>(rng.below(3)));
+      shape.cached = rng.below(2) == 0;
+      const std::uint64_t granule =
+          !word_granular && shape.cached && shape.space == drf::kSpaceShm ? 32 : 8;
+      const std::uint64_t granules = rng.below(2) == 0 ? 1 + rng.below(8)
+                                                       : 1 + rng.below(300);
+      shape.offset = rng.below(8192);
+      if (rng.below(2) == 0) shape.offset -= shape.offset % granule;
+      shape.bytes = granules * granule;
+      if (rng.below(2) == 0) shape.bytes -= rng.below(granule);
+      if (shape.space == drf::kSpaceShm) {
+        for (const std::uint64_t edge : exempt_edges) {
+          if (shape.offset < edge && edge < shape.offset + shape.bytes) {
+            shape.bytes = edge - shape.offset;
+          }
+        }
+      }
+      recent.push_back(shape);
+    }
+    const bool write = rng.below(3) == 0;
+    tick += rng.below(3) == 0 ? 0 : 1 + rng.below(50);
+    ASSERT_EQ(run.access(task, shape.space, shape.offset, shape.bytes, write,
+                         shape.cached, tick),
+              ref.access(task, shape.space, shape.offset, shape.bytes, write,
+                         shape.cached, tick))
+        << "seed " << seed << " op " << op;
+  }
+  EXPECT_EQ(run.formatReports(), ref.formatReports()) << "seed " << seed;
+  EXPECT_EQ(run.accessesChecked(), ref.accessesChecked()) << "seed " << seed;
+}
+
+TEST(DrfChecker, RunShadowMatchesPerGranuleOracle) {
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    compareWithOracle(seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(DrfChecker, RunCountIndependentOfChunkLength) {
+  // 32 tasks each write (in 64 B pieces at one Tick) and re-read their own
+  // chunk, meet at a barrier, then every task reads everything: one run per
+  // chunk, however long the chunk. A final write of everything leaves one.
+  const auto runs_for = [](std::uint64_t chunk_bytes) {
+    drf::DrfChecker c;
+    c.configure(/*word_granular=*/false, 32, 8);
+    std::vector<std::size_t> all;
+    for (std::size_t t = 0; t < 32; ++t) {
+      c.registerTask(t, static_cast<int>(t));
+      all.push_back(t);
+    }
+    Tick tick = 0;
+    for (std::size_t t = 0; t < 32; ++t) {
+      ++tick;
+      for (std::uint64_t piece = 0; piece < chunk_bytes; piece += 64) {
+        c.access(t, drf::kSpaceShm, t * chunk_bytes + piece, 64, true, false, tick);
+      }
+      c.access(t, drf::kSpaceShm, t * chunk_bytes, chunk_bytes, false, false, ++tick);
+    }
+    c.barrierRelease(all.data(), all.size());
+    for (std::size_t t = 0; t < 32; ++t) {
+      c.access(t, drf::kSpaceShm, 0, 32 * chunk_bytes, false, false, ++tick);
+    }
+    const std::size_t runs = c.shadowRuns();
+    c.barrierRelease(all.data(), all.size());
+    c.access(0, drf::kSpaceShm, 0, 32 * chunk_bytes, true, false, ++tick);
+    EXPECT_EQ(c.shadowRuns(), 1u);
+    EXPECT_TRUE(c.reports().empty());
+    return runs;
+  };
+  EXPECT_EQ(runs_for(512), 32u);
+  EXPECT_EQ(runs_for(1024), 32u);
 }
 
 // --- machine integration -----------------------------------------------------
@@ -402,6 +955,41 @@ TEST(DrfMachine, EnablingCheckerMovesNoTick) {
   const MachineRun r_word = runMachine(word, 4, setup);
   EXPECT_EQ(r_word.makespan, r_off.makespan);
   EXPECT_EQ(r_word.completions, r_off.completions);
+}
+
+TEST(DrfMachine, PaperKernelsCheckedCountsPinned) {
+  // Clean paper kernels under their derived plans (scale 0.05, 8 UEs): the
+  // checked-access counts and the empty report lists, line and word mode.
+  struct Pin {
+    const char* name;
+    std::unique_ptr<workloads::Benchmark> bench;
+    std::uint64_t offchip, mpb;
+  };
+  Pin pins[] = {
+      {"LU", workloads::makeLuDecomposition(0.05), 588, 609},
+      {"Stream", workloads::makeStream(0.05), 160, 192},
+      {"DotProduct", workloads::makeDotProduct(0.05), 128, 128},
+  };
+  for (const Pin& pin : pins) {
+    translator::Translator tr;
+    const translator::TranslationResult r = tr.analyzeOnly(
+        workloads::pthreadSource(pin.name), std::string(pin.name) + ".c");
+    ASSERT_TRUE(r.ok) << pin.name;
+    for (const bool word : {false, true}) {
+      SccConfig cfg;
+      cfg.drf_check = true;
+      cfg.drf_word_granular = word;
+      for (const auto& [mode, checked] :
+           {std::pair{workloads::Mode::RcceOffChip, pin.offchip},
+            std::pair{workloads::Mode::RcceMpb, pin.mpb}}) {
+        const workloads::RunResult run = pin.bench->run(mode, 8, cfg, &r.execution_plan);
+        EXPECT_TRUE(run.verified) << pin.name;
+        EXPECT_EQ(run.drf_races, 0u) << pin.name << " word=" << word;
+        EXPECT_EQ(run.metrics.sim_counters.at("drf_accesses_checked"), checked)
+            << pin.name << " word=" << word;
+      }
+    }
+  }
 }
 
 /// Write the UE's own 8-byte slot of `base` once (slots pack four to a line).

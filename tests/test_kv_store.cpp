@@ -199,12 +199,15 @@ TEST(KvStore, VerifiesInAllThreeModes) {
   p.ops_per_ue = 192;
   const auto kv = workloads::makeKvStore(p);
   const sim::SccConfig cfg;
-  for (const workloads::Mode mode :
-       {workloads::Mode::PthreadSingleCore, workloads::Mode::RcceOffChip,
-        workloads::Mode::RcceMpb}) {
-    const workloads::RunResult r = kv->run(mode, 4, cfg);
-    EXPECT_TRUE(r.verified) << workloads::modeName(mode);
-    EXPECT_GT(r.makespan, 0u) << workloads::modeName(mode);
+  // One store across unit counts: its reference checksums are kept per count.
+  for (const int units : {4, 8, 4}) {
+    for (const workloads::Mode mode :
+         {workloads::Mode::PthreadSingleCore, workloads::Mode::RcceOffChip,
+          workloads::Mode::RcceMpb}) {
+      const workloads::RunResult r = kv->run(mode, units, cfg);
+      EXPECT_TRUE(r.verified) << workloads::modeName(mode) << " units=" << units;
+      EXPECT_GT(r.makespan, 0u) << workloads::modeName(mode);
+    }
   }
 }
 
