@@ -245,30 +245,6 @@ sim::SimTask wordHammer(sim::CoreContext& ctx, std::uint64_t base, int words) {
   }
 }
 
-/// Controller-sharing UE pairs ({ue, ue+4} land in the same mesh quadrant)
-/// that compute, read-modify-write their own disjoint block on their own
-/// quadrant controller, and synchronize only inside the pair (sync group
-/// ue%4). With an empty declared MPB scope the reach set of each pair is
-/// exactly its one controller plus its one group barrier: four disjoint
-/// components. The spin loop makes the workload event-dominated.
-sim::SimTask quadrantPairs(sim::CoreContext& ctx, std::uint64_t base, int rounds,
-                           int spins, std::size_t block_bytes) {
-  std::vector<std::uint8_t> buf(block_bytes);
-  const auto ue = static_cast<std::uint64_t>(ctx.ue());
-  const std::uint64_t mine = base + ue * block_bytes;
-  for (int r = 0; r < rounds; ++r) {
-    for (int s = 0; s < spins; ++s) {
-      co_await ctx.compute(40 + (ue % 3) + static_cast<std::uint64_t>(s % 5));
-    }
-    co_await ctx.shmRead(mine, buf.data(), block_bytes);
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      buf[i] = static_cast<std::uint8_t>(buf[i] + ue + static_cast<std::uint64_t>(r) + i);
-    }
-    co_await ctx.shmWrite(mine, buf.data(), block_bytes);
-    co_await ctx.barrier();  // the pair's group barrier (LaunchSpec sync groups)
-  }
-}
-
 sim::SimTask spinner(sim::CoreContext& ctx, int iterations) {
   for (int i = 0; i < iterations; ++i) co_await ctx.compute(1);
 }
@@ -687,7 +663,7 @@ int main(int argc, char** argv) {
   // Must track the scenario blocks below.
   static const char* const kScenarioNames[] = {
       "shm_words_single_ue",  "shm_words_staggered_8ue", "shm_words_synced_8ue",
-      "shm_words_contended_8ue", "quadrant_pairs_8ue",   "rcce_ring_1k_8ue",
+      "shm_words_contended_8ue", "rcce_ring_1k_8ue",
       "mixed_shm_mpb_8ue",    "event_kernel_8ue",        "barrier_32ue",
       "mpb_pingpong_2ue",     "bulk_copy_8ue",           "stencil_readmostly_8ue",
       "lu_shared_cached",     "mixed_policy_8ue",        "fault_sweep_8ue",
@@ -697,22 +673,33 @@ int main(int argc, char** argv) {
   // --trace-out FILE writes the Chrome trace-event JSON of the traced
   // obs_trace_8ue run to FILE (the CI artifact scripts/validate_trace.py
   // checks); it forces that run even under a --scenario filter.
+  // Anything else — an unknown flag, a flag missing its value, a misspelled
+  // scenario — prints the usage and exits 2 instead of running the matrix.
+  const auto usage = [](const std::string& problem) {
+    std::fprintf(stderr,
+                 "micro_sim: %s\nusage: micro_sim [--list-scenarios] "
+                 "[--scenario NAME] [--trace-out FILE]\nscenarios:\n",
+                 problem.c_str());
+    for (const char* name : kScenarioNames) std::fprintf(stderr, "  %s\n", name);
+    return 2;
+  };
   std::string only;
   std::string trace_out;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--list-scenarios") {
+    const std::string arg = argv[i];
+    if (arg == "--list-scenarios") {
       for (const char* name : kScenarioNames) std::puts(name);
       return 0;
     }
-    if (std::string(argv[i]) == "--scenario" && i + 1 < argc) only = argv[i + 1];
-    if (std::string(argv[i]) == "--trace-out" && i + 1 < argc) trace_out = argv[i + 1];
-  }
-  // A misspelled --scenario would otherwise run nothing and exit 0.
-  if (!only.empty() && std::find(std::begin(kScenarioNames), std::end(kScenarioNames),
-                                 only) == std::end(kScenarioNames)) {
-    std::fprintf(stderr, "micro_sim: unknown scenario '%s'; valid names:\n", only.c_str());
-    for (const char* name : kScenarioNames) std::fprintf(stderr, "  %s\n", name);
-    return 2;
+    if (arg != "--scenario" && arg != "--trace-out") {
+      return usage("unknown argument '" + arg + "'");
+    }
+    if (i + 1 == argc) return usage(arg + " needs a value");
+    (arg == "--scenario" ? only : trace_out) = argv[++i];
+    if (arg == "--scenario" && std::find(std::begin(kScenarioNames), std::end(kScenarioNames),
+                                         only) == std::end(kScenarioNames)) {
+      return usage("unknown scenario '" + only + "'");
+    }
   }
   const auto want = [&only](const std::string& name) {
     return only.empty() || only == name;
@@ -774,18 +761,6 @@ int main(int argc, char** argv) {
          }));
        },
        /*extract_offset=*/0, /*extract_bytes=*/kBlock},
-      {"quadrant_pairs_8ue", 8, 12,
-       [&](sim::SccMachine& m) {
-         // Controller-sharing UE pairs with pair-local sync groups and an
-         // empty MPB scope: four disjoint reach components.
-         const std::uint64_t base = m.shmalloc(8 * 256);
-         m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
-                    return quadrantPairs(ctx, base, 6, 300, 256);
-                  })
-                      .withScope([](int, int) { return std::vector<int>{}; })
-                      .withSyncGroups([](int ue, int) { return ue % 4; }));
-       },
-       /*extract_offset=*/0, /*extract_bytes=*/8 * 256},
       {"rcce_ring_1k_8ue", 8, 30,
        [&](sim::SccMachine& m) {
          rcce::RcceEnv env(m);

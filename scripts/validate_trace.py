@@ -6,16 +6,16 @@ malformed exporter fails the build instead of silently producing a file
 Perfetto cannot open. Checks (stdlib only):
 
   * top-level shape: {"displayTimeUnit": "ns", "traceEvents": [...]}
-  * every event has ph/pid/tid, and ph is one of M/X/i/b/e/C
-  * the three process groups (pid 1 UEs, pid 2 reach components, pid 3 controllers)
-    have process_name metadata, and every (pid, tid) that carries events
-    has thread_name metadata
+  * every event has ph/pid/tid, and ph is one of M/X/i/C (no b/e async
+    spans)
+  * exactly two process groups, pid 1 (UEs) and pid 3 (controllers): any
+    other pid fails, both have process_name metadata, and every (pid, tid)
+    that carries events has thread_name metadata
   * X spans have non-negative dur; all timestamps are non-negative ints
     (simulated Ticks, never host time — host time is not deterministic)
   * per (pid, tid) track, events are sorted by ts (the exporter merges
     per-task buffers deterministically; out-of-order output would mean
     the merge broke)
-  * b/e async pairs on pid 2 balance per (tid, id)
   * C counter events carry a numeric args value
 
 Exit 0 on success, 1 with a message on the first violation.
@@ -25,9 +25,9 @@ Usage: validate_trace.py TRACE.json
 
 import json
 import sys
-from collections import defaultdict
 
-VALID_PH = {"M", "X", "i", "b", "e", "C"}
+VALID_PH = {"M", "X", "i", "C"}
+VALID_PIDS = {1, 3}
 
 
 def fail(msg):
@@ -53,7 +53,6 @@ def main():
     process_names = {}
     thread_names = set()
     last_ts = {}
-    async_depth = defaultdict(int)
     data_events = 0
 
     for idx, ev in enumerate(events):
@@ -64,6 +63,8 @@ def main():
         pid, tid = ev.get("pid"), ev.get("tid")
         if not isinstance(pid, int) or not isinstance(tid, int):
             fail(f"{where}: pid/tid must be ints")
+        if pid not in VALID_PIDS:
+            fail(f"{where}: pid {pid} is not one of {sorted(VALID_PIDS)}")
 
         if ph == "M":
             kind = ev.get("name")
@@ -93,11 +94,6 @@ def main():
             dur = ev.get("dur")
             if not isinstance(dur, int) or dur < 0:
                 fail(f"{where}: X span needs non-negative int dur")
-        elif ph in ("b", "e"):
-            key = (pid, tid, ev.get("id"))
-            async_depth[key] += 1 if ph == "b" else -1
-            if async_depth[key] < 0:
-                fail(f"{where}: async 'e' without matching 'b' for id {ev.get('id')!r}")
         elif ph == "C":
             args = ev.get("args", {})
             if not args or not all(
@@ -105,12 +101,9 @@ def main():
             ):
                 fail(f"{where}: C counter needs numeric args")
 
-    for pid in (1, 2, 3):
+    for pid in sorted(VALID_PIDS):
         if pid not in process_names:
             fail(f"missing process_name metadata for pid {pid}")
-    for key, depth in async_depth.items():
-        if depth != 0:
-            fail(f"unbalanced async span on pid={key[0]} tid={key[1]} id={key[2]}")
     if data_events == 0:
         fail("trace contains metadata only, no data events")
 

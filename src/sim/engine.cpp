@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "sim/obs/trace.h"
@@ -265,12 +264,6 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource) const {
 std::uint32_t Engine::registerSyncObject() {
   syncs_.push_back({});
   return static_cast<std::uint32_t>(syncs_.size() - 1);
-}
-
-void Engine::bindSyncParticipants(std::uint32_t sync,
-                                  std::vector<std::size_t> tasks) {
-  if (sync >= syncs_.size()) return;
-  syncs_[sync].participants = std::move(tasks);
 }
 
 std::size_t Engine::aliveTasksReaching(std::uint32_t resource) const {
@@ -571,57 +564,6 @@ Tick Engine::makespan() const {
   Tick max = 0;
   for (Tick t : completion_) max = std::max(max, t);
   return max;
-}
-
-std::vector<std::uint32_t> Engine::taskComponents() const {
-  std::vector<std::uint32_t> component(tasks_.size(), 0);
-  if (classes_.empty()) return component;
-  // Classes sharing a resource or a sync object's participant set coalesce.
-  // Done-ness is ignored, so the partition (and any trace exported with it)
-  // is the same whenever it is taken.
-  std::vector<std::uint32_t> parent(classes_.size());
-  std::iota(parent.begin(), parent.end(), 0U);
-  auto find = [&parent](std::uint32_t c) {
-    while (parent[c] != c) {
-      parent[c] = parent[parent[c]];
-      c = parent[c];
-    }
-    return c;
-  };
-  auto unite = [&parent, &find](std::uint32_t a, std::uint32_t b) {
-    parent[find(a)] = find(b);
-  };
-  for (const std::vector<std::uint32_t>& sharers : resource_classes_) {
-    for (std::size_t i = 1; i < sharers.size(); ++i) {
-      unite(sharers[0], sharers[i]);
-    }
-  }
-  for (const SyncObject& s : syncs_) {
-    std::uint32_t first = kUniversalClass;
-    for (const std::size_t t : s.participants) {
-      const std::uint32_t cls = classOfTask(t);
-      if (cls == kUniversalClass) continue;  // universal tasks share comp 0
-      if (first == kUniversalClass) {
-        first = cls;
-      } else {
-        unite(first, cls);
-      }
-    }
-  }
-  // Dense component ids in class-id discovery order (every class counts:
-  // live-work filtering would make the numbering depend on when the
-  // partition is taken).
-  std::vector<std::uint32_t> root_component(classes_.size(), kUniversalClass);
-  std::uint32_t components = 0;
-  for (std::uint32_t c = 0; c < classes_.size(); ++c) {
-    const std::uint32_t root = find(c);
-    if (root_component[root] == kUniversalClass) root_component[root] = components++;
-  }
-  for (std::size_t id = 0; id < tasks_.size(); ++id) {
-    const std::uint32_t cls = classOfTask(id);
-    component[id] = cls == kUniversalClass ? 0 : root_component[find(cls)];
-  }
-  return component;
 }
 
 }  // namespace hsm::sim

@@ -355,13 +355,6 @@ class Engine {
   /// Report that `task` parked on `sync` with no pending event. Cleared
   /// automatically when a wake is scheduled for the task.
   void blockOnSync(std::size_t task, std::uint32_t sync);
-  /// Declare the COMPLETE set of tasks that will ever block on or wake
-  /// `sync` over its whole lifetime (a barrier's participants).
-  /// taskComponents() merges the reach classes of all participants into one
-  /// component, which the trace export draws as one pid-2 track. A sync
-  /// object with no binding (e.g. a lock any task may take) couples no
-  /// classes.
-  void bindSyncParticipants(std::uint32_t sync, std::vector<std::size_t> tasks);
 
   /// Number of alive (spawned, unfinished) tasks whose reach set contains
   /// `resource` — including blocked ones and the caller. Returns SIZE_MAX
@@ -473,15 +466,6 @@ class Engine {
   void setTraceRecorder(obs::TraceRecorder* recorder) { trace_ = recorder; }
   [[nodiscard]] obs::TraceRecorder* traceRecorder() const { return trace_; }
 
-  /// Deterministic component partition for trace export (the pid-2
-  /// component tracks): union-find over reach classes (tasks sharing a
-  /// registered resource) and sync-object participant sets
-  /// (bindSyncParticipants), ignoring done-ness, so the result (task id ->
-  /// dense component id, discovery order) does not depend on when it is
-  /// taken. Tasks with universal reach share component 0 with the first
-  /// reach class.
-  [[nodiscard]] std::vector<std::uint32_t> taskComponents() const;
-
   /// Convenience awaitable: suspend for `dt` picoseconds.
   [[nodiscard]] ResumeAt delay(Tick dt) { return ResumeAt{*this, now() + dt}; }
   [[nodiscard]] ResumeAt resumeAt(Tick when) { return ResumeAt{*this, when}; }
@@ -542,11 +526,6 @@ class Engine {
     bool episodic = false;
     bool wakers_known = false;
     WakerRule rule = WakerRule::kAny;
-    /// Lifetime participant set (bindSyncParticipants): every task that can
-    /// ever block on or wake this object. Distinct from `wakers` (the
-    /// current episode's potential wakers): participants define the trace's
-    /// components, wakers gate the coalescing horizon.
-    std::vector<std::size_t> participants;
 
     [[nodiscard]] bool removedThisEpisode(std::size_t task) const {
       return task < removed_gen.size() && removed_gen[task] == generation;

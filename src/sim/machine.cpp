@@ -27,11 +27,6 @@ thread_local std::vector<std::uint8_t> spare_shared_dram;
 
 void SyncBarrier::setParticipantTasks(std::vector<std::size_t> tasks) {
   participant_tasks_ = std::move(tasks);
-  // Lifetime binding for the engine's component partition (the trace's
-  // pid-2 tracks): these are ALL the tasks that will ever arrive here. An
-  // empty set is a real promise too — "nobody synchronizes through this
-  // barrier" (the machine-wide barrier of a sync-groups launch).
-  engine_.bindSyncParticipants(sync_, participant_tasks_);
   if (participant_tasks_.empty()) return;  // wakers unknown: stays conservative
   // A waiter can only be released by a participant that has not arrived yet
   // (the last arrival schedules every wake). Declared episodically: each
@@ -530,7 +525,7 @@ std::coroutine_handle<> CoreContext::SyncAwaiter::await_suspend(
     std::coroutine_handle<> h) {
   if (reconcile_) return reconcile_.await_suspend(h);
   if (op_ == Op::kBarrier) {
-    ctx_.machine_.barrierFor(ctx_.ue_).arrive().await_suspend(h);
+    ctx_.machine_.barrier().arrive().await_suspend(h);
   } else {
     ctx_.machine_.lock(lock_id_).acquire().await_suspend(h);
   }
@@ -558,7 +553,7 @@ SubTask CoreContext::barrierReconcile() {
   // A barrier is both a release (writes before it must become visible) and
   // an acquire (reads after it must not see stale lines).
   co_await swcacheRelease();
-  co_await machine_.barrierFor(ue_).arrive();
+  co_await machine_.barrier().arrive();
   machine_.swcacheAcquire(core_);
 }
 
@@ -760,7 +755,7 @@ void SccMachine::launch(const LaunchSpec& spec) {
     const partition::ExecutionPlan* plan = spec.plan;
     scope = [plan](int ue, int n) { return plan->mpbScopeOwners(ue, n); };
   }
-  setupBarrier(spec.barrier_participants);
+  setupBarrier(num_ues);
   // Place every UE first: a scope may name owner UEs that have not been
   // iterated yet, and coreOfUe must already know their cores.
   ue_to_core_.resize(static_cast<std::size_t>(num_ues));
@@ -769,27 +764,6 @@ void SccMachine::launch(const LaunchSpec& spec) {
   }
   ue_port_reach_.assign(static_cast<std::size_t>(num_ues), {});
   mpb_scope_declared_ = static_cast<bool>(scope);
-  // Densify the sync-group ids (first-appearance order) before spawning so
-  // group membership is known when the per-group barriers are built below.
-  group_barriers_.clear();
-  ue_group_.assign(static_cast<std::size_t>(num_ues), 0);
-  std::size_t num_groups = 0;
-  if (spec.sync_groups) {
-    std::vector<int> raw_ids;
-    for (int ue = 0; ue < num_ues; ++ue) {
-      const int raw = spec.sync_groups(ue, num_ues);
-      std::size_t dense = raw_ids.size();
-      for (std::size_t g = 0; g < raw_ids.size(); ++g) {
-        if (raw_ids[g] == raw) {
-          dense = g;
-          break;
-        }
-      }
-      if (dense == raw_ids.size()) raw_ids.push_back(raw);
-      ue_group_[static_cast<std::size_t>(ue)] = dense;
-    }
-    num_groups = raw_ids.size();
-  }
   std::vector<std::size_t> task_ids;
   task_ids.reserve(static_cast<std::size_t>(num_ues));
   for (int ue = 0; ue < num_ues; ++ue) {
@@ -818,27 +792,6 @@ void SccMachine::launch(const LaunchSpec& spec) {
     // context, so siblings begin mutually concurrent — registration gives
     // each a fresh clock and the UE label used in reports.
     if (drf_active_) drf_.registerTask(task_ids.back(), ue);
-  }
-  if (spec.sync_groups && num_groups > 0) {
-    // One barrier per group, sized to the group; CoreContext::barrier()
-    // routes through barrierFor. The machine-wide barrier is bound to an
-    // EMPTY participant set — a real promise that no task arrives at it —
-    // so it cannot merge the groups' reach classes into one component.
-    const Tick arrive = core_clock_.cycles(config_.barrier_flag_core_cycles);
-    std::vector<std::vector<std::size_t>> group_tasks(num_groups);
-    for (int ue = 0; ue < num_ues; ++ue) {
-      group_tasks[ue_group_[static_cast<std::size_t>(ue)]].push_back(
-          task_ids[static_cast<std::size_t>(ue)]);
-    }
-    group_barriers_.reserve(num_groups);
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      group_barriers_.push_back(std::make_unique<SyncBarrier>(
-          engine_, group_tasks[g].size(), arrive, arrive));
-      if (drf_active_) group_barriers_[g]->setDrf(&drf_);
-      group_barriers_[g]->setParticipantTasks(std::move(group_tasks[g]));
-    }
-    barrier_->setParticipantTasks({});
-    return;
   }
   // The barrier's potential wakers are exactly the launched tasks: enables
   // the engine's sync-aware wake-chain horizon for barrier waiters.
@@ -1423,20 +1376,8 @@ Tick SccMachine::shmBulkCompletion(int core, Tick start, std::uint64_t offset,
 // Observability: trace export + per-region profiling
 // ---------------------------------------------------------------------------
 
-obs::TraceExportMeta SccMachine::traceExportMeta() const {
-  obs::TraceExportMeta meta;
-  meta.task_component = engine_.taskComponents();
-  meta.task_completion.reserve(meta.task_component.size());
-  for (std::size_t task = 0; task < meta.task_component.size(); ++task) {
-    meta.task_completion.push_back(engine_.completionTime(task));
-  }
-  meta.num_controllers = config_.num_mem_controllers;
-  meta.final_tick = engine_.makespan();
-  return meta;
-}
-
 void SccMachine::writeTrace(std::ostream& out) const {
-  trace_.writeChromeJson(out, traceExportMeta());
+  trace_.writeChromeJson(out, config_.num_mem_controllers);
 }
 
 void SccMachine::writeTraceBinary(std::ostream& out) const {

@@ -349,22 +349,7 @@ struct LaunchSpec {
   /// mpbScopeViolations() (they void the port-isolation guarantee).
   using MpbScope = std::function<std::vector<int>(int ue, int num_ues)>;
 
-  /// Partition of the UEs into independent synchronization groups:
-  /// groups(ue, num_ues) names the group `ue` belongs to (any stable int;
-  /// ids are densified in first-appearance order). Each group gets its OWN
-  /// SyncBarrier sized to the group, CoreContext::barrier() routes to it,
-  /// and the machine-wide barrier is created but bound to an empty
-  /// participant set (no task ever arrives at it). The engine's component
-  /// partition (Engine::taskComponents, the trace's pid-2 tracks) then
-  /// merges reach classes per group instead of across the whole launch, so
-  /// groups whose resources are disjoint export as separate components
-  /// (docs/observability.md). Like MpbScope this is a promise — a program
-  /// that synchronizes across groups through the machine-wide barrier
-  /// anyway deadlocks exactly as it would with mismatched participants.
-  using SyncGroups = std::function<int(int ue, int num_ues)>;
-
-  LaunchSpec(int ues, CoreProgram prog)
-      : num_ues(ues), program(std::move(prog)), barrier_participants(ues) {}
+  LaunchSpec(int ues, CoreProgram prog) : num_ues(ues), program(std::move(prog)) {}
 
   LaunchSpec& withPlan(const partition::ExecutionPlan* p) {
     plan = p;
@@ -374,23 +359,11 @@ struct LaunchSpec {
     scope = std::move(s);
     return *this;
   }
-  /// Size the machine barrier for `n` participants instead of num_ues (for
-  /// programs where only a subset of the launched UEs ever arrives).
-  LaunchSpec& withBarrierParticipants(int n) {
-    barrier_participants = n;
-    return *this;
-  }
-  LaunchSpec& withSyncGroups(SyncGroups g) {
-    sync_groups = std::move(g);
-    return *this;
-  }
 
   int num_ues;
   CoreProgram program;
   const partition::ExecutionPlan* plan = nullptr;
   MpbScope scope;
-  int barrier_participants;
-  SyncGroups sync_groups;
 };
 
 class SccMachine {
@@ -442,17 +415,9 @@ class SccMachine {
   /// Run to completion; returns the makespan.
   Tick run();
 
+  /// The one machine barrier every UE synchronizes through (what
+  /// CoreContext::barrier() awaits): launch() sizes it to num_ues.
   [[nodiscard]] SyncBarrier& barrier() { return *barrier_; }
-  /// Barrier `ue` synchronizes through: its group's barrier when the launch
-  /// declared LaunchSpec::SyncGroups, else the machine-wide one. This is
-  /// what CoreContext::barrier() awaits.
-  [[nodiscard]] SyncBarrier& barrierFor(int ue) {
-    if (!group_barriers_.empty()) {
-      const auto i = static_cast<std::size_t>(ue);
-      if (i < ue_group_.size()) return *group_barriers_[ue_group_[i]];
-    }
-    return *barrier_;
-  }
   [[nodiscard]] TasLock& lock(int id);
 
   // -- statistics --
@@ -580,11 +545,8 @@ class SccMachine {
   /// engine at construction.
   [[nodiscard]] obs::TraceRecorder& traceRecorder() { return trace_; }
   [[nodiscard]] const obs::TraceRecorder& traceRecorder() const { return trace_; }
-  /// Deterministic export context: the engine's component partition,
-  /// per-task completion Ticks, and the makespan.
-  [[nodiscard]] obs::TraceExportMeta traceExportMeta() const;
-  /// Chrome trace-event JSON (Perfetto-loadable): one track per UE task,
-  /// per reach component, and per memory controller.
+  /// Chrome trace-event JSON (Perfetto-loadable): one track per UE task
+  /// and per memory controller.
   void writeTrace(std::ostream& out) const;
   /// Compact binary ring-buffer dump (schema in docs/observability.md).
   void writeTraceBinary(std::ostream& out) const;
@@ -853,10 +815,6 @@ class SccMachine {
   std::uint64_t shm_brk_ = 0;
   std::vector<std::uint64_t> mpb_brk_;               // per core slice
   std::unique_ptr<SyncBarrier> barrier_;
-  /// Per-group barriers of a LaunchSpec::SyncGroups launch (empty
-  /// otherwise); ue_group_ maps each UE to its densified group index.
-  std::vector<std::unique_ptr<SyncBarrier>> group_barriers_;
-  std::vector<std::size_t> ue_group_;
   std::vector<std::unique_ptr<TasLock>> locks_;
   std::vector<std::unique_ptr<CoreContext>> contexts_;
   std::vector<std::uint32_t> ue_to_core_;  ///< set at launch; identity otherwise

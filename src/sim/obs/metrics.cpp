@@ -178,8 +178,8 @@ MetricsSnapshot collectMetrics(const SccMachine& machine) {
   // ---- engine (sim domain) -------------------------------------------
   reg.counter("events").add(engine.eventsProcessed());
   reg.counter("makespan_ticks").add(engine.makespan());
-  // Always 1 since the engine is one sequential loop; kept so existing
-  // consumers that fingerprint every sim counter see an unchanged set.
+  // Always 1 since the engine is one sequential loop; kept because
+  // bench/pipeline's simFingerprint hashes every sim counter.
   reg.counter("lanes_used").add(1);
 
   // ---- shared-memory / MPB traffic -----------------------------------

@@ -179,31 +179,19 @@ std::vector<TraceEvent> TraceRecorder::taskEvents(std::size_t task_id) const {
 std::vector<TraceEvent> TraceRecorder::hostEvents() const { return chronological(host_); }
 
 void TraceRecorder::writeChromeJson(std::ostream& out,
-                                    const TraceExportMeta& meta) const {
+                                    std::uint32_t num_controllers) const {
   out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
   bool first = true;
 
   // ---- track metadata -------------------------------------------------
   emitMeta(out, 1, "process_name", 0, "UE timelines", first);
-  emitMeta(out, 2, "process_name", 0, "lanes (reach components)", first);
   emitMeta(out, 3, "process_name", 0, "memory controllers", first);
   const std::size_t host_tid = tasks_.size();
   for (std::size_t task = 0; task < tasks_.size(); ++task) {
     emitMeta(out, 1, "thread_name", task, "ue " + std::to_string(task), first);
   }
   if (!host_.ring.empty()) emitMeta(out, 1, "thread_name", host_tid, "host", first);
-  std::uint32_t num_components = 0;
-  for (std::size_t task = 0; task < tasks_.size(); ++task) {
-    const std::uint32_t comp =
-        task < meta.task_component.size() ? meta.task_component[task] : 0;
-    num_components = std::max(num_components, comp + 1);
-  }
-  // The "lanes"/"lane N" labels are part of the pinned export bytes; each
-  // names one Engine::taskComponents() component.
-  for (std::uint32_t comp = 0; comp < num_components; ++comp) {
-    emitMeta(out, 2, "thread_name", comp, "lane " + std::to_string(comp), first);
-  }
-  for (std::uint32_t mc = 0; mc < meta.num_controllers; ++mc) {
+  for (std::uint32_t mc = 0; mc < num_controllers; ++mc) {
     emitMeta(out, 3, "thread_name", mc, "mc " + std::to_string(mc), first);
   }
 
@@ -245,45 +233,11 @@ void TraceRecorder::writeChromeJson(std::ostream& out,
     out << ",\"args\":" << argsJson(ev) << '}';
   }
 
-  // ---- pid 2: task lifetimes grouped by reach component ---------------
-  // Tasks in one component are simulated-concurrent, so lifetimes on the
-  // same track overlap; async (b/e) spans keyed by task id render stacked.
-  struct Life {
-    Tick end;
-    std::size_t task;
-    std::uint32_t comp;
-  };
-  std::vector<Life> lives;
-  for (std::size_t task = 0; task < tasks_.size(); ++task) {
-    const Tick done = task < meta.task_completion.size() && meta.task_completion[task] > 0
-                          ? meta.task_completion[task]
-                          : meta.final_tick;
-    const std::uint32_t comp =
-        task < meta.task_component.size() ? meta.task_component[task] : 0;
-    lives.push_back({done, task, comp});
-    if (!first) out << ",\n";
-    first = false;
-    out << R"({"name":"task )" << task
-        << R"(","ph":"b","cat":"task","id":)" << task << R"(,"pid":2,"tid":)" << comp
-        << ",\"ts\":0,\"args\":{}}";
-  }
-  std::sort(lives.begin(), lives.end(), [](const Life& lhs, const Life& rhs) {
-    if (lhs.end != rhs.end) return lhs.end < rhs.end;
-    return lhs.task < rhs.task;
-  });
-  for (const Life& life : lives) {
-    if (!first) out << ",\n";
-    first = false;
-    out << R"({"name":"task )" << life.task
-        << R"(","ph":"e","cat":"task","id":)" << life.task << R"(,"pid":2,"tid":)"
-        << life.comp << ",\"ts\":" << life.end << ",\"args\":{}}";
-  }
-
   // ---- pid 3: cumulative word/line traffic per memory controller ------
-  std::vector<std::uint64_t> cumulative(meta.num_controllers, 0);
+  std::vector<std::uint64_t> cumulative(num_controllers, 0);
   for (const Merged& entry : merged) {
     const TraceEvent& ev = entry.ev;
-    if (ev.resource >= meta.num_controllers) continue;
+    if (ev.resource >= num_controllers) continue;
     if (ev.kind == TraceEventKind::kMcStall) {
       if (!first) out << ",\n";
       first = false;

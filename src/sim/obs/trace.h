@@ -63,9 +63,7 @@ enum class TraceEventKind : std::uint8_t {
 [[nodiscard]] const char* traceEventName(TraceEventKind kind);
 [[nodiscard]] bool traceEventIsSpan(TraceEventKind kind);
 
-/// One recorded event. Task id is implicit (the buffer it lives in); the
-/// task's component is derived at export time from the engine's
-/// deterministic component partition.
+/// One recorded event. Task id is implicit (the buffer it lives in).
 struct TraceEvent {
   Tick start = 0;
   Tick end = 0;
@@ -74,16 +72,6 @@ struct TraceEvent {
   std::uint64_t c = 0;
   std::uint32_t resource = kNoTraceResource;  ///< registered resource id
   TraceEventKind kind = TraceEventKind::kShmRead;
-};
-
-/// Everything the exporter needs beyond the raw buffers. Built by
-/// SccMachine::traceExportMeta(); every field is a deterministic function of
-/// the run (the component partition ignores done-ness).
-struct TraceExportMeta {
-  std::vector<std::uint32_t> task_component;  ///< task id -> component id
-  std::vector<Tick> task_completion;          ///< task id -> completion Tick
-  std::uint32_t num_controllers = 0;
-  Tick final_tick = 0;
 };
 
 /// Per-task ring-buffer trace store with a bounded-memory cap.
@@ -114,11 +102,10 @@ class TraceRecorder {
   [[nodiscard]] std::vector<TraceEvent> hostEvents() const;
 
   /// Chrome trace-event JSON (catapult / Perfetto "traceEvents" array):
-  /// pid 1 = one thread per UE/task (spans + instants), pid 2 = one thread
-  /// per reach component (async task-lifetime spans), pid 3 = one counter
+  /// pid 1 = one thread per UE/task (spans + instants), pid 3 = one counter
   /// thread per memory controller (cumulative word transactions). Output is
-  /// a deterministic function of the recorded events and meta.
-  void writeChromeJson(std::ostream& out, const TraceExportMeta& meta) const;
+  /// a deterministic function of the recorded events and num_controllers.
+  void writeChromeJson(std::ostream& out, std::uint32_t num_controllers) const;
 
   /// Compact binary dump of the raw ring buffers (schema in
   /// docs/observability.md). Little-endian, field-by-field; carries per-task

@@ -1011,27 +1011,7 @@ TEST(Engine, WatchdogSparesBoundedSameTickBursts) {
   EXPECT_EQ(log.size(), 20u);
 }
 
-// --- trace component partition and horizon probes ---------------------------
-
-// taskComponents() (the trace's pid-2 tracks) merges reach classes that share
-// a bound sync object; unbound classes stay apart, and universal-reach tasks
-// join component 0. Ids are dense in class discovery order.
-TEST(Engine, TaskComponentsMergeSyncParticipantsAcrossClasses) {
-  Engine engine;
-  engine.registerResources(4);
-  std::vector<int> log;
-  const std::size_t a = engine.spawn(recorder(engine, log, 0, 10), 0, 0);
-  const std::size_t b = engine.spawn(recorder(engine, log, 1, 10), 0, 2);
-  const std::uint32_t sync = engine.registerSyncObject();
-  engine.bindSyncParticipants(sync, {a, b});
-  engine.spawn(recorder(engine, log, 2, 10), 0, 1);
-  engine.spawn(recorder(engine, log, 3, 10), 0, 3);
-  engine.spawn(recorder(engine, log, 4, 10));  // universal reach
-  EXPECT_EQ(engine.taskComponents(), (std::vector<std::uint32_t>{0, 0, 1, 2, 0}));
-  engine.run();
-  // Done-ness is ignored: the partition is the same after the run.
-  EXPECT_EQ(engine.taskComponents(), (std::vector<std::uint32_t>{0, 0, 1, 2, 0}));
-}
+// --- horizon probes ----------------------------------------------------------
 
 SimTask probeSeries(Engine& engine, std::uint32_t resource, std::vector<Tick>& out) {
   for (int i = 0; i < 4; ++i) {

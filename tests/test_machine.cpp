@@ -974,15 +974,15 @@ TEST(Machine, MpbChunkStatsAccountAllChunks) {
   EXPECT_LE(on.chunk_events, off.chunk_events);
 }
 
-// --- sync-group launches -------------------------------------------------------
-// Pair-local barriers (LaunchSpec::withSyncGroups) with an empty MPB scope:
+// --- empty-scope launches ----------------------------------------------------
+// An empty MPB scope (reach = one controller) with the machine barrier:
 // byte-identical shared memory, identical makespan, and identical per-task
 // completion Ticks with coalescing on and off.
 
-/// Quadrant-paired kernel: each UE round-trips its own 256-byte block on its
-/// own quadrant controller and synchronizes only with its pair partner
-/// (sync group ue % 4). All written values are timing-independent.
-SimTask pairedKernel(CoreContext& ctx, std::uint64_t base, int rounds) {
+/// Each UE round-trips its own 256-byte block on its own quadrant controller
+/// and then waits at the machine barrier. All written values are
+/// timing-independent.
+SimTask blockRoundTripKernel(CoreContext& ctx, std::uint64_t base, int rounds) {
   std::vector<std::uint8_t> buf(256);
   const auto ue = static_cast<std::uint64_t>(ctx.ue());
   const std::uint64_t mine = base + ue * 256;
@@ -993,25 +993,25 @@ SimTask pairedKernel(CoreContext& ctx, std::uint64_t base, int rounds) {
       buf[i] = static_cast<std::uint8_t>(buf[i] + ue + static_cast<std::uint64_t>(r) + i);
     }
     co_await ctx.shmWrite(mine, buf.data(), buf.size());
-    co_await ctx.barrier();  // the pair's group barrier
+    co_await ctx.barrier();
   }
 }
 
-struct PairedResult {
+struct BlockRoundTripResult {
   Tick makespan = 0;
   std::vector<Tick> completions;
   std::vector<std::uint8_t> memory;  ///< full workload region after the run
 };
 
-PairedResult runPaired(bool coalescing, int ues) {
+BlockRoundTripResult runBlockRoundTrip(bool coalescing, int ues) {
   SccConfig cfg;
   cfg.coalescing = coalescing;
   SccMachine machine(cfg);
   const std::uint64_t base = machine.shmalloc(static_cast<std::size_t>(ues) * 256);
-  machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) { return pairedKernel(ctx, base, 4); })
-                     .withScope([](int, int) { return std::vector<int>{}; })
-                     .withSyncGroups([](int ue, int) { return ue % 4; }));
-  PairedResult r;
+  machine.launch(
+      LaunchSpec(ues, [&](CoreContext& ctx) { return blockRoundTripKernel(ctx, base, 4); })
+          .withScope([](int, int) { return std::vector<int>{}; }));
+  BlockRoundTripResult r;
   r.makespan = machine.run();
   for (int ue = 0; ue < ues; ++ue) {
     r.completions.push_back(machine.engine().completionTime(static_cast<std::size_t>(ue)));
@@ -1024,10 +1024,10 @@ PairedResult runPaired(bool coalescing, int ues) {
 // 64 UEs oversubscribe the 48 cores: UE ids beyond the core table fall back
 // to the direct quadrant computation, so the per-tile horizons see the same
 // controller mapping as the 8-UE launch.
-TEST(Machine, SyncGroupsLaunchBitIdenticalAcrossCoalescing) {
+TEST(Machine, EmptyScopeLaunchBitIdenticalAcrossCoalescing) {
   for (const int ues : {8, 64}) {
-    const PairedResult ref = runPaired(/*coalescing=*/false, ues);
-    const PairedResult r = runPaired(/*coalescing=*/true, ues);
+    const BlockRoundTripResult ref = runBlockRoundTrip(/*coalescing=*/false, ues);
+    const BlockRoundTripResult r = runBlockRoundTrip(/*coalescing=*/true, ues);
     EXPECT_EQ(r.makespan, ref.makespan) << "ues=" << ues;
     EXPECT_EQ(r.completions, ref.completions) << "ues=" << ues;
     EXPECT_EQ(r.memory, ref.memory) << "ues=" << ues;
