@@ -40,7 +40,7 @@ struct JointReplay {
 
 /// Replay the joint FCFS recurrence in engine order until the first member's
 /// run completes. Each word goes to the member with the earliest
-/// (t, seq) — the event heap's own key — arrives `issue_overhead + hop` after
+/// (t, seq) — the event queue's key — arrives `issue_overhead + hop` after
 /// that member's previous completion, is serviced for `service` (plus any
 /// stall), and hands the member the next stamp. Every member must enter with
 /// remaining >= 1.

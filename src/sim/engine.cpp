@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "sim/obs/trace.h"
@@ -47,65 +48,93 @@ void ResumeAt::await_suspend(std::coroutine_handle<> h) const {
 
 void Engine::schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id) {
   if (when < now_) when = now_;
-  const bool tracked = !resource_classes_.empty();
-  // Host events and tasks predating registerResources have no alive-counter
-  // entry: file them universal (bounding every horizon) and tally them
-  // separately so the blocked computation stays exact.
-  const bool counted = tracked && task_id != kNoTask && task_id >= counted_tasks_from_;
-  const std::uint32_t cls = counted ? classOfTask(task_id) : kUniversalClass;
-  if (tracked) {
-    if (cls == kUniversalClass) {
-      unaffined_pending_.push_back(when);
-      if (!counted) ++uncounted_unaffined_pending_;
-    } else {
-      classes_[cls].pending.push_back(when);
-    }
+  if (task_id == kNoTask) {
+    host_events_.push_back(HostEvent{when, next_host_seq_++, h});
+    std::push_heap(host_events_.begin(), host_events_.end(), HostEventAfter{});
+    return;
   }
-  if (task_id != kNoTask && task_id < task_pending_when_.size()) {
-    task_pending_when_[task_id] = when;
-    // A schedule aimed at a blocked task IS its wake: clear the park.
-    if (task_blocked_sync_[task_id] != kNoSync) {
-      if (trace_ != nullptr && trace_->enabled()) {
-        // The park-clearing schedule IS the wake. `when` is the woken
-        // task's resume Tick — an operation boundary, identical across
-        // coalescing modes.
-        trace_->record(task_id,
-                       obs::TraceEvent{when, when, task_blocked_sync_[task_id], 0, 0,
-                                       obs::kNoTraceResource,
-                                       obs::TraceEventKind::kWake});
-      }
-      task_blocked_sync_[task_id] = kNoSync;
-      const std::size_t i = task_blocked_index_[task_id];
-      const std::size_t last = blocked_tasks_.back();
-      blocked_tasks_[i] = last;
-      task_blocked_index_[last] = i;
-      blocked_tasks_.pop_back();
-      if (task_id >= counted_tasks_from_) {
-        const std::uint32_t bcls = classOfTask(task_id);
-        if (bcls == kUniversalClass) {
-          --universal_blocked_registered_;
-        } else if (bcls < classes_.size()) {
-          --classes_[bcls].blocked_registered;
-        }
+  assert(task_id < task_pending_when_.size() && "schedule for an unspawned task");
+  assert(task_pending_when_[task_id] == kNever && "a task has one pending event");
+  task_handle_[task_id] = h;
+  setSlot(task_id, when);
+  if (counted(task_id)) countPending(task_id, 1);
+  // A schedule aimed at a blocked task IS its wake: clear the park.
+  if (task_blocked_sync_[task_id] != kNoSync) {
+    if (trace_ != nullptr && trace_->enabled()) {
+      // The park-clearing schedule IS the wake. `when` is the woken
+      // task's resume Tick — an operation boundary, identical across
+      // coalescing modes.
+      trace_->record(task_id,
+                     obs::TraceEvent{when, when, task_blocked_sync_[task_id], 0, 0,
+                                     obs::kNoTraceResource,
+                                     obs::TraceEventKind::kWake});
+    }
+    task_blocked_sync_[task_id] = kNoSync;
+    const std::size_t i = task_blocked_index_[task_id];
+    const std::size_t last = blocked_tasks_.back();
+    blocked_tasks_[i] = last;
+    task_blocked_index_[last] = i;
+    blocked_tasks_.pop_back();
+    if (task_id >= counted_tasks_from_) {
+      const std::uint32_t bcls = classOfTask(task_id);
+      if (bcls == kUniversalClass) {
+        --universal_blocked_registered_;
+      } else if (bcls < classes_.size()) {
+        --classes_[bcls].blocked_registered;
       }
     }
   }
-  events_.push_back(Event{when, task_id, next_seq_++, cls, tracked, counted, h});
-  std::push_heap(events_.begin(), events_.end(), EventAfter{});
+}
+
+void Engine::setSlot(std::size_t task, Tick when) {
+  task_pending_when_[task] = when;
+  std::size_t n = tree_leaves_ + task;
+  tree_[n].when = when;
+  TreeNode winner = tree_[n];
+  while (n > 1) {
+    const TreeNode& sibling = tree_[n ^ 1];
+    if (firesBefore(sibling, winner)) winner = sibling;
+    n >>= 1;
+    // Early exit: an unchanged node leaves every ancestor unchanged too. A
+    // barrier release re-files dozens of late wakes, most of which lose
+    // within a level or two.
+    if (tree_[n].when == winner.when && tree_[n].task == winner.task) return;
+    tree_[n] = winner;
+  }
+}
+
+void Engine::growTree(std::size_t tasks) {
+  std::size_t leaves = tree_leaves_;
+  while (leaves < tasks) leaves *= 2;
+  if (leaves == tree_leaves_) return;
+  tree_leaves_ = leaves;
+  tree_.assign(2 * leaves, TreeNode{kNever, 0});
+  for (std::size_t i = 0; i < leaves; ++i) {
+    tree_[leaves + i] = TreeNode{
+        i < task_pending_when_.size() ? task_pending_when_[i] : kNever,
+        static_cast<std::uint32_t>(i)};
+  }
+  for (std::size_t n = leaves - 1; n >= 1; --n) {
+    const TreeNode& l = tree_[2 * n];
+    const TreeNode& r = tree_[2 * n + 1];
+    tree_[n] = firesBefore(r, l) ? r : l;
+  }
 }
 
 void Engine::registerResources(std::uint32_t count) {
   resource_classes_.assign(count, {});
   classes_.clear();
   // Earlier tasks' class ids would dangle into the cleared class table;
-  // demote them to universal reach (they are uncounted from here on anyway).
+  // demote them to universal reach (they are uncounted from here on anyway,
+  // but their pending events still bound every horizon).
   std::fill(task_class_.begin(), task_class_.end(), kUniversalClass);
-  unaffined_pending_.clear();
+  unaffined_members_.clear();
+  for (std::size_t id = 0; id < tasks_.size(); ++id) unaffined_members_.push_back(id);
+  unaffined_pending_count_ = 0;
   unaffined_alive_ = 0;
   // Tasks still parked from before re-registration are uncounted from here
   // on, matching the per-class registered-blocked bookkeeping.
   universal_blocked_registered_ = 0;
-  uncounted_unaffined_pending_ = 0;
   counted_tasks_from_ = tasks_.size();
 }
 
@@ -122,24 +151,9 @@ std::uint32_t Engine::internReachClass(std::vector<std::uint32_t> reach) {
     if (classes_[c].resources == reach) return c;
   }
   const auto cls = static_cast<std::uint32_t>(classes_.size());
-  classes_.push_back(ReachClass{reach, {}, 0});
+  classes_.push_back(ReachClass{reach, {}, 0, 0, 0});
   for (const std::uint32_t r : reach) resource_classes_[r].push_back(cls);
   return cls;
-}
-
-void Engine::dropPending(std::uint32_t cls, Tick when) {
-  // Events scheduled before a re-registration carry class ids into the
-  // since-cleared table; their buckets were wiped wholesale, nothing to drop.
-  if (cls != kUniversalClass && cls >= classes_.size()) return;
-  std::vector<Tick>& bucket =
-      cls == kUniversalClass ? unaffined_pending_ : classes_[cls].pending;
-  for (std::size_t i = 0; i < bucket.size(); ++i) {
-    if (bucket[i] == when) {
-      bucket[i] = bucket.back();
-      bucket.pop_back();
-      return;
-    }
-  }
 }
 
 Tick Engine::wakeBound(std::size_t task, std::vector<std::size_t>& visited) const {
@@ -235,19 +249,21 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource) const {
 
   Tick horizon = kNever;
   for (const std::uint32_t cls : resource_classes_[resource]) {
-    std::int64_t blocked = classes_[cls].alive -
-                           static_cast<std::int64_t>(classes_[cls].pending.size());
+    const ReachClass& c = classes_[cls];
+    std::int64_t blocked = c.alive - c.pending_count;
     if (adjust_cur && cur_cls == cls) --blocked;
-    if (blocked > classes_[cls].blocked_registered) return nextEventTime();
-    for (const Tick t : classes_[cls].pending) horizon = std::min(horizon, t);
+    if (blocked > c.blocked_registered) return nextEventTime();
+    if (c.pending_count == 0) continue;
+    for (const std::size_t m : c.members) horizon = std::min(horizon, task_pending_when_[m]);
   }
 
-  std::int64_t blocked_universal =
-      unaffined_alive_ - static_cast<std::int64_t>(unaffined_pending_.size() -
-                                                   uncounted_unaffined_pending_);
+  std::int64_t blocked_universal = unaffined_alive_ - unaffined_pending_count_;
   if (adjust_cur && cur_cls == kUniversalClass) --blocked_universal;
   if (blocked_universal > universal_blocked_registered_) return nextEventTime();
-  for (const Tick t : unaffined_pending_) horizon = std::min(horizon, t);
+  for (const std::size_t m : unaffined_members_) {
+    horizon = std::min(horizon, task_pending_when_[m]);
+  }
+  if (!host_events_.empty()) horizon = std::min(horizon, host_events_.front().when);
 
   // Every registered blocked task that can reach this resource bounds the
   // horizon by the earliest execution of its wake chain.
@@ -274,10 +290,7 @@ std::size_t Engine::aliveTasksReaching(std::uint32_t resource) const {
   // Universal-reach activity (unaffined tasks, host events, live tasks
   // predating registerResources) could touch the resource without appearing
   // in any class bucket — the count would under-report.
-  if (unaffined_alive_ != 0 || !unaffined_pending_.empty() ||
-      uncounted_unaffined_pending_ != 0) {
-    return kInexact;
-  }
+  if (unaffined_alive_ != 0 || !host_events_.empty()) return kInexact;
   for (std::size_t id = 0; id < counted_tasks_from_ && id < tasks_.size(); ++id) {
     if (id >= task_done_.size() || !task_done_[id]) return kInexact;
   }
@@ -426,17 +439,21 @@ std::size_t Engine::spawnReaching(SimTask task, Tick start,
   if (task_class_.size() <= id) {
     task_class_.resize(id + 1, kUniversalClass);
     task_pending_when_.resize(id + 1, kNever);
+    task_handle_.resize(id + 1);
     task_blocked_sync_.resize(id + 1, kNoSync);
     task_blocked_index_.resize(id + 1, 0);
     task_blocked_at_.resize(id + 1, 0);
     task_done_.resize(id + 1, false);
+    growTree(id + 1);
   }
   task_class_[id] = cls;
   if (!resource_classes_.empty()) {
     if (cls == kUniversalClass) {
       ++unaffined_alive_;
+      unaffined_members_.push_back(id);
     } else {
       ++classes_[cls].alive;
+      classes_[cls].members.push_back(id);
     }
   }
   task.handle().promise().engine = this;
@@ -517,33 +534,40 @@ Tick Engine::run() {
               .count();
     }
   } wall_guard{*this, wall_start};
-  while (!events_.empty()) {
-    std::pop_heap(events_.begin(), events_.end(), EventAfter{});
-    const Event ev = events_.back();
-    events_.pop_back();
-    if (ev.tracked) {
-      dropPending(ev.cls, ev.when);
-      // Guard the tally against events predating a re-registration, whose
-      // uncounted entries were wiped with the buckets.
-      if (!ev.counted && uncounted_unaffined_pending_ > 0) {
-        --uncounted_unaffined_pending_;
-      }
-    }
-    if (ev.task != kNoTask && ev.task < task_pending_when_.size()) {
-      task_pending_when_[ev.task] = kNever;
+  for (;;) {
+    // Task events first: a host event fires only once no task event is due
+    // at or before its Tick (the ordering contract in engine.h).
+    const TreeNode next = tree_[1];
+    std::size_t task = kNoTask;
+    Tick when = 0;
+    std::coroutine_handle<> handle;
+    if (next.when != kNever &&
+        (host_events_.empty() || next.when <= host_events_.front().when)) {
+      task = next.task;
+      when = next.when;
+      handle = task_handle_[task];
+      setSlot(task, kNever);
+      if (counted(task)) countPending(task, -1);
+    } else if (!host_events_.empty()) {
+      std::pop_heap(host_events_.begin(), host_events_.end(), HostEventAfter{});
+      when = host_events_.back().when;
+      handle = host_events_.back().handle;
+      host_events_.pop_back();
+    } else {
+      break;
     }
     if (watchdog_limit_ != 0) {
-      same_tick_events_ = ev.when == now_ ? same_tick_events_ + 1 : 0;
+      same_tick_events_ = when == now_ ? same_tick_events_ + 1 : 0;
       if (same_tick_events_ > watchdog_limit_) {
         current_task_ = kNoTask;
         traceHangReport(2, now_);
         throw WatchdogError(hangReport());
       }
     }
-    now_ = ev.when;
-    current_task_ = ev.task;
+    now_ = when;
+    current_task_ = task;
     ++events_processed_;
-    ev.handle.resume();
+    handle.resume();
     if (sync_timeout_ != 0 && !blocked_tasks_.empty()) {
       current_task_ = kNoTask;
       checkSyncTimeouts();  // throws SyncTimeout on an overstayed park
@@ -551,7 +575,7 @@ Tick Engine::run() {
   }
   current_task_ = kNoTask;
   if (hang_detection_ && unfinishedTasks() > 0) {
-    // Satellite fix for the silent-hang bug: the heap drained while tasks
+    // Satellite fix for the silent-hang bug: the queue drained while tasks
     // were still alive (parked on a lock/barrier, or wedged). Fail loudly
     // with the wait-for graph instead of returning as if the run finished.
     traceHangReport(0, now_);

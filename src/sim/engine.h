@@ -4,20 +4,27 @@
 // (SimTask). Each simulated core runs one coroutine; every architectural
 // operation computes its completion time (consulting shared resource
 // timelines for contention) and suspends until then. One sequential event
-// loop drains one heap on the host thread.
+// loop drains the pending set on the host thread.
 //
 // Ordering contract: every event carries the id of the root SimTask it
 // resumes (wake events for blocked tasks carry the *woken* task's id,
 // recorded when the task blocked), and events fire in ascending
 // (time, task_id) order. Host-scheduled events with no task context order
 // after all task events at the same Tick; insertion sequence is only a final
-// tie-break between such events. A root task has at most one pending event,
-// so (time, task_id) is unique across the pending set and the schedule is a
-// total order that does NOT depend on when events were inserted. That
-// insertion-independence is load-bearing: event coalescing (below) inserts
-// fewer events than the per-operation execution it replaces, so any ordering
-// rule based on insertion sequence would let coalescing perturb lock-grant
-// and barrier-wake order at equal-Tick collisions.
+// tie-break between such events. The ordering is structural, not a
+// comparator over an insertion-ordered heap: a root task has at most one
+// pending event (scheduling a second is an assert), held in that task's
+// pending slot, and a winner (tournament) tree over task ids keyed
+// (time, task_id) — the lower id winning an equal Tick — names the next
+// task event. Host events live in a small heap of their own, keyed
+// (time, seq), and fire only once no task event is due at or before their
+// Tick. (time, task_id) is therefore unique across pending task events and
+// the schedule is a total order that does NOT depend on when events were
+// inserted. That insertion-independence is load-bearing: event coalescing
+// (below) inserts fewer events than the per-operation execution it
+// replaces, so any ordering rule based on insertion sequence would let
+// coalescing perturb lock-grant and barrier-wake order at equal-Tick
+// collisions.
 //
 // Coalescing invariant (per-resource horizons): platform models sitting
 // above this kernel (SccMachine's word-granular shared-memory path and its
@@ -120,7 +127,7 @@ class SimHangError : public std::runtime_error {
   HangReport report_;
 };
 
-/// The event heap drained while tasks were still alive (satellite fix for
+/// The event queue drained while tasks were still alive (satellite fix for
 /// the silent-hang bug: a lock/barrier bug used to just end the run).
 class DeadlockError : public SimHangError {
  public:
@@ -298,7 +305,9 @@ class Engine {
   /// next thing that can execute besides the current coroutine — the global
   /// "horizon" that bounds safe event coalescing (see header comment).
   [[nodiscard]] Tick nextEventTime() const {
-    return events_.empty() ? kNever : events_.front().when;
+    const Tick task_next = tree_[1].when;
+    return host_events_.empty() ? task_next
+                                : std::min(task_next, host_events_.front().when);
   }
 
   /// Declare `count` coalescable resources (memory controllers, MPB ports —
@@ -377,10 +386,6 @@ class Engine {
   /// touch `resource` until the running task performs a sync operation.
   [[nodiscard]] std::size_t parkedTasksReaching(std::uint32_t resource) const;
 
-  /// Pre-size the event heap (one slot per concurrently pending coroutine
-  /// is enough; larger reservations just avoid early regrowth).
-  void reserveEvents(std::size_t n) { events_.reserve(n); }
-
   /// Adopt a task and schedule its first resume at `start`. `resource`
   /// declares the only registered resource timeline this task will ever
   /// touch (kNoResource: may touch any). Returns an id usable with
@@ -402,7 +407,7 @@ class Engine {
   Tick run();
 
   // -- robustness / no-progress detection --
-  /// Treat a heap drain with unfinished tasks as a deadlock (DeadlockError
+  /// Treat a queue drain with unfinished tasks as a deadlock (DeadlockError
   /// carrying the wait-for graph). Default OFF: a bare Engine legitimately
   /// parks tasks across run() calls (host code schedules their wakes later);
   /// SccMachine turns it on, where a drain with parked tasks is always the
@@ -475,33 +480,37 @@ class Engine {
   /// before registerResources()).
   static constexpr std::uint32_t kUniversalClass = static_cast<std::uint32_t>(-1);
 
-  struct Event {
+  /// A winner-tree node: the earliest pending event in its subtree, kNever
+  /// when the subtree has none. Leaves are the tasks' pending slots.
+  struct TreeNode {
     Tick when;
-    std::size_t task;        ///< root task the handle runs under (kNoTask: host)
-    std::uint64_t seq;       ///< insertion sequence — tertiary tie-break only
-    std::uint32_t cls;       ///< reach class resolved at schedule time
-    bool tracked;            ///< filed in the per-class pending accounting
-    bool counted;            ///< task has a matching alive-counter entry
+    std::uint32_t task;
+  };
+  /// The tree's order, the ordering contract itself: (when, task).
+  [[nodiscard]] static bool firesBefore(const TreeNode& a, const TreeNode& b) {
+    return a.when < b.when || (a.when == b.when && a.task < b.task);
+  }
+  /// An event scheduled from host context (kNoTask).
+  struct HostEvent {
+    Tick when;
+    std::uint64_t seq;  ///< insertion sequence: the tie-break among host events
     std::coroutine_handle<> handle;
   };
-  /// Min-heap order on (when, task, seq): `a` fires after `b`. The task key
-  /// is the documented ordering contract; seq only breaks ties between
-  /// same-task/host events, which mode changes cannot reorder.
-  struct EventAfter {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      if (a.task != b.task) return a.task > b.task;
-      return a.seq > b.seq;
+  /// Min-heap order on (when, seq): `a` fires after `b`.
+  struct HostEventAfter {
+    bool operator()(const HostEvent& a, const HostEvent& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
   };
 
   /// A distinct reach set shared by one or more tasks. Tasks with equal
   /// sets are interned into one class, so scheduling stays O(1) per event
   /// no matter how large the sets are; per-resource queries scan the few
-  /// classes whose set contains the resource.
+  /// classes whose set contains the resource, and each class's members.
   struct ReachClass {
     std::vector<std::uint32_t> resources;  ///< sorted, unique
-    std::vector<Tick> pending;             ///< `when` of pending events
+    std::vector<std::size_t> members;      ///< task ids (finished ones too)
+    std::int64_t pending_count = 0;        ///< members with a pending event
     std::int64_t alive = 0;                ///< spawned minus finished
     std::int64_t blocked_registered = 0;   ///< parked via blockOnSync
   };
@@ -547,7 +556,23 @@ class Engine {
     return std::binary_search(rs.begin(), rs.end(), resource);
   }
   std::uint32_t internReachClass(std::vector<std::uint32_t> reach);
-  void dropPending(std::uint32_t cls, Tick when);
+  /// Counted tasks (spawned after registerResources) are tallied in their
+  /// class's alive/pending/blocked counters; earlier ones are not.
+  [[nodiscard]] bool counted(std::size_t task) const {
+    return !resource_classes_.empty() && task >= counted_tasks_from_;
+  }
+  /// Adjust the pending tally of counted `task`'s class by `delta`.
+  void countPending(std::size_t task, std::int64_t delta) {
+    const std::uint32_t cls = task_class_[task];
+    std::int64_t& count =
+        cls == kUniversalClass ? unaffined_pending_count_ : classes_[cls].pending_count;
+    count += delta;
+  }
+  /// Set `task`'s pending slot to `when` (kNever: none) and replay its leaf's
+  /// path to the root, stopping at the first node whose winner is unchanged.
+  void setSlot(std::size_t task, Tick when);
+  /// Grow the tree to cover task ids below `tasks` (a power of two leaves).
+  void growTree(std::size_t tasks);
   /// Earliest time any waker chain of blocked `task` could execute (see
   /// header comment). `visited` carries the chain walked so far for cycle
   /// detection; the global nextEventTime() is the unknown-waker fallback.
@@ -561,32 +586,38 @@ class Engine {
   /// the attached trace recorder, if any. Out-of-line, cold.
   void traceHangReport(std::uint64_t kind, Tick at);
 
-  std::vector<Event> events_;  ///< binary heap via std::push_heap/pop_heap
+  // -- the pending set (one slot per task + host events) --
+  /// Winner tree over task ids: node 1 is the root, the leaves sit at
+  /// [tree_leaves_, 2 * tree_leaves_) in task-id order (leaf i mirrors
+  /// task_pending_when_[i]), and every inner node holds the earlier of its
+  /// two children under firesBefore.
+  std::vector<TreeNode> tree_ = std::vector<TreeNode>(2, TreeNode{kNever, 0});
+  std::size_t tree_leaves_ = 1;  ///< a power of two
+  std::vector<std::coroutine_handle<>> task_handle_;  ///< per task: pending resume
+  std::vector<HostEvent> host_events_;  ///< heap via std::push_heap/pop_heap
   Tick now_ = 0;
   std::size_t current_task_ = kNoTask;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_host_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   double wall_seconds_ = 0.0;
   std::vector<SimTask> tasks_;
   std::vector<Tick> completion_;
 
   // -- per-resource horizon accounting (empty unless registerResources ran) --
-  // Classes hold the `when` of every pending event of tasks in that reach
-  // class (a handful of entries: one per concurrently pending same-class
-  // task), scanned linearly. Events with no matching alive entry — scheduled
-  // from host context (kNoTask) or by tasks spawned before
-  // registerResources() — are filed in the universal bucket (so they still
-  // bound every horizon) but tallied separately in
-  // uncounted_unaffined_pending_, otherwise they would offset the
-  // alive-minus-pending blocked computation and mask a genuinely blocked
-  // task.
+  // Every counted task belongs to one reach class, or to the universal
+  // bucket. A class's horizon is the min over its members' pending slots and
+  // its blocked tally is alive - pending (minus the running task). The
+  // universal bucket's members also include every task that predates
+  // registerResources (uncounted: no alive/pending entry), and host events
+  // bound every horizon; neither enters the blocked computation, otherwise
+  // they would offset it and mask a genuinely blocked task.
   std::vector<ReachClass> classes_;
   std::vector<std::vector<std::uint32_t>> resource_classes_;  ///< per resource
   std::vector<std::uint32_t> task_class_;  ///< per spawned task
-  std::vector<Tick> unaffined_pending_;
+  std::vector<std::size_t> unaffined_members_;
+  std::int64_t unaffined_pending_count_ = 0;
   std::int64_t unaffined_alive_ = 0;
   std::int64_t universal_blocked_registered_ = 0;
-  std::size_t uncounted_unaffined_pending_ = 0;
   std::size_t counted_tasks_from_ = 0;  ///< ids below predate registerResources
 
   // -- sync-object / wake-chain tracking --
@@ -594,7 +625,7 @@ class Engine {
   std::vector<std::uint32_t> task_blocked_sync_;  ///< per task: sync or kNoSync
   std::vector<std::size_t> blocked_tasks_;        ///< registered blocked tasks
   std::vector<std::size_t> task_blocked_index_;   ///< position in blocked_tasks_
-  std::vector<Tick> task_pending_when_;  ///< per task: pending event or kNever
+  std::vector<Tick> task_pending_when_;  ///< per task: pending slot or kNever
   std::vector<Tick> task_blocked_at_;    ///< per task: when blockOnSync ran
   std::vector<std::uint8_t> task_done_;  ///< per task: finished
   /// Recursion scratch for nextEventTimeFor's wake-chain walk, reused so

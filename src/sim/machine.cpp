@@ -162,7 +162,7 @@ SubTask CoreContext::faultPreOp() {
   const Tick freeze = inj.freezeTicks(ue_, op, now());
   if (freeze == FaultInjector::kFreezeForever) {
     // Permanent wedge: suspend with no pending event and no sync object.
-    // The heap eventually drains and the engine's deadlock detector reports
+    // The queue eventually drains and the engine's deadlock detector reports
     // this task as frozen instead of letting the run end silently.
     inj.noteInjected(FaultClass::kCoreFreeze);
     if (obs::TraceRecorder* tr = tracer(machine_.engine())) {
@@ -595,8 +595,7 @@ SccMachine::SccMachine(SccConfig config)
   mc_.resize(config_.num_mem_controllers);
   mpb_port_.resize(config_.numTiles());
 
-  // Freeze the per-core NoC timing tables (topology never changes) and
-  // pre-size the event heap for one pending event per core.
+  // Freeze the per-core NoC timing tables (topology never changes).
   core_mc_.reserve(config_.num_cores);
   core_mc_hop_ticks_.reserve(config_.num_cores);
   core_all_mc_hop_ticks_.reserve(config_.num_cores * config_.num_mem_controllers);
@@ -625,8 +624,7 @@ SccMachine::SccMachine(SccConfig config)
   // controllers plus every tile's MPB port. launch() gives each task a reach
   // set of its core's controller and the ports it may touch.
   engine_.registerResources(mesh_.numResources());
-  engine_.reserveEvents(config_.num_cores * 2);
-  // Robustness layer: at machine level a drained heap with live tasks is
+  // Robustness layer: at machine level a drained queue with live tasks is
   // ALWAYS the silent-hang bug (machine tasks never park across run()
   // calls), so hang detection is unconditional; the timeout and watchdog
   // knobs come from the config (off by default).
@@ -1030,7 +1028,9 @@ Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& t
   // transaction is always safe: its request is issued "now", while this
   // coroutine holds the engine. With coalescing off the horizon degenerates
   // to 0: one transaction per event, the per-word/per-chunk reference path.
-  const Tick horizon = config_.coalescing ? engine_.nextEventTimeFor(resource) : 0;
+  // A single transaction never consults the horizon: skip the query.
+  const Tick horizon =
+      config_.coalescing && max_txns > 1 ? engine_.nextEventTimeFor(resource) : 0;
 
   // Memory-controller stall faults: keyed by (resource id, per-resource
   // transaction index). The transaction order per resource is identical
@@ -1065,21 +1065,42 @@ Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& t
   return t;
 }
 
+SccMachine::WordRun* SccMachine::findRun(std::vector<WordRun>& runs, std::size_t task) {
+  for (WordRun& r : runs) {
+    if (r.task == task) return &r;
+  }
+  return nullptr;
+}
+
+SccMachine::WordRun& SccMachine::runOf(std::vector<WordRun>& runs, std::size_t task) {
+  if (WordRun* r = findRun(runs, task)) return *r;
+  runs.push_back(WordRun{});
+  runs.back().task = task;
+  return runs.back();
+}
+
+void SccMachine::eraseRun(std::vector<WordRun>& runs, std::size_t task) {
+  WordRun* r = findRun(runs, task);
+  if (r == nullptr) return;
+  *r = runs.back();
+  runs.pop_back();
+}
+
 bool SccMachine::consumeSolvedRun(std::uint32_t mc_id, std::size_t* words_done,
                                   Tick* completion) {
-  auto& runs = shm_word_runs_[mc_id];
+  std::vector<WordRun>& runs = shm_word_runs_[mc_id];
   if (runs.empty()) return false;
   const std::size_t task = engine_.currentTaskId();
   if (task == Engine::kNoTask) return false;
-  const auto it = runs.find(task);
-  if (it == runs.end() || !it->second.solved) return false;
+  const WordRun* r = findRun(runs, task);
+  if (r == nullptr || !r->solved) return false;
   // The words themselves were acquired (and tallied) by the joint replay;
   // this resume only reports them to the caller's run loop, which re-calls
   // for any words beyond the replayed prefix. One event either way.
-  *words_done = it->second.done;
-  *completion = it->second.final_t;
+  *words_done = r->done;
+  *completion = r->final_t;
   ++shm_word_events_;
-  runs.erase(it);
+  eraseRun(runs, task);
   return true;
 }
 
@@ -1087,7 +1108,7 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
                                     Tick start, std::size_t max_words,
                                     std::size_t* words_done, Tick* completion) {
   if (max_words == 0) return false;
-  auto& runs = shm_word_runs_[mc_id];
+  std::vector<WordRun>& runs = shm_word_runs_[mc_id];
   if (runs.empty()) return false;
   const std::size_t self = engine_.currentTaskId();
   if (self == Engine::kNoTask) return false;
@@ -1099,17 +1120,25 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   // comment at WordRun). Then every event that can touch this timeline
   // inside the replayed prefix belongs to a member, and the joint replay
   // below IS the engine's own schedule.
+  const std::size_t alive = engine_.aliveTasksReaching(mc_id);
+  if (alive == static_cast<std::size_t>(-1)) return false;
+  // O(classes) rejection first: with at most runs.size() peers, success
+  // needs every one of the other alive - peers - 1 tasks registered blocked,
+  // and peers <= runs.size() — so this cannot reject a provable closure.
+  const std::size_t entries = runs.size();
+  if (alive > entries + 1 && engine_.blockedTasksReaching(mc_id) < alive - entries - 1) {
+    return false;
+  }
   std::size_t peers = 0;
-  for (const auto& [tid, r] : runs) {
+  for (const WordRun& r : runs) {
     if (r.solved || r.remaining == 0) return false;
-    if (tid != self) ++peers;
+    if (r.task != self) ++peers;
   }
   if (peers == 0) return false;
-  const std::size_t alive = engine_.aliveTasksReaching(mc_id);
   if (alive != peers + 1) {
     // The wake-chain walk runs only once the O(classes) tally says every
     // non-member is registered blocked (lock-heavy runs rarely get here).
-    if (alive == static_cast<std::size_t>(-1) || alive < peers + 1) return false;
+    if (alive < peers + 1) return false;
     const std::size_t others = alive - (peers + 1);
     if (engine_.blockedTasksReaching(mc_id) != others) return false;
     if (engine_.parkedTasksReaching(mc_id) != others) return false;
@@ -1117,9 +1146,9 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
 
   std::vector<ReplayMember>& members = replay_members_;
   members.clear();
-  for (const auto& [tid, r] : runs) {
-    if (tid != self) {
-      members.push_back({tid, r.t, r.hop, r.remaining, r.seq, false});
+  for (const WordRun& r : runs) {
+    if (r.task != self) {
+      members.push_back({r.task, r.t, r.hop, r.remaining, r.seq, false});
     }
   }
   // Self is executing right now: its first acquire happens inside the live
@@ -1129,7 +1158,7 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
 
   // Replay the joint FCFS recurrence in ENGINE order on a SCRATCH timeline
   // (sim/contention.h): each word goes to the member whose pending event is
-  // earliest under the heap's own (time, schedule seq) key and is acquired
+  // earliest under the (time, schedule seq) key and is acquired
   // the instant that event would have fired, so arrivals, acquire order and
   // per-resource request indices (the kMcStall draw keys) are identical to
   // the per-event execution; periodic stretches are jumped in closed form.
@@ -1162,7 +1191,7 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
           .words;
 
   // Boundary guard: every member the replay advanced resumes through a
-  // RE-scheduled event whose heap seq reflects this execution, not the
+  // RE-scheduled event whose schedule order reflects this execution, not the
   // per-event one. Distinct resume ticks make that seq irrelevant; a tie
   // could invert the acquire order, so decline (nothing committed yet —
   // the per-event fallback is exact). Untouched members keep their
@@ -1196,9 +1225,9 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   for (const ReplayMember& m : members) {
     if (m.is_self) {
       if (m.remaining == 0) {
-        runs.erase(self);  // a continuation call's own stale entry, if any
+        eraseRun(runs, self);  // a continuation call's own stale entry, if any
       } else {
-        WordRun& r = runs[self];
+        WordRun& r = runOf(runs, self);
         r.t = m.t;
         r.hop = m.hop;
         r.remaining = m.remaining;
@@ -1211,7 +1240,7 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
       continue;
     }
     if (m.done == 0) continue;  // untouched: its pending event is still true
-    WordRun& r = runs[m.task];
+    WordRun& r = runOf(runs, m.task);
     r.solved = true;
     r.done = m.done;
     r.final_t = m.t;
@@ -1247,16 +1276,16 @@ Tick SccMachine::shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way,
     // contention pattern closed and solve the joint recurrence.
     const std::size_t task = engine_.currentTaskId();
     if (task != Engine::kNoTask) {
-      auto& runs = shm_word_runs_[mc_id];
+      std::vector<WordRun>& runs = shm_word_runs_[mc_id];
       if (*words_done < max_words) {
-        WordRun& r = runs[task];
+        WordRun& r = runOf(runs, task);
         r.t = t;
         r.hop = hop_one_way;
         r.remaining = max_words - *words_done;
         r.seq = shm_run_seq_[mc_id]++;  // continuation scheduled now, in order
         r.solved = false;
       } else {
-        runs.erase(task);
+        eraseRun(runs, task);
       }
     }
   }

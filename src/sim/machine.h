@@ -267,7 +267,7 @@ class CoreContext {
   /// Awaiter of an injected PERMANENT core freeze: suspends and never
   /// schedules a resume. The task stays alive with no pending event and no
   /// registered sync object — the engine's deadlock detector reports it as
-  /// wedged when the heap drains.
+  /// wedged when the event queue drains.
   struct FreezeForever {
     [[nodiscard]] bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> /*h*/) const noexcept {}
@@ -692,7 +692,7 @@ class SccMachine {
   // (Engine::parkedTasksReaching: a kNever wake chain, e.g. a barrier the
   // caller has not reached or a lock the caller holds) — the joint FCFS
   // recurrence over all k runs is replayed inline in engine order
-  // ((completion, schedule seq), the event heap's own order), so the
+  // (by completion, then schedule seq), so the
   // controller timeline sees the exact per-event acquire sequence: same
   // arrivals, same requests() indices (fault stall draws included), same
   // completions. The replay commits only a PREFIX of the joint schedule —
@@ -701,7 +701,7 @@ class SccMachine {
   // read run) that must interleave with the words beyond that point. It
   // also declines (leaving the per-event path to run, which is always
   // exact) when two members' post-replay resume instants land on the same
-  // tick: those resumes are re-scheduled events, and their heap seq order
+  // tick: those resumes are re-scheduled events, and their schedule order
   // could otherwise disagree with the order the per-event execution would
   // have produced. Within those guards the batch is Tick-exact by
   // construction; only the event count drops (a handful of events per
@@ -730,6 +730,7 @@ class SccMachine {
   // docs/memory_model.md).
   /// One task's in-flight word-run against a controller.
   struct WordRun {
+    std::size_t task = 0;  ///< the task running it (one entry per task)
     Tick t = 0;        ///< completion of its last serviced word
     Tick hop = 0;      ///< its one-way mesh latency to this controller
     std::size_t remaining = 0;  ///< words left in the run
@@ -744,6 +745,13 @@ class SccMachine {
     Tick at;
     Tick stall;
   };
+  /// `task`'s entry in one controller's run table, or null.
+  static WordRun* findRun(std::vector<WordRun>& runs, std::size_t task);
+  /// `task`'s entry in one controller's run table, appended if missing.
+  static WordRun& runOf(std::vector<WordRun>& runs, std::size_t task);
+  /// Drop `task`'s entry, if any. Entry order carries no meaning (the
+  /// replay picks by (t, seq)), so the last entry fills the hole.
+  static void eraseRun(std::vector<WordRun>& runs, std::size_t task);
   /// Consume the calling task's precomputed joint-solve result, if any:
   /// stores the full remaining word count and returns the run's completion.
   bool consumeSolvedRun(std::uint32_t mc_id, std::size_t* words_done,
@@ -847,11 +855,12 @@ class SccMachine {
   std::unordered_map<std::uint64_t, std::uint32_t> first_touch_claims_;
 
   /// Per controller: tasks mid word-run against it (round-robin contention
-  /// batching bookkeeping; a handful of entries at most).
-  std::vector<std::unordered_map<std::size_t, WordRun>> shm_word_runs_;
+  /// batching bookkeeping), a flat table searched linearly — at most one
+  /// entry per task reaching the controller.
+  std::vector<std::vector<WordRun>> shm_word_runs_;
   /// Per controller: monotone stamp mirroring the engine's event-schedule
   /// order. A WordRun recorded later has a later pending event, so ties at
-  /// equal completion Ticks resolve exactly as the event heap would. Starts
+  /// equal completion Ticks resolve exactly as the event queue would. Starts
   /// at 1 so the joint replay can hand the currently-executing task stamp 0:
   /// its first acquire happens inside the live event, ahead of every pending
   /// event that shares its tick. Stamps are only ever compared within one

@@ -272,15 +272,27 @@ std::uint64_t kvReferenceChecksum(const KvParams& params, const ZipfCdf& cdf, in
 
 ZipfCdf makeZipfCdf(std::uint32_t num_keys, double alpha) {
   if (num_keys == 0) num_keys = 1;
-  auto cdf = std::make_shared<std::vector<double>>(num_keys);
+  auto table = std::make_shared<ZipfTable>();
+  std::vector<double>& cdf = table->cdf;
+  cdf.resize(num_keys);
   double total = 0.0;
   for (std::uint32_t k = 0; k < num_keys; ++k) {
     total += 1.0 / std::pow(static_cast<double>(k + 1), alpha);
-    (*cdf)[k] = total;
+    cdf[k] = total;
   }
-  for (double& c : *cdf) c /= total;
-  cdf->back() = 1.0;  // guard against accumulated rounding at the tail
-  return cdf;
+  for (double& c : cdf) c /= total;
+  cdf.back() = 1.0;  // guard against accumulated rounding at the tail
+  std::size_t buckets = 1;
+  while (buckets < num_keys) buckets *= 2;
+  table->guide.resize(buckets);
+  std::uint32_t k = 0;
+  for (std::size_t j = 0; j < buckets; ++j) {
+    // Edges are below 1 == cdf.back(), so the scan stops inside the table.
+    const double edge = static_cast<double>(j) / static_cast<double>(buckets);
+    while (cdf[k] <= edge) ++k;
+    table->guide[j] = k;
+  }
+  return table;
 }
 
 ZipfGenerator::ZipfGenerator(std::uint32_t num_keys, double alpha, std::uint64_t seed)
@@ -292,23 +304,11 @@ ZipfGenerator::ZipfGenerator(ZipfCdf cdf, std::uint64_t seed)
 std::uint32_t ZipfGenerator::next() {
   const std::uint64_t bits = kvMix64(seed_ ^ (counter_++ * 0x9E3779B97F4A7C15ULL));
   const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
-  // Inverse CDF by binary search: first rank whose cumulative mass covers u.
-  const std::vector<double>& cdf = *cdf_;
-  std::uint32_t lo = 0;
-  std::uint32_t hi = static_cast<std::uint32_t>(cdf.size()) - 1;
-  while (lo < hi) {
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (cdf[mid] <= u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return cdf_->rank(u);
 }
 
 double ZipfGenerator::probability(std::uint32_t k) const {
-  const std::vector<double>& cdf = *cdf_;
+  const std::vector<double>& cdf = cdf_->cdf;
   if (k >= cdf.size()) return 0.0;
   return k == 0 ? cdf[0] : cdf[k] - cdf[k - 1];
 }

@@ -15,6 +15,7 @@
 // and are verified against an untimed host-side replay of the same streams.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -32,15 +33,33 @@ namespace hsm::workloads {
   return x ^ (x >> 31);
 }
 
-/// A Zipf(alpha) CDF over ranks [0, num_keys): cdf[k] = P(rank <= k),
-/// cdf.back() == 1. Read-only once built, so one table serves every
-/// generator of a run.
-using ZipfCdf = std::shared_ptr<const std::vector<double>>;
+/// A Zipf(alpha) inverse-CDF table over ranks [0, num_keys). Read-only once
+/// built, so one table serves every generator of a run.
+struct ZipfTable {
+  /// cdf[k] = P(rank <= k), nondecreasing, cdf.back() == 1.
+  std::vector<double> cdf;
+  /// guide[j] = the first rank whose cdf exceeds j / guide.size(). The size
+  /// is a power of two, so both j / G and u * G are exact in binary
+  /// floating point.
+  std::vector<std::uint32_t> guide;
+
+  /// The first rank whose cdf exceeds `u` in [0, 1): a forward scan from
+  /// guide[floor(u * G)], which can only start at or below that rank —
+  /// exactly what a binary search over cdf returns, in O(1) expected steps.
+  [[nodiscard]] std::uint32_t rank(double u) const {
+    assert(u >= 0.0 && u < 1.0);
+    const double scaled = u * static_cast<double>(guide.size());
+    std::uint32_t k = guide[static_cast<std::size_t>(scaled)];
+    while (cdf[k] <= u) ++k;
+    return k;
+  }
+};
+using ZipfCdf = std::shared_ptr<const ZipfTable>;
 [[nodiscard]] ZipfCdf makeZipfCdf(std::uint32_t num_keys, double alpha);
 
 /// Deterministic Zipf(alpha) key generator over ranks [0, num_keys):
-/// a precomputed inverse-CDF table indexed by counter-based splitmix64
-/// uniforms. Stateless beyond the draw counter — two generators built with
+/// a precomputed inverse-CDF table (ZipfTable::rank) indexed by
+/// counter-based splitmix64 uniforms. Stateless beyond the draw counter — two generators built with
 /// the same (num_keys, alpha, seed) produce identical streams on any
 /// platform, and distinct seeds produce decorrelated streams with the same
 /// marginal distribution (the properties the tests pin down).
@@ -53,7 +72,7 @@ class ZipfGenerator {
   /// Next key rank (0 = the hottest key).
   [[nodiscard]] std::uint32_t next();
   [[nodiscard]] std::uint32_t numKeys() const {
-    return static_cast<std::uint32_t>(cdf_->size());
+    return static_cast<std::uint32_t>(cdf_->cdf.size());
   }
   /// Probability mass of rank `k` (for skew assertions in tests).
   [[nodiscard]] double probability(std::uint32_t k) const;

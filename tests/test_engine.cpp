@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sim/engine.h"
@@ -880,14 +881,252 @@ TEST(Engine, NextEventTimeSeesEarliestOfMany) {
   EXPECT_EQ(engine.nextEventTime(), 10u);
 }
 
-TEST(Engine, ReserveEventsPreservesOrdering) {
+// --- the pending set against a reference priority queue ---------------------
+
+/// Differential harness for the engine's queue: every schedule the fuzz
+/// tasks make is mirrored into a plain list of pending entries, and every
+/// resume must be the list's minimum under (when, task before host, task id,
+/// host insertion seq). At each resume the harness also checks
+/// nextEventTime() and nextEventTimeFor(r) against scans of its own state.
+struct QueueFuzz {
+  enum class State : std::uint8_t { kPending, kRunning, kParked, kBlocked, kDone };
+  struct Pending {
+    Tick when;
+    bool host;
+    std::size_t id;  ///< task id, or host-event index
+    std::uint64_t seq;
+  };
+  static constexpr std::uint32_t kResources = 3;
+
+  explicit QueueFuzz(std::uint64_t seed) : rng(seed) {}
+
   Engine engine;
-  engine.reserveEvents(1024);
-  std::vector<int> log;
-  engine.spawn(recorder(engine, log, 1, 300));
-  engine.spawn(recorder(engine, log, 2, 100));
-  engine.run();
-  EXPECT_EQ(log, (std::vector<int>{2, 102, 1, 101}));
+  std::mt19937_64 rng;
+  std::vector<State> state;
+  std::vector<Tick> pending_when;  ///< per task, valid while kPending
+  std::vector<std::vector<std::uint32_t>> reach;  ///< empty: universal
+  std::vector<std::uint32_t> sync;                ///< per task: its own lock
+  std::vector<std::size_t> waker;                 ///< that lock's one waker
+  std::vector<std::coroutine_handle<>> parked;    ///< per task, while parked
+  std::vector<SimTask> host_events;  ///< never spawned; each fires at most once
+  std::size_t next_host = 0;
+  std::vector<Pending> ref;
+  std::uint64_t host_seq = 0;
+  std::size_t pops = 0;
+  std::string failure;  ///< first mismatch, if any
+
+  Tick draw(Tick n) { return static_cast<Tick>(rng() % n); }
+  void check(bool ok, const std::string& what) {
+    if (!ok && failure.empty()) failure = what + " at pop " + std::to_string(pops);
+  }
+  static bool firesBefore(const Pending& a, const Pending& b) {
+    if (a.when != b.when) return a.when < b.when;
+    if (a.host != b.host) return !a.host;
+    return a.host ? a.seq < b.seq : a.id < b.id;
+  }
+  void expectTask(std::size_t task, Tick when) {
+    ref.push_back({when, false, task, 0});
+    state[task] = State::kPending;
+    pending_when[task] = when;
+  }
+  void expectHost(std::size_t index, Tick when) {
+    ref.push_back({when, true, index, host_seq++});
+  }
+  [[nodiscard]] bool reaches(std::size_t task, std::uint32_t r) const {
+    return reach[task].empty() ||
+           std::find(reach[task].begin(), reach[task].end(), r) != reach[task].end();
+  }
+  [[nodiscard]] Tick refNext() const {
+    Tick next = Engine::kNever;
+    for (const Pending& p : ref) next = std::min(next, p.when);
+    return next;
+  }
+  /// kAny wake bound of blocked `b` through its lock's single waker.
+  Tick refWakeBound(std::size_t b, std::size_t running,
+                    std::vector<std::size_t>& visited) const {
+    const std::size_t w = waker[b];
+    if (w == b || w == running) return Engine::kNever;
+    switch (state[w]) {
+      case State::kPending: return pending_when[w];
+      case State::kParked: return refNext();
+      case State::kBlocked: {
+        if (std::find(visited.begin(), visited.end(), w) != visited.end()) {
+          return Engine::kNever;
+        }
+        visited.push_back(w);
+        const Tick bound = refWakeBound(w, running, visited);
+        visited.pop_back();
+        return bound;
+      }
+      case State::kRunning:
+      case State::kDone: return Engine::kNever;
+    }
+    return Engine::kNever;
+  }
+  [[nodiscard]] Tick refHorizon(std::uint32_t r, std::size_t running) const {
+    Tick horizon = Engine::kNever;
+    for (const Pending& p : ref) {
+      if (p.host || reaches(p.id, r)) horizon = std::min(horizon, p.when);
+    }
+    for (std::size_t t = 0; t < state.size(); ++t) {
+      if (!reaches(t, r)) continue;
+      if (state[t] == State::kParked) return refNext();  // unknown park
+      if (state[t] == State::kBlocked) {
+        std::vector<std::size_t> visited{t};
+        horizon = std::min(horizon, refWakeBound(t, running, visited));
+      }
+    }
+    return horizon;
+  }
+  void onResume(bool host, std::size_t id) {
+    ++pops;
+    const auto it = std::min_element(ref.begin(), ref.end(), firesBefore);
+    if (it == ref.end()) {
+      check(false, "resume with nothing pending");
+      return;
+    }
+    check(it->when == engine.now() && it->host == host && it->id == id,
+          "resumed " + std::string(host ? "host " : "task ") + std::to_string(id) +
+              " @" + std::to_string(engine.now()) + ", reference " +
+              std::string(it->host ? "host " : "task ") + std::to_string(it->id) + " @" +
+              std::to_string(it->when));
+    ref.erase(it);
+    const std::size_t running = host ? Engine::kNoTask : id;
+    if (!host) state[id] = State::kRunning;
+    check(engine.currentTaskId() == running, "currentTaskId");
+    check(engine.nextEventTime() == refNext(), "nextEventTime");
+    for (std::uint32_t r = 0; r < kResources; ++r) {
+      check(engine.nextEventTimeFor(r) == refHorizon(r, running),
+            "nextEventTimeFor(" + std::to_string(r) + ")");
+    }
+  }
+  /// Non-suspending moves of the running task: wake a parked task (at an
+  /// equal or later Tick) and/or file a host event.
+  void sideActions() {
+    if (draw(3) == 0) {
+      std::vector<std::size_t> sleepers;
+      for (std::size_t t = 0; t < state.size(); ++t) {
+        if (state[t] == State::kParked || state[t] == State::kBlocked) sleepers.push_back(t);
+      }
+      if (!sleepers.empty()) {
+        const std::size_t t = sleepers[draw(sleepers.size())];
+        const Tick when = engine.now() + draw(3);
+        engine.schedule(when, parked[t], t);
+        expectTask(t, when);
+      }
+    }
+    if (draw(5) == 0 && next_host < host_events.size()) {
+      const Tick when = engine.now() + draw(4);
+      engine.schedule(when, host_events[next_host].handle(), Engine::kNoTask);
+      expectHost(next_host++, when);
+    }
+  }
+};
+
+/// Parks the running fuzz task, registered on its lock or not.
+struct FuzzPark {
+  QueueFuzz* f;
+  std::size_t task;
+  bool registered;
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    f->parked[task] = h;
+    f->state[task] = registered ? QueueFuzz::State::kBlocked : QueueFuzz::State::kParked;
+    if (registered) f->engine.blockOnSync(task, f->sync[task]);
+  }
+  void await_resume() const noexcept {}
+};
+
+SimTask fuzzTask(QueueFuzz& f, std::size_t id) {
+  for (int step = 0;; ++step) {
+    f.onResume(false, id);
+    f.sideActions();
+    const Tick pick = f.draw(12);
+    if (pick == 0 || step == 30) {
+      f.state[id] = QueueFuzz::State::kDone;
+      co_return;
+    }
+    if (pick <= 3) {
+      co_await FuzzPark{&f, id, pick <= 2};
+    } else {
+      const Tick when = f.engine.now() + 1 + f.draw(4);  // small: many collisions
+      f.expectTask(id, when);
+      co_await f.engine.resumeAt(when);
+    }
+  }
+}
+
+SimTask fuzzHostEvent(QueueFuzz& f, std::size_t index) {
+  f.onResume(true, index);
+  co_return;
+}
+
+// The one-slot-per-task queue against the reference order. Each trial
+// spawns tasks with random reach sets (universal ones included) and random
+// start Ticks, files host events before run() and from inside tasks, lets
+// tasks park (registered on a lock whose one waker is another task, or by
+// an unknown mechanism), wake each other at equal or later Ticks and
+// finish, then wakes the leftovers from host context and runs again.
+TEST(Engine, TaskSlotQueueMatchesReferenceOrder) {
+  {
+    // The ascending-(time, task) order on the simplest schedule.
+    Engine engine;
+    std::vector<int> log;
+    engine.spawn(recorder(engine, log, 1, 300));
+    engine.spawn(recorder(engine, log, 2, 100));
+    engine.run();
+    EXPECT_EQ(log, (std::vector<int>{2, 102, 1, 101}));
+  }
+  std::size_t total_pops = 0;
+  for (std::uint64_t trial = 0; trial < 2000; ++trial) {
+    QueueFuzz f(trial * 0x9E3779B97F4A7C15ULL + 7);
+    f.engine.registerResources(QueueFuzz::kResources);
+    const std::size_t tasks = 2 + f.draw(11);
+    f.state.assign(tasks, QueueFuzz::State::kPending);
+    f.pending_when.assign(tasks, 0);
+    f.parked.assign(tasks, {});
+    for (std::size_t t = 0; t < tasks; ++t) {
+      std::vector<std::uint32_t> reach;
+      for (std::uint32_t r = 0; r < QueueFuzz::kResources; ++r) {
+        if (f.draw(2) == 0) reach.push_back(r);
+      }
+      f.reach.push_back(reach);
+      f.sync.push_back(f.engine.registerSyncObject());
+      f.waker.push_back(f.draw(tasks));
+    }
+    for (std::size_t t = 0; t < tasks; ++t) {
+      f.engine.setSyncWakers(f.sync[t], {f.waker[t]});
+    }
+    for (std::size_t i = 0; i < 16; ++i) f.host_events.push_back(fuzzHostEvent(f, i));
+    for (std::size_t t = 0; t < tasks; ++t) {
+      const Tick start = f.draw(4);
+      f.expectTask(t, start);
+      f.engine.spawnReaching(fuzzTask(f, t), start, f.reach[t]);
+    }
+    for (int i = 0; i < 2; ++i) {
+      const Tick when = f.draw(6);
+      f.engine.schedule(when, f.host_events[f.next_host].handle());
+      f.expectHost(f.next_host++, when);
+    }
+    EXPECT_EQ(f.engine.nextEventTime(), f.refNext()) << "trial " << trial;
+    f.engine.run();
+    for (std::size_t t = 0; t < tasks; ++t) {
+      if (f.state[t] != QueueFuzz::State::kParked &&
+          f.state[t] != QueueFuzz::State::kBlocked) {
+        continue;
+      }
+      if (f.draw(2) == 0) continue;
+      const Tick when = f.engine.now() + f.draw(3);
+      f.engine.schedule(when, f.parked[t], t);
+      f.expectTask(t, when);
+    }
+    f.engine.run();
+    EXPECT_EQ(f.failure, "") << "trial " << trial;
+    EXPECT_TRUE(f.ref.empty()) << "trial " << trial;
+    EXPECT_EQ(f.engine.nextEventTime(), Engine::kNever) << "trial " << trial;
+    total_pops += f.pops;
+  }
+  EXPECT_GT(total_pops, 50000u);
 }
 
 TEST(Engine, WallClockInstrumentation) {

@@ -15,6 +15,7 @@
 //     plan_regions_unrealized detector.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -74,6 +75,64 @@ TEST(ZipfGenerator, MeasuredSkewMatchesProbability) {
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
   EXPECT_GT(g.probability(0), 0.15);  // alpha 1.2 concentrates the head
+}
+
+/// The inverse CDF as ZipfGenerator computed it before the guide table: a
+/// binary search for the first rank whose cumulative mass exceeds u.
+std::uint32_t binarySearchRank(const std::vector<double>& cdf, double u) {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = static_cast<std::uint32_t>(cdf.size()) - 1;
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    if (cdf[mid] <= u) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+// The guide-table scan must return exactly the binary search's rank: on the
+// generator's own draws (its uniform derivation restated here), and at the
+// values where an off-by-one would show — every bucket edge j/G, every cdf
+// value, and their floating-point neighbours.
+TEST(ZipfGenerator, GuideTableMatchesBinarySearch) {
+  std::uint64_t draws = 0;
+  for (const std::uint32_t num_keys : {1u, 2u, 3u, 100u, 1000u, 4096u, 5000u}) {
+    for (const double alpha : {0.6, 1.0, 1.2, 2.5}) {
+      const workloads::ZipfCdf table = workloads::makeZipfCdf(num_keys, alpha);
+      const std::vector<double>& cdf = table->cdf;
+      ASSERT_EQ(cdf.size(), num_keys);
+      for (const std::uint64_t seed : {1ULL, 0x5EEDBA5EULL, 0xFEEDFACEULL}) {
+        ZipfGenerator g(table, seed);
+        for (std::uint64_t i = 0; i < 12000; ++i, ++draws) {
+          const std::uint64_t bits =
+              workloads::kvMix64(seed ^ (i * 0x9E3779B97F4A7C15ULL));
+          const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
+          ASSERT_EQ(g.next(), binarySearchRank(cdf, u))
+              << "keys " << num_keys << " alpha " << alpha << " seed " << seed
+              << " draw " << i;
+        }
+      }
+      std::vector<double> probes;
+      const double buckets = static_cast<double>(table->guide.size());
+      for (std::size_t j = 0; j < table->guide.size(); ++j) {
+        probes.push_back(static_cast<double>(j) / buckets);
+      }
+      probes.insert(probes.end(), cdf.begin(), cdf.end());
+      for (const double p : std::vector<double>(probes)) {
+        probes.push_back(std::nextafter(p, 0.0));
+        probes.push_back(std::nextafter(p, 1.0));
+      }
+      for (const double u : probes) {
+        if (u < 0.0 || u >= 1.0) continue;
+        ASSERT_EQ(table->rank(u), binarySearchRank(cdf, u))
+            << "keys " << num_keys << " alpha " << alpha << " u " << u;
+      }
+    }
+  }
+  EXPECT_GE(draws, 1000000u);
 }
 
 // --- address→controller routing ---------------------------------------------
@@ -236,6 +295,32 @@ TEST(KvStore, StripedPlanHotSpotsWhereOwnerComputeStaysFlat) {
                             hot.controller_traffic.end(), std::uint64_t{0}));
   EXPECT_LT(flat.controller_load_cv, 0.1);
   EXPECT_GT(hot.controller_load_cv, 2.0 * flat.controller_load_cv);
+}
+
+// The pipeline benchmark's kv_zipf pass at its own scale: 32 UEs, seed
+// kvMix64(1), the owner-compute plan of bench/pipeline (restated here). Its
+// Ticks and event counts are pinned: the engine's queue and the machine's
+// word-run table may only make this pass faster, never move an event.
+TEST(KvStore, PipelineScalePinned) {
+  KvParams p;
+  p.seed = workloads::kvMix64(1);
+  std::size_t index_cap = 1;
+  while (index_cap < 2 * p.num_keys) index_cap *= 2;
+  const ExecutionPlan plan{
+      {RegionPlan{"kv_index", PlacementClass::kOffChipUncached, MpbPattern::kNone,
+                  index_cap * 8, ControllerPlacement::kOwnerCompute},
+       RegionPlan{"kv_slots", PlacementClass::kOffChipUncached, MpbPattern::kNone,
+                  static_cast<std::size_t>(p.num_keys) * 4 * 8,
+                  ControllerPlacement::kOwnerCompute},
+       RegionPlan{"kv_checks", PlacementClass::kOffChipUncached, MpbPattern::kNone,
+                  8 * 8}}};
+  const workloads::RunResult r =
+      workloads::makeKvStore(p)->run(workloads::Mode::RcceOffChip, 32, sim::SccConfig{},
+                                     &plan);
+  ASSERT_TRUE(r.verified);
+  EXPECT_EQ(r.makespan, 622650096u);
+  EXPECT_EQ(r.metrics.sim_counters.at("events"), 463516u);
+  EXPECT_EQ(r.metrics.sim_counters.at("shm_word_events"), 329811u);
 }
 
 TEST(KvStore, ControllerPlacedRegionNameDriftIsDetected) {

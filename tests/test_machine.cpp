@@ -1034,6 +1034,73 @@ TEST(Machine, EmptyScopeLaunchBitIdenticalAcrossCoalescing) {
   }
 }
 
+// --- random kernels: coalescing on/off ----------------------------------------
+
+/// A seeded random kernel: two phases of compute bursts and uncached reads of
+/// random length and offset (writes into the UE's own slice now and then),
+/// with one barrier between the phases, so word runs meet contention,
+/// staggered starts and barrier-parked peers in every mix.
+SimTask randomKernel(CoreContext& ctx, std::uint64_t shared, std::uint64_t shared_words,
+                     std::uint64_t own, std::uint64_t seed) {
+  std::mt19937_64 rng(seed ^ (static_cast<std::uint64_t>(ctx.ue()) * 0x9E3779B97F4A7C15ULL));
+  std::vector<std::uint64_t> buf(48);
+  for (int phase = 0; phase < 2; ++phase) {
+    const int ops = 2 + static_cast<int>(rng() % 4);
+    for (int i = 0; i < ops; ++i) {
+      co_await ctx.compute(rng() % 4000);
+      const std::size_t n = 1 + rng() % buf.size();
+      if (rng() % 4 == 0) {
+        co_await ctx.shmWrite(own + static_cast<std::uint64_t>(ctx.ue()) * 48 * 8,
+                              buf.data(), n * 8);
+      } else {
+        const std::uint64_t word = rng() % (shared_words - n);
+        co_await ctx.shmRead(shared + word * 8, buf.data(), n * 8);
+      }
+    }
+    if (phase == 0) co_await ctx.barrier();
+  }
+}
+
+// Random kernels on 2-48 UEs must give the same makespan and per-task
+// completions with coalescing on and off. The word-event total of the
+// coalesced runs is pinned too: a queue or run-table change that moves an
+// event (not only a Tick) shows up there.
+TEST(Machine, RandomKernelsBitIdenticalAcrossCoalescing) {
+  std::uint64_t word_events = 0;
+  std::uint64_t events = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const int ues = 2 + static_cast<int>(seed * 0x9E3779B97F4A7C15ULL % 47);
+    SimResult runs[2];
+    for (const bool coalescing : {false, true}) {
+      SccConfig cfg;
+      cfg.coalescing = coalescing;
+      SccMachine machine(cfg);
+      constexpr std::uint64_t kSharedWords = 4096;
+      const std::uint64_t shared = machine.shmalloc(kSharedWords * 8);
+      const std::uint64_t own = machine.shmalloc(static_cast<std::size_t>(ues) * 48 * 8);
+      machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) {
+        return randomKernel(ctx, shared, kSharedWords, own, seed);
+      }));
+      SimResult& r = runs[coalescing ? 1 : 0];
+      r.makespan = machine.run();
+      for (int ue = 0; ue < ues; ++ue) {
+        r.completions.push_back(
+            machine.engine().completionTime(static_cast<std::size_t>(ue)));
+      }
+      r.events = machine.engine().eventsProcessed();
+      r.shm_words = machine.shmWordsSimulated();
+      r.shm_word_events = machine.shmWordEvents();
+    }
+    EXPECT_EQ(runs[1].makespan, runs[0].makespan) << "seed " << seed;
+    EXPECT_EQ(runs[1].completions, runs[0].completions) << "seed " << seed;
+    EXPECT_EQ(runs[1].shm_words, runs[0].shm_words) << "seed " << seed;
+    word_events += runs[1].shm_word_events;
+    events += runs[1].events;
+  }
+  EXPECT_EQ(word_events, 595317u);
+  EXPECT_EQ(events, 640715u);
+}
+
 // --- joint contention replay: round jumps vs the word-by-word oracle ---------
 
 /// The joint replay one word at a time, as SccMachine ran it before round
