@@ -1,109 +1,128 @@
 #!/usr/bin/env python3
-"""Gate the micro_sim bench trajectory: BENCH_pr.json vs BENCH_baseline.json.
+"""Gate micro_sim: sim-domain values against a baseline, host time against
+the parent commit on the same machine.
 
-Fails (exit 1) when:
-  * any Tick equivalence check in the PR run is violated (this includes the
-    ExecutionPlan-driven twins: plan-launched runs must match the
-    legacy-knob Ticks bit for bit),
-  * any swcache check (DRF functional identity across cached/uncached
-    routings, the read-mostly hit-rate bar) in the PR run is violated,
-  * any mixed-policy check is violated (mixed_policy_8ue: the per-region
-    plan must beat both machine-wide cacheability settings on simulated
-    words per simulated second, with bit-identical functional results and
-    zero MPB scope violations),
-  * any observability check is violated (obs_checks_ok: a traced run must
-    export byte-identical Chrome JSON across coalescing modes, and enabling
-    the trace must not move a single Tick of the barrier_32ue run),
-  * any KV Zipf check is violated (kv_zipf_8ue: both placement plans must
-    verify against the host replay and the striped plan must hot-spot one
-    controller while owner-compute stays flat), or the deterministic
-    controller_load_cv values shift against the baseline (striped must not
-    fall, placed must not rise),
-  * any sim-domain value present in both files differs from the baseline:
-    every run's makespan_ps and sim_hash (FNV-1a over its per-task
-    completion Ticks and extracted result bytes), and every scenario-level
-    *makespan_ps field. Simulated time is a pure function of program and
-    config, so any difference is a model change that needs a deliberate
-    baseline regeneration — never noise,
-  * a scenario present in the baseline is missing from the PR run,
-  * simulator throughput of a scenario's coalesced run regresses more than
-    the tolerance (default 15%, override with --tolerance) after normalizing
-    for overall machine speed,
-  * the coalescing rate of a scenario's coalesced run drops below the
-    baseline (beyond a small float-formatting epsilon),
-  * the swcache hit rate of a scenario's coalesced run drops below the
-    baseline (same epsilon) — both rates are deterministic, so any drop is
-    a code change, not noise.
+    python3 scripts/compare_bench.py BENCH_baseline.json BENCH_pr.json
+    python3 scripts/compare_bench.py --ab PARENT_REV build/bench/micro_sim
+    python3 scripts/compare_bench.py --baseline-from BENCH_pr.json > BENCH_baseline.json
+    python3 scripts/compare_bench.py --self-test
 
-Scenarios present only in the PR run are reported as "new" (not failures):
-a PR may add scenarios without regenerating the committed baseline, which
-should then be refreshed in a follow-up so they join the gated trajectory.
+Sim-domain gate (BASELINE PR). BENCH_baseline.json holds only values that
+are a pure function of program and config, so it cannot go stale when host
+speed changes. The gate fails when:
+  * any entry of any scenario's `checks` map in the PR run is false;
+  * a baseline scenario is missing from the PR run;
+  * any run's makespan_ps or sim_hash, or any scenario-level *makespan_ps
+    value, differs from the baseline;
+  * a deterministic rate moves the wrong way beyond the 4-decimal
+    formatting epsilon: any run's coalescing_rate or swcache_hit_rate, the
+    fault sweep's recovery_rate or kv_zipf_8ue's controller_load_cv_striped
+    falls, or controller_load_cv_placed rises;
+  * obs_trace_8ue's trace_overhead_barrier_32ue (traced wall / untraced
+    wall, a host-time ratio of one run) exceeds 4x.
+Any of these is a code change, never noise: regenerate the baseline
+deliberately, with --baseline-from on a full run of the parent's code
+first, when a change is meant to shift them. Scenarios only in the PR run
+are reported as new.
 
-Throughput metric: shm_words_per_sec for word-granular scenarios (simulated
-shared words — uncached transactions plus words served through the swcache —
-per host second: invariant to how many engine events that work costs, so
-better coalescing or caching cannot read as a regression the way raw
-events/sec would), mpb_chunks_per_sec for MPB-chunk scenarios without word
-traffic, events_per_sec for substrate scenarios with neither.
+Host-time gate (--ab). Exports PARENT_REV with ab_pipeline.export_revision,
+builds only its micro_sim target with the change binary's build type, and
+runs every timed scenario of BENCH_baseline.json (those with a "coalesced"
+run) as `micro_sim --scenario` trials: TRIALS per side, alternating sides and
+swapping which goes first. Each scenario's coalesced throughput is judged by
+bench/pipeline/compare.py's verdict() with a 15% bound. `worse` fails.
+`unresolved` (a spread wider than the bound) fails only when the median is
+worse by more than the bound AND every change trial reads worse than every
+parent trial: the mirror of verdict()'s own rule for `better`. On a shared
+4-vCPU host most verdicts of an unchanged tree are `unresolved`, and
+failing them all, or every median beyond the bound, failed most runs
+(CHANGES.md records the data).
 
-The committed baseline was measured on one machine and CI runs on another,
-so raw events/sec comparisons would gate on hardware, not code. To separate
-the two, the PR/baseline throughput ratios are normalized by their median
-across all scenarios: a uniformly slower (or faster) machine moves every
-ratio and cancels out, while a single scenario regressing relative to its
-peers is exactly what survives the normalization. The median, unlike a
-geometric mean, cannot be moved by one scenario's real gain (a 5x faster
-scenario would lift a geomean and push untouched peers under the floor).
-The committed baseline should be regenerated
-(./build/bench/micro_sim > BENCH_baseline.json) whenever a PR intentionally
-shifts the trajectory, making the shift reviewable in the diff.
-
-`--self-test` checks the judge itself on planted copies of the committed
-baseline (no build needed).
+Throughput: shm_words_per_sec for scenarios with shared-word traffic,
+mpb_chunks_per_sec for MPB-only ones, events_per_sec otherwise: simulated
+work per host second, invariant to how many engine events the work costs.
 """
 
 import argparse
 import copy
 import json
+import os
+import platform
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
-RATE_EPSILON = 0.005  # coalescing_rate is emitted with 4 decimals
-EXACT_RUN_FIELDS = ("makespan_ps", "sim_hash")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench" / "pipeline"))
+from ab_pipeline import export_revision  # noqa: E402
+from compare import verdict  # noqa: E402
+
+BASELINE = ROOT / "BENCH_baseline.json"
+PARENT_TREE = ROOT / ".bench_build" / "micro_sim_parent"
+RATE_EPSILON = 0.005  # rates are emitted with 4 decimals
+EXACT_FIELDS = ("makespan_ps", "sim_hash")
+# Deterministic rates: +1 may not fall, -1 may not rise.
+RATE_DIRECTIONS = {"coalescing_rate": 1, "swcache_hit_rate": 1, "recovery_rate": 1,
+                   "controller_load_cv_striped": 1, "controller_load_cv_placed": -1}
+TRACE_OVERHEAD_CAP = 4.0
+AB_BOUND = 0.15
+TRIALS = 5
 
 
-def exact_mismatches(baseline, pr):
-    """(values checked, failures) of the exact sim-domain gate."""
-    checked = 0
+def leaves(scenario):
+    """(label, value) of every scalar in a scenario, one dict level deep."""
+    for key, value in scenario.items():
+        if isinstance(value, dict):
+            for field, inner in value.items():
+                yield f"{key}.{field}", inner
+        elif key != "name":
+            yield key, value
+
+
+def sim_failures(baseline, pr, say=print):
+    """Every sim-domain gate failure of `pr` against `baseline`."""
     failures = []
-    pr_scenarios = {s["name"]: s for s in pr.get("scenarios", [])}
-    for base_scenario in baseline.get("scenarios", []):
-        name = base_scenario["name"]
-        pr_scenario = pr_scenarios.get(name, {})
-        for key, base_value in base_scenario.items():
-            pr_value = pr_scenario.get(key)
-            if isinstance(base_value, dict) and isinstance(pr_value, dict):
-                values = [(f"{key}.{field}", base_value.get(field), pr_value.get(field))
-                          for field in EXACT_RUN_FIELDS]
-            elif key.endswith("makespan_ps"):
-                values = [(key, base_value, pr_value)]
+    for scenario in pr["scenarios"]:
+        for check, ok in scenario.get("checks", {}).items():
+            if not ok:
+                failures.append(f"{scenario['name']}: check {check} is false")
+        overhead = scenario.get("trace_overhead_barrier_32ue")
+        if overhead is not None:
+            if overhead > TRACE_OVERHEAD_CAP:
+                failures.append(f"{scenario['name']}: trace_overhead_barrier_32ue "
+                                f"{overhead:.2f}x exceeds {TRACE_OVERHEAD_CAP:g}x")
             else:
+                say(f"ok trace_overhead_barrier_32ue {overhead:.2f}x "
+                    f"(cap {TRACE_OVERHEAD_CAP:g}x)")
+
+    pr_scenarios = {s["name"]: s for s in pr["scenarios"]}
+    checked = 0
+    for base in baseline["scenarios"]:
+        name = base["name"]
+        if name not in pr_scenarios:
+            failures.append(f"{name}: scenario missing from PR run")
+            continue
+        new = dict(leaves(pr_scenarios[name]))
+        for label, old in leaves(base):
+            value = new.get(label)
+            key = label.rsplit(".", 1)[-1]
+            if value is None:
                 continue
-            for label, base, new in values:
-                if base is None or new is None:
-                    continue
+            if key in EXACT_FIELDS or key.endswith("makespan_ps"):
                 checked += 1
-                if base != new:
-                    failures.append(f"{name}.{label} changed {base} -> {new}")
-    return checked, failures
-
-
-THROUGHPUT_FIELDS = ("shm_words_per_sec", "mpb_chunks_per_sec", "events_per_sec")
+                if value != old:
+                    failures.append(f"{name}.{label} changed {old} -> {value}")
+            elif key in RATE_DIRECTIONS and RATE_DIRECTIONS[key] * (value - old) < -RATE_EPSILON:
+                failures.append(f"{name}.{label} moved the wrong way {old:.4f} -> {value:.4f}")
+    say(f"exact sim-domain gate: {checked} values compared")
+    for name in pr_scenarios.keys() - {s["name"] for s in baseline["scenarios"]}:
+        say(f"new {name}: not in the baseline, not gated")
+    return failures
 
 
 def throughput(run):
-    """(metric name, value): simulated-work/sec if any, else events/sec."""
+    """(metric name, value): simulated work per host second."""
     if run.get("shm_words", 0) > 0:
         return "shm_words_per_sec", run["shm_words_per_sec"]
     if run.get("mpb_chunks", 0) > 0:
@@ -111,258 +130,193 @@ def throughput(run):
     return "events_per_sec", run["events_per_sec"]
 
 
-def judge(baseline, pr, tolerance, say=print):
-    """Every gate failure of `pr` against `baseline` (empty: passed)."""
+def ab_failures(parent, change, say=print):
+    """Judge scenario -> [throughput per trial] of the change against the
+    parent's; returns the failures."""
     failures = []
-
-    if not pr.get("ticks_identical_all", False):
-        failures.append(
-            "ticks_identical_all is false: coalescing produced diverging Ticks"
-        )
-    # Absent in pre-swcache result files; present files must pass.
-    if not pr.get("swcache_checks_ok", True):
-        failures.append(
-            "swcache_checks_ok is false: DRF functional identity or the "
-            "read-mostly hit-rate bar was violated"
-        )
-    # Absent in pre-ExecutionPlan result files; present files must pass.
-    if not pr.get("policy_checks_ok", True):
-        failures.append(
-            "policy_checks_ok is false: the mixed per-region plan no longer "
-            "beats both machine-wide cacheability settings (or its "
-            "functional/hit-rate/scope checks failed)"
-        )
-    # Absent in pre-fault-injection result files; present files must pass.
-    if not pr.get("fault_checks_ok", True):
-        failures.append(
-            "fault_checks_ok is false: zero-rate bit-identity, fault "
-            "recovery, same-seed replay, the deadlock report, or the sync "
-            "timeout check failed (see fault_sweep_8ue in BENCH_pr.json)"
-        )
-    # Absent in pre-observability result files; present files must pass.
-    if not pr.get("obs_checks_ok", True):
-        failures.append(
-            "obs_checks_ok is false: a traced run's export diverged across "
-            "coalescing modes, or enabling the trace moved a Tick (see "
-            "docs/observability.md for the contract)"
-        )
-    # Enabled-trace wall cost on barrier_32ue (traced wall / untraced wall):
-    # tracked, not hard-gated — wall ratios are noisy across machines, so
-    # only a blow-up beyond 4x (baseline ~2x) is treated as a recorder
-    # regression rather than jitter.
-    pr_overhead = pr.get("trace_overhead_barrier_32ue", 0.0)
-    if pr_overhead > 4.0:
-        failures.append(
-            f"trace_overhead_barrier_32ue blew up to {pr_overhead:.2f}x "
-            "(traced wall / untraced wall; expected around 2x)"
-        )
-    elif pr_overhead > 0.0:
-        say(f"ok trace_overhead_barrier_32ue {pr_overhead:.2f}x (soft cap 4x)")
-    # Absent in pre-KV result files; present files must pass.
-    if not pr.get("kv_checks_ok", True):
-        failures.append(
-            "kv_checks_ok is false: the KV Zipf A/B lost its verification, "
-            "its harness/Benchmark makespan agreement, or the striped-vs-"
-            "placed controller_load_cv separation (see kv_zipf_8ue in "
-            "BENCH_pr.json)"
-        )
-    # Absent in pre-DRF result files; present files must pass.
-    if not pr.get("drf_checks_ok", True):
-        failures.append(
-            "drf_checks_ok is false: the race detector missed a seeded racy/"
-            "false-sharing scenario, its reports diverged across coalescing "
-            "modes, drf_check=true moved a Tick, or a paper "
-            "benchmark stopped running detector-clean (see the drf_* "
-            "scenarios in BENCH_pr.json and docs/race_detection.md)"
-        )
-    # Controller-load spread of the KV Zipf A/B: deterministic, so any shift
-    # beyond the formatting epsilon is a routing/accounting code change. The
-    # striped run must keep hot-spotting (CV must not fall) and the placed
-    # run must stay flat (CV must not rise).
-    for key, must_not in (
-        ("controller_load_cv_striped", "fall"),
-        ("controller_load_cv_placed", "rise"),
-    ):
-        base_cv = baseline.get(key)
-        pr_cv = pr.get(key)
-        if base_cv is None or pr_cv is None:
+    for name, b in change.items():
+        a = parent.get(name)
+        if not a:
+            say(f"new {name}: no parent trials, not judged")
             continue
-        fell = pr_cv < base_cv - RATE_EPSILON
-        rose = pr_cv > base_cv + RATE_EPSILON
-        if (must_not == "fall" and fell) or (must_not == "rise" and rose):
-            failures.append(f"{key} shifted {base_cv:.4f} -> {pr_cv:.4f}")
-        else:
-            say(f"ok {key} {base_cv:.4f} -> {pr_cv:.4f}")
-    # Retry-success rate of the seeded fault sweep: deterministic, so any
-    # drop below the baseline is a recovery-layer code change, not noise.
-    base_recovery = baseline.get("fault_recovery_rate")
-    pr_recovery = pr.get("fault_recovery_rate")
-    if base_recovery is not None and pr_recovery is not None:
-        if pr_recovery < base_recovery - RATE_EPSILON:
-            failures.append(
-                f"fault_recovery_rate dropped {base_recovery:.4f} -> "
-                f"{pr_recovery:.4f}"
-            )
-        else:
-            say(
-                f"ok fault_recovery_rate {base_recovery:.4f} -> {pr_recovery:.4f}"
-            )
-
-    checked, exact_failures = exact_mismatches(baseline, pr)
-    failures.extend(exact_failures)
-    if not exact_failures:
-        say(f"ok exact sim-domain gate: {checked} values match the baseline")
-
-    pr_scenarios = {s["name"]: s for s in pr.get("scenarios", [])}
-    baseline_names = {s["name"] for s in baseline.get("scenarios", [])}
-    pairs = []
-    for base_scenario in baseline.get("scenarios", []):
-        name = base_scenario["name"]
-        pr_scenario = pr_scenarios.get(name)
-        if pr_scenario is None:
-            failures.append(f"{name}: scenario missing from PR run")
-            continue
-        # Check-only scenarios (fault_sweep_8ue) carry flags, not timed runs;
-        # they are gated via fault_checks_ok / fault_recovery_rate above.
-        if "coalesced" not in base_scenario or "coalesced" not in pr_scenario:
-            continue
-        pairs.append((name, base_scenario["coalesced"], pr_scenario["coalesced"]))
-
-    for name, pr_scenario in pr_scenarios.items():
-        if name in baseline_names or "coalesced" not in pr_scenario:
-            continue
-        metric, value = throughput(pr_scenario["coalesced"])
-        rate = pr_scenario["coalesced"].get("coalescing_rate", 0.0)
-        say(
-            f"new {name}: {metric} {value:.0f}, coalescing rate {rate:.4f} "
-            "(not in baseline, not gated — regenerate BENCH_baseline.json "
-            "to track it)"
-        )
-
-    ratios = []
-    for _, base_run, pr_run in pairs:
-        _, base_value = throughput(base_run)
-        _, pr_value = throughput(pr_run)
-        if base_value > 0 and pr_value > 0:
-            ratios.append(pr_value / base_value)
-    machine_speed = statistics.median(ratios) if ratios else 1.0
-    say(f"machine speed vs baseline (median of ratios): {machine_speed:.3f}")
-
-    for name, base_run, pr_run in pairs:
-        metric, base_value = throughput(base_run)
-        _, pr_value = throughput(pr_run)
-        normalized = pr_value / machine_speed if machine_speed > 0 else pr_value
-        floor = (1.0 - tolerance) * base_value
-        if normalized < floor:
-            failures.append(
-                f"{name}: {metric} regressed {base_value:.0f} -> {pr_value:.0f} "
-                f"({normalized:.0f} machine-normalized, floor {floor:.0f}, "
-                f"tolerance {tolerance:.0%})"
-            )
-
-        base_rate = base_run.get("coalescing_rate", 0.0)
-        pr_rate = pr_run.get("coalescing_rate", 0.0)
-        if pr_rate < base_rate - RATE_EPSILON:
-            failures.append(
-                f"{name}: coalescing rate dropped {base_rate:.4f} -> {pr_rate:.4f}"
-            )
-
-        hit_note = ""
-        base_hit = base_run.get("swcache_hit_rate", 0.0)
-        pr_hit = pr_run.get("swcache_hit_rate", 0.0)
-        if base_hit > 0.0:
-            if pr_hit < base_hit - RATE_EPSILON:
-                failures.append(
-                    f"{name}: swcache hit rate dropped {base_hit:.4f} -> {pr_hit:.4f}"
-                )
-            hit_note = f", swcache hit rate {base_hit:.4f} -> {pr_hit:.4f}"
-
-        say(
-            f"ok {name}: {metric} {base_value:.0f} -> {pr_value:.0f} "
-            f"({normalized:.0f} normalized), "
-            f"coalescing rate {base_rate:.4f} -> {pr_rate:.4f}" + hit_note
-        )
-
+        v, worse_by = verdict(a, b, "higher", AB_BOUND)
+        say(f"{v:10s} {name}: parent median {statistics.median(a):.4g}, change "
+            f"median {statistics.median(b):.4g} ({-worse_by:+.1%})")
+        separated = all(y < x for x in a for y in b)
+        if v == "worse" or (v == "unresolved" and worse_by > AB_BOUND and separated):
+            failures.append(f"{name}: throughput {v}, {-worse_by:+.1%} against the parent")
     return failures
 
 
-def self_test():
-    """Check the judge on planted copies of the committed baseline."""
-    base_path = Path(__file__).resolve().parent.parent / "BENCH_baseline.json"
-    with open(base_path, encoding="utf-8") as f:
-        baseline = json.load(f)
-    timed = [s for s in baseline["scenarios"] if "coalesced" in s]
-    victim, other, drifted = (s["name"] for s in timed[:3])
+def build_type(binary):
+    """CMAKE_BUILD_TYPE of the build tree that holds `binary` ('' if none)."""
+    for parent in Path(binary).resolve().parents:
+        cache = parent / "CMakeCache.txt"
+        if cache.exists():
+            for line in cache.read_text().splitlines():
+                if line.startswith("CMAKE_BUILD_TYPE:"):
+                    return line.split("=", 1)[1]
+            break
+    return ""
 
-    def planted(scales=None, tick_delta=0):
-        """Copy of the baseline; `scales` maps a scenario (None: all) to a
-        factor on its throughput."""
+
+def build_parent(rev, change_bin):
+    export_revision(rev, PARENT_TREE)
+    build = PARENT_TREE / "build"
+    quiet = {"check": True, "stdout": subprocess.DEVNULL}
+    subprocess.run(["cmake", "-S", str(PARENT_TREE), "-B", str(build),
+                    f"-DCMAKE_BUILD_TYPE={build_type(change_bin)}"], **quiet)
+    subprocess.run(["cmake", "--build", str(build), "-j", str(os.cpu_count() or 1),
+                    "--target", "micro_sim"], **quiet)
+    return build / "bench" / "micro_sim"
+
+
+def trial(binary, scenario):
+    """One `--scenario` run: its JSON's bench block and coalesced throughput."""
+    out = subprocess.run([str(binary), "--scenario", scenario], capture_output=True, text=True)
+    try:
+        doc = json.loads(out.stdout)
+        return doc.get("bench"), throughput(doc["scenarios"][0]["coalesced"])[1]
+    except (ValueError, KeyError, IndexError):
+        sys.exit(f"compare_bench: {binary} --scenario {scenario} printed no run "
+                 f"(exit {out.returncode}):\n{out.stderr}")
+
+
+def ab(rev, change_bin):
+    with open(BASELINE, encoding="utf-8") as f:
+        timed = [s["name"] for s in json.load(f)["scenarios"] if "coalesced" in s]
+    binaries = {"parent": build_parent(rev, change_bin), "change": Path(change_bin)}
+    listed = subprocess.run([str(binaries["parent"]), "--list-scenarios"],
+                            capture_output=True, text=True, check=True).stdout.split()
+    runs = {"parent": {}, "change": {}}
+    bench = {}
+    for name in timed:
+        sides = ("parent", "change") if name in listed else ("change",)
+        for t in range(TRIALS):
+            for side in sides if t % 2 == 0 else sides[::-1]:
+                bench[side], value = trial(binaries[side], name)
+                runs[side].setdefault(name, []).append(value)
+    print(f"host: {platform.machine()}, change's bench block {bench.get('change')}")
+    print(f"parent {rev} vs {change_bin}: {TRIALS} alternating trials per side, "
+          f"bound {AB_BOUND:.0%}")
+    return ab_failures(runs["parent"], runs["change"])
+
+
+def baseline_text(doc):
+    """`doc`'s sim-domain values, one run record per line: host-time fields
+    and the bench block (host, compiler) dropped."""
+    def sim_domain(record):
+        return {k: sim_domain(v) if isinstance(v, dict) else v for k, v in record.items()
+                if k != "wall_seconds" and not k.endswith("_per_sec")
+                and not k.startswith("trace_overhead")}
+    scenarios = []
+    for scenario in doc["scenarios"]:
+        items = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sim_domain(scenario).items()]
+        scenarios.append("    {" + ",\n     ".join(items) + "}")
+    return '{\n  "scenarios": [\n' + ",\n".join(scenarios) + "\n  ]\n}\n"
+
+
+def self_test():
+    """Check both judges on planted data built from the committed baseline."""
+    with open(BASELINE, encoding="utf-8") as f:
+        baseline = json.load(f)
+    timed = [s["name"] for s in baseline["scenarios"] if "coalesced" in s]
+    victim = timed[0]
+    checked = next(s for s in baseline["scenarios"] if s.get("checks"))
+
+    def planted(edit=None):
         pr = copy.deepcopy(baseline)
-        for scenario in pr["scenarios"]:
-            run = scenario.get("coalesced")
-            scale = (scales or {}).get(scenario["name"], (scales or {}).get(None))
-            if run is None or scale is None:
-                continue
-            for field in THROUGHPUT_FIELDS:
-                if field in run:
-                    run[field] *= scale
-        if tick_delta:
-            next(s for s in pr["scenarios"] if s["name"] == victim)[
-                "coalesced"]["makespan_ps"] += tick_delta
+        if edit:
+            edit({s["name"]: s for s in pr["scenarios"]}, pr)
         return pr
 
-    cases = [
-        ("unchanged copy passes", False, planted()),
-        ("uniform 0.8x machine passes", False, planted({None: 0.8})),
-        (f"{victim} 2x slower fails", True, planted({victim: 0.5})),
-        # A real 5x gain must not drag a peer's tolerated 10% drift under
-        # the floor (a geometric-mean normalizer would: 5^(1/16) ~ 1.11).
-        (f"{other} 5x faster leaves the rest passing", False,
-         planted({other: 5.0, drifted: 0.9})),
-        (f"{victim} makespan_ps +1 fails", True, planted(tick_delta=1)),
+    def one_tick(by_name, _):
+        by_name[victim]["coalesced"]["makespan_ps"] += 1
+
+    def false_check(by_name, _):
+        first = next(iter(by_name[checked["name"]]["checks"]))
+        by_name[checked["name"]]["checks"][first] = False
+
+    def missing(_, pr):
+        pr["scenarios"] = [s for s in pr["scenarios"] if s["name"] != victim]
+
+    false_name = next(iter(checked["checks"]))
+    sim_cases = [
+        ("unchanged copy passes", planted(), []),
+        (f"{victim} makespan_ps +1 fails the exact gate", planted(one_tick),
+         [f"{victim}.coalesced.makespan_ps"]),
+        (f"false {checked['name']} check {false_name} fails", planted(false_check),
+         [f"{checked['name']}: check {false_name}"]),
+        (f"{victim} missing from the PR run fails", planted(missing), [victim]),
     ]
+
+    def trials(scale=None, jitter=0.01):
+        """scenario -> TRIALS throughputs spread by +-2 `jitter`, scaled by
+        `scale` (scenario or None for all -> factor)."""
+        scale = scale or {}
+        return {name: [1e6 * (i + 1) * (1 + jitter * (t - 2)) *
+                       scale.get(name, scale.get(None, 1.0)) for t in range(TRIALS)]
+                for i, name in enumerate(timed)}
+
+    # 15% jitter spreads the quartiles 30% apart, so every verdict is
+    # `unresolved`, as on a noisy shared host.
+    calm, noisy = trials(), trials(jitter=0.15)
+    ab_cases = [
+        ("unchanged copy passes", calm, trials(), []),
+        (f"{victim} 2x slower fails", calm, trials({victim: 0.5}), [victim]),
+        ("uniform 1.3x faster passes", calm, trials({None: 1.3}), []),
+        ("noisy unchanged copy passes", noisy, trials(jitter=0.15), []),
+        (f"noisy {victim} 2x slower fails", noisy, trials({victim: 0.5}, 0.15), [victim]),
+    ]
+
+    quiet = {"say": lambda *_: None}
+    results = [("sim", label, sim_failures(baseline, pr, **quiet), names)
+               for label, pr, names in sim_cases]
+    results += [("ab", label, ab_failures(parent, change, **quiet), names)
+                for label, parent, change, names in ab_cases]
     bad = 0
-    for name, expect_fail, pr in cases:
-        failures = judge(baseline, pr, 0.15, say=lambda *_: None)
-        ok = bool(failures) == expect_fail
-        if expect_fail and failures and not all(victim in f for f in failures):
-            ok = False  # flagged, but not (only) the planted scenario
+    for kind, label, failures, must_name in results:
+        # Each expected failure must be named, and nothing else may fail.
+        ok = len(failures) == len(must_name) and all(
+            any(f.startswith(n) for f in failures) for n in must_name)
         bad += not ok
-        print(f"{'ok' if ok else 'FAIL'} {name}" + (f": {failures}" if not ok else ""))
+        print(f"{'ok' if ok else 'FAIL'} [{kind}] {label}" + ("" if ok else f": {failures}"))
     print("self-test " + ("passed" if bad == 0 else f"FAILED ({bad} cases)"))
     return 1 if bad else 0
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", nargs="?", help="committed BENCH_baseline.json")
     parser.add_argument("pr", nargs="?", help="freshly generated BENCH_pr.json")
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.15,
-        help="allowed fractional events/sec regression (default 0.15)",
-    )
+    parser.add_argument("--ab", nargs=2, metavar=("PARENT_REV", "MICRO_SIM"),
+                        help="judge host time against PARENT_REV's micro_sim")
+    parser.add_argument("--baseline-from", metavar="PR_JSON",
+                        help="print PR_JSON's sim-domain values as a baseline")
     parser.add_argument("--self-test", action="store_true",
-                        help="check the judge on planted copies of the baseline")
+                        help="check the judges on planted data")
     args = parser.parse_args()
     if args.self_test:
         return self_test()
-    if args.baseline is None or args.pr is None:
-        parser.error("baseline and pr are required")
-
-    with open(args.baseline, encoding="utf-8") as f:
-        baseline = json.load(f)
-    with open(args.pr, encoding="utf-8") as f:
-        pr = json.load(f)
-
-    failures = judge(baseline, pr, args.tolerance)
+    if args.baseline_from:
+        with open(args.baseline_from, encoding="utf-8") as f:
+            sys.stdout.write(baseline_text(json.load(f)))
+        return 0
+    if args.ab:
+        failures = ab(*args.ab)
+    elif args.baseline and args.pr:
+        with open(args.baseline, encoding="utf-8") as f:
+            baseline = json.load(f)
+        with open(args.pr, encoding="utf-8") as f:
+            failures = sim_failures(baseline, json.load(f))
+    else:
+        parser.error("give BASELINE and PR, --ab, --baseline-from or --self-test")
     if failures:
-        print("\nBENCH trajectory check FAILED:", file=sys.stderr)
+        print("\nmicro_sim gate FAILED:", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print("\nBENCH trajectory check passed.")
+    print("\nmicro_sim gate passed.")
     return 0
 
 

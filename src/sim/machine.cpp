@@ -987,31 +987,6 @@ Tick SccMachine::privAccessCompletion(int core, Tick start, std::uint64_t addr,
   return t;
 }
 
-Tick SccMachine::shmAccessCompletion(int core, Tick start, std::uint64_t offset,
-                                     std::size_t bytes, bool write, void* data_out,
-                                     const void* data_in) {
-  // Uncached: each word is an independent, blocking transaction through the
-  // core's assigned memory controller.
-  ResourceTimeline& mc = mc_[core_mc_[static_cast<std::size_t>(core)]];
-  const Tick hop_one_way = core_mc_hop_ticks_[static_cast<std::size_t>(core)];
-
-  const std::size_t txn = config_.shm_transaction_bytes;
-  const std::size_t words = (bytes + txn - 1) / txn;
-  Tick t = start;
-  for (std::size_t w = 0; w < words; ++w) {
-    const Tick request_arrival = t + uncached_overhead_ticks_ + hop_one_way;
-    const Tick serviced = mc.acquire(request_arrival, word_service_ticks_);
-    t = serviced + hop_one_way;
-  }
-
-  if (write && data_in != nullptr) {
-    std::memcpy(&shared_dram_[offset], data_in, bytes);
-  } else if (!write && data_out != nullptr) {
-    std::memcpy(data_out, &shared_dram_[offset], bytes);
-  }
-  return t;
-}
-
 Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& timeline,
                                      Tick issue_overhead, Tick hop_one_way, Tick service,
                                      Tick start, std::size_t max_txns,

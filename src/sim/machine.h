@@ -639,8 +639,6 @@ class SccMachine {
   // -- timing/functional primitives (used by CoreContext and threadrt) --
   Tick privAccessCompletion(int core, Tick start, std::uint64_t addr, std::size_t bytes,
                             bool write, void* data_out, const void* data_in);
-  Tick shmAccessCompletion(int core, Tick start, std::uint64_t offset, std::size_t bytes,
-                           bool write, void* data_out, const void* data_in);
   /// Service up to `max_words` uncached word transactions starting at
   /// `start`, coalescing as many as the coalescing horizon proves safe (at
   /// least one; exactly one when contended). The horizon is scoped to this

@@ -226,6 +226,53 @@ TEST(PaperFigure61, LuEventsPinnedAtPaperScale) {
   EXPECT_EQ(rcce.metrics.sim_counters.at("events"), 49'081u);
 }
 
+// Fig. 6.2 at the paper's scale: every program's exact off-chip and MPB
+// makespans at 32 UEs (the rows fig_6_2_mpb_vs_offchip prints).
+TEST(PaperFigure62, ExactMakespansAtPaperScale) {
+  struct Pin {
+    const char* benchmark;
+    sim::Tick offchip, mpb;
+  };
+  const Pin pins[] = {
+      {"PiApprox", 2'214'955'256, 2'215'435'000},
+      {"3-5-Sum", 11'018'740'256, 11'019'220'000},
+      {"CountPrimes", 81'104'197'508, 81'104'230'000},
+      {"Stream", 1'259'876'648, 319'048'900},
+      {"DotProduct", 1'043'067'852, 261'756'832},
+      {"LU", 1'605'641'606, 1'559'869'986},
+  };
+  const sim::SccConfig config;
+  for (const Pin& pin : pins) {
+    const auto bench = make(pin.benchmark, 1.0);
+    ASSERT_NE(bench, nullptr) << pin.benchmark;
+    const RunResult off = bench->run(Mode::RcceOffChip, 32, config);
+    const RunResult mpb = bench->run(Mode::RcceMpb, 32, config);
+    EXPECT_TRUE(off.verified && mpb.verified) << pin.benchmark;
+    EXPECT_EQ(off.makespan, pin.offchip) << pin.benchmark;
+    EXPECT_EQ(mpb.makespan, pin.mpb) << pin.benchmark;
+  }
+}
+
+// Fig. 6.3 at the paper's scale: PiApprox's 32-thread single-core pthread
+// baseline and its MPB makespan on each core count the figure sweeps.
+TEST(PaperFigure63, PiApproxScalingPinned) {
+  const auto pi = makePiApprox(1.0);
+  const sim::SccConfig config;
+  const RunResult base = pi->run(Mode::PthreadSingleCore, 32, config);
+  EXPECT_TRUE(base.verified);
+  EXPECT_EQ(base.makespan, 71'129'885'638);
+  const std::pair<int, sim::Tick> pins[] = {
+      {1, 70'779'027'500}, {2, 35'389'690'000}, {4, 17'695'185'000},
+      {8, 8'848'255'000},  {16, 4'425'475'000}, {32, 2'215'435'000},
+      {48, 1'480'012'500},
+  };
+  for (const auto& [cores, makespan] : pins) {
+    const RunResult r = pi->run(Mode::RcceMpb, cores, config);
+    EXPECT_TRUE(r.verified) << cores;
+    EXPECT_EQ(r.makespan, makespan) << cores;
+  }
+}
+
 // --- CountPrimes' closed-form host arithmetic ---------------------------------
 
 // Algorithm 11's literal inner loop: the oracle for primeTrials.
