@@ -6,17 +6,18 @@
 // CountPrimes 16x, Stream 17x; Dot Product and LU Decomposition are
 // reported qualitatively as limited by >=8 cores per memory controller.
 //
-// Exits non-zero if any row fails verification.
+// Takes no arguments; exits non-zero if any row fails verification.
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/scc_config.h"
 #include "workloads/benchmark.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char**) {
   using namespace hsm;
-  double scale = 1.0;
-  if (argc > 1) scale = std::atof(argv[1]);
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: fig_6_1_offchip_speedup (takes no arguments)\n");
+    return 2;
+  }
 
   const sim::SccConfig config;
   constexpr int kUnits = 32;
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
 
   int i = 0;
   bool all_verified = true;
-  for (const auto& bench : workloads::standardSuite(scale)) {
+  for (const auto& bench : workloads::standardSuite(1.0)) {
     const workloads::RunResult base =
         bench->run(workloads::Mode::PthreadSingleCore, kUnits, config);
     const workloads::RunResult rcce =

@@ -5,18 +5,19 @@
 // accesses, close core-to-MPB locality, bulk copies); LU improves only
 // slightly because its matrix does not fit the MPB.
 //
-// Exits non-zero if any row fails verification.
+// Takes no arguments; exits non-zero if any row fails verification.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/scc_config.h"
 #include "workloads/benchmark.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char**) {
   using namespace hsm;
-  double scale = 1.0;
-  if (argc > 1) scale = std::atof(argv[1]);
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: fig_6_2_mpb_vs_offchip (takes no arguments)\n");
+    return 2;
+  }
 
   const sim::SccConfig config;
   constexpr int kUnits = 32;
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
   double product = 1.0;
   int count = 0;
   bool all_verified = true;
-  for (const auto& bench : workloads::standardSuite(scale)) {
+  for (const auto& bench : workloads::standardSuite(1.0)) {
     const workloads::RunResult off =
         bench->run(workloads::Mode::RcceOffChip, kUnits, config);
     const workloads::RunResult mpb =

@@ -9,13 +9,15 @@
 #include "sim/scc_config.h"
 #include "workloads/benchmark.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char**) {
   using namespace hsm;
-  double scale = 1.0;
-  if (argc > 1) scale = std::atof(argv[1]);
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: fig_6_3_core_scaling (takes no arguments)\n");
+    return 2;
+  }
 
   const sim::SccConfig config;
-  const auto pi = workloads::makePiApprox(scale);
+  const auto pi = workloads::makePiApprox(1.0);
 
   std::printf("Figure 6.3 — PiApprox speedup over 32-thread single-core Pthreads, "
               "varying RCCE core count\n");

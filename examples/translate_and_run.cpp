@@ -95,7 +95,7 @@ int main() {
 
   // 4. The seventh benchmark (KV store) has no pthread source — its plan is
   // built programmatically — so it gets the plan-only lint: the same shape
-  // setupKvRcce realizes (bench/micro_sim.cpp's kv section).
+  // setupKvRcce realizes (bench/scenarios.h's kvZipfPlan).
   {
     using partition::ControllerPlacement;
     using partition::ExecutionPlan;

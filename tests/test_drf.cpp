@@ -957,41 +957,6 @@ TEST(DrfMachine, EnablingCheckerMovesNoTick) {
   EXPECT_EQ(r_word.completions, r_off.completions);
 }
 
-TEST(DrfMachine, PaperKernelsCheckedCountsPinned) {
-  // Clean paper kernels under their derived plans (scale 0.05, 8 UEs): the
-  // checked-access counts and the empty report lists, line and word mode.
-  struct Pin {
-    const char* name;
-    std::unique_ptr<workloads::Benchmark> bench;
-    std::uint64_t offchip, mpb;
-  };
-  Pin pins[] = {
-      {"LU", workloads::makeLuDecomposition(0.05), 588, 609},
-      {"Stream", workloads::makeStream(0.05), 160, 192},
-      {"DotProduct", workloads::makeDotProduct(0.05), 128, 128},
-  };
-  for (const Pin& pin : pins) {
-    translator::Translator tr;
-    const translator::TranslationResult r = tr.analyzeOnly(
-        workloads::pthreadSource(pin.name), std::string(pin.name) + ".c");
-    ASSERT_TRUE(r.ok) << pin.name;
-    for (const bool word : {false, true}) {
-      SccConfig cfg;
-      cfg.drf_check = true;
-      cfg.drf_word_granular = word;
-      for (const auto& [mode, checked] :
-           {std::pair{workloads::Mode::RcceOffChip, pin.offchip},
-            std::pair{workloads::Mode::RcceMpb, pin.mpb}}) {
-        const workloads::RunResult run = pin.bench->run(mode, 8, cfg, &r.execution_plan);
-        EXPECT_TRUE(run.verified) << pin.name;
-        EXPECT_EQ(run.drf_races, 0u) << pin.name << " word=" << word;
-        EXPECT_EQ(run.metrics.sim_counters.at("drf_accesses_checked"), checked)
-            << pin.name << " word=" << word;
-      }
-    }
-  }
-}
-
 /// Write the UE's own 8-byte slot of `base` once (slots pack four to a line).
 sim::SimTask writeOwnSlot(sim::CoreContext& ctx, std::uint64_t base) {
   const auto ue = static_cast<std::uint64_t>(ctx.ue());

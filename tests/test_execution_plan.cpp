@@ -209,7 +209,7 @@ TEST(ExecutionPlanDerivation, ControllerPlacementFollowsSharingTables) {
             std::string::npos);
 }
 
-// The KV store's plan shape (bench/micro_sim's kv_zipf_8ue A/B): all three
+// The KV store's plan shape (bench/scenarios.h's kvZipfPlan): all three
 // regions off-chip uncached with zero MPB traffic, the index and slot slab
 // carrying the A/B'd controller placement while the per-UE check cells stay
 // owner-compute. Guards the contract the placement benchmark leans on.

@@ -297,32 +297,6 @@ TEST(KvStore, StripedPlanHotSpotsWhereOwnerComputeStaysFlat) {
   EXPECT_GT(hot.controller_load_cv, 2.0 * flat.controller_load_cv);
 }
 
-// The pipeline benchmark's kv_zipf pass at its own scale: 32 UEs, seed
-// kvMix64(1), the owner-compute plan of bench/pipeline (restated here). Its
-// Ticks and event counts are pinned: the engine's queue and the machine's
-// word-run table may only make this pass faster, never move an event.
-TEST(KvStore, PipelineScalePinned) {
-  KvParams p;
-  p.seed = workloads::kvMix64(1);
-  std::size_t index_cap = 1;
-  while (index_cap < 2 * p.num_keys) index_cap *= 2;
-  const ExecutionPlan plan{
-      {RegionPlan{"kv_index", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                  index_cap * 8, ControllerPlacement::kOwnerCompute},
-       RegionPlan{"kv_slots", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                  static_cast<std::size_t>(p.num_keys) * 4 * 8,
-                  ControllerPlacement::kOwnerCompute},
-       RegionPlan{"kv_checks", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                  8 * 8}}};
-  const workloads::RunResult r =
-      workloads::makeKvStore(p)->run(workloads::Mode::RcceOffChip, 32, sim::SccConfig{},
-                                     &plan);
-  ASSERT_TRUE(r.verified);
-  EXPECT_EQ(r.makespan, 622650096u);
-  EXPECT_EQ(r.metrics.sim_counters.at("events"), 463516u);
-  EXPECT_EQ(r.metrics.sim_counters.at("shm_word_events"), 329811u);
-}
-
 TEST(KvStore, ControllerPlacedRegionNameDriftIsDetected) {
   KvParams p;
   p.num_keys = 64;

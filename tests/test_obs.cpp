@@ -430,14 +430,6 @@ TEST(ObsMetrics, RegionProfilesPinned) {
   SccConfig cfg;
   cfg.region_metrics = true;
 
-  // A paper program whose placement walks controller stripes.
-  const workloads::RunResult lu =
-      workloads::makeLuDecomposition(0.05)->run(workloads::Mode::RcceOffChip, 8, cfg);
-  EXPECT_TRUE(lu.verified) << lu.detail;
-  EXPECT_EQ(regionLines(lu.metrics.regions),
-            (std::vector<std::string>{
-                "m r=378 w=210 rw=4928 ww=3080 h=0 m=0 bl=0 mc=2162/1832/1952/2062"}));
-
   // Uncached words, the unfenced bulk path, and the cached range routed
   // uncached (no swcache instance exists).
   EXPECT_EQ(regionMixProfile(cfg, /*cache_region=*/false),

@@ -155,124 +155,6 @@ TEST(PerformanceShape, MoreCoresMoreSpeed) {
   EXPECT_LT(r16.makespan, r4.makespan / 3);
 }
 
-// Exact makespans: a simulated result is a pure function of program, config
-// and seed, so any Tick drift in any program or mode fails here by name.
-TEST(Workloads, ExactMakespansPinned) {
-  struct Pin {
-    const char* benchmark;
-    sim::Tick pthread, offchip, mpb;
-  };
-  const Pin pins[] = {
-      {"PiApprox", 3'554'235'638, 443'162'564, 443'222'500},
-      {"3-5-Sum", 17'710'345'638, 2'203'960'064, 2'204'020'000},
-      {"CountPrimes", 4'604'138'138, 1'008'795'008, 1'008'827'500},
-      {"Stream", 549'023'816, 180'717'658, 25'679'380},
-      {"DotProduct", 1'100'884'590, 151'813'120, 42'989'004},
-      {"LU", 53'093'318, 56'807'416, 56'768'804},
-  };
-  const sim::SccConfig config;
-  for (const Pin& pin : pins) {
-    const auto bench = make(pin.benchmark, kTestScale);
-    ASSERT_NE(bench, nullptr) << pin.benchmark;
-    EXPECT_EQ(bench->run(Mode::PthreadSingleCore, 8, config).makespan, pin.pthread)
-        << pin.benchmark;
-    EXPECT_EQ(bench->run(Mode::RcceOffChip, 8, config).makespan, pin.offchip)
-        << pin.benchmark;
-    EXPECT_EQ(bench->run(Mode::RcceMpb, 8, config).makespan, pin.mpb) << pin.benchmark;
-  }
-}
-
-// Fig. 6.1 at the paper's scale (32 UEs, scale 1.0): exact makespans, plus
-// CountPrimes' load-imbalance shape (paper: 16x instead of 32x).
-TEST(PaperFigure61, ExactMakespansAtPaperScale) {
-  struct Pin {
-    const char* benchmark;
-    sim::Tick pthread, offchip;
-  };
-  const Pin pins[] = {
-      {"PiApprox", 71'129'885'638, 2'214'955'256},
-      {"3-5-Sum", 354'261'005'638, 11'018'740'256},
-      {"CountPrimes", 1'255'715'743'138, 81'104'197'508},
-      {"Stream", 27'401'875'392, 1'259'876'648},
-  };
-  const sim::SccConfig config;
-  for (const Pin& pin : pins) {
-    const auto bench = make(pin.benchmark, 1.0);
-    ASSERT_NE(bench, nullptr) << pin.benchmark;
-    const RunResult base = bench->run(Mode::PthreadSingleCore, 32, config);
-    const RunResult rcce = bench->run(Mode::RcceOffChip, 32, config);
-    EXPECT_TRUE(base.verified && rcce.verified) << pin.benchmark;
-    EXPECT_EQ(base.makespan, pin.pthread) << pin.benchmark;
-    EXPECT_EQ(rcce.makespan, pin.offchip) << pin.benchmark;
-    if (std::string(pin.benchmark) == "CountPrimes") {
-      const double speedup =
-          static_cast<double>(base.makespan) / static_cast<double>(rcce.makespan);
-      EXPECT_GE(speedup, 12.0);
-      EXPECT_LE(speedup, 20.0);
-    }
-  }
-}
-
-// LU, Fig. 6.1's barrier-per-step kernel, at paper scale: exact makespan
-// and exact engine event count. UEs parked at the step barrier keep the
-// joint word replay closed; without that rule the same run takes 180,689
-// events, so losing it fails here long before it shows up as host time.
-TEST(PaperFigure61, LuEventsPinnedAtPaperScale) {
-  const auto bench = make("LU", 1.0);
-  ASSERT_NE(bench, nullptr);
-  const RunResult rcce = bench->run(Mode::RcceOffChip, 32, sim::SccConfig{});
-  EXPECT_TRUE(rcce.verified);
-  EXPECT_EQ(rcce.makespan, 1'605'641'606);
-  EXPECT_EQ(rcce.metrics.sim_counters.at("events"), 49'081u);
-}
-
-// Fig. 6.2 at the paper's scale: every program's exact off-chip and MPB
-// makespans at 32 UEs (the rows fig_6_2_mpb_vs_offchip prints).
-TEST(PaperFigure62, ExactMakespansAtPaperScale) {
-  struct Pin {
-    const char* benchmark;
-    sim::Tick offchip, mpb;
-  };
-  const Pin pins[] = {
-      {"PiApprox", 2'214'955'256, 2'215'435'000},
-      {"3-5-Sum", 11'018'740'256, 11'019'220'000},
-      {"CountPrimes", 81'104'197'508, 81'104'230'000},
-      {"Stream", 1'259'876'648, 319'048'900},
-      {"DotProduct", 1'043'067'852, 261'756'832},
-      {"LU", 1'605'641'606, 1'559'869'986},
-  };
-  const sim::SccConfig config;
-  for (const Pin& pin : pins) {
-    const auto bench = make(pin.benchmark, 1.0);
-    ASSERT_NE(bench, nullptr) << pin.benchmark;
-    const RunResult off = bench->run(Mode::RcceOffChip, 32, config);
-    const RunResult mpb = bench->run(Mode::RcceMpb, 32, config);
-    EXPECT_TRUE(off.verified && mpb.verified) << pin.benchmark;
-    EXPECT_EQ(off.makespan, pin.offchip) << pin.benchmark;
-    EXPECT_EQ(mpb.makespan, pin.mpb) << pin.benchmark;
-  }
-}
-
-// Fig. 6.3 at the paper's scale: PiApprox's 32-thread single-core pthread
-// baseline and its MPB makespan on each core count the figure sweeps.
-TEST(PaperFigure63, PiApproxScalingPinned) {
-  const auto pi = makePiApprox(1.0);
-  const sim::SccConfig config;
-  const RunResult base = pi->run(Mode::PthreadSingleCore, 32, config);
-  EXPECT_TRUE(base.verified);
-  EXPECT_EQ(base.makespan, 71'129'885'638);
-  const std::pair<int, sim::Tick> pins[] = {
-      {1, 70'779'027'500}, {2, 35'389'690'000}, {4, 17'695'185'000},
-      {8, 8'848'255'000},  {16, 4'425'475'000}, {32, 2'215'435'000},
-      {48, 1'480'012'500},
-  };
-  for (const auto& [cores, makespan] : pins) {
-    const RunResult r = pi->run(Mode::RcceMpb, cores, config);
-    EXPECT_TRUE(r.verified) << cores;
-    EXPECT_EQ(r.makespan, makespan) << cores;
-  }
-}
-
 // --- CountPrimes' closed-form host arithmetic ---------------------------------
 
 // Algorithm 11's literal inner loop: the oracle for primeTrials.
