@@ -19,7 +19,8 @@
 // bench/scenarios.h with its reference runs (coalescing off, other
 // routings, policies and placements, plan-driven twins), the fault sweep,
 // the race-detector and trace scenarios, the six paper programs at paper
-// scale (Figs. 6.1-6.3) and at scale 0.05, the detector's checked-access
+// scale (Figs. 6.1-6.3; and under their translated plans, as bench/pipeline
+// runs them) and at scale 0.05, the detector's checked-access
 // counts on translated plans, LU's region profile and the KV store at the
 // pipeline benchmark's scale. Takes no arguments.
 #include <cstdint>
@@ -696,6 +697,25 @@ void paperFigures(Golden& g) {
   }
 }
 
+/// The runs bench/pipeline times: the six programs at scale 1.0 on 32 UEs,
+/// off-chip and MPB, each under the ExecutionPlan its translated pthread
+/// source derives (the legacy placement of `paper.*` caches nothing; these
+/// plans send DotProduct's vectors through the swcache).
+void paperPlans(Golden& g) {
+  const sim::SccConfig config;
+  for (const auto& bench : workloads::standardSuite(1.0)) {
+    const std::string name = bench->name();
+    const translator::TranslationResult t =
+        translator::Translator{}.analyzeOnly(workloads::pthreadSource(name), name + ".c");
+    g.check("paper_plan." + name + ".translated", t.ok);
+    for (const workloads::Mode mode :
+         {workloads::Mode::RcceOffChip, workloads::Mode::RcceMpb}) {
+      const workloads::RunResult r = bench->run(mode, 32, config, &t.execution_plan);
+      benchRows(g, benchKey("paper_plan", r), r);
+    }
+  }
+}
+
 /// The six programs at scale 0.05 on 8 UEs in every mode.
 void paperSmall(Golden& g) {
   const sim::SccConfig config;
@@ -781,6 +801,7 @@ int main(int argc, char**) {
   drfCleanSuite(g);
   obsTrace(g);
   paperFigures(g);
+  paperPlans(g);
   paperSmall(g);
   drfPlanKernels(g);
   luRegionProfile(g);
