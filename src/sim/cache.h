@@ -1,6 +1,9 @@
 // A small write-back, write-allocate cache tag store (data lives in the
 // owner's backing or line store). Direct-mapped, which is close to the
-// P54C's 2-way L1 for streaming workloads and keeps lookups O(1).
+// P54C's 2-way L1 for streaming workloads and keeps lookups O(1). The line
+// size and the capacity must be powers of two (the constructor throws
+// std::invalid_argument otherwise), so a lookup splits an address into
+// tag, index and offset by shift and mask.
 //
 // Two users:
 //   * the *private, cacheable* address space (SccMachine's per-core L1/L2
@@ -14,8 +17,11 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace hsm::sim {
@@ -25,8 +31,23 @@ class Cache {
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
   Cache(std::size_t capacity_bytes, std::size_t line_bytes)
-      : line_bytes_(line_bytes), num_lines_(capacity_bytes / line_bytes),
+      : line_bytes_(line_bytes), num_lines_(checkedLines(capacity_bytes, line_bytes)),
+        line_shift_(std::countr_zero(line_bytes)),
+        index_bits_(std::countr_zero(num_lines_)),
         tags_(num_lines_, 0), valid_(num_lines_, 0), dirty_(num_lines_, 0) {}
+
+  /// Lines of a `capacity_bytes` cache of `line_bytes` lines; throws
+  /// std::invalid_argument unless both are powers of two and the capacity
+  /// holds at least one line.
+  static std::size_t checkedLines(std::size_t capacity_bytes, std::size_t line_bytes) {
+    if (!std::has_single_bit(line_bytes) || !std::has_single_bit(capacity_bytes) ||
+        capacity_bytes < line_bytes) {
+      throw std::invalid_argument("cache geometry must be powers of two: " +
+                                  std::to_string(capacity_bytes) + " B of " +
+                                  std::to_string(line_bytes) + " B lines");
+    }
+    return capacity_bytes / line_bytes;
+  }
 
   struct AccessResult {
     bool hit = false;
@@ -38,9 +59,9 @@ class Cache {
   };
 
   AccessResult access(std::uint64_t addr, bool is_write) {
-    const std::uint64_t line = addr / line_bytes_;
-    const std::size_t index = static_cast<std::size_t>(line % num_lines_);
-    const std::uint64_t tag = line / num_lines_;
+    const std::uint64_t line = addr >> line_shift_;
+    const std::size_t index = indexOf(line);
+    const std::uint64_t tag = line >> index_bits_;
     AccessResult result;
     result.index = index;
     if (valid_[index] != 0 && tags_[index] == tag) {
@@ -50,7 +71,7 @@ class Cache {
       if (valid_[index] != 0) {
         if (dirty_[index] != 0) {
           result.writeback = true;
-          result.victim_addr = (tags_[index] * num_lines_ + index) * line_bytes_;
+          result.victim_addr = slotAddr(index);
           --dirty_count_;
         }
       } else {
@@ -72,9 +93,9 @@ class Cache {
   /// the line containing `addr`, or kNoSlot (the no-allocate half of the
   /// swcache write-through policy).
   [[nodiscard]] std::size_t lookup(std::uint64_t addr) const {
-    const std::uint64_t line = addr / line_bytes_;
-    const std::size_t index = static_cast<std::size_t>(line % num_lines_);
-    return valid_[index] != 0 && tags_[index] == line / num_lines_ ? index : kNoSlot;
+    const std::uint64_t line = addr >> line_shift_;
+    const std::size_t index = indexOf(line);
+    return valid_[index] != 0 && tags_[index] == line >> index_bits_ ? index : kNoSlot;
   }
 
   /// Drop the line containing `addr` if present. Returns true when the
@@ -102,7 +123,7 @@ class Cache {
   [[nodiscard]] bool slotDirty(std::size_t index) const { return dirty_[index] != 0; }
   /// Line-aligned address cached in `index` (meaningful only when valid).
   [[nodiscard]] std::uint64_t slotAddr(std::size_t index) const {
-    return (tags_[index] * num_lines_ + index) * line_bytes_;
+    return ((tags_[index] << index_bits_) | index) << line_shift_;
   }
   void markClean(std::size_t index) {
     if (dirty_[index] != 0) {
@@ -135,8 +156,14 @@ class Cache {
   }
 
  private:
+  [[nodiscard]] std::size_t indexOf(std::uint64_t line) const {
+    return static_cast<std::size_t>(line & (num_lines_ - 1));
+  }
+
   std::size_t line_bytes_;
   std::size_t num_lines_;
+  int line_shift_;  ///< log2(line_bytes_)
+  int index_bits_;  ///< log2(num_lines_)
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint8_t> valid_;
   std::vector<std::uint8_t> dirty_;

@@ -1,6 +1,7 @@
 #include "sim/machine.h"
 
 #include <algorithm>
+#include <bit>
 #include <new>
 #include <stdexcept>
 
@@ -586,12 +587,12 @@ SccMachine::SccMachine(SccConfig config)
   shared_dram_.reserve(config_.shared_dram_bytes);
   mpb_.resize(config_.mpbTotalBytes(), 0);
   private_mem_.resize(config_.num_cores);
-  l1_.reserve(config_.num_cores);
-  l2_.reserve(config_.num_cores);
-  for (std::uint32_t c = 0; c < config_.num_cores; ++c) {
-    l1_.emplace_back(config_.l1_bytes, config_.cache_line_bytes);
-    l2_.emplace_back(config_.l2_bytes, config_.cache_line_bytes);
-  }
+  // The private caches are built on each core's first private access
+  // (privAccessCompletion); their geometry is checked here, so a bad one
+  // throws from the constructor instead of from inside a running task.
+  Cache::checkedLines(config_.l1_bytes, config_.cache_line_bytes);
+  Cache::checkedLines(config_.l2_bytes, config_.cache_line_bytes);
+  priv_caches_.resize(config_.num_cores);
   mc_.resize(config_.num_mem_controllers);
   mpb_port_.resize(config_.numTiles());
 
@@ -619,6 +620,12 @@ SccMachine::SccMachine(SccConfig config)
   swcache_line_overhead_ticks_ =
       core_clock_.cycles(config_.swcache_line_core_overhead_cycles);
   line_service_ticks_ = dram_clock_.cycles(config_.dram_line_service_cycles);
+  line_shift_ = std::countr_zero(config_.cache_line_bytes);
+  l1_hit_ticks_ = core_clock_.cycles(config_.l1_hit_core_cycles);
+  l2_hit_ticks_ = core_clock_.cycles(config_.l2_hit_core_cycles);
+  dram_overhead_ticks_ = core_clock_.cycles(config_.dram_core_overhead_cycles);
+  priv_fill_ticks_[0] = dram_clock_.cycles(config_.dram_line_service_cycles);
+  priv_fill_ticks_[1] = dram_clock_.cycles(2ULL * config_.dram_line_service_cycles);
   if (config_.shm_swcache) ensureSwcache();
   // One unified namespace of coalescing-horizon resources: the memory
   // controllers plus every tile's MPB port. launch() gives each task a reach
@@ -951,32 +958,29 @@ TasLock& SccMachine::lock(int id) {
 Tick SccMachine::privAccessCompletion(int core, Tick start, std::uint64_t addr,
                                       std::size_t bytes, bool write, void* data_out,
                                       const void* data_in) {
-  const std::size_t line = config_.cache_line_bytes;
-  Cache& l1 = l1_[static_cast<std::size_t>(core)];
-  Cache& l2 = l2_[static_cast<std::size_t>(core)];
+  std::optional<PrivateCaches>& caches = priv_caches_[static_cast<std::size_t>(core)];
+  if (!caches) {
+    caches.emplace(PrivateCaches{Cache(config_.l1_bytes, config_.cache_line_bytes),
+                                 Cache(config_.l2_bytes, config_.cache_line_bytes)});
+  }
   ResourceTimeline& mc = mc_[core_mc_[static_cast<std::size_t>(core)]];
   const Tick hop_one_way = core_mc_hop_ticks_[static_cast<std::size_t>(core)];
 
   Tick t = start;
-  const std::uint64_t first_line = addr / line;
-  const std::uint64_t last_line = (addr + (bytes == 0 ? 0 : bytes - 1)) / line;
+  const std::uint64_t first_line = addr >> line_shift_;
+  const std::uint64_t last_line = (addr + (bytes == 0 ? 0 : bytes - 1)) >> line_shift_;
   for (std::uint64_t ln = first_line; ln <= last_line; ++ln) {
-    const std::uint64_t line_addr = ln * line;
-    const Cache::AccessResult r1 = l1.access(line_addr, write);
-    if (r1.hit) {
-      t += core_clock_.cycles(config_.l1_hit_core_cycles);
+    const std::uint64_t line_addr = ln << line_shift_;
+    if (caches->l1.access(line_addr, write).hit) {
+      t += l1_hit_ticks_;
       continue;
     }
-    const Cache::AccessResult r2 = l2.access(line_addr, write);
-    t += core_clock_.cycles(config_.l2_hit_core_cycles);
+    const Cache::AccessResult r2 = caches->l2.access(line_addr, write);
+    t += l2_hit_ticks_;
     if (r2.hit) continue;
     // Line fill from private DRAM; a dirty victim adds a write-back burst.
-    const std::uint64_t bursts = r2.writeback ? 2 : 1;
-    const Tick request_arrival =
-        t + core_clock_.cycles(config_.dram_core_overhead_cycles) + hop_one_way;
-    const Tick serviced = mc.acquire(
-        request_arrival, dram_clock_.cycles(bursts * config_.dram_line_service_cycles));
-    t = serviced + hop_one_way;
+    const Tick request_arrival = t + dram_overhead_ticks_ + hop_one_way;
+    t = mc.acquire(request_arrival, priv_fill_ticks_[r2.writeback ? 1 : 0]) + hop_one_way;
   }
 
   if (write && data_in != nullptr) {

@@ -22,6 +22,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -427,8 +428,12 @@ class SccMachine {
   [[nodiscard]] const ResourceTimeline& mpbPort(std::uint32_t tile) const {
     return mpb_port_[tile];
   }
-  [[nodiscard]] const Cache& l1(int core) const { return l1_[static_cast<std::size_t>(core)]; }
-  [[nodiscard]] const Cache& l2(int core) const { return l2_[static_cast<std::size_t>(core)]; }
+  /// Whether `core`'s private L1/L2 tag stores exist: they are built on
+  /// the core's first private access, so a core that never touches private
+  /// memory allocates none.
+  [[nodiscard]] bool privateCachesBuilt(int core) const {
+    return priv_caches_[static_cast<std::size_t>(core)].has_value();
+  }
   /// Uncached word transactions simulated through the word-granular path.
   [[nodiscard]] std::uint64_t shmWordsSimulated() const {
     return shm_words_;
@@ -798,6 +803,12 @@ class SccMachine {
   Tick swcache_hit_ticks_ = 0;        ///< per hitting line touch
   Tick swcache_line_overhead_ticks_ = 0;  ///< per line-transfer issue
   Tick line_service_ticks_ = 0;       ///< controller service per 32 B line
+  // privAccessCompletion's per-line costs.
+  int line_shift_ = 0;                ///< log2(cache_line_bytes)
+  Tick l1_hit_ticks_ = 0;
+  Tick l2_hit_ticks_ = 0;
+  Tick dram_overhead_ticks_ = 0;      ///< core-side issue of a private fill
+  Tick priv_fill_ticks_[2] = {};      ///< controller service, 1 and 2 bursts
 
   // Machine-wide transaction tallies: pure counters, no Tick depends on them.
   std::uint64_t shm_words_ = 0;
@@ -814,8 +825,13 @@ class SccMachine {
   std::vector<SwCache> swcache_;                     // per core; empty if disabled
   std::vector<std::uint8_t> mpb_;                    // num_cores x slice
   std::vector<std::vector<std::uint8_t>> private_mem_;  // grown on demand
-  std::vector<Cache> l1_;
-  std::vector<Cache> l2_;
+  /// One core's private cache hierarchy (tag-only; data lives in
+  /// private_mem_).
+  struct PrivateCaches {
+    Cache l1;
+    Cache l2;
+  };
+  std::vector<std::optional<PrivateCaches>> priv_caches_;  // per core, built on first use
   std::vector<ResourceTimeline> mc_;
   std::vector<ResourceTimeline> mpb_port_;           // per tile
   std::uint64_t shm_brk_ = 0;

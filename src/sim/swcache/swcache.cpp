@@ -1,13 +1,15 @@
 #include "sim/swcache/swcache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace hsm::sim {
 
 SwCache::SwCache(std::size_t num_lines, std::size_t line_bytes, SwCachePolicy policy)
     : tags_(num_lines * line_bytes, line_bytes), line_bytes_(line_bytes),
-      policy_(policy), data_(num_lines * line_bytes, 0) {}
+      line_shift_(std::countr_zero(line_bytes)), policy_(policy),
+      data_(num_lines * line_bytes, 0) {}
 
 void SwCache::storeLineAt(std::uint64_t addr, std::size_t index, std::uint8_t* dram,
                           std::size_t dram_bytes) {
@@ -41,7 +43,7 @@ SwCache::AccessPlan SwCache::access(std::uint64_t offset, std::size_t bytes,
   const std::uint64_t beats_end = offset + bytes;
   while (pos < bytes) {
     const std::uint64_t addr = offset + pos;
-    const std::uint64_t line_addr = addr / line_bytes_ * line_bytes_;
+    const std::uint64_t line_addr = lineAddr(addr);
     const std::size_t in_line = static_cast<std::size_t>(addr - line_addr);
     const std::size_t seg = std::min(bytes - pos, line_bytes_ - in_line);
     std::size_t words = 0;
@@ -173,8 +175,8 @@ std::size_t SwCache::invalidateClean() {
 std::size_t SwCache::syncRange(std::uint64_t offset, std::size_t bytes, bool drop,
                                std::uint8_t* dram, std::size_t dram_bytes) {
   if (bytes == 0 || tags_.validCount() == 0) return 0;
-  const std::uint64_t first = offset / line_bytes_ * line_bytes_;
-  const std::uint64_t last = (offset + bytes - 1) / line_bytes_ * line_bytes_;
+  const std::uint64_t first = lineAddr(offset);
+  const std::uint64_t last = lineAddr(offset + bytes - 1);
   std::size_t stored = 0;
   auto fence_slot = [&](std::size_t i) {
     if (tags_.slotDirty(i)) {
@@ -187,7 +189,7 @@ std::size_t SwCache::syncRange(std::uint64_t offset, std::size_t bytes, bool dro
       ++stats_.invalidated_lines;
     }
   };
-  const std::uint64_t range_lines = (last - first) / line_bytes_ + 1;
+  const std::uint64_t range_lines = ((last - first) >> line_shift_) + 1;
   if (range_lines < tags_.numLines()) {
     // Small bulk range: probe just the range's lines — O(lines in range),
     // like access() — instead of sweeping every slot.

@@ -85,6 +85,8 @@ struct SwCacheStats {
 
 class SwCache {
  public:
+  /// `num_lines` and `line_bytes` must be powers of two (sim/cache.h throws
+  /// std::invalid_argument otherwise).
   SwCache(std::size_t num_lines, std::size_t line_bytes, SwCachePolicy policy);
 
   /// What a timed caller must charge for one access (see header comment).
@@ -146,7 +148,11 @@ class SwCache {
 
  private:
   [[nodiscard]] std::uint8_t* linePtr(std::size_t index) {
-    return &data_[index * line_bytes_];
+    return &data_[index << line_shift_];
+  }
+  /// Line-aligned address of the line holding `addr`.
+  [[nodiscard]] std::uint64_t lineAddr(std::uint64_t addr) const {
+    return addr >> line_shift_ << line_shift_;
   }
   /// Copy slot `index`'s line data to backing offset `addr` (the clamp rule
   /// for region-tail lines lives here, shared by evictions and flushes).
@@ -157,6 +163,7 @@ class SwCache {
 
   Cache tags_;  ///< the tag store (sim/cache.h); data_ pairs with its slots
   std::size_t line_bytes_;
+  int line_shift_;  ///< log2(line_bytes_)
   SwCachePolicy policy_;
   std::vector<std::uint8_t> data_;  ///< num_lines x line_bytes line store
   SwCacheStats stats_;

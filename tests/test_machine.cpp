@@ -7,6 +7,7 @@
 #include <cstring>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "sim/contention.h"
@@ -163,6 +164,24 @@ TEST(Cache, FlushInvalidatesEverything) {
   EXPECT_FALSE(cache.access(0, false).hit);
 }
 
+TEST(Cache, RejectsNonPowerOfTwoGeometry) {
+  EXPECT_THROW(Cache(1000, 32), std::invalid_argument);  // 31.25 lines
+  EXPECT_THROW(Cache(1024, 24), std::invalid_argument);  // 24-byte lines
+  EXPECT_THROW(Cache(16, 32), std::invalid_argument);    // smaller than a line
+  EXPECT_NO_THROW(Cache(32, 32));                        // one line
+}
+
+TEST(Cache, VictimAddressRoundTrips) {
+  Cache cache(1024, 32);
+  (void)cache.access(0x12345 * 32 + 7, true);
+  const Cache::AccessResult r = cache.access(0x12345 * 32 + 1024, false);
+  EXPECT_TRUE(r.writeback);
+  EXPECT_EQ(r.victim_addr, 0x12345u * 32);
+  EXPECT_EQ(cache.slotAddr(r.index), 0x12345u * 32 + 1024);
+  EXPECT_EQ(cache.lookup(0x12345 * 32 + 1024 + 31), r.index);
+  EXPECT_EQ(cache.lookup(0x12345 * 32), Cache::kNoSlot);
+}
+
 // --- machine functional paths ---------------------------------------------------
 
 SimTask privRoundTrip(CoreContext& ctx, bool* ok) {
@@ -209,6 +228,69 @@ SimTask mpbExchange(CoreContext& ctx, std::uint64_t off, std::vector<int>* seen)
   int got = 0;
   co_await ctx.mpbRead(peer, off, &got, sizeof(got));
   (*seen)[static_cast<std::size_t>(ctx.ue())] = got;
+}
+
+/// Private reads and writes that walk every branch of the L1/L2 model:
+/// L1 hits, L1 misses that hit L2, L2 misses with clean and dirty victims
+/// (one- and two-burst fills) and a multi-line access, on each UE's core.
+SimTask privMix(CoreContext& ctx, std::uint64_t* sum) {
+  const auto ue = static_cast<std::uint64_t>(ctx.ue());
+  constexpr std::uint64_t kL1 = 16 * 1024, kL2 = 256 * 1024;
+  std::uint64_t v = ue + 1;
+  std::uint8_t block[100] = {};
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (std::uint64_t i = 0; i < 48; ++i) {
+      const std::uint64_t addr = ue * 64 + i * 4096 + round * 8;
+      co_await ctx.privWrite(addr, &v, sizeof(v));    // miss (dirty victim later)
+      co_await ctx.privRead(addr, &v, sizeof(v));     // L1 hit
+      co_await ctx.privRead(addr + kL1, &v, sizeof(v));  // L1 conflict, L2 miss
+      co_await ctx.privRead(addr, &v, sizeof(v));     // L1 miss, L2 hit
+      co_await ctx.privRead(addr + kL2, &v, sizeof(v));  // evicts the dirty line
+      v += ue + 3;
+      co_await ctx.compute(40 + ue * 7);
+    }
+    co_await ctx.privRead(ue * 64 + 20, block, sizeof(block));  // spans 5 lines
+    co_await ctx.privWrite(ue * 64 + kL2 + 20, block, sizeof(block));
+  }
+  *sum += v;
+}
+
+// The first private access on a core builds its L1/L2; the Ticks must be
+// those of caches that existed from construction (pinned from a machine
+// that built all 48 cores' caches up front). Cores that never touch
+// private memory build nothing.
+TEST(Machine, PrivateCachesBuiltOnFirstAccessPinned) {
+  SccMachine machine;
+  std::uint64_t sum = 0;
+  machine.launch(LaunchSpec(2, [&](CoreContext& ctx) { return privMix(ctx, &sum); }));
+  for (std::uint32_t core = 0; core < machine.config().num_cores; ++core) {
+    EXPECT_FALSE(machine.privateCachesBuilt(static_cast<int>(core)));
+  }
+  const Tick makespan = machine.run();
+  const std::vector<Tick> completions = {machine.engine().completionTime(0),
+                                         machine.engine().completionTime(1)};
+  EXPECT_EQ(makespan, 69893584u);
+  EXPECT_EQ(completions, (std::vector<Tick>{65473584u, 69893584u}));
+  EXPECT_EQ(sum, 7u);
+  std::size_t built = 0;
+  for (std::uint32_t core = 0; core < machine.config().num_cores; ++core) {
+    const bool b = machine.privateCachesBuilt(static_cast<int>(core));
+    built += b ? 1 : 0;
+    EXPECT_EQ(b, core == machine.coreOfUe(0) || core == machine.coreOfUe(1)) << core;
+  }
+  EXPECT_EQ(built, 2u);
+}
+
+TEST(Machine, NoPrivateAccessBuildsNoPrivateCaches) {
+  SccMachine machine;
+  const std::uint64_t offset = machine.shmalloc(64);
+  bool ok = true;
+  machine.launch(LaunchSpec(4, [&](CoreContext& ctx) { return shmRoundTrip(ctx, offset, &ok); }));
+  machine.run();
+  EXPECT_TRUE(ok);
+  for (std::uint32_t core = 0; core < machine.config().num_cores; ++core) {
+    EXPECT_FALSE(machine.privateCachesBuilt(static_cast<int>(core))) << core;
+  }
 }
 
 TEST(Machine, MpbRemoteReadSeesOwnerData) {
