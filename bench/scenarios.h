@@ -491,7 +491,8 @@ enum class References {
   kLegacy,      ///< coalescing off ("legacy"), and the plan twin if the workload has one
   kRoutings,    ///< uncached words and swcache write-through (the timed run is write-back)
   kPolicies,    ///< mixed_policy_8ue: everything cached, everything uncached
-  kPlacements,  ///< kv_zipf_8ue: the striped plan, and both plans via the Benchmark API
+  kPlacements,  ///< kv_zipf_8ue: kLegacy's runs, the striped plan with coalescing on and
+                ///< off, and both plans via the Benchmark API
 };
 
 /// One timed scenario: the workload and mode of its "coalesced" run, which

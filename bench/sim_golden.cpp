@@ -394,12 +394,16 @@ void policyReferences(Golden& g, const std::string& p, const RunStats& mixed) {
 /// The controller-placement A/B: the address-striped plan concentrates the
 /// skewed load on one controller (high controller_load_cv), owner-compute
 /// spreads it (near-zero CV). Both plans must verify against the host
-/// replay, and the harness and Benchmark runs of one plan must agree on the
-/// makespan.
+/// replay, the harness and Benchmark runs of one plan must agree on the
+/// makespan, and the striped plan's Ticks must not depend on coalescing.
 void placementReferences(Golden& g, const std::string& p, const RunStats& placed) {
   const RunStats striped =
       runWorkload(kvZipfWorkload(ControllerPlacement::kStriped), Mode{}, 1);
+  const RunStats striped_off =
+      runWorkload(kvZipfWorkload(ControllerPlacement::kStriped), Mode{false}, 1);
   runRows(g, p + "striped", striped);
+  runRows(g, p + "striped_legacy", striped_off);
+  g.check(p + "check.striped_ticks_identical", sameTicks(striped, striped_off));
   const std::unique_ptr<workloads::Benchmark> kv =
       workloads::makeKvStore(workloads::KvParams{});
   const auto run = [&kv](ControllerPlacement cp) {
@@ -438,7 +442,10 @@ void timedScenario(Golden& g, const TimedScenario& t) {
     case References::kLegacy: legacyReferences(g, p, w, t, on); break;
     case References::kRoutings: routingReferences(g, p, w, t, on); break;
     case References::kPolicies: policyReferences(g, p, on); break;
-    case References::kPlacements: placementReferences(g, p, on); break;
+    case References::kPlacements:
+      legacyReferences(g, p, w, t, on);
+      placementReferences(g, p, on);
+      break;
   }
 }
 

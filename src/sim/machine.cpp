@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <new>
 #include <stdexcept>
 
@@ -773,8 +774,15 @@ void SccMachine::launch(const LaunchSpec& spec) {
   task_ids.reserve(static_cast<std::size_t>(num_ues));
   for (int ue = 0; ue < num_ues; ++ue) {
     const std::uint32_t core = ue_to_core_[static_cast<std::size_t>(ue)];
+    // A striped, pinned or first-touch region routes this core's words to
+    // any controller, so the task must reach them all: otherwise another
+    // controller's horizon (nextEventTimeFor) misses it.
     std::vector<std::uint32_t> reach;
-    reach.push_back(core_mc_[core]);
+    if (ctrl_placement_active_) {
+      for (std::uint32_t mc = 0; mc < config_.num_mem_controllers; ++mc) reach.push_back(mc);
+    } else {
+      reach.push_back(core_mc_[core]);
+    }
     if (scope) {
       std::vector<std::uint32_t> ports;
       for (const int owner : scope(ue, num_ues)) {
@@ -807,6 +815,10 @@ void SccMachine::setShmControllerPlacement(std::uint64_t begin, std::uint64_t en
                                            partition::ControllerPlacement placement,
                                            std::uint32_t pinned_controller) {
   if (end <= begin) return;
+  // launch() fixes each task's reach from ctrl_placement_active_; a routing
+  // placement registered later would leave tasks reaching too few
+  // controllers.
+  assert(contexts_.empty() || placement == partition::ControllerPlacement::kOwnerCompute);
   if (pinned_controller >= config_.num_mem_controllers) pinned_controller = 0;
   shm_ctrl_map_.push_back(ShmCtrlRange{begin, end, placement, pinned_controller});
   // kOwnerCompute registrations are documentation only (they restate the

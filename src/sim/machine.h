@@ -485,6 +485,9 @@ class SccMachine {
   /// (swcache) regions keep requester-local line fills regardless of any
   /// registration: the cache is private per core, so its DRAM traffic
   /// follows the core (docs/execution_plan.md states the composition rule).
+  /// Register every non-kOwnerCompute placement before launch(): a task
+  /// reaches every controller only if one was registered when it spawned
+  /// (asserted).
   void setShmControllerPlacement(std::uint64_t begin, std::uint64_t end,
                                  partition::ControllerPlacement placement,
                                  std::uint32_t pinned_controller = 0);

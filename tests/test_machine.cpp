@@ -1144,43 +1144,55 @@ SimTask randomKernel(CoreContext& ctx, std::uint64_t shared, std::uint64_t share
 }
 
 // Random kernels on 2-48 UEs must give the same makespan and per-task
-// completions with coalescing on and off. The word-event total of the
-// coalesced runs is pinned too: a queue or run-table change that moves an
-// event (not only a Tick) shows up there.
+// completions with coalescing on and off, with the shared table on each
+// UE's own controller and striped across all four (a striped word run's
+// controller is not its requester's, so every controller's horizon must see
+// every task). The word-event totals of the coalesced runs are pinned too:
+// a queue or run-table change that moves an event (not only a Tick) shows
+// up there.
 TEST(Machine, RandomKernelsBitIdenticalAcrossCoalescing) {
-  std::uint64_t word_events = 0;
-  std::uint64_t events = 0;
+  std::uint64_t word_events[2] = {};
+  std::uint64_t events[2] = {};
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const int ues = 2 + static_cast<int>(seed * 0x9E3779B97F4A7C15ULL % 47);
-    SimResult runs[2];
-    for (const bool coalescing : {false, true}) {
-      SccConfig cfg;
-      cfg.coalescing = coalescing;
-      SccMachine machine(cfg);
-      constexpr std::uint64_t kSharedWords = 4096;
-      const std::uint64_t shared = machine.shmalloc(kSharedWords * 8);
-      const std::uint64_t own = machine.shmalloc(static_cast<std::size_t>(ues) * 48 * 8);
-      machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) {
-        return randomKernel(ctx, shared, kSharedWords, own, seed);
-      }));
-      SimResult& r = runs[coalescing ? 1 : 0];
-      r.makespan = machine.run();
-      for (int ue = 0; ue < ues; ++ue) {
-        r.completions.push_back(
-            machine.engine().completionTime(static_cast<std::size_t>(ue)));
+    for (const bool striped : {false, true}) {
+      SimResult runs[2];
+      for (const bool coalescing : {false, true}) {
+        SccConfig cfg;
+        cfg.coalescing = coalescing;
+        SccMachine machine(cfg);
+        constexpr std::uint64_t kSharedWords = 4096;
+        const std::uint64_t shared = machine.shmalloc(kSharedWords * 8);
+        const std::uint64_t own = machine.shmalloc(static_cast<std::size_t>(ues) * 48 * 8);
+        if (striped) {
+          machine.setShmControllerPlacement(shared, shared + kSharedWords * 8,
+                                            partition::ControllerPlacement::kStriped);
+        }
+        machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) {
+          return randomKernel(ctx, shared, kSharedWords, own, seed);
+        }));
+        SimResult& r = runs[coalescing ? 1 : 0];
+        r.makespan = machine.run();
+        for (int ue = 0; ue < ues; ++ue) {
+          r.completions.push_back(
+              machine.engine().completionTime(static_cast<std::size_t>(ue)));
+        }
+        r.events = machine.engine().eventsProcessed();
+        r.shm_words = machine.shmWordsSimulated();
+        r.shm_word_events = machine.shmWordEvents();
       }
-      r.events = machine.engine().eventsProcessed();
-      r.shm_words = machine.shmWordsSimulated();
-      r.shm_word_events = machine.shmWordEvents();
+      EXPECT_EQ(runs[1].makespan, runs[0].makespan) << "seed " << seed << " striped " << striped;
+      EXPECT_EQ(runs[1].completions, runs[0].completions)
+          << "seed " << seed << " striped " << striped;
+      EXPECT_EQ(runs[1].shm_words, runs[0].shm_words) << "seed " << seed;
+      word_events[striped ? 1 : 0] += runs[1].shm_word_events;
+      events[striped ? 1 : 0] += runs[1].events;
     }
-    EXPECT_EQ(runs[1].makespan, runs[0].makespan) << "seed " << seed;
-    EXPECT_EQ(runs[1].completions, runs[0].completions) << "seed " << seed;
-    EXPECT_EQ(runs[1].shm_words, runs[0].shm_words) << "seed " << seed;
-    word_events += runs[1].shm_word_events;
-    events += runs[1].events;
   }
-  EXPECT_EQ(word_events, 595317u);
-  EXPECT_EQ(events, 640715u);
+  EXPECT_EQ(word_events[0], 595317u);
+  EXPECT_EQ(events[0], 640715u);
+  EXPECT_EQ(word_events[1], 833219u);
+  EXPECT_EQ(events[1], 878617u);
 }
 
 // --- joint contention replay: round jumps vs the word-by-word oracle ---------
