@@ -638,7 +638,6 @@ SccMachine::SccMachine(SccConfig config)
   // knobs come from the config (off by default).
   fault_ = FaultInjector(config_.fault);
   shm_word_runs_.resize(config_.num_mem_controllers);
-  shm_run_seq_.assign(config_.num_mem_controllers, 1);
   engine_.setHangDetection(true);
   engine_.setSyncTimeout(config_.sync_timeout_ticks);
   engine_.setWatchdogEventLimit(config_.watchdog_events_per_tick);
@@ -1139,77 +1138,45 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   members.clear();
   for (const WordRun& r : runs) {
     if (r.task != self) {
-      members.push_back({r.task, r.t, r.hop, r.remaining, r.seq, false});
+      members.push_back({r.task, r.t, r.hop, r.remaining, false});
     }
   }
   // Self is executing right now: its first acquire happens inside the live
-  // event, ahead of every pending event sharing its tick — stamp 0 (the
-  // recorded stamps start at 1) encodes that priority.
-  members.push_back({self, start, hop_one_way, max_words, 0, true});
+  // event, ahead of every pending event sharing its tick (acquiresBefore).
+  members.push_back({self, start, hop_one_way, max_words, true});
 
-  // Replay the joint FCFS recurrence in ENGINE order on a SCRATCH timeline
-  // (sim/contention.h): each word goes to the member whose pending event is
-  // earliest under the (time, schedule seq) key and is acquired
-  // the instant that event would have fired, so arrivals, acquire order and
-  // per-resource request indices (the kMcStall draw keys) are identical to
-  // the per-event execution; periodic stretches are jumped in closed form.
-  // The replay stops at the first completed run — beyond that instant the
-  // finished member may add traffic the joint schedule cannot see.
-  ResourceTimeline scratch = mc_[mc_id];
-  std::uint64_t next_stamp = shm_run_seq_[mc_id];
-  Tick stall_total = 0;
-  std::uint64_t stalls_injected = 0;
-  // Trace records are deferred until the replay commits: a declined replay
-  // (boundary tie below) must leave no observable side effect.
-  obs::TraceRecorder* tr = tracer(engine_);
-  std::vector<ReplayStall>& stall_recs = replay_stalls_;
-  stall_recs.clear();
+  // Replay the joint FCFS recurrence in ENGINE order (sim/contention.h):
+  // each word goes to the member whose pending event is earliest under the
+  // engine's (time, task id) key and is acquired the instant that event
+  // would have fired, so arrivals, acquire order and per-resource request
+  // indices (the kMcStall draw keys) are identical to the per-event
+  // execution; periodic stretches are jumped in closed form. The replay
+  // stops at the first completed run — beyond that instant the finished
+  // member may add traffic the joint schedule cannot see. It always
+  // commits, so it runs on the controller's own timeline and records each
+  // stall as it draws it.
   ReplayStallFn stall;
   if (fault_.armed(FaultClass::kMcStall)) {
-    stall = [&](const ReplayMember& m, Tick arrival, std::uint64_t request) {
+    obs::TraceRecorder* tr = tracer(engine_);
+    stall = [this, tr, mc_id](const ReplayMember& m, Tick arrival, std::uint64_t request) {
       const Tick extra = fault_.stallTicks(mc_id, request, arrival, word_service_ticks_);
       if (extra > 0) {
-        stall_total += extra;
-        ++stalls_injected;
-        if (tr != nullptr) stall_recs.push_back({m.task, arrival, extra});
+        fault_.noteInjected(FaultClass::kMcStall);
+        fault_.stats().stall_ticks += extra;
+        if (tr != nullptr) {
+          tr->record(m.task, obs::TraceEvent{arrival, arrival, extra, 0, 0, mc_id,
+                                             obs::TraceEventKind::kMcStall});
+        }
       }
       return extra;
     };
   }
   const std::uint64_t total_words =
-      replayJointRuns(members, scratch, next_stamp, uncached_overhead_ticks_,
-                      word_service_ticks_, stall)
+      replayJointRuns(members, mc_[mc_id], uncached_overhead_ticks_, word_service_ticks_,
+                      stall)
           .words;
 
-  // Boundary guard: every member the replay advanced resumes through a
-  // RE-scheduled event whose schedule order reflects this execution, not the
-  // per-event one. Distinct resume ticks make that seq irrelevant; a tie
-  // could invert the acquire order, so decline (nothing committed yet —
-  // the per-event fallback is exact). Untouched members keep their
-  // original pending events and need no guard.
-  std::vector<Tick>& boundary = replay_boundary_;
-  boundary.clear();
-  for (const ReplayMember& m : members) {
-    if (m.done > 0) boundary.push_back(m.t);
-  }
-  std::sort(boundary.begin(), boundary.end());
-  if (std::adjacent_find(boundary.begin(), boundary.end()) != boundary.end()) {
-    return false;
-  }
-
-  // Commit: timeline, fault bookkeeping, stats, per-member stash.
-  mc_[mc_id] = scratch;
-  shm_run_seq_[mc_id] = next_stamp;
-  if (tr != nullptr) {
-    for (const ReplayStall& s : stall_recs) {
-      tr->record(s.task, obs::TraceEvent{s.at, s.at, s.stall, 0, 0, mc_id,
-                                         obs::TraceEventKind::kMcStall});
-    }
-  }
-  for (std::uint64_t i = 0; i < stalls_injected; ++i) {
-    fault_.noteInjected(FaultClass::kMcStall);
-  }
-  if (stall_total > 0) fault_.stats().stall_ticks += stall_total;
+  // Stats and the per-member stash.
   shm_words_ += total_words;
   mc_traffic_[mc_id] += total_words;
   ++shm_word_events_;  // self's event
@@ -1222,7 +1189,6 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
         r.t = m.t;
         r.hop = m.hop;
         r.remaining = m.remaining;
-        r.seq = m.seq;
         r.solved = false;
         r.done = 0;
       }
@@ -1236,7 +1202,6 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
     r.done = m.done;
     r.final_t = m.t;
     r.remaining = m.remaining;
-    r.seq = m.seq;
   }
   return true;
 }
@@ -1273,7 +1238,6 @@ Tick SccMachine::shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way,
         r.t = t;
         r.hop = hop_one_way;
         r.remaining = max_words - *words_done;
-        r.seq = shm_run_seq_[mc_id]++;  // continuation scheduled now, in order
         r.solved = false;
       } else {
         eraseRun(runs, task);

@@ -698,29 +698,28 @@ class SccMachine {
   // (Engine::parkedTasksReaching: a kNever wake chain, e.g. a barrier the
   // caller has not reached or a lock the caller holds) — the joint FCFS
   // recurrence over all k runs is replayed inline in engine order
-  // (by completion, then schedule seq), so the
+  // (by completion, then task id), so the
   // controller timeline sees the exact per-event acquire sequence: same
   // arrivals, same requests() indices (fault stall draws included), same
   // completions. The replay commits only a PREFIX of the joint schedule —
   // it stops the moment any member's run completes, because a finished
   // member may immediately issue fresh traffic (a write run right after a
-  // read run) that must interleave with the words beyond that point. It
-  // also declines (leaving the per-event path to run, which is always
-  // exact) when two members' post-replay resume instants land on the same
-  // tick: those resumes are re-scheduled events, and their schedule order
-  // could otherwise disagree with the order the per-event execution would
-  // have produced. Within those guards the batch is Tick-exact by
+  // read run) that must interleave with the words beyond that point. The
+  // members' resumes after the replay are re-scheduled events, but the
+  // queue orders equal Ticks by task id whatever the insertion order, so
+  // they fire as the per-event execution's would. Within that prefix the
+  // batch is Tick-exact by
   // construction; only the event count drops (a handful of events per
   // member per window instead of one per word). The replay itself
   // (replayJointRuns, sim/contention.h) costs O(members) per round, not per
   // word: once a round of M picks serves every member exactly once and
-  // leaves each member's (t - nextFree) and pick order as the round before
-  // did, the joint state is that round's translated by (Δ Ticks, M stamps).
-  // acquire is max(arrival, next_free) + service and the pick compares
-  // (t, seq) only, so the recurrence commutes with that translation and
-  // every later round repeats it until a run runs out: the replay jumps
+  // leaves each member's (t - nextFree) as the round before did, the joint
+  // state is that round's translated by Δ Ticks. acquire is
+  // max(arrival, next_free) + service and the pick compares t and task ids
+  // only, so the recurrence commutes with that translation and every later
+  // round repeats it until a run runs out: the replay jumps
   // min(remaining) - 1 rounds at once (ResourceTimeline::advance) and
-  // finishes word by word, meeting the same finisher with the same stamps.
+  // finishes word by word, meeting the same finisher in the same state.
   // No saturation argument is needed; stall faults, drawn per request,
   // switch the jump off. Parked tasks stay out of
   // the replay because it ends at the first finished run: every member,
@@ -740,23 +739,16 @@ class SccMachine {
     Tick t = 0;        ///< completion of its last serviced word
     Tick hop = 0;      ///< its one-way mesh latency to this controller
     std::size_t remaining = 0;  ///< words left in the run
-    std::uint64_t seq = 0;      ///< schedule order of its pending event
     bool solved = false;        ///< a joint replay precomputed words for it
     std::size_t done = 0;       ///< words the replay serviced (when solved)
     Tick final_t = 0;  ///< completion of the last replayed word (when solved)
-  };
-  /// A kMcStall drawn during a replay, traced only once the replay commits.
-  struct ReplayStall {
-    std::size_t task;
-    Tick at;
-    Tick stall;
   };
   /// `task`'s entry in one controller's run table, or null.
   static WordRun* findRun(std::vector<WordRun>& runs, std::size_t task);
   /// `task`'s entry in one controller's run table, appended if missing.
   static WordRun& runOf(std::vector<WordRun>& runs, std::size_t task);
   /// Drop `task`'s entry, if any. Entry order carries no meaning (the
-  /// replay picks by (t, seq)), so the last entry fills the hole.
+  /// replay picks by (t, task id)), so the last entry fills the hole.
   static void eraseRun(std::vector<WordRun>& runs, std::size_t task);
   /// Consume the calling task's precomputed joint-solve result, if any:
   /// stores the full remaining word count and returns the run's completion.
@@ -875,20 +867,9 @@ class SccMachine {
   /// batching bookkeeping), a flat table searched linearly — at most one
   /// entry per task reaching the controller.
   std::vector<std::vector<WordRun>> shm_word_runs_;
-  /// Per controller: monotone stamp mirroring the engine's event-schedule
-  /// order. A WordRun recorded later has a later pending event, so ties at
-  /// equal completion Ticks resolve exactly as the event queue would. Starts
-  /// at 1 so the joint replay can hand the currently-executing task stamp 0:
-  /// its first acquire happens inside the live event, ahead of every pending
-  /// event that shares its tick. Stamps are only ever compared within one
-  /// controller's run set, so a per-controller counter preserves the exact
-  /// ordering.
-  std::vector<std::uint64_t> shm_run_seq_;
-  /// solveContendedRuns' per-call working sets, reused so the replay stays
+  /// solveContendedRuns' per-call working set, reused so the replay stays
   /// allocation-free in steady state (cleared on entry, never shrunk).
   std::vector<ReplayMember> replay_members_;
-  std::vector<Tick> replay_boundary_;
-  std::vector<ReplayStall> replay_stalls_;
 
   FaultInjector fault_;  ///< built from config_.fault at construction
   /// Scratch for swcacheFlushChecked's flushed-line addresses (reused to

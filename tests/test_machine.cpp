@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "sim/contention.h"
 #include "sim/machine.h"
@@ -742,6 +743,61 @@ TEST(Machine, StallArmedContentionBitIdenticalAcrossCoalescing) {
   EXPECT_LT(on.shm_word_events, off.shm_word_events);
 }
 
+/// Contending word runs whose completions tie: with the DRAM clocked like
+/// the mesh, one word's service (8 cycles, 5 ns) equals two mesh hops, so
+/// UEs whose hop counts to a shared controller differ by two complete words
+/// on the same Tick, and the tie-break decides which acquires next.
+SimTask tiedWordsKernel(CoreContext& ctx, std::uint64_t base, int rounds) {
+  std::vector<std::uint64_t> buf(96);
+  const auto ue = static_cast<std::uint64_t>(ctx.ue());
+  for (int r = 0; r < rounds; ++r) {
+    const std::size_t words = 32 + (ue * 7 + static_cast<std::uint64_t>(r) * 13) % 64;
+    co_await ctx.shmRead(base + ue * buf.size() * 8, buf.data(), words * 8);
+    co_await ctx.compute(static_cast<std::uint64_t>(r % 3) * 4);
+  }
+}
+
+SimResult runTiedWords(bool coalescing, bool stalls) {
+  SccConfig cfg;
+  cfg.coalescing = coalescing;
+  cfg.dram_mhz = cfg.mesh_mhz;
+  if (stalls) {
+    cfg.fault.enabled = true;
+    cfg.fault.mc_stall.rate = 0.05;
+  }
+  SccMachine machine(cfg);
+  constexpr int kUes = 24;
+  const std::uint64_t base = machine.shmalloc(kUes * 96 * 8);
+  machine.launch(LaunchSpec(kUes, [&](CoreContext& ctx) { return tiedWordsKernel(ctx, base, 12); }));
+  SimResult r;
+  r.makespan = machine.run();
+  for (int ue = 0; ue < kUes; ++ue) {
+    r.completions.push_back(machine.engine().completionTime(static_cast<std::size_t>(ue)));
+  }
+  r.shm_words = machine.shmWordsSimulated();
+  r.shm_word_events = machine.shmWordEvents();
+  r.faults = machine.faultStats();
+  return r;
+}
+
+// The joint replay picks ties by the engine's key, (completion Tick, task
+// id), so members that tie on completion Ticks acquire in the per-event
+// order: same Ticks with coalescing on and off, and with stall faults (drawn
+// per controller request, so the acquire order decides who stalls) the same
+// draws.
+TEST(Machine, TiedCompletionsBitIdenticalAcrossCoalescing) {
+  for (const bool stalls : {false, true}) {
+    const SimResult on = runTiedWords(true, stalls);
+    const SimResult off = runTiedWords(false, stalls);
+    EXPECT_EQ(on.makespan, off.makespan) << "stalls " << stalls;
+    EXPECT_EQ(on.completions, off.completions) << "stalls " << stalls;
+    EXPECT_EQ(on.faults.stall_ticks, off.faults.stall_ticks) << "stalls " << stalls;
+    EXPECT_EQ(on.shm_words, off.shm_words);
+    EXPECT_LT(on.shm_word_events, off.shm_word_events) << "stalls " << stalls;
+    if (stalls) EXPECT_GT(off.faults.stall_ticks, 0u);
+  }
+}
+
 /// Roles on 12 UEs (three per controller): two readers contend on one
 /// controller while a third UE there waits on a lock held by a UE on another
 /// controller, which releases it mid-way through the readers' runs. Every
@@ -1197,23 +1253,24 @@ TEST(Machine, RandomKernelsBitIdenticalAcrossCoalescing) {
 
 // --- joint contention replay: round jumps vs the word-by-word oracle ---------
 
-/// The joint replay one word at a time, as SccMachine ran it before round
-/// jumps: the oracle for replayJointRuns.
-void replayWordByWord(std::vector<ReplayMember>& members,
-                             ResourceTimeline& timeline, std::uint64_t& next_stamp,
-                             Tick issue_overhead, Tick service) {
+/// The joint replay one word at a time, in the engine's event order: the
+/// earliest next-event instant first; at equal instants the live caller's
+/// first word (acquired inside the running event), then the lower task id.
+/// The oracle for replayJointRuns.
+void replayWordByWord(std::vector<ReplayMember>& members, ResourceTimeline& timeline,
+                      Tick issue_overhead, Tick service) {
+  const auto key = [](const ReplayMember& m) {
+    const bool live = m.is_self && m.done == 0;
+    return std::tuple(m.t, live ? 0 : 1, m.task);
+  };
   for (;;) {
     std::size_t pick = members.size();
     for (std::size_t i = 0; i < members.size(); ++i) {
       if (members[i].remaining == 0) continue;
-      if (pick == members.size() || members[i].t < members[pick].t ||
-          (members[i].t == members[pick].t && members[i].seq < members[pick].seq)) {
-        pick = i;
-      }
+      if (pick == members.size() || key(members[i]) < key(members[pick])) pick = i;
     }
     ReplayMember& m = members[pick];
     m.t = timeline.acquire(m.t + issue_overhead + m.hop, service) + m.hop;
-    m.seq = next_stamp++;
     ++m.done;
     if (--m.remaining == 0) return;
   }
@@ -1222,14 +1279,14 @@ void replayWordByWord(std::vector<ReplayMember>& members,
 struct ReplayCase {
   std::vector<ReplayMember> members;
   ResourceTimeline timeline;
-  std::uint64_t next_stamp = 0;
   Tick overhead = 0;
   Tick service = 0;
 };
 
 /// Random members against one controller: 0-8 mesh hops of 2.5 ns each
 /// (Table 6.1's mesh), starts scattered `spread` Ticks around the instant
-/// the timeline frees, distinct stamps with one stamp-0 self.
+/// the timeline frees, distinct shuffled task ids; member 0 is the live
+/// caller (its id is not always the lowest).
 ReplayCase randomReplayCase(std::mt19937_64& rng, std::size_t n, std::size_t max_run,
                             Tick overhead, Tick spread, Tick service = 7504) {
   ReplayCase c;
@@ -1238,18 +1295,15 @@ ReplayCase randomReplayCase(std::mt19937_64& rng, std::size_t n, std::size_t max
   constexpr Tick kBase = 1'000'000'000;
   c.timeline.acquire(kBase - service, service);  // nextFree() == kBase
   c.timeline.acquire(kBase + std::uniform_int_distribution<Tick>(0, spread)(rng), service);
-  std::vector<std::uint64_t> stamps(n);
-  for (std::size_t i = 0; i < n; ++i) stamps[i] = 1 + 3 * i;
-  std::shuffle(stamps.begin(), stamps.end(), rng);
-  stamps[0] = 0;  // the caller: its acquire precedes every pending event
-  c.next_stamp = 1 + 3 * n;
+  std::vector<std::size_t> tasks(n);
+  for (std::size_t i = 0; i < n; ++i) tasks[i] = 1 + 3 * i;
+  std::shuffle(tasks.begin(), tasks.end(), rng);
   for (std::size_t i = 0; i < n; ++i) {
     ReplayMember m{};
-    m.task = i;
+    m.task = tasks[i];
     m.t = kBase - spread + std::uniform_int_distribution<Tick>(0, 2 * spread)(rng);
     m.hop = 2500 * std::uniform_int_distribution<Tick>(0, 8)(rng);
     m.remaining = std::uniform_int_distribution<std::size_t>(1, max_run)(rng);
-    m.seq = stamps[i];
     m.is_self = i == 0;
     c.members.push_back(m);
   }
@@ -1261,20 +1315,17 @@ ReplayCase randomReplayCase(std::mt19937_64& rng, std::size_t n, std::size_t max
 JointReplay expectReplayMatchesOracle(const ReplayCase& c, const std::string& what) {
   ReplayCase jumped = c;
   ReplayCase oracle = c;
-  const JointReplay r = replayJointRuns(jumped.members, jumped.timeline,
-                                        jumped.next_stamp, c.overhead, c.service);
-  replayWordByWord(oracle.members, oracle.timeline, oracle.next_stamp, c.overhead,
-                   c.service);
+  const JointReplay r =
+      replayJointRuns(jumped.members, jumped.timeline, c.overhead, c.service);
+  replayWordByWord(oracle.members, oracle.timeline, c.overhead, c.service);
   EXPECT_EQ(jumped.timeline.nextFree(), oracle.timeline.nextFree()) << what;
   EXPECT_EQ(jumped.timeline.totalBusy(), oracle.timeline.totalBusy()) << what;
   EXPECT_EQ(jumped.timeline.requests(), oracle.timeline.requests()) << what;
-  EXPECT_EQ(jumped.next_stamp, oracle.next_stamp) << what;
   std::uint64_t words = 0;
   for (std::size_t i = 0; i < c.members.size(); ++i) {
     const ReplayMember& a = jumped.members[i];
     const ReplayMember& b = oracle.members[i];
     EXPECT_EQ(a.t, b.t) << what << " member " << i;
-    EXPECT_EQ(a.seq, b.seq) << what << " member " << i;
     EXPECT_EQ(a.done, b.done) << what << " member " << i;
     EXPECT_EQ(a.remaining, b.remaining) << what << " member " << i;
     words += b.done;
@@ -1287,7 +1338,7 @@ JointReplay expectReplayMatchesOracle(const ReplayCase& c, const std::string& wh
 // offsets, on a saturated controller (15 ns issue overhead: requests queue)
 // and an unsaturated one (1 us overhead: the controller idles between
 // words). A 7.5 ns service (three hops) makes members tie on t, so the
-// stamp tie-break decides picks. Every timeline counter and per-member
+// task-id tie-break decides picks. Every timeline counter and per-member
 // result must equal the word-by-word replay's.
 TEST(ContentionReplay, RoundJumpMatchesWordByWordOracle) {
   std::mt19937_64 rng(0x5CC0FFEEULL);
@@ -1305,7 +1356,8 @@ TEST(ContentionReplay, RoundJumpMatchesWordByWordOracle) {
   EXPECT_GT(jumped_cases, 300u);
   // Zero-latency words (no issue overhead, hop or service): a window can
   // leave every t in place while serving one member twice and another not
-  // at all, so only the stamp check tells a translation from a stall.
+  // at all, so only the per-window pick count tells a translation from a
+  // stall.
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t n = std::uniform_int_distribution<std::size_t>(2, 16)(rng);
     ReplayCase c = randomReplayCase(rng, n, 50, 0, trial % 2 == 0 ? 30 : 0, 0);
@@ -1327,7 +1379,7 @@ TEST(ContentionReplay, SaturatedRoundJumpFires) {
     ReplayCase c = randomReplayCase(rng, 12, 2000, 15'000, trial % 2 == 0 ? 0 : 20'000);
     for (ReplayMember& m : c.members) {
       m.remaining = 2000;
-      m.hop = 2500 * (m.task % 3);
+      m.hop = 2500 * ((m.task / 3) % 3);
     }
     const JointReplay r = expectReplayMatchesOracle(c, "trial " + std::to_string(trial));
     EXPECT_LE(r.stepped, 3u * 12u + 12u) << "trial " << trial;
