@@ -1209,9 +1209,10 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
 Tick SccMachine::shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way,
                                       Tick start, std::size_t max_words,
                                       std::size_t* words_done) {
-  // Round-robin contention batching (header comment at WordRun). Placement-
-  // routed runs can aim at controllers outside the accessor's reach class,
-  // which would break the closure proof — the batch layer stands down.
+  // Round-robin contention batching (header comment at WordRun). It stands
+  // down under a routing placement: every task then reaches every
+  // controller (launch), so a closed pattern would need every task mid-run
+  // on this one.
   const bool batching = config_.coalescing && !ctrl_placement_active_;
   if (batching) {
     Tick batched = 0;

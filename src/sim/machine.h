@@ -404,7 +404,9 @@ class SccMachine {
   /// per-UE MPB owner sets) shrinks each task's engine reach set to its
   /// controller plus the promised tile ports; without either, the reach set
   /// is the controller plus every MPB port (sound, but port horizons then
-  /// see all tasks). A plan with any cached region activates the swcache
+  /// see all tasks). While a striped, pinned or first-touch placement is
+  /// registered, the reach set holds every controller instead of the
+  /// core's own. A plan with any cached region activates the swcache
   /// instances. Region cacheability/controller placement itself is
   /// registered by the plan-carrying rcce::ShmArray allocations (or
   /// setShmCacheability / setShmControllerPlacement directly) — the machine
@@ -708,9 +710,9 @@ class SccMachine {
   // members' resumes after the replay are re-scheduled events, but the
   // queue orders equal Ticks by task id whatever the insertion order, so
   // they fire as the per-event execution's would. Within that prefix the
-  // batch is Tick-exact by
-  // construction; only the event count drops (a handful of events per
-  // member per window instead of one per word). The replay itself
+  // batch is Tick-exact by construction; only the event count drops (a
+  // handful of events per member per window instead of one per word). The
+  // replay itself
   // (replayJointRuns, sim/contention.h) costs O(members) per round, not per
   // word: once a round of M picks serves every member exactly once and
   // leaves each member's (t - nextFree) as the round before did, the joint
