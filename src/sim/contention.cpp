@@ -4,6 +4,20 @@
 #include <cassert>
 
 namespace hsm::sim {
+namespace {
+
+/// Whether `a`'s next word is acquired before `b`'s: the engine's event key
+/// (when, task id), except that the live caller's first word goes first at
+/// its tick.
+bool acquiresBefore(const ReplayMember& a, const ReplayMember& b) {
+  if (a.t != b.t) return a.t < b.t;
+  const bool a_live = a.is_self && a.done == 0;
+  const bool b_live = b.is_self && b.done == 0;
+  if (a_live != b_live) return a_live;
+  return a.task < b.task;
+}
+
+}  // namespace
 
 JointReplay replayJointRuns(std::vector<ReplayMember>& members,
                             ResourceTimeline& timeline, Tick issue_overhead,

@@ -27,17 +27,6 @@ struct ReplayMember {
   std::size_t window_done = 0;
 };
 
-/// Whether `a`'s next word is acquired before `b`'s: the engine's event key
-/// (when, task id), except that the live caller's first word goes first at
-/// its tick — it is acquired inside the event that is running now.
-[[nodiscard]] inline bool acquiresBefore(const ReplayMember& a, const ReplayMember& b) {
-  if (a.t != b.t) return a.t < b.t;
-  const bool a_live = a.is_self && a.done == 0;
-  const bool b_live = b.is_self && b.done == 0;
-  if (a_live != b_live) return a_live;
-  return a.task < b.task;
-}
-
 /// Extra service a stall fault adds to the request at `arrival` whose
 /// per-resource index is `request` (0 = none). Empty = no stalls armed.
 using ReplayStallFn =
@@ -49,10 +38,12 @@ struct JointReplay {
 };
 
 /// Replay the joint FCFS recurrence in engine order until the first member's
-/// run completes. Each word goes to the member that acquiresBefore() every
-/// other, arrives `issue_overhead + hop` after that member's previous
-/// completion and is serviced for `service` (plus any stall). Every member
-/// must enter with remaining >= 1.
+/// run completes. Each word goes to the member whose next event the engine
+/// fires first — the earliest t, then the lower task id, except that the
+/// live caller's first word goes first at its tick (it is acquired inside
+/// the event running now) — arrives `issue_overhead + hop` after that
+/// member's previous completion and is serviced for `service` (plus any
+/// stall). Every member must enter with remaining >= 1.
 ///
 /// Round jumps: every `members.size()` picks closes a window. When a window
 /// picked every member exactly once, moved every member's t by the same Δ

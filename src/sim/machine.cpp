@@ -1142,7 +1142,7 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
     }
   }
   // Self is executing right now: its first acquire happens inside the live
-  // event, ahead of every pending event sharing its tick (acquiresBefore).
+  // event, ahead of every pending event sharing its tick.
   members.push_back({self, start, hop_one_way, max_words, true});
 
   // Replay the joint FCFS recurrence in ENGINE order (sim/contention.h):
