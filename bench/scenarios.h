@@ -28,9 +28,10 @@ using sim::Tick;
 
 struct Mode {
   bool coalescing = true;  ///< SccConfig::coalescing
-  /// Shared-memory routing: 0 = uncached words, 1 = swcache write-back,
-  /// 2 = swcache write-through no-allocate.
-  int swcache = 0;
+  /// Shared-memory routing: false = uncached words, true = every shared
+  /// DRAM offset registered cacheable (swcache) before the workload's setup
+  /// runs; the setup's own registrations still win on overlap.
+  bool swcache = false;
   /// Simulated-time trace recorder (SccConfig::trace_enabled). Only
   /// obs_trace_8ue enables it: the timed runs stay untraced so their
   /// throughput measures the engine, not the recorder.
@@ -46,7 +47,6 @@ struct RunStats {
   std::uint64_t mpb_chunk_events = 0;
   std::uint64_t swcache_words = 0;   ///< words served through the swcache
   std::uint64_t swcache_word_hits = 0;
-  std::uint64_t swcache_wt_words = 0;  ///< written-through subset (also in shm_words)
   std::uint64_t swcache_line_txns = 0;  ///< line fills + dirty write-backs
   std::uint64_t swcache_line_events = 0;
   std::uint64_t mpb_scope_violations = 0;  ///< accesses outside a declared plan
@@ -55,12 +55,8 @@ struct RunStats {
   std::vector<std::uint8_t> result_bytes;  ///< extracted output region
 
   /// Logical shared-memory words: uncached transactions plus words served
-  /// through the swcache, minus the written-through subset (those words are
-  /// swcache accesses AND uncached transactions — counting both would
-  /// inflate write-through runs by their write volume).
-  [[nodiscard]] std::uint64_t logicalWords() const {
-    return shm_words + swcache_words - swcache_wt_words;
-  }
+  /// through the swcache.
+  [[nodiscard]] std::uint64_t logicalWords() const { return shm_words + swcache_words; }
   /// Fraction of coalescable transactions (uncached shm words, MPB chunks,
   /// swcache line transfers) whose engine event was coalesced away.
   [[nodiscard]] double coalescingRate() const {
@@ -103,10 +99,9 @@ inline RunStats runWorkload(const Workload& w, const Mode& mode, int reps,
   for (int rep = 0; rep < reps; ++rep) {
     sim::SccConfig cfg;
     cfg.coalescing = mode.coalescing;
-    cfg.shm_swcache = mode.swcache != 0;
-    cfg.swcache_policy = mode.swcache == 2 ? 1 : 0;
     cfg.trace_enabled = mode.trace;
     sim::SccMachine machine(cfg);
+    if (mode.swcache) machine.setShmCacheability(0, cfg.shared_dram_bytes, true);
     (plan_setup ? w.setup_plan : w.setup)(machine);
     stats.makespan = machine.run();
     stats.wall_seconds += machine.engine().hostWallSeconds();
@@ -118,7 +113,6 @@ inline RunStats runWorkload(const Workload& w, const Mode& mode, int reps,
     const sim::SwCacheStats sw = machine.swcacheTotals();
     stats.swcache_words += sw.word_accesses;
     stats.swcache_word_hits += sw.word_hits;
-    stats.swcache_wt_words += sw.writethrough_words;
     stats.swcache_line_txns += machine.swcacheLinesSimulated();
     stats.swcache_line_events += machine.swcacheLineEvents();
     stats.mpb_scope_violations += machine.mpbScopeViolations();
@@ -212,8 +206,9 @@ inline sim::SimTask barrierLoop(sim::CoreContext& ctx, int rounds) {
 /// its right neighbour's MPB slice, then reads back what its left neighbour
 /// deposited into its own — the transport pattern the translator emits for
 /// neighbour exchanges. Every 1 KB transfer is 32 chunk transactions on the
-/// owning tile's port; the declared MpbScope ({self, right}) gives each task
-/// a tight port reach set so unrelated tiles' traffic cannot truncate runs.
+/// owning tile's port; the plan's neighbor-ring scope ({self, right}) gives
+/// each task a tight port reach set so unrelated tiles' traffic cannot
+/// truncate runs.
 inline sim::SimTask rcceRing(sim::CoreContext& ctx, std::uint64_t slot, int rounds,
                       std::size_t bytes) {
   std::vector<std::uint8_t> buf(bytes, static_cast<std::uint8_t>(ctx.ue()));
@@ -425,8 +420,7 @@ inline const ExecutionPlan kMixedPolicyPlan{
 /// The ExecutionPlan mixed-policy showcase: a cached read-mostly table plus
 /// an uncached lock-guarded reduction cell in ONE run, via the per-region
 /// cacheability map. policy: 0 = plan-driven mixed map (the timed run),
-/// 1 = everything cached (the machine-wide shm_swcache knob), 2 = everything
-/// uncached.
+/// 1 = everything cached (run under Mode::swcache), 2 = everything uncached.
 inline Workload mixedPolicyWorkload(int policy) {
   constexpr std::size_t kWindow = kPolicyWindow;
   constexpr int kRounds = 4, kSweeps = 8, kUpdates = 32;
@@ -489,7 +483,7 @@ inline Workload kvZipfWorkload(ControllerPlacement cp) {
 enum class References {
   kNone,        ///< substrate scenario: the coalesced run alone
   kLegacy,      ///< coalescing off ("legacy"), and the plan twin if the workload has one
-  kRoutings,    ///< uncached words and swcache write-through (the timed run is write-back)
+  kRoutings,    ///< uncached words (the timed run is cached)
   kPolicies,    ///< mixed_policy_8ue: everything cached, everything uncached
   kPlacements,  ///< kv_zipf_8ue: kLegacy's runs, the striped plan with coalescing on and
                 ///< off, and both plans via the Benchmark API
@@ -502,7 +496,7 @@ struct TimedScenario {
   Workload (*workload)();
   Mode mode;
   References references;
-  double min_hit_rate = 0;  ///< kRoutings: the write-back run's hit-rate bar (0: none)
+  double min_hit_rate = 0;  ///< kRoutings: the cached run's hit-rate bar (0: none)
 };
 
 inline const TimedScenario kTimedScenarios[] = {
@@ -638,7 +632,7 @@ inline const TimedScenario kTimedScenarios[] = {
                        .extract_offset = 8 * kWindow,
                        .extract_bytes = 8 * 64};
      },
-     Mode{true, 1}, References::kRoutings, /*min_hit_rate=*/0.90},
+     Mode{true, true}, References::kRoutings, /*min_hit_rate=*/0.90},
     {"lu_shared_cached",
      [] {
        constexpr std::size_t n = 64;
@@ -661,8 +655,8 @@ inline const TimedScenario kTimedScenarios[] = {
                },
            .extract_bytes = n * n * 8};
      },
-     Mode{true, 1}, References::kRoutings},
-    {"mixed_policy_8ue", [] { return mixedPolicyWorkload(0); }, Mode{true, 0},
+     Mode{true, true}, References::kRoutings},
+    {"mixed_policy_8ue", [] { return mixedPolicyWorkload(0); }, Mode{true, false},
      References::kPolicies},
     {"kv_zipf_8ue", [] { return kvZipfWorkload(ControllerPlacement::kOwnerCompute); },
      Mode{}, References::kPlacements},

@@ -3,8 +3,9 @@
 // execute the simulator twin in plan-driven mode — the translator's
 // ExecutionPlan (per-variable placement classes, exact per-UE MPB owner
 // sets, per-region cacheability; docs/execution_plan.md) drives the
-// workload's realization end to end instead of hand-reasoned use_mpb bools
-// and MpbScope lambdas.
+// workload's realization end to end. The plan is the simulator's only
+// channel for those decisions: its cached regions are the only cached
+// shared memory, and its owner sets the only MPB scopes.
 //
 // CI smoke-runs this binary: any verification failure, any MPB access
 // outside the plan's declared owner sets, or any DRF lint violation

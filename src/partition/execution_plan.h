@@ -4,10 +4,10 @@
 // lives; this header carries that decision — refined by the stage-2 sharing
 // tables into per-variable placement classes, exact per-UE MPB put/get owner
 // sets, and a per-region shared-memory cacheability policy — across the
-// translator→simulator boundary as ONE first-class value. It replaces the
-// former scatter of ad-hoc channels: per-workload `use_mpb` bools, the
-// machine-wide `config.shm_swcache` switch, and hand-reasoned
-// `SccMachine::MpbScope` lambdas.
+// translator→simulator boundary as ONE first-class value, and is the only
+// channel for those decisions: per-region cacheability reaches the machine
+// through plan-carrying `rcce::ShmArray`s (SccMachine::setShmCacheability),
+// and MPB scopes only through `LaunchSpec::withPlan`.
 //
 // Deliberately self-contained (std types only): the simulator consumes it
 // (`SccMachine::launch`, `rcce::ShmArray`) without pulling in the analysis

@@ -61,11 +61,12 @@ class RcceEnv {
 }
 
 /// RCCE_barrier / RCCE_acquire_lock / RCCE_release_lock. These are the
-/// swcache reconciliation points (config.shm_swcache): the barrier and the
-/// release flush dirty cached lines first, the barrier and the acquire
-/// self-invalidate clean lines after — so releaseLock is awaitable too and
-/// MUST be co_awaited (a discarded return value releases nothing). With the
-/// swcache off they forward to the raw sync operations, frame-free.
+/// swcache reconciliation points (regions registered cacheable): the
+/// barrier and the release flush dirty cached lines first, the barrier and
+/// the acquire self-invalidate clean lines after — so releaseLock is
+/// awaitable too and MUST be co_awaited (a discarded return value releases
+/// nothing). With no cached region they forward to the raw sync
+/// operations, frame-free.
 [[nodiscard]] inline sim::CoreContext::SyncAwaiter barrier(sim::CoreContext& ctx) {
   return ctx.barrier();
 }
@@ -86,14 +87,15 @@ class ShmArray {
  public:
   ShmArray() = default;
   /// Legacy allocation: the region stays UNMAPPED in the machine's
-  /// cacheability map, so config.shm_swcache (the global default) governs
-  /// its routing — exactly the pre-ExecutionPlan behavior.
+  /// cacheability map, so it is uncached — exactly the pre-ExecutionPlan
+  /// behavior.
   ShmArray(RcceEnv& env, std::size_t count)
       : machine_(&env.machine()), base_(env.shmalloc(count * sizeof(T))), count_(count) {}
   /// Plan-carrying allocation: the region records its ExecutionPlan
   /// placement class and registers its cacheability with the machine —
   /// kOffChipCached routes through the swcache, every other class pins the
-  /// region to the uncached word path regardless of config.shm_swcache.
+  /// region to the uncached word path (overriding any earlier registration
+  /// of the range).
   /// Cached regions are line-aligned and line-padded: the swcache moves
   /// whole lines, so a cached region must never share a line with a
   /// neighboring uncached region (a whole-line write-back would clobber

@@ -90,8 +90,8 @@ class Cache {
   }
 
   /// Probe without allocating or touching hit/miss statistics: slot holding
-  /// the line containing `addr`, or kNoSlot (the no-allocate half of the
-  /// swcache write-through policy).
+  /// the line containing `addr`, or kNoSlot (the swcache's range fences and
+  /// fault repair use it).
   [[nodiscard]] std::size_t lookup(std::uint64_t addr) const {
     const std::uint64_t line = addr >> line_shift_;
     const std::size_t index = indexOf(line);

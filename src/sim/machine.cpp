@@ -382,7 +382,7 @@ SubTask CoreContext::swcacheRw(std::uint64_t offset, void* out, const void* src,
   const SwCache::AccessPlan plan =
       machine_.swcacheAccess(core_, offset, bytes, write, out, src);
   // Timed phase: aggregated hit-touch time first, then the batched line
-  // transfers, then written-through words (write-through policy only).
+  // transfers.
   const Tick hit_ticks = machine_.swcacheHitTicks(plan.hit_touches);
   if (hit_ticks > 0) co_await machine_.engine().delay(hit_ticks);
   std::size_t lines = plan.line_txns;
@@ -391,13 +391,6 @@ SubTask CoreContext::swcacheRw(std::uint64_t offset, void* out, const void* src,
     const Tick done = machine_.swcacheLinesCompletion(core_, now(), lines, &serviced);
     co_await machine_.engine().resumeAt(done);
     lines -= serviced;
-  }
-  std::size_t words = plan.writethrough_words;
-  while (words > 0) {
-    std::size_t serviced = 0;
-    const Tick done = machine_.shmWordsCompletion(core_, now(), words, &serviced);
-    co_await machine_.engine().resumeAt(done);
-    words -= serviced;
   }
   if (machine_.observing()) {
     machine_.recordOp(core_, obs::TraceEvent{t0, now(), offset, plan.hit_touches,
@@ -599,13 +592,9 @@ SccMachine::SccMachine(SccConfig config)
 
   // Freeze the per-core NoC timing tables (topology never changes).
   core_mc_.reserve(config_.num_cores);
-  core_mc_hop_ticks_.reserve(config_.num_cores);
   core_all_mc_hop_ticks_.reserve(config_.num_cores * config_.num_mem_controllers);
   for (std::uint32_t c = 0; c < config_.num_cores; ++c) {
     core_mc_.push_back(mesh_.controllerOfCore(c));
-    core_mc_hop_ticks_.push_back(
-        mesh_clock_.cycles(static_cast<std::uint64_t>(config_.mesh_hop_cycles) *
-                           mesh_.hopsToController(c)));
     for (std::uint32_t mc = 0; mc < config_.num_mem_controllers; ++mc) {
       core_all_mc_hop_ticks_.push_back(mesh_clock_.cycles(
           static_cast<std::uint64_t>(config_.mesh_hop_cycles) *
@@ -627,7 +616,6 @@ SccMachine::SccMachine(SccConfig config)
   dram_overhead_ticks_ = core_clock_.cycles(config_.dram_core_overhead_cycles);
   priv_fill_ticks_[0] = dram_clock_.cycles(config_.dram_line_service_cycles);
   priv_fill_ticks_[1] = dram_clock_.cycles(2ULL * config_.dram_line_service_cycles);
-  if (config_.shm_swcache) ensureSwcache();
   // One unified namespace of coalescing-horizon resources: the memory
   // controllers plus every tile's MPB port. launch() gives each task a reach
   // set of its core's controller and the ports it may touch.
@@ -657,12 +645,10 @@ SccMachine::SccMachine(SccConfig config)
 
 void SccMachine::ensureSwcache() {
   if (!swcache_.empty()) return;
-  const auto policy = config_.swcache_policy == 0 ? SwCachePolicy::kWriteBack
-                                                  : SwCachePolicy::kWriteThrough;
   const std::size_t lines = config_.swcache_lines > 0 ? config_.swcache_lines : 1;
   swcache_.reserve(config_.num_cores);
   for (std::uint32_t c = 0; c < config_.num_cores; ++c) {
-    swcache_.emplace_back(lines, config_.cache_line_bytes, policy);
+    swcache_.emplace_back(lines, config_.cache_line_bytes);
   }
 }
 
@@ -692,6 +678,9 @@ SccMachine::~SccMachine() {
 }
 
 std::uint64_t SccMachine::shmalloc(std::size_t bytes, std::size_t align) {
+  if (!std::has_single_bit(align)) {
+    throw std::invalid_argument("shmalloc alignment must be a power of two");
+  }
   if (align < 8) align = 8;
   shm_brk_ = (shm_brk_ + align - 1) & ~static_cast<std::uint64_t>(align - 1);
   return shmalloc(bytes);  // the 8-byte re-align inside is a no-op
@@ -711,6 +700,9 @@ std::uint64_t SccMachine::shmalloc(std::size_t bytes) {
 }
 
 std::uint64_t SccMachine::mpbMalloc(int ue, std::size_t bytes) {
+  if (ue < 0 || static_cast<std::uint32_t>(ue) >= config_.num_cores) {
+    throw std::out_of_range("mpbMalloc UE");
+  }
   if (mpb_brk_.size() < config_.num_cores) mpb_brk_.resize(config_.num_cores, 0);
   auto& brk = mpb_brk_[static_cast<std::size_t>(ue)];
   brk = (brk + 7) & ~std::uint64_t{7};
@@ -751,15 +743,11 @@ void SccMachine::setupBarrier(int participants) {
 
 void SccMachine::launch(const LaunchSpec& spec) {
   const int num_ues = spec.num_ues;
-  if (spec.plan != nullptr && spec.plan->anyCachedRegion()) ensureSwcache();
-  // Precedence: an explicit scope wins; otherwise the plan's owner sets ARE
-  // the scope promise — including "no MPB traffic at all" (empty sets),
-  // under which any MPB access counts as a violation.
-  MpbScope scope = spec.scope;
-  if (!scope && spec.plan != nullptr) {
-    const partition::ExecutionPlan* plan = spec.plan;
-    scope = [plan](int ue, int n) { return plan->mpbScopeOwners(ue, n); };
-  }
+  // The plan's owner sets ARE the scope promise — including "no MPB
+  // traffic at all" (empty sets), under which any MPB access counts as a
+  // violation.
+  const partition::ExecutionPlan* plan = spec.plan;
+  if (plan != nullptr && plan->anyCachedRegion()) ensureSwcache();
   setupBarrier(num_ues);
   // Place every UE first: a scope may name owner UEs that have not been
   // iterated yet, and coreOfUe must already know their cores.
@@ -768,7 +756,7 @@ void SccMachine::launch(const LaunchSpec& spec) {
     ue_to_core_[static_cast<std::size_t>(ue)] = mesh_.coreForUe(ue, num_ues);
   }
   ue_port_reach_.assign(static_cast<std::size_t>(num_ues), {});
-  mpb_scope_declared_ = static_cast<bool>(scope);
+  mpb_scope_declared_ = plan != nullptr;
   std::vector<std::size_t> task_ids;
   task_ids.reserve(static_cast<std::size_t>(num_ues));
   for (int ue = 0; ue < num_ues; ++ue) {
@@ -782,9 +770,9 @@ void SccMachine::launch(const LaunchSpec& spec) {
     } else {
       reach.push_back(core_mc_[core]);
     }
-    if (scope) {
+    if (plan != nullptr) {
       std::vector<std::uint32_t> ports;
-      for (const int owner : scope(ue, num_ues)) {
+      for (const int owner : plan->mpbScopeOwners(ue, num_ues)) {
         ports.push_back(mesh_.portResourceId(mesh_.tileOfCore(coreOfUe(owner))));
       }
       std::sort(ports.begin(), ports.end());
@@ -813,12 +801,15 @@ void SccMachine::launch(const LaunchSpec& spec) {
 void SccMachine::setShmControllerPlacement(std::uint64_t begin, std::uint64_t end,
                                            partition::ControllerPlacement placement,
                                            std::uint32_t pinned_controller) {
+  if (placement == partition::ControllerPlacement::kPinned &&
+      pinned_controller >= config_.num_mem_controllers) {
+    throw std::invalid_argument("pinned controller out of range");
+  }
   if (end <= begin) return;
   // launch() fixes each task's reach from ctrl_placement_active_; a routing
   // placement registered later would leave tasks reaching too few
   // controllers.
   assert(contexts_.empty() || placement == partition::ControllerPlacement::kOwnerCompute);
-  if (pinned_controller >= config_.num_mem_controllers) pinned_controller = 0;
   shm_ctrl_map_.push_back(ShmCtrlRange{begin, end, placement, pinned_controller});
   // kOwnerCompute registrations are documentation only (they restate the
   // default), so they must not knock accesses off the legacy fast path.
@@ -974,8 +965,9 @@ Tick SccMachine::privAccessCompletion(int core, Tick start, std::uint64_t addr,
     caches.emplace(PrivateCaches{Cache(config_.l1_bytes, config_.cache_line_bytes),
                                  Cache(config_.l2_bytes, config_.cache_line_bytes)});
   }
-  ResourceTimeline& mc = mc_[core_mc_[static_cast<std::size_t>(core)]];
-  const Tick hop_one_way = core_mc_hop_ticks_[static_cast<std::size_t>(core)];
+  const std::uint32_t mc_id = core_mc_[static_cast<std::size_t>(core)];
+  ResourceTimeline& mc = mc_[mc_id];
+  const Tick hop_one_way = hopTicks(core, mc_id);
 
   Tick t = start;
   const std::uint64_t first_line = addr >> line_shift_;
@@ -1248,45 +1240,34 @@ Tick SccMachine::shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way,
   return t;
 }
 
-Tick SccMachine::shmWordsCompletion(int core, Tick start, std::size_t max_words,
-                                    std::size_t* words_done) {
-  const std::uint32_t mc_id = core_mc_[static_cast<std::size_t>(core)];
-  return shmWordsOnController(mc_id, core_mc_hop_ticks_[static_cast<std::size_t>(core)],
-                              start, max_words, words_done);
-}
-
 Tick SccMachine::shmWordsAtCompletion(int core, Tick start, std::uint64_t offset,
                                       std::size_t max_words, std::size_t* words_done) {
-  if (!ctrl_placement_active_) {
-    // The exact legacy path: offset-independent requester-local routing.
-    return shmWordsCompletion(core, start, max_words, words_done);
+  // Without a routing placement: the exact legacy path, offset-independent
+  // requester-local routing.
+  std::uint32_t mc_id = core_mc_[static_cast<std::size_t>(core)];
+  if (ctrl_placement_active_) {
+    mc_id = controllerForShmAccess(core, offset);
+    // Striped / first-touch regions switch controllers at stripe
+    // boundaries, so one coalesced run must not cross the current stripe's
+    // end. Accesses never straddle a region boundary (regions are whole
+    // translated variables), so a single range lookup covers the run.
+    const std::size_t txn = config_.shm_transaction_bytes;
+    const std::uint64_t stripe_bytes = config_.shm_controller_stripe_bytes;
+    const std::uint64_t stripe_end = (offset / stripe_bytes + 1) * stripe_bytes;
+    const auto to_stripe_end =
+        static_cast<std::size_t>((stripe_end - offset + txn - 1) / txn);
+    if (max_words > to_stripe_end) max_words = to_stripe_end;
   }
-  const std::uint32_t mc_id = controllerForShmAccess(core, offset);
-  // Striped / first-touch regions switch controllers at stripe boundaries,
-  // so one coalesced run must not cross the current stripe's end. Accesses
-  // never straddle a region boundary (regions are whole translated
-  // variables), so a single range lookup covers the run.
-  const std::size_t txn = config_.shm_transaction_bytes;
-  const std::uint64_t stripe_bytes = config_.shm_controller_stripe_bytes;
-  const std::uint64_t stripe_end = (offset / stripe_bytes + 1) * stripe_bytes;
-  const auto to_stripe_end =
-      static_cast<std::size_t>((stripe_end - offset + txn - 1) / txn);
-  if (max_words > to_stripe_end) max_words = to_stripe_end;
-  return shmWordsOnController(
-      mc_id,
-      core_all_mc_hop_ticks_[static_cast<std::size_t>(core) *
-                                 config_.num_mem_controllers +
-                             mc_id],
-      start, max_words, words_done);
+  return shmWordsOnController(mc_id, hopTicks(core, mc_id), start, max_words,
+                              words_done);
 }
 
 Tick SccMachine::swcacheLinesCompletion(int core, Tick start, std::size_t max_lines,
                                         std::size_t* lines_done) {
   const std::uint32_t mc_id = core_mc_[static_cast<std::size_t>(core)];
-  const Tick t = coalescedCompletion(
-      mc_id, mc_[mc_id], swcache_line_overhead_ticks_,
-      core_mc_hop_ticks_[static_cast<std::size_t>(core)], line_service_ticks_, start,
-      max_lines, lines_done);
+  const Tick t = coalescedCompletion(mc_id, mc_[mc_id], swcache_line_overhead_ticks_,
+                                     hopTicks(core, mc_id), line_service_ticks_, start,
+                                     max_lines, lines_done);
   swcache_lines_sim_ += *lines_done;
   mc_traffic_[mc_id] += *lines_done;
   ++swcache_line_events_;
@@ -1331,12 +1312,7 @@ Tick SccMachine::shmBulkCompletion(int core, Tick start, std::uint64_t offset,
                                   ? controllerForShmAccess(core, offset)
                                   : core_mc_[static_cast<std::size_t>(core)];
   ResourceTimeline& mc = mc_[mc_id];
-  const Tick hop_one_way =
-      ctrl_placement_active_
-          ? core_all_mc_hop_ticks_[static_cast<std::size_t>(core) *
-                                       config_.num_mem_controllers +
-                                   mc_id]
-          : core_mc_hop_ticks_[static_cast<std::size_t>(core)];
+  const Tick hop_one_way = hopTicks(core, mc_id);
   const std::size_t line = config_.cache_line_bytes;
   const std::size_t lines = (bytes + line - 1) / line;
   shm_bulk_lines_ += lines;

@@ -10,10 +10,10 @@
 //   * private  — per-core, cacheable, backed by per-core byte arrays;
 //   * shared off-chip (DRAM) — hardware-uncacheable, one byte array;
 //     word-at-a-time accesses each pay the full core-mesh-controller round
-//     trip, OR (config.shm_swcache) the per-core software-managed
-//     release-consistency cache serves line-granular accesses from fast
-//     private memory and reconciles at sync points (sim/swcache/swcache.h,
-//     docs/memory_model.md);
+//     trip, OR, in ranges registered cacheable (setShmCacheability), the
+//     per-core software-managed release-consistency cache serves
+//     line-granular accesses from fast private memory and reconciles at
+//     sync points (sim/swcache/swcache.h, docs/memory_model.md);
 //   * MPB — per-core 8 KB slices of on-chip SRAM, accessed in 32-byte
 //     chunks at core-local latencies plus mesh hops to the owning tile.
 #pragma once
@@ -186,11 +186,11 @@ class CoreContext {
   // per-core software-managed release-consistency cache instead: hits are
   // served from fast private memory, misses fill whole lines (batched like
   // the word path), and the sync operations below reconcile (flush at
-  // release, self-invalidate at acquire). config.shm_swcache is only the
-  // DEFAULT for offsets outside every registered range. Functional results
-  // are identical for data-race-free programs; timing is a different
-  // (cached) model. Accesses must not straddle a region boundary (regions
-  // are whole translated variables, so they never do).
+  // release, self-invalidate at acquire). Offsets outside every registered
+  // range are uncached. Functional results are identical for data-race-free
+  // programs; timing is a different (cached) model. Accesses must not
+  // straddle a region boundary (regions are whole translated variables, so
+  // they never do).
   [[nodiscard]] SubTask shmRead(std::uint64_t offset, void* out, std::size_t bytes);
   [[nodiscard]] SubTask shmWrite(std::uint64_t offset, const void* src, std::size_t bytes);
   /// Awaitable of the bulk transfers below: with no swcache (and, for a
@@ -232,8 +232,8 @@ class CoreContext {
                                  std::size_t bytes);
 
   // -- synchronization --
-  // These are the swcache protocol's reconciliation points: with
-  // config.shm_swcache on, barrier() and lockRelease() flush this core's
+  // These are the swcache protocol's reconciliation points: once any range
+  // is registered cacheable, barrier() and lockRelease() flush this core's
   // dirty lines BEFORE the release takes effect, and barrier() and
   // lockAcquire() self-invalidate clean lines once the acquire completes.
   // The swcache discipline requires synchronizing through these wrappers —
@@ -294,7 +294,7 @@ class CoreContext {
                    bool write);
   /// Shared-memory access through the software-managed cache: functional
   /// phase first (line store <-> backing), then the timed phase charges hit
-  /// touches, batched line transfers, and written-through words.
+  /// touches and batched line transfers.
   SubTask swcacheRw(std::uint64_t offset, void* out, const void* src,
                     std::size_t bytes, bool write);
   /// Charge `lines` batched swcache line transfers (fills/write-backs).
@@ -327,28 +327,22 @@ class CoreContext {
 };
 
 /// One launch request: everything SccMachine::launch needs, gathered into a
-/// single value with a fluent builder instead of the accreted overload set
-/// (plan overload, scope overload, separate barrier sizing) it replaces.
+/// single value with a fluent builder.
 ///
-///   machine.launch(LaunchSpec(8, program));                    // legacy
-///   machine.launch(LaunchSpec(8, program).withPlan(&plan));    // plan-driven
-///   machine.launch(LaunchSpec(8, program).withScope(lambda));  // hand scope
+///   machine.launch(LaunchSpec(8, program));                  // unrestricted
+///   machine.launch(LaunchSpec(8, program).withPlan(&plan));  // plan-driven
 ///
-/// Precedence: an explicit scope overrides the plan-derived owner sets; a
-/// plan with no explicit scope declares its mpbScopeOwners as the scope
-/// (including "no MPB traffic at all" when the plan has no MPB regions);
-/// neither means the unrestricted legacy launch. The plan pointer is
-/// borrowed — it must outlive the run.
+/// A plan declares each UE's MPB scope: the owner UEs whose slices it will
+/// ever access (ExecutionPlan::mpbScopeOwners, its put/get targets and its
+/// own slice if it reads that back; empty when the plan has no MPB
+/// regions). The scope shrinks the task's engine reach set to those tile
+/// ports, so traffic on unrelated tiles' ports cannot truncate its coalesced
+/// chunk runs. It is a promise: accesses outside it are still serviced but
+/// counted in mpbScopeViolations() (they void the port-isolation
+/// guarantee). No plan means the unrestricted launch (every port). The plan
+/// pointer is borrowed — it must outlive the run.
 struct LaunchSpec {
   using CoreProgram = std::function<SimTask(CoreContext&)>;
-  /// Optional MPB communication scope: for a UE, the owner UEs whose MPB
-  /// slices it will ever access (its put/get targets *and* its own slice if
-  /// it reads that back). Declaring a scope shrinks the task's engine reach
-  /// set to the corresponding tile ports, so traffic on unrelated tiles'
-  /// ports cannot truncate its coalesced chunk runs. The scope is a
-  /// promise; accesses outside it are still serviced but counted in
-  /// mpbScopeViolations() (they void the port-isolation guarantee).
-  using MpbScope = std::function<std::vector<int>(int ue, int num_ues)>;
 
   LaunchSpec(int ues, CoreProgram prog) : num_ues(ues), program(std::move(prog)) {}
 
@@ -356,15 +350,10 @@ struct LaunchSpec {
     plan = p;
     return *this;
   }
-  LaunchSpec& withScope(MpbScope s) {
-    scope = std::move(s);
-    return *this;
-  }
 
   int num_ues;
   CoreProgram program;
   const partition::ExecutionPlan* plan = nullptr;
-  MpbScope scope;
 };
 
 class SccMachine {
@@ -380,11 +369,13 @@ class SccMachine {
   // -- shared memory management (host-side setup) --
   /// Bump-allocate from the off-chip shared region (8-byte aligned).
   std::uint64_t shmalloc(std::size_t bytes);
-  /// Bump-allocate with explicit alignment (power of two, >= 8) — e.g. one
-  /// cache line for regions the swcache will move whole lines of.
+  /// Bump-allocate with explicit alignment (a power of two; below 8 reads
+  /// as 8) — e.g. one cache line for regions the swcache will move whole
+  /// lines of. Throws std::invalid_argument for any other alignment.
   std::uint64_t shmalloc(std::size_t bytes, std::size_t align);
-  /// Bump-allocate from `ue`'s MPB slice; throws std::bad_alloc if the 8 KB
-  /// slice is exhausted.
+  /// Bump-allocate from `ue`'s MPB slice; throws std::out_of_range for a UE
+  /// outside [0, num_cores) and std::bad_alloc if the 8 KB slice is
+  /// exhausted.
   std::uint64_t mpbMalloc(int ue, std::size_t bytes);
   /// Host-side direct access to shared DRAM (test setup/verification).
   [[nodiscard]] std::uint8_t* shmData(std::uint64_t offset) { return &shared_dram_[offset]; }
@@ -398,15 +389,13 @@ class SccMachine {
 
   // -- program execution --
   using CoreProgram = LaunchSpec::CoreProgram;
-  using MpbScope = LaunchSpec::MpbScope;
   /// Spawn `spec.num_ues` copies of `spec.program`, one per core, sharing
-  /// one barrier. The spec's scope (explicit, or derived from its plan's
-  /// per-UE MPB owner sets) shrinks each task's engine reach set to its
-  /// controller plus the promised tile ports; without either, the reach set
-  /// is the controller plus every MPB port (sound, but port horizons then
-  /// see all tasks). While a striped, pinned or first-touch placement is
-  /// registered, the reach set holds every controller instead of the
-  /// core's own. A plan with any cached region activates the swcache
+  /// one barrier. The spec's plan (its per-UE MPB owner sets) shrinks each
+  /// task's engine reach set to its controller plus the promised tile
+  /// ports; without a plan, the reach set is the controller plus every MPB
+  /// port (sound, but port horizons then see all tasks). While a striped,
+  /// pinned or first-touch placement is registered, the reach set holds
+  /// every controller instead of the core's own. A plan with any cached region activates the swcache
   /// instances. Region cacheability/controller placement itself is
   /// registered by the plan-carrying rcce::ShmArray allocations (or
   /// setShmCacheability / setShmControllerPlacement directly) — the machine
@@ -454,7 +443,7 @@ class SccMachine {
   [[nodiscard]] std::uint64_t mpbChunkEvents() const {
     return mpb_chunk_events_;
   }
-  /// MPB accesses that fell outside the task's declared MpbScope. Any
+  /// MPB accesses that fell outside the launch plan's MPB scope. Any
   /// non-zero count voids the port-isolation timing guarantee of that run.
   [[nodiscard]] std::uint64_t mpbScopeViolations() const {
     return mpb_scope_violations_;
@@ -489,7 +478,8 @@ class SccMachine {
   /// follows the core (docs/execution_plan.md states the composition rule).
   /// Register every non-kOwnerCompute placement before launch(): a task
   /// reaches every controller only if one was registered when it spawned
-  /// (asserted).
+  /// (asserted). Throws std::invalid_argument, changing nothing, when a
+  /// kPinned `pinned_controller` is not below num_mem_controllers.
   void setShmControllerPlacement(std::uint64_t begin, std::uint64_t end,
                                  partition::ControllerPlacement placement,
                                  std::uint32_t pinned_controller = 0);
@@ -498,17 +488,15 @@ class SccMachine {
   [[nodiscard]] std::uint32_t controllerForShmAccess(int core, std::uint64_t offset);
 
   // -- software-managed shared-memory cache --
-  /// Default routing for shared-DRAM offsets outside every registered
-  /// region (config.shm_swcache; the pre-ExecutionPlan global knob).
-  [[nodiscard]] bool swcacheEnabled() const { return config_.shm_swcache; }
-  /// Any core-side cache instances exist (config default on, or at least
-  /// one region registered cacheable): sync points then reconcile and bulk
-  /// transfers fence. False keeps every sync/bulk path frame-free and
-  /// Tick-bit-identical to the uncached-only machine.
+  /// Any core-side cache instances exist (at least one region registered
+  /// cacheable, or a launch plan with a cached region): sync points then
+  /// reconcile and bulk transfers fence. False keeps every sync/bulk path
+  /// frame-free and Tick-bit-identical to the uncached-only machine.
   [[nodiscard]] bool swcacheActive() const { return !swcache_.empty(); }
   /// Declare the swcache routing of shared-DRAM range [begin, end) — the
-  /// per-region cacheability policy of an ExecutionPlan. Later registrations
-  /// win on overlap; offsets outside every range use config.shm_swcache.
+  /// per-region cacheability policy of an ExecutionPlan, and the only way a
+  /// range becomes cached. Later registrations win on overlap; offsets
+  /// outside every range are uncached.
   /// Cached ranges are line-granular (the swcache moves whole lines) and
   /// are rounded OUTWARD to line boundaries; allocate cached regions
   /// line-aligned (shmalloc with align = cache_line_bytes, as the
@@ -520,7 +508,7 @@ class SccMachine {
     for (auto it = shm_cache_map_.rbegin(); it != shm_cache_map_.rend(); ++it) {
       if (offset >= it->begin && offset < it->end) return it->cached;
     }
-    return config_.shm_swcache;
+    return false;
   }
   /// Per-core hit/miss/flush counters (zero-valued stats when disabled).
   [[nodiscard]] const SwCacheStats& swcacheStats(int core) const;
@@ -649,31 +637,28 @@ class SccMachine {
   // -- timing/functional primitives (used by CoreContext and threadrt) --
   Tick privAccessCompletion(int core, Tick start, std::uint64_t addr, std::size_t bytes,
                             bool write, void* data_out, const void* data_in);
-  /// Service up to `max_words` uncached word transactions starting at
-  /// `start`, coalescing as many as the coalescing horizon proves safe (at
-  /// least one; exactly one when contended). The horizon is scoped to this
-  /// core's memory controller (Engine::nextEventTimeFor) so pending traffic
-  /// on *other* resources does not break the run. Returns the completion
-  /// Tick of the serviced words and stores how many were serviced in
-  /// `*words_done`. The arithmetic is the exact per-word recurrence, so
-  /// Ticks match the per-event path bit for bit.
-  Tick shmWordsCompletion(int core, Tick start, std::size_t max_words,
-                          std::size_t* words_done);
-  /// Offset-aware twin of shmWordsCompletion for planned regions: routes
-  /// the run to the controller `controllerForShmAccess(core, offset)`
-  /// chooses and caps it at the current stripe boundary (striped /
-  /// first-touch regions change controllers mid-region). With no
-  /// non-default placement registered it forwards to shmWordsCompletion —
-  /// the exact legacy path, so pre-existing runs stay bit-identical.
+  /// Service up to `max_words` uncached word transactions of the access at
+  /// `offset` starting at `start`, coalescing as many as the coalescing
+  /// horizon proves safe (at least one; exactly one when contended). The
+  /// horizon is scoped to the serving memory controller
+  /// (Engine::nextEventTimeFor) so pending traffic on *other* resources
+  /// does not break the run. With no non-default placement registered that
+  /// is the core's own controller (the legacy requester-local path);
+  /// otherwise it is the one `controllerForShmAccess(core, offset)` chooses,
+  /// and the run is capped at the current stripe boundary (striped /
+  /// first-touch regions change controllers mid-region). Returns the
+  /// completion Tick of the serviced words and stores how many were
+  /// serviced in `*words_done`. The arithmetic is the exact per-word
+  /// recurrence, so Ticks match the per-event path bit for bit.
   Tick shmWordsAtCompletion(int core, Tick start, std::uint64_t offset,
                             std::size_t max_words, std::size_t* words_done);
-  /// MPB twin of shmWordsCompletion: service up to `max_chunks` cache-line
+  /// MPB twin of shmWordsAtCompletion: service up to `max_chunks` cache-line
   /// chunks of `ue`'s transfer against owner_ue's tile port, coalescing as
   /// many as the port's horizon proves safe. Same exact recurrence, same
   /// bit-identity guarantee (config.coalescing gates batching).
   Tick mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
                            std::size_t max_chunks, std::size_t* chunks_done);
-  /// Swcache twin of shmWordsCompletion: service up to `max_lines` swcache
+  /// Swcache twin of shmWordsAtCompletion: service up to `max_lines` swcache
   /// line transfers (fills or dirty write-backs) against the core's memory
   /// controller, coalescing as many as the controller's horizon proves safe
   /// (config.coalescing gates batching, as on the word path they replace).
@@ -685,9 +670,8 @@ class SccMachine {
  private:
   // (The private member block proper continues further down; these helpers
   // sit here to stay next to the completion functions they power.)
-  /// Word-run service against an explicit controller: the shared tail of
-  /// shmWordsCompletion (requester-local) and shmWordsAtCompletion
-  /// (placement-routed). Identical recurrence either way.
+  /// Word-run service against an explicit controller: the tail of
+  /// shmWordsAtCompletion, requester-local or placement-routed alike.
   Tick shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way, Tick start,
                             std::size_t max_words, std::size_t* words_done);
 
@@ -786,13 +770,16 @@ class SccMachine {
   Clock dram_clock_;
 
   // Precomputed per-core NoC timing (topology is fixed at construction):
-  // assigned controller and the one-way mesh latency to reach it.
+  // assigned controller and the one-way mesh latency to every controller.
   std::vector<std::uint32_t> core_mc_;
-  std::vector<Tick> core_mc_hop_ticks_;
-  /// One-way mesh latency from every core to EVERY controller
-  /// (core * num_mem_controllers + mc) — consulted only by placement-routed
-  /// accesses; entry [core][core_mc_[core]] equals core_mc_hop_ticks_[core].
+  /// One-way mesh latency from every core to every controller
+  /// (core * num_mem_controllers + mc); read through hopTicks.
   std::vector<Tick> core_all_mc_hop_ticks_;
+  [[nodiscard]] Tick hopTicks(int core, std::uint32_t mc) const {
+    return core_all_mc_hop_ticks_[static_cast<std::size_t>(core) *
+                                      config_.num_mem_controllers +
+                                  mc];
+  }
   Tick uncached_overhead_ticks_ = 0;  ///< per-word issue overhead
   Tick word_service_ticks_ = 0;       ///< controller service per word
   Tick mpb_overhead_ticks_ = 0;       ///< per-chunk core-side issue overhead
@@ -837,8 +824,8 @@ class SccMachine {
   std::vector<std::unique_ptr<TasLock>> locks_;
   std::vector<std::unique_ptr<CoreContext>> contexts_;
   std::vector<std::uint32_t> ue_to_core_;  ///< set at launch; identity otherwise
-  /// Per UE: sorted port resource ids of its declared MpbScope. Only
-  /// consulted when a scope was declared at launch; a declared-but-empty set
+  /// Per UE: sorted port resource ids of its launch plan's MPB scope. Only
+  /// consulted when the launch carried a plan; a declared-but-empty set
   /// means "no MPB traffic promised", so ANY access violates it.
   std::vector<std::vector<std::uint32_t>> ue_port_reach_;
   bool mpb_scope_declared_ = false;

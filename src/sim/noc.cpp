@@ -10,14 +10,12 @@ MeshTopology::MeshTopology(const SccConfig& config) : config_(config) {
   }
 
   core_controller_.reserve(config_.num_cores);
-  core_controller_hops_.reserve(config_.num_cores);
   for (std::uint32_t core = 0; core < config_.num_cores; ++core) {
     const TileCoord c = coordOfCore(core);
     const bool east = c.x >= config_.mesh_cols / 2;
     const bool north = c.y >= config_.mesh_rows / 2;
     const std::uint32_t mc = (north ? 2u : 0u) + (east ? 1u : 0u);
     core_controller_.push_back(mc);
-    core_controller_hops_.push_back(hops(tileOfCore(core), tileOfController(mc)) + 1);
   }
 
   ue_core_.reserve(config_.num_cores);

@@ -86,15 +86,8 @@ class MeshTopology {
     return y * config_.mesh_cols + x;
   }
 
-  /// Hops from a core to its assigned memory controller (plus one hop onto
-  /// the controller's port).
-  [[nodiscard]] std::uint32_t hopsToController(std::uint32_t core) const {
-    return core_controller_hops_[core];
-  }
-
-  /// Hops from a core to an ARBITRARY controller (same +1 port hop as
-  /// hopsToController) — the distance a controller-placed region pays when
-  /// its serving controller is not the requester's own quadrant's.
+  /// Hops from a core to a memory controller, plus one hop onto the
+  /// controller's port.
   [[nodiscard]] std::uint32_t hopsFromCoreToController(std::uint32_t core,
                                                       std::uint32_t mc) const {
     return hops(tileOfCore(core), tileOfController(mc)) + 1;
@@ -118,7 +111,6 @@ class MeshTopology {
   const SccConfig& config_;
   std::vector<TileCoord> tile_coord_;             ///< per tile
   std::vector<std::uint32_t> core_controller_;    ///< per core
-  std::vector<std::uint32_t> core_controller_hops_;  ///< per core
   std::vector<std::uint32_t> ue_core_;            ///< per ue mod num_cores
 };
 

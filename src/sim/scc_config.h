@@ -75,21 +75,13 @@ struct SccConfig {
 
   // -- software-managed release-consistency cache for shared memory --
   // (sim/swcache/swcache.h; docs/memory_model.md states the DRF contract.)
-  /// Let cores cache shared off-chip data in fast private memory and
-  /// reconcile at synchronization points (flush dirty lines at lock
-  /// release / barrier arrival, self-invalidate clean lines at lock
-  /// acquire / barrier departure). Off (default) preserves the uncached
-  /// word-granular path bit for bit; on is a NEW timing model (functional
-  /// results stay identical for data-race-free programs).
-  bool shm_swcache = false;
+  // Which shared ranges it serves is per region, never machine-wide:
+  // SccMachine::setShmCacheability, which plan-carrying rcce::ShmArrays
+  // call for kOffChipCached regions. Every other offset stays on the
+  // uncached word-granular path.
   /// Per-core swcache capacity in cache lines (x cache_line_bytes bytes;
   /// the default 512 x 32 B = 16 KB mirrors the modeled private L1).
   std::uint32_t swcache_lines = 512;
-  /// 0 = write-back write-allocate (dirty lines reconcile at release
-  /// points); 1 = write-through no-allocate fallback (writes go straight to
-  /// DRAM word-granularly, release points are free). Matches
-  /// sim::SwCachePolicy's enumerator order.
-  std::uint32_t swcache_policy = 0;
   /// Core cycles per swcache line *touch* that hits (the data sits in the
   /// core's fast private memory; a touch serves every word of the access
   /// that falls in that line).

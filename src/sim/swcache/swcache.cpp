@@ -6,10 +6,9 @@
 
 namespace hsm::sim {
 
-SwCache::SwCache(std::size_t num_lines, std::size_t line_bytes, SwCachePolicy policy)
+SwCache::SwCache(std::size_t num_lines, std::size_t line_bytes)
     : tags_(num_lines * line_bytes, line_bytes), line_bytes_(line_bytes),
-      line_shift_(std::countr_zero(line_bytes)), policy_(policy),
-      data_(num_lines * line_bytes, 0) {}
+      line_shift_(std::countr_zero(line_bytes)), data_(num_lines * line_bytes, 0) {}
 
 void SwCache::storeLineAt(std::uint64_t addr, std::size_t index, std::uint8_t* dram,
                           std::size_t dram_bytes) {
@@ -53,29 +52,6 @@ SwCache::AccessPlan SwCache::access(std::uint64_t offset, std::size_t bytes,
            word_bytes - 1) /
           word_bytes);
       beat_cursor += static_cast<std::uint64_t>(words) * word_bytes;
-    }
-
-    if (write && policy_ == SwCachePolicy::kWriteThrough) {
-      // No-allocate: the words go straight to DRAM as uncached transactions;
-      // a resident copy is refreshed in place so it never turns stale. Same
-      // region-tail clamp as every other DRAM touch in this file.
-      if (data_in != nullptr && addr < dram_bytes) {
-        std::memcpy(dram + addr, static_cast<const std::uint8_t*>(data_in) + pos,
-                    std::min<std::uint64_t>(seg, dram_bytes - addr));
-      }
-      const std::size_t slot = tags_.lookup(line_addr);
-      stats_.word_accesses += words;
-      if (slot != Cache::kNoSlot) {
-        stats_.word_hits += words;
-        if (data_in != nullptr) {
-          std::memcpy(linePtr(slot) + in_line,
-                      static_cast<const std::uint8_t*>(data_in) + pos, seg);
-        }
-      }
-      stats_.writethrough_words += words;
-      plan.writethrough_words += words;
-      pos += seg;
-      continue;
     }
 
     const Cache::AccessResult r = tags_.access(line_addr, write);

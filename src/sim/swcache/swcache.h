@@ -12,8 +12,8 @@
 //
 // Protocol (release consistency over data-race-free programs):
 //   * reads miss into line-granular fills from shared DRAM;
-//   * writes (write-back policy) dirty the per-core line store and do NOT
-//     touch shared DRAM until reconciliation;
+//   * writes (write-back, write-allocate) dirty the per-core line store and
+//     do NOT touch shared DRAM until reconciliation;
 //   * RELEASE points (lock release, barrier arrival) write every dirty line
 //     back — afterwards shared DRAM holds this core's writes;
 //   * ACQUIRE points (lock acquire, barrier departure) self-invalidate every
@@ -23,11 +23,6 @@
 //   * evictions write dirty victims back early, which is only ever
 //     conservative (visibility before the release is harmless under DRF).
 //
-// The fallback `kWriteThrough` policy allocates on reads only; writes update
-// shared DRAM immediately (word-granular, through the uncached path) and
-// refresh a cached copy in place, so no line is ever dirty and release
-// points are free.
-//
 // For data-race-free programs the functional results are bit-identical with
 // the cache on or off (docs/memory_model.md states the contract); racy
 // programs observe unspecified-but-deterministic values. Timing is a NEW
@@ -36,8 +31,8 @@
 //
 // This class is purely functional + bookkeeping: it moves bytes between the
 // per-core line store and the shared-DRAM backing and reports what a timed
-// caller (SccMachine) must charge — line-touch hits, line fills, victim
-// write-backs, written-through words. SccMachine turns those counts into
+// caller (SccMachine) must charge — line-touch hits, line fills and victim
+// write-backs. SccMachine turns those counts into
 // controller transactions, batching provably-uncontended runs through the
 // same coalescedCompletion helper as the word and MPB-chunk paths.
 #pragma once
@@ -50,11 +45,6 @@
 
 namespace hsm::sim {
 
-enum class SwCachePolicy : std::uint8_t {
-  kWriteBack,     ///< write-allocate, dirty lines reconcile at release points
-  kWriteThrough,  ///< no-allocate writes go straight to DRAM (word-granular)
-};
-
 /// Per-core counters (word granularity matches the uncached path's metric:
 /// one word = one 8-byte shared-memory transaction equivalent).
 struct SwCacheStats {
@@ -64,7 +54,6 @@ struct SwCacheStats {
   std::uint64_t writebacks = 0;     ///< dirty-line stores (evictions + flushes)
   std::uint64_t flushes = 0;        ///< release-point flush operations
   std::uint64_t invalidated_lines = 0;  ///< clean lines dropped at acquires
-  std::uint64_t writethrough_words = 0;  ///< words written through (no-allocate)
 
   [[nodiscard]] double hitRate() const {
     return word_accesses > 0
@@ -78,7 +67,6 @@ struct SwCacheStats {
     writebacks += o.writebacks;
     flushes += o.flushes;
     invalidated_lines += o.invalidated_lines;
-    writethrough_words += o.writethrough_words;
     return *this;
   }
 };
@@ -87,14 +75,13 @@ class SwCache {
  public:
   /// `num_lines` and `line_bytes` must be powers of two (sim/cache.h throws
   /// std::invalid_argument otherwise).
-  SwCache(std::size_t num_lines, std::size_t line_bytes, SwCachePolicy policy);
+  SwCache(std::size_t num_lines, std::size_t line_bytes);
 
   /// What a timed caller must charge for one access (see header comment).
   struct AccessPlan {
     std::size_t hit_touches = 0;  ///< line touches served from the line store
     std::size_t line_txns = 0;    ///< controller line transfers (fills + victim
                                   ///< write-backs), batchable back-to-back
-    std::size_t writethrough_words = 0;  ///< uncached word transactions
   };
 
   /// Functionally perform a read (`data_out`) or write (`data_in`) of
@@ -140,7 +127,6 @@ class SwCache {
                         std::uint8_t* dram, std::size_t dram_bytes);
 
   [[nodiscard]] const SwCacheStats& stats() const { return stats_; }
-  [[nodiscard]] SwCachePolicy policy() const { return policy_; }
   [[nodiscard]] std::size_t lineBytes() const { return line_bytes_; }
   /// Valid lines currently resident (for tests).
   [[nodiscard]] std::size_t residentLines() const;
@@ -164,7 +150,6 @@ class SwCache {
   Cache tags_;  ///< the tag store (sim/cache.h); data_ pairs with its slots
   std::size_t line_bytes_;
   int line_shift_;  ///< log2(line_bytes_)
-  SwCachePolicy policy_;
   std::vector<std::uint8_t> data_;  ///< num_lines x line_bytes line store
   SwCacheStats stats_;
 };

@@ -129,8 +129,8 @@ class Benchmark {
 
 /// Allocate a workload's shared array for plan region `name`: plan-carrying
 /// (placement attribute + registered cacheability) when the plan names the
-/// region, legacy unmapped (config.shm_swcache governs) otherwise — so
-/// plan-less runs stay bit-identical to the pre-ExecutionPlan behavior.
+/// region, legacy unmapped (uncached) otherwise — so plan-less runs stay
+/// bit-identical to the pre-ExecutionPlan behavior.
 /// Every allocation also registers `name` with the machine's region
 /// profiler (SccMachine::registerShmRegion) — a no-op unless
 /// config.region_metrics is set, where it feeds the per-region profiles in

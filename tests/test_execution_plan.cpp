@@ -283,7 +283,8 @@ TEST(PlanDrivenExecution, UnrecognizedConsequentialRegionIsCounted) {
 // --- plan-driven runs reproduce the legacy knobs bit for bit -----------------
 
 /// The legacy-encoding mirror plan of each workload: the exact realization
-/// the pre-ExecutionPlan use_mpb/MpbScope code chose in RcceMpb mode.
+/// the pre-ExecutionPlan use_mpb bools and hand-written MPB scopes chose in
+/// RcceMpb mode.
 ExecutionPlan legacyMpbMirror(const std::string& name) {
   if (name == "PiApprox") {
     return ExecutionPlan{{RegionPlan{"gsum", PlacementClass::kOnChipResident,
@@ -351,10 +352,9 @@ TEST(PlanDrivenExecution, BitIdenticalToLegacyKnobRuns) {
 // --- machine-level per-region cacheability map -------------------------------
 
 TEST(ShmCacheability, RegionMapOverridesGlobalDefault) {
-  // Default off: a mapped-cached region routes through the swcache, the
-  // rest stays uncached.
+  // A mapped-cached region routes through the swcache, the rest stays
+  // uncached.
   sim::SccConfig config;
-  config.shm_swcache = false;
   sim::SccMachine machine(config);
   const std::uint64_t a = machine.shmalloc(4096);
   const std::uint64_t b = machine.shmalloc(4096);
@@ -363,19 +363,22 @@ TEST(ShmCacheability, RegionMapOverridesGlobalDefault) {
   EXPECT_TRUE(machine.swcacheActive());
   EXPECT_TRUE(machine.shmCached(a));
   EXPECT_TRUE(machine.shmCached(a + 4095));
-  EXPECT_FALSE(machine.shmCached(b));  // unmapped: config default (off)
+  EXPECT_FALSE(machine.shmCached(b));  // unmapped: uncached
 }
 
-TEST(ShmCacheability, ExplicitUncachedPinsRegionDespiteGlobalDefault) {
+TEST(ShmCacheability, LaterRegistrationWins) {
   sim::SccConfig config;
-  config.shm_swcache = true;  // global default: cached
   sim::SccMachine machine(config);
+  machine.setShmCacheability(0, config.shared_dram_bytes, true);  // all cached
   const std::uint64_t a = machine.shmalloc(4096);
   const std::uint64_t b = machine.shmalloc(4096);
   machine.setShmCacheability(a, a + 4096, false);
   EXPECT_FALSE(machine.shmCached(a));      // pinned uncached
-  EXPECT_TRUE(machine.shmCached(b));       // default still governs the rest
+  EXPECT_TRUE(machine.shmCached(b));       // the earlier range governs the rest
   EXPECT_TRUE(machine.swcacheActive());
+  machine.setShmCacheability(a, a + 64, true);
+  EXPECT_TRUE(machine.shmCached(a));       // re-cached by the newest range
+  EXPECT_FALSE(machine.shmCached(a + 64));
 }
 
 TEST(ShmCacheability, PlanCarryingShmArrayRegistersItsRegion) {
@@ -390,7 +393,7 @@ TEST(ShmCacheability, PlanCarryingShmArrayRegistersItsRegion) {
   EXPECT_EQ(legacy.placement(), PlacementClass::kOffChipUncached);
   EXPECT_TRUE(machine.shmCached(cached.byteOffset(0)));
   EXPECT_FALSE(machine.shmCached(uncached.byteOffset(0)));
-  EXPECT_FALSE(machine.shmCached(legacy.byteOffset(0)));  // config default off
+  EXPECT_FALSE(machine.shmCached(legacy.byteOffset(0)));  // unmapped: uncached
 }
 
 TEST(ShmCacheability, CachedRangesAreLineGranular) {

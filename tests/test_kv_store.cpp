@@ -215,13 +215,13 @@ TEST(ControllerTraffic, ConservesAcrossMixedPlannedAndUnplannedRegions) {
 
 TEST(ControllerTraffic, ConservesWithSwcacheRouting) {
   sim::SccConfig cfg;
-  cfg.shm_swcache = true;  // unmapped regions route through the swcache
   sim::SccMachine m(cfg);
+  m.setShmCacheability(0, cfg.shared_dram_bytes, true);  // everything cached...
   const std::uint64_t cached = m.shmalloc(8 * 64);
   const std::uint64_t uncached = m.shmalloc(8 * 64);
   const std::uint64_t bulk = m.shmalloc(8 * 256);
-  // Mixed map: the uncached region is explicitly unmapped from the swcache
-  // AND controller-striped; cached/bulk stay on their default routing.
+  // ...but the uncached region, registered uncached later AND
+  // controller-striped; cached/bulk stay on the whole-range routing.
   m.setShmCacheability(uncached, uncached + 8 * 64, false);
   m.setShmControllerPlacement(uncached, uncached + 8 * 64,
                               ControllerPlacement::kStriped);

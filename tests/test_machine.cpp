@@ -339,6 +339,36 @@ TEST(Machine, MpbMallocExhaustionThrows) {
   EXPECT_THROW((void)machine.mpbMalloc(0, 1), std::bad_alloc);
 }
 
+TEST(Machine, MpbMallocRejectsUeOutsideCores) {
+  SccMachine machine;  // 48 cores: UEs 0..47 own a slice
+  EXPECT_THROW((void)machine.mpbMalloc(48, 64), std::out_of_range);
+  EXPECT_THROW((void)machine.mpbMalloc(-1, 64), std::out_of_range);
+  EXPECT_EQ(machine.mpbMalloc(47, 64), 0u);
+}
+
+TEST(Machine, ShmallocRejectsNonPowerOfTwoAlignment) {
+  SccMachine machine;
+  EXPECT_EQ(machine.shmalloc(8), 0u);
+  EXPECT_THROW((void)machine.shmalloc(64, 24), std::invalid_argument);
+  EXPECT_THROW((void)machine.shmalloc(64, 0), std::invalid_argument);
+  EXPECT_EQ(machine.shmalloc(8), 8u);  // the rejected calls moved nothing
+  EXPECT_EQ(machine.shmalloc(64, 32), 32u);
+}
+
+TEST(Machine, PinnedPlacementRejectsMissingController) {
+  SccMachine machine;  // 4 controllers
+  const std::uint64_t base = machine.shmalloc(4096);
+  EXPECT_THROW(machine.setShmControllerPlacement(
+                   base, base + 4096, partition::ControllerPlacement::kPinned, 7),
+               std::invalid_argument);
+  // Nothing was registered: the range keeps requester-local routing.
+  EXPECT_EQ(machine.controllerForShmAccess(0, base), machine.mesh().controllerOfCore(0));
+  EXPECT_EQ(machine.controllerForShmAccess(47, base), machine.mesh().controllerOfCore(47));
+  machine.setShmControllerPlacement(base, base + 4096,
+                                    partition::ControllerPlacement::kPinned, 3);
+  EXPECT_EQ(machine.controllerForShmAccess(0, base), 3u);
+}
+
 // --- timing sanity ---------------------------------------------------------------
 
 SimTask timedCompute(CoreContext& ctx) { co_await ctx.compute(100); }
@@ -1028,8 +1058,9 @@ TEST(Machine, MpbCoalescingBitIdenticalContendedPutGet) {
   }
 }
 
-/// Two independent writer→reader streams on different tiles, with declared
-/// MpbScopes and deliberately overlapping timing: the compute gaps (400/570
+/// Two independent writer→reader streams on different tiles, with MPB
+/// scopes declared by a neighbor-ring plan and deliberately overlapping
+/// timing: the compute gaps (400/570
 /// core cycles) are shorter than a 32-chunk put, so while either writer
 /// streams, the other pair almost always has a pending event in the queue.
 SimTask portPairKernel(CoreContext& ctx, std::uint64_t slot, int rounds) {
@@ -1052,10 +1083,13 @@ MpbResult runPortPairs(bool coalescing) {
   std::uint64_t slot = 0;
   for (int ue = 0; ue < 4; ++ue) slot = machine.mpbMalloc(ue, 1024);
   MpbResult r;
-  machine.launch(LaunchSpec(4, [&](CoreContext& ctx) { return portPairKernel(ctx, slot, 16); }).withScope([](int ue, int) {
-        // Writer ue touches only its reader's slice; readers touch their own.
-        return std::vector<int>{(ue == 0 || ue == 2) ? ue + 1 : ue};
-      }));
+  // Writer ue puts into its reader ue + 1's slice: the ring's {ue, ue + 1}.
+  const partition::ExecutionPlan ring{{partition::RegionPlan{
+      "slot", partition::PlacementClass::kOnChipResident,
+      partition::MpbPattern::kNeighborRing, 1024}}};
+  machine.launch(LaunchSpec(4, [&](CoreContext& ctx) {
+                   return portPairKernel(ctx, slot, 16);
+                 }).withPlan(&ring));
   r.makespan = machine.run();
   for (int ue = 0; ue < 4; ++ue) {
     r.completions.push_back(machine.engine().completionTime(static_cast<std::size_t>(ue)));
@@ -1066,8 +1100,8 @@ MpbResult runPortPairs(bool coalescing) {
 }
 
 // Port-horizon isolation: traffic bound for tile A's port must not truncate
-// coalesced runs on tile B's port. With per-port horizons and disjoint
-// declared scopes both streams coalesce fully: one event per 32-chunk put.
+// coalesced runs on tile B's port. With per-port horizons and the ring
+// plan's tight scopes both streams coalesce fully: one event per 32-chunk put.
 // Ticks stay bit-identical.
 TEST(Machine, PortHorizonIsolationAcrossTiles) {
   const MpbResult on = runPortPairs(true);
@@ -1079,13 +1113,20 @@ TEST(Machine, PortHorizonIsolationAcrossTiles) {
   EXPECT_EQ(on.chunk_events, 32u);
 }
 
-TEST(Machine, MpbScopeViolationsCounted) {
+TEST(Machine, PlanScopeViolationsCounted) {
   {
     SccMachine machine;
     std::uint64_t slot = 0;
     for (int ue = 0; ue < 2; ++ue) slot = machine.mpbMalloc(ue, 64);
     std::vector<std::uint8_t> sink(2);
-    machine.launch(LaunchSpec(2, [&](CoreContext& ctx) { return mpbContendedKernel(ctx, slot, 1, 64, &sink); }).withScope([](int ue, int) { return std::vector<int>{ue}; }));  // scope misses the put target
+    // Self-staging promises each UE only its own slice: the put target
+    // falls outside it.
+    const partition::ExecutionPlan self{{partition::RegionPlan{
+        "slot", partition::PlacementClass::kOnChipStaged,
+        partition::MpbPattern::kSelfStage, 64}}};
+    machine.launch(LaunchSpec(2, [&](CoreContext& ctx) {
+                     return mpbContendedKernel(ctx, slot, 1, 64, &sink);
+                   }).withPlan(&self));
     machine.run();
     EXPECT_GT(machine.mpbScopeViolations(), 0u);
   }
@@ -1113,7 +1154,8 @@ TEST(Machine, MpbChunkStatsAccountAllChunks) {
 }
 
 // --- empty-scope launches ----------------------------------------------------
-// An empty MPB scope (reach = one controller) with the machine barrier:
+// An empty MPB scope (an MPB-free plan: reach = one controller) with the
+// machine barrier:
 // byte-identical shared memory, identical makespan, and identical per-task
 // completion Ticks with coalescing on and off.
 
@@ -1146,9 +1188,10 @@ BlockRoundTripResult runBlockRoundTrip(bool coalescing, int ues) {
   cfg.coalescing = coalescing;
   SccMachine machine(cfg);
   const std::uint64_t base = machine.shmalloc(static_cast<std::size_t>(ues) * 256);
+  const partition::ExecutionPlan no_mpb;
   machine.launch(
       LaunchSpec(ues, [&](CoreContext& ctx) { return blockRoundTripKernel(ctx, base, 4); })
-          .withScope([](int, int) { return std::vector<int>{}; }));
+          .withPlan(&no_mpb));
   BlockRoundTripResult r;
   r.makespan = machine.run();
   for (int ue = 0; ue < ues; ++ue) {

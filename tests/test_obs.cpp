@@ -161,8 +161,10 @@ struct TraceRun {
   std::string binary;
 };
 
-TraceRun runObsMix(const SccConfig& cfg) {
+/// `cached` registers all of shared DRAM cacheable (the swcache routing).
+TraceRun runObsMix(const SccConfig& cfg, bool cached = false) {
   SccMachine m(cfg);
+  if (cached) m.setShmCacheability(0, cfg.shared_dram_bytes, true);
   rcce::RcceEnv env(m);
   const std::uint64_t base = m.shmalloc(8 * 512);
   const std::uint64_t counter = m.shmalloc(64);
@@ -208,12 +210,11 @@ TEST(ObsTrace, ByteIdenticalAcrossSwcacheCoalescing) {
   // Same oracle on the cached routing: swcache line transfers ride the
   // coalesced path too, and their spans must not depend on it.
   SccConfig on = tracedConfig();
-  on.shm_swcache = true;
   SccConfig off = on;
   off.coalescing = false;
 
-  const TraceRun a = runObsMix(on);
-  const TraceRun b = runObsMix(off);
+  const TraceRun a = runObsMix(on, /*cached=*/true);
+  const TraceRun b = runObsMix(off, /*cached=*/true);
   EXPECT_GT(a.recorded, 0u);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.json, b.json);

@@ -107,7 +107,7 @@ TEST(Rcce, LockedSharedCounterIsExact) {
   EXPECT_EQ(*acc.hostData(), 30);
 }
 
-/// RCCE chunk-loop ring exchange over a declared MpbScope: every UE puts a
+/// RCCE chunk-loop ring exchange under a neighbor-ring plan: every UE puts a
 /// multi-chunk block into its right neighbour's slice, then gets its own
 /// slice back after the barrier — data shifts one place left per round.
 SimTask ringExchange(CoreContext& ctx, std::uint64_t slot, std::size_t bytes,
@@ -130,9 +130,12 @@ std::pair<std::vector<std::uint8_t>, sim::Tick> runRing(bool coalescing) {
   RcceEnv env(machine);
   const std::uint64_t slot = env.mpbMallocSymmetric(4, 256);
   std::vector<std::uint8_t> out(4, 0);
-  machine.launch(sim::LaunchSpec(4, [&](CoreContext& ctx) { return ringExchange(ctx, slot, 256, &out); }).withScope([](int ue, int num_ues) {
-        return std::vector<int>{ue, (ue + 1) % num_ues};
-      }));
+  const partition::ExecutionPlan ring{{partition::RegionPlan{
+      "slot", partition::PlacementClass::kOnChipResident,
+      partition::MpbPattern::kNeighborRing, 256}}};
+  machine.launch(sim::LaunchSpec(4, [&](CoreContext& ctx) {
+                   return ringExchange(ctx, slot, 256, &out);
+                 }).withPlan(&ring));
   const sim::Tick makespan = machine.run();
   return {out, makespan};
 }

@@ -1,10 +1,10 @@
 // Tests for the software-managed release-consistency cache (sim/swcache/):
 // the extended Cache tag store, the SwCache protocol mechanics (fills,
-// dirty write-backs, release flushes, acquire self-invalidation,
-// write-through fallback, bulk-bypass coherence), and the DRF-equivalence
-// contract: data-race-free programs produce bit-identical functional
-// results with the swcache on or off, across coalescing modes, while all
-// *uncached* modes keep bit-identical Ticks (docs/memory_model.md).
+// dirty write-backs, release flushes, acquire self-invalidation, bulk-bypass
+// coherence), and the DRF-equivalence contract: data-race-free programs
+// produce bit-identical functional results with the swcache on or off,
+// across coalescing modes, while all *uncached* modes keep bit-identical
+// Ticks (docs/memory_model.md).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -63,9 +63,8 @@ constexpr std::size_t kWord = 8;
 struct Harness {
   std::vector<std::uint8_t> dram;
   SwCache cache;
-  Harness(std::size_t dram_bytes, std::size_t lines,
-          SwCachePolicy policy = SwCachePolicy::kWriteBack)
-      : dram(dram_bytes, 0), cache(lines, kLine, policy) {}
+  Harness(std::size_t dram_bytes, std::size_t lines)
+      : dram(dram_bytes, 0), cache(lines, kLine) {}
   SwCache::AccessPlan read(std::uint64_t off, void* out, std::size_t n) {
     return cache.access(off, n, false, out, nullptr, dram.data(), dram.size(), kWord);
   }
@@ -142,28 +141,6 @@ TEST(SwCache, EvictionWritesDirtyVictimBack) {
   EXPECT_EQ(h.cache.stats().writebacks, 1u);
 }
 
-TEST(SwCache, WriteThroughUpdatesDramAndResidentCopy) {
-  Harness h(4096, 8, SwCachePolicy::kWriteThrough);
-  std::uint8_t buf[kLine] = {};
-  h.read(0, buf, kLine);  // resident clean line
-  const std::uint64_t v = 0xdeadbeefull;
-  const SwCache::AccessPlan plan = h.write(0, &v, sizeof(v));
-  EXPECT_EQ(plan.line_txns, 0u);
-  EXPECT_EQ(plan.writethrough_words, 1u);
-  std::uint64_t dram_view = 0;
-  std::memcpy(&dram_view, h.dram.data(), sizeof(dram_view));
-  EXPECT_EQ(dram_view, v);  // immediate visibility
-  std::uint64_t readback = 0;
-  const SwCache::AccessPlan hit = h.read(0, &readback, sizeof(readback));
-  EXPECT_EQ(hit.hit_touches, 1u);  // resident copy refreshed, not stale
-  EXPECT_EQ(readback, v);
-  EXPECT_EQ(h.cache.dirtyLines(), 0u);  // never dirty: releases are free
-  // A write to an absent line allocates nothing (no-allocate).
-  const SwCache::AccessPlan absent = h.write(10 * kLine, &v, sizeof(v));
-  EXPECT_EQ(absent.line_txns, 0u);
-  EXPECT_EQ(h.cache.residentLines(), 1u);
-}
-
 TEST(SwCache, SyncRangeWritesBackAndOptionallyDrops) {
   Harness h(4096, 8);
   const std::uint64_t v = 9;
@@ -182,6 +159,11 @@ TEST(SwCache, SyncRangeWritesBackAndOptionallyDrops) {
 }
 
 // --- machine-level protocol (visibility through sync points) ----------------
+
+/// Route every shared-DRAM offset of `machine` through the swcache.
+void cacheAllShared(SccMachine& machine) {
+  machine.setShmCacheability(0, machine.config().shared_dram_bytes, true);
+}
 
 SimTask producer(CoreContext& ctx, std::uint64_t data, std::uint64_t n_words) {
   for (std::uint64_t i = 0; i < n_words; ++i) {
@@ -206,27 +188,23 @@ SimTask consumer(CoreContext& ctx, std::uint64_t data, std::uint64_t n_words,
 }
 
 TEST(SwCacheMachine, BarrierMakesWritesVisibleDespiteStaleCopy) {
-  for (const std::uint32_t policy : {0u, 1u}) {
-    SccConfig cfg;
-    cfg.shm_swcache = true;
-    cfg.swcache_policy = policy;
-    SccMachine machine(cfg);
-    const std::uint64_t data = machine.shmalloc(256);
-    std::vector<std::uint64_t> seen;
-    machine.launch(LaunchSpec(2, [&](CoreContext& ctx) -> SimTask {
-      if (ctx.ue() == 0) return producer(ctx, data, 16);
-      return consumer(ctx, data, 16, &seen);
-    }));
-    machine.run();
-    ASSERT_EQ(seen.size(), 16u) << "policy=" << policy;
-    for (std::uint64_t i = 0; i < 16; ++i) {
-      EXPECT_EQ(seen[i], 1000 + i) << "policy=" << policy << " i=" << i;
-    }
-    const SwCacheStats totals = machine.swcacheTotals();
-    EXPECT_GT(totals.word_accesses, 0u);
-    if (policy == 0) EXPECT_GT(totals.writebacks, 0u);
-    EXPECT_GT(totals.invalidated_lines, 0u);
+  SccMachine machine;
+  cacheAllShared(machine);
+  const std::uint64_t data = machine.shmalloc(256);
+  std::vector<std::uint64_t> seen;
+  machine.launch(LaunchSpec(2, [&](CoreContext& ctx) -> SimTask {
+    if (ctx.ue() == 0) return producer(ctx, data, 16);
+    return consumer(ctx, data, 16, &seen);
+  }));
+  machine.run();
+  ASSERT_EQ(seen.size(), 16u);
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(seen[i], 1000 + i) << "i=" << i;
   }
+  const SwCacheStats totals = machine.swcacheTotals();
+  EXPECT_GT(totals.word_accesses, 0u);
+  EXPECT_GT(totals.writebacks, 0u);
+  EXPECT_GT(totals.invalidated_lines, 0u);
 }
 
 SimTask lockedAdder(CoreContext& ctx, std::uint64_t counter, int rounds) {
@@ -243,9 +221,8 @@ SimTask lockedAdder(CoreContext& ctx, std::uint64_t counter, int rounds) {
 
 TEST(SwCacheMachine, LockProtectedCounterIsExact) {
   for (const bool swcache : {false, true}) {
-    SccConfig cfg;
-    cfg.shm_swcache = swcache;
-    SccMachine machine(cfg);
+    SccMachine machine;
+    if (swcache) cacheAllShared(machine);
     const std::uint64_t counter = machine.shmalloc(8);
     machine.launch(LaunchSpec(6, [&](CoreContext& ctx) { return lockedAdder(ctx, counter, 5); }));
     machine.run();
@@ -282,9 +259,8 @@ SimTask bulkMixer(CoreContext& ctx, std::uint64_t base, std::size_t bytes) {
 }
 
 TEST(SwCacheMachine, BulkBypassStaysCoherentWithCachedLines) {
-  SccConfig cfg;
-  cfg.shm_swcache = true;
-  SccMachine machine(cfg);
+  SccMachine machine;
+  cacheAllShared(machine);
   const std::uint64_t base = machine.shmalloc(1024 + 8);
   machine.launch(LaunchSpec(1, [&](CoreContext& ctx) { return bulkMixer(ctx, base, 1024); }));
   machine.run();
@@ -300,23 +276,19 @@ TEST(SwCacheMachine, BulkBypassStaysCoherentWithCachedLines) {
 struct RoutingMode {
   const char* name;
   bool swcache;
-  std::uint32_t policy;
   bool coalescing;
   bool uncached() const { return !swcache; }
 };
 
 const RoutingMode kMatrix[] = {
-    {"uncached/coalesced", false, 0, true},
-    {"uncached/off", false, 0, false},
-    {"swcache-wb/coalesced", true, 0, true},
-    {"swcache-wb/off", true, 0, false},
-    {"swcache-wt/coalesced", true, 1, true},
+    {"uncached/coalesced", false, true},
+    {"uncached/off", false, false},
+    {"swcache-wb/coalesced", true, true},
+    {"swcache-wb/off", true, false},
 };
 
 SccConfig configFor(const RoutingMode& m) {
   SccConfig cfg;
-  cfg.shm_swcache = m.swcache;
-  cfg.swcache_policy = m.policy;
   cfg.coalescing = m.coalescing;
   return cfg;
 }
@@ -329,12 +301,19 @@ TEST(DrfEquivalence, CountPrimesAndDotProductAcrossRoutings) {
   const auto valueOf = [](const workloads::RunResult& r) {
     return r.detail.substr(0, r.detail.find(" | "));
   };
+  // The swcache routings cache every shared region of both programs.
+  partition::ExecutionPlan all_cached;
+  for (const char* name : {"total", "a", "b", "partial"}) {
+    all_cached.regions.push_back(
+        partition::RegionPlan{name, partition::PlacementClass::kOffChipCached});
+  }
   for (const auto& make :
        {workloads::makeCountPrimes(0.1), workloads::makeDotProduct(0.03)}) {
     std::string first_value;
     bool first = true;
     for (const RoutingMode& m : kMatrix) {
-      const workloads::RunResult r = make->run(Mode::RcceOffChip, 8, configFor(m));
+      const workloads::RunResult r = make->run(Mode::RcceOffChip, 8, configFor(m),
+                                               m.swcache ? &all_cached : nullptr);
       EXPECT_TRUE(r.verified) << make->name() << " " << m.name;
       if (first) {
         first_value = valueOf(r);
@@ -409,6 +388,7 @@ TEST(DrfEquivalence, RandomizedStressAgreesAcrossMatrix) {
   bool first = true;
   for (const RoutingMode& m : kMatrix) {
     SccMachine machine(configFor(m));
+    if (m.swcache) cacheAllShared(machine);
     const std::uint64_t region = machine.shmalloc(kUes * kRegion);
     const std::uint64_t counters = machine.shmalloc(4 * 32);
     machine.launch(LaunchSpec(kUes, [&](CoreContext& ctx) {
@@ -442,9 +422,8 @@ TEST(DrfEquivalence, RandomizedStressAgreesAcrossMatrix) {
 TEST(DrfEquivalence, SwcacheTicksAreDeterministic) {
   Tick first = 0;
   for (int trial = 0; trial < 2; ++trial) {
-    SccConfig cfg;
-    cfg.shm_swcache = true;
-    SccMachine machine(cfg);
+    SccMachine machine;
+    cacheAllShared(machine);
     const std::uint64_t counter = machine.shmalloc(8);
     machine.launch(LaunchSpec(4, [&](CoreContext& ctx) { return lockedAdder(ctx, counter, 3); }));
     machine.run();
@@ -472,8 +451,8 @@ SimTask readMostly(CoreContext& ctx, std::uint64_t base, std::size_t bytes,
 
 TEST(SwCacheMachine, ReadMostlyClearsNinetyPercentHitRate) {
   SccConfig cfg;
-  cfg.shm_swcache = true;
   SccMachine machine(cfg);
+  cacheAllShared(machine);
   const std::uint64_t base = machine.shmalloc(8 * 4096);
   machine.launch(LaunchSpec(8, [&](CoreContext& ctx) { return readMostly(ctx, base, 4096, 16, 3); }));
   machine.run();
@@ -514,8 +493,7 @@ SimTask mixedRegionToucher(CoreContext& ctx, std::uint64_t cached_base,
 // field by field, with a per-region cacheability split in effect — the
 // aggregate the bench and the fault-recovery accounting both build on.
 TEST(SwCacheMachine, TotalsEqualPerCoreSumsUnderMixedRegions) {
-  SccConfig cfg;
-  cfg.shm_swcache = false;  // default routing uncached; one region cached
+  SccConfig cfg;  // unmapped offsets are uncached; one region cached
   SccMachine machine(cfg);
   const std::uint64_t cached = machine.shmalloc(4 * 256, /*align=*/64);
   const std::uint64_t uncached = machine.shmalloc(256);
@@ -537,7 +515,6 @@ TEST(SwCacheMachine, TotalsEqualPerCoreSumsUnderMixedRegions) {
   EXPECT_EQ(totals.writebacks, sum.writebacks);
   EXPECT_EQ(totals.flushes, sum.flushes);
   EXPECT_EQ(totals.invalidated_lines, sum.invalidated_lines);
-  EXPECT_EQ(totals.writethrough_words, sum.writethrough_words);
   // Each UE makes 3 rounds × 32 cached word touches; the uncached-region
   // writes must not have leaked into the cache accounting.
   EXPECT_EQ(totals.word_accesses, 4u * 3u * 32u);
@@ -548,7 +525,6 @@ TEST(SwCacheMachine, TotalsEqualPerCoreSumsUnderMixedRegions) {
 // flushed-line reconciliation presumes).
 TEST(SwCacheMachine, DirtyLinesZeroAfterRelease) {
   SccConfig cfg;
-  cfg.shm_swcache = false;
   SccMachine machine(cfg);
   const std::uint64_t cached = machine.shmalloc(4 * 256, /*align=*/64);
   const std::uint64_t uncached = machine.shmalloc(256);
