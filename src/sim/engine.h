@@ -6,25 +6,21 @@
 // timelines for contention) and suspends until then. One sequential event
 // loop drains the pending set on the host thread.
 //
-// Ordering contract: every event carries the id of the root SimTask it
-// resumes (wake events for blocked tasks carry the *woken* task's id,
-// recorded when the task blocked), and events fire in ascending
-// (time, task_id) order. Host-scheduled events with no task context order
-// after all task events at the same Tick; insertion sequence is only a final
-// tie-break between such events. The ordering is structural, not a
-// comparator over an insertion-ordered heap: a root task has at most one
-// pending event (scheduling a second is an assert), held in that task's
-// pending slot, and a winner (tournament) tree over task ids keyed
-// (time, task_id) — the lower id winning an equal Tick — names the next
-// task event. Host events live in a small heap of their own, keyed
-// (time, seq), and fire only once no task event is due at or before their
-// Tick. (time, task_id) is therefore unique across pending task events and
-// the schedule is a total order that does NOT depend on when events were
-// inserted. That insertion-independence is load-bearing: event coalescing
-// (below) inserts fewer events than the per-operation execution it
-// replaces, so any ordering rule based on insertion sequence would let
-// coalescing perturb lock-grant and barrier-wake order at equal-Tick
-// collisions.
+// Ordering contract: every event belongs to a spawned root SimTask and
+// carries its id (wake events for blocked tasks carry the *woken* task's id,
+// recorded when the task blocked); scheduling with no task throws
+// std::logic_error. Events fire in ascending (time, task_id) order. The
+// ordering is structural, not a comparator over an insertion-ordered heap: a
+// root task has at most one pending event (scheduling a second is an
+// assert), held in that task's pending slot, and a winner (tournament) tree
+// over task ids keyed (time, task_id) — the lower id winning an equal Tick —
+// names the next event; nextEventTime() is its root. (time, task_id) is
+// therefore unique across pending events and the schedule is a total order
+// that does NOT depend on when events were inserted. That
+// insertion-independence is load-bearing: event coalescing (below) inserts
+// fewer events than the per-operation execution it replaces, so any ordering
+// rule based on insertion sequence would let coalescing perturb lock-grant
+// and barrier-wake order at equal-Tick collisions.
 //
 // Coalescing invariant (per-resource horizons): platform models sitting
 // above this kernel (SccMachine's word-granular shared-memory path and its
@@ -32,36 +28,37 @@
 // into one analytically-computed event, but ONLY while every skipped
 // suspension would provably have executed before any other coroutine could
 // touch the same resource timeline. The kernel hosts a single namespace of
-// serially-reusable resources — the platform registers every coalescable
-// timeline (memory controllers AND per-tile MPB ports) under one id space —
-// and every task declares at spawn time the *reach set* of registered
-// resources it may ever touch (single-resource affinity is the degenerate
-// case; no declaration means "may touch anything"). `nextEventTimeFor(r)`
-// then returns the coalescing horizon for resource r: the earliest pending
-// event among tasks whose reach set contains r, plus all universal-reach
-// tasks.
+// serially-reusable resources, fixed at construction — the platform numbers
+// every coalescable timeline (memory controllers AND per-tile MPB ports) in
+// one id space — and every task declares at spawn time its *reach set*: the
+// registered resources it may ever touch. The declaration is required: spawn
+// rejects an empty set or an unregistered id whenever resources exist.
+// `nextEventTimeFor(r)` then returns the coalescing horizon for resource r:
+// the earliest pending event among tasks whose reach set contains r.
 //
 // Blocked tasks and the wake-chain rule: a task that is alive but has no
-// pending event is parked on some synchronization object, and its wake may
-// be scheduled the moment another task runs. A blocked task whose reach set
-// contains r therefore bounds r's horizon too. If the parking mechanism is
-// unknown to the kernel, the only safe bound is the global
-// `nextEventTime()` (any event could schedule the wake). But when the sync
-// object is registered (`registerSyncObject`) and keeps its *potential
-// waker* set current (`setSyncWakers` — the lock holder, the barrier's
-// not-yet-arrived participants), the kernel can bound the blocked task's
-// earliest interference through its wake chain. Under the kAny rule (locks:
-// one release suffices) the bound is the MIN of the wakers' earliest
-// executions; under the kAll rule (barriers: the last arrival releases,
-// so every waker must run first) it is the MAX. A waker with a pending
-// event contributes that event's time; a waker that is itself blocked
-// recurses into its own sync object's wakers; a cycle of blocked wakers
-// can never fire. The currently running task is excluded as a waker — the
-// horizon is only ever consulted mid-batch, and a batch replaces a
+// pending event is parked, and its wake may be scheduled the moment another
+// task runs. A blocked task whose reach set contains r therefore bounds r's
+// horizon too. If the parking mechanism is unknown to the kernel, the only
+// safe bound is the global `nextEventTime()` (any event could schedule the
+// wake). A task parked on a registered sync object (`blockOnSync`) is
+// bounded instead through its wake chain, and there are two kinds:
+//   * a lock (`registerLock`) has one holder (`setLockHolder`), the only
+//     task that can start the grant chain; the bound is the holder's
+//     earliest execution (kAny over at most one task). A lock with no
+//     declared holder is unknown and falls back to the global horizon.
+//   * a barrier (`registerBarrier`) has declared members and per-episode
+//     arrival stamps (`arriveAtBarrier`, `startBarrierEpisode`); the last
+//     arrival releases, so every member that has not arrived must run
+//     first and the bound is the MAX of their earliest executions (kAll).
+// A waker with a pending event contributes that event's time; a waker that
+// is itself blocked recurses into its own sync object; a cycle of blocked
+// wakers can never fire. The currently running task is excluded as a waker
+// — the horizon is only ever consulted mid-batch, and a batch replaces a
 // contiguous run of memory operations during which the caller performs no
-// sync-object operations — so a kAny sync skips it and a kAll sync whose
-// wakers include it can never release mid-batch at all (answered in O(1)
-// from the sync object's membership index, without walking the wakers).
+// sync-object operations — so a lock it holds cannot be released and a
+// barrier it has not reached cannot release mid-batch at all (answered in
+// O(1) from the arrival stamps, without walking the members).
 // The same rule lets a platform model widen a closure proof: a blocked
 // task whose wake bound is kNever (parkedTasksReaching) cannot touch any
 // resource until the running task performs a sync operation, so a batch
@@ -102,8 +99,8 @@ struct HangReport {
     /// an injected permanent core freeze) — it has no wake-for edge at all.
     std::uint32_t sync = static_cast<std::uint32_t>(-1);
     Tick blocked_since = 0;     ///< when the park was registered (0: unknown)
-    bool wakers_known = false;  ///< the sync object declared its waker set
-    bool all_wakers_required = false;  ///< kAll rule (barrier) vs kAny (lock)
+    bool wakers_known = false;  ///< false only for a lock with no declared holder
+    bool all_wakers_required = false;  ///< a barrier (kAll), not a lock (kAny)
     std::vector<std::size_t> wakers;   ///< current potential waker tasks
   };
   Tick at = 0;  ///< simulated time the hang was detected
@@ -271,14 +268,15 @@ class Engine {
   /// Sentinel returned by nextEventTime() when the queue is empty: no event
   /// will ever preempt the caller.
   static constexpr Tick kNever = static_cast<Tick>(-1);
-  /// Task id attached to host-scheduled events (no coroutine context).
-  /// Orders after every real task at an equal-Tick collision.
+  /// currentTaskId() outside run(), and the holder of a lock with none.
   static constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
-  /// Resource affinity of tasks that never declared one: such tasks are
-  /// assumed able to touch ANY resource, so they bound every horizon.
-  static constexpr std::uint32_t kNoResource = static_cast<std::uint32_t>(-1);
   /// Sync-object id of tasks not blocked on any registered sync object.
   static constexpr std::uint32_t kNoSync = static_cast<std::uint32_t>(-1);
+
+  /// An engine over `resources` coalescable resources (memory controllers,
+  /// MPB ports — one shared id namespace, ids [0, resources)), fixed for its
+  /// lifetime.
+  explicit Engine(std::uint32_t resources = 0) : resource_classes_(resources) {}
 
   /// Simulated time of the event being processed.
   [[nodiscard]] Tick now() const { return now_; }
@@ -293,6 +291,7 @@ class Engine {
   /// under, recorded when it blocked, so the (time, task_id) ordering
   /// contract holds for the wake event. Scheduling for a task that was
   /// registered as blocked on a sync object clears its blocked state.
+  /// Throws std::logic_error unless `task_id` is a spawned task.
   void schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id);
 
   /// Id of the root task whose event is currently being processed
@@ -304,99 +303,63 @@ class Engine {
   /// processing the running event has already been popped, so this is the
   /// next thing that can execute besides the current coroutine — the global
   /// "horizon" that bounds safe event coalescing (see header comment).
-  [[nodiscard]] Tick nextEventTime() const {
-    const Tick task_next = tree_[1].when;
-    return host_events_.empty() ? task_next
-                                : std::min(task_next, host_events_.front().when);
-  }
-
-  /// Declare `count` coalescable resources (memory controllers, MPB ports —
-  /// one shared id namespace). Must be called before tasks that use reach
-  /// sets are spawned; calling it resets all reach bookkeeping.
-  void registerResources(std::uint32_t count);
+  [[nodiscard]] Tick nextEventTime() const { return tree_[1].when; }
 
   /// Per-resource coalescing horizon: earliest pending event among tasks
-  /// whose reach set contains `resource` plus universal-reach tasks,
-  /// bounded further by the wake chains of blocked tasks reaching
-  /// `resource` (see the header comment for the exactness argument). Falls
-  /// back to the global nextEventTime() when a blocked task's waker set is
-  /// unknown or no resources are registered.
+  /// whose reach set contains `resource`, bounded further by the wake
+  /// chains of blocked tasks reaching `resource` (see the header comment for
+  /// the exactness argument). Falls back to the global nextEventTime() when
+  /// such a task is parked by an unknown mechanism or `resource` is
+  /// unregistered.
   [[nodiscard]] Tick nextEventTimeFor(std::uint32_t resource) const;
 
-  // -- synchronization-object registry (wake-chain tracking) --
-  /// How a sync object's waker set gates its waiters' wakes. kAny: any
-  /// single waker can schedule the wake (a lock's holder/grant chain) — the
-  /// wake bound is the MIN of the wakers' earliest executions. kAll: every
-  /// waker must run before the wake can be scheduled (a barrier's
-  /// not-yet-arrived participants; the last arrival releases) — the bound
-  /// is the MAX, and if the currently running task is itself a required
-  /// waker the wake cannot happen mid-batch at all.
-  enum class WakerRule : std::uint8_t { kAny, kAll };
-  /// Register a synchronization object (lock, barrier). Blocked tasks
-  /// reported against it are bounded by its waker set instead of the global
-  /// horizon. Wakers start out UNKNOWN (conservative).
-  std::uint32_t registerSyncObject();
-  /// Declare the complete set of tasks that could schedule a wake on `sync`
-  /// (the lock holder, a barrier's not-yet-arrived participants). Must be
-  /// kept current by the sync object; an over-approximation is safe for
-  /// kAny (an under-approximation for kAll), a missing kAny waker is not.
-  void setSyncWakers(std::uint32_t sync, std::vector<std::size_t> wakers,
-                     WakerRule rule = WakerRule::kAny);
-  /// Episodic variant for barrier-style objects whose waker set is the SAME
-  /// full membership at the start of every episode: declare it once, then
-  /// start each new episode with resetSyncEpisode — O(1) instead of the
-  /// O(participants) rebuild setSyncWakers would cost per episode.
-  /// removeSyncWaker still drops arrivals in O(1) (a generation stamp).
-  void setSyncEpisodeWakers(std::uint32_t sync, std::vector<std::size_t> wakers,
-                            WakerRule rule = WakerRule::kAll);
-  /// Start a new episode on an episodic sync object: every declared waker
-  /// is a member again. O(1) — bumps the generation counter, invalidating
-  /// all removal stamps at once.
-  void resetSyncEpisode(std::uint32_t sync);
-  /// Drop one task from `sync`'s waker set in place (a barrier participant
-  /// that just arrived can no longer be the releasing waker). O(1) through
-  /// the sync object's intrusive membership index, allocation-free in steady
-  /// state — the per-arrival hot path.
-  void removeSyncWaker(std::uint32_t sync, std::size_t task);
-  /// Forget the waker set of `sync`: blocked tasks on it fall back to the
-  /// global horizon (the safe default when a waker cannot be identified).
-  void clearSyncWakers(std::uint32_t sync);
+  // -- synchronization objects (wake-chain tracking) --
+  /// Register a one-holder lock. Its holder is unknown — waiters fall back
+  /// to the global horizon — until setLockHolder declares one.
+  std::uint32_t registerLock();
+  /// Declare the task holding `lock`: the only task that can start the
+  /// grant chain, so the only waker of its waiters. kNoTask: none known.
+  void setLockHolder(std::uint32_t lock, std::size_t holder);
+  /// Register a barrier whose members are the spawned tasks `members`
+  /// (throws std::invalid_argument for any other id). Every member that
+  /// has not arrived in the current episode is a required waker.
+  std::uint32_t registerBarrier(std::vector<std::size_t> members);
+  /// Stamp member `task` arrived in the current episode: it can no longer
+  /// be the releasing waker. O(1); a non-member is ignored.
+  void arriveAtBarrier(std::uint32_t barrier, std::size_t task);
+  /// Start a new episode: every member is a waker again. O(1) — bumps the
+  /// generation, invalidating every arrival stamp at once.
+  void startBarrierEpisode(std::uint32_t barrier) { ++syncs_[barrier].generation; }
   /// Report that `task` parked on `sync` with no pending event. Cleared
   /// automatically when a wake is scheduled for the task.
   void blockOnSync(std::size_t task, std::uint32_t sync);
 
   /// Number of alive (spawned, unfinished) tasks whose reach set contains
-  /// `resource` — including blocked ones and the caller. Returns SIZE_MAX
-  /// when the count cannot be exact (no resources registered, resource
-  /// unknown, universal-reach tasks alive, or universal/uncounted events
-  /// pending). Platform models use this to prove a contention pattern is
-  /// CLOSED: round-robin contention batching fires only when every task
-  /// that could ever touch a controller is a known member of the batch.
+  /// `resource` — including blocked ones and the caller. Exact: every task
+  /// declares its reach. Platform models use this to prove a contention
+  /// pattern is CLOSED: round-robin contention batching fires only when
+  /// every task that could ever touch a controller is a known member of the
+  /// batch.
   [[nodiscard]] std::size_t aliveTasksReaching(std::uint32_t resource) const;
   /// Tasks registered as blocked (blockOnSync) whose reach set contains
-  /// `resource`, universal-reach ones included. O(reach classes): the cheap
-  /// precheck before parkedTasksReaching. Tasks parked by a mechanism the
-  /// kernel does not know (e.g. a permanent core freeze) are not counted.
+  /// `resource`. O(reach classes): the cheap precheck before
+  /// parkedTasksReaching. Tasks parked by a mechanism the kernel does not
+  /// know (e.g. a permanent core freeze) are not counted.
   [[nodiscard]] std::size_t blockedTasksReaching(std::uint32_t resource) const;
   /// Of those, the tasks whose wake chain can never fire while the running
-  /// task stays mid-batch (wake bound kNever: parked at a kAll barrier the
+  /// task stays mid-batch (wake bound kNever: parked at a barrier the
   /// running task has not reached, on a lock the running task holds, or on
   /// a chain that can never fire at all). O(registered blocked tasks).
   /// Platform models use it to widen a closure proof: such tasks cannot
   /// touch `resource` until the running task performs a sync operation.
   [[nodiscard]] std::size_t parkedTasksReaching(std::uint32_t resource) const;
 
-  /// Adopt a task and schedule its first resume at `start`. `resource`
-  /// declares the only registered resource timeline this task will ever
-  /// touch (kNoResource: may touch any). Returns an id usable with
+  /// Adopt a task and schedule its first resume at `start`. `reach` is the
+  /// set of registered resource timelines the task may ever touch; throws
+  /// std::invalid_argument, adopting nothing, for an unregistered id or for
+  /// an empty set while resources exist. Returns an id usable with
   /// `completionTime`.
-  std::size_t spawn(SimTask task, Tick start = 0,
-                    std::uint32_t resource = kNoResource);
-  /// Adopt a task whose reach set is `reach`: the registered resource
-  /// timelines it may ever touch. An empty set, or any unregistered id in
-  /// it, degrades to universal reach (may touch anything — conservative).
-  std::size_t spawnReaching(SimTask task, Tick start,
-                            std::vector<std::uint32_t> reach);
+  std::size_t spawn(SimTask task, Tick start = 0, std::vector<std::uint32_t> reach = {});
 
   /// Run until the event queue drains. Returns the time of the last event.
   /// With hang detection on (setHangDetection) a drain that leaves
@@ -431,21 +394,11 @@ class Engine {
     return task_id < completion_.size() ? completion_[task_id] : 0;
   }
 
-  /// Called from SimTask's final suspend point. Only tasks spawned after
-  /// registerResources() were counted alive; earlier ones must not
-  /// decrement counters they never incremented.
+  /// Called from SimTask's final suspend point.
   void onRootDone(std::size_t task_id) {
-    if (task_id < completion_.size()) completion_[task_id] = now();
-    if (task_id < task_done_.size()) task_done_[task_id] = true;
-    if (!resource_classes_.empty() && task_id >= counted_tasks_from_ &&
-        task_id < task_class_.size()) {
-      const std::uint32_t cls = task_class_[task_id];
-      if (cls == kUniversalClass) {
-        --unaffined_alive_;
-      } else {
-        --classes_[cls].alive;
-      }
-    }
+    completion_[task_id] = now();
+    task_done_[task_id] = true;
+    --classes_[task_class_[task_id]].alive;
   }
   /// Latest completion across all spawned tasks (the makespan).
   [[nodiscard]] Tick makespan() const;
@@ -476,10 +429,6 @@ class Engine {
   [[nodiscard]] ResumeAt resumeAt(Tick when) { return ResumeAt{*this, when}; }
 
  private:
-  /// Reach-class id of tasks with universal reach (and of all tasks spawned
-  /// before registerResources()).
-  static constexpr std::uint32_t kUniversalClass = static_cast<std::uint32_t>(-1);
-
   /// A winner-tree node: the earliest pending event in its subtree, kNever
   /// when the subtree has none. Leaves are the tasks' pending slots.
   struct TreeNode {
@@ -490,18 +439,6 @@ class Engine {
   [[nodiscard]] static bool firesBefore(const TreeNode& a, const TreeNode& b) {
     return a.when < b.when || (a.when == b.when && a.task < b.task);
   }
-  /// An event scheduled from host context (kNoTask).
-  struct HostEvent {
-    Tick when;
-    std::uint64_t seq;  ///< insertion sequence: the tie-break among host events
-    std::coroutine_handle<> handle;
-  };
-  /// Min-heap order on (when, seq): `a` fires after `b`.
-  struct HostEventAfter {
-    bool operator()(const HostEvent& a, const HostEvent& b) const {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
-  };
 
   /// A distinct reach set shared by one or more tasks. Tasks with equal
   /// sets are interned into one class, so scheduling stays O(1) per event
@@ -515,69 +452,42 @@ class Engine {
     std::int64_t blocked_registered = 0;   ///< parked via blockOnSync
   };
 
+  /// A registered sync object: a lock or a barrier.
   struct SyncObject {
-    std::vector<std::size_t> wakers;
-    /// Intrusive membership index: waker_pos[task] is that task's position
-    /// in `wakers` plus one, 0 when absent — makes removeSyncWaker O(1)
-    /// (barrier arrivals used to scan the waker set linearly, ~30% of
-    /// barrier-only microbench time at 32 participants). Sized to the
-    /// largest waker task id ever set; swap-removals keep it current.
-    /// In episodic mode it indexes the declared membership instead (removal
-    /// is a generation stamp there), so isCurrentWaker is O(1) either way.
-    std::vector<std::size_t> waker_pos;
-    /// Episodic mode (setSyncEpisodeWakers): `wakers` is the immutable full
-    /// membership; a task is currently removed iff its stamp equals the
-    /// current generation. resetSyncEpisode bumps `generation`, making every
-    /// member current again without touching the vectors — the lazy rebuild
-    /// that replaced the per-episode O(participants) setSyncWakers churn.
-    std::vector<std::uint64_t> removed_gen;  ///< per task id; 0 = never
-    std::uint64_t generation = 1;
-    bool episodic = false;
-    bool wakers_known = false;
-    WakerRule rule = WakerRule::kAny;
+    bool barrier = false;
+    std::size_t holder = kNoTask;  ///< lock: the one potential waker
+    std::vector<std::size_t> members;  ///< barrier: declared members
+    /// Barrier, per task id: 0 for a non-member, `generation` once arrived
+    /// in the current episode, an older generation otherwise.
+    std::vector<std::uint64_t> stamp;
+    std::uint64_t generation = 2;  ///< members start stamped 1: not arrived
 
-    [[nodiscard]] bool removedThisEpisode(std::size_t task) const {
-      return task < removed_gen.size() && removed_gen[task] == generation;
-    }
-    /// `task` is in the current waker set: declared (and, for episodic
-    /// objects, not yet removed this episode). Host wakers (kNoTask) are
-    /// never indexed, so this is a sound under-approximation.
-    [[nodiscard]] bool isCurrentWaker(std::size_t task) const {
-      return task < waker_pos.size() && waker_pos[task] != 0 &&
-             !(episodic && removedThisEpisode(task));
+    /// `task` is a barrier member that has not arrived this episode.
+    [[nodiscard]] bool awaited(std::size_t task) const {
+      return task < stamp.size() && stamp[task] != 0 && stamp[task] != generation;
     }
   };
 
-  [[nodiscard]] std::uint32_t classOfTask(std::size_t task) const {
-    return task < task_class_.size() ? task_class_[task] : kUniversalClass;
-  }
   [[nodiscard]] bool classReaches(std::uint32_t cls, std::uint32_t resource) const {
     const std::vector<std::uint32_t>& rs = classes_[cls].resources;
     return std::binary_search(rs.begin(), rs.end(), resource);
   }
+  /// Class of the sorted, unique reach set `reach`, created on first use.
   std::uint32_t internReachClass(std::vector<std::uint32_t> reach);
-  /// Counted tasks (spawned after registerResources) are tallied in their
-  /// class's alive/pending/blocked counters; earlier ones are not.
-  [[nodiscard]] bool counted(std::size_t task) const {
-    return !resource_classes_.empty() && task >= counted_tasks_from_;
-  }
-  /// Adjust the pending tally of counted `task`'s class by `delta`.
-  void countPending(std::size_t task, std::int64_t delta) {
-    const std::uint32_t cls = task_class_[task];
-    std::int64_t& count =
-        cls == kUniversalClass ? unaffined_pending_count_ : classes_[cls].pending_count;
-    count += delta;
-  }
   /// Set `task`'s pending slot to `when` (kNever: none) and replay its leaf's
   /// path to the root, stopping at the first node whose winner is unchanged.
   void setSlot(std::size_t task, Tick when);
   /// Grow the tree to cover task ids below `tasks` (a power of two leaves).
   void growTree(std::size_t tasks);
-  /// Earliest time any waker chain of blocked `task` could execute (see
+  /// Earliest time the wake chain of blocked `task` could execute (see
   /// header comment). `visited` carries the chain walked so far for cycle
-  /// detection; the global nextEventTime() is the unknown-waker fallback.
+  /// detection.
   [[nodiscard]] Tick wakeBound(std::size_t task,
                                std::vector<std::size_t>& visited) const;
+  /// Earliest time waker `w` could execute: its pending event, its own wake
+  /// chain when blocked, kNever when finished, and the global
+  /// nextEventTime() when it is parked by an unknown mechanism.
+  [[nodiscard]] Tick earliestRun(std::size_t w, std::vector<std::size_t>& visited) const;
   /// Throw SyncTimeout if any registered blocked task overstayed
   /// sync_timeout_. Called per event from run(); cheap when nothing blocks.
   /// Non-const: it records a kReport trace instant before throwing.
@@ -586,7 +496,7 @@ class Engine {
   /// the attached trace recorder, if any. Out-of-line, cold.
   void traceHangReport(std::uint64_t kind, Tick at);
 
-  // -- the pending set (one slot per task + host events) --
+  // -- the pending set (one slot per task) --
   /// Winner tree over task ids: node 1 is the root, the leaves sit at
   /// [tree_leaves_, 2 * tree_leaves_) in task-id order (leaf i mirrors
   /// task_pending_when_[i]), and every inner node holds the earlier of its
@@ -594,31 +504,20 @@ class Engine {
   std::vector<TreeNode> tree_ = std::vector<TreeNode>(2, TreeNode{kNever, 0});
   std::size_t tree_leaves_ = 1;  ///< a power of two
   std::vector<std::coroutine_handle<>> task_handle_;  ///< per task: pending resume
-  std::vector<HostEvent> host_events_;  ///< heap via std::push_heap/pop_heap
   Tick now_ = 0;
   std::size_t current_task_ = kNoTask;
-  std::uint64_t next_host_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   double wall_seconds_ = 0.0;
   std::vector<SimTask> tasks_;
   std::vector<Tick> completion_;
 
-  // -- per-resource horizon accounting (empty unless registerResources ran) --
-  // Every counted task belongs to one reach class, or to the universal
-  // bucket. A class's horizon is the min over its members' pending slots and
-  // its blocked tally is alive - pending (minus the running task). The
-  // universal bucket's members also include every task that predates
-  // registerResources (uncounted: no alive/pending entry), and host events
-  // bound every horizon; neither enters the blocked computation, otherwise
-  // they would offset it and mask a genuinely blocked task.
-  std::vector<ReachClass> classes_;
+  // -- per-resource horizon accounting --
+  // Every task belongs to one reach class. A class's horizon is the min over
+  // its members' pending slots and its blocked tally is alive - pending
+  // (minus the running task).
   std::vector<std::vector<std::uint32_t>> resource_classes_;  ///< per resource
+  std::vector<ReachClass> classes_;
   std::vector<std::uint32_t> task_class_;  ///< per spawned task
-  std::vector<std::size_t> unaffined_members_;
-  std::int64_t unaffined_pending_count_ = 0;
-  std::int64_t unaffined_alive_ = 0;
-  std::int64_t universal_blocked_registered_ = 0;
-  std::size_t counted_tasks_from_ = 0;  ///< ids below predate registerResources
 
   // -- sync-object / wake-chain tracking --
   std::vector<SyncObject> syncs_;

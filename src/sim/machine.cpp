@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <new>
 #include <stdexcept>
 
@@ -27,25 +26,15 @@ thread_local std::vector<std::uint8_t> spare_shared_dram;
 // SyncBarrier / TasLock
 // ---------------------------------------------------------------------------
 
-void SyncBarrier::setParticipantTasks(std::vector<std::size_t> tasks) {
-  participant_tasks_ = std::move(tasks);
-  if (participant_tasks_.empty()) return;  // wakers unknown: stays conservative
-  // A waiter can only be released by a participant that has not arrived yet
-  // (the last arrival schedules every wake). Declared episodically: each
-  // arrival is an O(1) removeSyncWaker stamp, each release an O(1)
-  // resetSyncEpisode — membership never gets rebuilt.
-  engine_.setSyncEpisodeWakers(sync_, participant_tasks_, Engine::WakerRule::kAll);
-}
-
 void SyncBarrier::onArrive(std::coroutine_handle<> h) {
   const Tick arrival = engine_.now() + arrive_cost_;
   if (arrival > latest_arrival_) latest_arrival_ = arrival;
   const std::size_t task = engine_.currentTaskId();
   waiting_.push_back({h, task, arrival});
-  if (task != Engine::kNoTask) engine_.blockOnSync(task, sync_);
-  // Hot path: an arrived participant can no longer be the releasing waker —
-  // drop it in place instead of recomputing the whole set.
-  if (!participant_tasks_.empty()) engine_.removeSyncWaker(sync_, task);
+  engine_.blockOnSync(task, sync_);
+  // An arrived participant can no longer be the releasing waker: an O(1)
+  // stamp in the engine's barrier.
+  engine_.arriveAtBarrier(sync_, task);
   ++arrived_;
   if (arrived_ >= participants_) {
     const Tick release = latest_arrival_ + release_cost_;
@@ -74,7 +63,7 @@ void SyncBarrier::onArrive(std::coroutine_handle<> h) {
     latest_arrival_ = 0;
     ++episodes_;
     // Next episode: every participant is a waker again — one counter bump.
-    if (!participant_tasks_.empty()) engine_.resetSyncEpisode(sync_);
+    engine_.startBarrierEpisode(sync_);
   }
 }
 
@@ -88,11 +77,7 @@ void TasLock::onAcquire(std::coroutine_handle<> h) {
       drf_->acquire(holder_, sync_);
     }
     // While held, only the holder can start the grant chain.
-    if (holder_ != Engine::kNoTask) {
-      engine_.setSyncWakers(sync_, {holder_});
-    } else {
-      engine_.clearSyncWakers(sync_);
-    }
+    engine_.setLockHolder(sync_, holder_);
     if (obs::TraceRecorder* tr = tracer(engine_)) {
       // Uncontended grant: the wait span is exactly the register round trip.
       tr->record(holder_, obs::TraceEvent{engine_.now(), engine_.now() + roundtrip_,
@@ -104,7 +89,7 @@ void TasLock::onAcquire(std::coroutine_handle<> h) {
     ++contention_;
     const std::size_t task = engine_.currentTaskId();
     queue_.push_back({h, task, engine_.now()});
-    if (task != Engine::kNoTask) engine_.blockOnSync(task, sync_);
+    engine_.blockOnSync(task, sync_);
   }
 }
 
@@ -125,9 +110,8 @@ void TasLock::release() {
   if (queue_.empty()) {
     held_ = false;
     holder_ = Engine::kNoTask;
-    // No waiters and no holder: nothing blocked on this object, an empty
-    // known waker set is vacuously sound.
-    engine_.setSyncWakers(sync_, {});
+    // No waiters and no holder: nothing is blocked on this object.
+    engine_.setLockHolder(sync_, holder_);
     return;
   }
   const Waiter next = queue_.front();
@@ -145,11 +129,7 @@ void TasLock::release() {
                                           obs::TraceEventKind::kLockWait});
   }
   engine_.schedule(engine_.now() + roundtrip_, next.handle, next.task);
-  if (holder_ != Engine::kNoTask) {
-    engine_.setSyncWakers(sync_, {holder_});
-  } else {
-    engine_.clearSyncWakers(sync_);
-  }
+  engine_.setLockHolder(sync_, holder_);
 }
 
 // ---------------------------------------------------------------------------
@@ -569,7 +549,8 @@ SubTask CoreContext::lockReleaseReconcile(int lock_id) {
 // ---------------------------------------------------------------------------
 
 SccMachine::SccMachine(SccConfig config)
-    : config_(config), mesh_(config_), core_clock_(config_.coreClock()),
+    : config_(config), mesh_(config_), engine_(mesh_.numResources()),
+      core_clock_(config_.coreClock()),
       mesh_clock_(config_.meshClock()), dram_clock_(config_.dramClock()) {
   // The shared region grows on demand in shmalloc inside a buffer reserved
   // at the configured capacity, so growth never moves or copies it. A
@@ -616,10 +597,6 @@ SccMachine::SccMachine(SccConfig config)
   dram_overhead_ticks_ = core_clock_.cycles(config_.dram_core_overhead_cycles);
   priv_fill_ticks_[0] = dram_clock_.cycles(config_.dram_line_service_cycles);
   priv_fill_ticks_[1] = dram_clock_.cycles(2ULL * config_.dram_line_service_cycles);
-  // One unified namespace of coalescing-horizon resources: the memory
-  // controllers plus every tile's MPB port. launch() gives each task a reach
-  // set of its core's controller and the ports it may touch.
-  engine_.registerResources(mesh_.numResources());
   // Robustness layer: at machine level a drained queue with live tasks is
   // ALWAYS the silent-hang bug (machine tasks never park across run()
   // calls), so hang detection is unconditional; the timeout and watchdog
@@ -734,9 +711,9 @@ std::uint8_t* SccMachine::privData(int core, std::uint64_t addr) {
   return &mem[addr];
 }
 
-void SccMachine::setupBarrier(int participants) {
+void SccMachine::setupBarrier(std::vector<std::size_t> participant_tasks) {
   const Tick arrive = core_clock_.cycles(config_.barrier_flag_core_cycles);
-  barrier_ = std::make_unique<SyncBarrier>(engine_, static_cast<std::size_t>(participants),
+  barrier_ = std::make_unique<SyncBarrier>(engine_, std::move(participant_tasks),
                                            arrive, arrive);
   if (drf_active_) barrier_->setDrf(&drf_);
 }
@@ -748,7 +725,6 @@ void SccMachine::launch(const LaunchSpec& spec) {
   // violation.
   const partition::ExecutionPlan* plan = spec.plan;
   if (plan != nullptr && plan->anyCachedRegion()) ensureSwcache();
-  setupBarrier(num_ues);
   // Place every UE first: a scope may name owner UEs that have not been
   // iterated yet, and coreOfUe must already know their cores.
   ue_to_core_.resize(static_cast<std::size_t>(num_ues));
@@ -787,15 +763,15 @@ void SccMachine::launch(const LaunchSpec& spec) {
     contexts_.push_back(
         std::make_unique<CoreContext>(*this, ue, num_ues, static_cast<int>(core)));
     task_ids.push_back(
-        engine_.spawnReaching(spec.program(*contexts_.back()), 0, std::move(reach)));
+        engine_.spawn(spec.program(*contexts_.back()), 0, std::move(reach)));
     // Spawn semantics for the race detector: tasks start from untimed host
     // context, so siblings begin mutually concurrent — registration gives
     // each a fresh clock and the UE label used in reports.
     if (drf_active_) drf_.registerTask(task_ids.back(), ue);
   }
-  // The barrier's potential wakers are exactly the launched tasks: enables
-  // the engine's sync-aware wake-chain horizon for barrier waiters.
-  barrier_->setParticipantTasks(std::move(task_ids));
+  // The barrier's members, and so its waiters' only potential wakers, are
+  // exactly the launched tasks.
+  setupBarrier(std::move(task_ids));
 }
 
 void SccMachine::setShmControllerPlacement(std::uint64_t begin, std::uint64_t end,
@@ -809,7 +785,9 @@ void SccMachine::setShmControllerPlacement(std::uint64_t begin, std::uint64_t en
   // launch() fixes each task's reach from ctrl_placement_active_; a routing
   // placement registered later would leave tasks reaching too few
   // controllers.
-  assert(contexts_.empty() || placement == partition::ControllerPlacement::kOwnerCompute);
+  if (!contexts_.empty() && placement != partition::ControllerPlacement::kOwnerCompute) {
+    throw std::logic_error("routing placement registered after launch()");
+  }
   shm_ctrl_map_.push_back(ShmCtrlRange{begin, end, placement, pinned_controller});
   // kOwnerCompute registrations are documentation only (they restate the
   // default), so they must not knock accesses off the legacy fast path.
@@ -948,6 +926,9 @@ std::size_t SccMachine::swcacheSyncRange(int core, std::uint64_t offset,
 }
 
 TasLock& SccMachine::lock(int id) {
+  if (id < 0 || static_cast<std::uint32_t>(id) >= config_.num_cores) {
+    throw std::out_of_range("lock id");
+  }
   const auto index = static_cast<std::size_t>(id);
   while (locks_.size() <= index) {
     const Tick roundtrip = core_clock_.cycles(config_.tas_core_cycles);
@@ -1103,7 +1084,6 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   // inside the replayed prefix belongs to a member, and the joint replay
   // below IS the engine's own schedule.
   const std::size_t alive = engine_.aliveTasksReaching(mc_id);
-  if (alive == static_cast<std::size_t>(-1)) return false;
   // O(classes) rejection first: with at most runs.size() peers, success
   // needs every one of the other alive - peers - 1 tasks registered blocked,
   // and peers <= runs.size() — so this cannot reject a provable closure.

@@ -47,12 +47,19 @@ class SccMachine;
 /// releases land at one Tick, so wake order follows the engine's
 /// (time, task_id) contract — each waiter's task id is recorded at arrival
 /// and attached to its wake event.
+///
+/// The participants are the spawned engine tasks `participant_tasks`,
+/// registered as the engine barrier's members: a waiter's wake chain is
+/// bounded by the participants that have not arrived yet (its only
+/// potential wakers). Each arrival is an O(1) stamp and each release an
+/// O(1) new episode — membership is never rebuilt.
 class SyncBarrier {
  public:
-  SyncBarrier(Engine& engine, std::size_t participants, Tick arrive_cost,
-              Tick release_cost)
-      : engine_(engine), participants_(participants), arrive_cost_(arrive_cost),
-        release_cost_(release_cost), sync_(engine.registerSyncObject()) {}
+  SyncBarrier(Engine& engine, std::vector<std::size_t> participant_tasks,
+              Tick arrive_cost, Tick release_cost)
+      : engine_(engine), participants_(participant_tasks.size()),
+        arrive_cost_(arrive_cost), release_cost_(release_cost),
+        sync_(engine.registerBarrier(std::move(participant_tasks))) {}
 
   struct Awaiter {
     SyncBarrier& barrier;
@@ -64,16 +71,6 @@ class SyncBarrier {
   [[nodiscard]] Awaiter arrive() { return Awaiter{*this}; }
   [[nodiscard]] std::size_t participants() const { return participants_; }
   [[nodiscard]] std::uint64_t episodes() const { return episodes_; }
-
-  /// Declare the engine task ids of the participating tasks. Enables the
-  /// sync-aware wake-chain horizon: waiters are then bounded by the
-  /// not-yet-arrived participants (their only potential wakers) instead of
-  /// forcing the global-horizon fallback. Without this call the barrier's
-  /// wakers stay unknown and the engine remains conservative. Declared ONCE
-  /// as the engine's episodic waker set: arrivals drop out in O(1) and each
-  /// release restores full membership in O(1) (Engine::resetSyncEpisode) —
-  /// no per-episode O(participants) rebuild.
-  void setParticipantTasks(std::vector<std::size_t> tasks);
 
   /// Attach the machine's race detector (nullptr = detached, the default):
   /// each release episode then joins the arrivals' vector clocks and
@@ -97,7 +94,6 @@ class SyncBarrier {
   std::size_t arrived_ = 0;
   Tick latest_arrival_ = 0;
   std::vector<Waiter> waiting_;
-  std::vector<std::size_t> participant_tasks_;  ///< empty: unknown
   std::uint64_t episodes_ = 0;
   drf::DrfChecker* drf_ = nullptr;  ///< attached when SccConfig::drf_check
 };
@@ -107,7 +103,7 @@ class SyncBarrier {
 class TasLock {
  public:
   TasLock(Engine& engine, Tick roundtrip)
-      : engine_(engine), roundtrip_(roundtrip), sync_(engine.registerSyncObject()) {}
+      : engine_(engine), roundtrip_(roundtrip), sync_(engine.registerLock()) {}
 
   struct Awaiter {
     TasLock& lock;
@@ -401,15 +397,18 @@ class SccMachine {
   /// setShmCacheability / setShmControllerPlacement directly) — the machine
   /// cannot know region offsets.
   void launch(const LaunchSpec& spec);
-  /// Create the machine barrier for `participants` without launching
-  /// (used by runtimes that spawn their own tasks, e.g. threadrt).
-  void setupBarrier(int participants);
+  /// Create the machine barrier over the spawned engine tasks
+  /// `participant_tasks` without launching (used by runtimes that spawn
+  /// their own tasks, e.g. threadrt).
+  void setupBarrier(std::vector<std::size_t> participant_tasks);
   /// Run to completion; returns the makespan.
   Tick run();
 
   /// The one machine barrier every UE synchronizes through (what
   /// CoreContext::barrier() awaits): launch() sizes it to num_ues.
   [[nodiscard]] SyncBarrier& barrier() { return *barrier_; }
+  /// Test-and-set register `id`, one per core: throws std::out_of_range
+  /// unless `id` is in [0, num_cores).
   [[nodiscard]] TasLock& lock(int id);
 
   // -- statistics --
@@ -477,9 +476,10 @@ class SccMachine {
   /// registration: the cache is private per core, so its DRAM traffic
   /// follows the core (docs/execution_plan.md states the composition rule).
   /// Register every non-kOwnerCompute placement before launch(): a task
-  /// reaches every controller only if one was registered when it spawned
-  /// (asserted). Throws std::invalid_argument, changing nothing, when a
-  /// kPinned `pinned_controller` is not below num_mem_controllers.
+  /// reaches every controller only if one was registered when it spawned,
+  /// so a later one throws std::logic_error. Throws std::invalid_argument
+  /// when a kPinned `pinned_controller` is not below num_mem_controllers.
+  /// Either way nothing changes.
   void setShmControllerPlacement(std::uint64_t begin, std::uint64_t end,
                                  partition::ControllerPlacement placement,
                                  std::uint32_t pinned_controller = 0);
@@ -763,8 +763,8 @@ class SccMachine {
 
  private:
   SccConfig config_;
-  Engine engine_;
   MeshTopology mesh_;
+  Engine engine_;
   Clock core_clock_;
   Clock mesh_clock_;
   Clock dram_clock_;
@@ -883,8 +883,8 @@ class SccMachine {
   /// Check one access and emit a kRace trace instant per fresh report.
   void drfAccess(drf::Space space, std::uint64_t offset, std::size_t bytes, bool write);
 
-  /// Instantiate the per-core swcaches if not already present (config
-  /// default on, or first cacheable region registered).
+  /// Instantiate the per-core swcaches if not already present (on the
+  /// first cacheable region or plan with one).
   void ensureSwcache();
 
  public:

@@ -63,7 +63,7 @@ class MeshTopology {
   // The engine hosts ONE id space of coalescable resources. Memory
   // controllers take ids [0, num_mem_controllers); each tile's MPB port
   // takes id num_mem_controllers + tile. Every task's reach set is built
-  // from these ids (Engine::spawnReaching).
+  // from these ids (Engine::spawn).
   [[nodiscard]] std::uint32_t numResources() const {
     return config_.num_mem_controllers + numTiles();
   }

@@ -77,7 +77,6 @@ SingleCoreRuntime::SingleCoreRuntime(sim::SccConfig config)
 
 void SingleCoreRuntime::launch(int num_threads, const ThreadProgram& program) {
   num_threads_ = num_threads;
-  machine_.setupBarrier(num_threads);
   // Every logical thread executes on core 0, so core 0's memory controller
   // is the only resource timeline it can ever touch (threadrt never uses
   // the MPB) — register that reach so the threads don't pin any other
@@ -90,14 +89,13 @@ void SingleCoreRuntime::launch(int num_threads, const ThreadProgram& program) {
   task_ids.reserve(static_cast<std::size_t>(num_threads));
   for (int tid = 0; tid < num_threads; ++tid) {
     contexts_.push_back(std::make_unique<ThreadContext>(*this, tid, num_threads));
-    task_ids.push_back(machine_.engine().spawn(program(*contexts_.back()), 0, core0_mc));
+    task_ids.push_back(machine_.engine().spawn(program(*contexts_.back()), 0, {core0_mc}));
     // Race detection: threads spawn from untimed host context, so siblings
     // start mutually concurrent — pthread_create's visibility guarantee.
     if (machine_.drfEnabled()) machine_.drfChecker().registerTask(task_ids.back(), tid);
   }
-  // Threads are the barrier's only potential wakers: lets blocked waiters
-  // keep sync-aware horizons narrow instead of forcing the global fallback.
-  machine_.barrier().setParticipantTasks(std::move(task_ids));
+  // Threads are the barrier's members, its waiters' only potential wakers.
+  machine_.setupBarrier(std::move(task_ids));
 }
 
 sim::Tick SingleCoreRuntime::run() {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -101,28 +102,15 @@ SimTask probeHorizons(Engine& engine, Tick wait, std::vector<Tick>& out) {
 SimTask idleUntil(Engine& engine, Tick when) { co_await engine.resumeAt(when); }
 
 TEST(Engine, NextEventTimeForScopesHorizonToResource) {
-  Engine engine;
-  engine.registerResources(2);
+  Engine engine(2);
   std::vector<Tick> horizons;
-  engine.spawn(idleUntil(engine, 500), 0, /*resource=*/0);   // task 0 on res 0
-  engine.spawn(probeHorizons(engine, 40, horizons), 0, 1);   // task 1 on res 1
+  engine.spawn(idleUntil(engine, 500), 0, {0});             // task 0 on res 0
+  engine.spawn(probeHorizons(engine, 40, horizons), 0, {1});  // task 1 on res 1
   engine.run();
   ASSERT_EQ(horizons.size(), 3u);
   EXPECT_EQ(horizons[0], 500u);            // res 0: task 0 pending at 500
   EXPECT_EQ(horizons[1], Engine::kNever);  // res 1: only the probe itself
   EXPECT_EQ(horizons[2], 500u);            // global sees everything
-}
-
-TEST(Engine, UnaffinedTaskBoundsEveryHorizon) {
-  Engine engine;
-  engine.registerResources(2);
-  std::vector<Tick> horizons;
-  engine.spawn(idleUntil(engine, 200));                      // unaffined
-  engine.spawn(probeHorizons(engine, 40, horizons), 0, 1);
-  engine.run();
-  ASSERT_EQ(horizons.size(), 3u);
-  EXPECT_EQ(horizons[0], 200u);
-  EXPECT_EQ(horizons[1], 200u);
 }
 
 /// Parks the coroutine without scheduling any wake: from the engine's view
@@ -154,15 +142,14 @@ SimTask wakeParked(Engine& engine, Tick at, std::coroutine_handle<>& slot,
 // horizon back to the global one: its wake may be scheduled by any event,
 // including one from another resource's task.
 TEST(Engine, BlockedTaskForcesGlobalHorizonFallback) {
-  Engine engine;
-  engine.registerResources(2);
+  Engine engine(2);
   std::coroutine_handle<> parked;
   std::size_t parked_task = Engine::kNoTask;
   std::vector<Tick> horizons;
-  engine.spawn(parkThenFinish(engine, parked, parked_task), 0, 0);  // blocks on res 0
-  engine.spawn(idleUntil(engine, 900), 0, 0);                       // res 0 pending @900
-  engine.spawn(probeHorizons(engine, 40, horizons), 0, 1);          // probe on res 1
-  engine.spawn(wakeParked(engine, 700, parked, parked_task), 0, 1);
+  engine.spawn(parkThenFinish(engine, parked, parked_task), 0, {0});  // blocks on res 0
+  engine.spawn(idleUntil(engine, 900), 0, {0});                       // res 0 pending @900
+  engine.spawn(probeHorizons(engine, 40, horizons), 0, {1});          // probe on res 1
+  engine.spawn(wakeParked(engine, 700, parked, parked_task), 0, {1});
   engine.run();
   ASSERT_EQ(horizons.size(), 3u);
   // Res 0's only pending event is at 900, but the parked task makes the
@@ -173,36 +160,13 @@ TEST(Engine, BlockedTaskForcesGlobalHorizonFallback) {
   EXPECT_EQ(horizons[2], 700u);
 }
 
-// A host-scheduled event (no task context) files as a pending unaffined
-// entry without a matching alive counter; it must not cancel a genuinely
-// blocked unaffined task out of the alive-minus-pending computation and
-// thereby skip the global-horizon fallback.
-TEST(Engine, HostScheduledEventsDoNotMaskBlockedTasks) {
-  Engine engine;
-  engine.registerResources(2);
-  std::coroutine_handle<> parked;
-  std::size_t parked_task = Engine::kNoTask;
-  engine.spawn(parkThenFinish(engine, parked, parked_task));  // unaffined
-  engine.run();  // drains: the task is now parked (blocked) at t=0
-  engine.schedule(60, parked);          // host wake, uncounted unaffined @60
-  engine.spawn(idleUntil(engine, 45), 0, 0);  // res-0 task pending @0
-  // Res 1's horizon must fall back to the global next event (0): the parked
-  // unaffined task is still blocked, host event notwithstanding. Without the
-  // uncounted-pending tally this would read 60 (the unaffined bucket min).
-  EXPECT_EQ(engine.nextEventTimeFor(1), 0u);
-  EXPECT_EQ(engine.nextEventTime(), 0u);
-  engine.run();
-  EXPECT_EQ(engine.now(), 60u);
-}
-
 // --- reach sets (unified resource namespace) ---------------------------------
 
 TEST(Engine, ReachSetBoundsEveryDeclaredResource) {
-  Engine engine;
-  engine.registerResources(3);
+  Engine engine(3);
   std::vector<Tick> horizons;
-  engine.spawnReaching(idleUntil(engine, 500), 0, {0, 2});  // task 0 reaches 0 and 2
-  engine.spawn(probeHorizons(engine, 40, horizons), 0, 1);
+  engine.spawn(idleUntil(engine, 500), 0, {0, 2});  // task 0 reaches 0 and 2
+  engine.spawn(probeHorizons(engine, 40, horizons), 0, {1});
   engine.run();
   ASSERT_EQ(horizons.size(), 3u);
   EXPECT_EQ(horizons[0], 500u);            // res 0: reached by task 0
@@ -210,16 +174,47 @@ TEST(Engine, ReachSetBoundsEveryDeclaredResource) {
   EXPECT_EQ(horizons[2], 500u);            // global
 }
 
-TEST(Engine, UnregisteredIdInReachSetDegradesToUniversal) {
-  Engine engine;
-  engine.registerResources(2);
+// The reach declaration is required: a set naming an unregistered id, or an
+// empty set while resources exist, is rejected and adopts nothing.
+TEST(Engine, SpawnRejectsEmptyOrUnregisteredReach) {
+  Engine engine(2);
+  EXPECT_THROW(engine.spawn(idleUntil(engine, 300), 0, {0, 99}), std::invalid_argument);
+  EXPECT_THROW(engine.spawn(idleUntil(engine, 300), 0, {2}), std::invalid_argument);
+  EXPECT_THROW(engine.spawn(idleUntil(engine, 300)), std::invalid_argument);
+  EXPECT_EQ(engine.taskCount(), 0u);
+  EXPECT_EQ(engine.nextEventTime(), Engine::kNever);
   std::vector<Tick> horizons;
-  engine.spawnReaching(idleUntil(engine, 300), 0, {0, 99});  // 99 unregistered
-  engine.spawn(probeHorizons(engine, 40, horizons), 0, 1);
+  engine.spawn(idleUntil(engine, 300), 0, {0});
+  engine.spawn(probeHorizons(engine, 40, horizons), 0, {1});
   engine.run();
   ASSERT_EQ(horizons.size(), 3u);
-  EXPECT_EQ(horizons[0], 300u);  // universal reach bounds every horizon
-  EXPECT_EQ(horizons[1], 300u);
+  EXPECT_EQ(horizons[0], 300u);
+  EXPECT_EQ(horizons[1], Engine::kNever);
+  // Without resources every id is unregistered, and no reach is needed.
+  Engine bare;
+  EXPECT_THROW(bare.spawn(idleUntil(bare, 10), 0, {0}), std::invalid_argument);
+  EXPECT_EQ(bare.spawn(idleUntil(bare, 10)), 0u);
+}
+
+// Every event belongs to a spawned task: scheduling from host context with
+// no task, or for an id never spawned, is a logic error.
+TEST(Engine, ScheduleWithoutTaskThrows) {
+  Engine engine;
+  EXPECT_THROW(engine.schedule(5, std::noop_coroutine()), std::logic_error);
+  EXPECT_THROW(engine.schedule(5, std::noop_coroutine(), 0), std::logic_error);
+  engine.spawn(idleUntil(engine, 10));
+  EXPECT_THROW(engine.schedule(5, std::noop_coroutine(), 1), std::logic_error);
+  EXPECT_EQ(engine.nextEventTime(), 0u);
+  engine.run();
+  EXPECT_EQ(engine.now(), 10u);
+}
+
+// A barrier's members must be spawned tasks.
+TEST(Engine, BarrierRejectsUnspawnedMember) {
+  Engine engine;
+  engine.spawn(idleUntil(engine, 10));
+  EXPECT_THROW(engine.registerBarrier({0, 1}), std::invalid_argument);
+  EXPECT_EQ(engine.registerBarrier({0}), 0u);
 }
 
 // --- sync-aware wake-chain horizons ------------------------------------------
@@ -245,6 +240,13 @@ SimTask parkOnSync(Engine& engine, std::uint32_t sync, std::coroutine_handle<>& 
   co_await ParkOnSyncAwaiter{&slot, &task, &engine, sync};
 }
 
+/// Parks on a barrier registered after the spawns (its members must be
+/// spawned tasks): `barrier` is read when the task runs.
+SimTask parkOnBarrier(Engine& engine, const std::uint32_t& barrier,
+                      std::coroutine_handle<>& slot, std::size_t& task) {
+  co_await ParkOnSyncAwaiter{&slot, &task, &engine, barrier};
+}
+
 SimTask probeOne(Engine& engine, Tick at, std::uint32_t resource,
                  std::vector<Tick>& out) {
   co_await engine.resumeAt(at);
@@ -257,19 +259,18 @@ SimTask probeOne(Engine& engine, Tick at, std::uint32_t resource,
 // before its waker runs) instead of collapsing to the global next event —
 // here an unrelated early other-resource event.
 TEST(Engine, BlockedTaskBoundedByLateWakerKeepsNarrowHorizon) {
-  Engine engine;
-  engine.registerResources(2);
-  const std::uint32_t lock = engine.registerSyncObject();
+  Engine engine(2);
+  const std::uint32_t lock = engine.registerLock();
   std::coroutine_handle<> parked;
   std::size_t parked_task = Engine::kNoTask;
   std::vector<Tick> horizons;
-  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, 0);
-  engine.spawn(idleUntil(engine, 100), 0, 0);  // res-0 pending @100
+  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, {0});
+  engine.spawn(idleUntil(engine, 100), 0, {0});  // res-0 pending @100
   const std::size_t waker =
-      engine.spawn(wakeParked(engine, 700, parked, parked_task), 0, 1);
-  engine.spawn(idleUntil(engine, 50), 0, 1);  // unrelated res-1 @50
-  engine.spawn(probeOne(engine, 40, 0, horizons), 0, 0);
-  engine.setSyncWakers(lock, {waker});
+      engine.spawn(wakeParked(engine, 700, parked, parked_task), 0, {1});
+  engine.spawn(idleUntil(engine, 50), 0, {1});  // unrelated res-1 @50
+  engine.spawn(probeOne(engine, 40, 0, horizons), 0, {0});
+  engine.setLockHolder(lock, waker);
   engine.run();
   ASSERT_EQ(horizons.size(), 1u);
   // min(scoped @100, waker bound @700) = 100, not the unrelated @50.
@@ -280,17 +281,16 @@ TEST(Engine, BlockedTaskBoundedByLateWakerKeepsNarrowHorizon) {
 // mid-batch, so the blocked waiter contributes nothing and the horizon stays
 // scoped even though an unrelated event fires much earlier.
 TEST(Engine, BlockedTaskWhoseOnlyWakerIsCurrentKeepsNarrowHorizon) {
-  Engine engine;
-  engine.registerResources(2);
-  const std::uint32_t lock = engine.registerSyncObject();
+  Engine engine(2);
+  const std::uint32_t lock = engine.registerLock();
   std::coroutine_handle<> parked;
   std::size_t parked_task = Engine::kNoTask;
   std::vector<Tick> horizons;
-  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, 0);
-  engine.spawn(idleUntil(engine, 100), 0, 0);  // res-0 pending @100
-  engine.spawn(idleUntil(engine, 50), 0, 1);   // unrelated res-1 @50
-  const std::size_t prober = engine.spawn(probeOne(engine, 40, 0, horizons), 0, 0);
-  engine.setSyncWakers(lock, {prober});
+  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, {0});
+  engine.spawn(idleUntil(engine, 100), 0, {0});  // res-0 pending @100
+  engine.spawn(idleUntil(engine, 50), 0, {1});   // unrelated res-1 @50
+  const std::size_t prober = engine.spawn(probeOne(engine, 40, 0, horizons), 0, {0});
+  engine.setLockHolder(lock, prober);
   engine.run();
   // Drain leaves the parked task parked; wake it so the run can be reused.
   engine.schedule(engine.now(), parked, parked_task);
@@ -300,16 +300,15 @@ TEST(Engine, BlockedTaskWhoseOnlyWakerIsCurrentKeepsNarrowHorizon) {
 }
 
 TEST(Engine, BlockedTaskWithUnknownWakersForcesGlobalFallback) {
-  Engine engine;
-  engine.registerResources(2);
-  const std::uint32_t lock = engine.registerSyncObject();  // wakers never set
+  Engine engine(2);
+  const std::uint32_t lock = engine.registerLock();  // holder never declared
   std::coroutine_handle<> parked;
   std::size_t parked_task = Engine::kNoTask;
   std::vector<Tick> horizons;
-  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, 0);
-  engine.spawn(idleUntil(engine, 100), 0, 0);
-  engine.spawn(idleUntil(engine, 50), 0, 1);
-  engine.spawn(probeOne(engine, 40, 0, horizons), 0, 0);
+  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, {0});
+  engine.spawn(idleUntil(engine, 100), 0, {0});
+  engine.spawn(idleUntil(engine, 50), 0, {1});
+  engine.spawn(probeOne(engine, 40, 0, horizons), 0, {0});
   engine.run();
   engine.schedule(engine.now(), parked, parked_task);
   engine.run();
@@ -318,28 +317,27 @@ TEST(Engine, BlockedTaskWithUnknownWakersForcesGlobalFallback) {
 }
 
 // Wake chains recurse: the blocked task's waker is itself blocked on a
-// second sync object whose waker runs at 800 on another resource. The
-// horizon is bounded by the end of the chain, not the global next event.
+// second lock whose holder runs at 800 on another resource. The horizon is
+// bounded by the end of the chain, not the global next event.
 TEST(Engine, WakeChainRecursesThroughBlockedWakers) {
-  Engine engine;
-  engine.registerResources(2);
-  const std::uint32_t lock_a = engine.registerSyncObject();
-  const std::uint32_t lock_b = engine.registerSyncObject();
+  Engine engine(2);
+  const std::uint32_t lock_a = engine.registerLock();
+  const std::uint32_t lock_b = engine.registerLock();
   std::coroutine_handle<> parked_a;
   std::size_t task_a = Engine::kNoTask;
   std::coroutine_handle<> parked_b;
   std::size_t task_b = Engine::kNoTask;
   std::vector<Tick> horizons;
-  engine.spawn(parkOnSync(engine, lock_a, parked_a, task_a), 0, 0);
+  engine.spawn(parkOnSync(engine, lock_a, parked_a, task_a), 0, {0});
   const std::size_t chained =
-      engine.spawn(parkOnSync(engine, lock_b, parked_b, task_b), 0, 1);
-  engine.spawn(idleUntil(engine, 900), 0, 0);  // res-0 pending @900
+      engine.spawn(parkOnSync(engine, lock_b, parked_b, task_b), 0, {1});
+  engine.spawn(idleUntil(engine, 900), 0, {0});  // res-0 pending @900
   const std::size_t releaser =
-      engine.spawn(wakeParked(engine, 800, parked_b, task_b), 0, 1);
-  engine.spawn(idleUntil(engine, 50), 0, 1);  // unrelated res-1 @50
-  engine.spawn(probeOne(engine, 40, 0, horizons), 0, 0);
-  engine.setSyncWakers(lock_a, {chained});
-  engine.setSyncWakers(lock_b, {releaser});
+      engine.spawn(wakeParked(engine, 800, parked_b, task_b), 0, {1});
+  engine.spawn(idleUntil(engine, 50), 0, {1});  // unrelated res-1 @50
+  engine.spawn(probeOne(engine, 40, 0, horizons), 0, {0});
+  engine.setLockHolder(lock_a, chained);
+  engine.setLockHolder(lock_b, releaser);
   engine.run();
   engine.schedule(engine.now(), parked_a, task_a);
   engine.run();
@@ -348,55 +346,47 @@ TEST(Engine, WakeChainRecursesThroughBlockedWakers) {
   EXPECT_EQ(horizons[0], 800u);
 }
 
-// The kAll rule (barriers): the wake needs EVERY waker to have run, so the
-// bound is the latest of their earliest executions; kAny (locks) keeps the
-// earliest.
+// The barrier (kAll) rule: the wake needs EVERY member still to arrive to
+// have run, so the bound is the latest of their earliest executions.
 TEST(Engine, AllWakersRuleBoundsByLatestWaker) {
-  for (const Engine::WakerRule rule :
-       {Engine::WakerRule::kAny, Engine::WakerRule::kAll}) {
-    Engine engine;
-    engine.registerResources(2);
-    const std::uint32_t barrier = engine.registerSyncObject();
-    std::coroutine_handle<> parked;
-    std::size_t parked_task = Engine::kNoTask;
-    std::vector<Tick> horizons;
-    engine.spawn(parkOnSync(engine, barrier, parked, parked_task), 0, 0);
-    const std::size_t w1 = engine.spawn(idleUntil(engine, 100), 0, 1);
-    const std::size_t w2 = engine.spawn(idleUntil(engine, 600), 0, 1);
-    engine.spawn(idleUntil(engine, 400), 0, 0);  // res-0 pending @400
-    engine.spawn(probeOne(engine, 40, 0, horizons), 0, 0);
-    engine.setSyncWakers(barrier, {w1, w2}, rule);
-    engine.run();
-    engine.schedule(engine.now(), parked, parked_task);
-    engine.run();
-    ASSERT_EQ(horizons.size(), 1u);
-    // kAll: min(scoped @400, max(100, 600)) = 400.
-    // kAny: min(scoped @400, min(100, 600)) = 100.
-    EXPECT_EQ(horizons[0], rule == Engine::WakerRule::kAll ? 400u : 100u);
-  }
-}
-
-// --- episodic waker sets (barrier episode upkeep) ----------------------------
-
-// setSyncEpisodeWakers declares the full membership once; removeSyncWaker
-// stamps a member out for the CURRENT episode only. Semantics must match
-// what a full setSyncWakers rebuild without the removed member would give.
-TEST(Engine, EpisodicRemovalMatchesRebuiltWakerSet) {
-  Engine engine;
-  engine.registerResources(2);
-  const std::uint32_t barrier = engine.registerSyncObject();
+  Engine engine(2);
+  std::uint32_t barrier = Engine::kNoSync;
   std::coroutine_handle<> parked;
   std::size_t parked_task = Engine::kNoTask;
   std::vector<Tick> horizons;
-  engine.spawn(parkOnSync(engine, barrier, parked, parked_task), 0, 0);
-  const std::size_t w1 = engine.spawn(idleUntil(engine, 100), 0, 1);
-  const std::size_t w2 = engine.spawn(idleUntil(engine, 600), 0, 1);
-  engine.spawn(idleUntil(engine, 400), 0, 0);  // res-0 pending @400
-  engine.spawn(probeOne(engine, 40, 0, horizons), 0, 0);
-  engine.setSyncEpisodeWakers(barrier, {w1, w2}, Engine::WakerRule::kAll);
+  engine.spawn(parkOnBarrier(engine, barrier, parked, parked_task), 0, {0});
+  const std::size_t w1 = engine.spawn(idleUntil(engine, 100), 0, {1});
+  const std::size_t w2 = engine.spawn(idleUntil(engine, 600), 0, {1});
+  engine.spawn(idleUntil(engine, 400), 0, {0});  // res-0 pending @400
+  engine.spawn(probeOne(engine, 40, 0, horizons), 0, {0});
+  barrier = engine.registerBarrier({w1, w2});
+  engine.run();
+  engine.schedule(engine.now(), parked, parked_task);
+  engine.run();
+  ASSERT_EQ(horizons.size(), 1u);
+  // min(scoped @400, max(100, 600)) = 400.
+  EXPECT_EQ(horizons[0], 400u);
+}
+
+// --- barrier episodes ---------------------------------------------------------
+
+// An arrival stamps a member out for the CURRENT episode only: the bound
+// must match a barrier that never had the arrived member.
+TEST(Engine, EpisodicRemovalMatchesRebuiltWakerSet) {
+  Engine engine(2);
+  std::uint32_t barrier = Engine::kNoSync;
+  std::coroutine_handle<> parked;
+  std::size_t parked_task = Engine::kNoTask;
+  std::vector<Tick> horizons;
+  engine.spawn(parkOnBarrier(engine, barrier, parked, parked_task), 0, {0});
+  const std::size_t w1 = engine.spawn(idleUntil(engine, 100), 0, {1});
+  const std::size_t w2 = engine.spawn(idleUntil(engine, 600), 0, {1});
+  engine.spawn(idleUntil(engine, 400), 0, {0});  // res-0 pending @400
+  engine.spawn(probeOne(engine, 40, 0, horizons), 0, {0});
+  barrier = engine.registerBarrier({w1, w2});
   // w2 "arrived": only w1 remains a potential waker, so the kAll bound drops
   // from max(100, 600) = 600 to 100 and undercuts the scoped @400.
-  engine.removeSyncWaker(barrier, w2);
+  engine.arriveAtBarrier(barrier, w2);
   engine.run();
   engine.schedule(engine.now(), parked, parked_task);
   engine.run();
@@ -404,24 +394,23 @@ TEST(Engine, EpisodicRemovalMatchesRebuiltWakerSet) {
   EXPECT_EQ(horizons[0], 100u);
 }
 
-// A new episode restores full membership in O(1): after resetSyncEpisode the
-// previously removed member counts again, exactly as if the set had been
-// rebuilt from scratch.
-TEST(Engine, ResetSyncEpisodeRestoresFullMembership) {
-  Engine engine;
-  engine.registerResources(2);
-  const std::uint32_t barrier = engine.registerSyncObject();
+// A new episode restores full membership in O(1): after startBarrierEpisode
+// the member that arrived counts again, exactly as if the barrier had been
+// registered from scratch.
+TEST(Engine, NewBarrierEpisodeRestoresFullMembership) {
+  Engine engine(2);
+  std::uint32_t barrier = Engine::kNoSync;
   std::coroutine_handle<> parked;
   std::size_t parked_task = Engine::kNoTask;
   std::vector<Tick> horizons;
-  engine.spawn(parkOnSync(engine, barrier, parked, parked_task), 0, 0);
-  const std::size_t w1 = engine.spawn(idleUntil(engine, 100), 0, 1);
-  const std::size_t w2 = engine.spawn(idleUntil(engine, 600), 0, 1);
-  engine.spawn(idleUntil(engine, 400), 0, 0);
-  engine.spawn(probeOne(engine, 40, 0, horizons), 0, 0);
-  engine.setSyncEpisodeWakers(barrier, {w1, w2}, Engine::WakerRule::kAll);
-  engine.removeSyncWaker(barrier, w2);
-  engine.resetSyncEpisode(barrier);  // next episode: w2 is a waker again
+  engine.spawn(parkOnBarrier(engine, barrier, parked, parked_task), 0, {0});
+  const std::size_t w1 = engine.spawn(idleUntil(engine, 100), 0, {1});
+  const std::size_t w2 = engine.spawn(idleUntil(engine, 600), 0, {1});
+  engine.spawn(idleUntil(engine, 400), 0, {0});
+  engine.spawn(probeOne(engine, 40, 0, horizons), 0, {0});
+  barrier = engine.registerBarrier({w1, w2});
+  engine.arriveAtBarrier(barrier, w2);
+  engine.startBarrierEpisode(barrier);  // next episode: w2 is a waker again
   engine.run();
   engine.schedule(engine.now(), parked, parked_task);
   engine.run();
@@ -430,25 +419,24 @@ TEST(Engine, ResetSyncEpisodeRestoresFullMembership) {
   EXPECT_EQ(horizons[0], 400u);
 }
 
-// Removal stamps from an earlier episode must not leak into the next one,
-// and re-removal after a reset must work (the generation counter, not the
-// membership vector, carries the state).
+// Arrival stamps from an earlier episode must not leak into the next one,
+// and a second arrival after a new episode must count (the generation
+// counter, not the membership vector, carries the state).
 TEST(Engine, EpisodicRemovalIsPerEpisode) {
-  Engine engine;
-  engine.registerResources(2);
-  const std::uint32_t barrier = engine.registerSyncObject();
+  Engine engine(2);
+  std::uint32_t barrier = Engine::kNoSync;
   std::coroutine_handle<> parked;
   std::size_t parked_task = Engine::kNoTask;
   std::vector<Tick> horizons;
-  engine.spawn(parkOnSync(engine, barrier, parked, parked_task), 0, 0);
-  const std::size_t w1 = engine.spawn(idleUntil(engine, 100), 0, 1);
-  const std::size_t w2 = engine.spawn(idleUntil(engine, 600), 0, 1);
-  engine.spawn(idleUntil(engine, 400), 0, 0);
-  engine.spawn(probeOne(engine, 40, 0, horizons), 0, 0);
-  engine.setSyncEpisodeWakers(barrier, {w1, w2}, Engine::WakerRule::kAll);
-  engine.removeSyncWaker(barrier, w2);
-  engine.resetSyncEpisode(barrier);
-  engine.removeSyncWaker(barrier, w2);  // re-removed in the NEW episode
+  engine.spawn(parkOnBarrier(engine, barrier, parked, parked_task), 0, {0});
+  const std::size_t w1 = engine.spawn(idleUntil(engine, 100), 0, {1});
+  const std::size_t w2 = engine.spawn(idleUntil(engine, 600), 0, {1});
+  engine.spawn(idleUntil(engine, 400), 0, {0});
+  engine.spawn(probeOne(engine, 40, 0, horizons), 0, {0});
+  barrier = engine.registerBarrier({w1, w2});
+  engine.arriveAtBarrier(barrier, w2);
+  engine.startBarrierEpisode(barrier);
+  engine.arriveAtBarrier(barrier, w2);  // arrived again in the NEW episode
   engine.run();
   engine.schedule(engine.now(), parked, parked_task);
   engine.run();
@@ -457,15 +445,14 @@ TEST(Engine, EpisodicRemovalIsPerEpisode) {
 }
 
 // The recursion-path regression: a waker reached through two sibling
-// subtrees of a kAll sync (w1's chain goes through w2; w2 is also a direct
-// waker) must not be mistaken for a cycle on the second visit — the chain
+// subtrees of a barrier (w1's chain goes through w2; w2 is also a direct
+// member) must not be mistaken for a cycle on the second visit — the chain
 // can fire, bounded by the pending event at its end.
 TEST(Engine, SharedWakerAcrossSiblingSubtreesIsNotACycle) {
-  Engine engine;
-  engine.registerResources(2);
-  const std::uint32_t barrier = engine.registerSyncObject();
-  const std::uint32_t lock_1 = engine.registerSyncObject();
-  const std::uint32_t lock_2 = engine.registerSyncObject();
+  Engine engine(2);
+  std::uint32_t barrier = Engine::kNoSync;
+  const std::uint32_t lock_1 = engine.registerLock();
+  const std::uint32_t lock_2 = engine.registerLock();
   std::coroutine_handle<> parked_b;
   std::size_t task_b = Engine::kNoTask;
   std::coroutine_handle<> parked_w1;
@@ -473,18 +460,18 @@ TEST(Engine, SharedWakerAcrossSiblingSubtreesIsNotACycle) {
   std::coroutine_handle<> parked_w2;
   std::size_t task_w2 = Engine::kNoTask;
   std::vector<Tick> horizons;
-  engine.spawn(parkOnSync(engine, barrier, parked_b, task_b), 0, 0);
+  engine.spawn(parkOnBarrier(engine, barrier, parked_b, task_b), 0, {0});
   const std::size_t w1 =
-      engine.spawn(parkOnSync(engine, lock_1, parked_w1, task_w1), 0, 1);
+      engine.spawn(parkOnSync(engine, lock_1, parked_w1, task_w1), 0, {1});
   const std::size_t w2 =
-      engine.spawn(parkOnSync(engine, lock_2, parked_w2, task_w2), 0, 1);
-  const std::size_t w3 = engine.spawn(idleUntil(engine, 800), 0, 1);
-  engine.spawn(idleUntil(engine, 900), 0, 0);  // res-0 pending @900
-  engine.spawn(idleUntil(engine, 50), 0, 1);   // unrelated res-1 @50
-  engine.spawn(probeOne(engine, 40, 0, horizons), 0, 0);
-  engine.setSyncWakers(barrier, {w1, w2}, Engine::WakerRule::kAll);
-  engine.setSyncWakers(lock_1, {w2});
-  engine.setSyncWakers(lock_2, {w3});
+      engine.spawn(parkOnSync(engine, lock_2, parked_w2, task_w2), 0, {1});
+  const std::size_t w3 = engine.spawn(idleUntil(engine, 800), 0, {1});
+  engine.spawn(idleUntil(engine, 900), 0, {0});  // res-0 pending @900
+  engine.spawn(idleUntil(engine, 50), 0, {1});   // unrelated res-1 @50
+  engine.spawn(probeOne(engine, 40, 0, horizons), 0, {0});
+  barrier = engine.registerBarrier({w1, w2});
+  engine.setLockHolder(lock_1, w2);
+  engine.setLockHolder(lock_2, w3);
   engine.run();
   for (auto [h, t] : {std::pair{parked_w2, task_w2}, std::pair{parked_w1, task_w1},
                       std::pair{parked_b, task_b}}) {
@@ -497,20 +484,19 @@ TEST(Engine, SharedWakerAcrossSiblingSubtreesIsNotACycle) {
   EXPECT_EQ(horizons[0], 800u);
 }
 
-// A kAll sync whose required wakers include the running task can never
-// release mid-batch: the blocked waiter contributes nothing at all.
+// A barrier whose members still to arrive include the running task can
+// never release mid-batch: the blocked waiter contributes nothing at all.
 TEST(Engine, AllWakersRuleWithCurrentTaskRequiredNeverFiresMidBatch) {
-  Engine engine;
-  engine.registerResources(2);
-  const std::uint32_t barrier = engine.registerSyncObject();
+  Engine engine(2);
+  std::uint32_t barrier = Engine::kNoSync;
   std::coroutine_handle<> parked;
   std::size_t parked_task = Engine::kNoTask;
   std::vector<Tick> horizons;
-  engine.spawn(parkOnSync(engine, barrier, parked, parked_task), 0, 0);
-  const std::size_t w1 = engine.spawn(idleUntil(engine, 10), 0, 1);  // early waker
-  engine.spawn(idleUntil(engine, 400), 0, 0);
-  const std::size_t prober = engine.spawn(probeOne(engine, 40, 0, horizons), 0, 0);
-  engine.setSyncWakers(barrier, {w1, prober}, Engine::WakerRule::kAll);
+  engine.spawn(parkOnBarrier(engine, barrier, parked, parked_task), 0, {0});
+  const std::size_t w1 = engine.spawn(idleUntil(engine, 10), 0, {1});  // early waker
+  engine.spawn(idleUntil(engine, 400), 0, {0});
+  const std::size_t prober = engine.spawn(probeOne(engine, 40, 0, horizons), 0, {0});
+  barrier = engine.registerBarrier({w1, prober});
   engine.run();
   engine.schedule(engine.now(), parked, parked_task);
   engine.run();
@@ -520,12 +506,12 @@ TEST(Engine, AllWakersRuleWithCurrentTaskRequiredNeverFiresMidBatch) {
 
 // --- the O(1) kAll bound against the reference scan --------------------------
 
-/// How one randomized kAll waker is occupied when the probe runs.
+/// How one randomized barrier member is occupied when the probe runs.
 enum class WakerState : std::uint8_t { kPending, kDone, kUnknownPark, kChained };
 
-/// The kAll wake bound as the engine's O(wakers) scan computes it, over the
-/// test's own record of the waker set: the reference the engine's O(1)
-/// shortcut must reproduce. `current` lists the wakers still required.
+/// The kAll wake bound as an O(members) scan computes it, over the test's
+/// own record of the members: the reference the engine's O(1) shortcut must
+/// reproduce. `current` lists the members still to arrive.
 Tick referenceAllBound(const std::vector<std::size_t>& current, std::size_t blocked,
                        std::size_t running, const std::vector<WakerState>& state,
                        const std::vector<Tick>& earliest, Tick global_next) {
@@ -545,25 +531,24 @@ Tick referenceAllBound(const std::vector<std::size_t>& current, std::size_t bloc
   return bound;
 }
 
-// Random kAll waker sets (episodic and not), random removal states, and a
-// running prober that may or may not be a current waker: the horizon the
-// engine reports for the barrier-parked task must equal the reference scan
-// in every trial, so the O(1) shortcut can only ever return what the scan
-// would have.
+// Random barrier memberships, random arrival stamps (stale ones from an
+// earlier episode included), and a running prober that may or may not be a
+// member still to arrive: the horizon the engine reports for the
+// barrier-parked task must equal the reference scan in every trial, so the
+// O(1) shortcut can only ever return what the scan would have.
 TEST(Engine, AllWakersShortcutMatchesReferenceScan) {
   std::mt19937 rng(20240615);
   int shortcut_trials = 0;
   int scanned_trials = 0;
   for (int trial = 0; trial < 300; ++trial) {
-    Engine engine;
-    engine.registerResources(2);
-    const std::uint32_t barrier = engine.registerSyncObject();
+    Engine engine(2);
+    std::uint32_t barrier = Engine::kNoSync;
     std::coroutine_handle<> parked;
     std::size_t parked_task = Engine::kNoTask;
     // Task 0: the barrier-parked task, alone in res 0's class, so res 0's
     // horizon is exactly its wake bound.
     const std::size_t blocked =
-        engine.spawn(parkOnSync(engine, barrier, parked, parked_task), 0, 0);
+        engine.spawn(parkOnBarrier(engine, barrier, parked, parked_task), 0, {0});
 
     const int n = static_cast<int>(rng() % 7) + 1;
     std::vector<WakerState> state(static_cast<std::size_t>(2 * n + 2), WakerState::kPending);
@@ -579,24 +564,24 @@ TEST(Engine, AllWakersShortcutMatchesReferenceScan) {
       std::size_t id = 0;
       switch (pick) {
         case WakerState::kPending:
-          id = engine.spawn(idleUntil(engine, when), 0, 1);
+          id = engine.spawn(idleUntil(engine, when), 0, {1});
           global_next = std::min(global_next, when);
           break;
         case WakerState::kDone:
-          id = engine.spawn(idleUntil(engine, 10), 0, 1);  // finished by the probe
+          id = engine.spawn(idleUntil(engine, 10), 0, {1});  // finished by the probe
           break;
         case WakerState::kUnknownPark:
           id = engine.spawn(parkThenFinish(engine, slots[wakers.size()],
                                            slot_tasks[wakers.size()]),
-                            0, 1);
+                            0, {1});
           break;
         case WakerState::kChained: {
           // Blocked on its own lock whose holder runs at `when`.
-          const std::uint32_t lock = engine.registerSyncObject();
+          const std::uint32_t lock = engine.registerLock();
           id = engine.spawn(parkOnSync(engine, lock, slots[wakers.size()],
                                        slot_tasks[wakers.size()]),
-                            0, 1);
-          const std::size_t releaser = engine.spawn(idleUntil(engine, when), 0, 1);
+                            0, {1});
+          const std::size_t releaser = engine.spawn(idleUntil(engine, when), 0, {1});
           global_next = std::min(global_next, when);
           chains.emplace_back(lock, releaser);
           break;
@@ -607,33 +592,28 @@ TEST(Engine, AllWakersShortcutMatchesReferenceScan) {
       wakers.push_back(id);
     }
     std::vector<Tick> horizons;
-    const std::size_t prober = engine.spawn(probeOne(engine, 40, 0, horizons), 0, 1);
+    const std::size_t prober = engine.spawn(probeOne(engine, 40, 0, horizons), 0, {1});
     if (rng() % 2 == 0) wakers.push_back(prober);
     if (rng() % 5 == 0) wakers.push_back(blocked);  // a task cannot wake itself
     std::shuffle(wakers.begin(), wakers.end(), rng);
 
-    const bool episodic = rng() % 2 == 0;
-    if (episodic) {
-      engine.setSyncEpisodeWakers(barrier, wakers, Engine::WakerRule::kAll);
-      if (rng() % 2 == 0) {
-        // Stale stamps from an earlier episode must not count as removals.
-        for (const std::size_t w : wakers) {
-          if (rng() % 2 == 0) engine.removeSyncWaker(barrier, w);
-        }
-        engine.resetSyncEpisode(barrier);
+    barrier = engine.registerBarrier(wakers);
+    if (rng() % 2 == 0) {
+      // Stale stamps from an earlier episode must not count as arrivals.
+      for (const std::size_t w : wakers) {
+        if (rng() % 2 == 0) engine.arriveAtBarrier(barrier, w);
       }
-    } else {
-      engine.setSyncWakers(barrier, wakers, Engine::WakerRule::kAll);
+      engine.startBarrierEpisode(barrier);
     }
     std::vector<std::size_t> current;
     for (const std::size_t w : wakers) {
       if (rng() % 3 == 0) {
-        engine.removeSyncWaker(barrier, w);
+        engine.arriveAtBarrier(barrier, w);
       } else {
         current.push_back(w);
       }
     }
-    for (const auto& [lock, releaser] : chains) engine.setSyncWakers(lock, {releaser});
+    for (const auto& [lock, releaser] : chains) engine.setLockHolder(lock, releaser);
     const bool shortcut =
         std::find(current.begin(), current.end(), prober) != current.end();
     (shortcut ? shortcut_trials : scanned_trials) += 1;
@@ -642,7 +622,7 @@ TEST(Engine, AllWakersShortcutMatchesReferenceScan) {
 
     engine.run();
     ASSERT_EQ(horizons.size(), 1u) << "trial " << trial;
-    EXPECT_EQ(horizons[0], expected) << "trial " << trial << " episodic " << episodic;
+    EXPECT_EQ(horizons[0], expected) << "trial " << trial;
   }
   // Both the shortcut and the full scan were exercised.
   EXPECT_GT(shortcut_trials, 50);
@@ -666,15 +646,14 @@ SimTask probeParked(Engine& engine, Tick at, std::uint32_t resource, ParkCounts&
 // A waiter on a lock the running task holds cannot be woken until the
 // running task releases it — never mid-batch — so it counts as parked.
 TEST(Engine, ParkedTasksCountLockHeldByRunningTask) {
-  Engine engine;
-  engine.registerResources(2);
-  const std::uint32_t lock = engine.registerSyncObject();
+  Engine engine(2);
+  const std::uint32_t lock = engine.registerLock();
   std::coroutine_handle<> parked;
   std::size_t parked_task = Engine::kNoTask;
   ParkCounts counts;
-  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, 0);
-  const std::size_t prober = engine.spawn(probeParked(engine, 40, 0, counts), 0, 0);
-  engine.setSyncWakers(lock, {prober});
+  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, {0});
+  const std::size_t prober = engine.spawn(probeParked(engine, 40, 0, counts), 0, {0});
+  engine.setLockHolder(lock, prober);
   engine.run();
   EXPECT_EQ(counts.alive, 2u);
   EXPECT_EQ(counts.blocked, 1u);
@@ -684,18 +663,17 @@ TEST(Engine, ParkedTasksCountLockHeldByRunningTask) {
 // The barrier case: the running task has not arrived, so the release (the
 // last arrival) cannot happen mid-batch.
 TEST(Engine, ParkedTasksCountBarrierTheRunningTaskHasNotReached) {
-  Engine engine;
-  engine.registerResources(2);
-  const std::uint32_t barrier = engine.registerSyncObject();
+  Engine engine(2);
+  std::uint32_t barrier = Engine::kNoSync;
   std::coroutine_handle<> parked;
   std::size_t parked_task = Engine::kNoTask;
   ParkCounts counts;
   const std::size_t b =
-      engine.spawn(parkOnSync(engine, barrier, parked, parked_task), 0, 0);
-  const std::size_t peer = engine.spawn(idleUntil(engine, 500), 0, 1);
-  const std::size_t prober = engine.spawn(probeParked(engine, 40, 0, counts), 0, 0);
-  engine.setSyncEpisodeWakers(barrier, {b, peer, prober}, Engine::WakerRule::kAll);
-  engine.removeSyncWaker(barrier, b);
+      engine.spawn(parkOnBarrier(engine, barrier, parked, parked_task), 0, {0});
+  const std::size_t peer = engine.spawn(idleUntil(engine, 500), 0, {1});
+  const std::size_t prober = engine.spawn(probeParked(engine, 40, 0, counts), 0, {0});
+  barrier = engine.registerBarrier({b, peer, prober});
+  engine.arriveAtBarrier(barrier, b);
   engine.run();
   EXPECT_EQ(counts.blocked, 1u);
   EXPECT_EQ(counts.parked, 1u);
@@ -704,16 +682,15 @@ TEST(Engine, ParkedTasksCountBarrierTheRunningTaskHasNotReached) {
 // A waiter on a lock held by a peer with a pending event can be woken the
 // moment that peer runs: it is blocked, but not parked.
 TEST(Engine, ParkedTasksExcludeLockHeldByPendingPeer) {
-  Engine engine;
-  engine.registerResources(2);
-  const std::uint32_t lock = engine.registerSyncObject();
+  Engine engine(2);
+  const std::uint32_t lock = engine.registerLock();
   std::coroutine_handle<> parked;
   std::size_t parked_task = Engine::kNoTask;
   ParkCounts counts;
-  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, 0);
-  const std::size_t holder = engine.spawn(idleUntil(engine, 500), 0, 1);
-  engine.spawn(probeParked(engine, 40, 0, counts), 0, 0);
-  engine.setSyncWakers(lock, {holder});
+  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, {0});
+  const std::size_t holder = engine.spawn(idleUntil(engine, 500), 0, {1});
+  engine.spawn(probeParked(engine, 40, 0, counts), 0, {0});
+  engine.setLockHolder(lock, holder);
   engine.run();
   EXPECT_EQ(counts.blocked, 1u);
   EXPECT_EQ(counts.parked, 0u);
@@ -735,11 +712,10 @@ SimTask wedge(Engine& engine, Tick at) {
 // A wedged task (unknown park) is alive but neither blocked nor parked, so
 // alive − members can never equal the parked count: closure stays unproven.
 TEST(Engine, WedgedTaskStillBreaksClosure) {
-  Engine engine;
-  engine.registerResources(2);
+  Engine engine(2);
   ParkCounts counts;
-  engine.spawn(wedge(engine, 10), 0, 0);
-  engine.spawn(probeParked(engine, 40, 0, counts), 0, 0);
+  engine.spawn(wedge(engine, 10), 0, {0});
+  engine.spawn(probeParked(engine, 40, 0, counts), 0, {0});
   engine.run();
   EXPECT_EQ(counts.alive, 2u);  // the wedged task plus the prober
   EXPECT_EQ(counts.blocked, 0u);
@@ -883,35 +859,39 @@ TEST(Engine, NextEventTimeSeesEarliestOfMany) {
 
 // --- the pending set against a reference priority queue ---------------------
 
-/// Differential harness for the engine's queue: every schedule the fuzz
-/// tasks make is mirrored into a plain list of pending entries, and every
-/// resume must be the list's minimum under (when, task before host, task id,
-/// host insertion seq). At each resume the harness also checks
-/// nextEventTime() and nextEventTimeFor(r) against scans of its own state.
+/// Differential harness for the engine's queue and its two sync kinds:
+/// every schedule the fuzz tasks make is mirrored into a plain list of
+/// pending entries, and every resume must be the list's minimum under
+/// (when, task id). At each resume the harness also checks nextEventTime(),
+/// nextEventTimeFor(r) and the closure tallies against scans of its own
+/// state, including every blocked task's wake bound through its lock's
+/// holder (kAny) or the barrier's members still to arrive (kAll).
 struct QueueFuzz {
   enum class State : std::uint8_t { kPending, kRunning, kParked, kBlocked, kDone };
   struct Pending {
     Tick when;
-    bool host;
-    std::size_t id;  ///< task id, or host-event index
-    std::uint64_t seq;
+    std::size_t id;
   };
   static constexpr std::uint32_t kResources = 3;
 
   explicit QueueFuzz(std::uint64_t seed) : rng(seed) {}
 
-  Engine engine;
+  Engine engine{kResources};
   std::mt19937_64 rng;
   std::vector<State> state;
   std::vector<Tick> pending_when;  ///< per task, valid while kPending
-  std::vector<std::vector<std::uint32_t>> reach;  ///< empty: universal
+  std::vector<std::vector<std::uint32_t>> reach;
   std::vector<std::uint32_t> sync;                ///< per task: its own lock
-  std::vector<std::size_t> waker;                 ///< that lock's one waker
+  std::vector<std::size_t> waker;                 ///< that lock's holder
   std::vector<std::coroutine_handle<>> parked;    ///< per task, while parked
-  std::vector<SimTask> host_events;  ///< never spawned; each fires at most once
-  std::size_t next_host = 0;
+  // The barrier: its members, who arrived this episode, who waits on it.
+  std::uint32_t barrier = Engine::kNoSync;
+  std::vector<std::size_t> members;
+  std::vector<std::uint8_t> member;
+  std::vector<std::uint8_t> arrived;
+  std::vector<std::uint8_t> on_barrier;  ///< kBlocked on the barrier, not the lock
+  std::size_t releases = 0;
   std::vector<Pending> ref;
-  std::uint64_t host_seq = 0;
   std::size_t pops = 0;
   std::string failure;  ///< first mismatch, if any
 
@@ -920,32 +900,30 @@ struct QueueFuzz {
     if (!ok && failure.empty()) failure = what + " at pop " + std::to_string(pops);
   }
   static bool firesBefore(const Pending& a, const Pending& b) {
-    if (a.when != b.when) return a.when < b.when;
-    if (a.host != b.host) return !a.host;
-    return a.host ? a.seq < b.seq : a.id < b.id;
+    return a.when != b.when ? a.when < b.when : a.id < b.id;
   }
   void expectTask(std::size_t task, Tick when) {
-    ref.push_back({when, false, task, 0});
+    ref.push_back({when, task});
     state[task] = State::kPending;
     pending_when[task] = when;
   }
-  void expectHost(std::size_t index, Tick when) {
-    ref.push_back({when, true, index, host_seq++});
+  /// Wake a parked or blocked task (from a task or from host context).
+  void wake(std::size_t task, Tick when) {
+    engine.schedule(when, parked[task], task);
+    expectTask(task, when);
+    on_barrier[task] = 0;
   }
   [[nodiscard]] bool reaches(std::size_t task, std::uint32_t r) const {
-    return reach[task].empty() ||
-           std::find(reach[task].begin(), reach[task].end(), r) != reach[task].end();
+    return std::find(reach[task].begin(), reach[task].end(), r) != reach[task].end();
   }
   [[nodiscard]] Tick refNext() const {
     Tick next = Engine::kNever;
     for (const Pending& p : ref) next = std::min(next, p.when);
     return next;
   }
-  /// kAny wake bound of blocked `b` through its lock's single waker.
-  Tick refWakeBound(std::size_t b, std::size_t running,
-                    std::vector<std::size_t>& visited) const {
-    const std::size_t w = waker[b];
-    if (w == b || w == running) return Engine::kNever;
+  /// Earliest execution of waker `w` (the engine's earliestRun).
+  Tick refEarliest(std::size_t w, std::size_t running,
+                   std::vector<std::size_t>& visited) const {
     switch (state[w]) {
       case State::kPending: return pending_when[w];
       case State::kParked: return refNext();
@@ -963,83 +941,130 @@ struct QueueFuzz {
     }
     return Engine::kNever;
   }
+  /// Wake bound of blocked `b`: kAny through its lock's one holder, or kAll
+  /// over the barrier's members still to arrive (a plain scan, no shortcut).
+  Tick refWakeBound(std::size_t b, std::size_t running,
+                    std::vector<std::size_t>& visited) const {
+    if (on_barrier[b] != 0) {
+      Tick bound = 0;
+      for (const std::size_t m : members) {
+        if (arrived[m] != 0 || m == b) continue;
+        if (m == running) return Engine::kNever;
+        const Tick t = refEarliest(m, running, visited);
+        if (t == Engine::kNever) return Engine::kNever;
+        bound = std::max(bound, t);
+      }
+      return bound;
+    }
+    const std::size_t w = waker[b];
+    if (w == Engine::kNoTask) return refNext();  // holder unknown
+    if (w == b || w == running) return Engine::kNever;
+    return refEarliest(w, running, visited);
+  }
+  [[nodiscard]] Tick refBound(std::size_t b, std::size_t running) const {
+    std::vector<std::size_t> visited{b};
+    return refWakeBound(b, running, visited);
+  }
   [[nodiscard]] Tick refHorizon(std::uint32_t r, std::size_t running) const {
     Tick horizon = Engine::kNever;
     for (const Pending& p : ref) {
-      if (p.host || reaches(p.id, r)) horizon = std::min(horizon, p.when);
+      if (reaches(p.id, r)) horizon = std::min(horizon, p.when);
     }
     for (std::size_t t = 0; t < state.size(); ++t) {
       if (!reaches(t, r)) continue;
       if (state[t] == State::kParked) return refNext();  // unknown park
-      if (state[t] == State::kBlocked) {
-        std::vector<std::size_t> visited{t};
-        horizon = std::min(horizon, refWakeBound(t, running, visited));
-      }
+      if (state[t] == State::kBlocked) horizon = std::min(horizon, refBound(t, running));
     }
     return horizon;
   }
-  void onResume(bool host, std::size_t id) {
+  void onResume(std::size_t id) {
     ++pops;
     const auto it = std::min_element(ref.begin(), ref.end(), firesBefore);
     if (it == ref.end()) {
       check(false, "resume with nothing pending");
       return;
     }
-    check(it->when == engine.now() && it->host == host && it->id == id,
-          "resumed " + std::string(host ? "host " : "task ") + std::to_string(id) +
-              " @" + std::to_string(engine.now()) + ", reference " +
-              std::string(it->host ? "host " : "task ") + std::to_string(it->id) + " @" +
+    check(it->when == engine.now() && it->id == id,
+          "resumed task " + std::to_string(id) + " @" + std::to_string(engine.now()) +
+              ", reference task " + std::to_string(it->id) + " @" +
               std::to_string(it->when));
     ref.erase(it);
-    const std::size_t running = host ? Engine::kNoTask : id;
-    if (!host) state[id] = State::kRunning;
-    check(engine.currentTaskId() == running, "currentTaskId");
+    state[id] = State::kRunning;
+    check(engine.currentTaskId() == id, "currentTaskId");
     check(engine.nextEventTime() == refNext(), "nextEventTime");
     for (std::uint32_t r = 0; r < kResources; ++r) {
-      check(engine.nextEventTimeFor(r) == refHorizon(r, running),
-            "nextEventTimeFor(" + std::to_string(r) + ")");
+      const std::string at = "(" + std::to_string(r) + ")";
+      check(engine.nextEventTimeFor(r) == refHorizon(r, id), "nextEventTimeFor" + at);
+      std::size_t alive = 0;
+      std::size_t blocked = 0;
+      std::size_t never = 0;
+      for (std::size_t t = 0; t < state.size(); ++t) {
+        if (!reaches(t, r) || state[t] == State::kDone) continue;
+        ++alive;
+        if (state[t] != State::kBlocked) continue;
+        ++blocked;
+        if (refBound(t, id) == Engine::kNever) ++never;
+      }
+      check(engine.aliveTasksReaching(r) == alive, "aliveTasksReaching" + at);
+      check(engine.blockedTasksReaching(r) == blocked, "blockedTasksReaching" + at);
+      check(engine.parkedTasksReaching(r) == never, "parkedTasksReaching" + at);
     }
   }
-  /// Non-suspending moves of the running task: wake a parked task (at an
-  /// equal or later Tick) and/or file a host event.
+  /// Non-suspending move of the running task: wake a task parked by an
+  /// unknown mechanism or blocked on its lock (at an equal or later Tick).
+  /// Barrier waiters are woken only by the barrier's release.
   void sideActions() {
-    if (draw(3) == 0) {
-      std::vector<std::size_t> sleepers;
-      for (std::size_t t = 0; t < state.size(); ++t) {
-        if (state[t] == State::kParked || state[t] == State::kBlocked) sleepers.push_back(t);
-      }
-      if (!sleepers.empty()) {
-        const std::size_t t = sleepers[draw(sleepers.size())];
-        const Tick when = engine.now() + draw(3);
-        engine.schedule(when, parked[t], t);
-        expectTask(t, when);
+    if (draw(3) != 0) return;
+    std::vector<std::size_t> sleepers;
+    for (std::size_t t = 0; t < state.size(); ++t) {
+      if (state[t] == State::kParked || (state[t] == State::kBlocked && on_barrier[t] == 0)) {
+        sleepers.push_back(t);
       }
     }
-    if (draw(5) == 0 && next_host < host_events.size()) {
-      const Tick when = engine.now() + draw(4);
-      engine.schedule(when, host_events[next_host].handle(), Engine::kNoTask);
-      expectHost(next_host++, when);
+    if (!sleepers.empty()) wake(sleepers[draw(sleepers.size())], engine.now() + draw(3));
+  }
+  /// Member `id` arrives. Returns true when it must park: the last arrival
+  /// instead releases every waiter and starts a new episode.
+  bool arrive(std::size_t id) {
+    arrived[id] = 1;
+    engine.arriveAtBarrier(barrier, id);
+    for (const std::size_t m : members) {
+      if (arrived[m] == 0) return true;
     }
+    for (std::size_t t = 0; t < state.size(); ++t) {
+      if (on_barrier[t] != 0) wake(t, engine.now() + draw(3));
+    }
+    std::fill(arrived.begin(), arrived.end(), 0);
+    engine.startBarrierEpisode(barrier);
+    ++releases;
+    return false;
   }
 };
 
-/// Parks the running fuzz task, registered on its lock or not.
+/// Parks the running fuzz task: on its lock, on the barrier, or by a
+/// mechanism the engine does not know.
 struct FuzzPark {
+  enum class On : std::uint8_t { kLock, kBarrier, kUnknown };
   QueueFuzz* f;
   std::size_t task;
-  bool registered;
+  On on;
   [[nodiscard]] bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) const {
     f->parked[task] = h;
-    f->state[task] = registered ? QueueFuzz::State::kBlocked : QueueFuzz::State::kParked;
-    if (registered) f->engine.blockOnSync(task, f->sync[task]);
+    f->state[task] = on == On::kUnknown ? QueueFuzz::State::kParked
+                                        : QueueFuzz::State::kBlocked;
+    if (on == On::kLock) f->engine.blockOnSync(task, f->sync[task]);
+    if (on == On::kBarrier) {
+      f->on_barrier[task] = 1;
+      f->engine.blockOnSync(task, f->barrier);
+    }
   }
   void await_resume() const noexcept {}
 };
 
 SimTask fuzzTask(QueueFuzz& f, std::size_t id) {
   for (int step = 0;; ++step) {
-    f.onResume(false, id);
+    f.onResume(id);
     f.sideActions();
     const Tick pick = f.draw(12);
     if (pick == 0 || step == 30) {
@@ -1047,7 +1072,9 @@ SimTask fuzzTask(QueueFuzz& f, std::size_t id) {
       co_return;
     }
     if (pick <= 3) {
-      co_await FuzzPark{&f, id, pick <= 2};
+      co_await FuzzPark{&f, id, pick <= 2 ? FuzzPark::On::kLock : FuzzPark::On::kUnknown};
+    } else if (pick <= 5 && f.member[id] != 0 && f.arrived[id] == 0 && f.arrive(id)) {
+      co_await FuzzPark{&f, id, FuzzPark::On::kBarrier};
     } else {
       const Tick when = f.engine.now() + 1 + f.draw(4);  // small: many collisions
       f.expectTask(id, when);
@@ -1056,17 +1083,14 @@ SimTask fuzzTask(QueueFuzz& f, std::size_t id) {
   }
 }
 
-SimTask fuzzHostEvent(QueueFuzz& f, std::size_t index) {
-  f.onResume(true, index);
-  co_return;
-}
-
-// The one-slot-per-task queue against the reference order. Each trial
-// spawns tasks with random reach sets (universal ones included) and random
-// start Ticks, files host events before run() and from inside tasks, lets
-// tasks park (registered on a lock whose one waker is another task, or by
-// an unknown mechanism), wake each other at equal or later Ticks and
-// finish, then wakes the leftovers from host context and runs again.
+// The one-slot-per-task queue and both sync kinds against the reference.
+// Each trial spawns tasks with random reach sets and random start Ticks,
+// gives each task a lock held by a random task (or by no declared holder)
+// and a random subset of them a barrier. Tasks park on their lock, arrive
+// at the barrier (the last arrival releases the waiters and starts a new
+// episode) or park by an unknown mechanism, wake each other at equal or
+// later Ticks and finish; the leftovers are then woken from host context
+// under their own ids and run again.
 TEST(Engine, TaskSlotQueueMatchesReferenceOrder) {
   {
     // The ascending-(time, task) order on the simplest schedule.
@@ -1078,36 +1102,38 @@ TEST(Engine, TaskSlotQueueMatchesReferenceOrder) {
     EXPECT_EQ(log, (std::vector<int>{2, 102, 1, 101}));
   }
   std::size_t total_pops = 0;
+  std::size_t total_releases = 0;
   for (std::uint64_t trial = 0; trial < 2000; ++trial) {
     QueueFuzz f(trial * 0x9E3779B97F4A7C15ULL + 7);
-    f.engine.registerResources(QueueFuzz::kResources);
     const std::size_t tasks = 2 + f.draw(11);
     f.state.assign(tasks, QueueFuzz::State::kPending);
     f.pending_when.assign(tasks, 0);
     f.parked.assign(tasks, {});
+    f.member.assign(tasks, 0);
+    f.arrived.assign(tasks, 0);
+    f.on_barrier.assign(tasks, 0);
     for (std::size_t t = 0; t < tasks; ++t) {
       std::vector<std::uint32_t> reach;
       for (std::uint32_t r = 0; r < QueueFuzz::kResources; ++r) {
         if (f.draw(2) == 0) reach.push_back(r);
       }
+      if (reach.empty()) reach.push_back(static_cast<std::uint32_t>(f.draw(QueueFuzz::kResources)));
       f.reach.push_back(reach);
-      f.sync.push_back(f.engine.registerSyncObject());
-      f.waker.push_back(f.draw(tasks));
+      f.sync.push_back(f.engine.registerLock());
+      const std::size_t holder = f.draw(tasks + 1);
+      f.waker.push_back(holder == tasks ? Engine::kNoTask : holder);
+      if (f.draw(2) == 0) {
+        f.member[t] = 1;
+        f.members.push_back(t);
+      }
     }
-    for (std::size_t t = 0; t < tasks; ++t) {
-      f.engine.setSyncWakers(f.sync[t], {f.waker[t]});
-    }
-    for (std::size_t i = 0; i < 16; ++i) f.host_events.push_back(fuzzHostEvent(f, i));
     for (std::size_t t = 0; t < tasks; ++t) {
       const Tick start = f.draw(4);
       f.expectTask(t, start);
-      f.engine.spawnReaching(fuzzTask(f, t), start, f.reach[t]);
+      f.engine.spawn(fuzzTask(f, t), start, f.reach[t]);
     }
-    for (int i = 0; i < 2; ++i) {
-      const Tick when = f.draw(6);
-      f.engine.schedule(when, f.host_events[f.next_host].handle());
-      f.expectHost(f.next_host++, when);
-    }
+    for (std::size_t t = 0; t < tasks; ++t) f.engine.setLockHolder(f.sync[t], f.waker[t]);
+    f.barrier = f.engine.registerBarrier(f.members);
     EXPECT_EQ(f.engine.nextEventTime(), f.refNext()) << "trial " << trial;
     f.engine.run();
     for (std::size_t t = 0; t < tasks; ++t) {
@@ -1116,17 +1142,17 @@ TEST(Engine, TaskSlotQueueMatchesReferenceOrder) {
         continue;
       }
       if (f.draw(2) == 0) continue;
-      const Tick when = f.engine.now() + f.draw(3);
-      f.engine.schedule(when, f.parked[t], t);
-      f.expectTask(t, when);
+      f.wake(t, f.engine.now() + f.draw(3));
     }
     f.engine.run();
     EXPECT_EQ(f.failure, "") << "trial " << trial;
     EXPECT_TRUE(f.ref.empty()) << "trial " << trial;
     EXPECT_EQ(f.engine.nextEventTime(), Engine::kNever) << "trial " << trial;
     total_pops += f.pops;
+    total_releases += f.releases;
   }
   EXPECT_GT(total_pops, 50000u);
+  EXPECT_GT(total_releases, 500u);
 }
 
 TEST(Engine, WallClockInstrumentation) {
@@ -1176,12 +1202,12 @@ TEST(Engine, ParkedTaskReturnsNormallyByDefault) {
 TEST(Engine, HangDetectionThrowsDeadlockWithWaitForGraph) {
   Engine engine;
   engine.setHangDetection(true);
-  const std::uint32_t sync = engine.registerSyncObject();
+  const std::uint32_t sync = engine.registerLock();
   engine.spawn(parkOnSyncAfter(engine, sync, 10));  // task 0: blocked on sync
   engine.spawn(parkAfter(engine, 20));              // task 1: wedged, no sync
   std::vector<int> log;
   engine.spawn(recorder(engine, log, 7, 5));        // task 2: completes
-  engine.setSyncWakers(sync, {1});
+  engine.setLockHolder(sync, 1);
   try {
     engine.run();
     FAIL() << "expected DeadlockError";
@@ -1213,7 +1239,7 @@ TEST(Engine, HangDetectionPassesCleanCompletion) {
 TEST(Engine, SyncTimeoutThrowsOnOverstayedPark) {
   Engine engine;
   engine.setSyncTimeout(50);
-  const std::uint32_t sync = engine.registerSyncObject();
+  const std::uint32_t sync = engine.registerLock();
   engine.spawn(parkOnSyncAfter(engine, sync, 10));  // parks at t=10
   std::vector<int> log;
   engine.spawn(recorder(engine, log, 1, 100));  // events at t=100, t=200
@@ -1224,7 +1250,7 @@ TEST(Engine, SyncTimeoutThrowsOnOverstayedPark) {
 TEST(Engine, SyncTimeoutSparesWaitsWithinBudget) {
   Engine engine;
   engine.setSyncTimeout(500);
-  const std::uint32_t sync = engine.registerSyncObject();
+  const std::uint32_t sync = engine.registerLock();
   engine.spawn(parkOnSyncAfter(engine, sync, 10));
   std::vector<int> log;
   engine.spawn(recorder(engine, log, 1, 100));  // longest gap after park: 190
@@ -1263,14 +1289,13 @@ SimTask probeSeries(Engine& engine, std::uint32_t resource, std::vector<Tick>& o
 // bound it, the idle tasks on other resources never do, and the bound is
 // monotone as the partner's events drain.
 TEST(Engine, HorizonProbesTrackOnlyTheResourcesOwnClass) {
-  Engine engine;
-  engine.registerResources(4);
+  Engine engine(4);
   std::vector<Tick> out;
-  engine.spawn(probeSeries(engine, 0, out), 0, 0);  // probes at 25, 50, 75, 100
+  engine.spawn(probeSeries(engine, 0, out), 0, {0});  // probes at 25, 50, 75, 100
   std::vector<int> plog;
-  engine.spawn(recorder(engine, plog, 9, 40), 0, 0);  // partner events at 40, 80
+  engine.spawn(recorder(engine, plog, 9, 40), 0, {0});  // partner events at 40, 80
   for (std::uint32_t res = 1; res < 4; ++res) {
-    engine.spawn(idleUntil(engine, 60 + static_cast<Tick>(res)), 0, res);
+    engine.spawn(idleUntil(engine, 60 + static_cast<Tick>(res)), 0, {res});
   }
   engine.run();
   EXPECT_EQ(out, (std::vector<Tick>{40, 80, 80, Engine::kNever}));

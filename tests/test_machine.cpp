@@ -380,6 +380,40 @@ TEST(Machine, ComputeChargesCoreCycles) {
   EXPECT_EQ(t, 100u * 1250u);
 }
 
+// launch() fixes each task's reach from the routing placements registered
+// so far, so a striped, pinned or first-touch placement registered later
+// would leave tasks reaching too few controllers: it throws (in every build
+// type) and registers nothing. kOwnerCompute only restates the default and
+// is still accepted.
+TEST(Machine, RoutingPlacementAfterLaunchRejected) {
+  using partition::ControllerPlacement;
+  SccMachine machine;
+  const std::uint64_t base = machine.shmalloc(4096);
+  machine.launch(LaunchSpec(2, [&](CoreContext& ctx) { return timedCompute(ctx); }));
+  for (const ControllerPlacement placement :
+       {ControllerPlacement::kStriped, ControllerPlacement::kPinned,
+        ControllerPlacement::kFirstTouch}) {
+    EXPECT_THROW(machine.setShmControllerPlacement(base, base + 4096, placement, 1),
+                 std::logic_error);
+  }
+  EXPECT_EQ(machine.controllerForShmAccess(0, base), machine.mesh().controllerOfCore(0));
+  EXPECT_EQ(machine.controllerForShmAccess(47, base), machine.mesh().controllerOfCore(47));
+  EXPECT_NO_THROW(machine.setShmControllerPlacement(base, base + 4096,
+                                                    ControllerPlacement::kOwnerCompute));
+  EXPECT_EQ(machine.run(), 100u * 1250u);
+}
+
+// The SCC has one test-and-set register per core: an id outside
+// [0, num_cores) throws instead of growing the lock table (a negative id
+// would cast to SIZE_MAX and allocate locks until bad_alloc).
+TEST(Machine, LockRejectsIdOutsideCores) {
+  SccMachine machine;  // 48 cores
+  EXPECT_THROW((void)machine.lock(-1), std::out_of_range);
+  EXPECT_THROW((void)machine.lock(48), std::out_of_range);
+  EXPECT_FALSE(machine.lock(47).held());
+  EXPECT_FALSE(machine.lock(0).held());
+}
+
 SimTask oneShmRead(CoreContext& ctx, std::uint64_t off) {
   std::uint64_t v = 0;
   co_await ctx.shmRead(off, &v, 8);
