@@ -349,6 +349,47 @@ inline sim::SimTask mpbPingPong(sim::CoreContext& ctx, std::uint64_t off, int ro
   }
 }
 
+/// Cached streaming against one controller: the UEs whose quadrant
+/// controller is controller 0 each read their own window of a cached region
+/// (every line a fill), update it in place (hits that dirty every line) and
+/// release at the barrier (every line a write-back), round after round. Their
+/// fill runs, then their write-back runs, contend line by line — the shape of
+/// DotProduct's cached vectors at 8 UEs per controller. The other UEs only
+/// keep the barrier.
+inline sim::SimTask swcacheStreamer(sim::CoreContext& ctx, std::uint64_t base, int rounds,
+                                    std::size_t window_bytes) {
+  const bool streams = ctx.machine().controllerOfCore(ctx.core()) == 0;
+  std::vector<std::uint64_t> buf(window_bytes / 8);
+  const std::uint64_t mine = base + static_cast<std::uint64_t>(ctx.ue()) * window_bytes;
+  for (int r = 0; r < rounds; ++r) {
+    if (streams) {
+      co_await ctx.shmRead(mine, buf.data(), window_bytes);
+      for (std::uint64_t& v : buf) v = v * 3 + static_cast<std::uint64_t>(r);
+      co_await ctx.computeOps(buf.size(), sim::OpClass::IntAlu);
+      co_await ctx.shmWrite(mine, buf.data(), window_bytes);
+    }
+    co_await ctx.barrier();
+  }
+}
+
+/// LU's rotating pivot broadcast over the MPB: each round one owner deposits
+/// a row into its own slice, and after the barrier every UE gets that row —
+/// all of them through the owner's one port at once.
+inline sim::SimTask mpbBroadcast(sim::CoreContext& ctx, std::uint64_t slot, int rounds,
+                                 std::size_t bytes) {
+  std::vector<std::uint8_t> row(bytes);
+  for (int r = 0; r < rounds; ++r) {
+    const int owner = r % ctx.numUes();
+    if (ctx.ue() == owner) {
+      for (std::size_t i = 0; i < bytes; ++i) row[i] = static_cast<std::uint8_t>(r + i);
+      co_await rcce::put(ctx, owner, slot, row.data(), bytes);
+    }
+    co_await ctx.barrier();
+    co_await rcce::get(ctx, owner, slot, row.data(), bytes);
+    co_await ctx.compute(4000 + static_cast<std::uint64_t>(ctx.ue() % 3) * 1500);
+  }
+}
+
 inline sim::SimTask bulkReader(sim::CoreContext& ctx, std::uint64_t base, int blocks) {
   std::vector<std::uint8_t> buf(2048);
   for (int i = 0; i < blocks; ++i) {
@@ -374,6 +415,8 @@ inline const ExecutionPlan kRingPlan{{RegionPlan{
 inline const ExecutionPlan kMixedPlan{
     {RegionPlan{"blocks", PlacementClass::kOffChipUncached, MpbPattern::kNone, 8 * kBlock},
      RegionPlan{"slot", PlacementClass::kOnChipResident, MpbPattern::kNeighborRing, 512}}};
+inline const ExecutionPlan kBroadcastPlan{{RegionPlan{
+    "pivot_row", PlacementClass::kOnChipResident, MpbPattern::kRotatingBroadcast, 1024}}};
 // The plan-driven twins of the staggered and synced word scenarios launch
 // through this (MPB-free) plan with their regions mapped off-chip-uncached.
 inline const ExecutionPlan kWordPlan{{RegionPlan{
@@ -660,6 +703,41 @@ inline const TimedScenario kTimedScenarios[] = {
      References::kPolicies},
     {"kv_zipf_8ue", [] { return kvZipfWorkload(ControllerPlacement::kOwnerCompute); },
      Mode{}, References::kPlacements},
+    // 32 UEs launched so that eight share controller 0; the region is
+    // registered cacheable by the set-up, so the legacy reference caches too.
+    {"swcache_lines_contended_8ue",
+     [] {
+       constexpr std::size_t kWindow = 4096;
+       return Workload{.ues = 32,
+                       .repetitions = 10,
+                       .setup =
+                           [](sim::SccMachine& m) {
+                             const std::size_t bytes = 32 * kWindow;
+                             const std::uint64_t base =
+                                 m.shmalloc(bytes, m.config().cache_line_bytes);
+                             auto* g = reinterpret_cast<std::uint64_t*>(m.shmData(base));
+                             for (std::size_t i = 0; i < bytes / 8; ++i) g[i] = i;
+                             m.setShmCacheability(base, base + bytes, true);
+                             m.launch(sim::LaunchSpec(32, [=](sim::CoreContext& ctx) {
+                               return swcacheStreamer(ctx, base, 8, kWindow);
+                             }));
+                           },
+                       .extract_bytes = 32 * kWindow};
+     },
+     Mode{}, References::kLegacy},
+    {"mpb_broadcast_8ue",
+     [] {
+       return Workload{.ues = 8,
+                       .repetitions = 150,
+                       .setup = [](sim::SccMachine& m) {
+                         rcce::RcceEnv env(m);
+                         const std::uint64_t slot = env.mpbMallocSymmetric(8, 1024);
+                         m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
+                                    return mpbBroadcast(ctx, slot, 16, 1024);
+                                  }).withPlan(&kBroadcastPlan));
+                       }};
+     },
+     Mode{}, References::kLegacy},
 };
 
 /// One run of syncedWords() on a fresh machine: obs_trace_8ue's kernel.
