@@ -181,9 +181,9 @@ inline sim::SimTask syncedMix(sim::CoreContext& ctx, std::uint64_t base,
 /// Word-granular hammer against one shared 4 KB block. Expressed as uncached
 /// block reads: the run loop issues the exact per-word transaction recurrence
 /// the old read-per-word loop did (identical Ticks), but presents each pass
-/// as ONE in-flight word-run — which is what lets round-robin contention
-/// batching (SccMachine's joint solve) collapse interleaved turns into a few
-/// events per task instead of one per word.
+/// as ONE in-flight word run — which is what lets the joint replay
+/// (SccMachine::timedRun) collapse interleaved turns into a few events per
+/// task instead of one per word.
 inline sim::SimTask wordHammer(sim::CoreContext& ctx, std::uint64_t base, int words) {
   std::vector<std::uint8_t> buf(512 * 8);
   int left = words;

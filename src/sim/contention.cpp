@@ -6,9 +6,9 @@
 namespace hsm::sim {
 namespace {
 
-/// Whether `a`'s next word is acquired before `b`'s: the engine's event key
-/// (when, task id), except that the live caller's first word goes first at
-/// its tick.
+/// Whether `a`'s next transaction is acquired before `b`'s: the engine's
+/// event key (when, task id), except that the live caller's first
+/// transaction goes first at its tick.
 bool acquiresBefore(const ReplayMember& a, const ReplayMember& b) {
   if (a.t != b.t) return a.t < b.t;
   const bool a_live = a.is_self && a.done == 0;
@@ -20,8 +20,8 @@ bool acquiresBefore(const ReplayMember& a, const ReplayMember& b) {
 }  // namespace
 
 JointReplay replayJointRuns(std::vector<ReplayMember>& members,
-                            ResourceTimeline& timeline, Tick issue_overhead,
-                            Tick service, const ReplayStallFn& stall) {
+                            ResourceTimeline& timeline, Tick horizon,
+                            const ReplayStallFn& stall) {
   const std::size_t n = members.size();
   JointReplay out{0, 0};
   bool jump = !stall;
@@ -39,8 +39,11 @@ JointReplay replayJointRuns(std::vector<ReplayMember>& members,
       if (acquiresBefore(members[i], members[pick])) pick = i;
     }
     ReplayMember& m = members[pick];
-    const Tick arrival = m.t + issue_overhead + m.hop;
-    Tick svc = service;
+    // Picks come in time order: once the earliest issues at the horizon, a
+    // non-member may run first, and every later pick is past it too.
+    if (m.t >= horizon && !(m.is_self && m.done == 0)) break;
+    const Tick arrival = m.t + m.overhead + m.hop;
+    Tick svc = m.service;
     if (stall) svc += stall(m, arrival, timeline.requests());
     m.t = timeline.acquire(arrival, svc) + m.hop;
     ++m.done;
@@ -49,8 +52,8 @@ JointReplay replayJointRuns(std::vector<ReplayMember>& members,
     if (!jump || ++window_picks < n) continue;
 
     // Window boundary: does this window translate the previous one? A
-    // window that held the live caller's first word does not: that word's
-    // tie-break is not the key later windows use.
+    // window that held the live caller's first transaction does not: that
+    // transaction's tie-break is not the key later windows use.
     window_picks = 0;
     const Tick delta = timeline.nextFree() - window_free;
     const bool repeats =
@@ -67,24 +70,33 @@ JointReplay replayJointRuns(std::vector<ReplayMember>& members,
       continue;
     }
     // Jump k whole windows, stopping one window short of the first finisher
-    // (which the word loop below then meets exactly as it would have).
+    // (which the stepwise loop below then meets exactly as it would have),
+    // and issuing nothing at or after the horizon: window j of the jump
+    // issues each member's transaction at its t + j * delta.
     jump = false;
-    const std::size_t k =
-        std::min_element(members.begin(), members.end(),
-                         [](const ReplayMember& a, const ReplayMember& b) {
-                           return a.remaining < b.remaining;
-                         })->remaining -
-        1;
+    std::size_t k = SIZE_MAX;
+    Tick latest = 0;
+    Tick busy = 0;
+    for (const ReplayMember& r : members) {
+      k = std::min(k, r.remaining - 1);
+      latest = std::max(latest, r.t);
+      busy += r.service;
+    }
+    if (latest >= horizon) {
+      k = 0;
+    } else if (horizon != Engine::kNever && delta > 0) {
+      k = std::min<std::size_t>(k, (horizon - 1 - latest) / delta + 1);
+    }
     if (k == 0) continue;
     for (ReplayMember& r : members) {
       r.t += k * delta;
       r.done += k;
       r.remaining -= k;
     }
-    timeline.advance(k * delta, k * n * service, k * n);
-    out.words += k * n;
+    timeline.advance(k * delta, k * busy, k * n);
+    out.txns += k * n;
   }
-  out.words += out.stepped;
+  out.txns += out.stepped;
   return out;
 }
 

@@ -121,8 +121,9 @@ std::uint32_t Engine::internReachClass(std::vector<std::uint32_t> reach) {
   return cls;
 }
 
-Tick Engine::earliestRun(std::size_t w, std::vector<std::size_t>& visited) const {
-  if (task_done_[w]) return kNever;  // finished: inert
+Tick Engine::earliestRun(std::size_t w, std::vector<std::size_t>& visited,
+                         std::span<const std::size_t> members) const {
+  if (task_done_[w] || isMember(w)) return kNever;  // inert, or mid-batch
   if (task_pending_when_[w] != kNever) return task_pending_when_[w];
   // No pending event and not registered blocked: parked by an unknown
   // mechanism — any event could wake it.
@@ -133,35 +134,37 @@ Tick Engine::earliestRun(std::size_t w, std::vector<std::size_t>& visited) const
   // `visited` is the current recursion path: pop after returning so a waker
   // explored in a sibling subtree is not mistaken for a cycle.
   visited.push_back(w);
-  const Tick bound = wakeBound(w, visited);
+  const Tick bound = wakeBound(w, visited, members);
   visited.pop_back();
   return bound;
 }
 
-Tick Engine::wakeBound(std::size_t task, std::vector<std::size_t>& visited) const {
+Tick Engine::wakeBound(std::size_t task, std::vector<std::size_t>& visited,
+                       std::span<const std::size_t> members) const {
   const std::uint32_t sync = task_blocked_sync_[task];
   if (sync == kNoSync) return nextEventTime();
   const SyncObject& s = syncs_[sync];
-  const std::size_t running = currentTaskId();
 
   if (!s.barrier) {
     if (s.holder == kNoTask) return nextEventTime();  // holder unknown
-    // A task cannot wake itself, and the running task performs no sync
-    // releases mid-batch (see header).
-    if (s.holder == task || s.holder == running) return kNever;
-    return earliestRun(s.holder, visited);
+    // A task cannot wake itself, and a member performs no sync releases
+    // mid-batch (see header).
+    if (s.holder == task) return kNever;
+    return earliestRun(s.holder, visited, members);
   }
   // Every member still to arrive must run before the release: the bound is
   // the latest of their earliest executions, and a required member that can
-  // never act again (the running task mid-batch, a finished task, a
-  // deadlocked chain) means the wake cannot fire within any horizon. The
-  // running task still to arrive is the common case (tasks parked at a
-  // barrier the caller has not reached) and is answered in O(1).
-  if (running != task && s.awaited(running)) return kNever;
+  // never act again (a batch member, a finished task, a deadlocked chain)
+  // means the wake cannot fire within any horizon. A batch member still to
+  // arrive is the common case (tasks parked at a barrier the batch's tasks
+  // have not reached) and is answered from the few batch members' stamps.
+  for (const std::size_t m : members) {
+    if (m != task && s.awaited(m)) return kNever;
+  }
   Tick bound = 0;
   for (const std::size_t w : s.members) {
     if (w == task || !s.awaited(w)) continue;
-    const Tick earliest = earliestRun(w, visited);
+    const Tick earliest = earliestRun(w, visited, members);
     if (earliest == kNever) return kNever;
     bound = std::max(bound, earliest);
   }
@@ -169,7 +172,20 @@ Tick Engine::wakeBound(std::size_t task, std::vector<std::size_t>& visited) cons
 }
 
 Tick Engine::nextEventTimeFor(std::uint32_t resource) const {
+  const std::size_t running = currentTaskId();
+  if (running == kNoTask) return nextEventTimeFor(resource, {});
+  return nextEventTimeFor(resource, std::span<const std::size_t>(&running, 1));
+}
+
+Tick Engine::nextEventTimeFor(std::uint32_t resource,
+                              std::span<const std::size_t> members) const {
   if (resource >= resource_classes_.size()) return nextEventTime();
+  ++member_epoch_;
+  for (const std::size_t m : members) {
+    assert((m == currentTaskId() || task_pending_when_[m] != kNever) &&
+           "a member is the running task or has a pending event");
+    member_mark_[m] = member_epoch_;
+  }
   // Blocked = alive but no pending event (parked on a lock/barrier). The
   // running task itself has no pending event either; it is excluded, not
   // blocked. A blocked task reaching this resource collapses the horizon to
@@ -183,14 +199,17 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource) const {
     if (running != kNoTask && task_class_[running] == cls) --blocked;
     if (blocked > c.blocked_registered) return nextEventTime();
     if (c.pending_count == 0) continue;
-    for (const std::size_t m : c.members) horizon = std::min(horizon, task_pending_when_[m]);
+    for (const std::size_t m : c.members) {
+      const Tick when = task_pending_when_[m];
+      if (when < horizon && !isMember(m)) horizon = when;
+    }
   }
   // Every registered blocked task that can reach this resource bounds the
   // horizon by the earliest execution of its wake chain.
   for (const std::size_t b : blocked_tasks_) {
     if (!classReaches(task_class_[b], resource)) continue;
     wake_path_.assign(1, b);
-    horizon = std::min(horizon, wakeBound(b, wake_path_));
+    horizon = std::min(horizon, wakeBound(b, wake_path_, members));
   }
   return horizon;
 }
@@ -224,32 +243,6 @@ std::uint32_t Engine::registerBarrier(std::vector<std::size_t> members) {
 void Engine::arriveAtBarrier(std::uint32_t barrier, std::size_t task) {
   SyncObject& s = syncs_[barrier];
   if (task < s.stamp.size() && s.stamp[task] != 0) s.stamp[task] = s.generation;
-}
-
-std::size_t Engine::aliveTasksReaching(std::uint32_t resource) const {
-  if (resource >= resource_classes_.size()) return 0;
-  std::int64_t n = 0;
-  for (const std::uint32_t cls : resource_classes_[resource]) n += classes_[cls].alive;
-  return static_cast<std::size_t>(n);
-}
-
-std::size_t Engine::blockedTasksReaching(std::uint32_t resource) const {
-  if (resource >= resource_classes_.size()) return 0;
-  std::int64_t n = 0;
-  for (const std::uint32_t cls : resource_classes_[resource]) {
-    n += classes_[cls].blocked_registered;
-  }
-  return static_cast<std::size_t>(n);
-}
-
-std::size_t Engine::parkedTasksReaching(std::uint32_t resource) const {
-  std::size_t n = 0;
-  for (const std::size_t b : blocked_tasks_) {
-    if (!classReaches(task_class_[b], resource)) continue;
-    wake_path_.assign(1, b);
-    if (wakeBound(b, wake_path_) == kNever) ++n;
-  }
-  return n;
 }
 
 void Engine::blockOnSync(std::size_t task, std::uint32_t sync) {
@@ -287,6 +280,7 @@ std::size_t Engine::spawn(SimTask task, Tick start, std::vector<std::uint32_t> r
   task_blocked_index_.push_back(0);
   task_blocked_at_.push_back(0);
   task_done_.push_back(false);
+  member_mark_.push_back(0);
   completion_.push_back(0);
   growTree(id + 1);
   ++classes_[cls].alive;

@@ -23,8 +23,8 @@
 // and barrier-wake order at equal-Tick collisions.
 //
 // Coalescing invariant (per-resource horizons): platform models sitting
-// above this kernel (SccMachine's word-granular shared-memory path and its
-// chunk-granular MPB path) may collapse a run of per-operation suspensions
+// above this kernel (SccMachine's uncached-word, swcache-line and MPB-chunk
+// runs) may collapse a run of per-operation suspensions
 // into one analytically-computed event, but ONLY while every skipped
 // suspension would provably have executed before any other coroutine could
 // touch the same resource timeline. The kernel hosts a single namespace of
@@ -53,16 +53,20 @@
 //     first and the bound is the MAX of their earliest executions (kAll).
 // A waker with a pending event contributes that event's time; a waker that
 // is itself blocked recurses into its own sync object; a cycle of blocked
-// wakers can never fire. The currently running task is excluded as a waker
-// — the horizon is only ever consulted mid-batch, and a batch replaces a
-// contiguous run of memory operations during which the caller performs no
-// sync-object operations — so a lock it holds cannot be released and a
-// barrier it has not reached cannot release mid-batch at all (answered in
-// O(1) from the arrival stamps, without walking the members).
-// The same rule lets a platform model widen a closure proof: a blocked
-// task whose wake bound is kNever (parkedTasksReaching) cannot touch any
-// resource until the running task performs a sync operation, so a batch
-// that ends while the running task is still mid-run may treat it as absent.
+// wakers can never fire.
+//
+// Member sets: `nextEventTimeFor(r, members)` is the horizon over the tasks
+// that are NOT members — the running task plus tasks with a pending event
+// whose next moves a platform model is about to replay itself (SccMachine's
+// joint replay of the runs in flight on one resource). A member's pending
+// slot is not counted, and as a waker a member contributes kNever: the
+// horizon is only ever consulted mid-batch, and a batch ends before any
+// member leaves its run of memory operations, so no member performs a sync
+// operation inside it — a lock a member holds cannot be released and a
+// barrier a member has not reached cannot release mid-batch at all
+// (answered from the arrival stamps, without walking the barrier's
+// members). `nextEventTimeFor(r)` is the set of the running task alone.
+//
 // Under these rules coalescing may reduce `eventsProcessed()` but never
 // changes any Tick: makespan, per-task completion times, and every
 // resource-timeline state transition are bit-identical with coalescing on
@@ -70,11 +74,13 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -308,10 +314,23 @@ class Engine {
   /// Per-resource coalescing horizon: earliest pending event among tasks
   /// whose reach set contains `resource`, bounded further by the wake
   /// chains of blocked tasks reaching `resource` (see the header comment for
-  /// the exactness argument). Falls back to the global nextEventTime() when
-  /// such a task is parked by an unknown mechanism or `resource` is
-  /// unregistered.
+  /// the exactness argument), with the running task excluded. Falls back to
+  /// the global nextEventTime() when such a task is parked by an unknown
+  /// mechanism or `resource` is unregistered.
   [[nodiscard]] Tick nextEventTimeFor(std::uint32_t resource) const;
+  /// The same horizon over the non-members of `members`: the running task
+  /// and tasks with a pending event, about to be replayed together (header
+  /// comment). Their pending slots are not counted and, as wakers, they
+  /// contribute kNever.
+  [[nodiscard]] Tick nextEventTimeFor(std::uint32_t resource,
+                                      std::span<const std::size_t> members) const;
+  /// Move pending task `task`'s event later, to `when`: its next moves up to
+  /// `when` were replayed by a platform model (the joint replay defers each
+  /// member it advanced to where its replayed run stopped).
+  void deferPending(std::size_t task, Tick when) {
+    assert(task_pending_when_[task] != kNever && task_pending_when_[task] <= when);
+    setSlot(task, when);
+  }
 
   // -- synchronization objects (wake-chain tracking) --
   /// Register a one-holder lock. Its holder is unknown — waiters fall back
@@ -333,26 +352,6 @@ class Engine {
   /// Report that `task` parked on `sync` with no pending event. Cleared
   /// automatically when a wake is scheduled for the task.
   void blockOnSync(std::size_t task, std::uint32_t sync);
-
-  /// Number of alive (spawned, unfinished) tasks whose reach set contains
-  /// `resource` — including blocked ones and the caller. Exact: every task
-  /// declares its reach. Platform models use this to prove a contention
-  /// pattern is CLOSED: round-robin contention batching fires only when
-  /// every task that could ever touch a controller is a known member of the
-  /// batch.
-  [[nodiscard]] std::size_t aliveTasksReaching(std::uint32_t resource) const;
-  /// Tasks registered as blocked (blockOnSync) whose reach set contains
-  /// `resource`. O(reach classes): the cheap precheck before
-  /// parkedTasksReaching. Tasks parked by a mechanism the kernel does not
-  /// know (e.g. a permanent core freeze) are not counted.
-  [[nodiscard]] std::size_t blockedTasksReaching(std::uint32_t resource) const;
-  /// Of those, the tasks whose wake chain can never fire while the running
-  /// task stays mid-batch (wake bound kNever: parked at a barrier the
-  /// running task has not reached, on a lock the running task holds, or on
-  /// a chain that can never fire at all). O(registered blocked tasks).
-  /// Platform models use it to widen a closure proof: such tasks cannot
-  /// touch `resource` until the running task performs a sync operation.
-  [[nodiscard]] std::size_t parkedTasksReaching(std::uint32_t resource) const;
 
   /// Adopt a task and schedule its first resume at `start`. `reach` is the
   /// set of registered resource timelines the task may ever touch; throws
@@ -482,12 +481,17 @@ class Engine {
   /// Earliest time the wake chain of blocked `task` could execute (see
   /// header comment). `visited` carries the chain walked so far for cycle
   /// detection.
-  [[nodiscard]] Tick wakeBound(std::size_t task,
-                               std::vector<std::size_t>& visited) const;
-  /// Earliest time waker `w` could execute: its pending event, its own wake
-  /// chain when blocked, kNever when finished, and the global
-  /// nextEventTime() when it is parked by an unknown mechanism.
-  [[nodiscard]] Tick earliestRun(std::size_t w, std::vector<std::size_t>& visited) const;
+  [[nodiscard]] Tick wakeBound(std::size_t task, std::vector<std::size_t>& visited,
+                               std::span<const std::size_t> members) const;
+  /// Earliest time waker `w` could execute: kNever when it is a member or
+  /// finished, its pending event, its own wake chain when blocked, and the
+  /// global nextEventTime() when it is parked by an unknown mechanism.
+  [[nodiscard]] Tick earliestRun(std::size_t w, std::vector<std::size_t>& visited,
+                                 std::span<const std::size_t> members) const;
+  /// Whether `task` is in the member set of the horizon query running now.
+  [[nodiscard]] bool isMember(std::size_t task) const {
+    return member_mark_[task] == member_epoch_;
+  }
   /// Throw SyncTimeout if any registered blocked task overstayed
   /// sync_timeout_. Called per event from run(); cheap when nothing blocks.
   /// Non-const: it records a kReport trace instant before throwing.
@@ -530,6 +534,11 @@ class Engine {
   /// Recursion scratch for nextEventTimeFor's wake-chain walk, reused so
   /// the horizon query stays allocation-free in steady state.
   mutable std::vector<std::size_t> wake_path_;
+  /// Per task: member_epoch_ while it is in the member set of the horizon
+  /// query running now (each query bumps the epoch, so marks never need
+  /// clearing).
+  mutable std::vector<std::uint64_t> member_mark_;
+  mutable std::uint64_t member_epoch_ = 0;
 
   // -- robustness / no-progress detection --
   bool hang_detection_ = false;

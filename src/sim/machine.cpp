@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <new>
 #include <stdexcept>
+#include <string>
 
 namespace hsm::sim {
 namespace {
@@ -251,21 +253,56 @@ struct CoreContext::Transfer {
   }
 };
 
+namespace {
+
+std::string rangeText(std::uint64_t offset, std::size_t bytes) {
+  return "[" + std::to_string(offset) + ", " + std::to_string(offset + bytes) + ")";
+}
+
+}  // namespace
+
+void CoreContext::checkShmRange(std::uint64_t offset, std::size_t bytes) const {
+  const std::uint64_t brk = machine_.shm_brk_;
+  if (offset > brk || bytes > brk - offset) {
+    throw std::out_of_range("shared-memory access " + rangeText(offset, bytes) +
+                            " passes the allocated break " + std::to_string(brk));
+  }
+}
+
+void CoreContext::checkMpbRange(int owner_ue, std::uint64_t offset,
+                                std::size_t bytes) const {
+  if (owner_ue < 0 || owner_ue >= num_ues_) {
+    throw std::out_of_range("MPB access to UE " + std::to_string(owner_ue) +
+                            " outside the launched UEs [0, " + std::to_string(num_ues_) +
+                            ")");
+  }
+  const std::uint64_t slice = machine_.config().mpb_bytes_per_core;
+  if (offset > slice || bytes > slice - offset) {
+    throw std::out_of_range("MPB access " + rangeText(offset, bytes) +
+                            " passes the " + std::to_string(slice) + "-byte slice of UE " +
+                            std::to_string(owner_ue));
+  }
+}
+
 SubTask CoreContext::shmRead(std::uint64_t offset, void* out, std::size_t bytes) {
+  checkShmRange(offset, bytes);
   return access({Transfer::Run::kShmWords, 0, offset, out, nullptr, bytes, false});
 }
 
 SubTask CoreContext::shmWrite(std::uint64_t offset, const void* src, std::size_t bytes) {
+  checkShmRange(offset, bytes);
   return access({Transfer::Run::kShmWords, 0, offset, nullptr, src, bytes, true});
 }
 
 SubTask CoreContext::mpbRead(int owner_ue, std::uint64_t offset, void* out,
                              std::size_t bytes) {
+  checkMpbRange(owner_ue, offset, bytes);
   return access({Transfer::Run::kMpbChunks, owner_ue, offset, out, nullptr, bytes, false});
 }
 
 SubTask CoreContext::mpbWrite(int owner_ue, std::uint64_t offset, const void* src,
                               std::size_t bytes) {
+  checkMpbRange(owner_ue, offset, bytes);
   return access({Transfer::Run::kMpbChunks, owner_ue, offset, nullptr, src, bytes, true});
 }
 
@@ -461,11 +498,13 @@ SubTask CoreContext::bulkFenced(std::uint64_t offset, void* out, const void* src
 
 CoreContext::BulkAwaiter CoreContext::shmReadBulk(std::uint64_t offset, void* out,
                                                   std::size_t bytes) {
+  checkShmRange(offset, bytes);
   return bulk(offset, out, nullptr, bytes, false);
 }
 
 CoreContext::BulkAwaiter CoreContext::shmWriteBulk(std::uint64_t offset,
                                                    const void* src, std::size_t bytes) {
+  checkShmRange(offset, bytes);
   return bulk(offset, nullptr, src, bytes, true);
 }
 
@@ -602,7 +641,7 @@ SccMachine::SccMachine(SccConfig config)
   // calls), so hang detection is unconditional; the timeout and watchdog
   // knobs come from the config (off by default).
   fault_ = FaultInjector(config_.fault);
-  shm_word_runs_.resize(config_.num_mem_controllers);
+  runs_.resize(mesh_.numResources());
   engine_.setHangDetection(true);
   engine_.setSyncTimeout(config_.sync_timeout_ticks);
   engine_.setWatchdogEventLimit(config_.watchdog_events_per_tick);
@@ -975,249 +1014,96 @@ Tick SccMachine::privAccessCompletion(int core, Tick start, std::uint64_t addr,
   return t;
 }
 
-Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& timeline,
-                                     Tick issue_overhead, Tick hop_one_way, Tick service,
-                                     Tick start, std::size_t max_txns,
-                                     std::size_t* done) {
-  // Safety horizon: transaction i+1's request is issued (in the per-event
-  // execution) at transaction i's completion time. As long as that instant
-  // lies strictly before the horizon, no coroutine that can touch this
-  // resource's timeline runs in between, so computing the transaction here
-  // (at the same recurrence, in the same order) is indistinguishable from
-  // suspending. The horizon is scoped to the resource's reach classes —
-  // pending traffic bound for other resources no longer breaks the run
-  // (Engine::nextEventTimeFor bounds blocked tasks by their wake chains and
-  // falls back to the global horizon itself when it cannot). The first
-  // transaction is always safe: its request is issued "now", while this
-  // coroutine holds the engine. With coalescing off the horizon degenerates
-  // to 0: one transaction per event, the per-word/per-chunk reference path.
-  // A single transaction never consults the horizon: skip the query.
-  const Tick horizon =
-      config_.coalescing && max_txns > 1 ? engine_.nextEventTimeFor(resource) : 0;
-
+Tick SccMachine::timedRun(std::uint32_t resource, RunKind kind, Tick overhead, Tick hop,
+                          Tick service, Tick start, std::size_t max_txns,
+                          std::size_t* done) {
+  // The one batching rule (header comment at TxnRun).
+  const std::uint32_t mcs = config_.num_mem_controllers;
+  ResourceTimeline& timeline = resource < mcs ? mc_[resource] : mpb_port_[resource - mcs];
+  ++tally_[static_cast<std::size_t>(kind)].events;
+  const std::size_t self = engine_.currentTaskId();
+  std::vector<TxnRun>& runs = runs_[resource];
+  // The caller's own record: a continuation, or transactions a peer's
+  // replay already serviced for it (its pending event was deferred to
+  // their end, which is now).
+  std::size_t reported = 0;
+  for (TxnRun& r : runs) {
+    if (r.task != self) continue;
+    assert(r.t == start && r.remaining + r.done == max_txns);
+    reported = r.done;
+    r = runs.back();
+    runs.pop_back();
+    break;
+  }
+  if (reported == max_txns) {
+    *done = reported;
+    return start;
+  }
+  // With coalescing off this is the per-event reference path: one
+  // transaction, and never a registered run.
+  const std::size_t want = config_.coalescing ? max_txns - reported : 1;
   // Memory-controller stall faults: keyed by (resource id, per-resource
   // transaction index). The transaction order per resource is identical
   // across coalescing modes (the coalescing invariant), so the stall
   // schedule — and therefore every Tick — is too.
-  const bool stall_armed = fault_.armed(FaultClass::kMcStall);
-
-  Tick t = start;
-  std::size_t n = 0;
-  while (n < max_txns) {
-    if (n > 0 && t >= horizon) break;
-    const Tick arrival = t + issue_overhead + hop_one_way;
-    Tick svc = service;
-    if (stall_armed) {
-      const Tick stall = fault_.stallTicks(resource, timeline.requests(), arrival, service);
-      if (stall > 0) {
-        svc += stall;
-        fault_.noteInjected(FaultClass::kMcStall);
-        fault_.stats().stall_ticks += stall;
-        if (obs::TraceRecorder* tr = tracer(engine_)) {
-          tr->record(engine_.currentTaskId(),
-                     obs::TraceEvent{arrival, arrival, stall, 0, 0, resource,
-                                     obs::TraceEventKind::kMcStall});
-        }
-      }
-    }
-    const Tick serviced = timeline.acquire(arrival, svc);
-    t = serviced + hop_one_way;
-    ++n;
-  }
-  *done = n;
-  return t;
-}
-
-SccMachine::WordRun* SccMachine::findRun(std::vector<WordRun>& runs, std::size_t task) {
-  for (WordRun& r : runs) {
-    if (r.task == task) return &r;
-  }
-  return nullptr;
-}
-
-SccMachine::WordRun& SccMachine::runOf(std::vector<WordRun>& runs, std::size_t task) {
-  if (WordRun* r = findRun(runs, task)) return *r;
-  runs.push_back(WordRun{});
-  runs.back().task = task;
-  return runs.back();
-}
-
-void SccMachine::eraseRun(std::vector<WordRun>& runs, std::size_t task) {
-  WordRun* r = findRun(runs, task);
-  if (r == nullptr) return;
-  *r = runs.back();
-  runs.pop_back();
-}
-
-bool SccMachine::consumeSolvedRun(std::uint32_t mc_id, std::size_t* words_done,
-                                  Tick* completion) {
-  std::vector<WordRun>& runs = shm_word_runs_[mc_id];
-  if (runs.empty()) return false;
-  const std::size_t task = engine_.currentTaskId();
-  if (task == Engine::kNoTask) return false;
-  const WordRun* r = findRun(runs, task);
-  if (r == nullptr || !r->solved) return false;
-  // The words themselves were acquired (and tallied) by the joint replay;
-  // this resume only reports them to the caller's run loop, which re-calls
-  // for any words beyond the replayed prefix. One event either way.
-  *words_done = r->done;
-  *completion = r->final_t;
-  ++shm_word_events_;
-  eraseRun(runs, task);
-  return true;
-}
-
-bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
-                                    Tick start, std::size_t max_words,
-                                    std::size_t* words_done, Tick* completion) {
-  if (max_words == 0) return false;
-  std::vector<WordRun>& runs = shm_word_runs_[mc_id];
-  if (runs.empty()) return false;
-  const std::size_t self = engine_.currentTaskId();
-  if (self == Engine::kNoTask) return false;
-  // Closure proof: every registered run must be an unsolved in-flight peer
-  // (a solved-but-unconsumed entry means that task's next move is already
-  // decided and acquired — nothing new may interleave until it resumes),
-  // and every OTHER alive task whose reach includes the controller must be
-  // parked where it cannot be woken while this task stays mid-run (header
-  // comment at WordRun). Then every event that can touch this timeline
-  // inside the replayed prefix belongs to a member, and the joint replay
-  // below IS the engine's own schedule.
-  const std::size_t alive = engine_.aliveTasksReaching(mc_id);
-  // O(classes) rejection first: with at most runs.size() peers, success
-  // needs every one of the other alive - peers - 1 tasks registered blocked,
-  // and peers <= runs.size() — so this cannot reject a provable closure.
-  const std::size_t entries = runs.size();
-  if (alive > entries + 1 && engine_.blockedTasksReaching(mc_id) < alive - entries - 1) {
-    return false;
-  }
-  std::size_t peers = 0;
-  for (const WordRun& r : runs) {
-    if (r.solved || r.remaining == 0) return false;
-    if (r.task != self) ++peers;
-  }
-  if (peers == 0) return false;
-  if (alive != peers + 1) {
-    // The wake-chain walk runs only once the O(classes) tally says every
-    // non-member is registered blocked (lock-heavy runs rarely get here).
-    if (alive < peers + 1) return false;
-    const std::size_t others = alive - (peers + 1);
-    if (engine_.blockedTasksReaching(mc_id) != others) return false;
-    if (engine_.parkedTasksReaching(mc_id) != others) return false;
-  }
-
-  std::vector<ReplayMember>& members = replay_members_;
-  members.clear();
-  for (const WordRun& r : runs) {
-    if (r.task != self) {
-      members.push_back({r.task, r.t, r.hop, r.remaining, false});
-    }
-  }
-  // Self is executing right now: its first acquire happens inside the live
-  // event, ahead of every pending event sharing its tick.
-  members.push_back({self, start, hop_one_way, max_words, true});
-
-  // Replay the joint FCFS recurrence in ENGINE order (sim/contention.h):
-  // each word goes to the member whose pending event is earliest under the
-  // engine's (time, task id) key and is acquired the instant that event
-  // would have fired, so arrivals, acquire order and per-resource request
-  // indices (the kMcStall draw keys) are identical to the per-event
-  // execution; periodic stretches are jumped in closed form. The replay
-  // stops at the first completed run — beyond that instant the finished
-  // member may add traffic the joint schedule cannot see. It always
-  // commits, so it runs on the controller's own timeline and records each
-  // stall as it draws it.
   ReplayStallFn stall;
   if (fault_.armed(FaultClass::kMcStall)) {
     obs::TraceRecorder* tr = tracer(engine_);
-    stall = [this, tr, mc_id](const ReplayMember& m, Tick arrival, std::uint64_t request) {
-      const Tick extra = fault_.stallTicks(mc_id, request, arrival, word_service_ticks_);
+    stall = [this, tr, resource](const ReplayMember& m, Tick arrival, std::uint64_t request) {
+      const Tick extra = fault_.stallTicks(resource, request, arrival, m.service);
       if (extra > 0) {
         fault_.noteInjected(FaultClass::kMcStall);
         fault_.stats().stall_ticks += extra;
         if (tr != nullptr) {
-          tr->record(m.task, obs::TraceEvent{arrival, arrival, extra, 0, 0, mc_id,
+          tr->record(m.task, obs::TraceEvent{arrival, arrival, extra, 0, 0, resource,
                                              obs::TraceEventKind::kMcStall});
         }
       }
       return extra;
     };
   }
-  const std::uint64_t total_words =
-      replayJointRuns(members, mc_[mc_id], uncached_overhead_ticks_, word_service_ticks_,
-                      stall)
-          .words;
+  const auto settleSelf = [&](const ReplayMember& m) {
+    countTxns(resource, kind, m.done);
+    if (m.remaining > 0) runs.push_back({self, kind, overhead, hop, service, m.t, m.remaining, 0});
+    *done = reported + m.done;
+    return m.t;
+  };
+  // The caller's first transaction is acquired in the running event, so a
+  // single one needs neither peers nor a horizon; with no peer (a
+  // registered run with transactions left) the caller replays alone.
+  if (want == 1 || std::none_of(runs.begin(), runs.end(),
+                                [](const TxnRun& r) { return r.remaining > 0; })) {
+    ReplayMember m{self, start, overhead, hop, service, want, true};
+    replayLoneRun(m, timeline, want > 1 ? engine_.nextEventTimeFor(resource) : Engine::kNever,
+                  stall);
+    return settleSelf(m);
+  }
+  std::vector<ReplayMember>& members = replay_members_;
+  members.assign(1, {self, start, overhead, hop, service, want, true});
+  replay_tasks_.assign(1, self);
+  for (const TxnRun& r : runs) {
+    if (r.remaining == 0) continue;  // finished: a non-member until it resumes
+    members.push_back({r.task, r.t, r.overhead, r.hop, r.service, r.remaining, false});
+    replay_tasks_.push_back(r.task);
+  }
+  replayJointRuns(members, timeline, engine_.nextEventTimeFor(resource, replay_tasks_), stall);
 
-  // Stats and the per-member stash.
-  shm_words_ += total_words;
-  mc_traffic_[mc_id] += total_words;
-  ++shm_word_events_;  // self's event
+  Tick completion = start;
   for (const ReplayMember& m : members) {
     if (m.is_self) {
-      if (m.remaining == 0) {
-        eraseRun(runs, self);  // a continuation call's own stale entry, if any
-      } else {
-        WordRun& r = runOf(runs, self);
-        r.t = m.t;
-        r.hop = m.hop;
-        r.remaining = m.remaining;
-        r.solved = false;
-        r.done = 0;
-      }
-      *words_done = m.done;
-      *completion = m.t;
+      completion = settleSelf(m);
       continue;
     }
-    if (m.done == 0) continue;  // untouched: its pending event is still true
-    WordRun& r = runOf(runs, m.task);
-    r.solved = true;
-    r.done = m.done;
-    r.final_t = m.t;
+    if (m.done == 0) continue;  // untouched: its record and pending event still hold
+    TxnRun& r = *std::find_if(runs.begin(), runs.end(),
+                              [&](const TxnRun& x) { return x.task == m.task; });
+    countTxns(resource, r.kind, m.done);
+    r.t = m.t;
     r.remaining = m.remaining;
+    r.done += m.done;
+    engine_.deferPending(m.task, m.t);
   }
-  return true;
-}
-
-Tick SccMachine::shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way,
-                                      Tick start, std::size_t max_words,
-                                      std::size_t* words_done) {
-  // Round-robin contention batching (header comment at WordRun). It stands
-  // down under a routing placement: every task then reaches every
-  // controller (launch), so a closed pattern would need every task mid-run
-  // on this one.
-  const bool batching = config_.coalescing && !ctrl_placement_active_;
-  if (batching) {
-    Tick batched = 0;
-    if (consumeSolvedRun(mc_id, words_done, &batched)) return batched;
-    if (solveContendedRuns(mc_id, hop_one_way, start, max_words, words_done,
-                           &batched)) {
-      return batched;
-    }
-  }
-  const Tick t = coalescedCompletion(mc_id, mc_[mc_id], uncached_overhead_ticks_,
-                                     hop_one_way, word_service_ticks_, start, max_words,
-                                     words_done);
-  shm_words_ += *words_done;
-  mc_traffic_[mc_id] += *words_done;
-  ++shm_word_events_;
-  if (batching) {
-    // Track the in-flight run so a peer entering later can prove the
-    // contention pattern closed and solve the joint recurrence.
-    const std::size_t task = engine_.currentTaskId();
-    if (task != Engine::kNoTask) {
-      std::vector<WordRun>& runs = shm_word_runs_[mc_id];
-      if (*words_done < max_words) {
-        WordRun& r = runOf(runs, task);
-        r.t = t;
-        r.hop = hop_one_way;
-        r.remaining = max_words - *words_done;
-        r.solved = false;
-      } else {
-        eraseRun(runs, task);
-      }
-    }
-  }
-  return t;
+  return completion;
 }
 
 Tick SccMachine::shmWordsAtCompletion(int core, Tick start, std::uint64_t offset,
@@ -1228,8 +1114,8 @@ Tick SccMachine::shmWordsAtCompletion(int core, Tick start, std::uint64_t offset
   if (ctrl_placement_active_) {
     mc_id = controllerForShmAccess(core, offset);
     // Striped / first-touch regions switch controllers at stripe
-    // boundaries, so one coalesced run must not cross the current stripe's
-    // end. Accesses never straddle a region boundary (regions are whole
+    // boundaries, so one run must not cross the current stripe's end.
+    // Accesses never straddle a region boundary (regions are whole
     // translated variables), so a single range lookup covers the run.
     const std::size_t txn = config_.shm_transaction_bytes;
     const std::uint64_t stripe_bytes = config_.shm_controller_stripe_bytes;
@@ -1238,27 +1124,21 @@ Tick SccMachine::shmWordsAtCompletion(int core, Tick start, std::uint64_t offset
         static_cast<std::size_t>((stripe_end - offset + txn - 1) / txn);
     if (max_words > to_stripe_end) max_words = to_stripe_end;
   }
-  return shmWordsOnController(mc_id, hopTicks(core, mc_id), start, max_words,
-                              words_done);
+  return timedRun(mc_id, RunKind::kWord, uncached_overhead_ticks_, hopTicks(core, mc_id),
+                  word_service_ticks_, start, max_words, words_done);
 }
 
 Tick SccMachine::swcacheLinesCompletion(int core, Tick start, std::size_t max_lines,
                                         std::size_t* lines_done) {
   const std::uint32_t mc_id = core_mc_[static_cast<std::size_t>(core)];
-  const Tick t = coalescedCompletion(mc_id, mc_[mc_id], swcache_line_overhead_ticks_,
-                                     hopTicks(core, mc_id), line_service_ticks_, start,
-                                     max_lines, lines_done);
-  swcache_lines_sim_ += *lines_done;
-  mc_traffic_[mc_id] += *lines_done;
-  ++swcache_line_events_;
-  return t;
+  return timedRun(mc_id, RunKind::kLine, swcache_line_overhead_ticks_, hopTicks(core, mc_id),
+                  line_service_ticks_, start, max_lines, lines_done);
 }
 
 Tick SccMachine::mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
                                      std::size_t max_chunks, std::size_t* chunks_done) {
   const std::uint32_t owner_core = coreOfUe(owner_ue);
-  const std::uint32_t tile = mesh_.tileOfCore(owner_core);
-  const std::uint32_t port_id = mesh_.portResourceId(tile);
+  const std::uint32_t port_id = mesh_.portResourceId(mesh_.tileOfCore(owner_core));
   const auto u = static_cast<std::size_t>(ue);
   if (mpb_scope_declared_ && u < ue_port_reach_.size() &&
       !std::binary_search(ue_port_reach_[u].begin(), ue_port_reach_[u].end(),
@@ -1272,12 +1152,8 @@ Tick SccMachine::mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
       mesh_.hopsBetweenCores(static_cast<std::uint32_t>(core), owner_core);
   const Tick hop_one_way =
       mesh_clock_.cycles(static_cast<std::uint64_t>(config_.mesh_hop_cycles) * hops);
-  const Tick t = coalescedCompletion(port_id, mpb_port_[tile], mpb_overhead_ticks_,
-                                     hop_one_way, chunk_service_ticks_, start, max_chunks,
-                                     chunks_done);
-  mpb_chunks_ += *chunks_done;
-  ++mpb_chunk_events_;
-  return t;
+  return timedRun(port_id, RunKind::kChunk, mpb_overhead_ticks_, hop_one_way,
+                  chunk_service_ticks_, start, max_chunks, chunks_done);
 }
 
 Tick SccMachine::shmBulkCompletion(int core, Tick start, std::uint64_t offset,

@@ -176,6 +176,12 @@ class CoreContext {
   // so concurrent cores interleave fairly. Either way the simulated Ticks
   // are identical — see sim/engine.h.
   //
+  // Every data operation below (shm and MPB, word and bulk) throws
+  // std::out_of_range before it touches any state when its range passes the
+  // shared-memory break (what shmalloc has handed out) or, for the MPB, when
+  // the owner is not a launched UE or the range passes the owner's slice.
+  // Inside a task that ends the run (SimTask terminates on an exception).
+  //
   // Routing is PER REGION: accesses whose offset falls in a range registered
   // cacheable (SccMachine::setShmCacheability — typically by an
   // rcce::ShmArray carrying an ExecutionPlan placement) go through the
@@ -270,6 +276,10 @@ class CoreContext {
     void await_suspend(std::coroutine_handle<> /*h*/) const noexcept {}
     void await_resume() const noexcept {}
   };
+  /// The range checks of the data operations (std::out_of_range; see the
+  /// shared-DRAM comment above).
+  void checkShmRange(std::uint64_t offset, std::size_t bytes) const;
+  void checkMpbRange(int owner_ue, std::uint64_t offset, std::size_t bytes) const;
   /// Fault hook at the head of every timed shm/MPB operation: serves an
   /// injected core freeze (transient = a simulated stall; permanent = never
   /// resumes). Only awaited when the injector is armed.
@@ -425,23 +435,17 @@ class SccMachine {
     return priv_caches_[static_cast<std::size_t>(core)].has_value();
   }
   /// Uncached word transactions simulated through the word-granular path.
-  [[nodiscard]] std::uint64_t shmWordsSimulated() const {
-    return shm_words_;
-  }
+  [[nodiscard]] std::uint64_t shmWordsSimulated() const { return tally(RunKind::kWord).txns; }
   /// Engine events those words cost (== shmWordsSimulated() with coalescing
   /// off; the gap is the number of events coalescing eliminated).
-  [[nodiscard]] std::uint64_t shmWordEvents() const {
-    return shm_word_events_;
-  }
+  [[nodiscard]] std::uint64_t shmWordEvents() const { return tally(RunKind::kWord).events; }
   /// MPB chunk transactions simulated through the chunk-granular path.
   [[nodiscard]] std::uint64_t mpbChunksSimulated() const {
-    return mpb_chunks_;
+    return tally(RunKind::kChunk).txns;
   }
   /// Engine events those chunks cost (== mpbChunksSimulated() with
   /// coalescing off).
-  [[nodiscard]] std::uint64_t mpbChunkEvents() const {
-    return mpb_chunk_events_;
-  }
+  [[nodiscard]] std::uint64_t mpbChunkEvents() const { return tally(RunKind::kChunk).events; }
   /// MPB accesses that fell outside the launch plan's MPB scope. Any
   /// non-zero count voids the port-isolation timing guarantee of that run.
   [[nodiscard]] std::uint64_t mpbScopeViolations() const {
@@ -516,12 +520,12 @@ class SccMachine {
   [[nodiscard]] SwCacheStats swcacheTotals() const;
   /// Swcache line transfers (fills + dirty write-backs) simulated.
   [[nodiscard]] std::uint64_t swcacheLinesSimulated() const {
-    return swcache_lines_sim_;
+    return tally(RunKind::kLine).txns;
   }
   /// Engine events those line transfers cost (the gap to
   /// swcacheLinesSimulated() is what fill/flush batching eliminated).
   [[nodiscard]] std::uint64_t swcacheLineEvents() const {
-    return swcache_line_events_;
+    return tally(RunKind::kLine).events;
   }
   /// Dirty / resident line counts of `core`'s swcache (0 when disabled) —
   /// the accounting-invariant hooks the fault-reconciliation tests use.
@@ -637,129 +641,100 @@ class SccMachine {
   // -- timing/functional primitives (used by CoreContext and threadrt) --
   Tick privAccessCompletion(int core, Tick start, std::uint64_t addr, std::size_t bytes,
                             bool write, void* data_out, const void* data_in);
+
+ private:
+  // The timed shared-memory and MPB runs below are CoreContext's alone:
+  // every one goes through timedRun, the one batching rule.
+  friend class CoreContext;
+
   /// Service up to `max_words` uncached word transactions of the access at
-  /// `offset` starting at `start`, coalescing as many as the coalescing
-  /// horizon proves safe (at least one; exactly one when contended). The
-  /// horizon is scoped to the serving memory controller
-  /// (Engine::nextEventTimeFor) so pending traffic on *other* resources
-  /// does not break the run. With no non-default placement registered that
-  /// is the core's own controller (the legacy requester-local path);
-  /// otherwise it is the one `controllerForShmAccess(core, offset)` chooses,
-  /// and the run is capped at the current stripe boundary (striped /
-  /// first-touch regions change controllers mid-region). Returns the
+  /// `offset` starting at `start`, as many per event as timedRun proves
+  /// safe (at least one). With no non-default placement registered the
+  /// serving controller is the core's own (the legacy requester-local
+  /// path); otherwise it is the one `controllerForShmAccess(core, offset)`
+  /// chooses, and the run is capped at the current stripe boundary (striped
+  /// / first-touch regions change controllers mid-region). Returns the
   /// completion Tick of the serviced words and stores how many were
   /// serviced in `*words_done`. The arithmetic is the exact per-word
   /// recurrence, so Ticks match the per-event path bit for bit.
   Tick shmWordsAtCompletion(int core, Tick start, std::uint64_t offset,
                             std::size_t max_words, std::size_t* words_done);
-  /// MPB twin of shmWordsAtCompletion: service up to `max_chunks` cache-line
-  /// chunks of `ue`'s transfer against owner_ue's tile port, coalescing as
-  /// many as the port's horizon proves safe. Same exact recurrence, same
-  /// bit-identity guarantee (config.coalescing gates batching).
+  /// MPB twin of shmWordsAtCompletion: up to `max_chunks` cache-line chunks
+  /// of `ue`'s transfer against owner_ue's tile port.
   Tick mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
                            std::size_t max_chunks, std::size_t* chunks_done);
-  /// Swcache twin of shmWordsAtCompletion: service up to `max_lines` swcache
-  /// line transfers (fills or dirty write-backs) against the core's memory
-  /// controller, coalescing as many as the controller's horizon proves safe
-  /// (config.coalescing gates batching, as on the word path they replace).
+  /// Swcache twin of shmWordsAtCompletion: up to `max_lines` swcache line
+  /// transfers (fills or dirty write-backs) against the core's memory
+  /// controller.
   Tick swcacheLinesCompletion(int core, Tick start, std::size_t max_lines,
                               std::size_t* lines_done);
+  /// One bulk burst: one setup round trip, then lines at row-buffer-hit
+  /// rates (a single acquire, so nothing to batch).
   Tick shmBulkCompletion(int core, Tick start, std::uint64_t offset, std::size_t bytes,
                          bool write, void* data_out, const void* data_in);
 
- private:
-  // (The private member block proper continues further down; these helpers
-  // sit here to stay next to the completion functions they power.)
-  /// Word-run service against an explicit controller: the tail of
-  /// shmWordsAtCompletion, requester-local or placement-routed alike.
-  Tick shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way, Tick start,
-                            std::size_t max_words, std::size_t* words_done);
-
-  // -- round-robin contention batching (config.coalescing) --
-  // A contended controller serves k word-runs interleaved, one word per
-  // engine event each. When the machine can prove the contention pattern is
-  // CLOSED — every alive task whose reach includes the controller
-  // (Engine::aliveTasksReaching) is either mid word-run against it or
-  // parked where it cannot be woken while the caller stays mid-run
-  // (Engine::parkedTasksReaching: a kNever wake chain, e.g. a barrier the
-  // caller has not reached or a lock the caller holds) — the joint FCFS
-  // recurrence over all k runs is replayed inline in engine order
-  // (by completion, then task id), so the
-  // controller timeline sees the exact per-event acquire sequence: same
-  // arrivals, same requests() indices (fault stall draws included), same
-  // completions. The replay commits only a PREFIX of the joint schedule —
-  // it stops the moment any member's run completes, because a finished
-  // member may immediately issue fresh traffic (a write run right after a
-  // read run) that must interleave with the words beyond that point. The
-  // members' resumes after the replay are re-scheduled events, but the
-  // queue orders equal Ticks by task id whatever the insertion order, so
-  // they fire as the per-event execution's would. Within that prefix the
-  // batch is Tick-exact by construction; only the event count drops (a
-  // handful of events per member per window instead of one per word). The
-  // replay itself
-  // (replayJointRuns, sim/contention.h) costs O(members) per round, not per
-  // word: once a round of M picks serves every member exactly once and
-  // leaves each member's (t - nextFree) as the round before did, the joint
-  // state is that round's translated by Δ Ticks. acquire is
-  // max(arrival, next_free) + service and the pick compares t and task ids
-  // only, so the recurrence commutes with that translation and every later
-  // round repeats it until a run runs out: the replay jumps
-  // min(remaining) - 1 rounds at once (ResourceTimeline::advance) and
-  // finishes word by word, meeting the same finisher in the same state.
-  // No saturation argument is needed; stall faults, drawn per request,
-  // switch the jump off. Parked tasks stay out of
-  // the replay because it ends at the first finished run: every member,
-  // the caller included, is mid-run throughout the replayed prefix and
-  // performs no sync operation in it, so a kNever wake chain cannot fire
-  // inside it — the same "cannot arrive mid-batch" rule the per-resource
-  // horizon applies. The closure proof also leans on the machine's task
-  // model: every UE task spawns in launch(), before run(), so no task that
-  // could reach the controller appears after the count is taken. Data ops
-  // still execute in each task's program order but no longer interleave
-  // across tasks word by word, so functional results are preserved for
-  // data-race-free programs (the same contract the swcache states in
-  // docs/memory_model.md).
-  /// One task's in-flight word-run against a controller.
-  struct WordRun {
-    std::size_t task = 0;  ///< the task running it (one entry per task)
-    Tick t = 0;        ///< completion of its last serviced word
-    Tick hop = 0;      ///< its one-way mesh latency to this controller
-    std::size_t remaining = 0;  ///< words left in the run
-    bool solved = false;        ///< a joint replay precomputed words for it
-    std::size_t done = 0;       ///< words the replay serviced (when solved)
-    Tick final_t = 0;  ///< completion of the last replayed word (when solved)
+  // -- the one batching rule (config.coalescing) --
+  // Every timed run — uncached words on a controller, swcache line transfers
+  // on a controller, MPB chunks on a tile port — is a run of back-to-back
+  // transactions on one serially-reusable resource: transaction i+1 is
+  // issued `overhead + hop` after transaction i completes, is serviced for
+  // `service`, and is seen `hop` later. The per-event reference path (off)
+  // suspends once per transaction. With coalescing on, each call of
+  // timedRun replays as many of them as one rule proves exact, in three
+  // steps:
+  //   1. Members: the caller, plus every task with transactions left in a
+  //      run registered on the same resource (runs_, one table per engine
+  //      resource). A registered task's pending event is exactly the issue
+  //      of its next transaction, whatever the run's kind, overhead or
+  //      service, so words and lines share a controller's table.
+  //   2. H = Engine::nextEventTimeFor(resource, members): the earliest
+  //      instant any non-member that reaches the resource could run. A
+  //      member's pending slot does not count and, as a waker, a member
+  //      contributes kNever — members are mid-run until the replay's first
+  //      finisher, so a lock one holds or a barrier one has not reached
+  //      cannot release inside the replay.
+  //   3. replayJointRuns (sim/contention.h) on the resource's own timeline:
+  //      every member's transactions in engine order — (issue Tick, task
+  //      id), the caller's first transaction first at its tick — each
+  //      committed only while it issues before H, ending at the first
+  //      finished run (a finished member may at once add traffic the
+  //      replay cannot see). Periodic rounds are jumped in closed form.
+  // No other coroutine touches the timeline before H, and the members touch
+  // nothing else, so the replay reproduces the per-event acquire sequence
+  // exactly: same arrivals, same requests() indices (the kMcStall draw
+  // keys), same completions. Each member the replay advanced keeps its
+  // count in its record and has its pending event deferred to where its
+  // replayed run stopped (Engine::deferPending); when it resumes there,
+  // timedRun reports those transactions and carries on from that instant.
+  // With no registered peers the rule is the single-task horizon loop; with
+  // a closed pattern (every non-member parked behind a member) H is kNever.
+  // Data ops still execute in each task's program order but no longer
+  // interleave across tasks transaction by transaction, so functional
+  // results are preserved for data-race-free programs (the contract the
+  // swcache states in docs/memory_model.md).
+  enum class RunKind : std::uint8_t { kWord, kLine, kChunk };
+  /// One task's in-flight run against a resource.
+  struct TxnRun {
+    std::size_t task = 0;
+    RunKind kind = RunKind::kWord;
+    Tick overhead = 0;  ///< issue overhead per transaction
+    Tick hop = 0;       ///< one-way mesh latency to the resource
+    Tick service = 0;   ///< resource service per transaction
+    Tick t = 0;         ///< its pending resume: completion of its last transaction
+    std::size_t remaining = 0;  ///< transactions left in the run
+    std::size_t done = 0;  ///< replayed by a peer, not yet reported to the task
   };
-  /// `task`'s entry in one controller's run table, or null.
-  static WordRun* findRun(std::vector<WordRun>& runs, std::size_t task);
-  /// `task`'s entry in one controller's run table, appended if missing.
-  static WordRun& runOf(std::vector<WordRun>& runs, std::size_t task);
-  /// Drop `task`'s entry, if any. Entry order carries no meaning (the
-  /// replay picks by (t, task id)), so the last entry fills the hole.
-  static void eraseRun(std::vector<WordRun>& runs, std::size_t task);
-  /// Consume the calling task's precomputed joint-solve result, if any:
-  /// stores the full remaining word count and returns the run's completion.
-  bool consumeSolvedRun(std::uint32_t mc_id, std::size_t* words_done,
-                        Tick* completion);
-  /// Attempt the joint solve for the calling task's fresh run (`max_words`
-  /// from `start`): fires only when every other alive task reaching the
-  /// controller has an unsolved in-flight run registered. On success the
-  /// whole run is serviced (*words_done = max_words), peers' completions are
-  /// stashed for their next resume, and the completion Tick is returned.
-  bool solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way, Tick start,
-                          std::size_t max_words, std::size_t* words_done,
-                          Tick* completion);
-  /// The shared engine of both coalesced paths: run up to `max_txns`
-  /// back-to-back transactions of one serially-reusable `resource` —
-  /// request issued `issue_overhead + hop_one_way` after the previous
-  /// completion, serviced for `service`, completion seen `hop_one_way`
-  /// later — batching while the resource's coalescing horizon proves no
-  /// other coroutine can interleave (at least one transaction; exactly one
-  /// once contended or with config.coalescing off). The recurrence is
-  /// exactly the per-event execution's, so Ticks are bit-identical whether
-  /// a run is one event or many.
-  Tick coalescedCompletion(std::uint32_t resource, ResourceTimeline& timeline,
-                           Tick issue_overhead, Tick hop_one_way, Tick service,
-                           Tick start, std::size_t max_txns, std::size_t* done);
+  /// Service up to `max_txns` transactions of the calling task's run of
+  /// `kind` on `resource` from `start` under the one batching rule (at
+  /// least one; exactly one with config.coalescing off). Stores how many in
+  /// `*done` and returns the completion Tick of the last.
+  Tick timedRun(std::uint32_t resource, RunKind kind, Tick overhead, Tick hop,
+                Tick service, Tick start, std::size_t max_txns, std::size_t* done);
+  /// Tally `n` transactions of `kind` served by `resource`.
+  void countTxns(std::uint32_t resource, RunKind kind, std::uint64_t n) {
+    tally_[static_cast<std::size_t>(kind)].txns += n;
+    if (kind != RunKind::kChunk) mc_traffic_[resource] += n;
+  }
 
  private:
   SccConfig config_;
@@ -795,13 +770,15 @@ class SccMachine {
   Tick priv_fill_ticks_[2] = {};      ///< controller service, 1 and 2 bursts
 
   // Machine-wide transaction tallies: pure counters, no Tick depends on them.
-  std::uint64_t shm_words_ = 0;
-  std::uint64_t shm_word_events_ = 0;
-  std::uint64_t mpb_chunks_ = 0;
-  std::uint64_t mpb_chunk_events_ = 0;
+  struct RunTally {
+    std::uint64_t txns = 0;    ///< transactions simulated
+    std::uint64_t events = 0;  ///< engine events they cost (timedRun calls)
+  };
+  RunTally tally_[3];  ///< per RunKind
+  [[nodiscard]] const RunTally& tally(RunKind kind) const {
+    return tally_[static_cast<std::size_t>(kind)];
+  }
   std::uint64_t mpb_scope_violations_ = 0;
-  std::uint64_t swcache_lines_sim_ = 0;
-  std::uint64_t swcache_line_events_ = 0;
   std::uint64_t shm_bulk_lines_ = 0;
   std::vector<std::uint64_t> mc_traffic_;  ///< shared-DRAM txns per controller
 
@@ -852,13 +829,14 @@ class SccMachine {
   /// First-touch stripe claims: global stripe index → controller.
   std::unordered_map<std::uint64_t, std::uint32_t> first_touch_claims_;
 
-  /// Per controller: tasks mid word-run against it (round-robin contention
-  /// batching bookkeeping), a flat table searched linearly — at most one
-  /// entry per task reaching the controller.
-  std::vector<std::vector<WordRun>> shm_word_runs_;
-  /// solveContendedRuns' per-call working set, reused so the replay stays
+  /// Per engine resource (controllers, then MPB ports): the runs in flight
+  /// on it, a flat table searched linearly — at most one entry per task.
+  /// Entry order carries no meaning (the replay picks by (t, task id)).
+  std::vector<std::vector<TxnRun>> runs_;
+  /// timedRun's per-call working set, reused so the replay stays
   /// allocation-free in steady state (cleared on entry, never shrunk).
   std::vector<ReplayMember> replay_members_;
+  std::vector<std::size_t> replay_tasks_;
 
   FaultInjector fault_;  ///< built from config_.fault at construction
   /// Scratch for swcacheFlushChecked's flushed-line addresses (reused to

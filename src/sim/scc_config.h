@@ -92,13 +92,13 @@ struct SccConfig {
   std::uint32_t swcache_line_core_overhead_cycles = 20;
 
   // -- simulation kernel knobs (simulator speed, not architecture) --
-  /// Batch provably uninterleaved transactions into one engine event: runs
-  /// of uncached shared-memory words and swcache line transfers against a
-  /// memory controller, runs of MPB chunks against a tile port (each bounded
-  /// by the resource's horizon, Engine::nextEventTimeFor), and closed
-  /// round-robin contention on one controller (SccMachine's joint replay).
-  /// Never changes any Tick; off runs the per-word/per-chunk reference path
-  /// the equivalence tests compare against.
+  /// Batch provably uninterleaved transactions into one engine event: the
+  /// runs in flight on one memory controller (uncached words, swcache line
+  /// transfers) or one MPB port (chunks) are replayed jointly up to the
+  /// earliest instant any other task reaching the resource could run
+  /// (SccMachine::timedRun, the one batching rule). Never changes any Tick;
+  /// off runs the per-word/per-chunk reference path the equivalence tests
+  /// compare against.
   bool coalescing = true;
 
   // -- deterministic observability (sim/obs/; docs/observability.md) --

@@ -33,8 +33,9 @@
 // per-core line store and the shared-DRAM backing and reports what a timed
 // caller (SccMachine) must charge — line-touch hits, line fills and victim
 // write-backs. SccMachine turns those counts into
-// controller transactions, batching provably-uncontended runs through the
-// same coalescedCompletion helper as the word and MPB-chunk paths.
+// controller transactions, batched by the same joint replay as the word and
+// MPB-chunk runs (SccMachine::timedRun), so line runs and word runs share
+// a controller's run table.
 #pragma once
 
 #include <cstddef>

@@ -629,71 +629,94 @@ TEST(Engine, AllWakersShortcutMatchesReferenceScan) {
   EXPECT_GT(scanned_trials, 50);
 }
 
-// --- parked tasks: the widened closure proof ----------------------------------
+// --- member sets: the horizon over non-members ------------------------------
 
-struct ParkCounts {
-  std::size_t alive = 0;
-  std::size_t blocked = 0;
-  std::size_t parked = 0;
-};
-
-SimTask probeParked(Engine& engine, Tick at, std::uint32_t resource, ParkCounts& out) {
+/// At `at`, records nextEventTimeFor(resource, members): the running task
+/// plus `peers`.
+SimTask probeMembers(Engine& engine, Tick at, std::uint32_t resource,
+                     std::vector<std::size_t> peers, Tick& out) {
   co_await engine.resumeAt(at);
-  out = {engine.aliveTasksReaching(resource), engine.blockedTasksReaching(resource),
-         engine.parkedTasksReaching(resource)};
+  peers.push_back(engine.currentTaskId());
+  out = engine.nextEventTimeFor(resource, peers);
 }
 
 // A waiter on a lock the running task holds cannot be woken until the
-// running task releases it — never mid-batch — so it counts as parked.
-TEST(Engine, ParkedTasksCountLockHeldByRunningTask) {
+// running task releases it — never mid-batch — so it does not bound the
+// horizon at all.
+TEST(Engine, LockHeldByRunningTaskNeverBoundsHorizon) {
   Engine engine(2);
   const std::uint32_t lock = engine.registerLock();
   std::coroutine_handle<> parked;
   std::size_t parked_task = Engine::kNoTask;
-  ParkCounts counts;
+  Tick horizon = 0;
   engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, {0});
-  const std::size_t prober = engine.spawn(probeParked(engine, 40, 0, counts), 0, {0});
+  const std::size_t prober = engine.spawn(probeMembers(engine, 40, 0, {}, horizon), 0, {0});
   engine.setLockHolder(lock, prober);
   engine.run();
-  EXPECT_EQ(counts.alive, 2u);
-  EXPECT_EQ(counts.blocked, 1u);
-  EXPECT_EQ(counts.parked, 1u);
+  EXPECT_EQ(horizon, Engine::kNever);
 }
 
 // The barrier case: the running task has not arrived, so the release (the
 // last arrival) cannot happen mid-batch.
-TEST(Engine, ParkedTasksCountBarrierTheRunningTaskHasNotReached) {
+TEST(Engine, BarrierTheRunningTaskHasNotReachedNeverBoundsHorizon) {
   Engine engine(2);
   std::uint32_t barrier = Engine::kNoSync;
   std::coroutine_handle<> parked;
   std::size_t parked_task = Engine::kNoTask;
-  ParkCounts counts;
+  Tick horizon = 0;
   const std::size_t b =
       engine.spawn(parkOnBarrier(engine, barrier, parked, parked_task), 0, {0});
   const std::size_t peer = engine.spawn(idleUntil(engine, 500), 0, {1});
-  const std::size_t prober = engine.spawn(probeParked(engine, 40, 0, counts), 0, {0});
+  const std::size_t prober = engine.spawn(probeMembers(engine, 40, 0, {}, horizon), 0, {0});
   barrier = engine.registerBarrier({b, peer, prober});
   engine.arriveAtBarrier(barrier, b);
   engine.run();
-  EXPECT_EQ(counts.blocked, 1u);
-  EXPECT_EQ(counts.parked, 1u);
+  EXPECT_EQ(horizon, Engine::kNever);
 }
 
 // A waiter on a lock held by a peer with a pending event can be woken the
-// moment that peer runs: it is blocked, but not parked.
-TEST(Engine, ParkedTasksExcludeLockHeldByPendingPeer) {
-  Engine engine(2);
-  const std::uint32_t lock = engine.registerLock();
-  std::coroutine_handle<> parked;
-  std::size_t parked_task = Engine::kNoTask;
-  ParkCounts counts;
-  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, {0});
-  const std::size_t holder = engine.spawn(idleUntil(engine, 500), 0, {1});
-  engine.spawn(probeParked(engine, 40, 0, counts), 0, {0});
-  engine.setLockHolder(lock, holder);
-  engine.run();
-  EXPECT_EQ(counts.blocked, 1u);
-  EXPECT_EQ(counts.parked, 0u);
+// moment that peer runs: the peer's event bounds the horizon, unless the
+// peer is a member too.
+TEST(Engine, LockHeldByPendingPeerBoundsHorizonUnlessMember) {
+  for (const bool member : {false, true}) {
+    Engine engine(2);
+    const std::uint32_t lock = engine.registerLock();
+    std::coroutine_handle<> parked;
+    std::size_t parked_task = Engine::kNoTask;
+    Tick horizon = 0;
+    engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, {0});
+    const std::size_t holder = engine.spawn(idleUntil(engine, 500), 0, {1});
+    std::vector<std::size_t> peers;
+    if (member) peers.push_back(holder);
+    engine.spawn(probeMembers(engine, 40, 0, peers, horizon), 0, {0});
+    engine.setLockHolder(lock, holder);
+    engine.run();
+    EXPECT_EQ(horizon, member ? Engine::kNever : 500u) << "member " << member;
+  }
+}
+
+// Members' own pending events do not count either: with the peer at 100 a
+// member, the horizon is the next non-member's event at 300, and a barrier
+// waiter whose missing arrival is the member's never bounds it.
+TEST(Engine, MemberSlotsAndBarrierArrivalsLeaveTheHorizon) {
+  for (const bool member : {false, true}) {
+    Engine engine(2);
+    std::uint32_t barrier = Engine::kNoSync;
+    std::coroutine_handle<> parked;
+    std::size_t parked_task = Engine::kNoTask;
+    Tick horizon = 0;
+    const std::size_t peer = engine.spawn(idleUntil(engine, 100), 0, {0});
+    engine.spawn(idleUntil(engine, 300), 0, {0});
+    const std::size_t b =
+        engine.spawn(parkOnBarrier(engine, barrier, parked, parked_task), 0, {0});
+    std::vector<std::size_t> peers;
+    if (member) peers.push_back(peer);
+    engine.spawn(probeMembers(engine, 40, 0, peers, horizon), 0, {0});
+    barrier = engine.registerBarrier({b, peer});
+    engine.arriveAtBarrier(barrier, b);
+    engine.run();
+    EXPECT_EQ(horizon, member ? 300u : 100u) << "member " << member;
+  }
 }
 
 /// Suspends forever with no pending event and no sync object — what an
@@ -709,17 +732,16 @@ SimTask wedge(Engine& engine, Tick at) {
   co_await WedgeAwaiter{};
 }
 
-// A wedged task (unknown park) is alive but neither blocked nor parked, so
-// alive − members can never equal the parked count: closure stays unproven.
-TEST(Engine, WedgedTaskStillBreaksClosure) {
+// A wedged task (unknown park) could be woken by any event, so its
+// resource's horizon falls back to the global next event, members or not.
+TEST(Engine, WedgedTaskForcesGlobalHorizon) {
   Engine engine(2);
-  ParkCounts counts;
+  Tick horizon = 0;
   engine.spawn(wedge(engine, 10), 0, {0});
-  engine.spawn(probeParked(engine, 40, 0, counts), 0, {0});
+  const std::size_t far = engine.spawn(idleUntil(engine, 500), 0, {1});
+  engine.spawn(probeMembers(engine, 40, 0, {far}, horizon), 0, {0});
   engine.run();
-  EXPECT_EQ(counts.alive, 2u);  // the wedged task plus the prober
-  EXPECT_EQ(counts.blocked, 0u);
-  EXPECT_EQ(counts.parked, 0u);
+  EXPECT_EQ(horizon, 500u);
 }
 
 TEST(Engine, CompletionTimesRecorded) {
@@ -863,8 +885,9 @@ TEST(Engine, NextEventTimeSeesEarliestOfMany) {
 /// every schedule the fuzz tasks make is mirrored into a plain list of
 /// pending entries, and every resume must be the list's minimum under
 /// (when, task id). At each resume the harness also checks nextEventTime(),
-/// nextEventTimeFor(r) and the closure tallies against scans of its own
-/// state, including every blocked task's wake bound through its lock's
+/// nextEventTimeFor(r) and nextEventTimeFor(r, members) for a random member
+/// set (the running task plus random pending tasks) against scans of its
+/// own state, including every blocked task's wake bound through its lock's
 /// holder (kAny) or the barrier's members still to arrive (kAll).
 struct QueueFuzz {
   enum class State : std::uint8_t { kPending, kRunning, kParked, kBlocked, kDone };
@@ -874,10 +897,11 @@ struct QueueFuzz {
   };
   static constexpr std::uint32_t kResources = 3;
 
-  explicit QueueFuzz(std::uint64_t seed) : rng(seed) {}
+  explicit QueueFuzz(std::uint64_t seed) : rng(seed), member_rng(~seed) {}
 
   Engine engine{kResources};
   std::mt19937_64 rng;
+  std::mt19937_64 member_rng;  ///< draws the member sets, apart from the schedule
   std::vector<State> state;
   std::vector<Tick> pending_when;  ///< per task, valid while kPending
   std::vector<std::vector<std::uint32_t>> reach;
@@ -893,6 +917,7 @@ struct QueueFuzz {
   std::size_t releases = 0;
   std::vector<Pending> ref;
   std::size_t pops = 0;
+  std::size_t multi_member_checks = 0;  ///< of which with a pending member
   std::string failure;  ///< first mismatch, if any
 
   Tick draw(Tick n) { return static_cast<Tick>(rng() % n); }
@@ -921,9 +946,14 @@ struct QueueFuzz {
     for (const Pending& p : ref) next = std::min(next, p.when);
     return next;
   }
-  /// Earliest execution of waker `w` (the engine's earliestRun).
-  Tick refEarliest(std::size_t w, std::size_t running,
+  [[nodiscard]] static bool isIn(const std::vector<std::size_t>& set, std::size_t t) {
+    return std::find(set.begin(), set.end(), t) != set.end();
+  }
+  /// Earliest execution of waker `w` (the engine's earliestRun); a member
+  /// (the running task among them) never acts mid-batch.
+  Tick refEarliest(std::size_t w, const std::vector<std::size_t>& members,
                    std::vector<std::size_t>& visited) const {
+    if (isIn(members, w)) return Engine::kNever;
     switch (state[w]) {
       case State::kPending: return pending_when[w];
       case State::kParked: return refNext();
@@ -932,7 +962,7 @@ struct QueueFuzz {
           return Engine::kNever;
         }
         visited.push_back(w);
-        const Tick bound = refWakeBound(w, running, visited);
+        const Tick bound = refWakeBound(w, members, visited);
         visited.pop_back();
         return bound;
       }
@@ -943,14 +973,13 @@ struct QueueFuzz {
   }
   /// Wake bound of blocked `b`: kAny through its lock's one holder, or kAll
   /// over the barrier's members still to arrive (a plain scan, no shortcut).
-  Tick refWakeBound(std::size_t b, std::size_t running,
+  Tick refWakeBound(std::size_t b, const std::vector<std::size_t>& batch,
                     std::vector<std::size_t>& visited) const {
     if (on_barrier[b] != 0) {
       Tick bound = 0;
       for (const std::size_t m : members) {
         if (arrived[m] != 0 || m == b) continue;
-        if (m == running) return Engine::kNever;
-        const Tick t = refEarliest(m, running, visited);
+        const Tick t = refEarliest(m, batch, visited);
         if (t == Engine::kNever) return Engine::kNever;
         bound = std::max(bound, t);
       }
@@ -958,22 +987,22 @@ struct QueueFuzz {
     }
     const std::size_t w = waker[b];
     if (w == Engine::kNoTask) return refNext();  // holder unknown
-    if (w == b || w == running) return Engine::kNever;
-    return refEarliest(w, running, visited);
+    if (w == b) return Engine::kNever;
+    return refEarliest(w, batch, visited);
   }
-  [[nodiscard]] Tick refBound(std::size_t b, std::size_t running) const {
-    std::vector<std::size_t> visited{b};
-    return refWakeBound(b, running, visited);
-  }
-  [[nodiscard]] Tick refHorizon(std::uint32_t r, std::size_t running) const {
+  /// The horizon over the non-members of `batch`: a plain scan.
+  [[nodiscard]] Tick refHorizon(std::uint32_t r, const std::vector<std::size_t>& batch) const {
     Tick horizon = Engine::kNever;
     for (const Pending& p : ref) {
-      if (reaches(p.id, r)) horizon = std::min(horizon, p.when);
+      if (reaches(p.id, r) && !isIn(batch, p.id)) horizon = std::min(horizon, p.when);
     }
     for (std::size_t t = 0; t < state.size(); ++t) {
       if (!reaches(t, r)) continue;
       if (state[t] == State::kParked) return refNext();  // unknown park
-      if (state[t] == State::kBlocked) horizon = std::min(horizon, refBound(t, running));
+      if (state[t] == State::kBlocked) {
+        std::vector<std::size_t> visited{t};
+        horizon = std::min(horizon, refWakeBound(t, batch, visited));
+      }
     }
     return horizon;
   }
@@ -992,22 +1021,19 @@ struct QueueFuzz {
     state[id] = State::kRunning;
     check(engine.currentTaskId() == id, "currentTaskId");
     check(engine.nextEventTime() == refNext(), "nextEventTime");
+    // A random batch: the running task plus each pending task with
+    // probability 1/3.
+    std::vector<std::size_t> batch{id};
+    for (const Pending& p : ref) {
+      if (member_rng() % 3 == 0) batch.push_back(p.id);
+    }
+    std::shuffle(batch.begin(), batch.end(), member_rng);
+    if (batch.size() > 1) ++multi_member_checks;
     for (std::uint32_t r = 0; r < kResources; ++r) {
       const std::string at = "(" + std::to_string(r) + ")";
-      check(engine.nextEventTimeFor(r) == refHorizon(r, id), "nextEventTimeFor" + at);
-      std::size_t alive = 0;
-      std::size_t blocked = 0;
-      std::size_t never = 0;
-      for (std::size_t t = 0; t < state.size(); ++t) {
-        if (!reaches(t, r) || state[t] == State::kDone) continue;
-        ++alive;
-        if (state[t] != State::kBlocked) continue;
-        ++blocked;
-        if (refBound(t, id) == Engine::kNever) ++never;
-      }
-      check(engine.aliveTasksReaching(r) == alive, "aliveTasksReaching" + at);
-      check(engine.blockedTasksReaching(r) == blocked, "blockedTasksReaching" + at);
-      check(engine.parkedTasksReaching(r) == never, "parkedTasksReaching" + at);
+      check(engine.nextEventTimeFor(r) == refHorizon(r, {id}), "nextEventTimeFor" + at);
+      check(engine.nextEventTimeFor(r, batch) == refHorizon(r, batch),
+            "nextEventTimeFor(members)" + at);
     }
   }
   /// Non-suspending move of the running task: wake a task parked by an
@@ -1103,6 +1129,7 @@ TEST(Engine, TaskSlotQueueMatchesReferenceOrder) {
   }
   std::size_t total_pops = 0;
   std::size_t total_releases = 0;
+  std::size_t total_multi = 0;
   for (std::uint64_t trial = 0; trial < 2000; ++trial) {
     QueueFuzz f(trial * 0x9E3779B97F4A7C15ULL + 7);
     const std::size_t tasks = 2 + f.draw(11);
@@ -1150,9 +1177,11 @@ TEST(Engine, TaskSlotQueueMatchesReferenceOrder) {
     EXPECT_EQ(f.engine.nextEventTime(), Engine::kNever) << "trial " << trial;
     total_pops += f.pops;
     total_releases += f.releases;
+    total_multi += f.multi_member_checks;
   }
   EXPECT_GT(total_pops, 50000u);
   EXPECT_GT(total_releases, 500u);
+  EXPECT_GT(total_multi, 20000u);
 }
 
 TEST(Engine, WallClockInstrumentation) {

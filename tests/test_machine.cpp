@@ -414,6 +414,62 @@ TEST(Machine, LockRejectsIdOutsideCores) {
   EXPECT_FALSE(machine.lock(0).held());
 }
 
+// Every data operation checks its range in its plain entry function, before
+// the race check or any other state change: past the shared-memory break,
+// an owner outside the launched UEs, past the owner's MPB slice. The
+// in-range edges still pass.
+TEST(Machine, DataOpsRejectOutOfRangeBeforeAnyStateChange) {
+  SccConfig cfg;
+  cfg.drf_check = true;
+  SccMachine machine(cfg);
+  const std::uint64_t brk = machine.shmalloc(64) + 64;
+  CoreContext ctx(machine, 0, 2, 0);
+  std::uint64_t v[2] = {};
+  const std::uint64_t slice = cfg.mpb_bytes_per_core;
+  EXPECT_THROW((void)ctx.shmWrite(brk - 4, v, 8), std::out_of_range);
+  EXPECT_THROW((void)ctx.shmRead(brk, v, 8), std::out_of_range);
+  EXPECT_THROW((void)ctx.shmRead(~std::uint64_t{0}, v, 8), std::out_of_range);
+  EXPECT_THROW((void)ctx.shmReadBulk(brk - 8, v, 16), std::out_of_range);
+  EXPECT_THROW((void)ctx.shmWriteBulk(brk + 64, v, 8), std::out_of_range);
+  EXPECT_THROW((void)ctx.mpbWrite(48, 0, v, 8), std::out_of_range);
+  EXPECT_THROW((void)ctx.mpbRead(2, 0, v, 8), std::out_of_range);
+  EXPECT_THROW((void)ctx.mpbRead(-1, 0, v, 8), std::out_of_range);
+  EXPECT_THROW((void)ctx.mpbWrite(1, slice - 4, v, 8), std::out_of_range);
+  EXPECT_EQ(machine.drfChecker().accessesChecked(), 0u);
+  EXPECT_NO_THROW((void)ctx.shmRead(brk - 8, v, 8));
+  EXPECT_NO_THROW((void)ctx.mpbRead(1, slice - 8, v, 8));
+}
+
+/// One out-of-range operation inside a task: 0 = an MPB put to UE 48 on a
+/// 2-UE launch, 1 = a word write just past the shared-memory break, 2 = an
+/// MPB get running past the owner's slice.
+SimTask outOfRangeKernel(CoreContext& ctx, int which, std::uint64_t brk) {
+  std::uint64_t v = 1;
+  if (ctx.ue() != 1) co_return;
+  if (which == 0) co_await ctx.mpbWrite(48, 0, &v, 8);
+  if (which == 1) co_await ctx.shmWrite(brk, &v, 8);
+  if (which == 2) {
+    co_await ctx.mpbRead(0, ctx.machine().config().mpb_bytes_per_core - 4, &v, 8);
+  }
+}
+
+void runOutOfRange(int which) {
+  SccMachine machine;
+  const std::uint64_t brk = machine.shmalloc(64) + 64;
+  machine.launch(LaunchSpec(2, [&](CoreContext& ctx) {
+    return outOfRangeKernel(ctx, which, brk);
+  }));
+  machine.run();
+}
+
+// Inside a task the exception ends the run with its message (SimTask
+// terminates on an unhandled exception) instead of writing past a buffer.
+TEST(MachineDeathTest, OutOfRangeDataOpsEndTheRun) {
+  EXPECT_DEATH(runOutOfRange(0), "MPB access to UE 48 outside the launched UEs");
+  EXPECT_DEATH(runOutOfRange(1), "passes the allocated break 64");
+  EXPECT_DEATH(runOutOfRange(2), "passes the 8192-byte slice of UE 0");
+}
+
 SimTask oneShmRead(CoreContext& ctx, std::uint64_t off) {
   std::uint64_t v = 0;
   co_await ctx.shmRead(off, &v, 8);
@@ -718,7 +774,7 @@ TEST(Machine, WakeChainHorizonBitIdenticalAndPinsWordEvents) {
 /// so ownership is uneven and shrinks with k), computes, and writes the row
 /// back; one barrier ends each step. UEs with no row left in a step park at
 /// the barrier while their controller peers are still mid word-run — the
-/// pattern the barrier-aware closure proof batches.
+/// pattern whose horizon barrier-parked peers cannot bound.
 SimTask luShapedKernel(CoreContext& ctx, std::uint64_t m0, std::size_t n) {
   const auto me = static_cast<std::size_t>(ctx.ue());
   const auto p = static_cast<std::size_t>(ctx.numUes());
@@ -770,8 +826,8 @@ SimResult runLuShaped(bool coalescing, SccConfig cfg = {}) {
 
 // 32 UEs on four controllers: the tasks parked at the step barrier reach the
 // same controllers as the row runs still in flight. They cannot be woken
-// before the running task arrives, so the joint word replay counts them as
-// closed instead of falling back to one word per event. Ticks and data stay
+// before the replay's members arrive, so they do not bound its horizon
+// instead of cutting it to one word per event. Ticks and data stay
 // bit-identical; the pinned word-event count catches any loss of that rule.
 TEST(Machine, BarrierParkedTasksKeepContentionClosedAndPinWordEvents) {
   const SimResult on = runLuShaped(true);
@@ -781,7 +837,7 @@ TEST(Machine, BarrierParkedTasksKeepContentionClosedAndPinWordEvents) {
   EXPECT_EQ(on.data, off.data);
   EXPECT_EQ(on.shm_words, off.shm_words);
   EXPECT_EQ(off.shm_word_events, off.shm_words);
-  EXPECT_EQ(on.shm_word_events, 7777u);
+  EXPECT_EQ(on.shm_word_events, 5731u);
 }
 
 // Stall faults are drawn per controller request, so an armed kMcStall turns
@@ -1251,25 +1307,58 @@ TEST(Machine, EmptyScopeLaunchBitIdenticalAcrossCoalescing) {
 
 // --- random kernels: coalescing on/off ----------------------------------------
 
-/// A seeded random kernel: two phases of compute bursts and uncached reads of
-/// random length and offset (writes into the UE's own slice now and then),
-/// with one barrier between the phases, so word runs meet contention,
-/// staggered starts and barrier-parked peers in every mix.
-SimTask randomKernel(CoreContext& ctx, std::uint64_t shared, std::uint64_t shared_words,
-                     std::uint64_t own, std::uint64_t seed) {
+/// The regions a random kernel touches.
+struct RandomRegions {
+  std::uint64_t shared = 0;  ///< uncached table, read by every UE
+  std::uint64_t shared_words = 0;
+  std::uint64_t own = 0;     ///< uncached, 48 words per UE
+  std::uint64_t cached = 0;  ///< cached table, read by every UE
+  std::uint64_t cached_words = 0;
+  std::uint64_t cached_own = 0;  ///< cached, 48 words (12 lines) per UE
+  std::uint64_t slot = 0;        ///< MPB, 48 words in every UE's slice
+};
+
+/// A seeded random kernel: two phases of compute gaps (none now and then)
+/// and random operations — uncached reads of the shared table and writes
+/// into the UE's own slice, cached reads of the cached table and writes
+/// into the UE's own cached window (line fills, and write-backs at the
+/// barrier's release), MPB gets from a random UE's slot and puts into its
+/// own — with one barrier between the phases, so word, line and chunk runs
+/// meet contention, each other, staggered starts and barrier-parked peers
+/// in every mix.
+SimTask randomKernel(CoreContext& ctx, RandomRegions g, std::uint64_t seed) {
   std::mt19937_64 rng(seed ^ (static_cast<std::uint64_t>(ctx.ue()) * 0x9E3779B97F4A7C15ULL));
   std::vector<std::uint64_t> buf(48);
+  const auto ue = static_cast<std::uint64_t>(ctx.ue());
   for (int phase = 0; phase < 2; ++phase) {
     const int ops = 2 + static_cast<int>(rng() % 4);
     for (int i = 0; i < ops; ++i) {
-      co_await ctx.compute(rng() % 4000);
+      if (rng() % 4 != 0) co_await ctx.compute(rng() % 4000);
       const std::size_t n = 1 + rng() % buf.size();
-      if (rng() % 4 == 0) {
-        co_await ctx.shmWrite(own + static_cast<std::uint64_t>(ctx.ue()) * 48 * 8,
-                              buf.data(), n * 8);
-      } else {
-        const std::uint64_t word = rng() % (shared_words - n);
-        co_await ctx.shmRead(shared + word * 8, buf.data(), n * 8);
+      switch (rng() % 6) {
+        case 0:
+          co_await ctx.shmWrite(g.own + ue * 48 * 8, buf.data(), n * 8);
+          break;
+        case 1:
+        case 2:
+          co_await ctx.shmRead(g.shared + (rng() % (g.shared_words - n)) * 8, buf.data(),
+                               n * 8);
+          break;
+        case 3:
+          co_await ctx.shmRead(g.cached + (rng() % (g.cached_words - n)) * 8, buf.data(),
+                               n * 8);
+          break;
+        case 4:
+          co_await ctx.shmWrite(g.cached_own + ue * 48 * 8, buf.data(), n * 8);
+          break;
+        default:
+          if (rng() % 2 == 0) {
+            const int owner = static_cast<int>(rng() % static_cast<std::uint64_t>(ctx.numUes()));
+            co_await ctx.mpbRead(owner, g.slot, buf.data(), n * 8);
+          } else {
+            co_await ctx.mpbWrite(ctx.ue(), g.slot, buf.data(), n * 8);
+          }
+          break;
       }
     }
     if (phase == 0) co_await ctx.barrier();
@@ -1277,33 +1366,49 @@ SimTask randomKernel(CoreContext& ctx, std::uint64_t shared, std::uint64_t share
 }
 
 // Random kernels on 2-48 UEs must give the same makespan and per-task
-// completions with coalescing on and off, with the shared table on each
+// completions with coalescing on and off, with the uncached table on each
 // UE's own controller and striped across all four (a striped word run's
 // controller is not its requester's, so every controller's horizon must see
-// every task). The word-event totals of the coalesced runs are pinned too:
-// a queue or run-table change that moves an event (not only a Tick) shows
-// up there.
+// every task). The MPB slot is a rotating broadcast under the launch plan
+// (put to its own slice, get from any). The event totals of the coalesced
+// runs are pinned too, per transaction kind: a queue or run-table change
+// that moves an event (not only a Tick) shows up there.
 TEST(Machine, RandomKernelsBitIdenticalAcrossCoalescing) {
+  const partition::ExecutionPlan plan{{partition::RegionPlan{
+      "slot", partition::PlacementClass::kOnChipResident,
+      partition::MpbPattern::kRotatingBroadcast, 48 * 8}}};
   std::uint64_t word_events[2] = {};
+  std::uint64_t line_events[2] = {};
+  std::uint64_t chunk_events[2] = {};
   std::uint64_t events[2] = {};
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const int ues = 2 + static_cast<int>(seed * 0x9E3779B97F4A7C15ULL % 47);
     for (const bool striped : {false, true}) {
       SimResult runs[2];
+      std::uint64_t lines[2] = {};
+      std::uint64_t chunks[2] = {};
       for (const bool coalescing : {false, true}) {
         SccConfig cfg;
         cfg.coalescing = coalescing;
         SccMachine machine(cfg);
-        constexpr std::uint64_t kSharedWords = 4096;
-        const std::uint64_t shared = machine.shmalloc(kSharedWords * 8);
-        const std::uint64_t own = machine.shmalloc(static_cast<std::size_t>(ues) * 48 * 8);
+        RandomRegions g;
+        g.shared_words = 4096;
+        g.shared = machine.shmalloc(g.shared_words * 8);
+        g.own = machine.shmalloc(static_cast<std::size_t>(ues) * 48 * 8);
+        g.cached_words = 2048;
+        const std::size_t line = cfg.cache_line_bytes;
+        g.cached = machine.shmalloc(g.cached_words * 8, line);
+        g.cached_own = machine.shmalloc(static_cast<std::size_t>(ues) * 48 * 8, line);
+        machine.setShmCacheability(g.cached, g.cached_own + static_cast<std::uint64_t>(ues) * 48 * 8,
+                                   true);
+        for (int ue = 0; ue < ues; ++ue) g.slot = machine.mpbMalloc(ue, 48 * 8);
         if (striped) {
-          machine.setShmControllerPlacement(shared, shared + kSharedWords * 8,
+          machine.setShmControllerPlacement(g.shared, g.shared + g.shared_words * 8,
                                             partition::ControllerPlacement::kStriped);
         }
         machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) {
-          return randomKernel(ctx, shared, kSharedWords, own, seed);
-        }));
+                         return randomKernel(ctx, g, seed);
+                       }).withPlan(&plan));
         SimResult& r = runs[coalescing ? 1 : 0];
         r.makespan = machine.run();
         for (int ue = 0; ue < ues; ++ue) {
@@ -1313,29 +1418,44 @@ TEST(Machine, RandomKernelsBitIdenticalAcrossCoalescing) {
         r.events = machine.engine().eventsProcessed();
         r.shm_words = machine.shmWordsSimulated();
         r.shm_word_events = machine.shmWordEvents();
+        lines[coalescing ? 1 : 0] = machine.swcacheLinesSimulated();
+        chunks[coalescing ? 1 : 0] = machine.mpbChunksSimulated();
+        if (coalescing) {
+          line_events[striped ? 1 : 0] += machine.swcacheLineEvents();
+          chunk_events[striped ? 1 : 0] += machine.mpbChunkEvents();
+          EXPECT_EQ(machine.mpbScopeViolations(), 0u) << "seed " << seed;
+        }
       }
       EXPECT_EQ(runs[1].makespan, runs[0].makespan) << "seed " << seed << " striped " << striped;
       EXPECT_EQ(runs[1].completions, runs[0].completions)
           << "seed " << seed << " striped " << striped;
       EXPECT_EQ(runs[1].shm_words, runs[0].shm_words) << "seed " << seed;
+      EXPECT_EQ(lines[1], lines[0]) << "seed " << seed;
+      EXPECT_EQ(chunks[1], chunks[0]) << "seed " << seed;
       word_events[striped ? 1 : 0] += runs[1].shm_word_events;
       events[striped ? 1 : 0] += runs[1].events;
     }
   }
-  EXPECT_EQ(word_events[0], 595317u);
-  EXPECT_EQ(events[0], 640715u);
-  EXPECT_EQ(word_events[1], 833219u);
-  EXPECT_EQ(events[1], 878617u);
+  EXPECT_EQ(word_events[0], 67119u);
+  EXPECT_EQ(line_events[0], 28092u);
+  EXPECT_EQ(chunk_events[0], 29482u);
+  EXPECT_EQ(events[0], 150947u);
+  EXPECT_EQ(word_events[1], 345661u);
+  EXPECT_EQ(line_events[1], 81279u);
+  EXPECT_EQ(chunk_events[1], 35311u);
+  EXPECT_EQ(events[1], 487263u);
 }
 
-// --- joint contention replay: round jumps vs the word-by-word oracle ---------
+// --- joint contention replay: round jumps vs the stepwise oracle ---------------
 
-/// The joint replay one word at a time, in the engine's event order: the
-/// earliest next-event instant first; at equal instants the live caller's
-/// first word (acquired inside the running event), then the lower task id.
-/// The oracle for replayJointRuns.
-void replayWordByWord(std::vector<ReplayMember>& members, ResourceTimeline& timeline,
-                      Tick issue_overhead, Tick service) {
+/// The joint replay one transaction at a time, in the engine's event order:
+/// the earliest next-event instant first; at equal instants the live
+/// caller's first transaction (acquired inside the running event), then the
+/// lower task id. It stops before any other transaction that would issue at
+/// or after `horizon`, and after the first finished run. The oracle for
+/// replayJointRuns.
+void replayStepwise(std::vector<ReplayMember>& members, ResourceTimeline& timeline,
+                    Tick horizon) {
   const auto key = [](const ReplayMember& m) {
     const bool live = m.is_self && m.done == 0;
     return std::tuple(m.t, live ? 0 : 1, m.task);
@@ -1347,7 +1467,8 @@ void replayWordByWord(std::vector<ReplayMember>& members, ResourceTimeline& time
       if (pick == members.size() || key(members[i]) < key(members[pick])) pick = i;
     }
     ReplayMember& m = members[pick];
-    m.t = timeline.acquire(m.t + issue_overhead + m.hop, service) + m.hop;
+    if (m.t >= horizon && !(m.is_self && m.done == 0)) return;
+    m.t = timeline.acquire(m.t + m.overhead + m.hop, m.service) + m.hop;
     ++m.done;
     if (--m.remaining == 0) return;
   }
@@ -1356,19 +1477,20 @@ void replayWordByWord(std::vector<ReplayMember>& members, ResourceTimeline& time
 struct ReplayCase {
   std::vector<ReplayMember> members;
   ResourceTimeline timeline;
-  Tick overhead = 0;
-  Tick service = 0;
+  Tick horizon = Engine::kNever;
 };
 
 /// Random members against one controller: 0-8 mesh hops of 2.5 ns each
 /// (Table 6.1's mesh), starts scattered `spread` Ticks around the instant
 /// the timeline frees, distinct shuffled task ids; member 0 is the live
-/// caller (its id is not always the lowest).
+/// caller (its id is not always the lowest). Every member issues with
+/// `overhead` and is served for `service`, unless `mixed`: then each draws
+/// its own pair, as word runs (15 ns issue, 7.504 ns service) and swcache
+/// line runs (45 ns issue, 15.008 ns service) sharing a controller do.
 ReplayCase randomReplayCase(std::mt19937_64& rng, std::size_t n, std::size_t max_run,
-                            Tick overhead, Tick spread, Tick service = 7504) {
+                            Tick overhead, Tick spread, Tick service = 7504,
+                            bool mixed = false) {
   ReplayCase c;
-  c.overhead = overhead;
-  c.service = service;  // default: 8 DRAM cycles at 1066 MHz
   constexpr Tick kBase = 1'000'000'000;
   c.timeline.acquire(kBase - service, service);  // nextFree() == kBase
   c.timeline.acquire(kBase + std::uniform_int_distribution<Tick>(0, spread)(rng), service);
@@ -1379,6 +1501,12 @@ ReplayCase randomReplayCase(std::mt19937_64& rng, std::size_t n, std::size_t max
     ReplayMember m{};
     m.task = tasks[i];
     m.t = kBase - spread + std::uniform_int_distribution<Tick>(0, 2 * spread)(rng);
+    m.overhead = overhead;
+    m.service = service;
+    if (mixed && rng() % 2 == 0) {
+      m.overhead = 3 * overhead;
+      m.service = 2 * service;
+    }
     m.hop = 2500 * std::uniform_int_distribution<Tick>(0, 8)(rng);
     m.remaining = std::uniform_int_distribution<std::size_t>(1, max_run)(rng);
     m.is_self = i == 0;
@@ -1388,68 +1516,98 @@ ReplayCase randomReplayCase(std::mt19937_64& rng, std::size_t n, std::size_t max
 }
 
 /// Runs `c` both ways and requires identical outcomes; returns the jumped
-/// replay's result.
-JointReplay expectReplayMatchesOracle(const ReplayCase& c, const std::string& what) {
+/// replay's result and stores in `*finished` whether a run finished (rather
+/// than the horizon stopping the replay).
+JointReplay expectReplayMatchesOracle(const ReplayCase& c, const std::string& what,
+                                      bool* finished = nullptr) {
   ReplayCase jumped = c;
   ReplayCase oracle = c;
-  const JointReplay r =
-      replayJointRuns(jumped.members, jumped.timeline, c.overhead, c.service);
-  replayWordByWord(oracle.members, oracle.timeline, c.overhead, c.service);
+  const JointReplay r = replayJointRuns(jumped.members, jumped.timeline, c.horizon);
+  replayStepwise(oracle.members, oracle.timeline, c.horizon);
   EXPECT_EQ(jumped.timeline.nextFree(), oracle.timeline.nextFree()) << what;
   EXPECT_EQ(jumped.timeline.totalBusy(), oracle.timeline.totalBusy()) << what;
   EXPECT_EQ(jumped.timeline.requests(), oracle.timeline.requests()) << what;
-  std::uint64_t words = 0;
+  std::uint64_t txns = 0;
   for (std::size_t i = 0; i < c.members.size(); ++i) {
     const ReplayMember& a = jumped.members[i];
     const ReplayMember& b = oracle.members[i];
     EXPECT_EQ(a.t, b.t) << what << " member " << i;
     EXPECT_EQ(a.done, b.done) << what << " member " << i;
     EXPECT_EQ(a.remaining, b.remaining) << what << " member " << i;
-    words += b.done;
+    txns += b.done;
   }
-  EXPECT_EQ(r.words, words) << what;
+  EXPECT_EQ(r.txns, txns) << what;
+  if (c.members.size() == 1) {
+    ReplayCase lone = c;
+    EXPECT_EQ(replayLoneRun(lone.members[0], lone.timeline, c.horizon).txns, txns) << what;
+    EXPECT_EQ(lone.timeline.nextFree(), oracle.timeline.nextFree()) << what;
+    EXPECT_EQ(lone.timeline.totalBusy(), oracle.timeline.totalBusy()) << what;
+    EXPECT_EQ(lone.timeline.requests(), oracle.timeline.requests()) << what;
+    EXPECT_EQ(lone.members[0].t, oracle.members[0].t) << what;
+    EXPECT_EQ(lone.members[0].done, oracle.members[0].done) << what;
+  }
+  if (finished != nullptr) {
+    *finished = std::any_of(jumped.members.begin(), jumped.members.end(),
+                            [](const ReplayMember& m) { return m.remaining == 0; });
+  }
   return r;
 }
 
-// Member counts 2-16, mixed hops, runs of 1-2000 words, scattered start
-// offsets, on a saturated controller (15 ns issue overhead: requests queue)
-// and an unsaturated one (1 us overhead: the controller idles between
-// words). A 7.5 ns service (three hops) makes members tie on t, so the
-// task-id tie-break decides picks. Every timeline counter and per-member
-// result must equal the word-by-word replay's.
+// Member counts 2-16, mixed hops, runs of 1-2000 transactions, scattered
+// start offsets, on a saturated controller (15 ns issue overhead: requests
+// queue) and an unsaturated one (1 us overhead: the controller idles between
+// transactions). A 7.5 ns service (three hops) makes members tie on t, so
+// the task-id tie-break decides picks. Half the trials give members their
+// own issue overhead and service (words and lines on one controller), and
+// half bound the replay by a horizon a few hundred transactions out, which
+// must cap the round jump. Every timeline counter and per-member result must
+// equal the stepwise replay's.
 TEST(ContentionReplay, RoundJumpMatchesWordByWordOracle) {
   std::mt19937_64 rng(0x5CC0FFEEULL);
   std::uint64_t jumped_cases = 0;
-  for (int trial = 0; trial < 600; ++trial) {
+  std::uint64_t jumped_to_horizon = 0;
+  for (int trial = 0; trial < 1200; ++trial) {
     const std::size_t n = std::uniform_int_distribution<std::size_t>(2, 16)(rng);
     const Tick overhead = trial % 3 == 2 ? 1'000'000 : 15'000;
     const Tick spread = trial % 2 == 0 ? 0 : 200'000;
     const std::size_t max_run = trial % 5 == 0 ? 20 : 2000;
     const Tick service = trial % 4 == 3 ? 7500 : 7504;
-    const ReplayCase c = randomReplayCase(rng, n, max_run, overhead, spread, service);
-    const JointReplay r = expectReplayMatchesOracle(c, "trial " + std::to_string(trial));
-    if (r.stepped < r.words) ++jumped_cases;
+    ReplayCase c = randomReplayCase(rng, n, max_run, overhead, spread, service,
+                                    /*mixed=*/trial % 8 >= 4);
+    if (trial >= 600) {
+      c.horizon = 1'000'000'000 + std::uniform_int_distribution<Tick>(0, 300'000'000)(rng);
+    }
+    bool finished = false;
+    const JointReplay r =
+        expectReplayMatchesOracle(c, "trial " + std::to_string(trial), &finished);
+    if (r.stepped < r.txns) {
+      ++jumped_cases;
+      if (!finished) ++jumped_to_horizon;
+    }
   }
-  EXPECT_GT(jumped_cases, 300u);
-  // Zero-latency words (no issue overhead, hop or service): a window can
-  // leave every t in place while serving one member twice and another not
-  // at all, so only the per-window pick count tells a translation from a
-  // stall.
+  EXPECT_GT(jumped_cases, 600u);
+  EXPECT_GT(jumped_to_horizon, 50u);
+  // Zero-latency transactions (no issue overhead, hop or service): a window
+  // can leave every t in place while serving one member twice and another
+  // not at all, so only the per-window pick count tells a translation from
+  // a stall.
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t n = std::uniform_int_distribution<std::size_t>(2, 16)(rng);
     ReplayCase c = randomReplayCase(rng, n, 50, 0, trial % 2 == 0 ? 30 : 0, 0);
     for (ReplayMember& m : c.members) m.hop = 0;
+    if (trial % 4 == 3) c.horizon = 1'000'000'000 + 10;
     expectReplayMatchesOracle(c, "zero-latency trial " + std::to_string(trial));
   }
 }
 
 // Twelve members saturating one controller with equal runs (the shape a
-// barrier release produces), their hops within one word service of each
-// other (0-2 mesh hops): once the controller saturates, the pick order is
-// fixed, so the replay must detect its periodic round within three windows
-// and jump, stepping at most three windows plus the tail one word at a time.
-// (Wider hop spreads reorder the picks for a few more windows before the
-// round settles; the randomized oracle test above covers them.)
+// barrier release produces), their hops within one transaction's service
+// of each other (0-2 mesh hops): once the controller saturates, the pick
+// order is fixed, so the replay must detect its periodic round within three
+// windows and jump, stepping at most three windows plus the tail one
+// transaction at a time. (Wider hop spreads reorder the picks for a few more
+// windows before the round settles; the randomized oracle test above covers
+// them.)
 TEST(ContentionReplay, SaturatedRoundJumpFires) {
   std::mt19937_64 rng(42);
   for (int trial = 0; trial < 50; ++trial) {
@@ -1460,6 +1618,34 @@ TEST(ContentionReplay, SaturatedRoundJumpFires) {
     }
     const JointReplay r = expectReplayMatchesOracle(c, "trial " + std::to_string(trial));
     EXPECT_LE(r.stepped, 3u * 12u + 12u) << "trial " << trial;
+  }
+}
+
+// A lone run (no peers: the single-task horizon loop) jumps in closed form
+// too, and a horizon stops it exactly where the stepwise loop stops — both
+// through replayJointRuns and through replayLoneRun, the lone run's own
+// loop, on saturated, idle and zero-latency controllers.
+TEST(ContentionReplay, LoneRunJumpsToItsHorizon) {
+  for (const Tick horizon : {Engine::kNever, Tick{1'000'000'000 + 5'000'000}}) {
+    ReplayCase c;
+    c.horizon = horizon;
+    c.members.push_back(ReplayMember{7, 1'000'000'000, 15'000, 5'000, 7'504, 4096, true});
+    const JointReplay r = expectReplayMatchesOracle(c, "horizon " + std::to_string(horizon));
+    EXPECT_LE(r.stepped, 3u);
+    EXPECT_EQ(r.txns == 4096, horizon == Engine::kNever);
+  }
+  std::mt19937_64 rng(7);
+  for (int trial = 0; trial < 300; ++trial) {
+    const bool zero = trial % 5 == 4;
+    ReplayCase c = randomReplayCase(rng, 1, trial % 3 == 0 ? 20 : 2000,
+                                    zero ? 0 : (trial % 2 == 0 ? 15'000 : 1'000'000),
+                                    trial % 4 < 2 ? 0 : 200'000, zero ? 0 : 7504);
+    if (zero) c.members[0].hop = 0;
+    c.members[0].is_self = trial % 7 != 0;
+    if (trial % 3 != 2) {
+      c.horizon = 1'000'000'000 + std::uniform_int_distribution<Tick>(0, 30'000'000)(rng);
+    }
+    expectReplayMatchesOracle(c, "lone trial " + std::to_string(trial));
   }
 }
 
