@@ -36,8 +36,9 @@ int main(int argc, char**) {
   for (const auto& bench : workloads::standardSuite(1.0)) {
     const workloads::RunResult base =
         bench->run(workloads::Mode::PthreadSingleCore, kUnits, config);
+    const partition::ExecutionPlan plan = bench->handPlan();
     const workloads::RunResult rcce =
-        bench->run(workloads::Mode::RcceOffChip, kUnits, config);
+        bench->run(workloads::Mode::RcceOffChip, kUnits, config, &plan);
     const double speedup =
         static_cast<double>(base.makespan) / static_cast<double>(rcce.makespan);
     const bool verified = base.verified && rcce.verified;

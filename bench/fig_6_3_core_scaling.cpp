@@ -18,6 +18,7 @@ int main(int argc, char**) {
 
   const sim::SccConfig config;
   const auto pi = workloads::makePiApprox(1.0);
+  const partition::ExecutionPlan plan = pi->handPlan();
 
   std::printf("Figure 6.3 — PiApprox speedup over 32-thread single-core Pthreads, "
               "varying RCCE core count\n");
@@ -30,7 +31,7 @@ int main(int argc, char**) {
   std::printf("%s\n", std::string(48, '-').c_str());
 
   for (int cores : {1, 2, 4, 8, 16, 32, 48}) {
-    const workloads::RunResult r = pi->run(workloads::Mode::RcceMpb, cores, config);
+    const workloads::RunResult r = pi->run(workloads::Mode::RcceMpb, cores, config, &plan);
     const double speedup =
         static_cast<double>(base.makespan) / static_cast<double>(r.makespan);
     std::printf("%-8d %14.3f %9.1fx %11.1f%% %s\n", cores,

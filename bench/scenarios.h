@@ -518,7 +518,7 @@ inline const ExecutionPlan& kvZipfPlan(ControllerPlacement cp) {
 
 inline Workload kvZipfWorkload(ControllerPlacement cp) {
   return {.ues = 8, .repetitions = 6, .setup = [cp](sim::SccMachine& m) {
-            workloads::setupKvRcce(m, workloads::KvParams{}, 8, &kvZipfPlan(cp));
+            workloads::setupKvRcce(m, workloads::KvParams{}, 8, kvZipfPlan(cp));
           }};
 }
 

@@ -585,9 +585,10 @@ void drfCleanSuite(Golden& g) {
   bool suite_clean = true;
   std::uint64_t suite_races = 0;
   for (const auto& bench : workloads::standardSuite(0.25)) {
+    const partition::ExecutionPlan plan = bench->handPlan();
     for (const workloads::Mode mode :
          {workloads::Mode::RcceOffChip, workloads::Mode::RcceMpb}) {
-      const workloads::RunResult r = bench->run(mode, 8, drf_cfg);
+      const workloads::RunResult r = bench->run(mode, 8, drf_cfg, &plan);
       suite_clean = suite_clean && r.verified && r.drf_races == 0;
       suite_races += r.drf_races;
     }
@@ -595,8 +596,10 @@ void drfCleanSuite(Golden& g) {
   // The seventh benchmark: the KV store's benign canonical-value races are
   // exempted at setup (workloads/kv_store.cpp), everything else must be
   // ordered.
-  const workloads::RunResult kvr = workloads::makeKvStore(workloads::KvParams{})->run(
-      workloads::Mode::RcceOffChip, 8, drf_cfg);
+  const auto kv = workloads::makeKvStore(workloads::KvParams{});
+  const partition::ExecutionPlan kv_plan = kv->handPlan();
+  const workloads::RunResult kvr =
+      kv->run(workloads::Mode::RcceOffChip, 8, drf_cfg, &kv_plan);
   suite_clean = suite_clean && kvr.verified && kvr.drf_races == 0;
   suite_races += kvr.drf_races;
   sim::FaultPlan hot{};
@@ -675,14 +678,16 @@ constexpr workloads::Mode kAllModes[] = {workloads::Mode::PthreadSingleCore,
                                          workloads::Mode::RcceMpb};
 
 /// Figs. 6.1 and 6.2 (all six programs, every mode, 32 UEs, scale 1.0) and
-/// Fig. 6.3 (PiApprox under MPB on each core count it sweeps), plus
-/// CountPrimes' load-imbalance band: the paper reports 16x instead of 32x.
+/// Fig. 6.3 (PiApprox under MPB on each core count it sweeps), each under
+/// its handPlan() as the fig binaries run them, plus CountPrimes'
+/// load-imbalance band: the paper reports 16x instead of 32x.
 void paperFigures(Golden& g) {
   const sim::SccConfig config;
   for (const auto& bench : workloads::standardSuite(1.0)) {
+    const partition::ExecutionPlan plan = bench->handPlan();
     Tick makespan[std::size(kAllModes)] = {};
     for (std::size_t i = 0; i < std::size(kAllModes); ++i) {
-      const workloads::RunResult r = bench->run(kAllModes[i], 32, config);
+      const workloads::RunResult r = bench->run(kAllModes[i], 32, config, &plan);
       benchRows(g, benchKey("paper", r), r);
       makespan[i] = r.makespan;
     }
@@ -694,7 +699,8 @@ void paperFigures(Golden& g) {
     }
     if (bench->name() == "PiApprox") {
       for (const int cores : {1, 2, 4, 8, 16, 48}) {
-        const workloads::RunResult r = bench->run(workloads::Mode::RcceMpb, cores, config);
+        const workloads::RunResult r =
+            bench->run(workloads::Mode::RcceMpb, cores, config, &plan);
         benchRows(g, benchKey("paper", r), r);
       }
     }
@@ -703,8 +709,8 @@ void paperFigures(Golden& g) {
 
 /// The runs bench/pipeline times: the six programs at scale 1.0 on 32 UEs,
 /// off-chip and MPB, each under the ExecutionPlan its translated pthread
-/// source derives (the legacy placement of `paper.*` caches nothing; these
-/// plans send DotProduct's vectors through the swcache).
+/// source derives (the hand plans of `paper.*` cache nothing; these plans
+/// send DotProduct's vectors through the swcache).
 void paperPlans(Golden& g) {
   const sim::SccConfig config;
   for (const auto& bench : workloads::standardSuite(1.0)) {
@@ -720,12 +726,14 @@ void paperPlans(Golden& g) {
   }
 }
 
-/// The six programs at scale 0.05 on 8 UEs in every mode.
+/// The six programs at scale 0.05 on 8 UEs in every mode, under their
+/// hand plans.
 void paperSmall(Golden& g) {
   const sim::SccConfig config;
   for (const auto& bench : workloads::standardSuite(0.05)) {
+    const partition::ExecutionPlan plan = bench->handPlan();
     for (const workloads::Mode mode : kAllModes) {
-      const workloads::RunResult r = bench->run(mode, 8, config);
+      const workloads::RunResult r = bench->run(mode, 8, config, &plan);
       benchRows(g, benchKey("paper_small", r), r);
     }
   }
@@ -758,13 +766,14 @@ void drfPlanKernels(Golden& g) {
   }
 }
 
-/// LU's per-region profile (scale 0.05, off-chip, 8 UEs): its placement
-/// walks the controller stripes.
+/// LU's per-region profile (scale 0.05, off-chip, 8 UEs, its hand plan):
+/// its placement walks the controller stripes.
 void luRegionProfile(Golden& g) {
   sim::SccConfig cfg;
   cfg.region_metrics = true;
-  const workloads::RunResult r =
-      workloads::makeLuDecomposition(0.05)->run(workloads::Mode::RcceOffChip, 8, cfg);
+  const auto lu = workloads::makeLuDecomposition(0.05);
+  const partition::ExecutionPlan plan = lu->handPlan();
+  const workloads::RunResult r = lu->run(workloads::Mode::RcceOffChip, 8, cfg, &plan);
   const std::string p = benchKey("region_profile", r);
   g.check(p + ".verified", r.verified);
   for (const sim::obs::RegionProfile& region : r.metrics.regions) {

@@ -1,7 +1,9 @@
 #include "workloads/benchmark.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace hsm::workloads {
 
@@ -14,7 +16,10 @@ const char* modeName(Mode mode) {
   return "?";
 }
 
-void recordMachineRobustness(RunResult& result, const sim::SccMachine& machine) {
+void runAndRecord(RunResult& result, sim::SccMachine& machine,
+                  const partition::ExecutionPlan& plan,
+                  std::initializer_list<const char*> known) {
+  result.makespan = machine.run();
   result.metrics = sim::obs::collectMetrics(machine);
   const auto counter = [&result](const char* name) -> std::uint64_t {
     const auto it = result.metrics.sim_counters.find(name);
@@ -29,6 +34,14 @@ void recordMachineRobustness(RunResult& result, const sim::SccMachine& machine) 
   result.controller_traffic = machine.controllerTraffic();
   const auto cv = result.metrics.sim_gauges.find("controller_load_cv");
   result.controller_load_cv = cv != result.metrics.sim_gauges.end() ? cv->second : 0.0;
+  for (const partition::RegionPlan& r : plan.regions) {
+    const bool consequential =
+        r.cached() || (r.onChip() && r.pattern != partition::MpbPattern::kNone) ||
+        (!r.onChip() && r.controller != partition::ControllerPlacement::kOwnerCompute);
+    const bool realized = std::any_of(known.begin(), known.end(),
+                                      [&r](const char* name) { return r.name == name; });
+    if (consequential && !realized) ++result.plan_regions_unrealized;
+  }
 }
 
 void deriveDetail(RunResult& result, const std::string& value) {
@@ -42,38 +55,33 @@ void deriveDetail(RunResult& result, const std::string& value) {
   }
 }
 
-partition::PlacementClass resolvePlacement(const partition::ExecutionPlan* plan,
-                                           const char* name, Mode mode,
-                                           partition::PlacementClass mpb_default) {
-  using partition::PlacementClass;
-  PlacementClass cls = mode == Mode::RcceMpb ? mpb_default
-                                             : PlacementClass::kOffChipUncached;
-  if (plan != nullptr) {
-    if (const partition::RegionPlan* r = plan->find(name)) cls = r->placement;
+RunResult Benchmark::run(Mode mode, int units, const sim::SccConfig& config,
+                         const partition::ExecutionPlan* plan) const {
+  if (units < 1) {
+    throw std::invalid_argument(name() + ": units must be at least 1, got " +
+                                std::to_string(units));
   }
-  if (mode == Mode::RcceOffChip && partition::isOnChip(cls)) {
-    cls = PlacementClass::kOffChipUncached;  // Fig. 6.1: no on-chip placement
+  if (plan == nullptr && mode != Mode::PthreadSingleCore) {
+    throw std::invalid_argument(name() + ": " + modeName(mode) +
+                                " needs an ExecutionPlan (handPlan() or a derived one)");
   }
-  return cls;
+  static const partition::ExecutionPlan kNoPlan;
+  RunResult result = execute(mode, units, config, plan != nullptr ? *plan : kNoPlan);
+  result.benchmark = name();
+  result.mode = mode;
+  result.units = units;
+  return result;
 }
 
-std::uint64_t countUnrealizedRegions(const partition::ExecutionPlan* plan,
-                                     std::initializer_list<const char*> known) {
-  if (plan == nullptr) return 0;
-  std::uint64_t unrealized = 0;
-  for (const partition::RegionPlan& r : plan->regions) {
-    const bool consequential =
-        r.cached() || (r.onChip() && r.pattern != partition::MpbPattern::kNone) ||
-        (!r.onChip() &&
-         r.controller != partition::ControllerPlacement::kOwnerCompute);
-    if (!consequential) continue;
-    bool matched = false;
-    for (const char* name : known) {
-      matched = matched || r.name == name;
-    }
-    if (!matched) ++unrealized;
+partition::PlacementClass resolvePlacement(const partition::ExecutionPlan& plan,
+                                           const char* name, Mode mode) {
+  using partition::PlacementClass;
+  const partition::RegionPlan* r = plan.find(name);
+  const PlacementClass cls = r != nullptr ? r->placement : PlacementClass::kOffChipUncached;
+  if (mode == Mode::RcceOffChip && partition::isOnChip(cls)) {
+    return PlacementClass::kOffChipUncached;  // Fig. 6.1: no on-chip placement
   }
-  return unrealized;
+  return cls;
 }
 
 Slice blockSlice(std::size_t n, int units, int u) {

@@ -4,10 +4,12 @@
 // Each benchmark runs in three modes:
 //   * PthreadSingleCore — N threads multiplexed on one core (the paper's
 //     evaluation baseline);
-//   * RcceOffChip — N cores, shared data in uncached off-chip DRAM
-//     (the Fig. 6.1 configuration);
-//   * RcceMpb — N cores, shared data staged through / resident in the
-//     on-chip MPB (the Fig. 6.2 configuration).
+//   * RcceOffChip — N cores, shared data in off-chip DRAM: the plan's
+//     on-chip regions demote to uncached words (the Fig. 6.1 configuration);
+//   * RcceMpb — N cores, the plan's on-chip regions staged through /
+//     resident in the MPB (the Fig. 6.2 configuration under handPlan()).
+// Both RCCE modes take an ExecutionPlan, the one channel for placement:
+// the translator's derived plan, or the twin's own handPlan().
 // All modes compute real results that are verified against references.
 #pragma once
 
@@ -41,14 +43,14 @@ struct RunResult {
   /// Full end-of-run metrics snapshot (sim::obs::collectMetrics; RCCE modes
   /// only — the pthread baseline has no SccMachine and leaves it empty).
   sim::obs::MetricsSnapshot metrics;
-  /// MPB accesses outside the plan's declared owner sets (RCCE modes; 0
-  /// when no plan was passed). Non-zero voids the port-isolation guarantee.
+  /// MPB accesses outside the plan's declared owner sets (RCCE modes).
+  /// Non-zero voids the port-isolation guarantee.
   std::uint64_t mpb_scope_violations = 0;
   /// Plan regions with runtime consequences (an on-chip MPB pattern or
   /// cached routing) whose names this workload did not recognize. Name
   /// drift between the translated source and the workload twin would
   /// otherwise silently disable the plan — resolvePlacement falls back to
-  /// the legacy defaults on a failed lookup. 0 when no plan was passed.
+  /// off-chip-uncached on a failed lookup.
   std::uint64_t plan_regions_unrealized = 0;
   // -- fault-tolerant run mode (config.fault armed; all zero otherwise) --
   /// Transient faults the machine injected during the run.
@@ -76,13 +78,20 @@ struct RunResult {
   std::uint64_t drf_races = 0;
 };
 
-/// Fill `result`'s machine-robustness counters (MPB scope violations plus
-/// the fault-injection/recovery stats) from a finished machine run — the
-/// one call every RCCE-mode workload makes after machine.run(). Collects the
-/// full metrics snapshot first (sim::obs::collectMetrics) and reads the
-/// scalar fields back out of it, so RunResult and MetricsSnapshot can never
-/// disagree.
-void recordMachineRobustness(RunResult& result, const sim::SccMachine& machine);
+/// Run a launched `machine` to completion and fill `result` from it — the
+/// one call every RCCE-mode workload makes after launch: the makespan; the
+/// full metrics snapshot (sim::obs::collectMetrics) with the robustness
+/// counters (MPB scope violations, fault-injection/recovery stats, races,
+/// controller load) read back out of it, so RunResult and MetricsSnapshot
+/// can never disagree; and plan_regions_unrealized, the plan's
+/// consequential regions (on-chip MPB pattern, cached routing, or a
+/// non-default controller placement) that are NOT among the workload's
+/// `known` region names. Regions with no runtime behavior (default-placed
+/// off-chip-uncached, pattern-free resident scalars) don't count: failing to
+/// look them up changes nothing.
+void runAndRecord(RunResult& result, sim::SccMachine& machine,
+                  const partition::ExecutionPlan& plan,
+                  std::initializer_list<const char*> known);
 
 /// Compose RunResult::detail from the workload's functional value string and
 /// the sim-domain metric summary already collected into `result.metrics`
@@ -94,64 +103,58 @@ class Benchmark {
  public:
   virtual ~Benchmark() = default;
   [[nodiscard]] virtual std::string name() const = 0;
-  /// Execute in `mode` on `units` threads/cores. `plan` (RCCE modes) is the
-  /// translator→runtime contract (docs/execution_plan.md): per-variable
-  /// placement classes choose the MPB/staged/uncached/cached realization of
-  /// each shared region, the plan's per-UE owner sets become the machine's
-  /// declared MPB scope (tight per-port reach; violations reported in the
-  /// result), and cached regions route through the swcache. A null plan
-  /// reproduces the legacy mode defaults (RcceMpb: the hand-written MPB
-  /// configuration; RcceOffChip: everything uncached off-chip) bit for bit.
+  /// The hand-written Fig. 6.2 placement as data: the plan this twin's
+  /// RcceMpb realization was written for (the fig binaries and the golden
+  /// `paper.*` rows run it; the translator derives its own plan from the
+  /// pthread source, docs/execution_plan.md compares the two).
+  [[nodiscard]] virtual partition::ExecutionPlan handPlan() const = 0;
+  /// Execute in `mode` on `units` threads/cores. `plan` is the
+  /// translator→runtime contract (docs/execution_plan.md), required in the
+  /// RCCE modes and ignored by PthreadSingleCore: per-variable placement
+  /// classes choose the MPB/staged/uncached/cached realization of each
+  /// shared region (resolvePlacement), the plan's per-UE owner sets become
+  /// the machine's declared MPB scope (tight per-port reach; violations
+  /// reported in the result), and cached regions route through the swcache.
   /// In RcceOffChip mode on-chip placements demote to off-chip-uncached —
   /// the Fig. 6.1 configuration — while cacheability is still honored.
-  [[nodiscard]] virtual RunResult run(Mode mode, int units,
-                                      const sim::SccConfig& config,
-                                      const partition::ExecutionPlan* plan = nullptr)
-      const = 0;
+  /// Throws std::invalid_argument when `units < 1` or when an RCCE mode
+  /// gets no plan.
+  [[nodiscard]] RunResult run(Mode mode, int units, const sim::SccConfig& config,
+                              const partition::ExecutionPlan* plan = nullptr) const;
+
+ private:
+  /// The workload body behind run(): arguments already checked; fills
+  /// everything of RunResult but its benchmark/mode/units echo.
+  [[nodiscard]] virtual RunResult execute(Mode mode, int units,
+                                          const sim::SccConfig& config,
+                                          const partition::ExecutionPlan& plan) const = 0;
 };
 
 /// Placement of workload region `name` under `plan` in `mode`: the plan's
-/// class when the region is present, otherwise the legacy default
-/// (`mpb_default` in RcceMpb mode, off-chip-uncached in RcceOffChip mode).
+/// class when the region is present, off-chip-uncached otherwise.
 /// RcceOffChip demotes on-chip classes to off-chip-uncached.
 [[nodiscard]] partition::PlacementClass resolvePlacement(
-    const partition::ExecutionPlan* plan, const char* name, Mode mode,
-    partition::PlacementClass mpb_default);
-
-/// Count the plan's consequential regions (on-chip MPB pattern, cached
-/// routing, or a non-default controller placement) that are NOT in the
-/// workload's `known` region names — the drift detector behind
-/// RunResult::plan_regions_unrealized. Regions with no runtime behavior
-/// (default-placed off-chip-uncached, pattern-free resident scalars) don't
-/// count: failing to look them up changes nothing.
-[[nodiscard]] std::uint64_t countUnrealizedRegions(
-    const partition::ExecutionPlan* plan, std::initializer_list<const char*> known);
+    const partition::ExecutionPlan& plan, const char* name, Mode mode);
 
 /// Allocate a workload's shared array for plan region `name`: plan-carrying
-/// (placement attribute + registered cacheability) when the plan names the
-/// region, legacy unmapped (uncached) otherwise — so plan-less runs stay
-/// bit-identical to the pre-ExecutionPlan behavior.
+/// (placement attribute, registered cacheability and controller placement)
+/// under resolvePlacement's class; a region the plan does not name is an
+/// off-chip-uncached, owner-compute array.
 /// Every allocation also registers `name` with the machine's region
 /// profiler (SccMachine::registerShmRegion) — a no-op unless
 /// config.region_metrics is set, where it feeds the per-region profiles in
 /// MetricsSnapshot::regions.
 template <typename T>
 [[nodiscard]] rcce::ShmArray<T> makeShmArray(rcce::RcceEnv& env, std::size_t count,
-                                             const partition::ExecutionPlan* plan,
-                                             const char* name, Mode mode,
-                                             partition::PlacementClass mpb_default) {
-  const auto registered = [&env, name, count](rcce::ShmArray<T> arr) {
-    env.machine().registerShmRegion(name, arr.byteOffset(0), arr.byteOffset(count));
-    return arr;
-  };
-  if (plan != nullptr) {
-    if (const partition::RegionPlan* r = plan->find(name)) {
-      return registered(rcce::ShmArray<T>(
-          env, count, resolvePlacement(plan, name, mode, mpb_default),
-          r->controller, r->pinned_controller));
-    }
-  }
-  return registered(rcce::ShmArray<T>(env, count));
+                                             const partition::ExecutionPlan& plan,
+                                             const char* name, Mode mode) {
+  const partition::RegionPlan* r = plan.find(name);
+  rcce::ShmArray<T> arr(
+      env, count, resolvePlacement(plan, name, mode),
+      r != nullptr ? r->controller : partition::ControllerPlacement::kOwnerCompute,
+      r != nullptr ? r->pinned_controller : 0);
+  env.machine().registerShmRegion(name, arr.byteOffset(0), arr.byteOffset(count));
+  return arr;
 }
 
 // Factories. `scale` multiplies the default problem size (1.0 = the sizes

@@ -122,15 +122,18 @@ class CountPrimes final : public Benchmark {
 
   [[nodiscard]] std::string name() const override { return "CountPrimes"; }
 
-  // (No repeated default for plan: defaults on virtuals bind to the
-  // static type — Benchmark::run's declaration owns it.)
-  [[nodiscard]] RunResult run(Mode mode, int units, const sim::SccConfig& config,
-                              const partition::ExecutionPlan* plan)
-      const override {
+  // "total" is the source's per-thread count array, summed in main: on chip
+  // the reduction funnels through UE 0's slot.
+  [[nodiscard]] partition::ExecutionPlan handPlan() const override {
+    using namespace partition;
+    return ExecutionPlan{
+        {RegionPlan{"total", PlacementClass::kOnChipResident, MpbPattern::kRootFunnel, 8}}};
+  }
+
+ private:
+  [[nodiscard]] RunResult execute(Mode mode, int units, const sim::SccConfig& config,
+                                  const partition::ExecutionPlan& plan) const override {
     RunResult result;
-    result.benchmark = name();
-    result.mode = mode;
-    result.units = units;
     const PrimesParams p = params_;
 
     long long computed = 0;
@@ -146,21 +149,15 @@ class CountPrimes final : public Benchmark {
     } else {
       sim::SccMachine machine(config);
       rcce::RcceEnv env(machine);
-      // "total" is the source's per-thread count array, summed in main:
-      // on-chip placement funnels the reduction through UE 0's slot.
-      const bool use_mpb = partition::isOnChip(resolvePlacement(
-          plan, "total", mode, partition::PlacementClass::kOnChipResident));
-      rcce::ShmArray<long long> acc = makeShmArray<long long>(
-          env, 1, plan, "total", mode, partition::PlacementClass::kOnChipResident);
+      const bool use_mpb = partition::isOnChip(resolvePlacement(plan, "total", mode));
+      rcce::ShmArray<long long> acc = makeShmArray<long long>(env, 1, plan, "total", mode);
       rcce::MpbArray<long long> mpb_acc(env, units, 1);
       *acc.hostData() = 0;
       *mpb_acc.hostData(0) = 0;
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
         return primesRcce(ctx, p, &spf_, acc, mpb_acc, use_mpb);
-      }).withPlan(plan));
-      result.makespan = machine.run();
-      recordMachineRobustness(result, machine);
-      result.plan_regions_unrealized = countUnrealizedRegions(plan, {"total"});
+      }).withPlan(&plan));
+      runAndRecord(result, machine, plan, {"total"});
       computed = use_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
     }
 
@@ -169,7 +166,6 @@ class CountPrimes final : public Benchmark {
     return result;
   }
 
- private:
   static PrimesParams scaledParams(double scale) {
     PrimesParams p;
     p.limit = static_cast<std::size_t>(static_cast<double>(p.limit) * scale);

@@ -104,15 +104,22 @@ class DotProduct final : public Benchmark {
 
   [[nodiscard]] std::string name() const override { return "DotProduct"; }
 
-  // (No repeated default for plan: defaults on virtuals bind to the
-  // static type — Benchmark::run's declaration owns it.)
-  [[nodiscard]] RunResult run(Mode mode, int units, const sim::SccConfig& config,
-                              const partition::ExecutionPlan* plan)
-      const override {
+  // "a"/"b" are the streamed input vectors, staged through the UE's own
+  // slice; "partial", the reduction, stays an off-chip word. (The
+  // translator's plan differs: it caches "a"/"b" and funnels "partial"
+  // through UE 0's slot.)
+  [[nodiscard]] partition::ExecutionPlan handPlan() const override {
+    using namespace partition;
+    return ExecutionPlan{
+        {RegionPlan{"a", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 0},
+         RegionPlan{"b", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 0},
+         RegionPlan{"partial", PlacementClass::kOffChipUncached, MpbPattern::kNone, 8}}};
+  }
+
+ private:
+  [[nodiscard]] RunResult execute(Mode mode, int units, const sim::SccConfig& config,
+                                  const partition::ExecutionPlan& plan) const override {
     RunResult result;
-    result.benchmark = name();
-    result.mode = mode;
-    result.units = units;
     const DotParams p = params_;
 
     double computed = 0.0;
@@ -137,20 +144,11 @@ class DotProduct final : public Benchmark {
     } else {
       sim::SccMachine machine(config);
       rcce::RcceEnv env(machine);
-      using partition::PlacementClass;
-      // "a"/"b" are the streamed input vectors (legacy RcceMpb stages them
-      // through the UE's own slice; the translator classifies them
-      // read-mostly → off-chip-cached); "partial" is the reduction.
-      const bool stage_ab = partition::isOnChip(
-          resolvePlacement(plan, "a", mode, PlacementClass::kOnChipStaged));
-      const bool acc_mpb = partition::isOnChip(
-          resolvePlacement(plan, "partial", mode, PlacementClass::kOffChipUncached));
-      rcce::ShmArray<double> a =
-          makeShmArray<double>(env, p.n, plan, "a", mode, PlacementClass::kOnChipStaged);
-      rcce::ShmArray<double> b =
-          makeShmArray<double>(env, p.n, plan, "b", mode, PlacementClass::kOnChipStaged);
-      rcce::ShmArray<double> acc = makeShmArray<double>(
-          env, 1, plan, "partial", mode, PlacementClass::kOffChipUncached);
+      const bool stage_ab = partition::isOnChip(resolvePlacement(plan, "a", mode));
+      const bool acc_mpb = partition::isOnChip(resolvePlacement(plan, "partial", mode));
+      rcce::ShmArray<double> a = makeShmArray<double>(env, p.n, plan, "a", mode);
+      rcce::ShmArray<double> b = makeShmArray<double>(env, p.n, plan, "b", mode);
+      rcce::ShmArray<double> acc = makeShmArray<double>(env, 1, plan, "partial", mode);
       rcce::MpbArray<double> stage(env, units, 2 * kChunk);
       rcce::MpbArray<double> mpb_acc(env, units, 1);
       for (std::size_t i = 0; i < p.n; ++i) {
@@ -161,11 +159,8 @@ class DotProduct final : public Benchmark {
       *mpb_acc.hostData(0) = 0.0;
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
         return dotRcce(ctx, p, a, b, acc, stage, mpb_acc, stage_ab, acc_mpb);
-      }).withPlan(plan));
-      result.makespan = machine.run();
-      recordMachineRobustness(result, machine);
-      result.plan_regions_unrealized =
-          countUnrealizedRegions(plan, {"a", "b", "partial"});
+      }).withPlan(&plan));
+      runAndRecord(result, machine, plan, {"a", "b", "partial"});
       computed = acc_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
     }
 
@@ -175,7 +170,6 @@ class DotProduct final : public Benchmark {
     return result;
   }
 
- private:
   DotParams params_;
 };
 

@@ -135,13 +135,14 @@ class KvStore final : public Benchmark {
 
   [[nodiscard]] std::string name() const override { return "KvStore"; }
 
-  [[nodiscard]] RunResult run(Mode mode, int units, const sim::SccConfig& config,
-                              const partition::ExecutionPlan* plan)
-      const override {
+  // Every region off-chip uncached with owner-compute controllers: the
+  // empty plan.
+  [[nodiscard]] partition::ExecutionPlan handPlan() const override { return {}; }
+
+ private:
+  [[nodiscard]] RunResult execute(Mode mode, int units, const sim::SccConfig& config,
+                                  const partition::ExecutionPlan& plan) const override {
     RunResult result;
-    result.benchmark = name();
-    result.mode = mode;
-    result.units = units;
     const KvParams p = params_;
     const std::uint32_t cap = indexCapacity(p.num_keys);
     const std::uint32_t mask = cap - 1;
@@ -173,10 +174,7 @@ class KvStore final : public Benchmark {
     } else {
       sim::SccMachine machine(config);
       const KvLayout layout = setupKvRcce(machine, p, units, plan, mode, cdf);
-      result.makespan = machine.run();
-      recordMachineRobustness(result, machine);
-      result.plan_regions_unrealized =
-          countUnrealizedRegions(plan, {"kv_index", "kv_slots", "kv_checks"});
+      runAndRecord(result, machine, plan, {"kv_index", "kv_slots", "kv_checks"});
       std::memcpy(computed.data(), machine.shmData(layout.checks_offset),
                   static_cast<std::size_t>(units) * 8);
       slab_canonical = slabCanonical(
@@ -193,7 +191,6 @@ class KvStore final : public Benchmark {
     return result;
   }
 
- private:
   static bool slabCanonical(const KvParams& p, const std::uint64_t* slab) {
     for (std::uint32_t key = 0; key < p.num_keys; ++key) {
       for (std::size_t w = 0; w < kWordsPerItem; ++w) {
@@ -222,21 +219,18 @@ class KvStore final : public Benchmark {
 }  // namespace
 
 KvLayout setupKvRcce(sim::SccMachine& machine, const KvParams& params, int ues,
-                     const partition::ExecutionPlan* plan, Mode mode, ZipfCdf cdf) {
+                     const partition::ExecutionPlan& plan, Mode mode, ZipfCdf cdf) {
   const KvParams p = params;
   if (cdf == nullptr) cdf = makeZipfCdf(p.num_keys, p.alpha);
   const std::uint32_t cap = indexCapacity(p.num_keys);
   const std::uint32_t mask = cap - 1;
   rcce::RcceEnv env(machine);
-  using partition::PlacementClass;
-  rcce::ShmArray<std::uint64_t> index = makeShmArray<std::uint64_t>(
-      env, cap, plan, "kv_index", mode, PlacementClass::kOffChipUncached);
+  rcce::ShmArray<std::uint64_t> index =
+      makeShmArray<std::uint64_t>(env, cap, plan, "kv_index", mode);
   rcce::ShmArray<std::uint64_t> slots = makeShmArray<std::uint64_t>(
-      env, static_cast<std::size_t>(p.num_keys) * kWordsPerItem, plan, "kv_slots",
-      mode, PlacementClass::kOffChipUncached);
+      env, static_cast<std::size_t>(p.num_keys) * kWordsPerItem, plan, "kv_slots", mode);
   rcce::ShmArray<std::uint64_t> checks = makeShmArray<std::uint64_t>(
-      env, static_cast<std::size_t>(ues), plan, "kv_checks", mode,
-      PlacementClass::kOffChipUncached);
+      env, static_cast<std::size_t>(ues), plan, "kv_checks", mode);
   buildIndex(p, index.hostData(), cap);
   buildSlab(p, slots.hostData());
   std::memset(checks.hostData(), 0, static_cast<std::size_t>(ues) * 8);
@@ -253,7 +247,7 @@ KvLayout setupKvRcce(sim::SccMachine& machine, const KvParams& params, int ues,
   // coroutine copies the ShmArrays into its frame, so the locals may die.
   machine.launch(sim::LaunchSpec(ues, [&](sim::CoreContext& ctx) {
                    return kvRcce(ctx, p, cdf, mask, index, slots, checks);
-                 }).withPlan(plan));
+                 }).withPlan(&plan));
   return KvLayout{index.byteOffset(0), slots.byteOffset(0), checks.byteOffset(0)};
 }
 

@@ -112,7 +112,7 @@ struct KvLayout {
 /// expected per-UE results. `cdf` is the run's shared
 /// makeZipfCdf(params.num_keys, params.alpha) table; null builds it here.
 KvLayout setupKvRcce(sim::SccMachine& machine, const KvParams& params, int ues,
-                     const partition::ExecutionPlan* plan,
+                     const partition::ExecutionPlan& plan,
                      Mode mode = Mode::RcceOffChip, ZipfCdf cdf = nullptr);
 
 /// Expected checksum of UE `ue`'s get stream: the untimed host-side replay

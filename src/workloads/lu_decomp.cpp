@@ -122,15 +122,19 @@ class LuDecomposition final : public Benchmark {
 
   [[nodiscard]] std::string name() const override { return "LU"; }
 
-  // (No repeated default for plan: defaults on virtuals bind to the
-  // static type — Benchmark::run's declaration owns it.)
-  [[nodiscard]] RunResult run(Mode mode, int units, const sim::SccConfig& config,
-                              const partition::ExecutionPlan* plan)
-      const override {
+  // "m" is the thread-written matrix with cross-thread pivot reuse, staged
+  // by rotating broadcast: each step's pivot owner publishes the pivot row
+  // from its own slice and everyone fetches it.
+  [[nodiscard]] partition::ExecutionPlan handPlan() const override {
+    using namespace partition;
+    return ExecutionPlan{
+        {RegionPlan{"m", PlacementClass::kOnChipStaged, MpbPattern::kRotatingBroadcast, 0}}};
+  }
+
+ private:
+  [[nodiscard]] RunResult execute(Mode mode, int units, const sim::SccConfig& config,
+                                  const partition::ExecutionPlan& plan) const override {
     RunResult result;
-    result.benchmark = name();
-    result.mode = mode;
-    result.units = units;
     const LuParams p = params_;
 
     bool verified = false;
@@ -148,22 +152,14 @@ class LuDecomposition final : public Benchmark {
     } else {
       sim::SccMachine machine(config);
       rcce::RcceEnv env(machine);
-      using partition::PlacementClass;
-      // "m" is the thread-written matrix with cross-thread pivot reuse: the
-      // translator stages it via rotating broadcast (each step's pivot owner
-      // publishes from its own slice, everyone fetches).
-      const bool use_mpb = partition::isOnChip(
-          resolvePlacement(plan, "m", mode, PlacementClass::kOnChipStaged));
-      rcce::ShmArray<double> m = makeShmArray<double>(
-          env, p.n * p.n, plan, "m", mode, PlacementClass::kOnChipStaged);
+      const bool use_mpb = partition::isOnChip(resolvePlacement(plan, "m", mode));
+      rcce::ShmArray<double> m = makeShmArray<double>(env, p.n * p.n, plan, "m", mode);
       rcce::MpbArray<double> pivot_stage(env, units, p.n);
       initMatrix(m.hostData(), p.n);
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
         return luRcce(ctx, p, m, pivot_stage, use_mpb);
-      }).withPlan(plan));
-      result.makespan = machine.run();
-      recordMachineRobustness(result, machine);
-      result.plan_regions_unrealized = countUnrealizedRegions(plan, {"m"});
+      }).withPlan(&plan));
+      runAndRecord(result, machine, plan, {"m"});
       verified = verifyLu(m.hostData(), p.n);
     }
 
@@ -172,7 +168,6 @@ class LuDecomposition final : public Benchmark {
     return result;
   }
 
- private:
   LuParams params_;
 };
 

@@ -89,15 +89,18 @@ class PiApprox final : public Benchmark {
 
   [[nodiscard]] std::string name() const override { return "PiApprox"; }
 
-  // (No repeated default for plan: defaults on virtuals bind to the
-  // static type — Benchmark::run's declaration owns it.)
-  [[nodiscard]] RunResult run(Mode mode, int units, const sim::SccConfig& config,
-                              const partition::ExecutionPlan* plan)
-      const override {
+  // "gsum" is the source accumulator, on chip as the root-funnel slot in UE
+  // 0's MPB slice.
+  [[nodiscard]] partition::ExecutionPlan handPlan() const override {
+    using namespace partition;
+    return ExecutionPlan{
+        {RegionPlan{"gsum", PlacementClass::kOnChipResident, MpbPattern::kRootFunnel, 8}}};
+  }
+
+ private:
+  [[nodiscard]] RunResult execute(Mode mode, int units, const sim::SccConfig& config,
+                                  const partition::ExecutionPlan& plan) const override {
     RunResult result;
-    result.benchmark = name();
-    result.mode = mode;
-    result.units = units;
     const PiParams p = params_;
 
     double computed = 0.0;
@@ -113,21 +116,15 @@ class PiApprox final : public Benchmark {
     } else {
       sim::SccMachine machine(config);
       rcce::RcceEnv env(machine);
-      // "gsum" is the source accumulator: on-chip placement realizes it as
-      // the root-funnel slot in UE 0's MPB slice (the legacy RcceMpb shape).
-      const bool use_mpb = partition::isOnChip(resolvePlacement(
-          plan, "gsum", mode, partition::PlacementClass::kOnChipResident));
-      rcce::ShmArray<double> acc = makeShmArray<double>(
-          env, 1, plan, "gsum", mode, partition::PlacementClass::kOnChipResident);
+      const bool use_mpb = partition::isOnChip(resolvePlacement(plan, "gsum", mode));
+      rcce::ShmArray<double> acc = makeShmArray<double>(env, 1, plan, "gsum", mode);
       rcce::MpbArray<double> mpb_acc(env, units, 1);
       *acc.hostData() = 0.0;
       *mpb_acc.hostData(0) = 0.0;
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
         return piRcce(ctx, p, acc, mpb_acc, use_mpb);
-      }).withPlan(plan));
-      result.makespan = machine.run();
-      recordMachineRobustness(result, machine);
-      result.plan_regions_unrealized = countUnrealizedRegions(plan, {"gsum"});
+      }).withPlan(&plan));
+      runAndRecord(result, machine, plan, {"gsum"});
       computed = use_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
     }
 
@@ -136,7 +133,6 @@ class PiApprox final : public Benchmark {
     return result;
   }
 
- private:
   PiParams params_;
 };
 

@@ -196,15 +196,20 @@ class Stream final : public Benchmark {
 
   [[nodiscard]] std::string name() const override { return "Stream"; }
 
-  // (No repeated default for plan: defaults on virtuals bind to the
-  // static type — Benchmark::run's declaration owns it.)
-  [[nodiscard]] RunResult run(Mode mode, int units, const sim::SccConfig& config,
-                              const partition::ExecutionPlan* plan)
-      const override {
+  // The three source arrays are thread-written streamed slices, each staged
+  // through the UE's own slice (self-stage).
+  [[nodiscard]] partition::ExecutionPlan handPlan() const override {
+    using namespace partition;
+    return ExecutionPlan{
+        {RegionPlan{"a", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 0},
+         RegionPlan{"b", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 0},
+         RegionPlan{"c", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 0}}};
+  }
+
+ private:
+  [[nodiscard]] RunResult execute(Mode mode, int units, const sim::SccConfig& config,
+                                  const partition::ExecutionPlan& plan) const override {
     RunResult result;
-    result.benchmark = name();
-    result.mode = mode;
-    result.units = units;
     const StreamParams p = params_;
 
     bool verified = false;
@@ -228,26 +233,16 @@ class Stream final : public Benchmark {
     } else {
       sim::SccMachine machine(config);
       rcce::RcceEnv env(machine);
-      using partition::PlacementClass;
-      // The three source arrays are thread-written streamed slices: the
-      // translator stages them through each UE's own slice (self-stage).
-      const bool use_mpb = partition::isOnChip(
-          resolvePlacement(plan, "a", mode, PlacementClass::kOnChipStaged));
-      rcce::ShmArray<double> a =
-          makeShmArray<double>(env, p.n, plan, "a", mode, PlacementClass::kOnChipStaged);
-      rcce::ShmArray<double> b =
-          makeShmArray<double>(env, p.n, plan, "b", mode, PlacementClass::kOnChipStaged);
-      rcce::ShmArray<double> c =
-          makeShmArray<double>(env, p.n, plan, "c", mode, PlacementClass::kOnChipStaged);
+      const bool use_mpb = partition::isOnChip(resolvePlacement(plan, "a", mode));
+      rcce::ShmArray<double> a = makeShmArray<double>(env, p.n, plan, "a", mode);
+      rcce::ShmArray<double> b = makeShmArray<double>(env, p.n, plan, "b", mode);
+      rcce::ShmArray<double> c = makeShmArray<double>(env, p.n, plan, "c", mode);
       rcce::MpbArray<double> stage(env, units, kChunk);
       initArrays(a.hostData(), b.hostData(), c.hostData(), p.n);
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
         return streamRcce(ctx, p, a, b, c, stage, use_mpb);
-      }).withPlan(plan));
-      result.makespan = machine.run();
-      recordMachineRobustness(result, machine);
-      result.plan_regions_unrealized =
-          countUnrealizedRegions(plan, {"a", "b", "c"});
+      }).withPlan(&plan));
+      runAndRecord(result, machine, plan, {"a", "b", "c"});
       verified = checkArrays(a.hostData(), b.hostData(), c.hostData(), p.n);
     }
 
@@ -256,7 +251,6 @@ class Stream final : public Benchmark {
     return result;
   }
 
- private:
   StreamParams params_;
 };
 

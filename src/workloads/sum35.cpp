@@ -75,15 +75,18 @@ class Sum35 final : public Benchmark {
 
   [[nodiscard]] std::string name() const override { return "3-5-Sum"; }
 
-  // (No repeated default for plan: defaults on virtuals bind to the
-  // static type — Benchmark::run's declaration owns it.)
-  [[nodiscard]] RunResult run(Mode mode, int units, const sim::SccConfig& config,
-                              const partition::ExecutionPlan* plan)
-      const override {
+  // "partial" is the source's per-thread slot array, gathered in main: on
+  // chip the reduction funnels through UE 0's slot.
+  [[nodiscard]] partition::ExecutionPlan handPlan() const override {
+    using namespace partition;
+    return ExecutionPlan{
+        {RegionPlan{"partial", PlacementClass::kOnChipResident, MpbPattern::kRootFunnel, 8}}};
+  }
+
+ private:
+  [[nodiscard]] RunResult execute(Mode mode, int units, const sim::SccConfig& config,
+                                  const partition::ExecutionPlan& plan) const override {
     RunResult result;
-    result.benchmark = name();
-    result.mode = mode;
-    result.units = units;
     const Sum35Params p = params_;
 
     long long computed = 0;
@@ -99,21 +102,15 @@ class Sum35 final : public Benchmark {
     } else {
       sim::SccMachine machine(config);
       rcce::RcceEnv env(machine);
-      // "partial" is the source's per-thread slot array, gathered in main:
-      // on-chip placement funnels the reduction through UE 0's slot.
-      const bool use_mpb = partition::isOnChip(resolvePlacement(
-          plan, "partial", mode, partition::PlacementClass::kOnChipResident));
-      rcce::ShmArray<long long> acc = makeShmArray<long long>(
-          env, 1, plan, "partial", mode, partition::PlacementClass::kOnChipResident);
+      const bool use_mpb = partition::isOnChip(resolvePlacement(plan, "partial", mode));
+      rcce::ShmArray<long long> acc = makeShmArray<long long>(env, 1, plan, "partial", mode);
       rcce::MpbArray<long long> mpb_acc(env, units, 1);
       *acc.hostData() = 0;
       *mpb_acc.hostData(0) = 0;
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
         return sum35Rcce(ctx, p, acc, mpb_acc, use_mpb);
-      }).withPlan(plan));
-      result.makespan = machine.run();
-      recordMachineRobustness(result, machine);
-      result.plan_regions_unrealized = countUnrealizedRegions(plan, {"partial"});
+      }).withPlan(&plan));
+      runAndRecord(result, machine, plan, {"partial"});
       computed = use_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
     }
 
@@ -122,7 +119,6 @@ class Sum35 final : public Benchmark {
     return result;
   }
 
- private:
   Sum35Params params_;
 };
 

@@ -5,8 +5,8 @@
 //     (read-mostly → cached, thread-written → never cached);
 //   * plan-driven workload runs verify with ZERO scope violations (the
 //     derived owner sets cover all observed MPB traffic);
-//   * plan-driven runs are Tick-bit-identical to the legacy-knob runs they
-//     replace;
+//   * each workload's hand plan lints clean against its translated source
+//     and runs inside its own MPB scope;
 //   * the machine-level per-region cacheability map and the declared-scope
 //     violation accounting.
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 
+#include "partition/drf_lint.h"
 #include "rcce/rcce.h"
 #include "sim/machine.h"
 #include "translator/translator.h"
@@ -268,7 +269,7 @@ TEST(PlanDrivenExecution, AllBenchmarksVerifyWithZeroScopeViolations) {
 }
 
 // Region-name drift between the translated source and the workload twin
-// must be flagged, not silently absorbed by the legacy-default fallback.
+// must be flagged, not silently absorbed by the off-chip-uncached fallback.
 TEST(PlanDrivenExecution, UnrecognizedConsequentialRegionIsCounted) {
   const sim::SccConfig config;
   const auto pi = workloads::makePiApprox(kScale);
@@ -280,70 +281,26 @@ TEST(PlanDrivenExecution, UnrecognizedConsequentialRegionIsCounted) {
   EXPECT_EQ(run.plan_regions_unrealized, 1u);  // ...but the drift is visible
 }
 
-// --- plan-driven runs reproduce the legacy knobs bit for bit -----------------
+// --- hand plans: each twin's hand-written Fig. 6.2 placement ----------------
 
-/// The legacy-encoding mirror plan of each workload: the exact realization
-/// the pre-ExecutionPlan use_mpb bools and hand-written MPB scopes chose in
-/// RcceMpb mode.
-ExecutionPlan legacyMpbMirror(const std::string& name) {
-  if (name == "PiApprox") {
-    return ExecutionPlan{{RegionPlan{"gsum", PlacementClass::kOnChipResident,
-                                     MpbPattern::kRootFunnel, 8}}};
-  }
-  if (name == "3-5-Sum") {
-    return ExecutionPlan{{RegionPlan{"partial", PlacementClass::kOnChipResident,
-                                     MpbPattern::kRootFunnel, 8}}};
-  }
-  if (name == "CountPrimes") {
-    return ExecutionPlan{{RegionPlan{"total", PlacementClass::kOnChipResident,
-                                     MpbPattern::kRootFunnel, 8}}};
-  }
-  if (name == "Stream") {
-    return ExecutionPlan{
-        {RegionPlan{"a", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 0},
-         RegionPlan{"b", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 0},
-         RegionPlan{"c", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 0}}};
-  }
-  if (name == "DotProduct") {
-    // Legacy MPB mode staged a/b but kept the accumulator off-chip.
-    return ExecutionPlan{
-        {RegionPlan{"a", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 0},
-         RegionPlan{"b", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 0},
-         RegionPlan{"partial", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                    8}}};
-  }
-  // LU: pivot-row staging via rotating broadcast.
-  return ExecutionPlan{{RegionPlan{"m", PlacementClass::kOnChipStaged,
-                                   MpbPattern::kRotatingBroadcast, 0}}};
-}
-
-/// All-uncached mirror (the legacy RcceOffChip realization).
-ExecutionPlan legacyOffChipMirror(const std::string& name) {
-  ExecutionPlan plan = legacyMpbMirror(name);
-  for (RegionPlan& r : plan.regions) {
-    r.placement = PlacementClass::kOffChipUncached;
-    r.pattern = MpbPattern::kNone;
-  }
-  return plan;
-}
-
-TEST(PlanDrivenExecution, BitIdenticalToLegacyKnobRuns) {
+TEST(Workloads, HandPlansLintCleanAndInScope) {
   const sim::SccConfig config;
   for (const std::string& name : workloads::pthreadSourceNames()) {
+    const translator::TranslationResult r = translateBenchmark(name);
+    ASSERT_TRUE(r.ok) << name << ": " << r.diagnostics;
     const auto bench = makeBenchmark(name, kScale);
     ASSERT_NE(bench, nullptr);
+    const ExecutionPlan plan = bench->handPlan();
+    EXPECT_FALSE(plan.regions.empty()) << name;
+    const partition::LintResult lint =
+        partition::lintSharingTables(r.analysis, plan, config.cache_line_bytes);
+    EXPECT_TRUE(lint.ok()) << name << ":\n" << lint.format();
     for (const workloads::Mode mode :
          {workloads::Mode::RcceOffChip, workloads::Mode::RcceMpb}) {
-      const ExecutionPlan mirror = mode == workloads::Mode::RcceMpb
-                                       ? legacyMpbMirror(name)
-                                       : legacyOffChipMirror(name);
-      const workloads::RunResult legacy = bench->run(mode, 8, config);
-      const workloads::RunResult planned = bench->run(mode, 8, config, &mirror);
-      EXPECT_TRUE(planned.verified) << name;
-      EXPECT_EQ(planned.makespan, legacy.makespan)
-          << name << " " << workloads::modeName(mode)
-          << ": plan-driven run moved a Tick vs the legacy knobs";
-      EXPECT_EQ(planned.mpb_scope_violations, 0u)
+      const workloads::RunResult run = bench->run(mode, 8, config, &plan);
+      EXPECT_TRUE(run.verified) << name << " " << workloads::modeName(mode);
+      EXPECT_EQ(run.mpb_scope_violations, 0u) << name << " " << workloads::modeName(mode);
+      EXPECT_EQ(run.plan_regions_unrealized, 0u)
           << name << " " << workloads::modeName(mode);
     }
   }

@@ -71,7 +71,9 @@ TEST(ZipfGenerator, MeasuredSkewMatchesProbability) {
   double total = 0.0;
   for (std::uint32_t k = 0; k < n; ++k) {
     total += g.probability(k);
-    if (k > 0) EXPECT_LE(g.probability(k), g.probability(k - 1));
+    if (k > 0) {
+      EXPECT_LE(g.probability(k), g.probability(k - 1));
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
   EXPECT_GT(g.probability(0), 0.15);  // alpha 1.2 concentrates the head
@@ -258,12 +260,13 @@ TEST(KvStore, VerifiesInAllThreeModes) {
   p.ops_per_ue = 192;
   const auto kv = workloads::makeKvStore(p);
   const sim::SccConfig cfg;
+  const ExecutionPlan plan = kv->handPlan();
   // One store across unit counts: its reference checksums are kept per count.
   for (const int units : {4, 8, 4}) {
     for (const workloads::Mode mode :
          {workloads::Mode::PthreadSingleCore, workloads::Mode::RcceOffChip,
           workloads::Mode::RcceMpb}) {
-      const workloads::RunResult r = kv->run(mode, units, cfg);
+      const workloads::RunResult r = kv->run(mode, units, cfg, &plan);
       EXPECT_TRUE(r.verified) << workloads::modeName(mode) << " units=" << units;
       EXPECT_GT(r.makespan, 0u) << workloads::modeName(mode);
     }

@@ -20,7 +20,9 @@ LexResult lex(const std::string& text, bool expect_clean = true) {
   DiagnosticEngine diags;
   Lexer lexer(buffer, diags);
   LexResult result = lexer.lexAll();
-  if (expect_clean) EXPECT_FALSE(diags.hasErrors()) << diags.format(buffer);
+  if (expect_clean) {
+    EXPECT_FALSE(diags.hasErrors()) << diags.format(buffer);
+  }
   return result;
 }
 

@@ -914,7 +914,9 @@ TEST(Machine, TiedCompletionsBitIdenticalAcrossCoalescing) {
     EXPECT_EQ(on.faults.stall_ticks, off.faults.stall_ticks) << "stalls " << stalls;
     EXPECT_EQ(on.shm_words, off.shm_words);
     EXPECT_LT(on.shm_word_events, off.shm_word_events) << "stalls " << stalls;
-    if (stalls) EXPECT_GT(off.faults.stall_ticks, 0u);
+    if (stalls) {
+      EXPECT_GT(off.faults.stall_ticks, 0u);
+    }
   }
 }
 

@@ -350,8 +350,9 @@ TEST(ObsMetrics, RegionProfilesCoverAllSevenBenchmarks) {
   suite.push_back(workloads::makeKvStore(0.1));
   ASSERT_EQ(suite.size(), 7u);
   for (const auto& bench : suite) {
+    const partition::ExecutionPlan plan = bench->handPlan();
     const workloads::RunResult r =
-        bench->run(workloads::Mode::RcceOffChip, 4, cfg);
+        bench->run(workloads::Mode::RcceOffChip, 4, cfg, &plan);
     EXPECT_TRUE(r.verified) << bench->name() << ": " << r.detail;
     ASSERT_FALSE(r.metrics.regions.empty()) << bench->name();
     std::uint64_t ops = 0;

@@ -174,7 +174,9 @@ TEST_P(PlannerPropertyTest, InvariantsHoldOnRandomPopulations) {
     const std::size_t remaining = spec.onchip_capacity_bytes - plan.onchip_used;
     if (!freq) {
       for (const PlacementDecision& d : plan.decisions) {
-        if (d.placement == Placement::OffChip) EXPECT_GT(d.bytes, remaining);
+        if (d.placement == Placement::OffChip) {
+          EXPECT_GT(d.bytes, remaining);
+        }
       }
     }
     // 5. Access fraction is a valid fraction.

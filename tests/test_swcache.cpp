@@ -309,11 +309,12 @@ TEST(DrfEquivalence, CountPrimesAndDotProductAcrossRoutings) {
   }
   for (const auto& make :
        {workloads::makeCountPrimes(0.1), workloads::makeDotProduct(0.03)}) {
+    const partition::ExecutionPlan hand = make->handPlan();
     std::string first_value;
     bool first = true;
     for (const RoutingMode& m : kMatrix) {
       const workloads::RunResult r = make->run(Mode::RcceOffChip, 8, configFor(m),
-                                               m.swcache ? &all_cached : nullptr);
+                                               m.swcache ? &all_cached : &hand);
       EXPECT_TRUE(r.verified) << make->name() << " " << m.name;
       if (first) {
         first_value = valueOf(r);

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "workloads/benchmark.h"
 #include "workloads/count_primes.h"
+#include "workloads/kv_store.h"
 #include "workloads/sum35.h"
 
 namespace hsm::workloads {
@@ -38,7 +40,8 @@ TEST_P(EveryBenchmarkEveryMode, ComputesVerifiedResult) {
   const auto bench = make(c.benchmark, kTestScale);
   ASSERT_NE(bench, nullptr);
   const sim::SccConfig config;
-  const RunResult r = bench->run(c.mode, 8, config);
+  const partition::ExecutionPlan plan = bench->handPlan();
+  const RunResult r = bench->run(c.mode, 8, config, &plan);
   EXPECT_TRUE(r.verified) << r.benchmark << " " << modeName(r.mode) << ": " << r.detail;
   EXPECT_GT(r.makespan, 0u);
 }
@@ -66,6 +69,33 @@ INSTANTIATE_TEST_SUITE_P(AllCombinations, EveryBenchmarkEveryMode,
                            }
                            return name;
                          });
+
+// The one entry point checks its arguments before any workload body runs:
+// a unit count below 1 and an RCCE run without a plan are rejected with
+// std::invalid_argument, while the pthread baseline needs no plan.
+TEST(BenchmarkRun, RejectsBadUnitsAndPlanlessRcceRuns) {
+  const sim::SccConfig config;
+  std::vector<std::unique_ptr<Benchmark>> suite = standardSuite(kTestScale);
+  suite.push_back(makeKvStore(0.1));
+  ASSERT_EQ(suite.size(), 7u);
+  for (const auto& bench : suite) {
+    const partition::ExecutionPlan plan = bench->handPlan();
+    for (const Mode mode : {Mode::PthreadSingleCore, Mode::RcceOffChip, Mode::RcceMpb}) {
+      for (const int units : {0, -1}) {
+        EXPECT_THROW((void)bench->run(mode, units, config, &plan), std::invalid_argument)
+            << bench->name() << " " << modeName(mode) << " units=" << units;
+      }
+    }
+    for (const Mode mode : {Mode::RcceOffChip, Mode::RcceMpb}) {
+      EXPECT_THROW((void)bench->run(mode, 2, config), std::invalid_argument)
+          << bench->name() << " " << modeName(mode);
+    }
+    const RunResult base = bench->run(Mode::PthreadSingleCore, 2, config);
+    EXPECT_TRUE(base.verified) << bench->name();
+    EXPECT_EQ(base.benchmark, bench->name());
+    EXPECT_EQ(base.units, 2);
+  }
+}
 
 TEST(BlockSlice, CoversRangeWithoutOverlap) {
   for (const std::size_t n : {1u, 7u, 64u, 1000u}) {
@@ -97,8 +127,9 @@ TEST(BlockSlice, BalancedWithinOne) {
 TEST(PerformanceShape, ComputeBoundBenchmarkScalesNearLinearly) {
   const auto pi = makePiApprox(kTestScale);
   const sim::SccConfig config;
+  const partition::ExecutionPlan plan = pi->handPlan();
   const RunResult base = pi->run(Mode::PthreadSingleCore, 16, config);
-  const RunResult rcce = pi->run(Mode::RcceOffChip, 16, config);
+  const RunResult rcce = pi->run(Mode::RcceOffChip, 16, config, &plan);
   const double speedup =
       static_cast<double>(base.makespan) / static_cast<double>(rcce.makespan);
   EXPECT_GT(speedup, 13.0);  // ~16x ideal at 16 cores
@@ -108,8 +139,9 @@ TEST(PerformanceShape, ComputeBoundBenchmarkScalesNearLinearly) {
 TEST(PerformanceShape, CountPrimesSuffersLoadImbalance) {
   const auto primes = makeCountPrimes(kTestScale);
   const sim::SccConfig config;
+  const partition::ExecutionPlan plan = primes->handPlan();
   const RunResult base = primes->run(Mode::PthreadSingleCore, 16, config);
-  const RunResult rcce = primes->run(Mode::RcceOffChip, 16, config);
+  const RunResult rcce = primes->run(Mode::RcceOffChip, 16, config, &plan);
   const double speedup =
       static_cast<double>(base.makespan) / static_cast<double>(rcce.makespan);
   // Block partitioning gives the top block ~2x the mean work (paper: 16x
@@ -121,8 +153,9 @@ TEST(PerformanceShape, CountPrimesSuffersLoadImbalance) {
 TEST(PerformanceShape, MpbNeverSlowerThanOffChip) {
   const sim::SccConfig config;
   for (const auto& bench : standardSuite(kTestScale)) {
-    const RunResult off = bench->run(Mode::RcceOffChip, 8, config);
-    const RunResult mpb = bench->run(Mode::RcceMpb, 8, config);
+    const partition::ExecutionPlan plan = bench->handPlan();
+    const RunResult off = bench->run(Mode::RcceOffChip, 8, config, &plan);
+    const RunResult mpb = bench->run(Mode::RcceMpb, 8, config, &plan);
     EXPECT_LE(mpb.makespan, off.makespan + off.makespan / 10)
         << bench->name() << ": MPB placement must not significantly hurt";
   }
@@ -131,8 +164,9 @@ TEST(PerformanceShape, MpbNeverSlowerThanOffChip) {
 TEST(PerformanceShape, StreamGainsMostFromMpb) {
   const sim::SccConfig config;
   auto ratio = [&](Benchmark& b) {
-    const RunResult off = b.run(Mode::RcceOffChip, 8, config);
-    const RunResult mpb = b.run(Mode::RcceMpb, 8, config);
+    const partition::ExecutionPlan plan = b.handPlan();
+    const RunResult off = b.run(Mode::RcceOffChip, 8, config, &plan);
+    const RunResult mpb = b.run(Mode::RcceMpb, 8, config, &plan);
     return static_cast<double>(off.makespan) / static_cast<double>(mpb.makespan);
   };
   const auto stream = makeStream(kTestScale);
@@ -150,8 +184,9 @@ TEST(PerformanceShape, StreamGainsMostFromMpb) {
 TEST(PerformanceShape, MoreCoresMoreSpeed) {
   const auto pi = makePiApprox(kTestScale);
   const sim::SccConfig config;
-  const RunResult r4 = pi->run(Mode::RcceMpb, 4, config);
-  const RunResult r16 = pi->run(Mode::RcceMpb, 16, config);
+  const partition::ExecutionPlan plan = pi->handPlan();
+  const RunResult r4 = pi->run(Mode::RcceMpb, 4, config, &plan);
+  const RunResult r16 = pi->run(Mode::RcceMpb, 16, config, &plan);
   EXPECT_LT(r16.makespan, r4.makespan / 3);
 }
 
