@@ -167,29 +167,33 @@ void DrfChecker::checkBytes(const Touch& t, std::uint64_t lo, std::uint64_t hi) 
 
 void DrfChecker::checkSegment(const Touch& t, RunMap& runs, std::uint64_t first,
                               std::uint64_t last, std::uint32_t lo, std::uint32_t hi) {
-  // Split the runs straddling the segment's edges so every run below lies
-  // wholly inside or wholly outside it.
-  const auto split_before = [&runs](std::uint64_t at) {
-    auto it = runs.upper_bound(at);
-    if (it == runs.begin()) return;
-    --it;
-    if (it->first < at && it->second.last >= at) {
-      runs.emplace_hint(std::next(it), at, Run{it->second.last, it->second.state});
-      it->second.last = at - 1;
+  // One search: the run holding `first`, split there so every run the walk
+  // visits starts inside the segment. The walk splits the run straddling
+  // `last` when it reaches it.
+  auto it = runs.upper_bound(first);
+  if (it != runs.begin()) {
+    const auto prev = std::prev(it);
+    if (prev->first == first) {
+      it = prev;
+    } else if (prev->second.last >= first) {
+      it = runs.emplace_hint(it, first, Run{prev->second.last, prev->second.state});
+      prev->second.last = first - 1;
     }
-  };
-  split_before(first);
-  split_before(last + 1);
+  }
+  // The run before the segment, where the merge starts (end(): none).
+  const auto before = it == runs.begin() ? runs.end() : std::prev(it);
 
   const AccessInfo cur{t.clock->get(t.task), static_cast<std::uint32_t>(t.task), t.tick,
                        lo, hi};
-  auto it = runs.lower_bound(first);
   for (std::uint64_t at = first; at <= last;) {
     if (it == runs.end() || it->first > at) {
       // Never-touched gap: default state, inserted as its own run.
       const std::uint64_t gap_last =
           it == runs.end() || it->first > last ? last : it->first - 1;
       it = runs.emplace_hint(it, at, Run{gap_last, Shadow{}});
+    } else if (it->second.last > last) {
+      runs.emplace_hint(std::next(it), last + 1, Run{it->second.last, it->second.state});
+      it->second.last = last;
     }
     checkRun(t, it->second.state, it->first, it->second.last, cur);
     at = it->second.last + 1;
@@ -198,8 +202,7 @@ void DrfChecker::checkSegment(const Touch& t, RunMap& runs, std::uint64_t first,
 
   // Merge equal neighbours, from the run before the segment through the run
   // after it.
-  it = runs.find(first);
-  if (it != runs.begin()) --it;
+  it = before == runs.end() ? runs.begin() : before;
   for (auto next = std::next(it); next != runs.end() && next->first <= last + 1;
        next = std::next(it)) {
     if (it->second.last + 1 == next->first && it->second.state == next->second.state) {

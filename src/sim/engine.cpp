@@ -53,6 +53,9 @@ void Engine::schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id)
   if (when < now_) when = now_;
   assert(task_pending_when_[task_id] == kNever && "a task has one pending event");
   task_handle_[task_id] = h;
+  // The running task's popped leaf is still in the tree: this one walk
+  // replaces it.
+  if (task_id == popped_) popped_ = kNoTask;
   setSlot(task_id, when);
   ++classes_[task_class_[task_id]].pending_count;
   // A schedule aimed at a blocked task IS its wake: clear the park.
@@ -76,8 +79,7 @@ void Engine::schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id)
   }
 }
 
-void Engine::setSlot(std::size_t task, Tick when) {
-  task_pending_when_[task] = when;
+void Engine::fileLeaf(std::size_t task, Tick when) const {
   std::size_t n = tree_leaves_ + task;
   tree_[n].when = when;
   TreeNode winner = tree_[n];
@@ -98,6 +100,7 @@ void Engine::growTree(std::size_t tasks) {
   while (leaves < tasks) leaves *= 2;
   if (leaves == tree_leaves_) return;
   tree_leaves_ = leaves;
+  popped_ = kNoTask;  // the rebuild files every leaf from task_pending_when_
   tree_.assign(2 * leaves, TreeNode{kNever, 0});
   for (std::size_t i = 0; i < leaves; ++i) {
     tree_[leaves + i] = TreeNode{
@@ -352,11 +355,15 @@ Tick Engine::run() {
     }
   } wall_guard{*this, wall_start};
   for (;;) {
+    dropPopped();
     const TreeNode next = tree_[1];
     if (next.when == kNever) break;
     const std::size_t task = next.task;
     const std::coroutine_handle<> handle = task_handle_[task];
-    setSlot(task, kNever);
+    // Pop: the slot empties now, but the leaf stays filed until the task's
+    // own schedule() replaces it or dropPopped() clears it (header comment).
+    task_pending_when_[task] = kNever;
+    popped_ = task;
     --classes_[task_class_[task]].pending_count;
     if (watchdog_limit_ != 0) {
       same_tick_events_ = next.when == now_ ? same_tick_events_ + 1 : 0;

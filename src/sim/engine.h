@@ -14,7 +14,12 @@
 // root task has at most one pending event (scheduling a second is an
 // assert), held in that task's pending slot, and a winner (tournament) tree
 // over task ids keyed (time, task_id) — the lower id winning an equal Tick —
-// names the next event; nextEventTime() is its root. (time, task_id) is
+// names the next event; nextEventTime() is its root. An event costs one
+// leaf-to-root walk: run() pops a task by emptying its slot but leaves its
+// leaf filed, and the task's own schedule() replaces the leaf in one walk;
+// if the event parks or finishes the task instead, the next read of the
+// root (nextEventTime(), the next pop, growTree) clears the leaf first, so
+// the running task never bounds nextEventTime(). (time, task_id) is
 // therefore unique across pending events and the schedule is a total order
 // that does NOT depend on when events were inserted. That
 // insertion-independence is load-bearing: event coalescing (below) inserts
@@ -309,7 +314,10 @@ class Engine {
   /// processing the running event has already been popped, so this is the
   /// next thing that can execute besides the current coroutine — the global
   /// "horizon" that bounds safe event coalescing (see header comment).
-  [[nodiscard]] Tick nextEventTime() const { return tree_[1].when; }
+  [[nodiscard]] Tick nextEventTime() const {
+    dropPopped();
+    return tree_[1].when;
+  }
 
   /// Per-resource coalescing horizon: earliest pending event among tasks
   /// whose reach set contains `resource`, bounded further by the wake
@@ -473,9 +481,23 @@ class Engine {
   }
   /// Class of the sorted, unique reach set `reach`, created on first use.
   std::uint32_t internReachClass(std::vector<std::uint32_t> reach);
-  /// Set `task`'s pending slot to `when` (kNever: none) and replay its leaf's
-  /// path to the root, stopping at the first node whose winner is unchanged.
-  void setSlot(std::size_t task, Tick when);
+  /// Set `task`'s pending slot to `when` (kNever: none) and file it in the
+  /// tree.
+  void setSlot(std::size_t task, Tick when) {
+    task_pending_when_[task] = when;
+    fileLeaf(task, when);
+  }
+  /// Set `task`'s leaf to `when` and replay its path to the root, stopping
+  /// at the first node whose winner is unchanged. Touches only the tree.
+  void fileLeaf(std::size_t task, Tick when) const;
+  /// Clear the popped task's leaf if its event did not refile it. Every
+  /// reader of the root calls this first; the tree is a cache of the slots,
+  /// so this is logically const.
+  void dropPopped() const {
+    if (popped_ == kNoTask) return;
+    fileLeaf(popped_, kNever);
+    popped_ = kNoTask;
+  }
   /// Grow the tree to cover task ids below `tasks` (a power of two leaves).
   void growTree(std::size_t tasks);
   /// Earliest time the wake chain of blocked `task` could execute (see
@@ -505,8 +527,11 @@ class Engine {
   /// [tree_leaves_, 2 * tree_leaves_) in task-id order (leaf i mirrors
   /// task_pending_when_[i]), and every inner node holds the earlier of its
   /// two children under firesBefore.
-  std::vector<TreeNode> tree_ = std::vector<TreeNode>(2, TreeNode{kNever, 0});
+  mutable std::vector<TreeNode> tree_ = std::vector<TreeNode>(2, TreeNode{kNever, 0});
   std::size_t tree_leaves_ = 1;  ///< a power of two
+  /// The task whose event run() popped while its leaf still holds the
+  /// popped Tick (its slot is already kNever), or kNoTask.
+  mutable std::size_t popped_ = kNoTask;
   std::vector<std::coroutine_handle<>> task_handle_;  ///< per task: pending resume
   Tick now_ = 0;
   std::size_t current_task_ = kNoTask;

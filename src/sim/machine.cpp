@@ -1039,9 +1039,11 @@ Tick SccMachine::timedRun(std::uint32_t resource, RunKind kind, Tick overhead, T
     *done = reported;
     return start;
   }
-  // With coalescing off this is the per-event reference path: one
-  // transaction, and never a registered run.
-  const std::size_t want = config_.coalescing ? max_txns - reported : 1;
+  // With coalescing off, or with a run too short to repay a horizon query
+  // (kShortRun), this is the per-event reference path: one transaction, and
+  // never a registered run.
+  const std::size_t left = max_txns - reported;
+  const std::size_t want = config_.coalescing && left > kShortRun ? left : 1;
   // Memory-controller stall faults: keyed by (resource id, per-resource
   // transaction index). The transaction order per resource is identical
   // across coalescing modes (the coalescing invariant), so the stall
@@ -1069,34 +1071,46 @@ Tick SccMachine::timedRun(std::uint32_t resource, RunKind kind, Tick overhead, T
     return m.t;
   };
   // The caller's first transaction is acquired in the running event, so a
-  // single one needs neither peers nor a horizon; with no peer (a
-  // registered run with transactions left) the caller replays alone.
-  if (want == 1 || std::none_of(runs.begin(), runs.end(),
-                                [](const TxnRun& r) { return r.remaining > 0; })) {
-    ReplayMember m{self, start, overhead, hop, service, want, true};
-    replayLoneRun(m, timeline, want > 1 ? engine_.nextEventTimeFor(resource) : Engine::kNever,
-                  stall);
-    return settleSelf(m);
+  // single one needs neither peers nor a horizon. Otherwise the caller
+  // replays alone up to the single-task horizon when that falls strictly
+  // before every peer's next issue (a registered run with transactions
+  // left): no peer could issue inside the joint replay, whose horizon is
+  // then the same instant. Every peer's pending slot counts in the
+  // single-task horizon, so with peers it is at most their first issue, and
+  // the joint replay runs exactly when it reaches it.
+  ReplayMember self_run{self, start, overhead, hop, service, want, true};
+  Tick horizon = Engine::kNever;
+  Tick peers_next = Engine::kNever;
+  if (want > 1) {
+    for (const TxnRun& r : runs) {
+      if (r.remaining > 0) peers_next = std::min(peers_next, r.t);
+    }
+    horizon = engine_.nextEventTimeFor(resource);
+  }
+  if (peers_next == Engine::kNever || horizon < peers_next) {
+    replayLoneRun(self_run, timeline, horizon, stall);
+    return settleSelf(self_run);
   }
   std::vector<ReplayMember>& members = replay_members_;
-  members.assign(1, {self, start, overhead, hop, service, want, true});
+  members.assign(1, self_run);
   replay_tasks_.assign(1, self);
-  for (const TxnRun& r : runs) {
+  replay_runs_.clear();
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const TxnRun& r = runs[i];
     if (r.remaining == 0) continue;  // finished: a non-member until it resumes
     members.push_back({r.task, r.t, r.overhead, r.hop, r.service, r.remaining, false});
     replay_tasks_.push_back(r.task);
+    replay_runs_.push_back(i);
   }
   replayJointRuns(members, timeline, engine_.nextEventTimeFor(resource, replay_tasks_), stall);
 
-  Tick completion = start;
-  for (const ReplayMember& m : members) {
-    if (m.is_self) {
-      completion = settleSelf(m);
-      continue;
-    }
+  // members[0] is the caller; settling it appends to runs, so the peers'
+  // saved indices stay valid.
+  const Tick completion = settleSelf(members[0]);
+  for (std::size_t i = 1; i < members.size(); ++i) {
+    const ReplayMember& m = members[i];
     if (m.done == 0) continue;  // untouched: its record and pending event still hold
-    TxnRun& r = *std::find_if(runs.begin(), runs.end(),
-                              [&](const TxnRun& x) { return x.task == m.task; });
+    TxnRun& r = runs[replay_runs_[i - 1]];
     countTxns(resource, r.kind, m.done);
     r.t = m.t;
     r.remaining = m.remaining;

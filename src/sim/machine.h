@@ -421,6 +421,19 @@ class SccMachine {
   /// unless `id` is in [0, num_cores).
   [[nodiscard]] TasLock& lock(int id);
 
+  /// A timed run with at most this many transactions left takes the
+  /// per-event path even with coalescing on (header comment at TxnRun):
+  /// one transaction per event, no horizon query, no registered run.
+  /// Measured on kv_zipf's 32-UE pass (4-vCPU Xeon VM, GCC 12.2, Release,
+  /// TSC-instrumented): a joint-replay call cost ~990 cycles, a
+  /// one-transaction call 70-130.
+  /// An A/B of 4..8 (bench/pipeline, 5 shuffled rounds of 3 s runs per
+  /// value; median pass_s for 4/5/6/7/8) read kv_zipf 56.4/56.2/55.9/53.5/
+  /// 53.4 ms, paper_mpb 38.9/38.8/36.9/38.3/37.6 ms and paper_offchip
+  /// 28.0/27.7/27.7/28.1/27.6 ms: all inside the run-to-run spread, so the
+  /// middle value stands.
+  static constexpr std::size_t kShortRun = 6;
+
   // -- statistics --
   [[nodiscard]] const ResourceTimeline& memController(std::uint32_t mc) const {
     return mc_[mc];
@@ -706,8 +719,15 @@ class SccMachine {
   // count in its record and has its pending event deferred to where its
   // replayed run stopped (Engine::deferPending); when it resumes there,
   // timedRun reports those transactions and carries on from that instant.
-  // With no registered peers the rule is the single-task horizon loop; with
-  // a closed pattern (every non-member parked behind a member) H is kNever.
+  // With no registered peers, or when the single-task horizon
+  // nextEventTimeFor(resource) falls strictly before every peer's next issue
+  // (no peer can issue inside the joint replay, whose H is then that same
+  // instant), the rule is the single-task horizon loop; with a closed
+  // pattern (every non-member parked behind a member) H is kNever. A call
+  // with at most kShortRun transactions left skips all of this and takes
+  // the per-event path (one transaction, no horizon query, no registered
+  // run): a short run does not repay the query and the record. Every batch
+  // size is exact, so the gate moves event counts only, never a Tick.
   // Data ops still execute in each task's program order but no longer
   // interleave across tasks transaction by transaction, so functional
   // results are preserved for data-race-free programs (the contract the
@@ -837,6 +857,7 @@ class SccMachine {
   /// allocation-free in steady state (cleared on entry, never shrunk).
   std::vector<ReplayMember> replay_members_;
   std::vector<std::size_t> replay_tasks_;
+  std::vector<std::size_t> replay_runs_;  ///< per peer member: its index in runs_[r]
 
   FaultInjector fault_;  ///< built from config_.fault at construction
   /// Scratch for swcacheFlushChecked's flushed-line addresses (reused to

@@ -879,6 +879,48 @@ TEST(Engine, NextEventTimeSeesEarliestOfMany) {
   EXPECT_EQ(engine.nextEventTime(), 10u);
 }
 
+// The running task's popped leaf stays in the tree until its own schedule()
+// replaces it or the next read of the root clears it (engine.h). During an
+// event nextEventTime() must still name some other task's event, whether the
+// running task reschedules, parks or finishes, and a leaf left by a parked or
+// finished task must not resurface in a later event.
+SimTask probeThenReschedule(Engine& engine, std::vector<Tick>& out) {
+  co_await engine.resumeAt(10);
+  out.push_back(engine.nextEventTime());
+  co_await engine.resumeAt(40);
+  out.push_back(engine.nextEventTime());
+}
+
+SimTask probeThenPark(Engine& engine, std::vector<Tick>& out,
+                      std::coroutine_handle<>& slot, std::size_t& task) {
+  co_await engine.resumeAt(20);
+  out.push_back(engine.nextEventTime());
+  co_await ParkAwaiter{&slot, &task, &engine};
+  out.push_back(engine.nextEventTime());
+}
+
+SimTask probeThenFinish(Engine& engine, std::vector<Tick>& out) {
+  co_await engine.resumeAt(30);
+  out.push_back(engine.nextEventTime());
+}
+
+TEST(Engine, RunningTaskNeverBoundsNextEventTime) {
+  Engine engine;
+  std::coroutine_handle<> parked;
+  std::size_t parked_task = Engine::kNoTask;
+  std::vector<Tick> seen;
+  engine.spawn(probeThenReschedule(engine, seen));                  // t=10, t=40
+  engine.spawn(probeThenPark(engine, seen, parked, parked_task));   // t=20, woken t=50
+  engine.spawn(probeThenFinish(engine, seen));                      // t=30
+  engine.spawn(wakeParked(engine, 50, parked, parked_task));        // t=50
+  engine.run();
+  // t=10 sees the parker (20), t=20 the finisher (30), t=30 the rescheduled
+  // task (40), t=40 the waker (50), and the woken parker nothing at all.
+  EXPECT_EQ(seen, (std::vector<Tick>{20, 30, 40, 50, Engine::kNever}));
+  EXPECT_EQ(engine.nextEventTime(), Engine::kNever);
+  EXPECT_EQ(engine.eventsProcessed(), 10u);
+}
+
 // --- the pending set against a reference priority queue ---------------------
 
 /// Differential harness for the engine's queue and its two sync kinds:

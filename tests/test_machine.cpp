@@ -660,12 +660,14 @@ SimTask streamKernel(CoreContext& ctx, std::uint64_t base, int blocks,
   }
 }
 
-SimResult runStream(bool coalescing, int ues) {
+SimResult runStream(bool coalescing, int ues, std::size_t block_bytes = 4096) {
   SccConfig cfg;
   cfg.coalescing = coalescing;
   SccMachine machine(cfg);
-  const std::uint64_t base = machine.shmalloc(16 * 4096);
-  machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) { return streamKernel(ctx, base, 16, 4096); }));
+  const std::uint64_t base = machine.shmalloc(16 * block_bytes);
+  machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) {
+    return streamKernel(ctx, base, 16, block_bytes);
+  }));
   SimResult r;
   r.makespan = machine.run();
   for (int ue = 0; ue < ues; ++ue) {
@@ -766,7 +768,7 @@ TEST(Machine, WakeChainHorizonBitIdenticalAndPinsWordEvents) {
   EXPECT_EQ(on.data, off.data);
   EXPECT_EQ(on.shm_words, 8264u);
   EXPECT_EQ(off.shm_word_events, off.shm_words);
-  EXPECT_EQ(on.shm_word_events, 220u);
+  EXPECT_EQ(on.shm_word_events, 224u);
 }
 
 /// LU-shaped kernel (the paper's barrier-per-step decomposition): at step k
@@ -837,7 +839,31 @@ TEST(Machine, BarrierParkedTasksKeepContentionClosedAndPinWordEvents) {
   EXPECT_EQ(on.data, off.data);
   EXPECT_EQ(on.shm_words, off.shm_words);
   EXPECT_EQ(off.shm_word_events, off.shm_words);
-  EXPECT_EQ(on.shm_word_events, 5731u);
+  EXPECT_EQ(on.shm_word_events, 6220u);
+}
+
+// A run of at most kShortRun transactions takes the per-event path with
+// coalescing on: one event per word and no registered run, so no peer's
+// replay services it and the event totals equal the per-event path's. One
+// word longer, the same contention batches again. Ticks match either way.
+TEST(Machine, ShortRunsTakeThePerEventPath) {
+  constexpr int kUes = 16;  // four per controller
+  constexpr std::size_t kShort = SccMachine::kShortRun * 8;
+  const SimResult short_on = runStream(true, kUes, kShort);
+  const SimResult short_off = runStream(false, kUes, kShort);
+  EXPECT_EQ(short_on.makespan, short_off.makespan);
+  EXPECT_EQ(short_on.completions, short_off.completions);
+  EXPECT_EQ(short_on.shm_words, 16u * 16u * SccMachine::kShortRun);
+  EXPECT_EQ(short_on.shm_word_events, short_on.shm_words);
+  EXPECT_EQ(short_on.events, short_off.events);
+
+  const SimResult long_on = runStream(true, kUes, kShort + 8);
+  const SimResult long_off = runStream(false, kUes, kShort + 8);
+  EXPECT_EQ(long_on.makespan, long_off.makespan);
+  EXPECT_EQ(long_on.completions, long_off.completions);
+  EXPECT_EQ(long_off.shm_word_events, long_off.shm_words);
+  EXPECT_LT(long_on.shm_word_events, long_on.shm_words);
+  EXPECT_LT(long_on.events, long_off.events);
 }
 
 // Stall faults are drawn per controller request, so an armed kMcStall turns
@@ -1141,7 +1167,7 @@ TEST(Machine, MpbCoalescingBitIdenticalContendedPutGet) {
   // With coalescing off every chunk is its own event; lockstep contention
   // leaves only a few provably uncontended runs to coalesce.
   EXPECT_EQ(off.chunk_events, off.chunks);
-  EXPECT_EQ(on.chunk_events, 1528u);
+  EXPECT_EQ(on.chunk_events, 1536u);
   // Four rounds of ring shift: each UE ends up with the byte that started
   // four places to its left, value (ue - 4 mod 6) + 1.
   for (int ue = 0; ue < 6; ++ue) {
@@ -1438,14 +1464,14 @@ TEST(Machine, RandomKernelsBitIdenticalAcrossCoalescing) {
       events[striped ? 1 : 0] += runs[1].events;
     }
   }
-  EXPECT_EQ(word_events[0], 67119u);
-  EXPECT_EQ(line_events[0], 28092u);
-  EXPECT_EQ(chunk_events[0], 29482u);
-  EXPECT_EQ(events[0], 150947u);
-  EXPECT_EQ(word_events[1], 345661u);
-  EXPECT_EQ(line_events[1], 81279u);
-  EXPECT_EQ(chunk_events[1], 35311u);
-  EXPECT_EQ(events[1], 487263u);
+  EXPECT_EQ(word_events[0], 98879u);
+  EXPECT_EQ(line_events[0], 48672u);
+  EXPECT_EQ(chunk_events[0], 34257u);
+  EXPECT_EQ(events[0], 212759u);
+  EXPECT_EQ(word_events[1], 407052u);
+  EXPECT_EQ(line_events[1], 86335u);
+  EXPECT_EQ(chunk_events[1], 36804u);
+  EXPECT_EQ(events[1], 567762u);
 }
 
 // --- joint contention replay: round jumps vs the stepwise oracle ---------------

@@ -33,7 +33,11 @@ struct Harness {
   }
 
   bool runPasses(Driver& driver) {
-    PassContext pass_ctx{context, result, plan, diags};
+    PassContext pass_ctx{.ast = context,
+                         .analysis = result,
+                         .plan = plan,
+                         .diags = diags,
+                         .core_bound_tasks = {}};
     const bool ok = driver.runAll(pass_ctx);
     last_ctx_entry = pass_ctx.entry;
     return ok;
