@@ -23,7 +23,8 @@ std::vector<hsm::analysis::VariableInfo> syntheticPopulation(unsigned seed) {
   std::vector<hsm::analysis::VariableInfo> vars;
   auto add = [&](std::size_t bytes, double accesses) {
     hsm::analysis::VariableInfo v;
-    v.name = "v" + std::to_string(vars.size());
+    v.name = "v";
+    v.name += std::to_string(vars.size());
     v.byte_size = bytes;
     v.weighted_reads = accesses / 2;
     v.weighted_writes = accesses / 2;

@@ -1,13 +1,10 @@
-// The simulator scenarios shared by bench/micro_sim (which times them) and
-// bench/sim_golden (which pins their simulated outputs): the kernels, the
-// Workload each timed scenario runs, and kTimedScenarios, the one table of
-// them.
+// The simulator scenarios that bench/sim_golden pins: the kernels, the
+// Workload each scenario runs, and kPinnedScenarios, the one table of them.
+// bench/micro_sim times one of these workloads, barrier32(), traced against
+// untraced.
 //
-// A Workload is a machine set-up plus a repetition count; runWorkload runs it
-// under a Mode and sums the engine's counters over the repetitions. Every
-// repetition is the same deterministic simulation, so only host wall time
-// differs between them: micro_sim runs all of them for a stable timing,
-// sim_golden runs one.
+// A Workload is a machine set-up; runWorkload runs it once under a Mode and
+// reads the engine's counters.
 #pragma once
 
 #include <cstdint>
@@ -33,13 +30,12 @@ struct Mode {
   /// runs; the setup's own registrations still win on overlap.
   bool swcache = false;
   /// Simulated-time trace recorder (SccConfig::trace_enabled). Only
-  /// obs_trace_8ue enables it: the timed runs stay untraced so their
-  /// throughput measures the engine, not the recorder.
+  /// obs_trace_8ue enables it.
   bool trace = false;
 };
 
 struct RunStats {
-  double wall_seconds = 0;
+  double wall_seconds = 0;  ///< host wall time of the engine run
   std::uint64_t events = 0;
   std::uint64_t shm_words = 0;       ///< uncached word transactions
   std::uint64_t shm_word_events = 0;
@@ -76,10 +72,9 @@ struct RunStats {
 
 struct Workload {
   int ues = 1;
-  int repetitions = 1;  ///< timed repetitions, wall time accumulated
   std::function<void(sim::SccMachine&)> setup;  ///< shmalloc etc., then launch
   /// Optional output region [offset, offset+bytes) of shared DRAM extracted
-  /// after the first rep — the functional result the cached/uncached A/B
+  /// after the run — the functional result the cached/uncached A/B
   /// must reproduce bit-identically (allocation order is deterministic, so
   /// fixed offsets are stable across machines).
   std::uint64_t extract_offset = 0;
@@ -91,41 +86,35 @@ struct Workload {
   std::function<void(sim::SccMachine&)> setup_plan = nullptr;
 };
 
-/// `reps` repetitions of `w` under `mode`: counters and wall time summed, the
-/// makespan of the last, completions and result bytes of the first.
-inline RunStats runWorkload(const Workload& w, const Mode& mode, int reps,
-                            bool plan_setup = false) {
+/// One run of `w` under `mode` on a fresh machine (`plan_setup`: its
+/// plan-driven twin).
+inline RunStats runWorkload(const Workload& w, const Mode& mode, bool plan_setup = false) {
+  sim::SccConfig cfg;
+  cfg.coalescing = mode.coalescing;
+  cfg.trace_enabled = mode.trace;
+  sim::SccMachine machine(cfg);
+  if (mode.swcache) machine.setShmCacheability(0, cfg.shared_dram_bytes, true);
+  (plan_setup ? w.setup_plan : w.setup)(machine);
   RunStats stats;
-  for (int rep = 0; rep < reps; ++rep) {
-    sim::SccConfig cfg;
-    cfg.coalescing = mode.coalescing;
-    cfg.trace_enabled = mode.trace;
-    sim::SccMachine machine(cfg);
-    if (mode.swcache) machine.setShmCacheability(0, cfg.shared_dram_bytes, true);
-    (plan_setup ? w.setup_plan : w.setup)(machine);
-    stats.makespan = machine.run();
-    stats.wall_seconds += machine.engine().hostWallSeconds();
-    stats.events += machine.engine().eventsProcessed();
-    stats.shm_words += machine.shmWordsSimulated();
-    stats.shm_word_events += machine.shmWordEvents();
-    stats.mpb_chunks += machine.mpbChunksSimulated();
-    stats.mpb_chunk_events += machine.mpbChunkEvents();
-    const sim::SwCacheStats sw = machine.swcacheTotals();
-    stats.swcache_words += sw.word_accesses;
-    stats.swcache_word_hits += sw.word_hits;
-    stats.swcache_line_txns += machine.swcacheLinesSimulated();
-    stats.swcache_line_events += machine.swcacheLineEvents();
-    stats.mpb_scope_violations += machine.mpbScopeViolations();
-    if (rep == 0) {
-      for (int ue = 0; ue < w.ues; ++ue) {
-        stats.completions.push_back(
-            machine.engine().completionTime(static_cast<std::size_t>(ue)));
-      }
-      if (w.extract_bytes > 0) {
-        const std::uint8_t* out = machine.shmData(w.extract_offset);
-        stats.result_bytes.assign(out, out + w.extract_bytes);
-      }
-    }
+  stats.makespan = machine.run();
+  stats.wall_seconds = machine.engine().hostWallSeconds();
+  stats.events = machine.engine().eventsProcessed();
+  stats.shm_words = machine.shmWordsSimulated();
+  stats.shm_word_events = machine.shmWordEvents();
+  stats.mpb_chunks = machine.mpbChunksSimulated();
+  stats.mpb_chunk_events = machine.mpbChunkEvents();
+  const sim::SwCacheStats sw = machine.swcacheTotals();
+  stats.swcache_words = sw.word_accesses;
+  stats.swcache_word_hits = sw.word_hits;
+  stats.swcache_line_txns = machine.swcacheLinesSimulated();
+  stats.swcache_line_events = machine.swcacheLineEvents();
+  stats.mpb_scope_violations = machine.mpbScopeViolations();
+  for (int ue = 0; ue < w.ues; ++ue) {
+    stats.completions.push_back(machine.engine().completionTime(static_cast<std::size_t>(ue)));
+  }
+  if (w.extract_bytes > 0) {
+    const std::uint8_t* out = machine.shmData(w.extract_offset);
+    stats.result_bytes.assign(out, out + w.extract_bytes);
   }
   return stats;
 }
@@ -398,7 +387,7 @@ inline sim::SimTask bulkReader(sim::CoreContext& ctx, std::uint64_t base, int bl
   }
 }
 
-// --- timed scenarios --------------------------------------------------------
+// --- pinned scenarios -------------------------------------------------------
 
 constexpr std::size_t kBlock = 4096;
 
@@ -423,7 +412,7 @@ inline const ExecutionPlan kWordPlan{{RegionPlan{
     "blocks", PlacementClass::kOffChipUncached, MpbPattern::kNone, 9 * kBlock}}};
 
 inline Workload barrier32() {
-  return {.ues = 32, .repetitions = 150, .setup = [](sim::SccMachine& m) {
+  return {.ues = 32, .setup = [](sim::SccMachine& m) {
             m.launch(sim::LaunchSpec(
                 32, [](sim::CoreContext& ctx) { return barrierLoop(ctx, 64); }));
           }};
@@ -432,7 +421,6 @@ inline Workload barrier32() {
 /// The lock- and barrier-punctuated word scenario; obs_trace_8ue traces it.
 inline Workload syncedWords() {
   return {.ues = 8,
-          .repetitions = 180,
           .setup =
               [](sim::SccMachine& m) {
                 const std::uint64_t base = m.shmalloc(8 * kBlock + 8);
@@ -462,14 +450,13 @@ inline const ExecutionPlan kMixedPolicyPlan{
 
 /// The ExecutionPlan mixed-policy showcase: a cached read-mostly table plus
 /// an uncached lock-guarded reduction cell in ONE run, via the per-region
-/// cacheability map. policy: 0 = plan-driven mixed map (the timed run),
+/// cacheability map. policy: 0 = plan-driven mixed map (the coalesced run),
 /// 1 = everything cached (run under Mode::swcache), 2 = everything uncached.
 inline Workload mixedPolicyWorkload(int policy) {
   constexpr std::size_t kWindow = kPolicyWindow;
   constexpr int kRounds = 4, kSweeps = 8, kUpdates = 32;
   return Workload{
       .ues = 8,
-      .repetitions = 6,
       .setup =
           [policy](sim::SccMachine& m) {
             const std::uint64_t table = m.shmalloc(8 * kWindow);
@@ -517,24 +504,24 @@ inline const ExecutionPlan& kvZipfPlan(ControllerPlacement cp) {
 }
 
 inline Workload kvZipfWorkload(ControllerPlacement cp) {
-  return {.ues = 8, .repetitions = 6, .setup = [cp](sim::SccMachine& m) {
+  return {.ues = 8, .setup = [cp](sim::SccMachine& m) {
             workloads::setupKvRcce(m, workloads::KvParams{}, 8, kvZipfPlan(cp));
           }};
 }
 
-/// What sim_golden runs beside a timed scenario's coalesced run.
+/// What sim_golden runs beside a pinned scenario's coalesced run.
 enum class References {
   kNone,        ///< substrate scenario: the coalesced run alone
   kLegacy,      ///< coalescing off ("legacy"), and the plan twin if the workload has one
-  kRoutings,    ///< uncached words (the timed run is cached)
+  kRoutings,    ///< uncached words (the coalesced run is cached)
   kPolicies,    ///< mixed_policy_8ue: everything cached, everything uncached
   kPlacements,  ///< kv_zipf_8ue: kLegacy's runs, the striped plan with coalescing on and
                 ///< off, and both plans via the Benchmark API
 };
 
-/// One timed scenario: the workload and mode of its "coalesced" run, which
-/// micro_sim times and sim_golden pins beside its references.
-struct TimedScenario {
+/// One pinned scenario: the workload and mode of its "coalesced" run, which
+/// sim_golden pins beside its references.
+struct PinnedScenario {
   const char* name;
   Workload (*workload)();
   Mode mode;
@@ -542,11 +529,10 @@ struct TimedScenario {
   double min_hit_rate = 0;  ///< kRoutings: the cached run's hit-rate bar (0: none)
 };
 
-inline const TimedScenario kTimedScenarios[] = {
+inline const PinnedScenario kPinnedScenarios[] = {
     {"shm_words_single_ue",
      [] {
        return Workload{.ues = 1,
-                       .repetitions = 200,
                        .setup =
                            [](sim::SccMachine& m) {
                              const std::uint64_t base = m.shmalloc(64 * kBlock);
@@ -560,7 +546,6 @@ inline const TimedScenario kTimedScenarios[] = {
     {"shm_words_staggered_8ue",
      [] {
        return Workload{.ues = 8,
-                       .repetitions = 60,
                        .setup =
                            [](sim::SccMachine& m) {
                              const std::uint64_t base = m.shmalloc(8 * kBlock);
@@ -583,7 +568,6 @@ inline const TimedScenario kTimedScenarios[] = {
     {"shm_words_contended_8ue",
      [] {
        return Workload{.ues = 8,
-                       .repetitions = 2500,
                        .setup =
                            [](sim::SccMachine& m) {
                              const std::uint64_t base = m.shmalloc(1 << 16);
@@ -597,7 +581,6 @@ inline const TimedScenario kTimedScenarios[] = {
     {"rcce_ring_1k_8ue",
      [] {
        return Workload{.ues = 8,
-                       .repetitions = 600,
                        .setup = [](sim::SccMachine& m) {
                          rcce::RcceEnv env(m);
                          // Two parity buffers of 1 KB each (rcceRing
@@ -613,7 +596,6 @@ inline const TimedScenario kTimedScenarios[] = {
     {"mixed_shm_mpb_8ue",
      [] {
        return Workload{.ues = 8,
-                       .repetitions = 200,
                        .setup = [](sim::SccMachine& m) {
                          rcce::RcceEnv env(m);
                          const std::uint64_t base = m.shmalloc(8 * kBlock);
@@ -627,7 +609,7 @@ inline const TimedScenario kTimedScenarios[] = {
      Mode{}, References::kLegacy},
     {"event_kernel_8ue",
      [] {
-       return Workload{.ues = 8, .repetitions = 60, .setup = [](sim::SccMachine& m) {
+       return Workload{.ues = 8, .setup = [](sim::SccMachine& m) {
                          m.launch(sim::LaunchSpec(
                              8, [](sim::CoreContext& ctx) { return spinner(ctx, 1000); }));
                        }};
@@ -636,7 +618,7 @@ inline const TimedScenario kTimedScenarios[] = {
     {"barrier_32ue", barrier32, Mode{}, References::kNone},
     {"mpb_pingpong_2ue",
      [] {
-       return Workload{.ues = 2, .repetitions = 350, .setup = [](sim::SccMachine& m) {
+       return Workload{.ues = 2, .setup = [](sim::SccMachine& m) {
                          rcce::RcceEnv env(m);
                          const std::uint64_t off = env.mpbMallocSymmetric(2, 64);
                          m.launch(sim::LaunchSpec(2, [=](sim::CoreContext& ctx) {
@@ -647,7 +629,7 @@ inline const TimedScenario kTimedScenarios[] = {
      Mode{}, References::kNone},
     {"bulk_copy_8ue",
      [] {
-       return Workload{.ues = 8, .repetitions = 400, .setup = [](sim::SccMachine& m) {
+       return Workload{.ues = 8, .setup = [](sim::SccMachine& m) {
                          const std::uint64_t base = m.shmalloc(1 << 20);
                          m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
                            return bulkReader(ctx, base, 64);
@@ -659,7 +641,6 @@ inline const TimedScenario kTimedScenarios[] = {
      [] {
        constexpr std::size_t kWindow = 4096;
        return Workload{.ues = 8,
-                       .repetitions = 6,
                        .setup =
                            [](sim::SccMachine& m) {
                              const std::uint64_t grid = m.shmalloc(8 * kWindow);
@@ -681,7 +662,6 @@ inline const TimedScenario kTimedScenarios[] = {
        constexpr std::size_t n = 64;
        return Workload{
            .ues = 8,
-           .repetitions = 4,
            .setup =
                [](sim::SccMachine& m) {
                  const std::uint64_t m0 = m.shmalloc(n * n * 8);
@@ -709,7 +689,6 @@ inline const TimedScenario kTimedScenarios[] = {
      [] {
        constexpr std::size_t kWindow = 4096;
        return Workload{.ues = 32,
-                       .repetitions = 10,
                        .setup =
                            [](sim::SccMachine& m) {
                              const std::size_t bytes = 32 * kWindow;
@@ -728,7 +707,6 @@ inline const TimedScenario kTimedScenarios[] = {
     {"mpb_broadcast_8ue",
      [] {
        return Workload{.ues = 8,
-                       .repetitions = 150,
                        .setup = [](sim::SccMachine& m) {
                          rcce::RcceEnv env(m);
                          const std::uint64_t slot = env.mpbMallocSymmetric(8, 1024);

@@ -15,7 +15,7 @@
 //
 //   build/bench/sim_golden > tests/golden/sim.txt
 //
-// can never bake a `false` in. The configurations: every timed scenario of
+// can never bake a `false` in. The configurations: every pinned scenario of
 // bench/scenarios.h with its reference runs (coalescing off, other
 // routings, policies and placements, plan-driven twins), the fault sweep,
 // the race-detector and trace scenarios, the six paper programs at paper
@@ -324,18 +324,18 @@ DrfRun runDrfOnce(bool drf, bool word_granular, bool coalescing, int ues,
   return r;
 }
 
-// --- timed scenarios and their references -----------------------------------
+// --- pinned scenarios and their references ----------------------------------
 
 /// Coalescing on vs off: coalescing may eliminate events but must leave the
 /// makespan and every per-task completion Tick bit-identical; so must the
 /// plan-driven twin, when the workload has one.
 void legacyReferences(Golden& g, const std::string& p, const Workload& w,
-                      const TimedScenario& t, const RunStats& on) {
-  const RunStats off = runWorkload(w, Mode{false}, 1);
+                      const PinnedScenario& t, const RunStats& on) {
+  const RunStats off = runWorkload(w, Mode{false});
   runRows(g, p + "legacy", off);
   g.check(p + "check.ticks_identical", sameTicks(on, off));
   if (w.setup_plan) {
-    const RunStats twin = runWorkload(w, t.mode, 1, /*plan_setup=*/true);
+    const RunStats twin = runWorkload(w, t.mode, /*plan_setup=*/true);
     runRows(g, p + "plan_twin", twin);
     g.check(p + "check.plan_twin_identical", sameTicks(twin, off));
   }
@@ -350,8 +350,8 @@ void legacyReferences(Golden& g, const std::string& p, const Workload& w,
 /// programs must produce bit-identical results on both routings; a
 /// read-mostly program must also clear its hit-rate bar.
 void routingReferences(Golden& g, const std::string& p, const Workload& w,
-                       const TimedScenario& t, const RunStats& cached) {
-  const RunStats uncached = runWorkload(w, Mode{true, false}, 1);
+                       const PinnedScenario& t, const RunStats& cached) {
+  const RunStats uncached = runWorkload(w, Mode{true, false});
   runRows(g, p + "uncached", uncached);
   g.check(p + "check.functional_identical", cached.result_bytes == uncached.result_bytes);
   if (t.min_hit_rate > 0) {
@@ -364,8 +364,8 @@ void routingReferences(Golden& g, const std::string& p, const Workload& w,
 /// results, clear the table hit-rate bar and record zero MPB scope
 /// violations under its (MPB-free) plan.
 void policyReferences(Golden& g, const std::string& p, const RunStats& mixed) {
-  const RunStats cached = runWorkload(mixedPolicyWorkload(1), Mode{true, true}, 1);
-  const RunStats uncached = runWorkload(mixedPolicyWorkload(2), Mode{true, false}, 1);
+  const RunStats cached = runWorkload(mixedPolicyWorkload(1), Mode{true, true});
+  const RunStats uncached = runWorkload(mixedPolicyWorkload(2), Mode{true, false});
   runRows(g, p + "all_cached", cached);
   runRows(g, p + "all_uncached", uncached);
   const auto simRate = [](const RunStats& s) {
@@ -395,9 +395,9 @@ void policyReferences(Golden& g, const std::string& p, const RunStats& mixed) {
 /// makespan, and the striped plan's Ticks must not depend on coalescing.
 void placementReferences(Golden& g, const std::string& p, const RunStats& placed) {
   const RunStats striped =
-      runWorkload(kvZipfWorkload(ControllerPlacement::kStriped), Mode{}, 1);
+      runWorkload(kvZipfWorkload(ControllerPlacement::kStriped), Mode{});
   const RunStats striped_off =
-      runWorkload(kvZipfWorkload(ControllerPlacement::kStriped), Mode{false}, 1);
+      runWorkload(kvZipfWorkload(ControllerPlacement::kStriped), Mode{false});
   runRows(g, p + "striped", striped);
   runRows(g, p + "striped_legacy", striped_off);
   g.check(p + "check.striped_ticks_identical", sameTicks(striped, striped_off));
@@ -429,10 +429,10 @@ void placementReferences(Golden& g, const std::string& p, const RunStats& placed
           cv_placed < 0.05 && cv_striped > 0.30 && cv_striped > 20.0 * cv_placed);
 }
 
-void timedScenario(Golden& g, const TimedScenario& t) {
+void pinnedScenario(Golden& g, const PinnedScenario& t) {
   const std::string p = std::string(t.name) + ".";
   const Workload w = t.workload();
-  const RunStats on = runWorkload(w, t.mode, 1);
+  const RunStats on = runWorkload(w, t.mode);
   runRows(g, p + "coalesced", on);
   switch (t.references) {
     case References::kNone: break;
@@ -626,8 +626,8 @@ void obsTrace(Golden& g) {
   const TracedRun traced = runSyncedWords(true, true);
   const TracedRun traced_off = runSyncedWords(true, false);
   const TracedRun untraced = runSyncedWords(false, true);
-  const RunStats plain = runWorkload(barrier32(), Mode{}, 1);
-  const RunStats with_trace = runWorkload(barrier32(), Mode{.trace = true}, 1);
+  const RunStats plain = runWorkload(barrier32(), Mode{});
+  const RunStats with_trace = runWorkload(barrier32(), Mode{.trace = true});
   const std::string p = "obs_trace_8ue.";
   g.model(p + "makespan_ps", traced.makespan);
   g.model(p + "trace_events_recorded", traced.recorded);
@@ -814,7 +814,7 @@ int main(int argc, char**) {
     return 2;
   }
   Golden g;
-  for (const TimedScenario& t : kTimedScenarios) timedScenario(g, t);
+  for (const PinnedScenario& t : kPinnedScenarios) pinnedScenario(g, t);
   faultSweep(g);
   drfRacy(g);
   drfFalseSharing(g);

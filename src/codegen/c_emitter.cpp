@@ -187,8 +187,10 @@ class ExprPrinter {
       case ExprKind::Cast: {
         const auto& cast = static_cast<const ast::CastExpr&>(expr);
         *prec = kUnaryPrecedence;
-        return "(" + cast.target()->spelling() + ")" +
-               printPrec(*cast.operand(), kUnaryPrecedence);
+        std::string out = "(";
+        out += cast.target()->spelling();
+        out += ')';
+        return out + printPrec(*cast.operand(), kUnaryPrecedence);
       }
       case ExprKind::Sizeof: {
         const auto& size_of = static_cast<const ast::SizeofExpr&>(expr);
@@ -234,7 +236,11 @@ std::string CSourceEmitter::emitDeclarator(const ast::Type* type,
   std::string out = t->spelling();
   out += ' ';
   out += stars + name;
-  for (std::size_t d : dims) out += "[" + std::to_string(d) + "]";
+  for (std::size_t d : dims) {
+    out += '[';
+    out += std::to_string(d);
+    out += ']';
+  }
   return out;
 }
 

@@ -729,7 +729,7 @@ SimResult runContended(bool coalescing, int ues) {
   const std::uint64_t blocks = machine.shmalloc(static_cast<std::size_t>(ues) * 1024);
   const std::uint64_t counter = machine.shmalloc(8);
   SimResult r;
-  r.data.resize(static_cast<std::size_t>(ues), 0);
+  r.data.assign(static_cast<std::size_t>(ues), 0);
   machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) {
     return contendedKernel(ctx, blocks, counter, &r.data);
   }));
@@ -1142,7 +1142,7 @@ MpbResult runMpbContended(bool coalescing, int ues) {
   const std::uint64_t slot = machine.mpbMalloc(0, 1024);
   for (int ue = 1; ue < ues; ++ue) machine.mpbMalloc(ue, 1024);
   MpbResult r;
-  r.data.resize(static_cast<std::size_t>(ues), 0);
+  r.data.assign(static_cast<std::size_t>(ues), 0);
   machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) {
     return mpbContendedKernel(ctx, slot, 4, 1024, &r.data);
   }));

@@ -150,7 +150,9 @@ TEST_P(PlannerPropertyTest, InvariantsHoldOnRandomPopulations) {
   std::vector<analysis::VariableInfo> vars;
   const int n = count_dist(rng);
   for (int i = 0; i < n; ++i) {
-    vars.push_back(makeVar("v" + std::to_string(i),
+    std::string name = "v";
+    name += std::to_string(i);
+    vars.push_back(makeVar(name,
                            static_cast<std::size_t>(size_dist(rng)),
                            access_dist(rng)));
   }
@@ -195,7 +197,9 @@ TEST(PlannerComparison, FrequencyAwareNeverWorseOnAccessFraction) {
     std::uniform_real_distribution<double> access_dist(0, 10000);
     std::vector<analysis::VariableInfo> vars;
     for (int i = 0; i < 24; ++i) {
-      vars.push_back(makeVar("v" + std::to_string(i),
+      std::string name = "v";
+      name += std::to_string(i);
+      vars.push_back(makeVar(name,
                              static_cast<std::size_t>(size_dist(rng)),
                              access_dist(rng)));
     }
