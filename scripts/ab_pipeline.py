@@ -10,20 +10,26 @@ goes first swaps every pair, so a drift in host speed hits both sides
 alike). Both run.py invocations build their own harness from their own
 sources on first use. Finally it prints the host's core count and compiler
 and runs this tree's `bench/pipeline/compare.py` on the two JSON-lines
-files, whose verdict table and exit code it passes on.
+files, whose verdict table and exit code it passes on, and after the table
+each workload's per-pair pass_s ratio (change over parent): the median, the
+range and how many pairs the change won.
 
 Pass times of unchanged binaries vary by tens of percent from one run to
 the next on a shared host, so a performance claim needs many alternating
-pairs, not one run per side. The work directory (a fresh temporary one
+pairs, not one run per side. The medians of one tree can drift between
+series while the ratios within pairs hold steady, which is why the pair
+ratios are printed too. The work directory (a fresh temporary one
 unless --workdir names one) keeps `parent.jsonl`, `change.jsonl` and the
 parent tree with its harness build, so a second invocation with the same
 --workdir and revision skips the export and the parent's build.
 """
 
 import argparse
+import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -68,6 +74,29 @@ def run_side(tree, out, args):
         sys.exit(f"ab_pipeline: {' '.join(cmd)} failed in {tree}:\n{done.stderr}")
 
 
+def pass_times(path):
+    """workload -> pass_s of each untraced run, in run order."""
+    times = {}
+    with open(path) as f:
+        for line in f:
+            if line.strip():
+                record = json.loads(line)
+                if not record["trace"]:
+                    times.setdefault(record["workload"], []).append(record["metrics"]["pass_s"])
+    return times
+
+
+def print_pair_ratios(parent_file, change_file):
+    """Each workload's pass_s ratio within every pair (change over parent)."""
+    parent, change = pass_times(parent_file), pass_times(change_file)
+    for workload in sorted(set(parent) & set(change)):
+        ratios = [c / p for p, c in zip(parent[workload], change[workload])]
+        won = sum(r < 1.0 for r in ratios)
+        print(f"{workload} pass_s pair ratios (change/parent): median "
+              f"{statistics.median(ratios):.3f}, range {min(ratios):.3f}-{max(ratios):.3f}, "
+              f"change faster in {won}/{len(ratios)} pairs")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="git revision to compare against (e.g. HEAD~1)")
@@ -99,6 +128,8 @@ def main():
           f"{args.pairs} pairs x {args.seconds:g} s; runs in {work}")
     verdict = subprocess.run([sys.executable, str(COMPARE), str(files["parent"]),
                               str(files["change"])])
+    sys.stdout.flush()
+    print_pair_ratios(files["parent"], files["change"])
     return verdict.returncode
 
 

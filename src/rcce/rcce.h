@@ -167,12 +167,12 @@ class ShmArray {
   }
   /// RCCE-style bulk copy (sequential burst, row-buffer friendly). Bypasses
   /// the swcache but stays coherent with this core's cached lines.
-  [[nodiscard]] sim::CoreContext::BulkAwaiter readBulk(sim::CoreContext& ctx,
+  [[nodiscard]] sim::CoreContext::OpAwaiter readBulk(sim::CoreContext& ctx,
                                                        std::size_t first,
                                                        std::size_t count, T* out) const {
     return ctx.shmReadBulk(byteOffset(first), out, count * sizeof(T));
   }
-  [[nodiscard]] sim::CoreContext::BulkAwaiter writeBulk(sim::CoreContext& ctx,
+  [[nodiscard]] sim::CoreContext::OpAwaiter writeBulk(sim::CoreContext& ctx,
                                                         std::size_t first,
                                                         std::size_t count,
                                                         const T* src) const {

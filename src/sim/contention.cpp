@@ -32,16 +32,24 @@ JointReplay replayJointRuns(std::vector<ReplayMember>& members,
     m.window_t = m.t;
     m.window_done = m.done;
   }
+  // The members in pick order. A pick moves only the picked member, usually
+  // to the back (the contended steady state is a round), so it is re-filed
+  // by a scan from the back instead of a scan of every member per pick. A
+  // round jump moves every member by the same Δ, which keeps the order.
+  thread_local std::vector<std::uint32_t> order;
+  order.resize(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return acquiresBefore(members[a], members[b]);
+  });
   for (;;) {
     // Every member is mid-run until the first finisher ends the replay.
-    std::size_t pick = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (acquiresBefore(members[i], members[pick])) pick = i;
-    }
+    const std::size_t pick = order[0];
     ReplayMember& m = members[pick];
     // Picks come in time order: once the earliest issues at the horizon, a
     // non-member may run first, and every later pick is past it too.
     if (m.t >= horizon && !(m.is_self && m.done == 0)) break;
+    const bool live = m.is_self && m.done == 0;
     const Tick arrival = m.t + m.overhead + m.hop;
     Tick svc = m.service;
     if (stall) svc += stall(m, arrival, timeline.requests());
@@ -49,15 +57,20 @@ JointReplay replayJointRuns(std::vector<ReplayMember>& members,
     ++m.done;
     ++out.stepped;
     if (--m.remaining == 0) break;
-    if (!jump || ++window_picks < n) continue;
+    std::size_t pos = n - 1;
+    while (pos > 0 && acquiresBefore(m, members[order[pos]])) --pos;
+    std::copy(order.begin() + 1, order.begin() + static_cast<std::ptrdiff_t>(pos) + 1,
+              order.begin());
+    order[pos] = static_cast<std::uint32_t>(pick);
+    // The live caller's first transaction is not picked by the key later
+    // windows use, so no window may hold it: a window starts right after it.
+    if (!jump || (!live && ++window_picks < n)) continue;
 
-    // Window boundary: does this window translate the previous one? A
-    // window that held the live caller's first transaction does not: that
-    // transaction's tie-break is not the key later windows use.
+    // Window boundary: does this window translate the previous one?
     window_picks = 0;
     const Tick delta = timeline.nextFree() - window_free;
     const bool repeats =
-        std::all_of(members.begin(), members.end(), [&](const ReplayMember& r) {
+        !live && std::all_of(members.begin(), members.end(), [&](const ReplayMember& r) {
           return r.done - r.window_done == 1 && r.t - r.window_t == delta &&
                  !(r.is_self && r.window_done == 0);
         });

@@ -50,9 +50,10 @@ struct JointReplay {
 /// hop` after that member's previous completion and is serviced for its
 /// `service` (plus any stall). Every member must enter with remaining >= 1.
 ///
-/// Round jumps: every `members.size()` picks closes a window. When a window
-/// picked every member exactly once, moved every member's t by the same Δ
-/// as the timeline's nextFree(), and began after the live caller's first
+/// Round jumps: every `members.size()` picks closes a window, and the live
+/// caller's first transaction starts a new one. When a window picked every
+/// member exactly once, moved every member's t by the same Δ as the
+/// timeline's nextFree(), and began after the live caller's first
 /// transaction, the state is the previous window's translated by Δ. The
 /// recurrence is translation-invariant — acquire is max(arrival, next_free)
 /// + service and the pick compares t and task ids only — so every later

@@ -37,16 +37,8 @@ std::string HangReport::format() const {
 SimHangError::SimHangError(Kind kind, HangReport report)
     : std::runtime_error(report.format()), kind_(kind), report_(std::move(report)) {}
 
-bool ResumeAt::await_ready() const noexcept {
-  // Zero-cost operations continue inline; anything in the future suspends.
-  return when <= engine.now();
-}
-
-void ResumeAt::await_suspend(std::coroutine_handle<> h) const {
-  engine.schedule(when, h);
-}
-
-void Engine::schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id) {
+void Engine::schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id,
+                      RunScope scope) {
   if (task_id >= task_pending_when_.size()) [[unlikely]] {
     throw std::logic_error("every event must belong to a spawned task");
   }
@@ -56,7 +48,7 @@ void Engine::schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id)
   // The running task's popped leaf is still in the tree: this one walk
   // replaces it.
   if (task_id == popped_) popped_ = kNoTask;
-  setSlot(task_id, when);
+  setSlot(task_id, when, scope);
   ++classes_[task_class_[task_id]].pending_count;
   // A schedule aimed at a blocked task IS its wake: clear the park.
   if (task_blocked_sync_[task_id] != kNoSync) {
@@ -75,23 +67,33 @@ void Engine::schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id)
     blocked_tasks_[i] = last;
     task_blocked_index_[last] = i;
     blocked_tasks_.pop_back();
-    --classes_[task_class_[task_id]].blocked_registered;
+    std::vector<std::size_t>& in_class = classes_[task_class_[task_id]].blocked;
+    const std::size_t j = task_class_blocked_index_[task_id];
+    const std::size_t last_in_class = in_class.back();
+    in_class[j] = last_in_class;
+    task_class_blocked_index_[last_in_class] = j;
+    in_class.pop_back();
   }
 }
 
 void Engine::fileLeaf(std::size_t task, Tick when) const {
   std::size_t n = tree_leaves_ + task;
   tree_[n].when = when;
-  TreeNode winner = tree_[n];
+  Tick win_when = when;
+  std::uint32_t win_task = tree_[n].task;
+  // Every level is written, and its winner is picked with masks: which side
+  // wins is data-dependent, and a mispredicted branch per level cost more
+  // than the walk the early exit on an unchanged node used to save.
   while (n > 1) {
     const TreeNode& sibling = tree_[n ^ 1];
-    if (firesBefore(sibling, winner)) winner = sibling;
+    const bool sibling_first =
+        (sibling.when < win_when) | ((sibling.when == win_when) & (sibling.task < win_task));
+    const Tick when_mask = Tick{0} - static_cast<Tick>(sibling_first);
+    const std::uint32_t task_mask = 0U - static_cast<std::uint32_t>(sibling_first);
+    win_when = (sibling.when & when_mask) | (win_when & ~when_mask);
+    win_task = (sibling.task & task_mask) | (win_task & ~task_mask);
     n >>= 1;
-    // Early exit: an unchanged node leaves every ancestor unchanged too. A
-    // barrier release re-files dozens of late wakes, most of which lose
-    // within a level or two.
-    if (tree_[n].when == winner.when && tree_[n].task == winner.task) return;
-    tree_[n] = winner;
+    tree_[n] = TreeNode{win_when, win_task};
   }
 }
 
@@ -120,7 +122,7 @@ std::uint32_t Engine::internReachClass(std::vector<std::uint32_t> reach) {
   }
   const auto cls = static_cast<std::uint32_t>(classes_.size());
   for (const std::uint32_t r : reach) resource_classes_[r].push_back(cls);
-  classes_.push_back(ReachClass{std::move(reach), {}, 0, 0, 0});
+  classes_.push_back(ReachClass{std::move(reach), {}, 0, 0, {}});
   return cls;
 }
 
@@ -180,8 +182,8 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource) const {
   return nextEventTimeFor(resource, std::span<const std::size_t>(&running, 1));
 }
 
-Tick Engine::nextEventTimeFor(std::uint32_t resource,
-                              std::span<const std::size_t> members) const {
+Tick Engine::nextEventTimeFor(std::uint32_t resource, std::span<const std::size_t> members,
+                              Tick floor) const {
   if (resource >= resource_classes_.size()) return nextEventTime();
   ++member_epoch_;
   for (const std::size_t m : members) {
@@ -200,25 +202,52 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource,
     const ReachClass& c = classes_[cls];
     std::int64_t blocked = c.alive - c.pending_count;
     if (running != kNoTask && task_class_[running] == cls) --blocked;
-    if (blocked > c.blocked_registered) return nextEventTime();
+    if (blocked > static_cast<std::int64_t>(c.blocked.size())) return nextEventTime();
     if (c.pending_count == 0) continue;
     for (const std::size_t m : c.members) {
-      const Tick when = task_pending_when_[m];
-      if (when < horizon && !isMember(m)) horizon = when;
+      // A task scoped to another resource cannot act on this one before its
+      // scope ends.
+      const RunScope& scope = task_scope_[m];
+      Tick when = task_pending_when_[m];
+      if (scope.resource != resource) when = std::max(when, scope.end);
+      if (when < horizon && !isMember(m)) {
+        horizon = when;
+        if (horizon <= floor) return horizon;
+      }
     }
   }
   // Every registered blocked task that can reach this resource bounds the
-  // horizon by the earliest execution of its wake chain.
-  for (const std::size_t b : blocked_tasks_) {
-    if (!classReaches(task_class_[b], resource)) continue;
-    wake_path_.assign(1, b);
-    horizon = std::min(horizon, wakeBound(b, wake_path_, members));
+  // horizon by the earliest execution of its wake chain. A waiter that is
+  // not itself one of its sync object's wakers (an arrived barrier member,
+  // a lock waiter other than the holder) cannot shorten the chain, so all
+  // such waiters of one object share its bound.
+  for (const std::uint32_t cls : resource_classes_[resource]) {
+    for (const std::size_t b : classes_[cls].blocked) {
+      const std::uint32_t sync = task_blocked_sync_[b];
+      const SyncObject& s = syncs_[sync];
+      const bool shared = s.barrier ? !s.awaited(b) : s.holder != b;
+      Tick bound = 0;
+      if (shared && sync_bound_epoch_[sync] == member_epoch_) {
+        bound = sync_bound_[sync];
+      } else {
+        wake_path_.assign(1, b);
+        bound = wakeBound(b, wake_path_, members);
+        if (shared) {
+          sync_bound_epoch_[sync] = member_epoch_;
+          sync_bound_[sync] = bound;
+        }
+      }
+      horizon = std::min(horizon, bound);
+      if (horizon <= floor) return horizon;
+    }
   }
   return horizon;
 }
 
 std::uint32_t Engine::registerLock() {
   syncs_.push_back({});
+  sync_bound_epoch_.push_back(0);
+  sync_bound_.push_back(0);
   return static_cast<std::uint32_t>(syncs_.size() - 1);
 }
 
@@ -240,6 +269,8 @@ std::uint32_t Engine::registerBarrier(std::vector<std::size_t> members) {
   }
   s.members = std::move(members);
   syncs_.push_back(std::move(s));
+  sync_bound_epoch_.push_back(0);
+  sync_bound_.push_back(0);
   return static_cast<std::uint32_t>(syncs_.size() - 1);
 }
 
@@ -259,7 +290,9 @@ void Engine::blockOnSync(std::size_t task, std::uint32_t sync) {
                                            obs::TraceEventKind::kBlock});
     }
     blocked_tasks_.push_back(task);
-    ++classes_[task_class_[task]].blocked_registered;
+    std::vector<std::size_t>& in_class = classes_[task_class_[task]].blocked;
+    task_class_blocked_index_[task] = in_class.size();
+    in_class.push_back(task);
   }
   task_blocked_sync_[task] = sync;
 }
@@ -278,9 +311,11 @@ std::size_t Engine::spawn(SimTask task, Tick start, std::vector<std::uint32_t> r
   const std::size_t id = tasks_.size();
   task_class_.push_back(cls);
   task_pending_when_.push_back(kNever);
+  task_scope_.emplace_back();
   task_handle_.emplace_back();
   task_blocked_sync_.push_back(kNoSync);
   task_blocked_index_.push_back(0);
+  task_class_blocked_index_.push_back(0);
   task_blocked_at_.push_back(0);
   task_done_.push_back(false);
   member_mark_.push_back(0);
@@ -363,6 +398,7 @@ Tick Engine::run() {
     // Pop: the slot empties now, but the leaf stays filed until the task's
     // own schedule() replaces it or dropPopped() clears it (header comment).
     task_pending_when_[task] = kNever;
+    task_scope_[task] = RunScope{};
     popped_ = task;
     --classes_[task_class_[task]].pending_count;
     if (watchdog_limit_ != 0) {
@@ -373,6 +409,7 @@ Tick Engine::run() {
         throw WatchdogError(hangReport());
       }
     }
+    if (event_hook_) event_hook_(next.when, task);
     now_ = next.when;
     current_task_ = task;
     ++events_processed_;

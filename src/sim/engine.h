@@ -15,7 +15,9 @@
 // assert), held in that task's pending slot, and a winner (tournament) tree
 // over task ids keyed (time, task_id) — the lower id winning an equal Tick —
 // names the next event; nextEventTime() is its root. An event costs one
-// leaf-to-root walk: run() pops a task by emptying its slot but leaves its
+// leaf-to-root walk, always to the root, each level's winner picked with
+// masks rather than a data-dependent branch (and no exit at an unchanged
+// node): run() pops a task by emptying its slot but leaves its
 // leaf filed, and the task's own schedule() replaces the leaf in one walk;
 // if the event parks or finishes the task instead, the next read of the
 // root (nextEventTime(), the next pop, growTree) clears the leaf first, so
@@ -71,6 +73,23 @@
 // barrier a member has not reached cannot release mid-batch at all
 // (answered from the arrival stamps, without walking the barrier's
 // members). `nextEventTimeFor(r)` is the set of the running task alone.
+//
+// Run scopes: a pending slot may carry a scope (resource r', end), filed by
+// the call that files the slot (schedule, deferPending) and cleared when
+// the slot pops. It is the platform model's promise that the task is mid-way
+// through a run of transactions on r' and cannot act on any other resource
+// before `end` (SccMachine derives `end` from a lower bound on each
+// remaining transaction's duration). A scoped task therefore bounds the
+// horizon of r' at its pending Tick and of every other resource at
+// max(pending Tick, end) — the lookahead of conservative parallel
+// discrete-event simulation, applied per resource. Wake chains still use
+// the pending Tick.
+//
+// A horizon query scans the members of the reach classes of its resource and
+// their registered blocked tasks; the waiters of one sync object that are
+// not themselves its wakers share one wake bound, computed once per query,
+// and a caller that cannot act before some `floor` lets the scan stop at
+// the first bound at or below it.
 //
 // Under these rules coalescing may reduce `eventsProcessed()` but never
 // changes any Tick: makespan, per-task completion times, and every
@@ -209,11 +228,23 @@ class SimTask {
   Handle handle_;
 };
 
-/// Awaitable that resumes the coroutine at an absolute simulated time.
+/// A pending event's run scope: its task is mid-way through a run of
+/// transactions on `resource` and can act on no other resource before `end`
+/// (header comment). The default names no resource: no scope.
+struct RunScope {
+  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+  std::uint32_t resource = kNone;
+  Tick end = 0;
+};
+
+/// Awaitable that resumes the coroutine at an absolute simulated time,
+/// filing `scope` with the resume.
 struct ResumeAt {
   Engine& engine;
   Tick when;
+  RunScope scope = {};
 
+  /// Zero-cost operations continue inline; anything in the future suspends.
   [[nodiscard]] bool await_ready() const noexcept;
   void await_suspend(std::coroutine_handle<> h) const;
   void await_resume() const noexcept {}
@@ -293,9 +324,10 @@ class Engine {
   [[nodiscard]] Tick now() const { return now_; }
 
   /// Schedule `h` to resume at absolute time `when` (clamped to now) on
-  /// behalf of the currently running task (the usual suspend path).
-  void schedule(Tick when, std::coroutine_handle<> h) {
-    schedule(when, h, currentTaskId());
+  /// behalf of the currently running task (the usual suspend path), with
+  /// the run scope `scope` filed alongside.
+  void schedule(Tick when, std::coroutine_handle<> h, RunScope scope = {}) {
+    schedule(when, h, currentTaskId(), scope);
   }
   /// Schedule a wake for a task other than the running one (lock grants,
   /// barrier releases): `task_id` must be the id the woken coroutine runs
@@ -303,7 +335,8 @@ class Engine {
   /// contract holds for the wake event. Scheduling for a task that was
   /// registered as blocked on a sync object clears its blocked state.
   /// Throws std::logic_error unless `task_id` is a spawned task.
-  void schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id);
+  void schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id,
+                RunScope scope = {});
 
   /// Id of the root task whose event is currently being processed
   /// (kNoTask outside run()). Lock/barrier implementations capture this
@@ -320,24 +353,29 @@ class Engine {
   }
 
   /// Per-resource coalescing horizon: earliest pending event among tasks
-  /// whose reach set contains `resource`, bounded further by the wake
-  /// chains of blocked tasks reaching `resource` (see the header comment for
-  /// the exactness argument), with the running task excluded. Falls back to
+  /// whose reach set contains `resource` (a task scoped to another resource
+  /// counts at its scope's end), bounded further by the wake chains of
+  /// blocked tasks reaching `resource` (see the header comment for the
+  /// exactness argument), with the running task excluded. Falls back to
   /// the global nextEventTime() when such a task is parked by an unknown
   /// mechanism or `resource` is unregistered.
   [[nodiscard]] Tick nextEventTimeFor(std::uint32_t resource) const;
   /// The same horizon over the non-members of `members`: the running task
   /// and tasks with a pending event, about to be replayed together (header
   /// comment). Their pending slots are not counted and, as wakers, they
-  /// contribute kNever.
+  /// contribute kNever. A horizon at or below `floor` may be returned as any
+  /// value at or below it: the scan stops there (a caller that cannot act
+  /// before `floor` cannot tell them apart).
   [[nodiscard]] Tick nextEventTimeFor(std::uint32_t resource,
-                                      std::span<const std::size_t> members) const;
-  /// Move pending task `task`'s event later, to `when`: its next moves up to
-  /// `when` were replayed by a platform model (the joint replay defers each
-  /// member it advanced to where its replayed run stopped).
-  void deferPending(std::size_t task, Tick when) {
+                                      std::span<const std::size_t> members,
+                                      Tick floor = 0) const;
+  /// Move pending task `task`'s event later, to `when`, with the run scope
+  /// `scope`: its next moves up to `when` were replayed by a platform model
+  /// (the joint replay defers each member it advanced to where its replayed
+  /// run stopped).
+  void deferPending(std::size_t task, Tick when, RunScope scope = {}) {
     assert(task_pending_when_[task] != kNever && task_pending_when_[task] <= when);
-    setSlot(task, when);
+    setSlot(task, when, scope);
   }
 
   // -- synchronization objects (wake-chain tracking) --
@@ -407,6 +445,13 @@ class Engine {
     task_done_[task_id] = true;
     --classes_[task_class_[task_id]].alive;
   }
+  /// Move finished task `task_id`'s completion `lag` later: work it did
+  /// without suspending (a platform model's folded compute) ran past its
+  /// last event.
+  void extendCompletion(std::size_t task_id, Tick lag) {
+    assert(task_done_[task_id]);
+    completion_[task_id] += lag;
+  }
   /// Latest completion across all spawned tasks (the makespan).
   [[nodiscard]] Tick makespan() const;
 
@@ -430,6 +475,14 @@ class Engine {
   /// enabled, so the hot-path cost of the hooks is one null check.
   void setTraceRecorder(obs::TraceRecorder* recorder) { trace_ = recorder; }
   [[nodiscard]] obs::TraceRecorder* traceRecorder() const { return trace_; }
+
+  /// Run `hook(when, task)` just before each event resumes its task (empty:
+  /// none). For platform models that queue work in the (time, task id)
+  /// order, such as SccMachine's race checks of accesses issued ahead of a
+  /// folded compute's end.
+  void setEventHook(std::function<void(Tick, std::size_t)> hook) {
+    event_hook_ = std::move(hook);
+  }
 
   /// Convenience awaitable: suspend for `dt` picoseconds.
   [[nodiscard]] ResumeAt delay(Tick dt) { return ResumeAt{*this, now() + dt}; }
@@ -456,7 +509,7 @@ class Engine {
     std::vector<std::size_t> members;      ///< task ids (finished ones too)
     std::int64_t pending_count = 0;        ///< members with a pending event
     std::int64_t alive = 0;                ///< spawned minus finished
-    std::int64_t blocked_registered = 0;   ///< parked via blockOnSync
+    std::vector<std::size_t> blocked;      ///< members parked via blockOnSync
   };
 
   /// A registered sync object: a lock or a barrier.
@@ -475,20 +528,17 @@ class Engine {
     }
   };
 
-  [[nodiscard]] bool classReaches(std::uint32_t cls, std::uint32_t resource) const {
-    const std::vector<std::uint32_t>& rs = classes_[cls].resources;
-    return std::binary_search(rs.begin(), rs.end(), resource);
-  }
   /// Class of the sorted, unique reach set `reach`, created on first use.
   std::uint32_t internReachClass(std::vector<std::uint32_t> reach);
-  /// Set `task`'s pending slot to `when` (kNever: none) and file it in the
-  /// tree.
-  void setSlot(std::size_t task, Tick when) {
+  /// Set `task`'s pending slot to `when` (kNever: none) with its run scope
+  /// and file it in the tree.
+  void setSlot(std::size_t task, Tick when, RunScope scope = {}) {
     task_pending_when_[task] = when;
+    task_scope_[task] = scope;
     fileLeaf(task, when);
   }
-  /// Set `task`'s leaf to `when` and replay its path to the root, stopping
-  /// at the first node whose winner is unchanged. Touches only the tree.
+  /// Set `task`'s leaf to `when` and replay its whole path to the root, each
+  /// level's winner picked without a branch. Touches only the tree.
   void fileLeaf(std::size_t task, Tick when) const;
   /// Clear the popped task's leaf if its event did not refile it. Every
   /// reader of the root calls this first; the tree is a cache of the slots,
@@ -553,7 +603,10 @@ class Engine {
   std::vector<std::uint32_t> task_blocked_sync_;  ///< per task: sync or kNoSync
   std::vector<std::size_t> blocked_tasks_;        ///< registered blocked tasks
   std::vector<std::size_t> task_blocked_index_;   ///< position in blocked_tasks_
+  /// Per task: position in its class's `blocked` list while parked there.
+  std::vector<std::size_t> task_class_blocked_index_;
   std::vector<Tick> task_pending_when_;  ///< per task: pending slot or kNever
+  std::vector<RunScope> task_scope_;     ///< per task: its pending slot's run scope
   std::vector<Tick> task_blocked_at_;    ///< per task: when blockOnSync ran
   std::vector<std::uint8_t> task_done_;  ///< per task: finished
   /// Recursion scratch for nextEventTimeFor's wake-chain walk, reused so
@@ -564,6 +617,11 @@ class Engine {
   /// clearing).
   mutable std::vector<std::uint64_t> member_mark_;
   mutable std::uint64_t member_epoch_ = 0;
+  /// Per sync object: the wake bound of its waiters, computed once per
+  /// horizon query (valid while its epoch is member_epoch_). Every waiter
+  /// that is not itself a waker of the object has the same bound.
+  mutable std::vector<std::uint64_t> sync_bound_epoch_;
+  mutable std::vector<Tick> sync_bound_;
 
   // -- robustness / no-progress detection --
   bool hang_detection_ = false;
@@ -575,12 +633,20 @@ class Engine {
   /// Non-null only while tracing is enabled (the owner wires it through
   /// setTraceRecorder), so every engine hook is one null check when off.
   obs::TraceRecorder* trace_ = nullptr;
+  std::function<void(Tick, std::size_t)> event_hook_;  ///< setEventHook
 };
 
 inline void SimTask::promise_type::FinalAwaiter::await_suspend(
     std::coroutine_handle<promise_type> h) const noexcept {
   promise_type& p = h.promise();
   if (p.engine != nullptr) p.engine->onRootDone(p.task_id);
+}
+
+// Inline: every suspension of every task goes through these.
+inline bool ResumeAt::await_ready() const noexcept { return when <= engine.now(); }
+
+inline void ResumeAt::await_suspend(std::coroutine_handle<> h) const {
+  engine.schedule(when, h, scope);
 }
 
 /// A serially-reusable resource (memory controller port, MPB port, the

@@ -138,7 +138,26 @@ void TasLock::release() {
 // CoreContext
 // ---------------------------------------------------------------------------
 
-Tick CoreContext::now() const { return machine_.engine().now(); }
+Tick CoreContext::now() const { return machine_.engine().now() + lag_; }
+
+ResumeAt CoreContext::spend(Tick dt) {
+  Engine& engine = machine_.engine();
+  if (!machine_.foldsCompute()) return engine.delay(dt);
+  lag_ += dt;
+  return engine.resumeAt(engine.now());  // ready: no suspension
+}
+
+ResumeAt CoreContext::payLag() {
+  const Tick t = now();
+  lag_ = 0;
+  return machine_.engine().resumeAt(t);
+}
+
+template <typename Op>
+SubTask CoreContext::afterLag(Op op) {
+  co_await payLag();
+  co_await op();
+}
 
 SubTask CoreContext::faultPreOp() {
   FaultInjector& inj = machine_.faultInjector();
@@ -169,30 +188,41 @@ SubTask CoreContext::faultPreOp() {
 }
 
 ResumeAt CoreContext::compute(std::uint64_t core_cycles) {
-  const Tick dt = machine_.config().coreClock().cycles(core_cycles);
-  return machine_.engine().delay(dt);
+  return spend(machine_.config().coreClock().cycles(core_cycles));
 }
 
 ResumeAt CoreContext::computeOps(std::uint64_t count, OpClass cls) {
   return compute(count * opCycles(machine_.config(), cls));
 }
 
-ResumeAt CoreContext::privRead(std::uint64_t addr, void* out, std::size_t bytes) {
-  const Tick done =
-      machine_.privAccessCompletion(core_, now(), addr, bytes, false, out, nullptr);
-  return machine_.engine().resumeAt(done);
+CoreContext::OpAwaiter CoreContext::privRead(std::uint64_t addr, void* out,
+                                             std::size_t bytes) {
+  Engine& engine = machine_.engine();
+  if (lag_ > 0) {
+    return OpAwaiter(engine, afterLag([=, this] { return privRead(addr, out, bytes); }));
+  }
+  return OpAwaiter(engine, machine_.privAccessCompletion(core_, now(), addr, bytes, false,
+                                                         out, nullptr));
 }
 
-ResumeAt CoreContext::privWrite(std::uint64_t addr, const void* src, std::size_t bytes) {
-  const Tick done =
-      machine_.privAccessCompletion(core_, now(), addr, bytes, true, nullptr, src);
-  return machine_.engine().resumeAt(done);
+CoreContext::OpAwaiter CoreContext::privWrite(std::uint64_t addr, const void* src,
+                                              std::size_t bytes) {
+  Engine& engine = machine_.engine();
+  if (lag_ > 0) {
+    return OpAwaiter(engine, afterLag([=, this] { return privWrite(addr, src, bytes); }));
+  }
+  return OpAwaiter(engine, machine_.privAccessCompletion(core_, now(), addr, bytes, true,
+                                                         nullptr, src));
 }
 
-ResumeAt CoreContext::privTouch(std::uint64_t addr, std::size_t bytes, bool write) {
-  const Tick done =
-      machine_.privAccessCompletion(core_, now(), addr, bytes, write, nullptr, nullptr);
-  return machine_.engine().resumeAt(done);
+CoreContext::OpAwaiter CoreContext::privTouch(std::uint64_t addr, std::size_t bytes,
+                                              bool write) {
+  Engine& engine = machine_.engine();
+  if (lag_ > 0) {
+    return OpAwaiter(engine, afterLag([=, this] { return privTouch(addr, bytes, write); }));
+  }
+  return OpAwaiter(engine, machine_.privAccessCompletion(core_, now(), addr, bytes, write,
+                                                         nullptr, nullptr));
 }
 
 /// One attempt of a data transfer: the functional copy plus its timed run.
@@ -228,25 +258,36 @@ struct CoreContext::Transfer {
     if (run != Run::kShmBulk && write && src != nullptr) std::memcpy(memory(m), src, bytes);
   }
   /// Service the next batch (as many transactions as the coalescing
-  /// horizon proves safe); returns the Tick to resume at.
-  Tick step(CoreContext& ctx) {
+  /// horizon proves safe, issuing the first at ctx.now(): the lag is paid
+  /// in this event or by the suspension); returns the resume.
+  ResumeAt step(CoreContext& ctx) {
     SccMachine& m = ctx.machine_;
+    // A short run pays a lag by suspending (SccMachine::timedRun), so skip
+    // the run's set-up until then.
+    if (ctx.lag_ > 0 && left <= SccMachine::kShortRun) return ctx.payLag();
+    const Tick start = ctx.now();
+    ctx.lag_ = 0;
     std::size_t done = 1;
-    Tick t = 0;
     switch (run) {
-      case Run::kShmWords:
-        t = m.shmWordsAtCompletion(ctx.core_, ctx.now(), cur, left, &done);
+      case Run::kShmWords: {
+        const ResumeAt resume = m.shmWordsAtCompletion(ctx.core_, start, cur, left, &done);
         cur += static_cast<std::uint64_t>(done) * m.config().shm_transaction_bytes;
-        break;
-      case Run::kMpbChunks:
-        t = m.mpbChunksCompletion(ctx.core_, ctx.ue_, owner, ctx.now(), left, &done);
-        break;
+        left -= done;
+        return resume;
+      }
+      case Run::kMpbChunks: {
+        const ResumeAt resume =
+            m.mpbChunksCompletion(ctx.core_, ctx.ue_, owner, start, left, &done);
+        left -= done;
+        return resume;
+      }
       case Run::kShmBulk:
-        t = m.shmBulkCompletion(ctx.core_, ctx.now(), offset, bytes, write, out, src);
         break;
     }
-    left -= done;
-    return t;
+    // A bulk burst is one transaction (its lag was paid before: bulk()).
+    left = 0;
+    return ResumeAt{m.engine(),
+                    m.shmBulkCompletion(ctx.core_, start, offset, bytes, write, out, src)};
   }
   void end(SccMachine& m) {
     if (run != Run::kShmBulk && !write && out != nullptr) std::memcpy(out, memory(m), bytes);
@@ -313,7 +354,7 @@ SubTask CoreContext::access(Transfer x) {
   // logical write, and the checked stream is identical across coalescing
   // modes.
   machine_.noteDrf(mpb ? drf::mpbSpace(x.owner) : drf::kSpaceShm, x.offset, x.bytes,
-                   x.write);
+                   x.write, now());
   if (machine_.faultsActive()) co_await faultPreOp();
   if (!mpb && machine_.shmCached(x.offset)) {
     co_await swcacheRw(x.offset, x.out, x.src, x.bytes, x.write);
@@ -333,7 +374,7 @@ SubTask CoreContext::access(Transfer x) {
                               x.write ? memory : x.out, x.write ? x.src : memory,
                               attempts);
   } else {
-    for (x.begin(machine_); x.left > 0;) co_await machine_.engine().resumeAt(x.step(*this));
+    for (x.begin(machine_); x.left > 0;) co_await x.step(*this);
     x.end(machine_);
   }
   if (machine_.observing()) {
@@ -363,7 +404,7 @@ SubTask CoreContext::verifiedTransfer(FaultClass cls, std::uint64_t& seq, Transf
   const std::uint64_t xfer = seq++;
   std::uint64_t faults_here = 0;
   for (std::uint32_t attempt = 0;; ++attempt) {
-    for (x.begin(machine_); x.left > 0;) co_await machine_.engine().resumeAt(x.step(*this));
+    for (x.begin(machine_); x.left > 0;) co_await x.step(*this);
     x.end(machine_);
     attempts = attempt + 1;
     const std::uint64_t draw = (xfer << 16) ^ attempt;
@@ -398,17 +439,10 @@ SubTask CoreContext::swcacheRw(std::uint64_t offset, void* out, const void* src,
   const Tick t0 = now();
   const SwCache::AccessPlan plan =
       machine_.swcacheAccess(core_, offset, bytes, write, out, src);
-  // Timed phase: aggregated hit-touch time first, then the batched line
-  // transfers.
-  const Tick hit_ticks = machine_.swcacheHitTicks(plan.hit_touches);
-  if (hit_ticks > 0) co_await machine_.engine().delay(hit_ticks);
-  std::size_t lines = plan.line_txns;
-  while (lines > 0) {
-    std::size_t serviced = 0;
-    const Tick done = machine_.swcacheLinesCompletion(core_, now(), lines, &serviced);
-    co_await machine_.engine().resumeAt(done);
-    lines -= serviced;
-  }
+  // Timed phase: aggregated hit-touch time first (local work, like a
+  // compute), then the batched line transfers.
+  co_await spend(machine_.swcacheHitTicks(plan.hit_touches));
+  for (std::size_t lines = plan.line_txns; lines > 0;) co_await lineStep(lines);
   if (machine_.observing()) {
     machine_.recordOp(core_, obs::TraceEvent{t0, now(), offset, plan.hit_touches,
                                              plan.line_txns, machine_.controllerOfCore(core_),
@@ -417,13 +451,18 @@ SubTask CoreContext::swcacheRw(std::uint64_t offset, void* out, const void* src,
   }
 }
 
+ResumeAt CoreContext::lineStep(std::size_t& lines) {
+  if (lag_ > 0 && lines <= SccMachine::kShortRun) return payLag();  // as Transfer::step
+  const Tick start = now();
+  lag_ = 0;
+  std::size_t serviced = 0;
+  const ResumeAt resume = machine_.swcacheLinesCompletion(core_, start, lines, &serviced);
+  lines -= serviced;
+  return resume;
+}
+
 SubTask CoreContext::swcacheLines(std::size_t lines) {
-  while (lines > 0) {
-    std::size_t serviced = 0;
-    const Tick done = machine_.swcacheLinesCompletion(core_, now(), lines, &serviced);
-    co_await machine_.engine().resumeAt(done);
-    lines -= serviced;
-  }
+  while (lines > 0) co_await lineStep(lines);
 }
 
 SubTask CoreContext::swcacheRelease() {
@@ -443,15 +482,14 @@ SubTask CoreContext::swcacheRelease() {
   }
 }
 
-bool CoreContext::BulkAwaiter::await_ready() const noexcept {
-  if (fenced_) return fenced_.await_ready();
+bool CoreContext::OpAwaiter::await_ready() const noexcept {
+  if (body_) return body_.await_ready();
   // Zero-cost completions continue inline, exactly like ResumeAt.
   return when_ <= engine_.now();
 }
 
-std::coroutine_handle<> CoreContext::BulkAwaiter::await_suspend(
-    std::coroutine_handle<> h) {
-  if (fenced_) return fenced_.await_suspend(h);
+std::coroutine_handle<> CoreContext::OpAwaiter::await_suspend(std::coroutine_handle<> h) {
+  if (body_) return body_.await_suspend(h);
   engine_.schedule(when_, h);
   return std::noop_coroutine();
 }
@@ -488,7 +526,7 @@ SubTask CoreContext::bulkFenced(std::uint64_t offset, void* out, const void* src
     co_await verifiedTransfer(FaultClass::kShmWrite, shm_write_seq_, x,
                               machine_.shmData(offset), src, attempts);
   } else {
-    for (x.begin(machine_); x.left > 0;) co_await machine_.engine().resumeAt(x.step(*this));
+    for (x.begin(machine_); x.left > 0;) co_await x.step(*this);
   }
   if (machine_.observing()) {
     machine_.recordOp(core_, bulkSpan(machine_, core_, t0, now(), offset, bytes, write),
@@ -496,32 +534,36 @@ SubTask CoreContext::bulkFenced(std::uint64_t offset, void* out, const void* src
   }
 }
 
-CoreContext::BulkAwaiter CoreContext::shmReadBulk(std::uint64_t offset, void* out,
-                                                  std::size_t bytes) {
+CoreContext::OpAwaiter CoreContext::shmReadBulk(std::uint64_t offset, void* out,
+                                                std::size_t bytes) {
   checkShmRange(offset, bytes);
   return bulk(offset, out, nullptr, bytes, false);
 }
 
-CoreContext::BulkAwaiter CoreContext::shmWriteBulk(std::uint64_t offset,
-                                                   const void* src, std::size_t bytes) {
+CoreContext::OpAwaiter CoreContext::shmWriteBulk(std::uint64_t offset, const void* src,
+                                                 std::size_t bytes) {
   checkShmRange(offset, bytes);
   return bulk(offset, nullptr, src, bytes, true);
 }
 
-CoreContext::BulkAwaiter CoreContext::bulk(std::uint64_t offset, void* out,
-                                           const void* src, std::size_t bytes,
-                                           bool write) {
-  machine_.noteDrf(drf::kSpaceShm, offset, bytes, write);
+CoreContext::OpAwaiter CoreContext::bulk(std::uint64_t offset, void* out, const void* src,
+                                         std::size_t bytes, bool write) {
+  Engine& engine = machine_.engine();
+  if (lag_ > 0) {
+    return OpAwaiter(engine,
+                     afterLag([=, this] { return bulk(offset, out, src, bytes, write); }));
+  }
+  machine_.noteDrf(drf::kSpaceShm, offset, bytes, write, now());
   // With faults armed a write takes the fenced path, which verifies it.
   if (machine_.swcacheActive() || (write && machine_.faultsActive())) {
-    return BulkAwaiter(machine_.engine(), bulkFenced(offset, out, src, bytes, write));
+    return OpAwaiter(engine, bulkFenced(offset, out, src, bytes, write));
   }
   const Tick t0 = now();
   const Tick done = machine_.shmBulkCompletion(core_, t0, offset, bytes, write, out, src);
   if (machine_.observing()) {
     machine_.recordOp(core_, bulkSpan(machine_, core_, t0, done, offset, bytes, write));
   }
-  return BulkAwaiter(machine_.engine(), done);
+  return OpAwaiter(engine, done);
 }
 
 bool CoreContext::SyncAwaiter::await_ready() {
@@ -546,21 +588,33 @@ std::coroutine_handle<> CoreContext::SyncAwaiter::await_suspend(
   return std::noop_coroutine();
 }
 
+// A sync operation with a lag to pay suspends to now() first and then
+// re-enters here with none (the reconciliation, if any, runs after it).
 CoreContext::SyncAwaiter CoreContext::barrier() {
-  return SyncAwaiter(*this, SyncAwaiter::Op::kBarrier, 0,
+  using Op = SyncAwaiter::Op;
+  if (lag_ > 0) return SyncAwaiter(*this, Op::kBarrier, 0, afterLag([this] { return barrier(); }));
+  return SyncAwaiter(*this, Op::kBarrier, 0,
                      machine_.swcacheActive() ? barrierReconcile() : SubTask{});
 }
 
 CoreContext::SyncAwaiter CoreContext::lockAcquire(int lock_id) {
-  return SyncAwaiter(*this, SyncAwaiter::Op::kAcquire, lock_id,
-                     machine_.swcacheActive() ? lockAcquireReconcile(lock_id)
-                                               : SubTask{});
+  using Op = SyncAwaiter::Op;
+  if (lag_ > 0) {
+    return SyncAwaiter(*this, Op::kAcquire, lock_id,
+                       afterLag([this, lock_id] { return lockAcquire(lock_id); }));
+  }
+  return SyncAwaiter(*this, Op::kAcquire, lock_id,
+                     machine_.swcacheActive() ? lockAcquireReconcile(lock_id) : SubTask{});
 }
 
 CoreContext::SyncAwaiter CoreContext::lockRelease(int lock_id) {
-  return SyncAwaiter(*this, SyncAwaiter::Op::kRelease, lock_id,
-                     machine_.swcacheActive() ? lockReleaseReconcile(lock_id)
-                                               : SubTask{});
+  using Op = SyncAwaiter::Op;
+  if (lag_ > 0) {
+    return SyncAwaiter(*this, Op::kRelease, lock_id,
+                       afterLag([this, lock_id] { return lockRelease(lock_id); }));
+  }
+  return SyncAwaiter(*this, Op::kRelease, lock_id,
+                     machine_.swcacheActive() ? lockReleaseReconcile(lock_id) : SubTask{});
 }
 
 SubTask CoreContext::barrierReconcile() {
@@ -657,6 +711,11 @@ SccMachine::SccMachine(SccConfig config)
   drf_active_ = config_.drf_check;
   drf_.configure(config_.drf_word_granular, config_.cache_line_bytes,
                  config_.shm_transaction_bytes);
+  if (drf_active_) {
+    engine_.setEventHook([this](Tick when, std::size_t task) {
+      if (!drf_pending_.empty()) flushDrf(when, task);
+    });
+  }
 }
 
 void SccMachine::ensureSwcache() {
@@ -803,6 +862,7 @@ void SccMachine::launch(const LaunchSpec& spec) {
         std::make_unique<CoreContext>(*this, ue, num_ues, static_cast<int>(core)));
     task_ids.push_back(
         engine_.spawn(spec.program(*contexts_.back()), 0, std::move(reach)));
+    contexts_.back()->task_ = task_ids.back();
     // Spawn semantics for the race detector: tasks start from untimed host
     // context, so siblings begin mutually concurrent — registration gives
     // each a fresh clock and the UE label used in reports.
@@ -867,6 +927,14 @@ Tick SccMachine::run() {
   // Per-task trace buffers are sized once up front (TraceRecorder::prepare).
   if (trace_.enabled()) trace_.prepare(engine_.taskCount());
   engine_.run();
+  flushDrf(Engine::kNever, Engine::kNoTask);
+  // A task whose last operation was a folded compute completes its lag
+  // after its last event.
+  for (const std::unique_ptr<CoreContext>& ctx : contexts_) {
+    if (ctx->lag_ == 0) continue;
+    engine_.extendCompletion(ctx->task_, ctx->lag_);
+    ctx->lag_ = 0;
+  }
   // End-of-run drain: dirty lines a program never released (it should — see
   // docs/memory_model.md) are written back functionally and untimed so that
   // host-side verification reads final values. Not counted in the stats.
@@ -1014,42 +1082,90 @@ Tick SccMachine::privAccessCompletion(int core, Tick start, std::uint64_t addr,
   return t;
 }
 
-Tick SccMachine::timedRun(std::uint32_t resource, RunKind kind, Tick overhead, Tick hop,
-                          Tick service, Tick start, std::size_t max_txns,
-                          std::size_t* done) {
-  // The one batching rule (header comment at TxnRun).
+ResumeAt SccMachine::timedRun(const RunParams& run, Tick start, std::size_t max_txns,
+                              std::size_t* done) {
+  // The one batching rule (header comment at RunKind).
+  const std::uint32_t resource = run.resource;
   const std::uint32_t mcs = config_.num_mem_controllers;
   ResourceTimeline& timeline = resource < mcs ? mc_[resource] : mpb_port_[resource - mcs];
-  ++tally_[static_cast<std::size_t>(kind)].events;
+  RunTally& tally = tally_[static_cast<std::size_t>(run.kind)];
   const std::size_t self = engine_.currentTaskId();
   std::vector<TxnRun>& runs = runs_[resource];
-  // The caller's own record: a continuation, or transactions a peer's
-  // replay already serviced for it (its pending event was deferred to
-  // their end, which is now).
+  // The caller's own record: a continuation, a run registered when its lag
+  // could not be paid, or transactions a peer's replay already serviced for
+  // it (its pending event was deferred to their end, which is now).
   std::size_t reported = 0;
-  for (TxnRun& r : runs) {
-    if (r.task != self) continue;
-    assert(r.t == start && r.remaining + r.done == max_txns);
-    reported = r.done;
-    r = runs.back();
+  if (self >= run_of_task_.size()) run_of_task_.resize(self + 1, kNoRun);
+  if (const std::size_t i = run_of_task_[self]; i != kNoRun) {
+    assert(runs[i].task == self && runs[i].t == start &&
+           runs[i].remaining + runs[i].done == max_txns);
+    reported = runs[i].done;
+    run_of_task_[self] = kNoRun;
+    runs[i] = runs.back();
     runs.pop_back();
-    break;
+    if (i < runs.size()) run_of_task_[runs[i].task] = i;
   }
   if (reported == max_txns) {
+    ++tally.events;
     *done = reported;
-    return start;
+    return ResumeAt{engine_, start};
   }
   // With coalescing off, or with a run too short to repay a horizon query
   // (kShortRun), this is the per-event reference path: one transaction, and
   // never a registered run.
   const std::size_t left = max_txns - reported;
   const std::size_t want = config_.coalescing && left > kShortRun ? left : 1;
+  // A start past the running event's Tick is a lag (only ever with
+  // coalescing on; a record's start is always its event's Tick).
+  const bool lagged = start > engine_.now();
+  if (lagged && want == 1) {
+    // A short run pays its lag by suspending: a horizon scan per short
+    // access costs more host time than the event it would save.
+    *done = 0;
+    return ResumeAt{engine_, start, scopeAfter(run, start, left)};
+  }
+  // One horizon scan: the members are the caller and every registered run
+  // with transactions left (a finished one is a non-member until it
+  // resumes); H is the horizon over everyone else.
+  Tick horizon = Engine::kNever;
+  Tick peers_next = Engine::kNever;
+  if (want > 1) {
+    replay_tasks_.assign(1, self);
+    replay_runs_.clear();
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const TxnRun& r = runs[i];
+      if (r.remaining == 0) continue;
+      peers_next = std::min(peers_next, r.t);
+      replay_tasks_.push_back(r.task);
+      replay_runs_.push_back(i);
+    }
+    // Any H at or below `start` replays the same (only the caller's first
+    // transaction) and decides a lag the same, so the scan may stop there.
+    horizon = engine_.nextEventTimeFor(resource, replay_tasks_, start);
+    // The single-task horizon is H bounded by every peer's next issue: a
+    // lag is paid in this event only strictly before it.
+    if (lagged && start >= std::min(horizon, peers_next)) {
+      run_of_task_[self] = runs.size();
+      runs.push_back({self, run, start, left, 0});
+      *done = 0;
+      return ResumeAt{engine_, start, scopeAfter(run, start, left)};
+    }
+  }
+  ++tally.events;
+  const bool stalls = fault_.armed(FaultClass::kMcStall);
+  if (want == 1 && !stalls) {
+    // One transaction, acquired in the running event.
+    const Tick t = timeline.acquire(start + run.overhead + run.hop, run.service) + run.hop;
+    countTxns(resource, run.kind, 1);
+    *done = reported + 1;
+    return ResumeAt{engine_, t, scopeAfter(run, t, left - 1)};
+  }
   // Memory-controller stall faults: keyed by (resource id, per-resource
   // transaction index). The transaction order per resource is identical
   // across coalescing modes (the coalescing invariant), so the stall
   // schedule — and therefore every Tick — is too.
   ReplayStallFn stall;
-  if (fault_.armed(FaultClass::kMcStall)) {
+  if (stalls) {
     obs::TraceRecorder* tr = tracer(engine_);
     stall = [this, tr, resource](const ReplayMember& m, Tick arrival, std::uint64_t request) {
       const Tick extra = fault_.stallTicks(resource, request, arrival, m.service);
@@ -1065,67 +1181,69 @@ Tick SccMachine::timedRun(std::uint32_t resource, RunKind kind, Tick overhead, T
     };
   }
   const auto settleSelf = [&](const ReplayMember& m) {
-    countTxns(resource, kind, m.done);
-    if (m.remaining > 0) runs.push_back({self, kind, overhead, hop, service, m.t, m.remaining, 0});
-    *done = reported + m.done;
-    return m.t;
-  };
-  // The caller's first transaction is acquired in the running event, so a
-  // single one needs neither peers nor a horizon. Otherwise the caller
-  // replays alone up to the single-task horizon when that falls strictly
-  // before every peer's next issue (a registered run with transactions
-  // left): no peer could issue inside the joint replay, whose horizon is
-  // then the same instant. Every peer's pending slot counts in the
-  // single-task horizon, so with peers it is at most their first issue, and
-  // the joint replay runs exactly when it reaches it.
-  ReplayMember self_run{self, start, overhead, hop, service, want, true};
-  Tick horizon = Engine::kNever;
-  Tick peers_next = Engine::kNever;
-  if (want > 1) {
-    for (const TxnRun& r : runs) {
-      if (r.remaining > 0) peers_next = std::min(peers_next, r.t);
+    countTxns(resource, run.kind, m.done);
+    if (m.remaining > 0) {
+      run_of_task_[self] = runs.size();
+      runs.push_back({self, run, m.t, m.remaining, 0});
     }
-    horizon = engine_.nextEventTimeFor(resource);
-  }
+    *done = reported + m.done;
+    return ResumeAt{engine_, m.t, scopeAfter(run, m.t, left - m.done)};
+  };
+  // The caller's first transaction is acquired in the running event (at
+  // `start`), so a single one needs neither peers nor a horizon. Otherwise
+  // the caller replays alone up to H when that falls strictly before every
+  // peer's next issue: no peer could issue inside the joint replay.
+  ReplayMember self_run{self, start, run.overhead, run.hop, run.service, want, true};
   if (peers_next == Engine::kNever || horizon < peers_next) {
     replayLoneRun(self_run, timeline, horizon, stall);
     return settleSelf(self_run);
   }
   std::vector<ReplayMember>& members = replay_members_;
   members.assign(1, self_run);
-  replay_tasks_.assign(1, self);
-  replay_runs_.clear();
-  for (std::size_t i = 0; i < runs.size(); ++i) {
+  for (const std::size_t i : replay_runs_) {
     const TxnRun& r = runs[i];
-    if (r.remaining == 0) continue;  // finished: a non-member until it resumes
-    members.push_back({r.task, r.t, r.overhead, r.hop, r.service, r.remaining, false});
-    replay_tasks_.push_back(r.task);
-    replay_runs_.push_back(i);
+    members.push_back({r.task, r.t, r.run.overhead, r.run.hop, r.run.service, r.remaining,
+                       false});
   }
-  replayJointRuns(members, timeline, engine_.nextEventTimeFor(resource, replay_tasks_), stall);
+  replayJointRuns(members, timeline, horizon, stall);
 
   // members[0] is the caller; settling it appends to runs, so the peers'
   // saved indices stay valid.
-  const Tick completion = settleSelf(members[0]);
+  const ResumeAt resume = settleSelf(members[0]);
   for (std::size_t i = 1; i < members.size(); ++i) {
     const ReplayMember& m = members[i];
     if (m.done == 0) continue;  // untouched: its record and pending event still hold
     TxnRun& r = runs[replay_runs_[i - 1]];
-    countTxns(resource, r.kind, m.done);
+    countTxns(resource, r.run.kind, m.done);
     r.t = m.t;
     r.remaining = m.remaining;
     r.done += m.done;
-    engine_.deferPending(m.task, m.t);
+    engine_.deferPending(m.task, m.t, scopeAfter(r.run, m.t, m.remaining));
   }
-  return completion;
+  return resume;
 }
 
-Tick SccMachine::shmWordsAtCompletion(int core, Tick start, std::uint64_t offset,
-                                      std::size_t max_words, std::size_t* words_done) {
+bool SccMachine::firstTouchUnclaimed(std::uint64_t offset) const {
+  for (auto it = shm_ctrl_map_.rbegin(); it != shm_ctrl_map_.rend(); ++it) {
+    if (offset < it->begin || offset >= it->end) continue;
+    return it->placement == partition::ControllerPlacement::kFirstTouch &&
+           !first_touch_claims_.contains(offset / config_.shm_controller_stripe_bytes);
+  }
+  return false;
+}
+
+ResumeAt SccMachine::shmWordsAtCompletion(int core, Tick start, std::uint64_t offset,
+                                          std::size_t max_words, std::size_t* words_done) {
   // Without a routing placement: the exact legacy path, offset-independent
   // requester-local routing.
   std::uint32_t mc_id = core_mc_[static_cast<std::size_t>(core)];
   if (ctrl_placement_active_) {
+    if (start > engine_.now() && firstTouchUnclaimed(offset)) {
+      // The claim must be made in engine order, at `start`: pay the lag by
+      // suspending first.
+      *words_done = 0;
+      return ResumeAt{engine_, start};
+    }
     mc_id = controllerForShmAccess(core, offset);
     // Striped / first-touch regions switch controllers at stripe
     // boundaries, so one run must not cross the current stripe's end.
@@ -1138,36 +1256,36 @@ Tick SccMachine::shmWordsAtCompletion(int core, Tick start, std::uint64_t offset
         static_cast<std::size_t>((stripe_end - offset + txn - 1) / txn);
     if (max_words > to_stripe_end) max_words = to_stripe_end;
   }
-  return timedRun(mc_id, RunKind::kWord, uncached_overhead_ticks_, hopTicks(core, mc_id),
-                  word_service_ticks_, start, max_words, words_done);
+  return timedRun(wordRun(core, mc_id), start, max_words, words_done);
 }
 
-Tick SccMachine::swcacheLinesCompletion(int core, Tick start, std::size_t max_lines,
-                                        std::size_t* lines_done) {
-  const std::uint32_t mc_id = core_mc_[static_cast<std::size_t>(core)];
-  return timedRun(mc_id, RunKind::kLine, swcache_line_overhead_ticks_, hopTicks(core, mc_id),
-                  line_service_ticks_, start, max_lines, lines_done);
+ResumeAt SccMachine::swcacheLinesCompletion(int core, Tick start, std::size_t max_lines,
+                                            std::size_t* lines_done) {
+  return timedRun(lineRun(core), start, max_lines, lines_done);
 }
 
-Tick SccMachine::mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
-                                     std::size_t max_chunks, std::size_t* chunks_done) {
+SccMachine::RunParams SccMachine::chunkRun(int core, int owner_ue) const {
   const std::uint32_t owner_core = coreOfUe(owner_ue);
-  const std::uint32_t port_id = mesh_.portResourceId(mesh_.tileOfCore(owner_core));
+  const std::uint32_t hops = mesh_.hopsBetweenCores(static_cast<std::uint32_t>(core), owner_core);
+  return {mesh_.portResourceId(mesh_.tileOfCore(owner_core)), RunKind::kChunk,
+          mpb_overhead_ticks_,
+          mesh_clock_.cycles(static_cast<std::uint64_t>(config_.mesh_hop_cycles) * hops),
+          chunk_service_ticks_};
+}
+
+ResumeAt SccMachine::mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
+                                         std::size_t max_chunks, std::size_t* chunks_done) {
+  const RunParams run = chunkRun(core, owner_ue);
   const auto u = static_cast<std::size_t>(ue);
   if (mpb_scope_declared_ && u < ue_port_reach_.size() &&
       !std::binary_search(ue_port_reach_[u].begin(), ue_port_reach_[u].end(),
-                          port_id)) {
+                          run.resource)) {
     // The declared scope was a promise the engine's reach sets rely on
     // (an empty declared set promises no MPB traffic at all); still service
     // the access, but flag that port isolation is void.
     ++mpb_scope_violations_;
   }
-  const std::uint32_t hops =
-      mesh_.hopsBetweenCores(static_cast<std::uint32_t>(core), owner_core);
-  const Tick hop_one_way =
-      mesh_clock_.cycles(static_cast<std::uint64_t>(config_.mesh_hop_cycles) * hops);
-  return timedRun(port_id, RunKind::kChunk, mpb_overhead_ticks_, hop_one_way,
-                  chunk_service_ticks_, start, max_chunks, chunks_done);
+  return timedRun(run, start, max_chunks, chunks_done);
 }
 
 Tick SccMachine::shmBulkCompletion(int core, Tick start, std::uint64_t offset,
@@ -1310,26 +1428,51 @@ void SccMachine::traceFaultInstant(obs::TraceEventKind kind, FaultClass cls) {
   }
 }
 
-// Untimed: the race check reads engine_.now() but never moves it, so a drf
-// run simulates the exact Ticks of the unchecked run it observes.
 void SccMachine::drfAccess(drf::Space space, std::uint64_t offset, std::size_t bytes,
-                           bool write) {
+                           bool write, Tick at) {
   const std::size_t task = engine_.currentTaskId();
   // Untimed host-context accesses (setup/verification) are outside the
   // happens-before model — the launch boundary orders them anyway.
   if (task == Engine::kNoTask) return;
-  const bool cached = space == drf::kSpaceShm && shmCached(offset);
+  const DrfAccess a{at, task, space, offset, bytes, write};
+  if (at == engine_.now()) {
+    drfCheck(a);
+    return;
+  }
+  // Issued ahead of its Tick (a folded compute): other tasks may still act
+  // before it in the reference order, so check it when the engine gets there.
+  const auto later = std::upper_bound(
+      drf_pending_.begin(), drf_pending_.end(), a, [](const DrfAccess& x, const DrfAccess& y) {
+        return x.at < y.at || (x.at == y.at && x.task < y.task);
+      });
+  drf_pending_.insert(later, a);
+}
+
+void SccMachine::flushDrf(Tick when, std::size_t task) {
+  std::size_t n = 0;
+  while (n < drf_pending_.size() &&
+         (drf_pending_[n].at < when ||
+          (drf_pending_[n].at == when && drf_pending_[n].task <= task))) {
+    drfCheck(drf_pending_[n++]);
+  }
+  drf_pending_.erase(drf_pending_.begin(), drf_pending_.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+// Untimed: the race check reads the access's Tick but never moves time, so a
+// drf run simulates the exact Ticks of the unchecked run it observes.
+void SccMachine::drfCheck(const DrfAccess& a) {
+  const bool cached = a.space == drf::kSpaceShm && shmCached(a.offset);
   const std::size_t fresh =
-      drf_.access(task, space, offset, bytes, write, cached, engine_.now());
+      drf_.access(a.task, a.space, a.offset, a.bytes, a.write, cached, a.at);
   obs::TraceRecorder* tr = tracer(engine_);
   if (fresh == 0 || tr == nullptr) return;
   // One kRace trace instant per freshly appended report.
   const std::vector<drf::RaceReport>& reports = drf_.reports();
   for (std::size_t i = reports.size() - fresh; i < reports.size(); ++i) {
     const drf::RaceReport& r = reports[i];
-    tr->record(task, obs::TraceEvent{engine_.now(), engine_.now(), r.granule_begin,
-                                     static_cast<std::uint64_t>(r.kind), r.prior.task,
-                                     obs::kNoTraceResource, obs::TraceEventKind::kRace});
+    tr->record(a.task, obs::TraceEvent{a.at, a.at, r.granule_begin,
+                                       static_cast<std::uint64_t>(r.kind), r.prior.task,
+                                       obs::kNoTraceResource, obs::TraceEventKind::kRace});
   }
 }
 

@@ -154,18 +154,49 @@ class CoreContext {
   /// Physical core hosting this UE (UEs are spread across the quadrants).
   [[nodiscard]] int core() const { return core_; }
   [[nodiscard]] SccMachine& machine() { return machine_; }
+  /// This UE's simulated time: the engine's, plus the compute it has folded
+  /// in without suspending (its lag; see below).
   [[nodiscard]] Tick now() const;
 
+  /// Awaitable of a timed operation: with its completion Tick computed
+  /// eagerly it suspends straight to it, frame-free; otherwise it runs the
+  /// operation's coroutine (a fenced bulk transfer, or one that pays the
+  /// lag first).
+  class [[nodiscard]] OpAwaiter {
+   public:
+    OpAwaiter(Engine& engine, Tick when) : engine_(engine), when_(when) {}
+    OpAwaiter(Engine& engine, SubTask body) : engine_(engine), body_(std::move(body)) {}
+    [[nodiscard]] bool await_ready() const noexcept;
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h);
+    void await_resume() const noexcept {}
+
+   private:
+    Engine& engine_;
+    Tick when_ = 0;
+    SubTask body_;  ///< engaged only on the coroutine path
+  };
+
   // -- computation --
+  // With coalescing on and no armed fault or sync timeout
+  // (SccMachine::foldsCompute) a compute does not suspend: it adds to the
+  // UE's lag, and now() runs ahead of the engine's clock by it. The next
+  // operation pays the lag. A shared-memory or MPB run longer than
+  // SccMachine::kShortRun issues its first transaction at now() inside the
+  // running event when no other task could touch that resource first
+  // (SccMachine::timedRun); every other operation suspends to now() first,
+  // and a task ending with a lag completes at now(). The race detector
+  // checks an access issued ahead of the engine's clock when the engine
+  // reaches its Tick (SccMachine::flushDrf). Otherwise every compute is its
+  // own event.
   [[nodiscard]] ResumeAt compute(std::uint64_t core_cycles);
   [[nodiscard]] ResumeAt computeOps(std::uint64_t count, OpClass cls);
 
   // -- private cacheable memory --
-  [[nodiscard]] ResumeAt privRead(std::uint64_t addr, void* out, std::size_t bytes);
-  [[nodiscard]] ResumeAt privWrite(std::uint64_t addr, const void* src, std::size_t bytes);
+  [[nodiscard]] OpAwaiter privRead(std::uint64_t addr, void* out, std::size_t bytes);
+  [[nodiscard]] OpAwaiter privWrite(std::uint64_t addr, const void* src, std::size_t bytes);
   /// Timing-only streaming access over [addr, addr+bytes), no data movement
   /// (for kernels that keep their live values in registers).
-  [[nodiscard]] ResumeAt privTouch(std::uint64_t addr, std::size_t bytes, bool write);
+  [[nodiscard]] OpAwaiter privTouch(std::uint64_t addr, std::size_t bytes, bool write);
 
   // -- shared off-chip DRAM --
   // Default (hardware-uncached) routing is word-granular: every word is an
@@ -195,32 +226,15 @@ class CoreContext {
   // they never do).
   [[nodiscard]] SubTask shmRead(std::uint64_t offset, void* out, std::size_t bytes);
   [[nodiscard]] SubTask shmWrite(std::uint64_t offset, const void* src, std::size_t bytes);
-  /// Awaitable of the bulk transfers below: with no swcache (and, for a
-  /// write, no armed fault) the completion Tick was computed eagerly and
-  /// this suspends straight to it, frame-free; otherwise it runs bulkFenced.
-  class [[nodiscard]] BulkAwaiter {
-   public:
-    BulkAwaiter(Engine& engine, Tick when) : engine_(engine), when_(when) {}
-    BulkAwaiter(Engine& engine, SubTask fenced)
-        : engine_(engine), fenced_(std::move(fenced)) {}
-    [[nodiscard]] bool await_ready() const noexcept;
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h);
-    void await_resume() const noexcept {}
-
-   private:
-    Engine& engine_;
-    Tick when_ = 0;
-    SubTask fenced_;  ///< engaged only on the fenced path
-  };
   /// Sequential bulk transfer (RCCE-style block copy): pays one transaction
   /// setup and then streams lines at row-buffer-hit service rates. Bypasses
   /// the swcache but stays coherent with this core's own cached lines
   /// (overlapping dirty lines are written back first; a bulk write also
-  /// invalidates overlapping cached copies).
-  [[nodiscard]] BulkAwaiter shmReadBulk(std::uint64_t offset, void* out,
-                                        std::size_t bytes);
-  [[nodiscard]] BulkAwaiter shmWriteBulk(std::uint64_t offset, const void* src,
-                                         std::size_t bytes);
+  /// invalidates overlapping cached copies). With no swcache, no armed
+  /// fault (for a write) and no lag, the completion is computed eagerly.
+  [[nodiscard]] OpAwaiter shmReadBulk(std::uint64_t offset, void* out, std::size_t bytes);
+  [[nodiscard]] OpAwaiter shmWriteBulk(std::uint64_t offset, const void* src,
+                                       std::size_t bytes);
 
   // -- MPB (on-chip shared SRAM) --
   // Chunk-granular: every cache-line-sized chunk is an independent blocking
@@ -241,12 +255,14 @@ class CoreContext {
   // The swcache discipline requires synchronizing through these wrappers —
   // touching machine().barrier()/lock() directly skips reconciliation.
   //
-  // The returned SyncAwaiter dispatches: with the swcache disabled it
-  // forwards straight to the underlying SyncBarrier/TasLock operation — no
-  // coroutine frame, no extra events, no extra Ticks, so the uncached modes
-  // stay bit-identical AND the sync hot path stays allocation-free; with it
-  // enabled it runs the reconciliation coroutine. Either way it MUST be
-  // co_awaited (a discarded lockRelease releases nothing).
+  // The returned SyncAwaiter dispatches: with the swcache disabled and no
+  // lag to pay it forwards straight to the underlying SyncBarrier/TasLock
+  // operation — no coroutine frame, no extra events, no extra Ticks, so the
+  // uncached modes stay bit-identical AND the sync hot path stays
+  // allocation-free; otherwise it runs a coroutine (suspend to now() first
+  // when there is a lag, then the reconciliation when the swcache is
+  // enabled). Either way it MUST be co_awaited (a discarded lockRelease
+  // releases nothing).
   class [[nodiscard]] SyncAwaiter {
    public:
     enum class Op : std::uint8_t { kBarrier, kAcquire, kRelease };
@@ -260,13 +276,14 @@ class CoreContext {
     CoreContext& ctx_;
     Op op_;
     int lock_id_;
-    SubTask reconcile_;  ///< engaged only when the swcache is enabled
+    SubTask reconcile_;  ///< engaged only with the swcache enabled or a lag to pay
   };
   [[nodiscard]] SyncAwaiter barrier();
   [[nodiscard]] SyncAwaiter lockAcquire(int lock_id);
   [[nodiscard]] SyncAwaiter lockRelease(int lock_id);
 
  private:
+  friend class SccMachine;  // run() settles a trailing lag
   /// Awaiter of an injected PERMANENT core freeze: suspends and never
   /// schedules a resume. The task stays alive with no pending event and no
   /// registered sync object — the engine's deadlock detector reports it as
@@ -296,8 +313,19 @@ class CoreContext {
   SubTask verifiedTransfer(FaultClass cls, std::uint64_t& seq, Transfer& x, void* landed,
                            const void* expected, std::uint32_t& attempts);
   /// shmReadBulk/shmWriteBulk: the fenced coroutine or the eager burst.
-  BulkAwaiter bulk(std::uint64_t offset, void* out, const void* src, std::size_t bytes,
-                   bool write);
+  OpAwaiter bulk(std::uint64_t offset, void* out, const void* src, std::size_t bytes,
+                 bool write);
+  /// Spend `dt` of local work: folded into the lag, or one suspension.
+  ResumeAt spend(Tick dt);
+  /// Suspend to now(), clearing the lag.
+  ResumeAt payLag();
+  /// `op()`'s operation after paying the lag with one suspension (`op`
+  /// re-enters the operation's entry function with no lag left).
+  template <typename Op>
+  SubTask afterLag(Op op);
+  /// Issue the next batch of `lines` swcache line transfers at now() (the
+  /// lag is paid by it) and count off those serviced.
+  ResumeAt lineStep(std::size_t& lines);
   /// Shared-memory access through the software-managed cache: functional
   /// phase first (line store <-> backing), then the timed phase charges hit
   /// touches and batched line transfers.
@@ -308,7 +336,7 @@ class CoreContext {
   /// Release point: functionally flush dirty lines, then charge the
   /// write-back transfers.
   SubTask swcacheRelease();
-  /// Coherence-fenced bulk transfer behind BulkAwaiter (swcache enabled or
+  /// Coherence-fenced bulk transfer behind OpAwaiter (swcache enabled or
   /// faults armed): sync overlapping cached lines, then the bypassing burst.
   SubTask bulkFenced(std::uint64_t offset, void* out, const void* src,
                      std::size_t bytes, bool write);
@@ -321,6 +349,8 @@ class CoreContext {
   int ue_;
   int num_ues_;
   int core_;
+  std::size_t task_ = Engine::kNoTask;  ///< engine task running this UE (launch)
+  Tick lag_ = 0;  ///< compute folded in since the engine last resumed the task
   // Per-UE fault-draw indices. Keyed by the UE (a stable logical id) and
   // bumped once per *operation attempt*, independent of how many engine
   // events the operation costs — so the fault schedule is identical across
@@ -553,6 +583,15 @@ class SccMachine {
   /// Any fault class armed (the hot-path gate: false keeps every operation
   /// on the exact pre-fault instruction path).
   [[nodiscard]] bool faultsActive() const { return fault_.anyArmed(); }
+  /// CoreContext folds compute into a lag instead of suspending: coalescing
+  /// is on, no fault is armed (fault draws key on operation boundaries) and
+  /// no sync timeout is set (the engine checks it after every event). The
+  /// trace, region profiles and DRF checker do not stop it: they see every
+  /// operation at its own Ticks, and an observed run must cost the same
+  /// events as a plain one.
+  [[nodiscard]] bool foldsCompute() const {
+    return config_.coalescing && !fault_.anyArmed() && config_.sync_timeout_ticks == 0;
+  }
 
   // -- deterministic observability (sim/obs/; docs/observability.md) --
   /// The machine's trace recorder. Dormant (enabled() == false, every hook a
@@ -581,11 +620,13 @@ class SccMachine {
     if (drf_active_) drf_.addShmExemptRange(begin, end);
   }
   /// The access hook (CoreContext / threadrt op entry). Called ONCE per
-  /// logical operation at its initiation Tick — before any retry loop or
-  /// coalescing-dependent resumption — so the checked access stream is
-  /// bit-identical across coalescing modes and fault retries.
-  void noteDrf(drf::Space space, std::uint64_t offset, std::size_t bytes, bool write) {
-    if (drf_active_) drfAccess(space, offset, bytes, write);
+  /// logical operation with its initiation Tick `at` — before any retry
+  /// loop or coalescing-dependent resumption — so the checked access stream
+  /// is bit-identical across coalescing modes and fault retries. `at` is
+  /// the caller's now(), which a folded compute puts past the engine's.
+  void noteDrf(drf::Space space, std::uint64_t offset, std::size_t bytes, bool write,
+               Tick at) {
+    if (drf_active_) drfAccess(space, offset, bytes, write, at);
   }
 
   /// Name shared-DRAM range [begin, end) for per-region profiling (the
@@ -660,32 +701,6 @@ class SccMachine {
   // every one goes through timedRun, the one batching rule.
   friend class CoreContext;
 
-  /// Service up to `max_words` uncached word transactions of the access at
-  /// `offset` starting at `start`, as many per event as timedRun proves
-  /// safe (at least one). With no non-default placement registered the
-  /// serving controller is the core's own (the legacy requester-local
-  /// path); otherwise it is the one `controllerForShmAccess(core, offset)`
-  /// chooses, and the run is capped at the current stripe boundary (striped
-  /// / first-touch regions change controllers mid-region). Returns the
-  /// completion Tick of the serviced words and stores how many were
-  /// serviced in `*words_done`. The arithmetic is the exact per-word
-  /// recurrence, so Ticks match the per-event path bit for bit.
-  Tick shmWordsAtCompletion(int core, Tick start, std::uint64_t offset,
-                            std::size_t max_words, std::size_t* words_done);
-  /// MPB twin of shmWordsAtCompletion: up to `max_chunks` cache-line chunks
-  /// of `ue`'s transfer against owner_ue's tile port.
-  Tick mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
-                           std::size_t max_chunks, std::size_t* chunks_done);
-  /// Swcache twin of shmWordsAtCompletion: up to `max_lines` swcache line
-  /// transfers (fills or dirty write-backs) against the core's memory
-  /// controller.
-  Tick swcacheLinesCompletion(int core, Tick start, std::size_t max_lines,
-                              std::size_t* lines_done);
-  /// One bulk burst: one setup round trip, then lines at row-buffer-hit
-  /// rates (a single acquire, so nothing to batch).
-  Tick shmBulkCompletion(int core, Tick start, std::uint64_t offset, std::size_t bytes,
-                         bool write, void* data_out, const void* data_in);
-
   // -- the one batching rule (config.coalescing) --
   // Every timed run — uncached words on a controller, swcache line transfers
   // on a controller, MPB chunks on a tile port — is a run of back-to-back
@@ -719,37 +734,114 @@ class SccMachine {
   // count in its record and has its pending event deferred to where its
   // replayed run stopped (Engine::deferPending); when it resumes there,
   // timedRun reports those transactions and carries on from that instant.
-  // With no registered peers, or when the single-task horizon
-  // nextEventTimeFor(resource) falls strictly before every peer's next issue
-  // (no peer can issue inside the joint replay, whose H is then that same
-  // instant), the rule is the single-task horizon loop; with a closed
-  // pattern (every non-member parked behind a member) H is kNever. A call
-  // with at most kShortRun transactions left skips all of this and takes
-  // the per-event path (one transaction, no horizon query, no registered
-  // run): a short run does not repay the query and the record. Every batch
-  // size is exact, so the gate moves event counts only, never a Tick.
-  // Data ops still execute in each task's program order but no longer
-  // interleave across tasks transaction by transaction, so functional
-  // results are preserved for data-race-free programs (the contract the
-  // swcache states in docs/memory_model.md).
+  // When H falls strictly before every peer's next issue, no peer can issue
+  // inside the joint replay and the caller replays alone to H
+  // (replayLoneRun); with a closed pattern (every non-member parked behind a
+  // member) H is kNever. One horizon scan per call serves both.
+  //
+  // Run scopes: every pending event a call files — the caller's own resume
+  // and each advanced peer's deferred one — carries the scope (resource,
+  // t + k·(overhead + 2·hop + service)) of a task left with k transactions
+  // of its run: each transaction completes no earlier than its issue plus
+  // the overhead, both hops and the service (a stall only adds), so the
+  // task can act on no other resource before then, and other resources'
+  // horizons count it there (Engine::nextEventTimeFor).
+  //
+  // Lag: a caller whose compute was folded into its lag (CoreContext)
+  // starts at now() + lag. A run longer than kShortRun issues inside the
+  // running event when that instant falls strictly before the single-task
+  // horizon — H above, bounded by every peer's next issue — so no other task
+  // could have touched the resource first, and no equal-Tick tie arises.
+  // Otherwise the call services nothing: the task suspends to that instant,
+  // and the run is registered there at once (done = 0), so a peer's replay
+  // carries it as a member in (t, task id) order instead of stopping at its
+  // event. A shorter run always pays its lag by suspending: on kv_zipf's
+  // 4-word items a horizon scan per access cost more host time than the
+  // event it saved.
+  //
+  // A call with at most kShortRun transactions left takes the per-event
+  // path (one transaction, no registered run, no horizon query): a short
+  // run does not repay the query and the record. Every batch size is exact,
+  // so the gate moves event counts only, never a Tick. Data ops still
+  // execute in each task's program order but no longer interleave across
+  // tasks transaction by transaction, so functional results are preserved
+  // for data-race-free programs (the contract the swcache states in
+  // docs/memory_model.md).
   enum class RunKind : std::uint8_t { kWord, kLine, kChunk };
-  /// One task's in-flight run against a resource.
-  struct TxnRun {
-    std::size_t task = 0;
+  /// What a run's transactions cost: the one record a call, its registered
+  /// TxnRun and every later call continuing it share.
+  struct RunParams {
+    std::uint32_t resource = 0;  ///< engine resource the run queues on
     RunKind kind = RunKind::kWord;
     Tick overhead = 0;  ///< issue overhead per transaction
     Tick hop = 0;       ///< one-way mesh latency to the resource
     Tick service = 0;   ///< resource service per transaction
+  };
+  /// The run-parameter function of each kind: uncached words of `core` on
+  /// controller `mc`, swcache line transfers of `core` (its own
+  /// controller), MPB chunks of `core` against `owner_ue`'s tile port.
+  [[nodiscard]] RunParams wordRun(int core, std::uint32_t mc) const {
+    return {mc, RunKind::kWord, uncached_overhead_ticks_, hopTicks(core, mc),
+            word_service_ticks_};
+  }
+  [[nodiscard]] RunParams lineRun(int core) const {
+    const std::uint32_t mc = core_mc_[static_cast<std::size_t>(core)];
+    return {mc, RunKind::kLine, swcache_line_overhead_ticks_, hopTicks(core, mc),
+            line_service_ticks_};
+  }
+  [[nodiscard]] RunParams chunkRun(int core, int owner_ue) const;
+
+  /// Service up to `max_words` uncached word transactions of the access at
+  /// `offset` starting at `start`, as many per event as timedRun proves
+  /// safe (none when a lag cannot be paid in the running event). With no
+  /// non-default placement registered the serving controller is the core's
+  /// own (the legacy requester-local path); otherwise it is the one
+  /// `controllerForShmAccess(core, offset)` chooses, and the run is capped
+  /// at the current stripe boundary (striped / first-touch regions change
+  /// controllers mid-region). Stores how many were serviced in
+  /// `*words_done` and returns the resume after them. The arithmetic is the
+  /// exact per-word recurrence, so Ticks match the per-event path bit for
+  /// bit.
+  ResumeAt shmWordsAtCompletion(int core, Tick start, std::uint64_t offset,
+                                std::size_t max_words, std::size_t* words_done);
+  /// MPB twin of shmWordsAtCompletion: up to `max_chunks` cache-line chunks
+  /// of `ue`'s transfer against owner_ue's tile port.
+  ResumeAt mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
+                               std::size_t max_chunks, std::size_t* chunks_done);
+  /// Swcache twin of shmWordsAtCompletion: up to `max_lines` swcache line
+  /// transfers (fills or dirty write-backs) against the core's memory
+  /// controller.
+  ResumeAt swcacheLinesCompletion(int core, Tick start, std::size_t max_lines,
+                                  std::size_t* lines_done);
+  /// One bulk burst: one setup round trip, then lines at row-buffer-hit
+  /// rates (a single acquire, so nothing to batch).
+  Tick shmBulkCompletion(int core, Tick start, std::uint64_t offset, std::size_t bytes,
+                         bool write, void* data_out, const void* data_in);
+
+  /// One task's in-flight run against a resource.
+  struct TxnRun {
+    std::size_t task = 0;
+    RunParams run;
     Tick t = 0;         ///< its pending resume: completion of its last transaction
     std::size_t remaining = 0;  ///< transactions left in the run
     std::size_t done = 0;  ///< replayed by a peer, not yet reported to the task
   };
-  /// Service up to `max_txns` transactions of the calling task's run of
-  /// `kind` on `resource` from `start` under the one batching rule (at
-  /// least one; exactly one with config.coalescing off). Stores how many in
-  /// `*done` and returns the completion Tick of the last.
-  Tick timedRun(std::uint32_t resource, RunKind kind, Tick overhead, Tick hop,
-                Tick service, Tick start, std::size_t max_txns, std::size_t* done);
+  /// Service up to `max_txns` transactions of the calling task's run `run`
+  /// from `start` under the one batching rule (at least one, and exactly
+  /// one with config.coalescing off, unless `start` is a lag the running
+  /// event cannot pay: then none). Stores how many in `*done` and returns
+  /// the resume after the last, with the task's run scope.
+  ResumeAt timedRun(const RunParams& run, Tick start, std::size_t max_txns, std::size_t* done);
+  /// The scope of a task left with `k` transactions of `run` at `t` (none
+  /// with coalescing off, where no horizon is ever asked, or k = 0).
+  [[nodiscard]] RunScope scopeAfter(const RunParams& run, Tick t, std::size_t k) const {
+    if (!config_.coalescing || k == 0) return {};
+    return {run.resource,
+            t + static_cast<Tick>(k) * (run.overhead + 2 * run.hop + run.service)};
+  }
+  /// Whether `offset` lies in a first-touch stripe no core has claimed yet
+  /// (the lookup that would claim it must run in engine order).
+  [[nodiscard]] bool firstTouchUnclaimed(std::uint64_t offset) const;
   /// Tally `n` transactions of `kind` served by `resource`.
   void countTxns(std::uint32_t resource, RunKind kind, std::uint64_t n) {
     tally_[static_cast<std::size_t>(kind)].txns += n;
@@ -850,9 +942,14 @@ class SccMachine {
   std::unordered_map<std::uint64_t, std::uint32_t> first_touch_claims_;
 
   /// Per engine resource (controllers, then MPB ports): the runs in flight
-  /// on it, a flat table searched linearly — at most one entry per task.
-  /// Entry order carries no meaning (the replay picks by (t, task id)).
+  /// on it, a flat table — at most one entry per task, found through
+  /// run_of_task_. Entry order carries no meaning (the replay picks by
+  /// (t, task id)).
   std::vector<std::vector<TxnRun>> runs_;
+  /// Per engine task: the index of its record in the table of the resource
+  /// its run is on, or kNoRun (a task is in at most one run at a time).
+  static constexpr std::size_t kNoRun = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> run_of_task_;
   /// timedRun's per-call working set, reused so the replay stays
   /// allocation-free in steady state (cleared on entry, never shrunk).
   std::vector<ReplayMember> replay_members_;
@@ -879,8 +976,27 @@ class SccMachine {
   /// the hot-path gate of noteDrf above.
   drf::DrfChecker drf_;
   bool drf_active_ = false;
+  /// One access of `task` at Tick `at`, for the detector.
+  struct DrfAccess {
+    Tick at;
+    std::size_t task;
+    drf::Space space;
+    std::uint64_t offset;
+    std::size_t bytes;
+    bool write;
+  };
+  /// Accesses initiated past the engine's now (a lag), in (at, task) order:
+  /// each is checked when the engine reaches its key (flushDrf), so the
+  /// detector sees every access in the per-event reference order.
+  std::vector<DrfAccess> drf_pending_;
+  /// Check the running task's access at `at`: at once when `at` is now,
+  /// queued otherwise.
+  void drfAccess(drf::Space space, std::uint64_t offset, std::size_t bytes, bool write,
+                 Tick at);
+  /// Check the queued accesses keyed at or before (when, task), in order.
+  void flushDrf(Tick when, std::size_t task);
   /// Check one access and emit a kRace trace instant per fresh report.
-  void drfAccess(drf::Space space, std::uint64_t offset, std::size_t bytes, bool write);
+  void drfCheck(const DrfAccess& a);
 
   /// Instantiate the per-core swcaches if not already present (on the
   /// first cacheable region or plan with one).

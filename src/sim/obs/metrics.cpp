@@ -178,9 +178,6 @@ MetricsSnapshot collectMetrics(const SccMachine& machine) {
   // ---- engine (sim domain) -------------------------------------------
   reg.counter("events").add(engine.eventsProcessed());
   reg.counter("makespan_ticks").add(engine.makespan());
-  // Always 1 since the engine is one sequential loop; kept because
-  // bench/pipeline's simFingerprint hashes every sim counter.
-  reg.counter("lanes_used").add(1);
 
   // ---- shared-memory / MPB traffic -----------------------------------
   reg.counter("shm_words").add(machine.shmWordsSimulated());
@@ -198,9 +195,6 @@ MetricsSnapshot collectMetrics(const SccMachine& machine) {
   reg.counter("swcache_writebacks").add(sw.writebacks);
   reg.counter("swcache_flushes").add(sw.flushes);
   reg.counter("swcache_invalidated_lines").add(sw.invalidated_lines);
-  // Always 0 since the write-through policy is gone; kept, like lanes_used,
-  // because bench/pipeline's simFingerprint hashes every sim counter.
-  reg.counter("swcache_writethrough_words").add(0);
   reg.counter("swcache_lines").add(machine.swcacheLinesSimulated());
   reg.counter("swcache_line_events").add(machine.swcacheLineEvents());
   if (sw.word_accesses > 0) reg.gauge("swcache_hit_rate").set(sw.hitRate());

@@ -36,7 +36,7 @@ sim::ResumeAt ThreadContext::memRead(std::uint64_t addr, void* out, std::size_t 
   // Threadrt's process memory is one shared address space across the
   // logical threads; the sync edges come free through the machine's
   // TasLock/SyncBarrier, which threadrt reuses.
-  m.noteDrf(sim::drf::kSpacePriv, addr, bytes, /*write=*/false);
+  m.noteDrf(sim::drf::kSpacePriv, addr, bytes, /*write=*/false, m.engine().now());
   const sim::Tick done = serialize(
       rt_.coreTimeline(), m.engine().now(), [&](sim::Tick start) {
         return m.privAccessCompletion(0, start, addr, bytes, false, out, nullptr);
@@ -47,7 +47,7 @@ sim::ResumeAt ThreadContext::memRead(std::uint64_t addr, void* out, std::size_t 
 sim::ResumeAt ThreadContext::memWrite(std::uint64_t addr, const void* src,
                                       std::size_t bytes) {
   sim::SccMachine& m = rt_.machine();
-  m.noteDrf(sim::drf::kSpacePriv, addr, bytes, /*write=*/true);
+  m.noteDrf(sim::drf::kSpacePriv, addr, bytes, /*write=*/true, m.engine().now());
   const sim::Tick done = serialize(
       rt_.coreTimeline(), m.engine().now(), [&](sim::Tick start) {
         return m.privAccessCompletion(0, start, addr, bytes, true, nullptr, src);

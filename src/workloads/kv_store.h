@@ -106,11 +106,12 @@ struct KvLayout {
 };
 
 /// Allocate and prepopulate the KV regions on `machine`, then launch `ues`
-/// UEs of the RCCE kernel under `plan` — the Benchmark's RCCE realization
-/// exposed for harnesses (bench/micro_sim) that own the machine and read its
-/// stats. The caller runs machine.run(); kvReferenceChecksum replays the
-/// expected per-UE results. `cdf` is the run's shared
-/// makeZipfCdf(params.num_keys, params.alpha) table; null builds it here.
+/// UEs of the RCCE kernel under `plan` — the Benchmark's RCCE realization,
+/// also exposed for harnesses that own the machine and read its stats
+/// (bench/scenarios.h's `kv_zipf_8ue`). The caller runs machine.run();
+/// kvReferenceChecksum replays the expected per-UE results. `cdf` is the
+/// run's shared makeZipfCdf(params.num_keys, params.alpha) table; null
+/// builds it here.
 KvLayout setupKvRcce(sim::SccMachine& machine, const KvParams& params, int ues,
                      const partition::ExecutionPlan& plan,
                      Mode mode = Mode::RcceOffChip, ZipfCdf cdf = nullptr);

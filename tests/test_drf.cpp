@@ -842,6 +842,7 @@ sim::SimTask barrierPublish(sim::CoreContext& ctx, std::uint64_t base, int round
 struct MachineRun {
   Tick makespan = 0;
   std::vector<Tick> completions;
+  std::uint64_t events = 0;
   std::uint64_t races = 0;
   std::string reports;
 };
@@ -855,6 +856,7 @@ MachineRun runMachine(const SccConfig& cfg, int ues, Setup setup) {
   for (int ue = 0; ue < ues; ++ue) {
     r.completions.push_back(m.engine().completionTime(static_cast<std::size_t>(ue)));
   }
+  r.events = m.engine().eventsProcessed();
   if (m.drfEnabled()) {
     r.races = m.drfChecker().reports().size();
     r.reports = m.drfChecker().formatReports();
@@ -932,6 +934,32 @@ TEST(DrfMachine, ReportsByteIdenticalAcrossCoalescingModes) {
     EXPECT_EQ(run.makespan, ref.makespan);
     EXPECT_EQ(run.completions, ref.completions);
   }
+}
+
+// The checker, the trace recorder and the region profiles observe without
+// costing an event: computes fold into the lag the same way with them on, so
+// an observed run processes the same events as a plain one (the pipeline
+// benchmark's observed workload fingerprints the event counters), while the
+// checks of accesses issued ahead of a lag's end still run in the reference
+// order (ReportsByteIdenticalAcrossCoalescingModes).
+TEST(DrfMachine, ObserversCostNoEvent) {
+  const auto setup = [](SccMachine& m) {
+    const std::uint64_t off = m.shmalloc(64);
+    m.registerShmRegion("counter", off, off + 64);
+    m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
+      return racyIncrement(ctx, off, 3);
+    }));
+  };
+  SccConfig observed;
+  observed.drf_check = true;
+  observed.trace_enabled = true;
+  observed.region_metrics = true;
+  const MachineRun plain = runMachine(SccConfig{}, 8, setup);
+  const MachineRun seen = runMachine(observed, 8, setup);
+  EXPECT_GT(seen.races, 0u);
+  EXPECT_EQ(seen.makespan, plain.makespan);
+  EXPECT_EQ(seen.completions, plain.completions);
+  EXPECT_EQ(seen.events, plain.events);
 }
 
 TEST(DrfMachine, EnablingCheckerMovesNoTick) {

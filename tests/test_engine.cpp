@@ -277,6 +277,54 @@ TEST(Engine, BlockedTaskBoundedByLateWakerKeepsNarrowHorizon) {
   EXPECT_EQ(horizons[0], 100u);
 }
 
+// --- run scopes -----------------------------------------------------------------
+
+/// Resumes at `at`, then at `first` filed with the run scope `scope`, then at
+/// `second` filed with none.
+SimTask scopedThenPlain(Engine& engine, Tick at, Tick first, RunScope scope, Tick second) {
+  co_await engine.resumeAt(at);
+  co_await ResumeAt{engine, first, scope};
+  co_await engine.resumeAt(second);
+}
+
+// A task mid-run on resource 1 (pending @100, scoped to 1 until 400) bounds
+// resource 0 only at its scope's end and resource 1 at its pending Tick.
+// Once that slot pops, its scope goes with it: refiled plainly @300, the
+// task bounds resource 0 at 300 again. The probes reach a third resource
+// only, so they bound neither.
+TEST(Engine, RunScopeBoundsOtherResourcesAtItsEnd) {
+  Engine engine(3);
+  std::vector<Tick> on0;
+  std::vector<Tick> on1;
+  engine.spawn(scopedThenPlain(engine, 10, 100, RunScope{1, 400}, 300), 0, {0, 1});
+  engine.spawn(probeOne(engine, 40, 0, on0), 0, {2});
+  engine.spawn(probeOne(engine, 40, 1, on1), 0, {2});
+  engine.spawn(probeOne(engine, 150, 0, on0), 0, {2});
+  engine.run();
+  EXPECT_EQ(on0, (std::vector<Tick>{400, 300}));
+  EXPECT_EQ(on1, (std::vector<Tick>{100}));
+}
+
+/// At `at`, moves pending task `task` to `when` with the run scope `scope`.
+SimTask deferAt(Engine& engine, Tick at, const std::size_t& task, Tick when,
+                RunScope scope) {
+  co_await engine.resumeAt(at);
+  engine.deferPending(task, when, scope);
+}
+
+// deferPending files the scope with the moved slot, like a schedule does.
+TEST(Engine, DeferredSlotCarriesItsScope) {
+  Engine engine(3);
+  std::vector<Tick> on0;
+  std::size_t target = 0;
+  target = engine.spawn(idleUntil(engine, 100), 0, {0, 1});
+  engine.spawn(deferAt(engine, 20, target, 150, RunScope{1, 600}), 0, {2});
+  engine.spawn(probeOne(engine, 40, 0, on0), 0, {2});
+  engine.run();
+  EXPECT_EQ(on0, (std::vector<Tick>{600}));
+  EXPECT_EQ(engine.completionTime(target), 150u);
+}
+
 // A lock whose holder is the probing task itself: the holder cannot release
 // mid-batch, so the blocked waiter contributes nothing and the horizon stays
 // scoped even though an unrelated event fires much earlier.
@@ -928,7 +976,8 @@ TEST(Engine, RunningTaskNeverBoundsNextEventTime) {
 /// pending entries, and every resume must be the list's minimum under
 /// (when, task id). At each resume the harness also checks nextEventTime(),
 /// nextEventTimeFor(r) and nextEventTimeFor(r, members) for a random member
-/// set (the running task plus random pending tasks) against scans of its
+/// set (the running task plus random pending tasks), with and without a
+/// floor, against scans of its
 /// own state, including every blocked task's wake bound through its lock's
 /// holder (kAny) or the barrier's members still to arrive (kAll).
 struct QueueFuzz {
@@ -1074,8 +1123,13 @@ struct QueueFuzz {
     for (std::uint32_t r = 0; r < kResources; ++r) {
       const std::string at = "(" + std::to_string(r) + ")";
       check(engine.nextEventTimeFor(r) == refHorizon(r, {id}), "nextEventTimeFor" + at);
-      check(engine.nextEventTimeFor(r, batch) == refHorizon(r, batch),
-            "nextEventTimeFor(members)" + at);
+      const Tick ref_batch = refHorizon(r, batch);
+      check(engine.nextEventTimeFor(r, batch) == ref_batch, "nextEventTimeFor(members)" + at);
+      // With a floor, a horizon at or below it may read as any value there.
+      const Tick floor = engine.now() + pops % 4;
+      const Tick floored = engine.nextEventTimeFor(r, batch, floor);
+      check(ref_batch > floor ? floored == ref_batch : floored <= floor,
+            "nextEventTimeFor(members, floor)" + at);
     }
   }
   /// Non-suspending move of the running task: wake a task parked by an

@@ -768,7 +768,7 @@ TEST(Machine, WakeChainHorizonBitIdenticalAndPinsWordEvents) {
   EXPECT_EQ(on.data, off.data);
   EXPECT_EQ(on.shm_words, 8264u);
   EXPECT_EQ(off.shm_word_events, off.shm_words);
-  EXPECT_EQ(on.shm_word_events, 224u);
+  EXPECT_EQ(on.shm_word_events, 200u);
 }
 
 /// LU-shaped kernel (the paper's barrier-per-step decomposition): at step k
@@ -839,7 +839,7 @@ TEST(Machine, BarrierParkedTasksKeepContentionClosedAndPinWordEvents) {
   EXPECT_EQ(on.data, off.data);
   EXPECT_EQ(on.shm_words, off.shm_words);
   EXPECT_EQ(off.shm_word_events, off.shm_words);
-  EXPECT_EQ(on.shm_word_events, 6220u);
+  EXPECT_EQ(on.shm_word_events, 5494u);
 }
 
 // A run of at most kShortRun transactions takes the per-event path with
@@ -864,6 +864,212 @@ TEST(Machine, ShortRunsTakeThePerEventPath) {
   EXPECT_EQ(long_off.shm_word_events, long_off.shm_words);
   EXPECT_LT(long_on.shm_word_events, long_on.shm_words);
   EXPECT_LT(long_on.events, long_off.events);
+}
+
+// --- folded compute: the lag ---------------------------------------------------
+// With coalescing on and no observer, a compute adds to the UE's lag instead
+// of suspending, and the next operation pays it. Every case must keep the
+// Ticks of the per-event reference path (coalescing off).
+
+struct LagResult {
+  Tick makespan = 0;
+  std::vector<Tick> completions;
+  std::vector<Tick> marks;  ///< ctx.now() as the kernel saw it
+  std::vector<int> order;   ///< kernel-defined order (lock grants)
+  std::uint64_t events = 0;
+  std::uint64_t word_events = 0;
+};
+
+/// Runs `kernel(ctx, base, &result)` on `ues` UEs over a 64 KB shared block.
+template <typename Kernel>
+LagResult runLagKernel(bool coalescing, int ues, Kernel kernel) {
+  SccConfig cfg;
+  cfg.coalescing = coalescing;
+  SccMachine machine(cfg);
+  const std::uint64_t base = machine.shmalloc(64 * 1024);
+  LagResult r;
+  r.marks.assign(static_cast<std::size_t>(ues), 0);
+  machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) { return kernel(ctx, base, &r); }));
+  r.makespan = machine.run();
+  for (int ue = 0; ue < ues; ++ue) {
+    r.completions.push_back(machine.engine().completionTime(static_cast<std::size_t>(ue)));
+  }
+  r.events = machine.engine().eventsProcessed();
+  r.word_events = machine.shmWordEvents();
+  return r;
+}
+
+void expectSameTicks(const LagResult& on, const LagResult& off) {
+  EXPECT_EQ(on.makespan, off.makespan);
+  EXPECT_EQ(on.completions, off.completions);
+  EXPECT_EQ(on.marks, off.marks);
+  EXPECT_EQ(on.order, off.order);
+}
+
+SimTask computesThenBarrier(CoreContext& ctx, std::uint64_t /*base*/, LagResult* r) {
+  co_await ctx.compute(100);
+  co_await ctx.computeOps(3, OpClass::FpDiv);
+  co_await ctx.compute(7);
+  co_await ctx.computeOps(5, OpClass::IntAlu);
+  r->marks[static_cast<std::size_t>(ctx.ue())] = ctx.now();
+  co_await ctx.barrier();
+}
+
+// Four consecutive computes cost no event of their own: the barrier pays
+// their lag with one suspension (start, lag, barrier release: 3 events
+// against the reference's 6).
+TEST(Machine, ConsecutiveComputesCostOneEvent) {
+  const LagResult on = runLagKernel(true, 1, computesThenBarrier);
+  const LagResult off = runLagKernel(false, 1, computesThenBarrier);
+  expectSameTicks(on, off);
+  EXPECT_EQ(off.events, 6u);
+  EXPECT_EQ(on.events, 3u);
+}
+
+/// A compute, then a read of `words` words.
+SimTask computeThenRead(CoreContext& ctx, std::uint64_t base, std::size_t words,
+                        LagResult* r) {
+  std::vector<std::uint64_t> buf(words);
+  co_await ctx.compute(250);
+  co_await ctx.shmRead(base, buf.data(), words * 8);
+  r->marks[static_cast<std::size_t>(ctx.ue())] = ctx.now();
+}
+
+SimTask computeThenLongRead(CoreContext& ctx, std::uint64_t base, LagResult* r) {
+  return computeThenRead(ctx, base, SccMachine::kShortRun + 10, r);
+}
+
+SimTask computeThenShortRead(CoreContext& ctx, std::uint64_t base, LagResult* r) {
+  return computeThenRead(ctx, base, SccMachine::kShortRun, r);
+}
+
+// With no other task on its controller a run longer than kShortRun after a
+// compute is issued inside the running event at the lag's end: the compute
+// costs no event (start, which issues all 16 words, and their completion,
+// against start, compute and one event per word). A run of at most
+// kShortRun words pays the lag by suspending, as the compute's own event
+// would: no horizon query for it.
+TEST(Machine, ComputeThenUncontendedAccessIssuesInTheRunningEvent) {
+  const LagResult on = runLagKernel(true, 1, computeThenLongRead);
+  const LagResult off = runLagKernel(false, 1, computeThenLongRead);
+  expectSameTicks(on, off);
+  EXPECT_EQ(off.events, 2u + SccMachine::kShortRun + 10);
+  EXPECT_EQ(on.events, 2u);
+  EXPECT_EQ(on.word_events, 1u);
+
+  const LagResult short_on = runLagKernel(true, 1, computeThenShortRead);
+  const LagResult short_off = runLagKernel(false, 1, computeThenShortRead);
+  expectSameTicks(short_on, short_off);
+  EXPECT_EQ(short_on.events, short_off.events);
+}
+
+/// UE 0 streams 256 words from t=0; the next UE on its controller computes
+/// past UE 0's first word and then reads 64 words: its lag ends after UE
+/// 0's next issue, so it cannot be paid in the running event. The other
+/// UEs do nothing.
+SimTask lagBehindPeerRun(CoreContext& ctx, std::uint64_t base, LagResult* r) {
+  const MeshTopology& mesh = ctx.machine().mesh();
+  int peer = 1;
+  while (mesh.controllerForUe(peer, ctx.numUes()) != mesh.controllerForUe(0, ctx.numUes())) {
+    ++peer;
+  }
+  std::vector<std::uint64_t> buf(256);
+  if (ctx.ue() == 0) {
+    co_await ctx.shmRead(base, buf.data(), buf.size() * 8);
+  } else if (ctx.ue() == peer) {
+    co_await ctx.compute(1000);
+    co_await ctx.shmRead(base + 4096, buf.data(), 64 * 8);
+  }
+  r->marks[static_cast<std::size_t>(ctx.ue())] = ctx.now();
+}
+
+// The peer registers its run at the lag's end when it decides, and
+// suspends there; UE 0's next event then replays both runs jointly,
+// advancing the peer instead of stopping at its event. Five word events:
+// UE 0's first word, the joint replay to the peer's last word, UE 0 alone
+// up to the finished peer's resume, that resume, and UE 0's rest.
+TEST(Machine, LaggedContendedRunRegistersAndIsCarriedByPeerReplay) {
+  const LagResult on = runLagKernel(true, 5, lagBehindPeerRun);
+  const LagResult off = runLagKernel(false, 5, lagBehindPeerRun);
+  expectSameTicks(on, off);
+  EXPECT_EQ(off.word_events, 256u + 64u);
+  EXPECT_EQ(on.word_events, 5u);
+}
+
+/// Staggered computes, a lock-protected critical section with a compute
+/// inside, and a barrier: every sync operation follows a compute.
+SimTask lagThroughSync(CoreContext& ctx, std::uint64_t base, LagResult* r) {
+  const auto ue = static_cast<std::uint64_t>(ctx.ue());
+  co_await ctx.compute(40 + (ue * 37) % 5 * 20);
+  co_await ctx.lockAcquire(0);
+  r->order.push_back(ctx.ue());
+  std::uint64_t v = 0;
+  co_await ctx.shmRead(base, &v, 8);
+  ++v;
+  co_await ctx.compute(30);
+  co_await ctx.computeOps(4, OpClass::IntAlu);
+  co_await ctx.shmWrite(base, &v, 8);
+  co_await ctx.compute(5);
+  co_await ctx.lockRelease(0);
+  co_await ctx.compute(ue * 11);
+  co_await ctx.barrier();
+  r->marks[static_cast<std::size_t>(ue)] = ctx.now();
+}
+
+// Lock acquire, lock release and barrier each pay the lag with a suspension
+// first: grant order, release instants and barrier wakes are the reference
+// path's, with fewer events (the two computes inside the critical section
+// fold into one lag).
+TEST(Machine, SyncAfterComputePaysTheLag) {
+  const LagResult on = runLagKernel(true, 6, lagThroughSync);
+  const LagResult off = runLagKernel(false, 6, lagThroughSync);
+  expectSameTicks(on, off);
+  EXPECT_EQ(off.order.size(), 6u);
+  EXPECT_LT(on.events, off.events);
+}
+
+/// Computes before a private write, a private read, a private touch and a
+/// bulk read: each pays the lag with a suspension first.
+SimTask lagBeforeLocalOps(CoreContext& ctx, std::uint64_t base, LagResult* r) {
+  const auto ue = static_cast<std::uint64_t>(ctx.ue());
+  std::uint64_t v = ue;
+  std::vector<std::uint64_t> buf(32);
+  co_await ctx.compute(70 + ue * 13);
+  co_await ctx.privWrite(ue * 4096, &v, sizeof(v));
+  co_await ctx.computeOps(3, OpClass::FpMul);
+  co_await ctx.privRead(ue * 4096, &v, sizeof(v));
+  co_await ctx.compute(40);
+  co_await ctx.privTouch(ue * 4096 + 512, 256, true);
+  co_await ctx.compute(25 + ue);
+  co_await ctx.shmReadBulk(base + ue * 256, buf.data(), 256);
+  r->marks[static_cast<std::size_t>(ue)] = ctx.now();
+}
+
+// Private and bulk operations after a compute keep the reference Ticks.
+TEST(Machine, PrivateAndBulkOpsPayTheLag) {
+  const LagResult on = runLagKernel(true, 8, lagBeforeLocalOps);
+  const LagResult off = runLagKernel(false, 8, lagBeforeLocalOps);
+  expectSameTicks(on, off);
+  EXPECT_EQ(on.events, off.events);  // each lag paid by the suspension a compute cost
+}
+
+SimTask endInCompute(CoreContext& ctx, std::uint64_t base, LagResult* r) {
+  std::uint64_t word = 0;
+  co_await ctx.shmRead(base, &word, 8);
+  co_await ctx.compute(1000 + static_cast<std::uint64_t>(ctx.ue()) * 333);
+  co_await ctx.computeOps(2, OpClass::FpMul);
+  r->marks[static_cast<std::size_t>(ctx.ue())] = ctx.now();
+}
+
+// A task whose last operations are computes ends with its lag unpaid: it
+// completes at now() + lag, the reference path's completion Tick.
+TEST(Machine, TaskEndingInComputeCompletesAtItsLag) {
+  const LagResult on = runLagKernel(true, 3, endInCompute);
+  const LagResult off = runLagKernel(false, 3, endInCompute);
+  expectSameTicks(on, off);
+  EXPECT_EQ(on.completions, on.marks);
+  EXPECT_EQ(off.events, 3u * 4u);  // start, word, two computes
+  EXPECT_EQ(on.events, 3u * 2u);   // start, word
 }
 
 // Stall faults are drawn per controller request, so an armed kMcStall turns
@@ -1047,7 +1253,7 @@ TEST(Machine, PerControllerHorizonPinsStaggeredWordEvents) {
   EXPECT_EQ(on.completions, off.completions);
   EXPECT_EQ(on.shm_words, 65536u);
   EXPECT_EQ(off.shm_word_events, off.shm_words);
-  EXPECT_EQ(on.shm_word_events, 141u);
+  EXPECT_EQ(on.shm_word_events, 135u);
 }
 
 /// Reverse-staggered arrivals into a barrier, then a lock dogpile: all wakes
@@ -1164,10 +1370,11 @@ TEST(Machine, MpbCoalescingBitIdenticalContendedPutGet) {
   EXPECT_EQ(on.data, off.data);
   EXPECT_EQ(on.chunks, off.chunks);
   EXPECT_LE(on.events, off.events);
-  // With coalescing off every chunk is its own event; lockstep contention
-  // leaves only a few provably uncontended runs to coalesce.
+  // With coalescing off every chunk is its own event. With it on, a task
+  // mid-run on another tile's port counts only at its run scope's end, so
+  // each port's horizon sees past the lockstep traffic on the others.
   EXPECT_EQ(off.chunk_events, off.chunks);
-  EXPECT_EQ(on.chunk_events, 1536u);
+  EXPECT_EQ(on.chunk_events, 136u);
   // Four rounds of ring shift: each UE ends up with the byte that started
   // four places to its left, value (ue - 4 mod 6) + 1.
   for (int ue = 0; ue < 6; ++ue) {
@@ -1346,14 +1553,15 @@ struct RandomRegions {
   std::uint64_t slot = 0;        ///< MPB, 48 words in every UE's slice
 };
 
-/// A seeded random kernel: two phases of compute gaps (none now and then)
-/// and random operations — uncached reads of the shared table and writes
-/// into the UE's own slice, cached reads of the cached table and writes
-/// into the UE's own cached window (line fills, and write-backs at the
-/// barrier's release), MPB gets from a random UE's slot and puts into its
-/// own — with one barrier between the phases, so word, line and chunk runs
-/// meet contention, each other, staggered starts and barrier-parked peers
-/// in every mix.
+/// A seeded random kernel: two phases of compute gaps (none now and then,
+/// two in a row now and then) and random operations — uncached reads of the
+/// shared table and writes into the UE's own slice, cached reads of the
+/// cached table and writes into the UE's own cached window (line fills, and
+/// write-backs at the barrier's release), a cached window read twice around
+/// a compute (the second read all hits), MPB gets from a random UE's slot
+/// and puts into its own — with one barrier between the phases and now and
+/// then a trailing compute, so word, line and chunk runs meet contention,
+/// each other, staggered starts, lags and barrier-parked peers in every mix.
 SimTask randomKernel(CoreContext& ctx, RandomRegions g, std::uint64_t seed) {
   std::mt19937_64 rng(seed ^ (static_cast<std::uint64_t>(ctx.ue()) * 0x9E3779B97F4A7C15ULL));
   std::vector<std::uint64_t> buf(48);
@@ -1362,8 +1570,9 @@ SimTask randomKernel(CoreContext& ctx, RandomRegions g, std::uint64_t seed) {
     const int ops = 2 + static_cast<int>(rng() % 4);
     for (int i = 0; i < ops; ++i) {
       if (rng() % 4 != 0) co_await ctx.compute(rng() % 4000);
+      if (rng() % 4 == 0) co_await ctx.computeOps(1 + rng() % 64, OpClass::IntAlu);
       const std::size_t n = 1 + rng() % buf.size();
-      switch (rng() % 6) {
+      switch (rng() % 7) {
         case 0:
           co_await ctx.shmWrite(g.own + ue * 48 * 8, buf.data(), n * 8);
           break;
@@ -1379,6 +1588,11 @@ SimTask randomKernel(CoreContext& ctx, RandomRegions g, std::uint64_t seed) {
         case 4:
           co_await ctx.shmWrite(g.cached_own + ue * 48 * 8, buf.data(), n * 8);
           break;
+        case 5:
+          co_await ctx.shmRead(g.cached_own + ue * 48 * 8, buf.data(), n * 8);
+          co_await ctx.compute(rng() % 500);
+          co_await ctx.shmRead(g.cached_own + ue * 48 * 8, buf.data(), n * 8);
+          break;
         default:
           if (rng() % 2 == 0) {
             const int owner = static_cast<int>(rng() % static_cast<std::uint64_t>(ctx.numUes()));
@@ -1391,6 +1605,7 @@ SimTask randomKernel(CoreContext& ctx, RandomRegions g, std::uint64_t seed) {
     }
     if (phase == 0) co_await ctx.barrier();
   }
+  if (rng() % 2 == 0) co_await ctx.compute(1 + rng() % 2000);
 }
 
 // Random kernels on 2-48 UEs must give the same makespan and per-task
@@ -1464,14 +1679,14 @@ TEST(Machine, RandomKernelsBitIdenticalAcrossCoalescing) {
       events[striped ? 1 : 0] += runs[1].events;
     }
   }
-  EXPECT_EQ(word_events[0], 98879u);
-  EXPECT_EQ(line_events[0], 48672u);
-  EXPECT_EQ(chunk_events[0], 34257u);
-  EXPECT_EQ(events[0], 212759u);
-  EXPECT_EQ(word_events[1], 407052u);
-  EXPECT_EQ(line_events[1], 86335u);
-  EXPECT_EQ(chunk_events[1], 36804u);
-  EXPECT_EQ(events[1], 567762u);
+  EXPECT_EQ(word_events[0], 70723u);
+  EXPECT_EQ(line_events[0], 49486u);
+  EXPECT_EQ(chunk_events[0], 22088u);
+  EXPECT_EQ(events[0], 174573u);
+  EXPECT_EQ(word_events[1], 312381u);
+  EXPECT_EQ(line_events[1], 84855u);
+  EXPECT_EQ(chunk_events[1], 25634u);
+  EXPECT_EQ(events[1], 460490u);
 }
 
 // --- joint contention replay: round jumps vs the stepwise oracle ---------------
