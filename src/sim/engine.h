@@ -463,9 +463,9 @@ class Engine {
   /// Host seconds spent inside run() so far (accumulates across runs). The
   /// `host` prefix marks the domain: this is the ONLY wall-clock-derived
   /// number the engine exposes, and it must never leak into simulated-time
-  /// output. Consumers report it through the obs::MetricsRegistry host
-  /// domain (obs::collectMetrics), which also derives events-per-host-second
-  /// from it — the Engine no longer offers that ratio itself.
+  /// output. obs::collectMetrics reports it in the snapshot's host_gauges,
+  /// with events-per-host-second derived from it — the Engine no longer
+  /// offers that ratio itself.
   [[nodiscard]] double hostWallSeconds() const { return wall_seconds_; }
 
   // -- deterministic trace recording (sim/obs/trace.h) --

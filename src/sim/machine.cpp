@@ -702,7 +702,7 @@ SccMachine::SccMachine(SccConfig config)
   // Observability: the recorder always exists, but the engine only learns
   // about it when tracing is on — disabled runs short-circuit every hook on
   // the null pointer and never reach the recorder's own enabled() check.
-  trace_.configure(config_.trace_enabled, config_.trace_ring_capacity);
+  trace_.configure(config_.trace_enabled);
   if (config_.trace_enabled) engine_.setTraceRecorder(&trace_);
   observing_ = config_.trace_enabled;
   // Happens-before race detection (sim/drf/): drf_active_ is the cached
@@ -924,7 +924,7 @@ std::uint32_t SccMachine::controllerForShmAccess(int core, std::uint64_t offset)
 }
 
 Tick SccMachine::run() {
-  // Per-task trace buffers are sized once up front (TraceRecorder::prepare).
+  // Per-task trace vectors are created once up front (TraceRecorder::prepare).
   if (trace_.enabled()) trace_.prepare(engine_.taskCount());
   engine_.run();
   flushDrf(Engine::kNever, Engine::kNoTask);
@@ -1327,10 +1327,6 @@ Tick SccMachine::shmBulkCompletion(int core, Tick start, std::uint64_t offset,
 
 void SccMachine::writeTrace(std::ostream& out) const {
   trace_.writeChromeJson(out, config_.num_mem_controllers);
-}
-
-void SccMachine::writeTraceBinary(std::ostream& out) const {
-  trace_.writeBinary(out);
 }
 
 void SccMachine::registerShmRegion(std::string name, std::uint64_t begin,

@@ -602,8 +602,6 @@ class SccMachine {
   /// Chrome trace-event JSON (Perfetto-loadable): one track per UE task
   /// and per memory controller.
   void writeTrace(std::ostream& out) const;
-  /// Compact binary ring-buffer dump (schema in docs/observability.md).
-  void writeTraceBinary(std::ostream& out) const;
 
   // -- happens-before race detection (sim/drf/; docs/race_detection.md) --
   /// Detector active (config.drf_check). The inline gates below are the

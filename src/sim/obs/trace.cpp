@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -15,9 +14,8 @@ constexpr std::array<const char*, static_cast<std::size_t>(TraceEventKind::kNumK
         "shm_read",      "shm_write",    "shm_bulk_read", "shm_bulk_write",
         "swcache_read",  "swcache_write", "swcache_flush", "mpb_get",
         "mpb_put",       "barrier_wait", "lock_wait",     "freeze",
-        "retired",       "block",        "wake",          "lock_release",
-        "fault_inject",  "fault_retry",  "mc_stall",      "report",
-        "race",
+        "block",         "wake",         "lock_release",  "fault_inject",
+        "fault_retry",   "mc_stall",     "report",        "race",
 };
 
 // Kind-specific payload rendering so exported traces are self-describing in
@@ -104,18 +102,6 @@ void emitMeta(std::ostream& out, int pid, const char* what, std::uint64_t tid,
       << R"(","args":{"name":")" << name << "\"}}";
 }
 
-void le64(std::ostream& out, std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.write(buf, 8);
-}
-
-void le32(std::ostream& out, std::uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.write(buf, 4);
-}
-
 }  // namespace
 
 const char* traceEventName(TraceEventKind kind) {
@@ -124,59 +110,19 @@ const char* traceEventName(TraceEventKind kind) {
 
 bool traceEventIsSpan(TraceEventKind kind) { return kind < TraceEventKind::kBlock; }
 
-void TraceRecorder::configure(bool enabled, std::size_t ring_capacity) {
-  enabled_ = enabled;
-  cap_ = ring_capacity;
-}
-
 void TraceRecorder::prepare(std::size_t num_tasks) {
   if (tasks_.size() < num_tasks) tasks_.resize(num_tasks);
 }
 
-void TraceRecorder::append(TaskBuf& buf, const TraceEvent& ev) {
-  ++buf.recorded;
-  if (cap_ == 0 || buf.ring.size() < cap_) {
-    buf.ring.push_back(ev);
-    return;
-  }
-  // Ring full: overwrite the oldest retained event, keep the newest window.
-  buf.ring[buf.next] = ev;
-  buf.next = (buf.next + 1) % cap_;
-  ++buf.dropped;
-}
-
 void TraceRecorder::record(std::size_t task_id, const TraceEvent& ev) {
-  append(task_id < tasks_.size() ? tasks_[task_id] : host_, ev);
+  (task_id < tasks_.size() ? tasks_[task_id] : host_).push_back(ev);
 }
 
 std::uint64_t TraceRecorder::recordedEvents() const {
-  std::uint64_t total = host_.recorded;
-  for (const TaskBuf& buf : tasks_) total += buf.recorded;
+  std::uint64_t total = host_.size();
+  for (const std::vector<TraceEvent>& events : tasks_) total += events.size();
   return total;
 }
-
-std::uint64_t TraceRecorder::droppedEvents() const {
-  std::uint64_t total = host_.dropped;
-  for (const TaskBuf& buf : tasks_) total += buf.dropped;
-  return total;
-}
-
-std::vector<TraceEvent> TraceRecorder::chronological(const TaskBuf& buf) {
-  std::vector<TraceEvent> events;
-  events.reserve(buf.ring.size());
-  // Oldest retained event sits at the overwrite cursor once wrapped.
-  for (std::size_t i = 0; i < buf.ring.size(); ++i) {
-    events.push_back(buf.ring[(buf.next + i) % buf.ring.size()]);
-  }
-  return events;
-}
-
-std::vector<TraceEvent> TraceRecorder::taskEvents(std::size_t task_id) const {
-  if (task_id >= tasks_.size()) return {};
-  return chronological(tasks_[task_id]);
-}
-
-std::vector<TraceEvent> TraceRecorder::hostEvents() const { return chronological(host_); }
 
 void TraceRecorder::writeChromeJson(std::ostream& out,
                                     std::uint32_t num_controllers) const {
@@ -190,7 +136,7 @@ void TraceRecorder::writeChromeJson(std::ostream& out,
   for (std::size_t task = 0; task < tasks_.size(); ++task) {
     emitMeta(out, 1, "thread_name", task, "ue " + std::to_string(task), first);
   }
-  if (!host_.ring.empty()) emitMeta(out, 1, "thread_name", host_tid, "host", first);
+  if (!host_.empty()) emitMeta(out, 1, "thread_name", host_tid, "host", first);
   for (std::uint32_t mc = 0; mc < num_controllers; ++mc) {
     emitMeta(out, 3, "thread_name", mc, "mc " + std::to_string(mc), first);
   }
@@ -206,10 +152,9 @@ void TraceRecorder::writeChromeJson(std::ostream& out,
     std::size_t idx;
   };
   std::vector<Merged> merged;
-  merged.reserve(recordedEvents() - droppedEvents());
+  merged.reserve(recordedEvents());
   for (std::size_t task = 0; task <= tasks_.size(); ++task) {
-    const std::vector<TraceEvent> events =
-        task < tasks_.size() ? taskEvents(task) : hostEvents();
+    const std::vector<TraceEvent>& events = task < tasks_.size() ? tasks_[task] : host_;
     for (std::size_t i = 0; i < events.size(); ++i) {
       merged.push_back({events[i], task, i});
     }
@@ -265,34 +210,6 @@ void TraceRecorder::writeChromeJson(std::ostream& out,
   }
 
   out << "\n]}\n";
-}
-
-void TraceRecorder::writeBinary(std::ostream& out) const {
-  out.write("HSMTRC01", 8);
-  le32(out, 1);  // schema version
-  le32(out, static_cast<std::uint32_t>(tasks_.size()));
-  auto dump = [&out](const TaskBuf& buf) {
-    le64(out, buf.recorded);
-    le64(out, buf.dropped);
-    const std::vector<TraceEvent> events = chronological(buf);
-    le64(out, events.size());
-    for (const TraceEvent& ev : events) {
-      le64(out, ev.start);
-      le64(out, ev.end);
-      le64(out, ev.a);
-      le64(out, ev.b);
-      le64(out, ev.c);
-      le32(out, ev.resource);
-      out.put(static_cast<char>(ev.kind));
-    }
-  };
-  for (const TaskBuf& buf : tasks_) dump(buf);
-  dump(host_);
-}
-
-void TraceRecorder::clear() {
-  tasks_.clear();
-  host_ = TaskBuf{};
 }
 
 }  // namespace hsm::sim::obs

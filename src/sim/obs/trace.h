@@ -17,7 +17,7 @@
 // Zero overhead when disabled: every hook site is gated on one cached bool
 // (enabled()), the same discipline as FaultInjector::anyArmed(). The
 // recorder is wired but dormant unless SccConfig::trace_enabled is set.
-// Events are recorded into per-task buffers, pre-sized by prepare().
+// Events are recorded into per-task vectors, created by prepare().
 #pragma once
 
 #include <cstddef>
@@ -47,9 +47,7 @@ enum class TraceEventKind : std::uint8_t {
   kLockWait,       ///< request..grant; a=sync_id b=1 if the grant was queued
   kFreeze,         ///< injected core freeze; a=1 if permanent
   // ---- instants (end == start) ----
-  // Value 12 is retired and never recorded; the explicit 13 keeps every
-  // later kind's value, and so the binary trace bytes, stable.
-  kBlock = 13,     ///< task parked on a sync object; a=sync_id
+  kBlock,          ///< task parked on a sync object; a=sync_id
   kWake,           ///< parked task rescheduled;      a=sync_id
   kLockRelease,    ///< lock handoff initiated;       a=sync_id
   kFaultInject,    ///< fault fired; a=fault class
@@ -72,14 +70,14 @@ struct TraceEvent {
   std::uint64_t c = 0;
   std::uint32_t resource = kNoTraceResource;  ///< registered resource id
   TraceEventKind kind = TraceEventKind::kShmRead;
+
+  bool operator==(const TraceEvent&) const = default;
 };
 
-/// Per-task ring-buffer trace store with a bounded-memory cap.
+/// Per-task trace store: one event vector per root task plus a host vector.
 class TraceRecorder {
  public:
-  /// ring_capacity: max retained events per task (0 = unbounded). Overflow
-  /// keeps the newest events and counts the evicted ones in droppedEvents().
-  void configure(bool enabled, std::size_t ring_capacity);
+  void configure(bool enabled) { enabled_ = enabled; }
 
   /// The one hot-path gate. Hook sites test this cached bool and nothing
   /// else; when false the recorder costs one predictable branch per site.
@@ -95,11 +93,12 @@ class TraceRecorder {
   void recordHost(const TraceEvent& ev) { record(kHostSlot, ev); }
 
   [[nodiscard]] std::uint64_t recordedEvents() const;
-  [[nodiscard]] std::uint64_t droppedEvents() const;
   [[nodiscard]] std::size_t taskSlots() const { return tasks_.size(); }
-  /// Retained events for one task, oldest first.
-  [[nodiscard]] std::vector<TraceEvent> taskEvents(std::size_t task_id) const;
-  [[nodiscard]] std::vector<TraceEvent> hostEvents() const;
+  /// One task's events in record order; task_id < taskSlots().
+  [[nodiscard]] const std::vector<TraceEvent>& taskEvents(std::size_t task_id) const {
+    return tasks_.at(task_id);
+  }
+  [[nodiscard]] const std::vector<TraceEvent>& hostEvents() const { return host_; }
 
   /// Chrome trace-event JSON (catapult / Perfetto "traceEvents" array):
   /// pid 1 = one thread per UE/task (spans + instants), pid 3 = one counter
@@ -107,29 +106,11 @@ class TraceRecorder {
   /// a deterministic function of the recorded events and num_controllers.
   void writeChromeJson(std::ostream& out, std::uint32_t num_controllers) const;
 
-  /// Compact binary dump of the raw ring buffers (schema in
-  /// docs/observability.md). Little-endian, field-by-field; carries per-task
-  /// recorded/dropped accounting so truncation is visible.
-  void writeBinary(std::ostream& out) const;
-
-  void clear();
-
  private:
   static constexpr std::size_t kHostSlot = static_cast<std::size_t>(-1);
 
-  struct TaskBuf {
-    std::vector<TraceEvent> ring;
-    std::size_t next = 0;          ///< overwrite cursor once the ring is full
-    std::uint64_t recorded = 0;    ///< total record() calls
-    std::uint64_t dropped = 0;     ///< evicted by the capacity cap
-  };
-
-  [[nodiscard]] static std::vector<TraceEvent> chronological(const TaskBuf& buf);
-  void append(TaskBuf& buf, const TraceEvent& ev);
-
-  std::vector<TaskBuf> tasks_;
-  TaskBuf host_;
-  std::size_t cap_ = 0;
+  std::vector<std::vector<TraceEvent>> tasks_;
+  std::vector<TraceEvent> host_;
   bool enabled_ = false;
 };
 

@@ -109,10 +109,6 @@ struct SccConfig {
   /// trace contains only simulated Ticks and is byte-identical across all
   /// coalescing modes (see docs/observability.md).
   bool trace_enabled = false;
-  /// Max retained trace events per task (the bounded-memory ring-buffer
-  /// mode). 0 = unbounded. Overflow keeps the newest events per task and is
-  /// accounted in TraceRecorder::droppedEvents().
-  std::size_t trace_ring_capacity = 0;
   /// Aggregate per-region shared-DRAM profiles (reads/writes/hits/misses/
   /// per-controller transactions for every named rcce::ShmArray region;
   /// MetricsSnapshot::regions). Off by default: registration no-ops and the

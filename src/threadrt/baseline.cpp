@@ -99,8 +99,8 @@ void SingleCoreRuntime::launch(int num_threads, const ThreadProgram& program) {
 }
 
 sim::Tick SingleCoreRuntime::run() {
-  machine_.engine().run();
-  sim::Tick makespan = machine_.engine().makespan();
+  // Through the machine, so a traced run files each thread on its own track.
+  sim::Tick makespan = machine_.run();
   // Context-switch overhead: with more than one runnable thread the
   // scheduler switches once per quantum.
   if (num_threads_ > 1) {

@@ -26,9 +26,6 @@ void runAndRecord(RunResult& result, sim::SccMachine& machine,
     return it != result.metrics.sim_counters.end() ? it->second : 0;
   };
   result.mpb_scope_violations = counter("mpb_scope_violations");
-  result.faults_injected = counter("faults_injected");
-  result.faults_recovered = counter("faults_recovered");
-  result.fault_retries = counter("fault_retries");
   result.faults_unrecovered = counter("faults_unrecovered");
   result.drf_races = counter("drf_races");
   result.controller_traffic = machine.controllerTraffic();

@@ -52,13 +52,8 @@ struct RunResult {
   /// otherwise silently disable the plan — resolvePlacement falls back to
   /// off-chip-uncached on a failed lookup.
   std::uint64_t plan_regions_unrealized = 0;
-  // -- fault-tolerant run mode (config.fault armed; all zero otherwise) --
-  /// Transient faults the machine injected during the run.
-  std::uint64_t faults_injected = 0;
-  /// Injected faults the retry/verify layer detected and repaired.
-  std::uint64_t faults_recovered = 0;
-  /// Transfer re-executions the recovery layer performed.
-  std::uint64_t fault_retries = 0;
+  // -- fault-tolerant run mode (config.fault armed; zero otherwise; the
+  // injected/recovered/retry counts are in metrics.sim_counters) --
   /// Transfers whose retry budget was exhausted with the fault unrepaired.
   /// Non-zero voids the run's data-integrity guarantee (verified may still
   /// be false independently).

@@ -526,9 +526,9 @@ PinnedRun runVerifiedPath(VerifiedPath path) {
   PinnedRun r;
   r.makespan = m.run();
   r.stats = m.faultStats();
-  std::ostringstream bin;
-  m.writeTraceBinary(bin);
-  r.trace_fnv = fnv1a(bin.str());
+  std::ostringstream json;
+  m.writeTrace(json);
+  r.trace_fnv = fnv1a(json.str());
   return r;
 }
 
@@ -547,22 +547,22 @@ struct PinnedPath {
 
 TEST(FaultMachine, VerifiedPathsPinned) {
   // Exact pins of every verify-and-retry path: makespan, every FaultStats
-  // field and the binary trace bytes (FNV-1a), so any change to the draw
+  // field and the Chrome JSON trace bytes (FNV-1a), so any change to the draw
   // keys, stats bookkeeping, backoff or fault instants shows up here.
   const PinnedPath kPins[] = {
       // path, name, makespan, injected[], recovered[], retries, stall, freezes,
       // unrecovered, trace FNV-1a
       {VerifiedPath::kShmWord, "shm_word", 20756664, {0, 11, 0, 0, 0},
-       {0, 11, 0, 0, 0}, 11, 0, 0, 0, 0x90845497858e556eull},
+       {0, 11, 0, 0, 0}, 11, 0, 0, 0, 0x2115c5932f1802b8ull},
       // One bulk write exhausts its retry budget (five straight fires).
       {VerifiedPath::kShmBulk, "shm_bulk", 14645656, {0, 24, 0, 0, 0},
-       {0, 19, 0, 0, 0}, 23, 0, 0, 1, 0x64899748a6de7cccull},
+       {0, 19, 0, 0, 0}, 23, 0, 0, 1, 0x21a2d7356428d9fbull},
       {VerifiedPath::kMpbPut, "mpb_put", 16185000, {26, 0, 0, 0, 0},
-       {26, 0, 0, 0, 0}, 26, 0, 0, 0, 0xa7b1e89aec21b105ull},
+       {26, 0, 0, 0, 0}, 26, 0, 0, 0, 0xc651a7040fd8a86aull},
       {VerifiedPath::kMpbGet, "mpb_get", 19985000, {26, 0, 0, 0, 0},
-       {26, 0, 0, 0, 0}, 26, 0, 0, 0, 0x6c3ced65cc4af4dbull},
+       {26, 0, 0, 0, 0}, 26, 0, 0, 0, 0x3d9b18421cabb939ull},
       {VerifiedPath::kSwcacheFlush, "swcache_flush", 8956664, {0, 0, 5, 0, 0},
-       {0, 0, 5, 0, 0}, 5, 0, 0, 0, 0x01fbd3dc357df34aull},
+       {0, 0, 5, 0, 0}, 5, 0, 0, 0, 0x00f386bf10e200d1ull},
   };
   for (const PinnedPath& pin : kPins) {
     const PinnedRun r = runVerifiedPath(pin.path);

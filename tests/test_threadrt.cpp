@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
+#include <string>
 
 #include "threadrt/baseline.h"
 
@@ -96,6 +98,39 @@ TEST(SingleCoreRuntime, BarrierAcrossLogicalThreads) {
   rt.launch(4, [&](ThreadContext& ctx) { return barrierThread(ctx, &after); });
   rt.run();
   for (const sim::Tick t : after) EXPECT_EQ(t, 1u);
+}
+
+SimTask syncedThread(ThreadContext& ctx) {
+  co_await ctx.compute(static_cast<std::uint64_t>(ctx.tid() + 1) * 500);
+  co_await ctx.lockAcquire(0);
+  co_await ctx.compute(200);
+  co_await ctx.lockRelease(0);
+  co_await ctx.barrier();
+}
+
+TEST(SingleCoreRuntime, TracedRunFilesEachThreadOnItsOwnTrack) {
+  // The trace's per-task vectors exist only if run() goes through
+  // SccMachine::run(); otherwise every event lands on the host track.
+  sim::SccConfig config;
+  config.trace_enabled = true;
+  SingleCoreRuntime traced(config);
+  traced.launch(4, [](ThreadContext& ctx) { return syncedThread(ctx); });
+  const Tick makespan = traced.run();
+  const sim::obs::TraceRecorder& rec = traced.machine().traceRecorder();
+  ASSERT_EQ(rec.taskSlots(), 4u);
+  EXPECT_TRUE(rec.hostEvents().empty());
+  for (std::size_t tid = 0; tid < 4; ++tid) {
+    EXPECT_FALSE(rec.taskEvents(tid).empty()) << "thread " << tid;
+  }
+  std::ostringstream json;
+  traced.machine().writeTrace(json);
+  EXPECT_NE(json.str().find("\"ue 0\""), std::string::npos);
+  EXPECT_NE(json.str().find("\"ue 3\""), std::string::npos);
+  EXPECT_EQ(json.str().find("\"host\""), std::string::npos);
+
+  SingleCoreRuntime untraced;
+  untraced.launch(4, [](ThreadContext& ctx) { return syncedThread(ctx); });
+  EXPECT_EQ(makespan, untraced.run());
 }
 
 // A free coroutine taking `repeats` by value: a capturing lambda coroutine
