@@ -72,7 +72,11 @@ sim::Tick runOnce(int cores, AccumulatorHome home) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char**) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: ablation_naive_translation (takes no arguments)\n");
+    return 2;
+  }
   constexpr int kCores = 32;
   std::printf("Ablation — where the translated loop accumulator lives "
               "(%d cores, %zu iterations each)\n\n", kCores, kIterations);

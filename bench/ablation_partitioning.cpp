@@ -40,8 +40,12 @@ std::vector<hsm::analysis::VariableInfo> syntheticPopulation(unsigned seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char**) {
   using namespace hsm;
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: ablation_partitioning (takes no arguments)\n");
+    return 2;
+  }
   std::printf("Ablation — Stage 4 partitioning policy (on-chip access fraction)\n");
   std::printf("%-14s %22s %22s\n", "MPB capacity", "size-ascending (Alg 3)",
               "frequency-aware");
@@ -69,6 +73,11 @@ int main() {
     translator::Translator freq(freq_options);
     const auto plain_result = plain.analyzeOnly(workloads::pthreadSource(name), name);
     const auto freq_result = freq.analyzeOnly(workloads::pthreadSource(name), name);
+    if (!plain_result.ok || !freq_result.ok) {
+      std::fprintf(stderr, "%s: analysis failed:\n%s%s\n", name.c_str(),
+                   plain_result.diagnostics.c_str(), freq_result.diagnostics.c_str());
+      return 1;
+    }
     std::printf("  %-12s alg3-onchip-fraction=%.3f freq-aware=%.3f\n", name.c_str(),
                 plain_result.plan.onchipAccessFraction(),
                 freq_result.plan.onchipAccessFraction());

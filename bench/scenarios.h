@@ -80,7 +80,7 @@ struct Workload {
   std::uint64_t extract_offset = 0;
   std::size_t extract_bytes = 0;
   /// Optional plan-driven twin of `setup` (ExecutionPlan-launched, regions
-  /// mapped in the cacheability map): when present, its Ticks must be
+  /// registered in the machine's region table): when present, its Ticks must be
   /// bit-identical to the legacy-knob runs — the plan API cutover must not
   /// move a single Tick on existing scenarios.
   std::function<void(sim::SccMachine&)> setup_plan = nullptr;
@@ -93,7 +93,7 @@ inline RunStats runWorkload(const Workload& w, const Mode& mode, bool plan_setup
   cfg.coalescing = mode.coalescing;
   cfg.trace_enabled = mode.trace;
   sim::SccMachine machine(cfg);
-  if (mode.swcache) machine.setShmCacheability(0, cfg.shared_dram_bytes, true);
+  if (mode.swcache) machine.addShmRegion({.end = cfg.shared_dram_bytes, .cached = true});
   (plan_setup ? w.setup_plan : w.setup)(machine);
   RunStats stats;
   stats.makespan = machine.run();
@@ -298,8 +298,8 @@ inline sim::SimTask luSharedCached(sim::CoreContext& ctx, std::uint64_t m0, std:
 /// lookup table (where caching wins) with a lock-guarded reduction cell
 /// (where uncached words win — every cached update costs a line fill plus a
 /// release-point write-back instead of two cheap word transactions). Neither
-/// machine-wide swcache setting can serve both; the per-region cacheability
-/// map can.
+/// machine-wide swcache setting can serve both; per-region cacheability
+/// can.
 inline sim::SimTask mixedPolicy(sim::CoreContext& ctx, std::uint64_t table,
                          std::uint64_t cell, std::uint64_t out, int rounds,
                          int sweeps, int updates, std::size_t window_bytes) {
@@ -434,7 +434,7 @@ inline Workload syncedWords() {
               [](sim::SccMachine& m) {
                 const std::uint64_t base = m.shmalloc(8 * kBlock + 8);
                 const std::uint64_t counter = m.shmalloc(8);
-                m.setShmCacheability(base, counter + 8, false);
+                m.addShmRegion({.begin = base, .end = counter + 8});
                 m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
                            return syncedMix(ctx, base, counter, 8, kBlock);
                          }).withPlan(&kWordPlan));
@@ -449,8 +449,8 @@ inline const ExecutionPlan kMixedPolicyPlan{
      RegionPlan{"out", PlacementClass::kOffChipUncached, MpbPattern::kNone, 8 * 64}}};
 
 /// The ExecutionPlan mixed-policy showcase: a cached read-mostly table plus
-/// an uncached lock-guarded reduction cell in ONE run, via the per-region
-/// cacheability map. policy: 0 = plan-driven mixed map (the coalesced run),
+/// an uncached lock-guarded reduction cell in ONE run, via per-region
+/// cacheability. policy: 0 = plan-driven mixed regions (the coalesced run),
 /// 1 = everything cached (run under Mode::swcache), 2 = everything uncached.
 inline Workload mixedPolicyWorkload(int policy) {
   constexpr std::size_t kWindow = kPolicyWindow;
@@ -467,9 +467,9 @@ inline Workload mixedPolicyWorkload(int policy) {
               g[i] = 0x9e3779b97f4a7c15ull * (i + 1);
             }
             if (policy == 0) {
-              m.setShmCacheability(table, table + 8 * kWindow, true);
-              m.setShmCacheability(cell, cell + 64, false);
-              m.setShmCacheability(out, out + 8 * 64, false);
+              m.addShmRegion({.begin = table, .end = table + 8 * kWindow, .cached = true});
+              m.addShmRegion({.begin = cell, .end = cell + 64});
+              m.addShmRegion({.begin = out, .end = out + 8 * 64});
             }
             m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
                        return mixedPolicy(ctx, table, cell, out, kRounds, kSweeps,
@@ -480,32 +480,15 @@ inline Workload mixedPolicyWorkload(int policy) {
       .extract_bytes = 64 + 8 * 64};
 }
 
-/// The KV store's plan (workloads::makeKvStore, default KvParams) with both
-/// data regions under one controller placement (kStriped or kOwnerCompute;
-/// any other reads as kOwnerCompute). Hot keys sit in the slab's
-/// lowest stripes, so kStriped concentrates the skewed load on ONE
-/// controller while kOwnerCompute spreads it with the requesters.
-inline const ExecutionPlan& kvZipfPlan(ControllerPlacement cp) {
-  const auto make = [](ControllerPlacement placement) {
-    const workloads::KvParams kvp{};
-    std::size_t index_cap = 1;
-    while (index_cap < 2 * kvp.num_keys) index_cap *= 2;
-    return ExecutionPlan{
-        {RegionPlan{"kv_index", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                    index_cap * 8, placement},
-         RegionPlan{"kv_slots", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                    static_cast<std::size_t>(kvp.num_keys) * 4 * 8, placement},
-         RegionPlan{"kv_checks", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                    8 * 8}}};
-  };
-  static const ExecutionPlan striped = make(ControllerPlacement::kStriped);
-  static const ExecutionPlan placed = make(ControllerPlacement::kOwnerCompute);
-  return cp == ControllerPlacement::kStriped ? striped : placed;
-}
-
+/// kv_zipf_8ue: the KV store (default KvParams) on 8 UEs under
+/// workloads::kvStorePlan with `cp` (kStriped or kOwnerCompute). Hot keys
+/// sit in the slab's lowest stripes, so kStriped concentrates the skewed
+/// load on ONE controller while kOwnerCompute spreads it with the
+/// requesters. The set-up keeps the plan: the launch borrows it.
 inline Workload kvZipfWorkload(ControllerPlacement cp) {
-  return {.ues = 8, .setup = [cp](sim::SccMachine& m) {
-            workloads::setupKvRcce(m, workloads::KvParams{}, 8, kvZipfPlan(cp));
+  return {.ues = 8,
+          .setup = [plan = workloads::kvStorePlan({}, cp)](sim::SccMachine& m) {
+            workloads::setupKvRcce(m, workloads::KvParams{}, 8, plan);
           }};
 }
 
@@ -557,7 +540,7 @@ inline const PinnedScenario kPinnedScenarios[] = {
                        .setup_plan =
                            [](sim::SccMachine& m) {
                              const std::uint64_t base = m.shmalloc(8 * kBlock);
-                             m.setShmCacheability(base, base + 8 * kBlock, false);
+                             m.addShmRegion({.begin = base, .end = base + 8 * kBlock});
                              m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
                                         return staggeredMix(ctx, base, 16, kBlock);
                                       }).withPlan(&kWordPlan));
@@ -600,7 +583,7 @@ inline const PinnedScenario kPinnedScenarios[] = {
                          rcce::RcceEnv env(m);
                          const std::uint64_t base = m.shmalloc(8 * kBlock);
                          const std::uint64_t slot = env.mpbMallocSymmetric(8, 512);
-                         m.setShmCacheability(base, base + 8 * kBlock, false);
+                         m.addShmRegion({.begin = base, .end = base + 8 * kBlock});
                          m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
                                     return mixedShmMpb(ctx, base, slot, 8, kBlock, 512);
                                   }).withPlan(&kMixedPlan));
@@ -696,7 +679,7 @@ inline const PinnedScenario kPinnedScenarios[] = {
                                  m.shmalloc(bytes, m.config().cache_line_bytes);
                              auto* g = reinterpret_cast<std::uint64_t*>(m.shmData(base));
                              for (std::size_t i = 0; i < bytes / 8; ++i) g[i] = i;
-                             m.setShmCacheability(base, base + bytes, true);
+                             m.addShmRegion({.begin = base, .end = base + bytes, .cached = true});
                              m.launch(sim::LaunchSpec(32, [=](sim::CoreContext& ctx) {
                                return swcacheStreamer(ctx, base, 8, kWindow);
                              }));

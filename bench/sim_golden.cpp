@@ -254,7 +254,7 @@ FaultRun runFaultSweep(const sim::FaultPlan& plan, Tick sync_timeout_ticks,
   for (std::size_t i = 0; i < kUes * kWindowB / 8; ++i) {
     g[i] = 0x9e3779b97f4a7c15ull * (i + 1);
   }
-  m.setShmCacheability(table, table + kUes * kWindowB, true);
+  m.addShmRegion({.begin = table, .end = table + kUes * kWindowB, .cached = true});
   const std::uint64_t slot = env.mpbMallocSymmetric(kUes, 2 * kMpbB);
   m.launch(sim::LaunchSpec(kUes, [=](sim::CoreContext& ctx) {
     return faultMix(ctx, table, blocks, counter, out, slot, kRounds, kWindowB,
@@ -404,7 +404,8 @@ void placementReferences(Golden& g, const std::string& p, const RunStats& placed
   const std::unique_ptr<workloads::Benchmark> kv =
       workloads::makeKvStore(workloads::KvParams{});
   const auto run = [&kv](ControllerPlacement cp) {
-    return kv->run(workloads::Mode::RcceOffChip, 8, sim::SccConfig{}, &kvZipfPlan(cp));
+    const partition::ExecutionPlan plan = workloads::kvStorePlan({}, cp);
+    return kv->run(workloads::Mode::RcceOffChip, 8, sim::SccConfig{}, &plan);
   };
   const workloads::RunResult placed_r = run(ControllerPlacement::kOwnerCompute);
   const workloads::RunResult striped_r = run(ControllerPlacement::kStriped);
@@ -557,7 +558,7 @@ void drfFalseSharing(Golden& g) {
     // 8 UEs x 8 B slots = two 32 B lines, four slots each, swcache-cached:
     // disjoint words, shared lines.
     const std::uint64_t base = m.shmalloc(64);
-    m.setShmCacheability(base, base + 64, true);
+    m.addShmRegion({.begin = base, .end = base + 64, .cached = true});
     m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
       return falseSharingSlots(ctx, base, 4);
     }));
@@ -795,9 +796,9 @@ void luRegionProfile(Golden& g) {
 void kvPipeline(Golden& g) {
   workloads::KvParams params;
   params.seed = workloads::kvMix64(1);
+  const partition::ExecutionPlan plan = workloads::kvStorePlan(params);
   const workloads::RunResult r = workloads::makeKvStore(params)->run(
-      workloads::Mode::RcceOffChip, 32, sim::SccConfig{},
-      &kvZipfPlan(ControllerPlacement::kOwnerCompute));
+      workloads::Mode::RcceOffChip, 32, sim::SccConfig{}, &plan);
   benchRows(g, benchKey("kv_pipeline", r), r);
   std::string keys;
   for (const auto& [key, value] : r.metrics.sim_counters) {

@@ -45,7 +45,11 @@ int main() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char**) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: table_4_1_variable_info (takes no arguments)\n");
+    return 2;
+  }
   hsm::translator::Translator translator;
   const auto result = translator.analyzeOnly(kExample41, "example_4_1.c");
   if (!result.ok) {
@@ -67,6 +71,10 @@ int main() {
   std::printf("\nShared variables identified per benchmark program:\n");
   for (const std::string& name : hsm::workloads::pthreadSourceNames()) {
     const auto r = translator.analyzeOnly(hsm::workloads::pthreadSource(name), name);
+    if (!r.ok) {
+      std::fprintf(stderr, "%s: analysis failed:\n%s\n", name.c_str(), r.diagnostics.c_str());
+      return 1;
+    }
     std::printf("  %-12s:", name.c_str());
     for (const auto* v : r.analysis.sharedVariables()) std::printf(" %s", v->name.c_str());
     std::printf("\n");

@@ -49,7 +49,11 @@ int main() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char**) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: table_4_2_sharing_status (takes no arguments)\n");
+    return 2;
+  }
   // The paper's Example 4.2 output allocates with RCCE_shmalloc (off-chip);
   // request the off-chip-only plan to reproduce it verbatim.
   hsm::translator::TranslatorOptions options;

@@ -3,8 +3,12 @@
 
 #include "sim/machine.h"
 
-int main() {
+int main(int argc, char**) {
   using namespace hsm;
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: table_6_1_scc_config (takes no arguments)\n");
+    return 2;
+  }
   const sim::SccConfig config;
   std::printf("Table 6.1 — SCC Configuration\n\n%s\n",
               config.formatTable61(32, 32).c_str());

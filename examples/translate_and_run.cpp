@@ -95,27 +95,11 @@ int main() {
               sim::ticksToMilliseconds(base.makespan), base.verified ? "yes" : "NO");
 
   // 4. The seventh benchmark (KV store) has no pthread source — its plan is
-  // built programmatically — so it gets the plan-only lint: the same shape
-  // setupKvRcce realizes (bench/scenarios.h's kvZipfPlan).
+  // built programmatically (workloads::kvStorePlan, the shape setupKvRcce
+  // realizes) — so it gets the plan-only lint.
   {
-    using partition::ControllerPlacement;
-    using partition::ExecutionPlan;
-    using partition::MpbPattern;
-    using partition::PlacementClass;
-    using partition::RegionPlan;
-    const workloads::KvParams kvp{};
-    std::size_t index_cap = 1;
-    while (index_cap < 2 * kvp.num_keys) index_cap *= 2;
-    const ExecutionPlan kv_plan{
-        {RegionPlan{"kv_index", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                    index_cap * 8, ControllerPlacement::kOwnerCompute},
-         RegionPlan{"kv_slots", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                    static_cast<std::size_t>(kvp.num_keys) * 4 * 8,
-                    ControllerPlacement::kOwnerCompute},
-         RegionPlan{"kv_checks", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                    8 * 8}}};
-    const partition::LintResult kv_lint =
-        partition::lintExecutionPlan(kv_plan, config.cache_line_bytes);
+    const partition::LintResult kv_lint = partition::lintExecutionPlan(
+        workloads::kvStorePlan(workloads::KvParams{}), config.cache_line_bytes);
     if (!kv_lint.ok()) {
       std::printf("=== KvStore: DRF LINT VIOLATIONS ===\n%s", kv_lint.format().c_str());
       drf_lint_ok = false;

@@ -6,7 +6,7 @@
 // sets, and a per-region shared-memory cacheability policy — across the
 // translator→simulator boundary as ONE first-class value, and is the only
 // channel for those decisions: per-region cacheability reaches the machine
-// through plan-carrying `rcce::ShmArray`s (SccMachine::setShmCacheability),
+// through plan-carrying `rcce::ShmArray`s (SccMachine::addShmRegion),
 // and MPB scopes only through `LaunchSpec::withPlan`.
 //
 // Deliberately self-contained (std types only): the simulator consumes it

@@ -155,11 +155,11 @@ ExecutionPlan deriveExecutionPlan(const analysis::AnalysisResult& analysis,
       }
     } else if (thread_read && !thread_written) {
       r.placement = PlacementClass::kOffChipCached;  // read-mostly
-      // Read-mostly data is fetched by every UE with no owner: striping the
-      // addresses spreads the line-fill bandwidth across all four
-      // controllers instead of funneling each reader's whole window through
-      // its own quadrant (docs/execution_plan.md, "Controller placement").
-      r.controller = ControllerPlacement::kStriped;
+      // The swcache is private per core, so its line fills go to the
+      // requesting core's own controller whatever the placement says (the
+      // composition rule, docs/execution_plan.md "Controller placement"):
+      // the plan states the owner-compute routing the machine realizes.
+      r.controller = ControllerPlacement::kOwnerCompute;
     } else if (thread_written && thread_read) {
       r.placement = PlacementClass::kOnChipStaged;
       r.pattern = program_has_barrier ? MpbPattern::kRotatingBroadcast

@@ -14,6 +14,9 @@
 // allocate during initialization.
 #pragma once
 
+#include <string>
+#include <utility>
+
 #include "sim/machine.h"
 
 namespace hsm::rcce {
@@ -61,7 +64,7 @@ class RcceEnv {
 }
 
 /// RCCE_barrier / RCCE_acquire_lock / RCCE_release_lock. These are the
-/// swcache reconciliation points (regions registered cacheable): the
+/// swcache reconciliation points (regions registered cached): the
 /// barrier and the release flush dirty cached lines first, the barrier and
 /// the acquire self-invalidate clean lines after — so releaseLock is
 /// awaitable too and MUST be co_awaited (a discarded return value releases
@@ -86,47 +89,38 @@ template <typename T>
 class ShmArray {
  public:
   ShmArray() = default;
-  /// Legacy allocation: the region stays UNMAPPED in the machine's
-  /// cacheability map, so it is uncached — exactly the pre-ExecutionPlan
-  /// behavior.
+  /// Legacy allocation: no region is registered, so it is uncached and
+  /// requester-local — exactly the pre-ExecutionPlan behavior.
   ShmArray(RcceEnv& env, std::size_t count)
       : machine_(&env.machine()), base_(env.shmalloc(count * sizeof(T))), count_(count) {}
-  /// Plan-carrying allocation: the region records its ExecutionPlan
-  /// placement class and registers its cacheability with the machine —
-  /// kOffChipCached routes through the swcache, every other class pins the
-  /// region to the uncached word path (overriding any earlier registration
-  /// of the range).
+  /// Plan-carrying allocation: the array records its ExecutionPlan
+  /// placement class and registers its whole region policy with the machine
+  /// once (SccMachine::addShmRegion): cached for kOffChipCached (every other
+  /// class pins it to the uncached word path), the controller placement,
+  /// and the plan region's `name`.
   /// Cached regions are line-aligned and line-padded: the swcache moves
   /// whole lines, so a cached region must never share a line with a
   /// neighboring uncached region (a whole-line write-back would clobber
   /// the neighbor's uncached updates — cross-policy false sharing).
-  /// The optional controller placement registers the region's
-  /// address→controller mapping (SccMachine::setShmControllerPlacement).
-  /// Cached regions skip the registration: the swcache is private per core,
-  /// so its DRAM line traffic follows the requesting core regardless of
-  /// placement (the composition rule in docs/execution_plan.md) — and
-  /// kOwnerCompute registrations are dropped too, since they restate the
-  /// default and would only knock accesses off the legacy fast path.
   ShmArray(RcceEnv& env, std::size_t count, partition::PlacementClass placement,
            partition::ControllerPlacement controller =
                partition::ControllerPlacement::kOwnerCompute,
-           std::uint32_t pinned_controller = 0)
+           std::uint32_t pinned_controller = 0, std::string name = {})
       : machine_(&env.machine()), count_(count), placement_(placement) {
     const std::size_t bytes = count * sizeof(T);
-    if (placement == partition::PlacementClass::kOffChipCached) {
+    const bool cached = placement == partition::PlacementClass::kOffChipCached;
+    if (cached) {
       const std::size_t line = machine_->config().cache_line_bytes;
       base_ = machine_->shmalloc(((bytes + line - 1) / line) * line, line);
     } else {
       base_ = env.shmalloc(bytes);
     }
-    machine_->setShmCacheability(
-        base_, base_ + bytes,
-        placement == partition::PlacementClass::kOffChipCached);
-    if (placement != partition::PlacementClass::kOffChipCached &&
-        controller != partition::ControllerPlacement::kOwnerCompute) {
-      machine_->setShmControllerPlacement(base_, base_ + bytes, controller,
-                                          pinned_controller);
-    }
+    machine_->addShmRegion({.begin = base_,
+                            .end = base_ + bytes,
+                            .cached = cached,
+                            .placement = controller,
+                            .pinned_controller = pinned_controller,
+                            .name = std::move(name)});
   }
 
   /// This region's placement attribute (kOffChipUncached for legacy

@@ -727,10 +727,27 @@ void SccMachine::ensureSwcache() {
   }
 }
 
-void SccMachine::setShmCacheability(std::uint64_t begin, std::uint64_t end,
-                                    bool cached) {
-  if (end <= begin) return;
-  if (cached) {
+void SccMachine::addShmRegion(ShmRegion region) {
+  using partition::ControllerPlacement;
+  // The composition rule: the swcache is private per core, so a cached
+  // region's line traffic follows the requesting core.
+  if (region.cached) {
+    region.placement = ControllerPlacement::kOwnerCompute;
+    region.pinned_controller = 0;
+  }
+  if (region.placement == ControllerPlacement::kPinned &&
+      region.pinned_controller >= config_.num_mem_controllers) {
+    throw std::invalid_argument("pinned controller out of range");
+  }
+  if (region.end <= region.begin) return;
+  // launch() fixes each task's reach from ctrl_placement_active_, so a
+  // routing placement registered later would leave tasks reaching too few
+  // controllers.
+  const bool routed = region.placement != ControllerPlacement::kOwnerCompute;
+  if (routed && !contexts_.empty()) {
+    throw std::logic_error("routing placement registered after launch()");
+  }
+  if (region.cached) {
     // The swcache fills and writes back WHOLE lines, so a cached range is
     // line-granular by construction: round it outward. Any partial head or
     // tail line would be moved in full anyway, and keeping every byte of
@@ -738,11 +755,28 @@ void SccMachine::setShmCacheability(std::uint64_t begin, std::uint64_t end,
     // sharing — an uncached word sharing a cached line could otherwise be
     // silently reverted by a whole-line write-back.
     const std::uint64_t line = config_.cache_line_bytes;
-    begin -= begin % line;
-    end = ((end + line - 1) / line) * line;
+    region.begin -= region.begin % line;
+    region.end = ((region.end + line - 1) / line) * line;
+    ensureSwcache();
   }
-  shm_cache_map_.push_back(ShmCacheRange{begin, end, cached});
-  if (cached) ensureSwcache();
+  ctrl_placement_active_ = ctrl_placement_active_ || routed;
+  // An unnamed region blanks the race-report name of what it covers.
+  if (drf_active_) drf_.registerRegion(region.name, region.begin, region.end);
+  RegionEntry& e = region_table_.emplace_back(RegionEntry{std::move(region), nullptr});
+  if (config_.region_metrics && !e.region.name.empty()) {
+    e.profile = std::make_unique<obs::RegionProfile>();
+    e.profile->name = e.region.name;
+    e.profile->begin = e.region.begin;
+    e.profile->end = e.region.end;
+    e.profile->controller_txns.assign(config_.num_mem_controllers, 0);
+    region_profiling_ = true;
+    observing_ = true;
+  }
+}
+
+bool SccMachine::shmRegionNamed(std::string_view name) const {
+  return std::any_of(region_table_.begin(), region_table_.end(),
+                     [name](const RegionEntry& e) { return e.region.name == name; });
 }
 
 SccMachine::~SccMachine() {
@@ -873,54 +907,28 @@ void SccMachine::launch(const LaunchSpec& spec) {
   setupBarrier(std::move(task_ids));
 }
 
-void SccMachine::setShmControllerPlacement(std::uint64_t begin, std::uint64_t end,
-                                           partition::ControllerPlacement placement,
-                                           std::uint32_t pinned_controller) {
-  if (placement == partition::ControllerPlacement::kPinned &&
-      pinned_controller >= config_.num_mem_controllers) {
-    throw std::invalid_argument("pinned controller out of range");
-  }
-  if (end <= begin) return;
-  // launch() fixes each task's reach from ctrl_placement_active_; a routing
-  // placement registered later would leave tasks reaching too few
-  // controllers.
-  if (!contexts_.empty() && placement != partition::ControllerPlacement::kOwnerCompute) {
-    throw std::logic_error("routing placement registered after launch()");
-  }
-  shm_ctrl_map_.push_back(ShmCtrlRange{begin, end, placement, pinned_controller});
-  // kOwnerCompute registrations are documentation only (they restate the
-  // default), so they must not knock accesses off the legacy fast path.
-  if (placement != partition::ControllerPlacement::kOwnerCompute) {
-    ctrl_placement_active_ = true;
-  }
-}
-
 std::uint32_t SccMachine::controllerForShmAccess(int core, std::uint64_t offset) {
-  if (ctrl_placement_active_) {
-    for (auto it = shm_ctrl_map_.rbegin(); it != shm_ctrl_map_.rend(); ++it) {
-      if (offset < it->begin || offset >= it->end) continue;
-      switch (it->placement) {
-        case partition::ControllerPlacement::kOwnerCompute:
-          return core_mc_[static_cast<std::size_t>(core)];
-        case partition::ControllerPlacement::kStriped: {
-          const std::uint64_t stripe =
-              (offset - it->begin) / config_.shm_controller_stripe_bytes;
-          return static_cast<std::uint32_t>(stripe % config_.num_mem_controllers);
-        }
-        case partition::ControllerPlacement::kPinned:
-          return it->pinned;
-        case partition::ControllerPlacement::kFirstTouch: {
-          // Claims are deterministic: the engine resumes tasks in strict
-          // (time, task_id) order, so "first" is reproducible run to run.
-          const std::uint64_t stripe = offset / config_.shm_controller_stripe_bytes;
-          return first_touch_claims_
-              .try_emplace(stripe, core_mc_[static_cast<std::size_t>(core)])
-              .first->second;
-        }
-      }
+  const std::uint32_t own = core_mc_[static_cast<std::size_t>(core)];
+  const RegionEntry* e = ctrl_placement_active_ ? regionAt(offset) : nullptr;
+  if (e == nullptr) return own;
+  switch (e->region.placement) {
+    case partition::ControllerPlacement::kOwnerCompute:
+      return own;
+    case partition::ControllerPlacement::kStriped: {
+      const std::uint64_t stripe =
+          (offset - e->region.begin) / config_.shm_controller_stripe_bytes;
+      return static_cast<std::uint32_t>(stripe % config_.num_mem_controllers);
+    }
+    case partition::ControllerPlacement::kPinned:
+      return e->region.pinned_controller;
+    case partition::ControllerPlacement::kFirstTouch: {
+      // Claims are deterministic: the engine resumes tasks in strict
+      // (time, task_id) order, so "first" is reproducible run to run.
+      const std::uint64_t stripe = offset / config_.shm_controller_stripe_bytes;
+      return first_touch_claims_.try_emplace(stripe, own).first->second;
     }
   }
-  return core_mc_[static_cast<std::size_t>(core)];
+  return own;
 }
 
 Tick SccMachine::run() {
@@ -1224,12 +1232,9 @@ ResumeAt SccMachine::timedRun(const RunParams& run, Tick start, std::size_t max_
 }
 
 bool SccMachine::firstTouchUnclaimed(std::uint64_t offset) const {
-  for (auto it = shm_ctrl_map_.rbegin(); it != shm_ctrl_map_.rend(); ++it) {
-    if (offset < it->begin || offset >= it->end) continue;
-    return it->placement == partition::ControllerPlacement::kFirstTouch &&
-           !first_touch_claims_.contains(offset / config_.shm_controller_stripe_bytes);
-  }
-  return false;
+  const RegionEntry* e = regionAt(offset);
+  return e != nullptr && e->region.placement == partition::ControllerPlacement::kFirstTouch &&
+         !first_touch_claims_.contains(offset / config_.shm_controller_stripe_bytes);
 }
 
 ResumeAt SccMachine::shmWordsAtCompletion(int core, Tick start, std::uint64_t offset,
@@ -1329,32 +1334,12 @@ void SccMachine::writeTrace(std::ostream& out) const {
   trace_.writeChromeJson(out, config_.num_mem_controllers);
 }
 
-void SccMachine::registerShmRegion(std::string name, std::uint64_t begin,
-                                   std::uint64_t end) {
-  if (end <= begin) return;
-  // Race reports name the region containing the racy granule; the lookup is
-  // off the hot path (report construction only), so a drf run records names
-  // regardless of the profiling knob.
-  if (drf_active_) drf_.registerRegion(name, begin, end);
-  // No-op unless the profiling knob is on: workloads register their region
-  // names unconditionally (makeShmArray), and a disabled knob must leave the
-  // hot paths with nothing to scan.
-  if (!config_.region_metrics) return;
-  obs::RegionProfile region;
-  region.name = std::move(name);
-  region.begin = begin;
-  region.end = end;
-  region.controller_txns.assign(config_.num_mem_controllers, 0);
-  shm_regions_.push_back(std::move(region));
-  region_profiling_ = true;
-  observing_ = true;
-}
-
-obs::RegionProfile* SccMachine::regionAt(std::uint64_t offset) {
-  for (auto it = shm_regions_.rbegin(); it != shm_regions_.rend(); ++it) {
-    if (offset >= it->begin && offset < it->end) return &*it;
+std::vector<obs::RegionProfile> SccMachine::shmRegionProfiles() const {
+  std::vector<obs::RegionProfile> profiles;
+  for (const RegionEntry& e : region_table_) {
+    if (e.profile != nullptr) profiles.push_back(*e.profile);
   }
-  return nullptr;
+  return profiles;
 }
 
 void SccMachine::recordOp(int core, const obs::TraceEvent& op, std::uint32_t attempts) {
@@ -1375,8 +1360,9 @@ void SccMachine::recordOp(int core, const obs::TraceEvent& op, std::uint32_t att
     default:
       return;  // no shared-DRAM offset in a=
   }
-  obs::RegionProfile* region = regionAt(op.a);
-  if (region == nullptr) return;
+  const RegionEntry* e = regionAt(op.a);
+  if (e == nullptr || e->profile == nullptr) return;
+  obs::RegionProfile* region = e->profile.get();
   (write ? region->writes : region->reads) += attempts;
   if (op.kind == Kind::kSwcacheRead || op.kind == Kind::kSwcacheWrite) {
     region->hits += op.b;

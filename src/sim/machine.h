@@ -10,7 +10,7 @@
 //   * private  — per-core, cacheable, backed by per-core byte arrays;
 //   * shared off-chip (DRAM) — hardware-uncacheable, one byte array;
 //     word-at-a-time accesses each pay the full core-mesh-controller round
-//     trip, OR, in ranges registered cacheable (setShmCacheability), the
+//     trip, OR, in regions registered cached (addShmRegion), the
 //     per-core software-managed release-consistency cache serves
 //     line-granular accesses from fast private memory and reconciles at
 //     sync points (sim/swcache/swcache.h, docs/memory_model.md);
@@ -23,6 +23,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -213,14 +215,14 @@ class CoreContext {
   // the owner is not a launched UE or the range passes the owner's slice.
   // Inside a task that ends the run (SimTask terminates on an exception).
   //
-  // Routing is PER REGION: accesses whose offset falls in a range registered
-  // cacheable (SccMachine::setShmCacheability — typically by an
+  // Routing is PER REGION: accesses whose offset falls in a region
+  // registered cached (SccMachine::addShmRegion — typically by an
   // rcce::ShmArray carrying an ExecutionPlan placement) go through the
   // per-core software-managed release-consistency cache instead: hits are
   // served from fast private memory, misses fill whole lines (batched like
   // the word path), and the sync operations below reconcile (flush at
-  // release, self-invalidate at acquire). Offsets outside every registered
-  // range are uncached. Functional results are identical for data-race-free
+  // release, self-invalidate at acquire). Offsets outside every cached
+  // region are uncached. Functional results are identical for data-race-free
   // programs; timing is a different (cached) model. Accesses must not
   // straddle a region boundary (regions are whole translated variables, so
   // they never do).
@@ -392,6 +394,20 @@ struct LaunchSpec {
   const partition::ExecutionPlan* plan = nullptr;
 };
 
+/// One shared-DRAM region's whole policy: what the ExecutionPlan decided for
+/// one shared variable, as the machine realizes it (SccMachine::addShmRegion).
+struct ShmRegion {
+  std::uint64_t begin = 0;  ///< byte offset into shared DRAM
+  std::uint64_t end = 0;    ///< one past the last byte
+  bool cached = false;      ///< served by the per-core swcache
+  /// Address→controller mapping (kPinned: behind `pinned_controller`).
+  partition::ControllerPlacement placement = partition::ControllerPlacement::kOwnerCompute;
+  std::uint32_t pinned_controller = 0;
+  /// Plan region name ("" = unnamed): keys the region's profile and names
+  /// it in race reports.
+  std::string name{};
+};
+
 class SccMachine {
  public:
   explicit SccMachine(SccConfig config = {});
@@ -432,9 +448,8 @@ class SccMachine {
   /// port (sound, but port horizons then see all tasks). While a striped,
   /// pinned or first-touch placement is registered, the reach set holds
   /// every controller instead of the core's own. A plan with any cached region activates the swcache
-  /// instances. Region cacheability/controller placement itself is
-  /// registered by the plan-carrying rcce::ShmArray allocations (or
-  /// setShmCacheability / setShmControllerPlacement directly) — the machine
+  /// instances. The regions themselves are registered by the plan-carrying
+  /// rcce::ShmArray allocations (or addShmRegion directly) — the machine
   /// cannot know region offsets.
   void launch(const LaunchSpec& spec);
   /// Create the machine barrier over the spawned engine tasks
@@ -510,52 +525,38 @@ class SccMachine {
     return shm_bulk_lines_;
   }
 
-  // -- per-region controller placement (ExecutionPlan policy) --
-  /// Declare the address→controller mapping of shared-DRAM range
-  /// [begin, end): kStriped interleaves stripe-granular
-  /// (config.shm_controller_stripe_bytes) across all controllers, kPinned
-  /// puts the whole range behind `pinned_controller`, kFirstTouch lets the
-  /// first accessor's quadrant controller claim each stripe, and
-  /// kOwnerCompute is the legacy requester-local mapping — also the default
-  /// for every offset outside the map, so unplanned regions keep today's
-  /// routing bit for bit. Later registrations win on overlap. Cached
-  /// (swcache) regions keep requester-local line fills regardless of any
-  /// registration: the cache is private per core, so its DRAM traffic
-  /// follows the core (docs/execution_plan.md states the composition rule).
-  /// Register every non-kOwnerCompute placement before launch(): a task
-  /// reaches every controller only if one was registered when it spawned,
-  /// so a later one throws std::logic_error. Throws std::invalid_argument
-  /// when a kPinned `pinned_controller` is not below num_mem_controllers.
-  /// Either way nothing changes.
-  void setShmControllerPlacement(std::uint64_t begin, std::uint64_t end,
-                                 partition::ControllerPlacement placement,
-                                 std::uint32_t pinned_controller = 0);
+  // -- the shared-DRAM region table (ExecutionPlan policy) --
+  /// Register `region` with its whole policy — the one way a shared-DRAM
+  /// range becomes cached, routed, profiled or named. The newest region
+  /// covering an offset decides all of its attributes; offsets no region
+  /// covers are uncached, requester-local and unnamed. An empty range
+  /// registers nothing. A cached region is rounded OUTWARD to line
+  /// boundaries (the swcache moves whole lines; allocate it line-aligned,
+  /// as the plan-carrying rcce::ShmArray does) and routes
+  /// requester-locally whatever its placement (the composition rule in
+  /// docs/execution_plan.md). A routing placement (kStriped, kPinned,
+  /// kFirstTouch) registered after launch() throws std::logic_error: tasks
+  /// reach every controller only if one was registered when they spawned.
+  /// An uncached kPinned region's pinned_controller not below
+  /// num_mem_controllers throws std::invalid_argument. Either way nothing
+  /// is registered.
+  void addShmRegion(ShmRegion region);
+  /// Some registered region carries `name` (a plan region the run realized).
+  [[nodiscard]] bool shmRegionNamed(std::string_view name) const;
   /// Controller serving an access to `offset` from `core` (claims the
   /// stripe for first-touch regions as a side effect).
   [[nodiscard]] std::uint32_t controllerForShmAccess(int core, std::uint64_t offset);
 
   // -- software-managed shared-memory cache --
   /// Any core-side cache instances exist (at least one region registered
-  /// cacheable, or a launch plan with a cached region): sync points then
+  /// cached, or a launch plan with a cached region): sync points then
   /// reconcile and bulk transfers fence. False keeps every sync/bulk path
   /// frame-free and Tick-bit-identical to the uncached-only machine.
   [[nodiscard]] bool swcacheActive() const { return !swcache_.empty(); }
-  /// Declare the swcache routing of shared-DRAM range [begin, end) — the
-  /// per-region cacheability policy of an ExecutionPlan, and the only way a
-  /// range becomes cached. Later registrations win on overlap; offsets
-  /// outside every range are uncached.
-  /// Cached ranges are line-granular (the swcache moves whole lines) and
-  /// are rounded OUTWARD to line boundaries; allocate cached regions
-  /// line-aligned (shmalloc with align = cache_line_bytes, as the
-  /// plan-carrying rcce::ShmArray does) so the rounding never reaches into
-  /// a neighboring region.
-  void setShmCacheability(std::uint64_t begin, std::uint64_t end, bool cached);
   /// Routing of the region containing `offset`.
   [[nodiscard]] bool shmCached(std::uint64_t offset) const {
-    for (auto it = shm_cache_map_.rbegin(); it != shm_cache_map_.rend(); ++it) {
-      if (offset >= it->begin && offset < it->end) return it->cached;
-    }
-    return false;
+    const RegionEntry* e = regionAt(offset);
+    return e != nullptr && e->region.cached;
   }
   /// Per-core hit/miss/flush counters (zero-valued stats when disabled).
   [[nodiscard]] const SwCacheStats& swcacheStats(int core) const;
@@ -627,18 +628,13 @@ class SccMachine {
     if (drf_active_) drfAccess(space, offset, bytes, write, at);
   }
 
-  /// Name shared-DRAM range [begin, end) for per-region profiling (the
-  /// plan-carrying rcce::ShmArray registers every named region). First
-  /// registration flips the region_profiling_ gate; runs with no named
-  /// regions keep the exact pre-profiling instruction path. Later
-  /// registrations win on overlap (same rule as the cacheability map).
-  void registerShmRegion(std::string name, std::uint64_t begin, std::uint64_t end);
-  /// Per-region read/write/hit/miss/controller profiles, registration order
-  /// (MetricsSnapshot::regions; consumed by the ROADMAP's plan-re-derivation
-  /// item).
-  [[nodiscard]] const std::vector<obs::RegionProfile>& shmRegionProfiles() const {
-    return shm_regions_;
-  }
+  /// Per-region read/write/hit/miss/controller profiles of the named
+  /// regions, registration order (MetricsSnapshot::regions; consumed by the
+  /// ROADMAP's plan-re-derivation item). Empty unless config.region_metrics.
+  [[nodiscard]] std::vector<obs::RegionProfile> shmRegionProfiles() const;
+  /// config.region_metrics is on and a named region is registered: the
+  /// hot-path gate of the profile; runs without one keep the exact
+  /// pre-profiling instruction path.
   [[nodiscard]] bool regionProfilingActive() const { return region_profiling_; }
   /// Anything consumes operation records (trace on, or a region profiled):
   /// the one cached gate a CoreContext op tests before building its record.
@@ -916,25 +912,23 @@ class SccMachine {
   /// means "no MPB traffic promised", so ANY access violates it.
   std::vector<std::vector<std::uint32_t>> ue_port_reach_;
   bool mpb_scope_declared_ = false;
-  /// Per-region shared-DRAM cacheability overrides (ExecutionPlan policy);
-  /// scanned newest-first so later registrations win.
-  struct ShmCacheRange {
-    std::uint64_t begin;
-    std::uint64_t end;
-    bool cached;
+  /// The region table: one entry per addShmRegion, scanned newest-first
+  /// (regionAt) so the newest region covering an offset decides it.
+  struct RegionEntry {
+    ShmRegion region;  ///< as registered, cached ranges rounded
+    /// The region's counters: named regions of a region_metrics run only.
+    std::unique_ptr<obs::RegionProfile> profile;
   };
-  std::vector<ShmCacheRange> shm_cache_map_;
-  /// Per-region controller placements; scanned newest-first like the
-  /// cacheability map. `ctrl_placement_active_` is the hot-path gate: false
-  /// (no non-default placement registered) keeps every shared-memory access
-  /// on the exact legacy requester-local instruction path.
-  struct ShmCtrlRange {
-    std::uint64_t begin;
-    std::uint64_t end;
-    partition::ControllerPlacement placement;
-    std::uint32_t pinned;
-  };
-  std::vector<ShmCtrlRange> shm_ctrl_map_;
+  std::vector<RegionEntry> region_table_;
+  [[nodiscard]] const RegionEntry* regionAt(std::uint64_t offset) const {
+    for (auto it = region_table_.rbegin(); it != region_table_.rend(); ++it) {
+      if (offset >= it->region.begin && offset < it->region.end) return &*it;
+    }
+    return nullptr;
+  }
+  /// A routing placement is registered: the hot-path gate. False keeps
+  /// every shared-memory access on the exact legacy requester-local
+  /// instruction path.
   bool ctrl_placement_active_ = false;
   /// First-touch stripe claims: global stripe index → controller.
   std::unordered_map<std::uint64_t, std::uint32_t> first_touch_claims_;
@@ -963,12 +957,8 @@ class SccMachine {
   /// only when config_.trace_enabled — disabled runs never even pay the
   /// recorder's enabled() check on engine hooks (null pointer short-circuit).
   obs::TraceRecorder trace_;
-  /// Named shared-DRAM regions being profiled; newest-first lookup like the
-  /// cacheability map. region_profiling_ is the hot-path gate.
-  std::vector<obs::RegionProfile> shm_regions_;
-  bool region_profiling_ = false;
+  bool region_profiling_ = false;  ///< see regionProfilingActive()
   bool observing_ = false;  ///< trace on || region_profiling_
-  [[nodiscard]] obs::RegionProfile* regionAt(std::uint64_t offset);
 
   /// Race detector (sim/drf/drf.h). drf_active_ caches config_.drf_check —
   /// the hot-path gate of noteDrf above.
@@ -997,7 +987,7 @@ class SccMachine {
   void drfCheck(const DrfAccess& a);
 
   /// Instantiate the per-core swcaches if not already present (on the
-  /// first cacheable region or plan with one).
+  /// first cached region or plan with one).
   void ensureSwcache();
 
  public:

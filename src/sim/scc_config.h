@@ -75,10 +75,10 @@ struct SccConfig {
 
   // -- software-managed release-consistency cache for shared memory --
   // (sim/swcache/swcache.h; docs/memory_model.md states the DRF contract.)
-  // Which shared ranges it serves is per region, never machine-wide:
-  // SccMachine::setShmCacheability, which plan-carrying rcce::ShmArrays
-  // call for kOffChipCached regions. Every other offset stays on the
-  // uncached word-granular path.
+  // Which shared ranges it serves is per region, never machine-wide: the
+  // regions SccMachine::addShmRegion registers cached, as plan-carrying
+  // rcce::ShmArrays do for kOffChipCached regions. Every other offset stays
+  // on the uncached word-granular path.
   /// Per-core swcache capacity in cache lines (x cache_line_bytes bytes;
   /// the default 512 x 32 B = 16 KB mirrors the modeled private L1).
   std::uint32_t swcache_lines = 512;
@@ -111,8 +111,8 @@ struct SccConfig {
   bool trace_enabled = false;
   /// Aggregate per-region shared-DRAM profiles (reads/writes/hits/misses/
   /// per-controller transactions for every named rcce::ShmArray region;
-  /// MetricsSnapshot::regions). Off by default: registration no-ops and the
-  /// access hooks stay one cached-bool branch. Ticks are unchanged either
+  /// MetricsSnapshot::regions). Off by default: no region gets a profile
+  /// and the access hooks stay one cached-bool branch. Ticks are unchanged either
   /// way.
   bool region_metrics = false;
   /// Happens-before data-race detection over shared-memory accesses

@@ -1,6 +1,5 @@
 #include "workloads/benchmark.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -17,8 +16,7 @@ const char* modeName(Mode mode) {
 }
 
 void runAndRecord(RunResult& result, sim::SccMachine& machine,
-                  const partition::ExecutionPlan& plan,
-                  std::initializer_list<const char*> known) {
+                  const partition::ExecutionPlan& plan) {
   result.makespan = machine.run();
   result.metrics = sim::obs::collectMetrics(machine);
   const auto counter = [&result](const char* name) -> std::uint64_t {
@@ -35,9 +33,7 @@ void runAndRecord(RunResult& result, sim::SccMachine& machine,
     const bool consequential =
         r.cached() || (r.onChip() && r.pattern != partition::MpbPattern::kNone) ||
         (!r.onChip() && r.controller != partition::ControllerPlacement::kOwnerCompute);
-    const bool realized = std::any_of(known.begin(), known.end(),
-                                      [&r](const char* name) { return r.name == name; });
-    if (consequential && !realized) ++result.plan_regions_unrealized;
+    if (consequential && !machine.shmRegionNamed(r.name)) ++result.plan_regions_unrealized;
   }
 }
 

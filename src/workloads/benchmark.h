@@ -46,11 +46,11 @@ struct RunResult {
   /// MPB accesses outside the plan's declared owner sets (RCCE modes).
   /// Non-zero voids the port-isolation guarantee.
   std::uint64_t mpb_scope_violations = 0;
-  /// Plan regions with runtime consequences (an on-chip MPB pattern or
-  /// cached routing) whose names this workload did not recognize. Name
-  /// drift between the translated source and the workload twin would
-  /// otherwise silently disable the plan — resolvePlacement falls back to
-  /// off-chip-uncached on a failed lookup.
+  /// Plan regions with runtime consequences (an on-chip MPB pattern,
+  /// cached routing or a routing placement) that no allocation of this
+  /// workload registered by name. Name drift between the translated source
+  /// and the workload twin would otherwise silently disable the plan —
+  /// resolvePlacement falls back to off-chip-uncached on a failed lookup.
   std::uint64_t plan_regions_unrealized = 0;
   // -- fault-tolerant run mode (config.fault armed; zero otherwise; the
   // injected/recovered/retry counts are in metrics.sim_counters) --
@@ -80,13 +80,12 @@ struct RunResult {
 /// controller load) read back out of it, so RunResult and MetricsSnapshot
 /// can never disagree; and plan_regions_unrealized, the plan's
 /// consequential regions (on-chip MPB pattern, cached routing, or a
-/// non-default controller placement) that are NOT among the workload's
-/// `known` region names. Regions with no runtime behavior (default-placed
-/// off-chip-uncached, pattern-free resident scalars) don't count: failing to
-/// look them up changes nothing.
+/// non-default controller placement) that no allocation registered by name
+/// (SccMachine::shmRegionNamed). Regions with no runtime behavior
+/// (default-placed off-chip-uncached, pattern-free resident scalars) don't
+/// count: failing to look them up changes nothing.
 void runAndRecord(RunResult& result, sim::SccMachine& machine,
-                  const partition::ExecutionPlan& plan,
-                  std::initializer_list<const char*> known);
+                  const partition::ExecutionPlan& plan);
 
 /// Compose RunResult::detail from the workload's functional value string and
 /// the sim-domain metric summary already collected into `result.metrics`
@@ -132,24 +131,21 @@ class Benchmark {
     const partition::ExecutionPlan& plan, const char* name, Mode mode);
 
 /// Allocate a workload's shared array for plan region `name`: plan-carrying
-/// (placement attribute, registered cacheability and controller placement)
-/// under resolvePlacement's class; a region the plan does not name is an
-/// off-chip-uncached, owner-compute array.
-/// Every allocation also registers `name` with the machine's region
-/// profiler (SccMachine::registerShmRegion) — a no-op unless
-/// config.region_metrics is set, where it feeds the per-region profiles in
-/// MetricsSnapshot::regions.
+/// (placement attribute, and the region registered once with its
+/// cacheability, controller placement and name) under resolvePlacement's
+/// class; a region the plan does not name is an off-chip-uncached,
+/// owner-compute array. The name feeds the region profile
+/// (config.region_metrics), race reports (config.drf_check) and
+/// runAndRecord's plan_regions_unrealized.
 template <typename T>
 [[nodiscard]] rcce::ShmArray<T> makeShmArray(rcce::RcceEnv& env, std::size_t count,
                                              const partition::ExecutionPlan& plan,
                                              const char* name, Mode mode) {
   const partition::RegionPlan* r = plan.find(name);
-  rcce::ShmArray<T> arr(
+  return rcce::ShmArray<T>(
       env, count, resolvePlacement(plan, name, mode),
       r != nullptr ? r->controller : partition::ControllerPlacement::kOwnerCompute,
-      r != nullptr ? r->pinned_controller : 0);
-  env.machine().registerShmRegion(name, arr.byteOffset(0), arr.byteOffset(count));
-  return arr;
+      r != nullptr ? r->pinned_controller : 0, name);
 }
 
 // Factories. `scale` multiplies the default problem size (1.0 = the sizes

@@ -160,7 +160,7 @@ class DotProduct final : public Benchmark {
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
         return dotRcce(ctx, p, a, b, acc, stage, mpb_acc, stage_ab, acc_mpb);
       }).withPlan(&plan));
-      runAndRecord(result, machine, plan, {"a", "b", "partial"});
+      runAndRecord(result, machine, plan);
       computed = acc_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
     }
 

@@ -174,7 +174,7 @@ class KvStore final : public Benchmark {
     } else {
       sim::SccMachine machine(config);
       const KvLayout layout = setupKvRcce(machine, p, units, plan, mode, cdf);
-      runAndRecord(result, machine, plan, {"kv_index", "kv_slots", "kv_checks"});
+      runAndRecord(result, machine, plan);
       std::memcpy(computed.data(), machine.shmData(layout.checks_offset),
                   static_cast<std::size_t>(units) * 8);
       slab_canonical = slabCanonical(
@@ -217,6 +217,20 @@ class KvStore final : public Benchmark {
 };
 
 }  // namespace
+
+partition::ExecutionPlan kvStorePlan(const KvParams& params,
+                                     partition::ControllerPlacement controller) {
+  using partition::MpbPattern;
+  using partition::PlacementClass;
+  using partition::RegionPlan;
+  return partition::ExecutionPlan{
+      {RegionPlan{"kv_index", PlacementClass::kOffChipUncached, MpbPattern::kNone,
+                  std::size_t{indexCapacity(params.num_keys)} * 8, controller},
+       RegionPlan{"kv_slots", PlacementClass::kOffChipUncached, MpbPattern::kNone,
+                  std::size_t{params.num_keys} * kWordsPerItem * 8, controller},
+       RegionPlan{"kv_checks", PlacementClass::kOffChipUncached, MpbPattern::kNone,
+                  8 * 8}}};
+}
 
 KvLayout setupKvRcce(sim::SccMachine& machine, const KvParams& params, int ues,
                      const partition::ExecutionPlan& plan, Mode mode, ZipfCdf cdf) {

@@ -97,6 +97,15 @@ struct KvParams {
 [[nodiscard]] std::unique_ptr<Benchmark> makeKvStore(double scale = 1.0);
 [[nodiscard]] std::unique_ptr<Benchmark> makeKvStore(const KvParams& params);
 
+/// The benchmark's plan for `params`: all three regions off-chip uncached
+/// with no MPB traffic, kv_index and kv_slots under `controller`, the per-UE
+/// kv_checks cells owner-compute. (Not named kvPlan: bench/pipeline keeps
+/// its own kvPlan(const KvParams&), which argument-dependent lookup would
+/// make ambiguous.)
+[[nodiscard]] partition::ExecutionPlan kvStorePlan(
+    const KvParams& params,
+    partition::ControllerPlacement controller = partition::ControllerPlacement::kOwnerCompute);
+
 /// Where setupKvRcce's three regions landed in shared DRAM — for callers
 /// that read results (machine.shmData) after machine.run().
 struct KvLayout {

@@ -159,7 +159,7 @@ class LuDecomposition final : public Benchmark {
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
         return luRcce(ctx, p, m, pivot_stage, use_mpb);
       }).withPlan(&plan));
-      runAndRecord(result, machine, plan, {"m"});
+      runAndRecord(result, machine, plan);
       verified = verifyLu(m.hostData(), p.n);
     }
 

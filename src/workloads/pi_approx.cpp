@@ -124,7 +124,7 @@ class PiApprox final : public Benchmark {
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
         return piRcce(ctx, p, acc, mpb_acc, use_mpb);
       }).withPlan(&plan));
-      runAndRecord(result, machine, plan, {"gsum"});
+      runAndRecord(result, machine, plan);
       computed = use_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
     }
 

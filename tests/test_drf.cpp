@@ -945,7 +945,7 @@ TEST(DrfMachine, ReportsByteIdenticalAcrossCoalescingModes) {
 TEST(DrfMachine, ObserversCostNoEvent) {
   const auto setup = [](SccMachine& m) {
     const std::uint64_t off = m.shmalloc(64);
-    m.registerShmRegion("counter", off, off + 64);
+    m.addShmRegion({.begin = off, .end = off + 64, .name = "counter"});
     m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
       return racyIncrement(ctx, off, 3);
     }));
@@ -996,7 +996,7 @@ sim::SimTask writeOwnSlot(sim::CoreContext& ctx, std::uint64_t base) {
 TEST(DrfMachine, CachedSlotsFalseShareLineModeOnly) {
   const auto setup = [](SccMachine& m) {
     const std::uint64_t base = m.shmalloc(64);
-    m.setShmCacheability(base, base + 64, true);
+    m.addShmRegion({.begin = base, .end = base + 64, .cached = true});
     m.launch(sim::LaunchSpec(4, [=](sim::CoreContext& ctx) {
       return writeOwnSlot(ctx, base);
     }));

@@ -19,6 +19,7 @@
 #include "sim/machine.h"
 #include "translator/translator.h"
 #include "workloads/benchmark.h"
+#include "workloads/kv_store.h"
 
 namespace hsm {
 namespace {
@@ -180,61 +181,55 @@ TEST(ExecutionPlanDerivation, CacheabilityMatchesSharingClassification) {
   }
 }
 
-// Controller placement — the NUMA half of the contract — also follows the
-// stage-2 sharing tables: read-mostly (cached) regions stripe their
-// addresses across all four controllers, while owner-partitioned
-// thread-written off-chip data stays on the requester-local owner-compute
-// mapping.
+// Controller placement — the NUMA half of the contract — states what the
+// machine realizes: owner-partitioned thread-written off-chip data stays on
+// the requester-local owner-compute mapping, and so do read-mostly (cached)
+// regions, whose swcache line fills always follow the requesting core (the
+// composition rule), so a derived plan never marks them striped.
 TEST(ExecutionPlanDerivation, ControllerPlacementFollowsSharingTables) {
   using partition::ControllerPlacement;
   for (const std::string& name : workloads::pthreadSourceNames()) {
     translator::TranslationResult r = translateBenchmark(name);
     ASSERT_TRUE(r.ok) << name << ": " << r.diagnostics;
     for (const RegionPlan& region : r.execution_plan.regions) {
-      if (region.cached()) {
-        EXPECT_EQ(region.controller, ControllerPlacement::kStriped)
-            << name << "." << region.name;
-      } else {
-        EXPECT_EQ(region.controller, ControllerPlacement::kOwnerCompute)
-            << name << "." << region.name;
-      }
+      EXPECT_EQ(region.controller, ControllerPlacement::kOwnerCompute)
+          << name << "." << region.name;
     }
   }
-  // Concretely: DotProduct's thread-read-only inputs stripe, and the plan
-  // JSON names the decision for the tooling that renders it.
+  // Concretely: DotProduct's thread-read-only inputs are cached and
+  // owner-compute, and the plan JSON names the decision for the tooling
+  // that renders it.
   const translator::TranslationResult dot = translateBenchmark("DotProduct");
   ASSERT_TRUE(dot.ok);
   ASSERT_NE(dot.execution_plan.find("a"), nullptr);
-  EXPECT_EQ(dot.execution_plan.find("a")->controller, ControllerPlacement::kStriped);
-  EXPECT_NE(dot.execution_plan.toJson(8).find("\"controller_placement\": \"striped\""),
-            std::string::npos);
+  EXPECT_TRUE(dot.execution_plan.find("a")->cached());
+  EXPECT_EQ(dot.execution_plan.find("a")->controller, ControllerPlacement::kOwnerCompute);
+  const std::string json = dot.execution_plan.toJson(8);
+  EXPECT_NE(json.find("\"controller_placement\": \"owner-compute\""), std::string::npos);
+  EXPECT_EQ(json.find("\"striped\""), std::string::npos);
 }
 
-// The KV store's plan shape (bench/scenarios.h's kvZipfPlan): all three
-// regions off-chip uncached with zero MPB traffic, the index and slot slab
-// carrying the A/B'd controller placement while the per-UE check cells stay
-// owner-compute. Guards the contract the placement benchmark leans on.
+// The KV store's plan (workloads::kvStorePlan): all three regions off-chip
+// uncached with zero MPB traffic, the index and slot slab carrying the A/B'd
+// controller placement while the per-UE check cells stay owner-compute.
+// Guards the contract the placement benchmark leans on.
 TEST(ExecutionPlan, KvStorePlanControllerPlacements) {
   using partition::ControllerPlacement;
-  auto kvPlan = [](ControllerPlacement cp) {
-    return ExecutionPlan{
-        {RegionPlan{"kv_index", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                    8192 * 8, cp},
-         RegionPlan{"kv_slots", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                    4096 * 4 * 8, cp},
-         RegionPlan{"kv_checks", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                    8 * 8}}};
-  };
   for (const ControllerPlacement cp :
        {ControllerPlacement::kStriped, ControllerPlacement::kOwnerCompute}) {
-    const ExecutionPlan plan = kvPlan(cp);
+    const ExecutionPlan plan = workloads::kvStorePlan(workloads::KvParams{}, cp);
     EXPECT_FALSE(plan.anyMpbTraffic());
     EXPECT_FALSE(plan.anyCachedRegion());
     for (int ue = 0; ue < 8; ++ue) {
       EXPECT_TRUE(plan.mpbScopeOwners(ue, 8).empty());
     }
+    ASSERT_NE(plan.find("kv_index"), nullptr);
+    EXPECT_EQ(plan.find("kv_index")->bytes, 8192u * 8);
+    EXPECT_EQ(plan.find("kv_index")->controller, cp);
     ASSERT_NE(plan.find("kv_slots"), nullptr);
+    EXPECT_EQ(plan.find("kv_slots")->bytes, 4096u * 4 * 8);
     EXPECT_EQ(plan.find("kv_slots")->controller, cp);
+    ASSERT_NE(plan.find("kv_checks"), nullptr);
     EXPECT_EQ(plan.find("kv_checks")->controller, ControllerPlacement::kOwnerCompute);
     EXPECT_NE(plan.toJson(8).find(controllerPlacementName(cp)), std::string::npos);
   }
@@ -306,7 +301,7 @@ TEST(Workloads, HandPlansLintCleanAndInScope) {
   }
 }
 
-// --- machine-level per-region cacheability map -------------------------------
+// --- machine-level per-region cacheability (the region table) ---------------
 
 TEST(ShmCacheability, RegionMapOverridesGlobalDefault) {
   // A mapped-cached region routes through the swcache, the rest stays
@@ -316,7 +311,7 @@ TEST(ShmCacheability, RegionMapOverridesGlobalDefault) {
   const std::uint64_t a = machine.shmalloc(4096);
   const std::uint64_t b = machine.shmalloc(4096);
   EXPECT_FALSE(machine.swcacheActive());
-  machine.setShmCacheability(a, a + 4096, true);
+  machine.addShmRegion({.begin = a, .end = a + 4096, .cached = true});
   EXPECT_TRUE(machine.swcacheActive());
   EXPECT_TRUE(machine.shmCached(a));
   EXPECT_TRUE(machine.shmCached(a + 4095));
@@ -326,14 +321,14 @@ TEST(ShmCacheability, RegionMapOverridesGlobalDefault) {
 TEST(ShmCacheability, LaterRegistrationWins) {
   sim::SccConfig config;
   sim::SccMachine machine(config);
-  machine.setShmCacheability(0, config.shared_dram_bytes, true);  // all cached
+  machine.addShmRegion({.end = config.shared_dram_bytes, .cached = true});  // all cached
   const std::uint64_t a = machine.shmalloc(4096);
   const std::uint64_t b = machine.shmalloc(4096);
-  machine.setShmCacheability(a, a + 4096, false);
+  machine.addShmRegion({.begin = a, .end = a + 4096});
   EXPECT_FALSE(machine.shmCached(a));      // pinned uncached
   EXPECT_TRUE(machine.shmCached(b));       // the earlier range governs the rest
   EXPECT_TRUE(machine.swcacheActive());
-  machine.setShmCacheability(a, a + 64, true);
+  machine.addShmRegion({.begin = a, .end = a + 64, .cached = true});
   EXPECT_TRUE(machine.shmCached(a));       // re-cached by the newest range
   EXPECT_FALSE(machine.shmCached(a + 64));
 }
@@ -360,7 +355,7 @@ TEST(ShmCacheability, CachedRangesAreLineGranular) {
   sim::SccConfig config;
   sim::SccMachine machine(config);
   const std::uint64_t base = machine.shmalloc(256);  // base is 0: line-aligned
-  machine.setShmCacheability(base + 40, base + 72, true);
+  machine.addShmRegion({.begin = base + 40, .end = base + 72, .cached = true});
   EXPECT_TRUE(machine.shmCached(base + 32));   // head line rounded down
   EXPECT_TRUE(machine.shmCached(base + 95));   // tail line rounded up
   EXPECT_FALSE(machine.shmCached(base + 31));

@@ -206,7 +206,7 @@ BlockRun runBlockWriters(const FaultPlan& plan, int ues, bool cached = false) {
   SccMachine m(cfg);
   const std::size_t bytes = static_cast<std::size_t>(ues) * kBlocksPerUe * kBlock;
   const std::uint64_t base = m.shmalloc(bytes);
-  if (cached) m.setShmCacheability(base, base + bytes, true);
+  if (cached) m.addShmRegion({.begin = base, .end = base + bytes, .cached = true});
   m.launch(LaunchSpec(ues, [=](CoreContext& ctx) { return blockWriter(ctx, base); }));
   BlockRun r;
   r.makespan = m.run();
@@ -507,7 +507,9 @@ PinnedRun runVerifiedPath(VerifiedPath path) {
   SccMachine m(cfg);
   const std::size_t bytes = static_cast<std::size_t>(kUes) * kBlocksPerUe * kBlock;
   const std::uint64_t base = m.shmalloc(bytes, cfg.cache_line_bytes);
-  if (path == VerifiedPath::kSwcacheFlush) m.setShmCacheability(base, base + bytes, true);
+  if (path == VerifiedPath::kSwcacheFlush) {
+    m.addShmRegion({.begin = base, .end = base + bytes, .cached = true});
+  }
   if (path == VerifiedPath::kMpbGet) {
     for (int ue = 0; ue < kUes; ++ue) {
       for (std::size_t i = 0; i < kBlocksPerUe * kBlock; ++i) {

@@ -146,12 +146,15 @@ TEST(ControllerPlacementRouting, StripedPinnedFirstTouchOwnerCompute) {
   const std::uint64_t pinned = m.shmalloc(4096);
   const std::uint64_t first_touch = m.shmalloc(4096);
   const std::uint64_t unplanned = m.shmalloc(4096);
-  m.setShmControllerPlacement(striped, striped + 4096,
-                              ControllerPlacement::kStriped);
-  m.setShmControllerPlacement(pinned, pinned + 4096, ControllerPlacement::kPinned,
-                              2);
-  m.setShmControllerPlacement(first_touch, first_touch + 4096,
-                              ControllerPlacement::kFirstTouch);
+  m.addShmRegion(
+      {.begin = striped, .end = striped + 4096, .placement = ControllerPlacement::kStriped});
+  m.addShmRegion({.begin = pinned,
+                  .end = pinned + 4096,
+                  .placement = ControllerPlacement::kPinned,
+                  .pinned_controller = 2});
+  m.addShmRegion({.begin = first_touch,
+                  .end = first_touch + 4096,
+                  .placement = ControllerPlacement::kFirstTouch});
 
   const std::uint64_t stripe = cfg.shm_controller_stripe_bytes;
   for (std::uint64_t off = 0; off < 4096; off += 8) {
@@ -195,10 +198,12 @@ TEST(ControllerTraffic, ConservesAcrossMixedPlannedAndUnplannedRegions) {
   const std::uint64_t planned = m.shmalloc(8 * 64);
   const std::uint64_t unplanned = m.shmalloc(8 * 64);
   const std::uint64_t bulk = m.shmalloc(8 * 256);
-  m.setShmControllerPlacement(planned, planned + 8 * 64,
-                              ControllerPlacement::kStriped);
-  m.setShmControllerPlacement(bulk, bulk + 8 * 256, ControllerPlacement::kPinned,
-                              1);
+  m.addShmRegion(
+      {.begin = planned, .end = planned + 8 * 64, .placement = ControllerPlacement::kStriped});
+  m.addShmRegion({.begin = bulk,
+                  .end = bulk + 8 * 256,
+                  .placement = ControllerPlacement::kPinned,
+                  .pinned_controller = 1});
   m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
     return mixedTrafficKernel(ctx, planned, unplanned, bulk);
   }));
@@ -218,15 +223,15 @@ TEST(ControllerTraffic, ConservesAcrossMixedPlannedAndUnplannedRegions) {
 TEST(ControllerTraffic, ConservesWithSwcacheRouting) {
   sim::SccConfig cfg;
   sim::SccMachine m(cfg);
-  m.setShmCacheability(0, cfg.shared_dram_bytes, true);  // everything cached...
+  m.addShmRegion({.end = cfg.shared_dram_bytes, .cached = true});  // everything cached...
   const std::uint64_t cached = m.shmalloc(8 * 64);
   const std::uint64_t uncached = m.shmalloc(8 * 64);
   const std::uint64_t bulk = m.shmalloc(8 * 256);
-  // ...but the uncached region, registered uncached later AND
+  // ...but the uncached region, registered later uncached AND
   // controller-striped; cached/bulk stay on the whole-range routing.
-  m.setShmCacheability(uncached, uncached + 8 * 64, false);
-  m.setShmControllerPlacement(uncached, uncached + 8 * 64,
-                              ControllerPlacement::kStriped);
+  m.addShmRegion({.begin = uncached,
+                  .end = uncached + 8 * 64,
+                  .placement = ControllerPlacement::kStriped});
   m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
     return mixedTrafficKernel(ctx, cached, uncached, bulk);
   }));
@@ -243,16 +248,6 @@ TEST(ControllerTraffic, ConservesWithSwcacheRouting) {
 }
 
 // --- the benchmark -----------------------------------------------------------
-
-ExecutionPlan kvPlan(ControllerPlacement cp) {
-  return ExecutionPlan{
-      {RegionPlan{"kv_index", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                  0, cp},
-       RegionPlan{"kv_slots", PlacementClass::kOffChipUncached, MpbPattern::kNone,
-                  0, cp},
-       RegionPlan{"kv_checks", PlacementClass::kOffChipUncached,
-                  MpbPattern::kNone, 0}}};
-}
 
 TEST(KvStore, VerifiesInAllThreeModes) {
   KvParams p;
@@ -279,8 +274,8 @@ TEST(KvStore, StripedPlanHotSpotsWhereOwnerComputeStaysFlat) {
   p.ops_per_ue = 256;
   const auto kv = workloads::makeKvStore(p);
   const sim::SccConfig cfg;
-  const ExecutionPlan owner = kvPlan(ControllerPlacement::kOwnerCompute);
-  const ExecutionPlan striped = kvPlan(ControllerPlacement::kStriped);
+  const ExecutionPlan owner = workloads::kvStorePlan(p);
+  const ExecutionPlan striped = workloads::kvStorePlan(p, ControllerPlacement::kStriped);
   const workloads::RunResult flat =
       kv->run(workloads::Mode::RcceOffChip, 8, cfg, &owner);
   const workloads::RunResult hot =
@@ -315,6 +310,27 @@ TEST(KvStore, ControllerPlacedRegionNameDriftIsDetected) {
       kv->run(workloads::Mode::RcceOffChip, 4, cfg, &drifted);
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.plan_regions_unrealized, 1u);
+}
+
+// "Realized" means some allocation registered the plan region's name: of
+// four consequential regions (cached or routed), the two the store
+// allocates do not count and the two it never allocates do.
+TEST(KvStore, UnrealizedCountsOnlyRegionsNoAllocationRegistered) {
+  KvParams p;
+  p.num_keys = 64;
+  p.ops_per_ue = 64;
+  const auto kv = workloads::makeKvStore(p);
+  const sim::SccConfig cfg;
+  ExecutionPlan plan = workloads::kvStorePlan(p, ControllerPlacement::kStriped);
+  plan.regions[0].placement = PlacementClass::kOffChipCached;  // kv_index, read-only
+  plan.regions.push_back(
+      RegionPlan{"kv_ghost", PlacementClass::kOffChipCached, MpbPattern::kNone, 64});
+  plan.regions.push_back(RegionPlan{"kv_phantom", PlacementClass::kOffChipUncached,
+                                    MpbPattern::kNone, 64, ControllerPlacement::kPinned, 1});
+  const workloads::RunResult r = kv->run(workloads::Mode::RcceOffChip, 4, cfg, &plan);
+  EXPECT_TRUE(r.verified);
+  EXPECT_GT(r.metrics.sim_counters.at("swcache_word_accesses"), 0u);  // kv_index cached
+  EXPECT_EQ(r.plan_regions_unrealized, 2u);
 }
 
 }  // namespace

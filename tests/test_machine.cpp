@@ -358,14 +358,18 @@ TEST(Machine, ShmallocRejectsNonPowerOfTwoAlignment) {
 TEST(Machine, PinnedPlacementRejectsMissingController) {
   SccMachine machine;  // 4 controllers
   const std::uint64_t base = machine.shmalloc(4096);
-  EXPECT_THROW(machine.setShmControllerPlacement(
-                   base, base + 4096, partition::ControllerPlacement::kPinned, 7),
+  EXPECT_THROW(machine.addShmRegion({.begin = base,
+                                     .end = base + 4096,
+                                     .placement = partition::ControllerPlacement::kPinned,
+                                     .pinned_controller = 7}),
                std::invalid_argument);
   // Nothing was registered: the range keeps requester-local routing.
   EXPECT_EQ(machine.controllerForShmAccess(0, base), machine.mesh().controllerOfCore(0));
   EXPECT_EQ(machine.controllerForShmAccess(47, base), machine.mesh().controllerOfCore(47));
-  machine.setShmControllerPlacement(base, base + 4096,
-                                    partition::ControllerPlacement::kPinned, 3);
+  machine.addShmRegion({.begin = base,
+                        .end = base + 4096,
+                        .placement = partition::ControllerPlacement::kPinned,
+                        .pinned_controller = 3});
   EXPECT_EQ(machine.controllerForShmAccess(0, base), 3u);
 }
 
@@ -393,13 +397,17 @@ TEST(Machine, RoutingPlacementAfterLaunchRejected) {
   for (const ControllerPlacement placement :
        {ControllerPlacement::kStriped, ControllerPlacement::kPinned,
         ControllerPlacement::kFirstTouch}) {
-    EXPECT_THROW(machine.setShmControllerPlacement(base, base + 4096, placement, 1),
+    EXPECT_THROW(machine.addShmRegion({.begin = base,
+                                       .end = base + 4096,
+                                       .placement = placement,
+                                       .pinned_controller = 1}),
                  std::logic_error);
   }
   EXPECT_EQ(machine.controllerForShmAccess(0, base), machine.mesh().controllerOfCore(0));
   EXPECT_EQ(machine.controllerForShmAccess(47, base), machine.mesh().controllerOfCore(47));
-  EXPECT_NO_THROW(machine.setShmControllerPlacement(base, base + 4096,
-                                                    ControllerPlacement::kOwnerCompute));
+  EXPECT_NO_THROW(machine.addShmRegion({.begin = base,
+                                        .end = base + 4096,
+                                        .placement = ControllerPlacement::kOwnerCompute}));
   EXPECT_EQ(machine.run(), 100u * 1250u);
 }
 
@@ -1642,12 +1650,15 @@ TEST(Machine, RandomKernelsBitIdenticalAcrossCoalescing) {
         const std::size_t line = cfg.cache_line_bytes;
         g.cached = machine.shmalloc(g.cached_words * 8, line);
         g.cached_own = machine.shmalloc(static_cast<std::size_t>(ues) * 48 * 8, line);
-        machine.setShmCacheability(g.cached, g.cached_own + static_cast<std::uint64_t>(ues) * 48 * 8,
-                                   true);
+        machine.addShmRegion(
+            {.begin = g.cached,
+             .end = g.cached_own + static_cast<std::uint64_t>(ues) * 48 * 8,
+             .cached = true});
         for (int ue = 0; ue < ues; ++ue) g.slot = machine.mpbMalloc(ue, 48 * 8);
         if (striped) {
-          machine.setShmControllerPlacement(g.shared, g.shared + g.shared_words * 8,
-                                            partition::ControllerPlacement::kStriped);
+          machine.addShmRegion({.begin = g.shared,
+                                .end = g.shared + g.shared_words * 8,
+                                .placement = partition::ControllerPlacement::kStriped});
         }
         machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) {
                          return randomKernel(ctx, g, seed);

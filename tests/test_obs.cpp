@@ -79,7 +79,7 @@ struct TraceRun {
 /// `cached` registers all of shared DRAM cacheable (the swcache routing).
 TraceRun runObsMix(const SccConfig& cfg, bool cached = false) {
   SccMachine m(cfg);
-  if (cached) m.setShmCacheability(0, cfg.shared_dram_bytes, true);
+  if (cached) m.addShmRegion({.end = cfg.shared_dram_bytes, .cached = true});
   rcce::RcceEnv env(m);
   const std::uint64_t base = m.shmalloc(8 * 512);
   const std::uint64_t counter = m.shmalloc(64);
@@ -235,7 +235,7 @@ TEST(ObsMetrics, CollectMetricsAbsorbsMachineStats) {
 TEST(ObsMetrics, RegionProfilingIsOffByDefault) {
   SccConfig cfg;
   SccMachine m(cfg);
-  m.registerShmRegion("ignored", 0, 4096);
+  m.addShmRegion({.end = 4096, .name = "ignored"});
   EXPECT_FALSE(m.regionProfilingActive());
   EXPECT_TRUE(m.shmRegionProfiles().empty());
 }
@@ -311,10 +311,10 @@ std::vector<std::string> regionMixProfile(const SccConfig& cfg, bool cache_regio
   const std::uint64_t words = m.shmalloc(4 * 64, cfg.cache_line_bytes);
   const std::uint64_t bulk = m.shmalloc(4 * 256, cfg.cache_line_bytes);
   const std::uint64_t cached = m.shmalloc(4 * 128, cfg.cache_line_bytes);
-  m.registerShmRegion("words", words, words + 4 * 64);
-  m.registerShmRegion("bulk", bulk, bulk + 4 * 256);
-  m.registerShmRegion("cached", cached, cached + 4 * 128);
-  if (cache_region) m.setShmCacheability(cached, cached + 4 * 128, true);
+  m.addShmRegion({.begin = words, .end = words + 4 * 64, .name = "words"});
+  m.addShmRegion({.begin = bulk, .end = bulk + 4 * 256, .name = "bulk"});
+  m.addShmRegion(
+      {.begin = cached, .end = cached + 4 * 128, .cached = cache_region, .name = "cached"});
   m.launch(sim::LaunchSpec(4, [=](sim::CoreContext& ctx) {
     return regionMix(ctx, words, bulk, cached);
   }));
@@ -345,6 +345,119 @@ TEST(ObsMetrics, RegionProfilesPinned) {
                 "words r=12 w=24 rw=96 ww=192 h=0 m=0 bl=0 mc=64/104/64/56",
                 "bulk r=12 w=23 rw=0 ww=0 h=0 m=0 bl=280 mc=64/56/72/88",
                 "cached r=48 w=48 rw=0 ww=0 h=72 m=24 bl=0 mc=6/6/6/6"}));
+}
+
+// --- the region table: one registration, every consumer ----------------------
+
+/// Every UE writes word 0 of `base` unsynchronized (a race), then reads its
+/// line twice (a fill or a hit, then a hit).
+sim::SimTask racyCachedLine(sim::CoreContext& ctx, std::uint64_t base) {
+  std::uint64_t v = static_cast<std::uint64_t>(ctx.ue());
+  co_await ctx.shmWrite(base, &v, sizeof(v));
+  co_await ctx.shmRead(base + 8, &v, sizeof(v));
+  co_await ctx.shmRead(base + 8, &v, sizeof(v));
+  co_await ctx.barrier();
+}
+
+// One registration of a named cached region drives swcache routing, the
+// region's profile and the race reports' region name, and its placement is
+// composed away: a cached region routes requester-locally even when
+// registered striped.
+TEST(RegionTable, CachedRegionDrivesRoutingProfileAndRaceNames) {
+  SccConfig cfg;
+  cfg.region_metrics = true;
+  cfg.drf_check = true;
+  SccMachine m(cfg);
+  const std::uint64_t base = m.shmalloc(256, cfg.cache_line_bytes);
+  m.addShmRegion({.begin = base,
+                  .end = base + 256,
+                  .cached = true,
+                  .placement = partition::ControllerPlacement::kStriped,
+                  .name = "shared"});
+  EXPECT_TRUE(m.swcacheActive());
+  EXPECT_TRUE(m.shmCached(base));
+  EXPECT_TRUE(m.shmCached(base + 255));
+  EXPECT_FALSE(m.shmCached(base + 256));
+  EXPECT_TRUE(m.shmRegionNamed("shared"));
+  EXPECT_EQ(m.controllerForShmAccess(47, base), m.controllerOfCore(47));
+  m.launch(sim::LaunchSpec(2, [=](sim::CoreContext& ctx) {
+    return racyCachedLine(ctx, base);
+  }));
+  m.run();
+
+  EXPECT_EQ(m.swcacheTotals().word_accesses, 2u * 3u);
+  EXPECT_EQ(m.shmWordsSimulated(), 0u);  // nothing took the uncached path
+  const std::vector<obs::RegionProfile> profiles = m.shmRegionProfiles();
+  ASSERT_EQ(profiles.size(), 1u);
+  const obs::RegionProfile& p = profiles[0];
+  EXPECT_EQ(p.name, "shared");
+  EXPECT_EQ(p.writes, 2u);
+  EXPECT_EQ(p.reads, 4u);
+  EXPECT_GT(p.hits, 0u);
+  EXPECT_GT(p.misses, 0u);
+  EXPECT_EQ(p.read_words + p.write_words, 0u);
+  // Line fills follow the requesting cores, never the stripes.
+  const std::uint32_t own[2] = {m.controllerOfCore(static_cast<int>(m.coreOfUe(0))),
+                                m.controllerOfCore(static_cast<int>(m.coreOfUe(1)))};
+  std::uint64_t fills = 0;
+  for (std::uint32_t mc = 0; mc < cfg.num_mem_controllers; ++mc) {
+    fills += p.controller_txns[mc];
+    if (mc != own[0] && mc != own[1]) {
+      EXPECT_EQ(p.controller_txns[mc], 0u) << "mc " << mc;
+    }
+  }
+  EXPECT_EQ(fills, p.misses);
+  const std::vector<sim::drf::RaceReport>& reports = m.drfChecker().reports();
+  ASSERT_FALSE(reports.empty());
+  for (const sim::drf::RaceReport& r : reports) EXPECT_EQ(r.region, "shared");
+}
+
+/// Every UE reads the whole routed region word by word.
+sim::SimTask readRegion(sim::CoreContext& ctx, std::uint64_t base, std::size_t bytes) {
+  std::vector<std::uint8_t> buf(bytes);
+  co_await ctx.shmRead(base, buf.data(), bytes);
+}
+
+// One registration of a named uncached striped region routes its words
+// across every controller and feeds the same split into its profile.
+TEST(RegionTable, RoutedRegionDrivesControllerTrafficAndProfile) {
+  SccConfig cfg;
+  cfg.region_metrics = true;
+  SccMachine m(cfg);
+  const std::size_t bytes = 4 * cfg.num_mem_controllers * cfg.shm_controller_stripe_bytes;
+  const std::uint64_t base = m.shmalloc(bytes);
+  m.addShmRegion({.begin = base,
+                  .end = base + bytes,
+                  .placement = partition::ControllerPlacement::kStriped,
+                  .name = "routed"});
+  EXPECT_FALSE(m.swcacheActive());
+  EXPECT_FALSE(m.shmCached(base));
+  m.launch(sim::LaunchSpec(2, [=](sim::CoreContext& ctx) {
+    return readRegion(ctx, base, bytes);
+  }));
+  m.run();
+
+  // Each UE's words spread evenly: a quarter of them per controller.
+  const std::uint64_t per_mc = 2 * bytes / cfg.shm_transaction_bytes / cfg.num_mem_controllers;
+  EXPECT_EQ(m.controllerTraffic(), std::vector<std::uint64_t>(cfg.num_mem_controllers, per_mc));
+  const std::vector<obs::RegionProfile> profiles = m.shmRegionProfiles();
+  ASSERT_EQ(profiles.size(), 1u);
+  EXPECT_EQ(profiles[0].name, "routed");
+  EXPECT_EQ(profiles[0].reads, 2u);
+  EXPECT_EQ(profiles[0].read_words, 2 * bytes / cfg.shm_transaction_bytes);
+  EXPECT_EQ(profiles[0].controller_txns, m.controllerTraffic());
+}
+
+// Names are recorded whatever the observers: plan_regions_unrealized reads
+// them with region profiles and the race checker off.
+TEST(RegionTable, NamesRecordedWithObserversOff) {
+  SccMachine m;
+  m.addShmRegion({.end = 64, .name = "kept"});
+  m.addShmRegion({.begin = 64, .end = 64});  // empty: registers nothing
+  EXPECT_TRUE(m.shmRegionNamed("kept"));
+  EXPECT_FALSE(m.shmRegionNamed("missing"));
+  EXPECT_FALSE(m.regionProfilingActive());
+  EXPECT_TRUE(m.shmRegionProfiles().empty());
 }
 
 }  // namespace

@@ -162,7 +162,7 @@ TEST(SwCache, SyncRangeWritesBackAndOptionallyDrops) {
 
 /// Route every shared-DRAM offset of `machine` through the swcache.
 void cacheAllShared(SccMachine& machine) {
-  machine.setShmCacheability(0, machine.config().shared_dram_bytes, true);
+  machine.addShmRegion({.end = machine.config().shared_dram_bytes, .cached = true});
 }
 
 SimTask producer(CoreContext& ctx, std::uint64_t data, std::uint64_t n_words) {
@@ -498,7 +498,7 @@ TEST(SwCacheMachine, TotalsEqualPerCoreSumsUnderMixedRegions) {
   SccMachine machine(cfg);
   const std::uint64_t cached = machine.shmalloc(4 * 256, /*align=*/64);
   const std::uint64_t uncached = machine.shmalloc(256);
-  machine.setShmCacheability(cached, cached + 4 * 256, true);
+  machine.addShmRegion({.begin = cached, .end = cached + 4 * 256, .cached = true});
   machine.launch(LaunchSpec(4, [&](CoreContext& ctx) {
     return mixedRegionToucher(ctx, cached, uncached, 3);
   }));
@@ -529,7 +529,7 @@ TEST(SwCacheMachine, DirtyLinesZeroAfterRelease) {
   SccMachine machine(cfg);
   const std::uint64_t cached = machine.shmalloc(4 * 256, /*align=*/64);
   const std::uint64_t uncached = machine.shmalloc(256);
-  machine.setShmCacheability(cached, cached + 4 * 256, true);
+  machine.addShmRegion({.begin = cached, .end = cached + 4 * 256, .cached = true});
   machine.launch(LaunchSpec(4, [&](CoreContext& ctx) {
     return mixedRegionToucher(ctx, cached, uncached, 2);
   }));
