@@ -11,8 +11,8 @@ alike). Both run.py invocations build their own harness from their own
 sources on first use. Finally it prints the host's core count and compiler
 and runs this tree's `bench/pipeline/compare.py` on the two JSON-lines
 files, whose verdict table and exit code it passes on, and after the table
-each workload's per-pair pass_s ratio (change over parent): the median, the
-range and how many pairs the change won.
+each workload's per-pair pass_s and setup_s ratios (change over parent):
+the median, the range and how many pairs the change won.
 
 Pass times of unchanged binaries vary by tens of percent from one run to
 the next on a shared host, so a performance claim needs many alternating
@@ -74,27 +74,31 @@ def run_side(tree, out, args):
         sys.exit(f"ab_pipeline: {' '.join(cmd)} failed in {tree}:\n{done.stderr}")
 
 
-def pass_times(path):
-    """workload -> pass_s of each untraced run, in run order."""
+PAIRED_METRICS = ("pass_s", "setup_s")
+
+
+def run_times(path, metric):
+    """workload -> `metric` of each untraced run, in run order."""
     times = {}
     with open(path) as f:
         for line in f:
             if line.strip():
                 record = json.loads(line)
                 if not record["trace"]:
-                    times.setdefault(record["workload"], []).append(record["metrics"]["pass_s"])
+                    times.setdefault(record["workload"], []).append(record["metrics"][metric])
     return times
 
 
 def print_pair_ratios(parent_file, change_file):
-    """Each workload's pass_s ratio within every pair (change over parent)."""
-    parent, change = pass_times(parent_file), pass_times(change_file)
-    for workload in sorted(set(parent) & set(change)):
-        ratios = [c / p for p, c in zip(parent[workload], change[workload])]
-        won = sum(r < 1.0 for r in ratios)
-        print(f"{workload} pass_s pair ratios (change/parent): median "
-              f"{statistics.median(ratios):.3f}, range {min(ratios):.3f}-{max(ratios):.3f}, "
-              f"change faster in {won}/{len(ratios)} pairs")
+    """Each workload's pass_s and setup_s ratio within every pair (change over parent)."""
+    for metric in PAIRED_METRICS:
+        parent, change = run_times(parent_file, metric), run_times(change_file, metric)
+        for workload in sorted(set(parent) & set(change)):
+            ratios = [c / p for p, c in zip(parent[workload], change[workload])]
+            won = sum(r < 1.0 for r in ratios)
+            print(f"{workload} {metric} pair ratios (change/parent): median "
+                  f"{statistics.median(ratios):.3f}, range {min(ratios):.3f}-{max(ratios):.3f}, "
+                  f"change faster in {won}/{len(ratios)} pairs")
 
 
 def main():

@@ -1,8 +1,13 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "sim/obs/trace.h"
 
@@ -37,18 +42,96 @@ std::string HangReport::format() const {
 SimHangError::SimHangError(Kind kind, HangReport report)
     : std::runtime_error(report.format()), kind_(kind), report_(std::move(report)) {}
 
+namespace {
+
+constexpr std::size_t kFrameClassBytes = 64;
+constexpr std::size_t kFrameClasses = 16;  // pooled frames: up to 1 KiB
+
+// A frame on a free list is poisoned whole, its link included: allocateFrame
+// unpoisons a frame before reading the link.
+void poisonFrame([[maybe_unused]] void* frame, [[maybe_unused]] std::size_t bytes) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_POISON_MEMORY_REGION(frame, bytes);
+#endif
+}
+
+void unpoisonFrame([[maybe_unused]] void* frame, [[maybe_unused]] std::size_t bytes) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(frame, bytes);
+#endif
+}
+
+/// One thread's free lists, one per size class, linked through the frames'
+/// first word; the thread's exit hands every frame back to the heap (so no
+/// SubTask may be destroyed by a thread after its thread-local destructors
+/// ran).
+struct FramePool {
+  void* free[kFrameClasses] = {};
+
+  FramePool() = default;
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+  ~FramePool() {
+    for (std::size_t cls = 0; cls < kFrameClasses; ++cls) {
+      const std::size_t bytes = (cls + 1) * kFrameClassBytes;
+      while (void* frame = free[cls]) {
+        unpoisonFrame(frame, bytes);
+        free[cls] = *static_cast<void**>(frame);
+        ::operator delete(frame, bytes);
+      }
+    }
+  }
+};
+
+thread_local FramePool frame_pool;
+
+}  // namespace
+
+void* allocateFrame(std::size_t bytes) {
+  const std::size_t cls = (bytes - 1) / kFrameClassBytes;
+  if (cls >= kFrameClasses) return ::operator new(bytes);
+  const std::size_t block = (cls + 1) * kFrameClassBytes;
+  void* const frame = frame_pool.free[cls];
+  if (frame == nullptr) return ::operator new(block);
+  unpoisonFrame(frame, block);
+  frame_pool.free[cls] = *static_cast<void**>(frame);
+  return frame;
+}
+
+void releaseFrame(void* frame, std::size_t bytes) noexcept {
+  const std::size_t cls = (bytes - 1) / kFrameClassBytes;
+  if (cls >= kFrameClasses) {
+    ::operator delete(frame, bytes);
+    return;
+  }
+  *static_cast<void**>(frame) = frame_pool.free[cls];
+  frame_pool.free[cls] = frame;
+  poisonFrame(frame, (cls + 1) * kFrameClassBytes);
+}
+
+void Engine::throwTaskRange(std::size_t task) {
+  throw std::out_of_range("task id " + std::to_string(task) + " does not fit a tree key (at most " +
+                          std::to_string(kMaxTasks) + " tasks)");
+}
+
+void Engine::throwTickRange(Tick when) {
+  throw std::out_of_range("event Tick " + std::to_string(when) +
+                          " does not fit a tree key (at most " + std::to_string(kMaxTick) + ")");
+}
+
 void Engine::schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id,
                       RunScope scope) {
   if (task_id >= task_pending_when_.size()) [[unlikely]] {
     throw std::logic_error("every event must belong to a spawned task");
   }
   if (when < now_) when = now_;
+  const std::uint64_t key = eventKey(when, task_id);
   assert(task_pending_when_[task_id] == kNever && "a task has one pending event");
   task_handle_[task_id] = h;
   // The running task's popped leaf is still in the tree: this one walk
   // replaces it.
   if (task_id == popped_) popped_ = kNoTask;
-  setSlot(task_id, when, scope);
+  setSlot(task_id, when, key, scope);
   ++classes_[task_class_[task_id]].pending_count;
   // A schedule aimed at a blocked task IS its wake: clear the park.
   if (task_blocked_sync_[task_id] != kNoSync) {
@@ -76,44 +159,56 @@ void Engine::schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id,
   }
 }
 
-void Engine::fileLeaf(std::size_t task, Tick when) const {
-  std::size_t n = tree_leaves_ + task;
-  tree_[n].when = when;
-  Tick win_when = when;
-  std::uint32_t win_task = tree_[n].task;
-  // Every level is written, and its winner is picked with masks: which side
-  // wins is data-dependent, and a mispredicted branch per level cost more
-  // than the walk the early exit on an unchanged node used to save.
-  while (n > 1) {
-    const TreeNode& sibling = tree_[n ^ 1];
-    const bool sibling_first =
-        (sibling.when < win_when) | ((sibling.when == win_when) & (sibling.task < win_task));
-    const Tick when_mask = Tick{0} - static_cast<Tick>(sibling_first);
-    const std::uint32_t task_mask = 0U - static_cast<std::uint32_t>(sibling_first);
-    win_when = (sibling.when & when_mask) | (win_when & ~when_mask);
-    win_task = (sibling.task & task_mask) | (win_task & ~task_mask);
-    n >>= 1;
-    tree_[n] = TreeNode{win_when, win_task};
+void Engine::layoutTree() {
+  // Blocks largest first: each then starts at a multiple of its own size.
+  std::vector<std::uint32_t> order(classes_.size());
+  for (std::uint32_t c = 0; c < order.size(); ++c) {
+    classes_[c].block_size = std::bit_ceil(std::max<std::size_t>(classes_[c].members.size(), 1));
+    order[c] = c;
+  }
+  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return classes_[a].block_size > classes_[b].block_size;
+  });
+  std::size_t used = 0;
+  for (const std::uint32_t c : order) {
+    classes_[c].block = used;
+    used += classes_[c].block_size;
+  }
+  tree_leaves_ = std::bit_ceil(std::max<std::size_t>(used, 1));
+  popped_ = kNoTask;  // the rebuild files every leaf from task_pending_when_
+  tree_.assign(2 * tree_leaves_, kEmptyKey);
+  for (ReachClass& c : classes_) {
+    c.node = (tree_leaves_ + c.block) / c.block_size;
+    for (std::size_t i = 0; i < c.members.size(); ++i) {
+      const std::size_t task = c.members[i];
+      task_leaf_[task] = c.block + i;
+      tree_[tree_leaves_ + c.block + i] = eventKey(task_pending_when_[task], task);
+    }
+  }
+  for (std::size_t n = tree_leaves_ - 1; n >= 1; --n) {
+    tree_[n] = std::min(tree_[2 * n], tree_[2 * n + 1]);
   }
 }
 
-void Engine::growTree(std::size_t tasks) {
-  std::size_t leaves = tree_leaves_;
-  while (leaves < tasks) leaves *= 2;
-  if (leaves == tree_leaves_) return;
-  tree_leaves_ = leaves;
-  popped_ = kNoTask;  // the rebuild files every leaf from task_pending_when_
-  tree_.assign(2 * leaves, TreeNode{kNever, 0});
-  for (std::size_t i = 0; i < leaves; ++i) {
-    tree_[leaves + i] = TreeNode{
-        i < task_pending_when_.size() ? task_pending_when_[i] : kNever,
-        static_cast<std::uint32_t>(i)};
+Tick Engine::horizonLowerBound(std::uint32_t resource) const {
+  if (resource >= resource_classes_.size()) return 0;
+  const std::size_t running = currentTaskId();
+  std::uint64_t key = kEmptyKey;
+  for (const std::uint32_t cls : resource_classes_[resource]) {
+    const ReachClass& c = classes_[cls];
+    const bool runs_here = running != kNoTask && task_class_[running] == cls;
+    if (c.alive - c.pending_count > (runs_here ? 1 : 0)) return 0;  // a member is parked
+    if (popped_ != kNoTask && task_class_[popped_] == cls) {
+      // The class node still holds the running task's popped leaf: take the
+      // siblings on that leaf's path up to the node instead.
+      for (std::size_t n = tree_leaves_ + task_leaf_[popped_]; n > c.node; n >>= 1) {
+        key = std::min(key, tree_[n ^ 1]);
+      }
+    } else {
+      key = std::min(key, tree_[c.node]);
+    }
   }
-  for (std::size_t n = leaves - 1; n >= 1; --n) {
-    const TreeNode& l = tree_[2 * n];
-    const TreeNode& r = tree_[2 * n + 1];
-    tree_[n] = firesBefore(r, l) ? r : l;
-  }
+  return key == kEmptyKey ? kNever : key >> 16;
 }
 
 std::uint32_t Engine::internReachClass(std::vector<std::uint32_t> reach) {
@@ -122,7 +217,7 @@ std::uint32_t Engine::internReachClass(std::vector<std::uint32_t> reach) {
   }
   const auto cls = static_cast<std::uint32_t>(classes_.size());
   for (const std::uint32_t r : reach) resource_classes_[r].push_back(cls);
-  classes_.push_back(ReachClass{std::move(reach), {}, 0, 0, {}});
+  classes_.emplace_back().resources = std::move(reach);
   return cls;
 }
 
@@ -298,6 +393,7 @@ void Engine::blockOnSync(std::size_t task, std::uint32_t sync) {
 }
 
 std::size_t Engine::spawn(SimTask task, Tick start, std::vector<std::uint32_t> reach) {
+  (void)eventKey(start, tasks_.size());  // both fit a key, or nothing is adopted
   std::sort(reach.begin(), reach.end());
   reach.erase(std::unique(reach.begin(), reach.end()), reach.end());
   if (!reach.empty() && reach.back() >= resource_classes_.size()) {
@@ -310,6 +406,7 @@ std::size_t Engine::spawn(SimTask task, Tick start, std::vector<std::uint32_t> r
   const std::uint32_t cls = internReachClass(std::move(reach));
   const std::size_t id = tasks_.size();
   task_class_.push_back(cls);
+  task_leaf_.push_back(0);
   task_pending_when_.push_back(kNever);
   task_scope_.emplace_back();
   task_handle_.emplace_back();
@@ -320,9 +417,14 @@ std::size_t Engine::spawn(SimTask task, Tick start, std::vector<std::uint32_t> r
   task_done_.push_back(false);
   member_mark_.push_back(0);
   completion_.push_back(0);
-  growTree(id + 1);
-  ++classes_[cls].alive;
-  classes_[cls].members.push_back(id);
+  ReachClass& c = classes_[cls];
+  ++c.alive;
+  c.members.push_back(id);
+  if (c.members.size() > c.block_size) {
+    layoutTree();  // a new class (no block yet), or one outgrowing its block
+  } else {
+    task_leaf_[id] = c.block + c.members.size() - 1;  // an empty leaf of its block
+  }
   task.handle().promise().engine = this;
   task.handle().promise().task_id = id;
   tasks_.push_back(std::move(task));
@@ -391,9 +493,10 @@ Tick Engine::run() {
   } wall_guard{*this, wall_start};
   for (;;) {
     dropPopped();
-    const TreeNode next = tree_[1];
-    if (next.when == kNever) break;
-    const std::size_t task = next.task;
+    const std::uint64_t key = tree_[1];
+    if (key == kEmptyKey) break;
+    const std::size_t task = key & (kMaxTasks - 1);
+    const Tick when = key >> 16;
     const std::coroutine_handle<> handle = task_handle_[task];
     // Pop: the slot empties now, but the leaf stays filed until the task's
     // own schedule() replaces it or dropPopped() clears it (header comment).
@@ -402,15 +505,15 @@ Tick Engine::run() {
     popped_ = task;
     --classes_[task_class_[task]].pending_count;
     if (watchdog_limit_ != 0) {
-      same_tick_events_ = next.when == now_ ? same_tick_events_ + 1 : 0;
+      same_tick_events_ = when == now_ ? same_tick_events_ + 1 : 0;
       if (same_tick_events_ > watchdog_limit_) {
         current_task_ = kNoTask;
         traceHangReport(2, now_);
         throw WatchdogError(hangReport());
       }
     }
-    if (event_hook_) event_hook_(next.when, task);
-    now_ = next.when;
+    if (event_hook_) event_hook_(when, task);
+    now_ = when;
     current_task_ = task;
     ++events_processed_;
     handle.resume();

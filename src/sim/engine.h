@@ -13,14 +13,20 @@
 // ordering is structural, not a comparator over an insertion-ordered heap: a
 // root task has at most one pending event (scheduling a second is an
 // assert), held in that task's pending slot, and a winner (tournament) tree
-// over task ids keyed (time, task_id) — the lower id winning an equal Tick —
-// names the next event; nextEventTime() is its root. An event costs one
-// leaf-to-root walk, always to the root, each level's winner picked with
-// masks rather than a data-dependent branch (and no exit at an unchanged
-// node): run() pops a task by emptying its slot but leaves its
-// leaf filed, and the task's own schedule() replaces the leaf in one walk;
+// over the pending slots names the next event; nextEventTime() is its root.
+// Each tree node is one packed key, `time << 16 | task_id` (eventKey), so
+// one unsigned compare orders two events by (time, task_id) — the lower id
+// winning an equal Tick — and an empty slot is the all-ones key. The packing
+// bounds both fields: schedule and deferPending throw std::out_of_range for
+// a Tick above kMaxTick (2^48 − 2, ~281 simulated seconds) other than
+// kNever, and spawn throws for a task id at or above kMaxTasks (65,536).
+// An event costs one leaf-to-root walk, always to the root, each level one
+// load, one min (a compare and a conditional move, no data-dependent
+// branch) and one store, with no exit at an unchanged node: run() pops a
+// task by emptying its slot but leaves its leaf filed, and the task's own
+// schedule() replaces the leaf in one walk;
 // if the event parks or finishes the task instead, the next read of the
-// root (nextEventTime(), the next pop, growTree) clears the leaf first, so
+// root (nextEventTime(), the next pop, layoutTree) clears the leaf first, so
 // the running task never bounds nextEventTime(). (time, task_id) is
 // therefore unique across pending events and the schedule is a total order
 // that does NOT depend on when events were inserted. That
@@ -90,6 +96,20 @@
 // not themselves its wakers share one wake bound, computed once per query,
 // and a caller that cannot act before some `floor` lets the scan stop at
 // the first bound at or below it.
+//
+// Class blocks and the lower bound: the key carries the task id, so a
+// leaf's position need not. The leaves are laid out in one power-of-two-
+// aligned block per reach class (the blocks sorted by size, largest first,
+// so each starts at a multiple of its size; spawn re-lays the tree when a
+// class is new or outgrows its block), and one inner node then holds each
+// class's earliest pending slot. `horizonLowerBound(r)` is the minimum of
+// those nodes over the classes that reach r — the running task's own stale
+// leaf left out by taking the minimum of the siblings on its path up to
+// its class's node — and 0 when any task of those classes is parked. It
+// never exceeds nextEventTimeFor(r): it ignores run scopes (a scope only
+// raises a task's bound) and wake chains (a parked task gives 0). It costs
+// a few loads per class, against a member scan for nextEventTimeFor, so a
+// platform model can afford it for every short lagged access.
 //
 // Under these rules coalescing may reduce `eventsProcessed()` but never
 // changes any Tick: makespan, per-task completion times, and every
@@ -250,6 +270,16 @@ struct ResumeAt {
   void await_resume() const noexcept {}
 };
 
+/// Coroutine-frame storage for SubTask: per-thread free lists in 64-byte
+/// size classes (frames above 1 KiB go to the global heap), so a data
+/// operation's frame costs no malloc/free pair once its class has been
+/// used. Freed frames are never returned to the system before the thread
+/// ends. Under AddressSanitizer a frame on a free list is poisoned and
+/// unpoisoned when handed out again, so a use of a destroyed frame is still
+/// reported.
+void* allocateFrame(std::size_t bytes);
+void releaseFrame(void* frame, std::size_t bytes) noexcept;
+
 /// A nested awaitable coroutine: `co_await someSubTask()` transfers control
 /// into the subtask; when it completes, control symmetric-transfers back to
 /// the awaiting coroutine. Used for multi-event operations (e.g. a block of
@@ -259,6 +289,11 @@ class [[nodiscard]] SubTask {
  public:
   struct promise_type {
     std::coroutine_handle<> continuation;
+
+    static void* operator new(std::size_t bytes) { return allocateFrame(bytes); }
+    static void operator delete(void* frame, std::size_t bytes) noexcept {
+      releaseFrame(frame, bytes);
+    }
 
     SubTask get_return_object() {
       return SubTask{std::coroutine_handle<promise_type>::from_promise(*this)};
@@ -314,6 +349,25 @@ class Engine {
   static constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
   /// Sync-object id of tasks not blocked on any registered sync object.
   static constexpr std::uint32_t kNoSync = static_cast<std::uint32_t>(-1);
+  /// Task ids fit the low 16 bits of a tree key: spawn throws at this one.
+  static constexpr std::size_t kMaxTasks = std::size_t{1} << 16;
+  /// The latest Tick an event may carry (the all-ones key is the empty slot).
+  static constexpr Tick kMaxTick = (Tick{1} << 48) - 2;
+  /// The tree key of an empty slot: above every event's key.
+  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+
+  /// The tree key of `task`'s event at `when`: `when << 16 | task`, so
+  /// keys order events by (when, task); kNever maps to kEmptyKey. Throws
+  /// std::out_of_range for a task id at or above kMaxTasks, or a `when`
+  /// above kMaxTick other than kNever.
+  [[nodiscard]] static std::uint64_t eventKey(Tick when, std::size_t task) {
+    if (task >= kMaxTasks) [[unlikely]] throwTaskRange(task);
+    if (when > kMaxTick) [[unlikely]] {
+      if (when != kNever) throwTickRange(when);
+      return kEmptyKey;
+    }
+    return when << 16 | task;
+  }
 
   /// An engine over `resources` coalescable resources (memory controllers,
   /// MPB ports — one shared id namespace, ids [0, resources)), fixed for its
@@ -349,8 +403,15 @@ class Engine {
   /// "horizon" that bounds safe event coalescing (see header comment).
   [[nodiscard]] Tick nextEventTime() const {
     dropPopped();
-    return tree_[1].when;
+    const std::uint64_t root = tree_[1];
+    return root == kEmptyKey ? kNever : root >> 16;
   }
+  /// A lower bound on nextEventTimeFor(resource), cheap enough for every
+  /// access (header comment): the earliest pending event among tasks whose
+  /// reach set contains `resource`, the running task excluded, and 0 when
+  /// any such task is parked or `resource` is unregistered. A caller that
+  /// issues strictly before it cannot be preceded on `resource`.
+  [[nodiscard]] Tick horizonLowerBound(std::uint32_t resource) const;
 
   /// Per-resource coalescing horizon: earliest pending event among tasks
   /// whose reach set contains `resource` (a task scoped to another resource
@@ -372,10 +433,10 @@ class Engine {
   /// Move pending task `task`'s event later, to `when`, with the run scope
   /// `scope`: its next moves up to `when` were replayed by a platform model
   /// (the joint replay defers each member it advanced to where its replayed
-  /// run stopped).
+  /// run stopped). Throws std::out_of_range as schedule does.
   void deferPending(std::size_t task, Tick when, RunScope scope = {}) {
     assert(task_pending_when_[task] != kNever && task_pending_when_[task] <= when);
-    setSlot(task, when, scope);
+    setSlot(task, when, eventKey(when, task), scope);
   }
 
   // -- synchronization objects (wake-chain tracking) --
@@ -402,8 +463,9 @@ class Engine {
   /// Adopt a task and schedule its first resume at `start`. `reach` is the
   /// set of registered resource timelines the task may ever touch; throws
   /// std::invalid_argument, adopting nothing, for an unregistered id or for
-  /// an empty set while resources exist. Returns an id usable with
-  /// `completionTime`.
+  /// an empty set while resources exist, and std::out_of_range for the
+  /// kMaxTasks-th task or a `start` eventKey rejects. Returns an id usable
+  /// with `completionTime`.
   std::size_t spawn(SimTask task, Tick start = 0, std::vector<std::uint32_t> reach = {});
 
   /// Run until the event queue drains. Returns the time of the last event.
@@ -489,16 +551,8 @@ class Engine {
   [[nodiscard]] ResumeAt resumeAt(Tick when) { return ResumeAt{*this, when}; }
 
  private:
-  /// A winner-tree node: the earliest pending event in its subtree, kNever
-  /// when the subtree has none. Leaves are the tasks' pending slots.
-  struct TreeNode {
-    Tick when;
-    std::uint32_t task;
-  };
-  /// The tree's order, the ordering contract itself: (when, task).
-  [[nodiscard]] static bool firesBefore(const TreeNode& a, const TreeNode& b) {
-    return a.when < b.when || (a.when == b.when && a.task < b.task);
-  }
+  [[noreturn]] static void throwTaskRange(std::size_t task);
+  [[noreturn]] static void throwTickRange(Tick when);
 
   /// A distinct reach set shared by one or more tasks. Tasks with equal
   /// sets are interned into one class, so scheduling stays O(1) per event
@@ -510,6 +564,12 @@ class Engine {
     std::int64_t pending_count = 0;        ///< members with a pending event
     std::int64_t alive = 0;                ///< spawned minus finished
     std::vector<std::size_t> blocked;      ///< members parked via blockOnSync
+    /// Its block of leaves: the first leaf and a power-of-two size at least
+    /// members.size(), so the tree node `node` covers exactly the block and
+    /// holds the class's earliest pending slot (layoutTree).
+    std::size_t block = 0;
+    std::size_t block_size = 0;
+    std::size_t node = 0;
   };
 
   /// A registered sync object: a lock or a barrier.
@@ -530,26 +590,36 @@ class Engine {
 
   /// Class of the sorted, unique reach set `reach`, created on first use.
   std::uint32_t internReachClass(std::vector<std::uint32_t> reach);
-  /// Set `task`'s pending slot to `when` (kNever: none) with its run scope
-  /// and file it in the tree.
-  void setSlot(std::size_t task, Tick when, RunScope scope = {}) {
+  /// Set `task`'s pending slot to `when` (kNever: none), whose tree key is
+  /// `key`, with its run scope and file it in the tree.
+  void setSlot(std::size_t task, Tick when, std::uint64_t key, RunScope scope) {
     task_pending_when_[task] = when;
     task_scope_[task] = scope;
-    fileLeaf(task, when);
+    fileLeaf(task, key);
   }
-  /// Set `task`'s leaf to `when` and replay its whole path to the root, each
-  /// level's winner picked without a branch. Touches only the tree.
-  void fileLeaf(std::size_t task, Tick when) const;
+  /// Set `task`'s leaf to `key` and replay its whole path to the root, each
+  /// level one min. Touches only the tree.
+  void fileLeaf(std::size_t task, std::uint64_t key) const {
+    std::size_t n = tree_leaves_ + task_leaf_[task];
+    std::uint64_t* const tree = tree_.data();
+    tree[n] = key;
+    while (n > 1) {
+      key = std::min(key, tree[n ^ 1]);
+      n >>= 1;
+      tree[n] = key;
+    }
+  }
   /// Clear the popped task's leaf if its event did not refile it. Every
   /// reader of the root calls this first; the tree is a cache of the slots,
   /// so this is logically const.
   void dropPopped() const {
     if (popped_ == kNoTask) return;
-    fileLeaf(popped_, kNever);
+    fileLeaf(popped_, kEmptyKey);
     popped_ = kNoTask;
   }
-  /// Grow the tree to cover task ids below `tasks` (a power of two leaves).
-  void growTree(std::size_t tasks);
+  /// Give every class a block of leaves (header comment) and rebuild the
+  /// tree from the pending slots.
+  void layoutTree();
   /// Earliest time the wake chain of blocked `task` could execute (see
   /// header comment). `visited` carries the chain walked so far for cycle
   /// detection.
@@ -573,12 +643,14 @@ class Engine {
   void traceHangReport(std::uint64_t kind, Tick at);
 
   // -- the pending set (one slot per task) --
-  /// Winner tree over task ids: node 1 is the root, the leaves sit at
-  /// [tree_leaves_, 2 * tree_leaves_) in task-id order (leaf i mirrors
-  /// task_pending_when_[i]), and every inner node holds the earlier of its
-  /// two children under firesBefore.
-  mutable std::vector<TreeNode> tree_ = std::vector<TreeNode>(2, TreeNode{kNever, 0});
+  /// Winner tree of packed keys (eventKey): node 1 is the root, the leaves
+  /// sit at [tree_leaves_, 2 * tree_leaves_) in class blocks (task t's leaf
+  /// is tree_leaves_ + task_leaf_[t] and mirrors task_pending_when_[t];
+  /// unused leaves hold kEmptyKey), and every inner node holds the smaller
+  /// of its two children.
+  mutable std::vector<std::uint64_t> tree_ = std::vector<std::uint64_t>(2, kEmptyKey);
   std::size_t tree_leaves_ = 1;  ///< a power of two
+  std::vector<std::size_t> task_leaf_;  ///< per task: its leaf, counted from the first leaf
   /// The task whose event run() popped while its leaf still holds the
   /// popped Tick (its slot is already kNever), or kNoTask.
   mutable std::size_t popped_ = kNoTask;

@@ -188,7 +188,7 @@ SubTask CoreContext::faultPreOp() {
 }
 
 ResumeAt CoreContext::compute(std::uint64_t core_cycles) {
-  return spend(machine_.config().coreClock().cycles(core_cycles));
+  return spend(machine_.core_clock_.cycles(core_cycles));
 }
 
 ResumeAt CoreContext::computeOps(std::uint64_t count, OpClass cls) {
@@ -262,9 +262,6 @@ struct CoreContext::Transfer {
   /// in this event or by the suspension); returns the resume.
   ResumeAt step(CoreContext& ctx) {
     SccMachine& m = ctx.machine_;
-    // A short run pays a lag by suspending (SccMachine::timedRun), so skip
-    // the run's set-up until then.
-    if (ctx.lag_ > 0 && left <= SccMachine::kShortRun) return ctx.payLag();
     const Tick start = ctx.now();
     ctx.lag_ = 0;
     std::size_t done = 1;
@@ -452,7 +449,6 @@ SubTask CoreContext::swcacheRw(std::uint64_t offset, void* out, const void* src,
 }
 
 ResumeAt CoreContext::lineStep(std::size_t& lines) {
-  if (lag_ > 0 && lines <= SccMachine::kShortRun) return payLag();  // as Transfer::step
   const Tick start = now();
   lag_ = 0;
   std::size_t serviced = 0;
@@ -1092,7 +1088,40 @@ Tick SccMachine::privAccessCompletion(int core, Tick start, std::uint64_t addr,
 
 ResumeAt SccMachine::timedRun(const RunParams& run, Tick start, std::size_t max_txns,
                               std::size_t* done) {
-  // The one batching rule (header comment at RunKind).
+  // The one batching rule (header comment at RunKind). Most calls are a
+  // short run with no record and no armed stall: the per-event path.
+  const std::size_t self = engine_.currentTaskId();
+  if (self >= run_of_task_.size()) run_of_task_.resize(self + 1, kNoRun);
+  if (run_of_task_[self] == kNoRun && (!config_.coalescing || max_txns <= kShortRun) &&
+      !fault_.armed(FaultClass::kMcStall)) {
+    return oneTxn(run, start, max_txns, 0, done);
+  }
+  return replayedRun(run, start, max_txns, done);
+}
+
+ResumeAt SccMachine::oneTxn(const RunParams& run, Tick start, std::size_t left,
+                            std::size_t reported, std::size_t* done) {
+  // A start past the running event's Tick is a lag (only ever with
+  // coalescing on). A short run issues in the running event only strictly
+  // before the engine's cheap lower bound on the horizon (a full horizon
+  // scan per short access costs more host time than the event it would
+  // save); otherwise it pays its lag by suspending.
+  if (start > engine_.now() && start >= engine_.horizonLowerBound(run.resource)) {
+    *done = 0;
+    return ResumeAt{engine_, start, scopeAfter(run, start, left)};
+  }
+  ++tally_[static_cast<std::size_t>(run.kind)].events;
+  const std::uint32_t mcs = config_.num_mem_controllers;
+  ResourceTimeline& timeline =
+      run.resource < mcs ? mc_[run.resource] : mpb_port_[run.resource - mcs];
+  const Tick t = timeline.acquire(start + run.overhead + run.hop, run.service) + run.hop;
+  countTxns(run.resource, run.kind, 1);
+  *done = reported + 1;
+  return ResumeAt{engine_, t, scopeAfter(run, t, left - 1)};
+}
+
+ResumeAt SccMachine::replayedRun(const RunParams& run, Tick start, std::size_t max_txns,
+                                 std::size_t* done) {
   const std::uint32_t resource = run.resource;
   const std::uint32_t mcs = config_.num_mem_controllers;
   ResourceTimeline& timeline = resource < mcs ? mc_[resource] : mpb_port_[resource - mcs];
@@ -1103,7 +1132,6 @@ ResumeAt SccMachine::timedRun(const RunParams& run, Tick start, std::size_t max_
   // could not be paid, or transactions a peer's replay already serviced for
   // it (its pending event was deferred to their end, which is now).
   std::size_t reported = 0;
-  if (self >= run_of_task_.size()) run_of_task_.resize(self + 1, kNoRun);
   if (const std::size_t i = run_of_task_[self]; i != kNoRun) {
     assert(runs[i].task == self && runs[i].t == start &&
            runs[i].remaining + runs[i].done == max_txns);
@@ -1123,15 +1151,12 @@ ResumeAt SccMachine::timedRun(const RunParams& run, Tick start, std::size_t max_
   // never a registered run.
   const std::size_t left = max_txns - reported;
   const std::size_t want = config_.coalescing && left > kShortRun ? left : 1;
+  const bool stalls = fault_.armed(FaultClass::kMcStall);
+  if (want == 1 && !stalls) return oneTxn(run, start, left, reported, done);
   // A start past the running event's Tick is a lag (only ever with
-  // coalescing on; a record's start is always its event's Tick).
+  // coalescing on; a record's start is always its event's Tick, and an
+  // armed stall stops the folding).
   const bool lagged = start > engine_.now();
-  if (lagged && want == 1) {
-    // A short run pays its lag by suspending: a horizon scan per short
-    // access costs more host time than the event it would save.
-    *done = 0;
-    return ResumeAt{engine_, start, scopeAfter(run, start, left)};
-  }
   // One horizon scan: the members are the caller and every registered run
   // with transactions left (a finished one is a non-member until it
   // resumes); H is the horizon over everyone else.
@@ -1160,14 +1185,6 @@ ResumeAt SccMachine::timedRun(const RunParams& run, Tick start, std::size_t max_
     }
   }
   ++tally.events;
-  const bool stalls = fault_.armed(FaultClass::kMcStall);
-  if (want == 1 && !stalls) {
-    // One transaction, acquired in the running event.
-    const Tick t = timeline.acquire(start + run.overhead + run.hop, run.service) + run.hop;
-    countTxns(resource, run.kind, 1);
-    *done = reported + 1;
-    return ResumeAt{engine_, t, scopeAfter(run, t, left - 1)};
-  }
   // Memory-controller stall faults: keyed by (resource id, per-resource
   // transaction index). The transaction order per resource is identical
   // across coalescing modes (the coalescing invariant), so the stall

@@ -184,9 +184,11 @@ class CoreContext {
   // UE's lag, and now() runs ahead of the engine's clock by it. The next
   // operation pays the lag. A shared-memory or MPB run longer than
   // SccMachine::kShortRun issues its first transaction at now() inside the
-  // running event when no other task could touch that resource first
-  // (SccMachine::timedRun); every other operation suspends to now() first,
-  // and a task ending with a lag completes at now(). The race detector
+  // running event when no other task could touch that resource first, and
+  // so does a shorter run when no task reaching the resource is parked or
+  // has an event at or before now() (SccMachine::timedRun); every other
+  // operation suspends to now() first, and a task ending with a lag
+  // completes at now(). The race detector
   // checks an access issued ahead of the engine's clock when the engine
   // reaches its Tick (SccMachine::flushDrf). Otherwise every compute is its
   // own event.
@@ -749,9 +751,13 @@ class SccMachine {
   // Otherwise the call services nothing: the task suspends to that instant,
   // and the run is registered there at once (done = 0), so a peer's replay
   // carries it as a member in (t, task id) order instead of stopping at its
-  // event. A shorter run always pays its lag by suspending: on kv_zipf's
-  // 4-word items a horizon scan per access cost more host time than the
-  // event it saved.
+  // event. A shorter run asks the engine's cheap sufficient condition
+  // instead of a horizon scan (on kv_zipf's 4-word items a scan per access
+  // cost more host time than the event it saved): it issues its first
+  // transaction in the running event when that instant falls strictly
+  // before Engine::horizonLowerBound(resource) — the earliest pending event
+  // of any task reaching the resource, 0 while one of them is parked, and
+  // never above the single-task horizon — and otherwise suspends to it.
   //
   // A call with at most kShortRun transactions left takes the per-event
   // path (one transaction, no registered run, no horizon query): a short
@@ -826,6 +832,16 @@ class SccMachine {
   /// event cannot pay: then none). Stores how many in `*done` and returns
   /// the resume after the last, with the task's run scope.
   ResumeAt timedRun(const RunParams& run, Tick start, std::size_t max_txns, std::size_t* done);
+  /// timedRun's per-event path, for a caller with `left` transactions
+  /// left after `reported` ones a peer's replay serviced: one transaction
+  /// in the running event, or none when a lagged `start` is not strictly
+  /// before Engine::horizonLowerBound.
+  ResumeAt oneTxn(const RunParams& run, Tick start, std::size_t left, std::size_t reported,
+                  std::size_t* done);
+  /// timedRun's general path: a registered record, a batched run, or an
+  /// armed memory-controller stall.
+  ResumeAt replayedRun(const RunParams& run, Tick start, std::size_t max_txns,
+                       std::size_t* done);
   /// The scope of a task left with `k` transactions of `run` at `t` (none
   /// with coalescing off, where no horizon is ever asked, or k = 0).
   [[nodiscard]] RunScope scopeAfter(const RunParams& run, Tick t, std::size_t k) const {

@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "sim/engine.h"
 
@@ -879,6 +886,56 @@ TEST(Engine, SubTaskReusableSequentially) {
   EXPECT_EQ(engine.makespan(), 20u);
 }
 
+#if defined(__SANITIZE_ADDRESS__)
+/// Records the awaiting SubTask's frame and whether ASan reads it as
+/// poisoned while it runs; never suspends.
+struct GrabFrame {
+  void** frame;
+  bool* poisoned_live;
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) const noexcept {
+    *frame = h.address();
+    *poisoned_live = __asan_address_is_poisoned(h.address()) != 0;
+    return false;
+  }
+  void await_resume() const noexcept {}
+};
+
+SubTask frameProbe(void** frame, bool* poisoned_live) {
+  co_await GrabFrame{frame, poisoned_live};
+}
+
+SimTask runFrameProbe(Engine& engine, void** frame, bool* poisoned_live) {
+  co_await engine.delay(1);
+  co_await frameProbe(frame, poisoned_live);
+}
+#endif
+
+// SubTask frames come from a per-thread pool, not the heap: under
+// AddressSanitizer a destroyed frame must still read as poisoned (so a use
+// after its destruction is reported), and a reused one as live.
+TEST(Engine, DestroyedSubTaskFrameReadsPoisoned) {
+#if !defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  Engine engine;
+  void* first = nullptr;
+  void* second = nullptr;
+  bool first_live_poisoned = true;
+  bool second_live_poisoned = true;
+  engine.spawn(runFrameProbe(engine, &first, &first_live_poisoned));
+  engine.run();
+  ASSERT_NE(first, nullptr);
+  EXPECT_FALSE(first_live_poisoned);
+  EXPECT_TRUE(__asan_address_is_poisoned(first));
+  engine.spawn(runFrameProbe(engine, &second, &second_live_poisoned));
+  engine.run();
+  EXPECT_EQ(second, first);  // the pooled frame was handed out again
+  EXPECT_FALSE(second_live_poisoned);
+  EXPECT_TRUE(__asan_address_is_poisoned(second));
+#endif
+}
+
 TEST(ResourceTimeline, IdleResourceServesImmediately) {
   ResourceTimeline r;
   EXPECT_EQ(r.acquire(100, 10), 110u);
@@ -1278,6 +1335,255 @@ TEST(Engine, TaskSlotQueueMatchesReferenceOrder) {
   EXPECT_GT(total_pops, 50000u);
   EXPECT_GT(total_releases, 500u);
   EXPECT_GT(total_multi, 20000u);
+}
+
+/// Differential harness for the packed-key tree and its class blocks: the
+/// fuzz tasks' every schedule, deferral, park and wake is mirrored into a
+/// std::set of (when, task id), and every resume must be its first entry.
+/// At each resume it also checks horizonLowerBound(r) against a scan — the
+/// earliest pending event among tasks reaching r, 0 once one of them is
+/// parked — both while the running task's popped leaf is still filed and
+/// after nextEventTime() has dropped it, and that the bound never exceeds
+/// nextEventTimeFor(r).
+struct BlockFuzz {
+  enum class State : std::uint8_t { kPending, kRunning, kParked, kDone };
+  static constexpr std::uint32_t kResources = 4;
+  static constexpr std::size_t kMaxSpawns = 40;
+
+  explicit BlockFuzz(std::uint64_t seed) : rng(seed) {}
+
+  Engine engine{kResources};
+  std::mt19937_64 rng;
+  std::vector<std::vector<std::uint32_t>> classes;  ///< the reach sets drawn from
+  std::vector<std::size_t> class_weight;            ///< unequal spawn odds per set
+  std::vector<std::vector<std::uint32_t>> reach;    ///< per task
+  std::vector<State> state;
+  std::vector<Tick> pending_when;
+  std::vector<std::coroutine_handle<>> parked;
+  std::set<std::pair<Tick, std::size_t>> ref;
+  std::size_t pops = 0;
+  std::size_t defers = 0;
+  std::size_t mid_run_spawns = 0;
+  std::size_t finite_bounds = 0;  ///< lower-bound checks that read a pending slot
+  std::string failure;
+
+  Tick draw(Tick n) { return static_cast<Tick>(rng() % n); }
+  void check(bool ok, const std::string& what) {
+    if (!ok && failure.empty()) failure = what + " at pop " + std::to_string(pops);
+  }
+  void expect(std::size_t task, Tick when) {
+    ref.emplace(when, task);
+    state[task] = State::kPending;
+    pending_when[task] = when;
+  }
+  [[nodiscard]] bool reaches(std::size_t task, std::uint32_t r) const {
+    return std::find(reach[task].begin(), reach[task].end(), r) != reach[task].end();
+  }
+  [[nodiscard]] Tick refLowerBound(std::uint32_t r) const {
+    for (std::size_t t = 0; t < state.size(); ++t) {
+      if (state[t] == State::kParked && reaches(t, r)) return 0;
+    }
+    for (const auto& [when, task] : ref) {
+      if (reaches(task, r)) return when;
+    }
+    return Engine::kNever;
+  }
+  void checkBounds(const std::string& phase) {
+    Tick bound[kResources];
+    for (std::uint32_t r = 0; r < kResources; ++r) bound[r] = engine.horizonLowerBound(r);
+    // nextEventTimeFor may read the root, and so drop the popped leaf: only
+    // after every bound was taken.
+    for (std::uint32_t r = 0; r < kResources; ++r) {
+      const Tick want = refLowerBound(r);
+      check(bound[r] == want, phase + " horizonLowerBound(" + std::to_string(r) + ") " +
+                                  std::to_string(bound[r]) + ", reference " +
+                                  std::to_string(want));
+      check(bound[r] <= engine.nextEventTimeFor(r), phase + " bound above nextEventTimeFor");
+      if (want != 0 && want != Engine::kNever) ++finite_bounds;
+    }
+  }
+  std::size_t spawn(Tick start);
+  void onResume(std::size_t id) {
+    ++pops;
+    check(!ref.empty() && *ref.begin() == std::make_pair(engine.now(), id),
+          "resumed task " + std::to_string(id) + " @" + std::to_string(engine.now()));
+    ref.erase({engine.now(), id});
+    state[id] = State::kRunning;
+    checkBounds("popped");  // the running task's leaf is still filed
+    check(engine.nextEventTime() == (ref.empty() ? Engine::kNever : ref.begin()->first),
+          "nextEventTime");
+    checkBounds("dropped");
+  }
+  /// Non-suspending moves of the running task: defer a pending peer, wake a
+  /// parked one, spawn a new task.
+  void sideActions() {
+    const std::size_t pick = draw(5);
+    if (pick == 0 && !ref.empty()) {
+      auto it = ref.begin();
+      std::advance(it, draw(ref.size()));
+      const auto [when, task] = *it;
+      const Tick later = when + draw(6);
+      ref.erase(it);
+      engine.deferPending(task, later);
+      expect(task, later);
+      ++defers;
+    } else if (pick == 1) {
+      std::vector<std::size_t> sleepers;
+      for (std::size_t t = 0; t < state.size(); ++t) {
+        if (state[t] == State::kParked) sleepers.push_back(t);
+      }
+      if (!sleepers.empty()) {
+        const std::size_t t = sleepers[draw(sleepers.size())];
+        const Tick when = engine.now() + draw(4);
+        engine.schedule(when, parked[t], t);
+        expect(t, when);
+      }
+    } else if (pick == 2 && state.size() < kMaxSpawns) {
+      spawn(engine.now() + draw(4));
+      ++mid_run_spawns;
+    }
+  }
+};
+
+struct BlockPark {
+  BlockFuzz* f;
+  std::size_t task;
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    f->parked[task] = h;
+    f->state[task] = BlockFuzz::State::kParked;
+  }
+  void await_resume() const noexcept {}
+};
+
+SimTask blockFuzzTask(BlockFuzz& f, std::size_t id) {
+  for (int step = 0;; ++step) {
+    f.onResume(id);
+    f.sideActions();
+    const Tick pick = f.draw(10);
+    if (pick == 0 || step == 25) {
+      f.state[id] = BlockFuzz::State::kDone;
+      co_return;
+    }
+    if (pick == 1) {
+      co_await BlockPark{&f, id};
+    } else {
+      // At least one Tick ahead (a resume at now() continues inline), and
+      // small: many equal Ticks across tasks.
+      const Tick when = f.engine.now() + 1 + f.draw(4);
+      f.expect(id, when);
+      co_await f.engine.resumeAt(when);
+    }
+  }
+}
+
+std::size_t BlockFuzz::spawn(Tick start) {
+  std::size_t total = 0;
+  for (const std::size_t w : class_weight) total += w;
+  std::size_t pick = draw(total);
+  std::size_t cls = 0;
+  while (pick >= class_weight[cls]) pick -= class_weight[cls++];
+  const std::size_t id = state.size();
+  reach.push_back(classes[cls]);
+  state.push_back(State::kPending);
+  pending_when.push_back(0);
+  parked.emplace_back();
+  expect(id, start);
+  const std::size_t spawned = engine.spawn(blockFuzzTask(*this, id), start, classes[cls]);
+  check(spawned == id, "spawn id");
+  return id;
+}
+
+// The packed (when << 16 | task) keys and the class-block layout against an
+// ordered set. Each trial draws 2-5 reach sets over four resources with
+// unequal spawn weights (so blocks of different sizes grow, and the tree is
+// re-laid out, both before the run and from inside running events), then
+// runs tasks that reschedule at small offsets, defer pending peers, park,
+// wake parked tasks and spawn new ones; leftovers are woken from host
+// context and run again.
+TEST(Engine, PackedKeysAndClassBlocksMatchOrderedSetOracle) {
+  std::size_t total_pops = 0;
+  std::size_t total_defers = 0;
+  std::size_t total_spawns = 0;
+  std::size_t total_finite = 0;
+  for (std::uint64_t trial = 0; trial < 150; ++trial) {
+    BlockFuzz f(trial * 0x9E3779B97F4A7C15ULL + 11);
+    const std::size_t sets = 2 + f.draw(4);
+    for (std::size_t c = 0; c < sets; ++c) {
+      std::vector<std::uint32_t> set;
+      for (std::uint32_t r = 0; r < BlockFuzz::kResources; ++r) {
+        if (f.draw(2) == 0) set.push_back(r);
+      }
+      if (set.empty()) set.push_back(static_cast<std::uint32_t>(c % BlockFuzz::kResources));
+      f.classes.push_back(set);
+      f.class_weight.push_back(std::size_t{1} << c);  // 1, 2, 4, 8, 16
+    }
+    const std::size_t tasks = 1 + f.draw(14);
+    for (std::size_t t = 0; t < tasks; ++t) f.spawn(f.draw(4));
+    f.engine.run();
+    for (std::size_t t = 0; t < f.state.size(); ++t) {
+      if (f.state[t] != BlockFuzz::State::kParked) continue;
+      const Tick when = f.engine.now() + f.draw(3);
+      f.engine.schedule(when, f.parked[t], t);
+      f.expect(t, when);
+    }
+    f.engine.run();
+    EXPECT_EQ(f.failure, "") << "trial " << trial;
+    EXPECT_TRUE(f.ref.empty()) << "trial " << trial;
+    EXPECT_EQ(f.engine.nextEventTime(), Engine::kNever) << "trial " << trial;
+    total_pops += f.pops;
+    total_defers += f.defers;
+    total_spawns += f.mid_run_spawns;
+    total_finite += f.finite_bounds;
+  }
+  EXPECT_GT(total_pops, 40000u);
+  EXPECT_GT(total_defers, 8000u);
+  EXPECT_GT(total_spawns, 3000u);
+  EXPECT_GT(total_finite, 150000u);
+}
+
+SimTask parkUntilWoken(Engine& engine, Tick when, std::coroutine_handle<>& out) {
+  co_await engine.resumeAt(when);
+  struct Park {
+    std::coroutine_handle<>& out;
+    [[nodiscard]] bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) const noexcept { out = h; }
+    void await_resume() const noexcept {}
+  };
+  co_await Park{out};
+}
+
+// A key holds a Tick below 2^48 − 1 and a task id below 2^16: schedule,
+// deferPending and spawn refuse anything larger with std::out_of_range and
+// change nothing; the largest Tick still fires. The task-count guard is the
+// key's own check, the one spawn makes before adopting a task.
+TEST(Engine, PackedKeyRangesAreGuarded) {
+  EXPECT_EQ(Engine::eventKey(3, 5), (Tick{3} << 16) | 5);
+  EXPECT_LT(Engine::eventKey(3, 65535), Engine::eventKey(4, 0));
+  EXPECT_EQ(Engine::eventKey(Engine::kNever, 7), Engine::kEmptyKey);
+  EXPECT_LT(Engine::eventKey(Engine::kMaxTick, Engine::kMaxTasks - 1), Engine::kEmptyKey);
+  EXPECT_NO_THROW((void)Engine::eventKey(0, Engine::kMaxTasks - 1));
+  EXPECT_THROW((void)Engine::eventKey(0, Engine::kMaxTasks), std::out_of_range);
+  EXPECT_THROW((void)Engine::eventKey(Tick{1} << 48, 0), std::out_of_range);
+  EXPECT_THROW((void)Engine::eventKey(Engine::kMaxTick + 1, 0), std::out_of_range);
+
+  Engine engine;
+  std::coroutine_handle<> parked;
+  EXPECT_THROW(engine.spawn(parkUntilWoken(engine, 0, parked), Tick{1} << 48),
+               std::out_of_range);
+  EXPECT_EQ(engine.taskCount(), 0u);
+  engine.spawn(parkUntilWoken(engine, 10, parked));  // task 0: parks at t=10
+  engine.run();
+  ASSERT_TRUE(parked);
+  EXPECT_THROW(engine.schedule(Tick{1} << 48, parked, 0), std::out_of_range);
+  EXPECT_EQ(engine.nextEventTime(), Engine::kNever);  // nothing filed
+  engine.schedule(100, parked, 0);
+  EXPECT_THROW(engine.deferPending(0, Tick{1} << 48), std::out_of_range);
+  EXPECT_EQ(engine.nextEventTime(), 100u);
+  engine.deferPending(0, Engine::kMaxTick);
+  EXPECT_EQ(engine.nextEventTime(), Engine::kMaxTick);
+  EXPECT_EQ(engine.run(), Engine::kMaxTick);
+  EXPECT_EQ(engine.completionTime(0), Engine::kMaxTick);
 }
 
 TEST(Engine, WallClockInstrumentation) {

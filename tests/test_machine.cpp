@@ -951,12 +951,13 @@ SimTask computeThenShortRead(CoreContext& ctx, std::uint64_t base, LagResult* r)
   return computeThenRead(ctx, base, SccMachine::kShortRun, r);
 }
 
-// With no other task on its controller a run longer than kShortRun after a
-// compute is issued inside the running event at the lag's end: the compute
-// costs no event (start, which issues all 16 words, and their completion,
-// against start, compute and one event per word). A run of at most
-// kShortRun words pays the lag by suspending, as the compute's own event
-// would: no horizon query for it.
+// With no other task on its controller a run after a compute is issued
+// inside the running event at the lag's end: the compute costs no event. A
+// run longer than kShortRun issues all 16 words there (start and their
+// completion, against start, compute and one event per word); a run of at
+// most kShortRun words issues its first word there, decided by the engine's
+// cheap horizonLowerBound instead of a horizon scan, and the rest one event
+// each (one event fewer than the reference).
 TEST(Machine, ComputeThenUncontendedAccessIssuesInTheRunningEvent) {
   const LagResult on = runLagKernel(true, 1, computeThenLongRead);
   const LagResult off = runLagKernel(false, 1, computeThenLongRead);
@@ -968,7 +969,56 @@ TEST(Machine, ComputeThenUncontendedAccessIssuesInTheRunningEvent) {
   const LagResult short_on = runLagKernel(true, 1, computeThenShortRead);
   const LagResult short_off = runLagKernel(false, 1, computeThenShortRead);
   expectSameTicks(short_on, short_off);
-  EXPECT_EQ(short_on.events, short_off.events);
+  EXPECT_EQ(short_off.events, 2u + SccMachine::kShortRun);
+  EXPECT_EQ(short_on.events, short_off.events - 1);
+  EXPECT_EQ(short_on.word_events, SccMachine::kShortRun);
+}
+
+/// UE 0 takes lock 0, computes and reads kShortRun words, then releases.
+/// A peer on UE 0's controller either asks for lock 0 at t=0 and so is
+/// parked on it through UE 0's read (`peer_parks`), or does nothing.
+SimTask shortReadBesidePeer(CoreContext& ctx, std::uint64_t base, LagResult* r,
+                            bool peer_parks) {
+  const MeshTopology& mesh = ctx.machine().mesh();
+  int peer = 1;
+  while (mesh.controllerForUe(peer, ctx.numUes()) != mesh.controllerForUe(0, ctx.numUes())) {
+    ++peer;
+  }
+  std::vector<std::uint64_t> buf(SccMachine::kShortRun);
+  if (ctx.ue() == 0) {
+    co_await ctx.lockAcquire(0);
+    co_await ctx.compute(250);
+    co_await ctx.shmRead(base, buf.data(), buf.size() * 8);
+    co_await ctx.lockRelease(0);
+  } else if (ctx.ue() == peer && peer_parks) {
+    co_await ctx.lockAcquire(0);
+    co_await ctx.lockRelease(0);
+  }
+  r->marks[static_cast<std::size_t>(ctx.ue())] = ctx.now();
+}
+
+// horizonLowerBound reads 0 while a task reaching the resource is parked,
+// whatever its wake chain: UE 0's short read after a compute then pays the
+// lag by suspending (the compute's event is kept, so on and off cost the
+// same events), and with the peer idle instead it issues in the running
+// event (one event fewer). Fails if the bound skips parked tasks.
+TEST(Machine, ParkedPeerOnTheControllerForcesTheShortRunToSuspend) {
+  const auto kernel = [](bool peer_parks) {
+    return [peer_parks](CoreContext& ctx, std::uint64_t base, LagResult* r) {
+      return shortReadBesidePeer(ctx, base, r, peer_parks);
+    };
+  };
+  const LagResult parked_on = runLagKernel(true, 5, kernel(true));
+  const LagResult parked_off = runLagKernel(false, 5, kernel(true));
+  expectSameTicks(parked_on, parked_off);
+  EXPECT_EQ(parked_on.word_events, SccMachine::kShortRun);
+  EXPECT_EQ(parked_on.events, parked_off.events);
+
+  const LagResult idle_on = runLagKernel(true, 5, kernel(false));
+  const LagResult idle_off = runLagKernel(false, 5, kernel(false));
+  expectSameTicks(idle_on, idle_off);
+  EXPECT_EQ(idle_on.word_events, SccMachine::kShortRun);
+  EXPECT_EQ(idle_on.events, idle_off.events - 1);
 }
 
 /// UE 0 streams 256 words from t=0; the next UE on its controller computes
@@ -1690,14 +1740,14 @@ TEST(Machine, RandomKernelsBitIdenticalAcrossCoalescing) {
       events[striped ? 1 : 0] += runs[1].events;
     }
   }
-  EXPECT_EQ(word_events[0], 70723u);
-  EXPECT_EQ(line_events[0], 49486u);
-  EXPECT_EQ(chunk_events[0], 22088u);
-  EXPECT_EQ(events[0], 174573u);
-  EXPECT_EQ(word_events[1], 312381u);
-  EXPECT_EQ(line_events[1], 84855u);
-  EXPECT_EQ(chunk_events[1], 25634u);
-  EXPECT_EQ(events[1], 460490u);
+  EXPECT_EQ(word_events[0], 69644u);
+  EXPECT_EQ(line_events[0], 49157u);
+  EXPECT_EQ(chunk_events[0], 20962u);
+  EXPECT_EQ(events[0], 171406u);
+  EXPECT_EQ(word_events[1], 309218u);
+  EXPECT_EQ(line_events[1], 84027u);
+  EXPECT_EQ(chunk_events[1], 25025u);
+  EXPECT_EQ(events[1], 455661u);
 }
 
 // --- joint contention replay: round jumps vs the stepwise oracle ---------------
