@@ -711,7 +711,7 @@ void paperFigures(Golden& g) {
 /// The runs bench/pipeline times: the six programs at scale 1.0 on 32 UEs,
 /// off-chip and MPB, each under the ExecutionPlan its translated pthread
 /// source derives (the hand plans of `paper.*` cache nothing; these plans
-/// send DotProduct's vectors through the swcache).
+/// send DotProduct's vectors through the swcache off chip).
 void paperPlans(Golden& g) {
   const sim::SccConfig config;
   for (const auto& bench : workloads::standardSuite(1.0)) {

@@ -45,8 +45,15 @@ void add(LintResult& out, LintFinding::Rule rule, const std::string& region,
   out.findings.push_back(LintFinding{rule, region, std::move(message)});
 }
 
+void lintOffChipClass(LintResult& out, const RegionPlan& r) {
+  if (!isOnChip(r.offchip)) return;
+  add(out, LintFinding::Rule::kOffChipClassOnChip, r.name,
+      std::string("off-chip class ") + placementName(r.offchip) +
+          " is on-chip — a run without on-chip placement could not realize it");
+}
+
 void lintLineAlignment(LintResult& out, const RegionPlan& r, std::size_t line_bytes) {
-  if (!r.cached() || line_bytes == 0 || r.bytes % line_bytes == 0) return;
+  if (!r.cachedInSomeRun() || line_bytes == 0 || r.bytes % line_bytes == 0) return;
   add(out, LintFinding::Rule::kCachedNotLineAligned, r.name,
       "cached region is " + std::to_string(r.bytes) + " B, not a multiple of the " +
           std::to_string(line_bytes) +
@@ -64,6 +71,8 @@ const char* lintRuleName(LintFinding::Rule rule) {
       return "placement-contradicts-sharing";
     case LintFinding::Rule::kCachedNotLineAligned:
       return "cached-not-line-aligned";
+    case LintFinding::Rule::kOffChipClassOnChip:
+      return "offchip-class-on-chip";
   }
   return "?";
 }
@@ -104,6 +113,7 @@ LintResult lintSharingTables(const analysis::AnalysisResult& analysis,
       add(out, LintFinding::Rule::kPlacementContradictsSharing, r.name,
           "plan region has no sharing-table entry — the plan names a variable "
           "the analysis never classified");
+      lintOffChipClass(out, r);
       lintLineAlignment(out, r, line_bytes);
       continue;
     }
@@ -116,7 +126,9 @@ LintResult lintSharingTables(const analysis::AnalysisResult& analysis,
     const bool thread_written = anyInThreadFunction(v->def_in, thread_fns);
     const bool thread_read = anyInThreadFunction(v->use_in, thread_fns);
 
-    if (r.cached()) {
+    // The cached rules judge every class a run can realize: the placement,
+    // and the off-chip class of an on-chip placement.
+    if (r.cachedInSomeRun()) {
       if (thread_written && !has_sync_edges) {
         add(out, LintFinding::Rule::kCachedThreadWrittenNoSync, r.name,
             "thread-written variable in a cached region, but the program has "
@@ -134,6 +146,7 @@ LintResult lintSharingTables(const analysis::AnalysisResult& analysis,
           std::string("MPB pattern ") + mpbPatternName(r.pattern) +
               " on a variable no thread function touches");
     }
+    lintOffChipClass(out, r);
     lintLineAlignment(out, r, line_bytes);
   }
   return out;
@@ -147,6 +160,7 @@ LintResult lintExecutionPlan(const ExecutionPlan& plan, std::size_t line_bytes) 
           std::string("MPB pattern ") + mpbPatternName(r.pattern) +
               " on a zero-byte region");
     }
+    lintOffChipClass(out, r);
     lintLineAlignment(out, r, line_bytes);
   }
   return out;

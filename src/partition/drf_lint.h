@@ -20,7 +20,13 @@
 //       lines — the swcache moves whole lines, so a partial tail line
 //       falls under the line-granular contract together with whatever
 //       neighbor the allocator packs next to it (cross-region false
-//       sharing the dynamic checker would flag as a line race).
+//       sharing the dynamic checker would flag as a line race);
+//   (d) an off-chip class (RegionPlan::offchip) that is itself on-chip — a
+//       run without on-chip placement could not realize it.
+//
+// "Cached" means cached in some run (RegionPlan::cachedInSomeRun): rules
+// (a)–(c) judge an on-chip region's off-chip class as well as its
+// placement.
 //
 // Pure function of its inputs, no AST mutation; surfaced in
 // translate_and_run and partition_explorer behind the drf_lint_ok gate.
@@ -42,6 +48,7 @@ struct LintFinding {
     kCachedThreadWrittenNoSync,    ///< rule (a)
     kPlacementContradictsSharing,  ///< rule (b)
     kCachedNotLineAligned,         ///< rule (c)
+    kOffChipClassOnChip,           ///< rule (d)
   };
   Rule rule = Rule::kPlacementContradictsSharing;
   std::string region;   ///< plan region (variable) name
@@ -61,16 +68,17 @@ struct LintResult {
 };
 
 /// Full lint over the stage-2 sharing tables + the derived plan: rules (a),
-/// (b), and (c). `line_bytes` is the machine's cache-line size (the cached
+/// (b), (c) and (d). `line_bytes` is the machine's cache-line size (the cached
 /// contract granule).
 [[nodiscard]] LintResult lintSharingTables(const analysis::AnalysisResult& analysis,
                                            const ExecutionPlan& plan,
                                            std::size_t line_bytes = 32);
 
 /// Plan-only lint for programmatically built plans with no translator
-/// analysis behind them (the KV workload): rule (c) plus the sharing-free
-/// subset of (b) — an on-chip region carrying no MPB pattern while other
-/// regions do is fine, but a pattern on a zero-byte region is not.
+/// analysis behind them (the KV workload): rules (c) and (d) plus the
+/// sharing-free subset of (b) — an on-chip region carrying no MPB pattern
+/// while other regions do is fine, but a pattern on a zero-byte region is
+/// not.
 [[nodiscard]] LintResult lintExecutionPlan(const ExecutionPlan& plan,
                                            std::size_t line_bytes = 32);
 

@@ -110,13 +110,6 @@ bool ExecutionPlan::anyMpbTraffic() const {
   return false;
 }
 
-bool ExecutionPlan::anyCachedRegion() const {
-  for (const RegionPlan& r : regions) {
-    if (r.cached()) return true;
-  }
-  return false;
-}
-
 std::string ExecutionPlan::toJson(int num_ues) const {
   std::ostringstream os;
   os << "{\n  \"regions\": [";
@@ -131,6 +124,9 @@ std::string ExecutionPlan::toJson(int num_ues) const {
        << "\"";
     if (r.controller == ControllerPlacement::kPinned) {
       os << ", \"pinned_controller\": " << r.pinned_controller;
+    }
+    if (r.offchip != PlacementClass::kOffChipUncached) {
+      os << ", \"offchip_placement\": \"" << placementName(r.offchip) << "\"";
     }
     os << "}";
   }

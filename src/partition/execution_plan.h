@@ -94,14 +94,23 @@ struct RegionPlan {
   ControllerPlacement controller = ControllerPlacement::kOwnerCompute;
   /// Serving controller when `controller == kPinned` (ignored otherwise).
   std::uint32_t pinned_controller = 0;
+  /// The off-chip class an on-chip `placement` takes in a run without
+  /// on-chip placement (Fig. 6.1). The default is the plain demotion; a
+  /// read-only staged array keeps the swcache there (deriveExecutionPlan).
+  PlacementClass offchip = PlacementClass::kOffChipUncached;
 
-  [[nodiscard]] bool onChip() const {
-    return placement == PlacementClass::kOnChipResident ||
-           placement == PlacementClass::kOnChipStaged;
+  [[nodiscard]] bool onChip() const { return isOnChip(placement); }
+  /// The class a run realizes: `placement`, except that a run without
+  /// on-chip memory (`onchip_memory` false) takes `offchip` for an on-chip
+  /// `placement`.
+  [[nodiscard]] PlacementClass realized(bool onchip_memory) const {
+    return onchip_memory || !onChip() ? placement : offchip;
   }
-  /// Shared-DRAM bytes of this region route through the swcache.
-  [[nodiscard]] bool cached() const {
-    return placement == PlacementClass::kOffChipCached;
+  /// The region's shared-DRAM bytes route through the swcache in some run:
+  /// with or without on-chip memory.
+  [[nodiscard]] bool cachedInSomeRun() const {
+    return realized(true) == PlacementClass::kOffChipCached ||
+           realized(false) == PlacementClass::kOffChipCached;
   }
 };
 
@@ -124,14 +133,14 @@ struct ExecutionPlan {
   [[nodiscard]] std::vector<int> mpbScopeOwners(int ue, int num_ues) const;
 
   [[nodiscard]] bool anyMpbTraffic() const;
-  [[nodiscard]] bool anyCachedRegion() const;
 
   /// Structured rendering of the whole contract: a JSON object with one
   /// entry per region (name, bytes, placement class, MPB pattern,
-  /// controller placement, pinned controller where relevant) plus the
-  /// materialized per-UE put/get owner sets at `num_ues` units. This is the
-  /// machine-readable form tools print (partition_explorer,
-  /// translate_and_run); `format()` is a thin log wrapper over it.
+  /// controller placement, and the pinned controller and off-chip class
+  /// where relevant) plus the materialized per-UE put/get owner sets at
+  /// `num_ues` units. This is the machine-readable form tools print
+  /// (partition_explorer, translate_and_run); `format()` is a thin log
+  /// wrapper over it.
   [[nodiscard]] std::string toJson(int num_ues) const;
 
   /// Thin wrapper for logs: the toJson() rendering under a one-line header.

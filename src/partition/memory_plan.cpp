@@ -153,17 +153,15 @@ ExecutionPlan deriveExecutionPlan(const analysis::AnalysisResult& analysis,
         r.pattern = (main_read || thread_read) ? MpbPattern::kRootFunnel
                                                : MpbPattern::kSelfStage;
       }
-    } else if (thread_read && !thread_written) {
-      r.placement = PlacementClass::kOffChipCached;  // read-mostly
-      // The swcache is private per core, so its line fills go to the
-      // requesting core's own controller whatever the placement says (the
-      // composition rule, docs/execution_plan.md "Controller placement"):
-      // the plan states the owner-compute routing the machine realizes.
-      r.controller = ControllerPlacement::kOwnerCompute;
-    } else if (thread_written && thread_read) {
+    } else if (thread_read) {
+      // Spilled arrays the threads read stage through the MPB. A read-only
+      // one self-stages even in a program with barriers: it produces
+      // nothing another UE must fetch from a peer's slice. Without on-chip
+      // placement it is read-mostly data, so it keeps the swcache there.
       r.placement = PlacementClass::kOnChipStaged;
-      r.pattern = program_has_barrier ? MpbPattern::kRotatingBroadcast
-                                      : MpbPattern::kSelfStage;
+      r.pattern = thread_written && program_has_barrier ? MpbPattern::kRotatingBroadcast
+                                                        : MpbPattern::kSelfStage;
+      if (!thread_written) r.offchip = PlacementClass::kOffChipCached;
     } else {
       r.placement = PlacementClass::kOffChipUncached;
       // Thread-written off-chip data is owner-partitioned in this

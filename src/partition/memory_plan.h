@@ -36,8 +36,7 @@ struct PlacementDecision {
   Placement placement = Placement::OffChip;
   /// Execution-regime refinement of `placement` (OnChip → resident,
   /// OffChip → uncached by default; `deriveExecutionPlan` sharpens it from
-  /// the stage-2 sharing tables: read-mostly → cached, spilled-but-staged →
-  /// on-chip-staged).
+  /// the stage-2 sharing tables: spilled-but-thread-read → on-chip-staged).
   PlacementClass cls = PlacementClass::kOffChipUncached;
   std::size_t bytes = 0;
   std::size_t offset = 0;  ///< byte offset within the chosen region
@@ -91,8 +90,10 @@ class FrequencyAwarePlanner {
 ///   * other thread-written on-chip data → resident self-stage;
 ///   * read-only on-chip scalars → resident, no runtime MPB traffic
 ///     (broadcast at initialization);
-///   * spilled arrays that threads only read → off-chip-cached (the swcache
-///     serves read-mostly data; docs/memory_model.md);
+///   * spilled arrays that threads only read → on-chip-staged, self-staged
+///     (no UE fetches a peer's slice of read-only data), with off-chip-cached
+///     as their class in a run without on-chip placement (the swcache serves
+///     read-mostly data; docs/memory_model.md);
 ///   * spilled thread-written arrays → on-chip-staged, broadcast-staged when
 ///     the program barriers inside its thread functions (cross-thread row
 ///     reuse, LU's pivot rows), self-staged otherwise (disjoint streaming

@@ -852,7 +852,6 @@ void SccMachine::launch(const LaunchSpec& spec) {
   // traffic at all" (empty sets), under which any MPB access counts as a
   // violation.
   const partition::ExecutionPlan* plan = spec.plan;
-  if (plan != nullptr && plan->anyCachedRegion()) ensureSwcache();
   // Place every UE first: a scope may name owner UEs that have not been
   // iterated yet, and coreOfUe must already know their cores.
   ue_to_core_.resize(static_cast<std::size_t>(num_ues));

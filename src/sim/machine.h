@@ -418,6 +418,8 @@ class SccMachine {
   [[nodiscard]] Engine& engine() { return engine_; }
   [[nodiscard]] const Engine& engine() const { return engine_; }
   [[nodiscard]] const SccConfig& config() const { return config_; }
+  /// config().coreClock(), built once (Clock's constructor divides).
+  [[nodiscard]] const Clock& coreClock() const { return core_clock_; }
   [[nodiscard]] const MeshTopology& mesh() const { return mesh_; }
 
   // -- shared memory management (host-side setup) --
@@ -449,10 +451,11 @@ class SccMachine {
   /// ports; without a plan, the reach set is the controller plus every MPB
   /// port (sound, but port horizons then see all tasks). While a striped,
   /// pinned or first-touch placement is registered, the reach set holds
-  /// every controller instead of the core's own. A plan with any cached region activates the swcache
-  /// instances. The regions themselves are registered by the plan-carrying
-  /// rcce::ShmArray allocations (or addShmRegion directly) — the machine
-  /// cannot know region offsets.
+  /// every controller instead of the core's own. The regions themselves are
+  /// registered by the plan-carrying rcce::ShmArray allocations (or
+  /// addShmRegion directly) — the machine cannot know region offsets — and
+  /// a cached registration, the class the run realizes, is what activates
+  /// the swcache instances.
   void launch(const LaunchSpec& spec);
   /// Create the machine barrier over the spawned engine tasks
   /// `participant_tasks` without launching (used by runtimes that spawn
@@ -551,9 +554,9 @@ class SccMachine {
 
   // -- software-managed shared-memory cache --
   /// Any core-side cache instances exist (at least one region registered
-  /// cached, or a launch plan with a cached region): sync points then
-  /// reconcile and bulk transfers fence. False keeps every sync/bulk path
-  /// frame-free and Tick-bit-identical to the uncached-only machine.
+  /// cached): sync points then reconcile and bulk transfers fence. False
+  /// keeps every sync/bulk path frame-free and Tick-bit-identical to the
+  /// uncached-only machine.
   [[nodiscard]] bool swcacheActive() const { return !swcache_.empty(); }
   /// Routing of the region containing `offset`.
   [[nodiscard]] bool shmCached(std::uint64_t offset) const {

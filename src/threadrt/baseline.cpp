@@ -21,7 +21,7 @@ sim::Tick serialize(sim::ResourceTimeline& core, sim::Tick now,
 
 sim::ResumeAt ThreadContext::compute(std::uint64_t core_cycles) {
   sim::SccMachine& m = rt_.machine();
-  const sim::Tick dt = m.config().coreClock().cycles(core_cycles);
+  const sim::Tick dt = m.coreClock().cycles(core_cycles);
   const sim::Tick done = serialize(rt_.coreTimeline(), m.engine().now(),
                                    [dt](sim::Tick start) { return start + dt; });
   return m.engine().resumeAt(done);
@@ -105,9 +105,9 @@ sim::Tick SingleCoreRuntime::run() {
   // scheduler switches once per quantum.
   if (num_threads_ > 1) {
     const sim::SccConfig& cfg = machine_.config();
-    const sim::Tick quantum = cfg.coreClock().cycles(cfg.scheduler_quantum_core_cycles);
-    const sim::Tick switch_cost =
-        cfg.coreClock().cycles(cfg.context_switch_core_cycles);
+    const sim::Clock& clock = machine_.coreClock();
+    const sim::Tick quantum = clock.cycles(cfg.scheduler_quantum_core_cycles);
+    const sim::Tick switch_cost = clock.cycles(cfg.context_switch_core_cycles);
     const sim::Tick switches = quantum > 0 ? makespan / quantum : 0;
     makespan += switches * switch_cost;
   }

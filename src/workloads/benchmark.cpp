@@ -16,7 +16,7 @@ const char* modeName(Mode mode) {
 }
 
 void runAndRecord(RunResult& result, sim::SccMachine& machine,
-                  const partition::ExecutionPlan& plan) {
+                  const partition::ExecutionPlan& plan, Mode mode) {
   result.makespan = machine.run();
   result.metrics = sim::obs::collectMetrics(machine);
   const auto counter = [&result](const char* name) -> std::uint64_t {
@@ -29,10 +29,13 @@ void runAndRecord(RunResult& result, sim::SccMachine& machine,
   result.controller_traffic = machine.controllerTraffic();
   const auto cv = result.metrics.sim_gauges.find("controller_load_cv");
   result.controller_load_cv = cv != result.metrics.sim_gauges.end() ? cv->second : 0.0;
+  using partition::PlacementClass;
   for (const partition::RegionPlan& r : plan.regions) {
+    const PlacementClass cls = r.realized(mode != Mode::RcceOffChip);
+    const bool routed = r.controller != partition::ControllerPlacement::kOwnerCompute;
     const bool consequential =
-        r.cached() || (r.onChip() && r.pattern != partition::MpbPattern::kNone) ||
-        (!r.onChip() && r.controller != partition::ControllerPlacement::kOwnerCompute);
+        cls == PlacementClass::kOffChipCached ||
+        (partition::isOnChip(cls) ? r.pattern != partition::MpbPattern::kNone : routed);
     if (consequential && !machine.shmRegionNamed(r.name)) ++result.plan_regions_unrealized;
   }
 }
@@ -70,11 +73,9 @@ partition::PlacementClass resolvePlacement(const partition::ExecutionPlan& plan,
                                            const char* name, Mode mode) {
   using partition::PlacementClass;
   const partition::RegionPlan* r = plan.find(name);
-  const PlacementClass cls = r != nullptr ? r->placement : PlacementClass::kOffChipUncached;
-  if (mode == Mode::RcceOffChip && partition::isOnChip(cls)) {
-    return PlacementClass::kOffChipUncached;  // Fig. 6.1: no on-chip placement
-  }
-  return cls;
+  // Fig. 6.1 (RcceOffChip) has no on-chip placement.
+  return r != nullptr ? r->realized(mode != Mode::RcceOffChip)
+                      : PlacementClass::kOffChipUncached;
 }
 
 Slice blockSlice(std::size_t n, int units, int u) {

@@ -5,7 +5,8 @@
 //   * PthreadSingleCore — N threads multiplexed on one core (the paper's
 //     evaluation baseline);
 //   * RcceOffChip — N cores, shared data in off-chip DRAM: the plan's
-//     on-chip regions demote to uncached words (the Fig. 6.1 configuration);
+//     on-chip regions take their off-chip class, uncached words unless the
+//     plan says otherwise (the Fig. 6.1 configuration);
 //   * RcceMpb — N cores, the plan's on-chip regions staged through /
 //     resident in the MPB (the Fig. 6.2 configuration under handPlan()).
 // Both RCCE modes take an ExecutionPlan, the one channel for placement:
@@ -41,7 +42,8 @@ struct RunResult {
   /// sim-domain only, so the whole line reproduces bit-for-bit per config.
   std::string detail;
   /// Full end-of-run metrics snapshot (sim::obs::collectMetrics; RCCE modes
-  /// only — the pthread baseline has no SccMachine and leaves it empty).
+  /// only — the pthread baseline runs on SingleCoreRuntime's machine but
+  /// does not collect it, so it stays empty).
   sim::obs::MetricsSnapshot metrics;
   /// MPB accesses outside the plan's declared owner sets (RCCE modes).
   /// Non-zero voids the port-isolation guarantee.
@@ -78,14 +80,16 @@ struct RunResult {
 /// full metrics snapshot (sim::obs::collectMetrics) with the robustness
 /// counters (MPB scope violations, fault-injection/recovery stats, races,
 /// controller load) read back out of it, so RunResult and MetricsSnapshot
-/// can never disagree; and plan_regions_unrealized, the plan's
-/// consequential regions (on-chip MPB pattern, cached routing, or a
-/// non-default controller placement) that no allocation registered by name
-/// (SccMachine::shmRegionNamed). Regions with no runtime behavior
-/// (default-placed off-chip-uncached, pattern-free resident scalars) don't
+/// can never disagree; and plan_regions_unrealized, the plan's regions
+/// whose class in `mode` (RegionPlan::realized) is consequential (an
+/// on-chip MPB pattern, cached routing, or a non-default controller
+/// placement) that no allocation registered by name
+/// (SccMachine::shmRegionNamed). Regions with no runtime behavior in this
+/// run (default-placed off-chip-uncached, pattern-free resident scalars, an
+/// on-chip region demoted to plain uncached words in RcceOffChip) don't
 /// count: failing to look them up changes nothing.
 void runAndRecord(RunResult& result, sim::SccMachine& machine,
-                  const partition::ExecutionPlan& plan);
+                  const partition::ExecutionPlan& plan, Mode mode);
 
 /// Compose RunResult::detail from the workload's functional value string and
 /// the sim-domain metric summary already collected into `result.metrics`
@@ -109,8 +113,9 @@ class Benchmark {
   /// shared region (resolvePlacement), the plan's per-UE owner sets become
   /// the machine's declared MPB scope (tight per-port reach; violations
   /// reported in the result), and cached regions route through the swcache.
-  /// In RcceOffChip mode on-chip placements demote to off-chip-uncached —
-  /// the Fig. 6.1 configuration — while cacheability is still honored.
+  /// In RcceOffChip mode on-chip placements take their region's off-chip
+  /// class (RegionPlan::offchip) — the Fig. 6.1 configuration — while
+  /// cacheability is still honored.
   /// Throws std::invalid_argument when `units < 1` or when an RCCE mode
   /// gets no plan.
   [[nodiscard]] RunResult run(Mode mode, int units, const sim::SccConfig& config,
@@ -124,9 +129,10 @@ class Benchmark {
                                           const partition::ExecutionPlan& plan) const = 0;
 };
 
-/// Placement of workload region `name` under `plan` in `mode`: the plan's
-/// class when the region is present, off-chip-uncached otherwise.
-/// RcceOffChip demotes on-chip classes to off-chip-uncached.
+/// Placement of workload region `name` under `plan` in `mode`: the class
+/// the run realizes (RegionPlan::realized) when the region is present,
+/// off-chip-uncached otherwise. RcceOffChip has no on-chip placement, so an
+/// on-chip class resolves to the region's off-chip class there.
 [[nodiscard]] partition::PlacementClass resolvePlacement(
     const partition::ExecutionPlan& plan, const char* name, Mode mode);
 

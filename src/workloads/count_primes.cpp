@@ -157,7 +157,7 @@ class CountPrimes final : public Benchmark {
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
         return primesRcce(ctx, p, &spf_, acc, mpb_acc, use_mpb);
       }).withPlan(&plan));
-      runAndRecord(result, machine, plan);
+      runAndRecord(result, machine, plan, mode);
       computed = use_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
     }
 

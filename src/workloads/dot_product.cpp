@@ -106,8 +106,8 @@ class DotProduct final : public Benchmark {
 
   // "a"/"b" are the streamed input vectors, staged through the UE's own
   // slice; "partial", the reduction, stays an off-chip word. (The
-  // translator's plan differs: it caches "a"/"b" and funnels "partial"
-  // through UE 0's slot.)
+  // translator's plan differs: it funnels "partial" through UE 0's slot,
+  // and gives "a"/"b" the swcache as their off-chip class.)
   [[nodiscard]] partition::ExecutionPlan handPlan() const override {
     using namespace partition;
     return ExecutionPlan{
@@ -160,7 +160,7 @@ class DotProduct final : public Benchmark {
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
         return dotRcce(ctx, p, a, b, acc, stage, mpb_acc, stage_ab, acc_mpb);
       }).withPlan(&plan));
-      runAndRecord(result, machine, plan);
+      runAndRecord(result, machine, plan, mode);
       computed = acc_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
     }
 

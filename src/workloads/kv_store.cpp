@@ -174,7 +174,7 @@ class KvStore final : public Benchmark {
     } else {
       sim::SccMachine machine(config);
       const KvLayout layout = setupKvRcce(machine, p, units, plan, mode, cdf);
-      runAndRecord(result, machine, plan);
+      runAndRecord(result, machine, plan, mode);
       std::memcpy(computed.data(), machine.shmData(layout.checks_offset),
                   static_cast<std::size_t>(units) * 8);
       slab_canonical = slabCanonical(

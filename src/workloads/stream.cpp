@@ -242,7 +242,7 @@ class Stream final : public Benchmark {
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
         return streamRcce(ctx, p, a, b, c, stage, use_mpb);
       }).withPlan(&plan));
-      runAndRecord(result, machine, plan);
+      runAndRecord(result, machine, plan, mode);
       verified = checkArrays(a.hostData(), b.hostData(), c.hostData(), p.n);
     }
 

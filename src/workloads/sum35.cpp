@@ -110,7 +110,7 @@ class Sum35 final : public Benchmark {
       machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
         return sum35Rcce(ctx, p, acc, mpb_acc, use_mpb);
       }).withPlan(&plan));
-      runAndRecord(result, machine, plan);
+      runAndRecord(result, machine, plan, mode);
       computed = use_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
     }
 

@@ -1108,6 +1108,59 @@ TEST(DrfLint, CachedThreadWrittenRegionWithoutSyncEdges) {
   EXPECT_TRUE(saw_rule_c);
 }
 
+// The cached rules judge the class a run without on-chip placement
+// realizes too: a staged region whose off-chip class is cached is a cached
+// region there. 32 B is line-aligned, so only rule (a) fires.
+TEST(DrfLint, CachedOffChipClassOnThreadWrittenRegionWithoutSyncEdges) {
+  translator::Translator tr;
+  const translator::TranslationResult r = tr.analyzeOnly(kNoSyncSource, "nosync.c");
+  ASSERT_TRUE(r.ok) << r.diagnostics;
+  partition::RegionPlan sum{"sum", partition::PlacementClass::kOnChipStaged,
+                            partition::MpbPattern::kSelfStage, 32};
+  sum.offchip = partition::PlacementClass::kOffChipCached;
+  const partition::LintResult lint =
+      partition::lintSharingTables(r.analysis, partition::ExecutionPlan{{sum}});
+  ASSERT_EQ(lint.findings.size(), 1u) << lint.format();
+  EXPECT_EQ(lint.findings[0].rule,
+            partition::LintFinding::Rule::kCachedThreadWrittenNoSync);
+  // The same region with the default (uncached) off-chip class is clean.
+  sum.offchip = partition::PlacementClass::kOffChipUncached;
+  EXPECT_TRUE(
+      partition::lintSharingTables(r.analysis, partition::ExecutionPlan{{sum}}).ok());
+}
+
+// A cached off-chip class must be a whole number of lines, in both lints;
+// an off-chip class that is itself on-chip is rejected by both.
+TEST(DrfLint, OffChipClassIsLintedLikeAPlacement) {
+  using partition::ExecutionPlan;
+  using partition::LintFinding;
+  using partition::MpbPattern;
+  using partition::PlacementClass;
+  using partition::RegionPlan;
+  translator::Translator tr;
+  const translator::TranslationResult r = tr.analyzeOnly(
+      workloads::pthreadSource("DotProduct"), "DotProduct.c");
+  ASSERT_TRUE(r.ok) << r.diagnostics;
+  RegionPlan a = *r.execution_plan.find("a");
+  ASSERT_EQ(a.offchip, PlacementClass::kOffChipCached);
+  a.bytes = 48;
+  for (const partition::LintResult& lint :
+       {partition::lintSharingTables(r.analysis, ExecutionPlan{{a}}),
+        partition::lintExecutionPlan(ExecutionPlan{{a}})}) {
+    ASSERT_EQ(lint.findings.size(), 1u) << lint.format();
+    EXPECT_EQ(lint.findings[0].rule, LintFinding::Rule::kCachedNotLineAligned);
+  }
+  a.bytes = 64;
+  a.offchip = PlacementClass::kOnChipResident;
+  for (const partition::LintResult& lint :
+       {partition::lintSharingTables(r.analysis, ExecutionPlan{{a}}),
+        partition::lintExecutionPlan(ExecutionPlan{{a}})}) {
+    ASSERT_EQ(lint.findings.size(), 1u) << lint.format();
+    EXPECT_EQ(lint.findings[0].rule, LintFinding::Rule::kOffChipClassOnChip);
+    EXPECT_NE(lint.format().find("offchip-class-on-chip"), std::string::npos);
+  }
+}
+
 TEST(DrfLint, PlanRegionWithoutSharingTableEntry) {
   translator::Translator tr;
   const translator::TranslationResult r = tr.analyzeOnly(kNoSyncSource, "nosync.c");

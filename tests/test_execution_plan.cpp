@@ -2,7 +2,8 @@
 //   * owner-set materialization per MPB pattern;
 //   * the translator derives the expected plan for every paper benchmark;
 //   * per-variable cacheability matches the stage-2 sharing classification
-//     (read-mostly → cached, thread-written → never cached);
+//     (read-mostly → cached off chip, thread-written → never cached);
+//   * resolvePlacement realizes the off-chip class only in RcceOffChip;
 //   * plan-driven workload runs verify with ZERO scope violations (the
 //     derived owner sets cover all observed MPB traffic);
 //   * each workload's hand plan lints clean against its translated source
@@ -76,7 +77,6 @@ TEST(ExecutionPlan, OffChipRegionsGenerateNoOwners) {
        RegionPlan{"u", PlacementClass::kOffChipUncached, MpbPattern::kNone, 64}}};
   EXPECT_TRUE(plan.mpbScopeOwners(0, 8).empty());
   EXPECT_FALSE(plan.anyMpbTraffic());
-  EXPECT_TRUE(plan.anyCachedRegion());
 }
 
 TEST(ExecutionPlan, UnionAcrossRegionsIsSortedUnique) {
@@ -94,12 +94,14 @@ struct ExpectedRegion {
   const char* region;
   PlacementClass placement;
   MpbPattern pattern;
+  PlacementClass offchip = PlacementClass::kOffChipUncached;
 };
 
 // The classifications §4.4's plan plus the stage-2 tables pin down: the
 // reduction objects funnel through UE 0, the streamed thread-written arrays
 // self-stage, LU's barrier-phased matrix broadcasts its pivot rows, and
-// DotProduct's thread-read-only inputs are the swcache's read-mostly case.
+// DotProduct's thread-read-only inputs self-stage too, falling back to the
+// swcache (the read-mostly case) in a run without on-chip placement.
 const ExpectedRegion kExpected[] = {
     {"PiApprox", "gsum", PlacementClass::kOnChipResident, MpbPattern::kRootFunnel},
     {"3-5-Sum", "partial", PlacementClass::kOnChipResident, MpbPattern::kRootFunnel},
@@ -107,8 +109,10 @@ const ExpectedRegion kExpected[] = {
     {"Stream", "a", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage},
     {"Stream", "b", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage},
     {"Stream", "c", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage},
-    {"DotProduct", "a", PlacementClass::kOffChipCached, MpbPattern::kNone},
-    {"DotProduct", "b", PlacementClass::kOffChipCached, MpbPattern::kNone},
+    {"DotProduct", "a", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage,
+     PlacementClass::kOffChipCached},
+    {"DotProduct", "b", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage,
+     PlacementClass::kOffChipCached},
     {"DotProduct", "partial", PlacementClass::kOnChipResident,
      MpbPattern::kRootFunnel},
     {"LU", "m", PlacementClass::kOnChipStaged, MpbPattern::kRotatingBroadcast},
@@ -126,6 +130,7 @@ TEST(ExecutionPlanDerivation, PaperBenchmarksGetExpectedClasses) {
       ASSERT_NE(region, nullptr) << name << "." << e.region;
       EXPECT_EQ(region->placement, e.placement) << name << "." << e.region;
       EXPECT_EQ(region->pattern, e.pattern) << name << "." << e.region;
+      EXPECT_EQ(region->offchip, e.offchip) << name << "." << e.region;
     }
   }
 }
@@ -146,14 +151,20 @@ TEST(ExecutionPlanDerivation, DecisionClassBackfilledIntoMemoryPlan) {
   ASSERT_TRUE(r.ok);
   const partition::PlacementDecision* a = r.plan.find("a");
   ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->cls, PlacementClass::kOffChipCached);
-  EXPECT_NE(r.plan.format().find("off-chip-cached"), std::string::npos);
+  EXPECT_EQ(a->placement, partition::Placement::OffChip);  // stage 4: spilled
+  EXPECT_EQ(a->cls, PlacementClass::kOnChipStaged);
+  EXPECT_NE(r.plan.format().find("on-chip-staged"), std::string::npos);
+  const RegionPlan* region = r.execution_plan.find("a");
+  ASSERT_NE(region, nullptr);
+  EXPECT_EQ(region->pattern, MpbPattern::kSelfStage);
+  EXPECT_EQ(region->offchip, PlacementClass::kOffChipCached);
 }
 
 // Cacheability must match the stage-2 sharing classification: a region is
-// cached only if NO thread function writes it (read-mostly), and every
-// thread-written region is never cached — the DRF-safety envelope of the
-// swcache's release-consistency protocol.
+// cached in some run (its placement or its off-chip class) only if NO
+// thread function writes it (read-mostly), and every thread-written region
+// is never cached — the DRF-safety envelope of the swcache's
+// release-consistency protocol.
 TEST(ExecutionPlanDerivation, CacheabilityMatchesSharingClassification) {
   for (const std::string& name : workloads::pthreadSourceNames()) {
     translator::TranslationResult r = translateBenchmark(name);
@@ -169,12 +180,14 @@ TEST(ExecutionPlanDerivation, CacheabilityMatchesSharingClassification) {
       for (const std::string& f : v->def_in) {
         thread_written = thread_written || thread_fns.count(f) > 0;
       }
-      if (region.cached()) {
+      if (region.cachedInSomeRun()) {
         EXPECT_FALSE(thread_written)
             << name << "." << region.name << " cached despite thread writes";
       }
       if (thread_written) {
         EXPECT_NE(region.placement, PlacementClass::kOffChipCached)
+            << name << "." << region.name;
+        EXPECT_NE(region.offchip, PlacementClass::kOffChipCached)
             << name << "." << region.name;
       }
     }
@@ -183,9 +196,10 @@ TEST(ExecutionPlanDerivation, CacheabilityMatchesSharingClassification) {
 
 // Controller placement — the NUMA half of the contract — states what the
 // machine realizes: owner-partitioned thread-written off-chip data stays on
-// the requester-local owner-compute mapping, and so do read-mostly (cached)
-// regions, whose swcache line fills always follow the requesting core (the
-// composition rule), so a derived plan never marks them striped.
+// the requester-local owner-compute mapping, and so do read-mostly regions,
+// whose swcache line fills always follow the requesting core (the
+// composition rule) in a run that caches them, so a derived plan never
+// marks them striped.
 TEST(ExecutionPlanDerivation, ControllerPlacementFollowsSharingTables) {
   using partition::ControllerPlacement;
   for (const std::string& name : workloads::pthreadSourceNames()) {
@@ -196,17 +210,65 @@ TEST(ExecutionPlanDerivation, ControllerPlacementFollowsSharingTables) {
           << name << "." << region.name;
     }
   }
-  // Concretely: DotProduct's thread-read-only inputs are cached and
-  // owner-compute, and the plan JSON names the decision for the tooling
-  // that renders it.
+  // Concretely: DotProduct's thread-read-only inputs are staged and
+  // self-staged, cached off chip and owner-compute, and the plan JSON names
+  // both realizations for the tooling that renders it.
   const translator::TranslationResult dot = translateBenchmark("DotProduct");
   ASSERT_TRUE(dot.ok);
-  ASSERT_NE(dot.execution_plan.find("a"), nullptr);
-  EXPECT_TRUE(dot.execution_plan.find("a")->cached());
-  EXPECT_EQ(dot.execution_plan.find("a")->controller, ControllerPlacement::kOwnerCompute);
+  const RegionPlan* a = dot.execution_plan.find("a");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->placement, PlacementClass::kOnChipStaged);
+  EXPECT_EQ(a->pattern, MpbPattern::kSelfStage);
+  EXPECT_EQ(a->offchip, PlacementClass::kOffChipCached);
+  EXPECT_EQ(a->controller, ControllerPlacement::kOwnerCompute);
   const std::string json = dot.execution_plan.toJson(8);
   EXPECT_NE(json.find("\"controller_placement\": \"owner-compute\""), std::string::npos);
   EXPECT_EQ(json.find("\"striped\""), std::string::npos);
+  EXPECT_NE(json.find("{\"name\": \"a\", \"bytes\": 2097152, \"placement\": "
+                      "\"on-chip-staged\", \"mpb_pattern\": \"self-stage\", "
+                      "\"controller_placement\": \"owner-compute\", "
+                      "\"offchip_placement\": \"off-chip-cached\"}"),
+            std::string::npos)
+      << json;
+  // Only a and b carry a non-default off-chip class.
+  std::size_t offchip_entries = 0;
+  for (std::size_t at = json.find("offchip_placement"); at != std::string::npos;
+       at = json.find("offchip_placement", at + 1)) {
+    ++offchip_entries;
+  }
+  EXPECT_EQ(offchip_entries, 2u);
+}
+
+// resolvePlacement realizes a region's class per mode: its placement under
+// RcceMpb, its off-chip class under RcceOffChip; a default off-chip class
+// is the plain demotion hand plans always had, and an unnamed region is
+// off-chip-uncached in both.
+TEST(ExecutionPlan, ResolvePlacementRealizesTheOffChipClassOffChip) {
+  using workloads::Mode;
+  using workloads::resolvePlacement;
+  RegionPlan staged{"s", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 64};
+  staged.offchip = PlacementClass::kOffChipCached;
+  const ExecutionPlan plan{
+      {staged,
+       RegionPlan{"h", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 64},
+       RegionPlan{"r", PlacementClass::kOnChipResident, MpbPattern::kRootFunnel, 8},
+       RegionPlan{"c", PlacementClass::kOffChipCached, MpbPattern::kNone, 64}}};
+  EXPECT_EQ(resolvePlacement(plan, "s", Mode::RcceMpb), PlacementClass::kOnChipStaged);
+  EXPECT_EQ(resolvePlacement(plan, "s", Mode::RcceOffChip), PlacementClass::kOffChipCached);
+  // Hand-plan regions (default off-chip class) resolve exactly as before.
+  EXPECT_EQ(resolvePlacement(plan, "h", Mode::RcceMpb), PlacementClass::kOnChipStaged);
+  EXPECT_EQ(resolvePlacement(plan, "h", Mode::RcceOffChip),
+            PlacementClass::kOffChipUncached);
+  EXPECT_EQ(resolvePlacement(plan, "r", Mode::RcceMpb), PlacementClass::kOnChipResident);
+  EXPECT_EQ(resolvePlacement(plan, "r", Mode::RcceOffChip),
+            PlacementClass::kOffChipUncached);
+  // An off-chip placement ignores the off-chip class in both modes.
+  EXPECT_EQ(resolvePlacement(plan, "c", Mode::RcceMpb), PlacementClass::kOffChipCached);
+  EXPECT_EQ(resolvePlacement(plan, "c", Mode::RcceOffChip), PlacementClass::kOffChipCached);
+  EXPECT_EQ(resolvePlacement(plan, "missing", Mode::RcceMpb),
+            PlacementClass::kOffChipUncached);
+  EXPECT_EQ(resolvePlacement(plan, "missing", Mode::RcceOffChip),
+            PlacementClass::kOffChipUncached);
 }
 
 // The KV store's plan (workloads::kvStorePlan): all three regions off-chip
@@ -219,7 +281,7 @@ TEST(ExecutionPlan, KvStorePlanControllerPlacements) {
        {ControllerPlacement::kStriped, ControllerPlacement::kOwnerCompute}) {
     const ExecutionPlan plan = workloads::kvStorePlan(workloads::KvParams{}, cp);
     EXPECT_FALSE(plan.anyMpbTraffic());
-    EXPECT_FALSE(plan.anyCachedRegion());
+    for (const RegionPlan& region : plan.regions) EXPECT_FALSE(region.cachedInSomeRun());
     for (int ue = 0; ue < 8; ++ue) {
       EXPECT_TRUE(plan.mpbScopeOwners(ue, 8).empty());
     }
@@ -264,16 +326,29 @@ TEST(PlanDrivenExecution, AllBenchmarksVerifyWithZeroScopeViolations) {
 }
 
 // Region-name drift between the translated source and the workload twin
-// must be flagged, not silently absorbed by the off-chip-uncached fallback.
+// must be flagged, not silently absorbed by the off-chip-uncached fallback,
+// whenever the drifted region's class in the run has a runtime consequence.
 TEST(PlanDrivenExecution, UnrecognizedConsequentialRegionIsCounted) {
   const sim::SccConfig config;
   const auto pi = workloads::makePiApprox(kScale);
   const ExecutionPlan drifted{{RegionPlan{
       "renamed_gsum", PlacementClass::kOnChipResident, MpbPattern::kRootFunnel, 8}}};
-  const workloads::RunResult run =
+  const workloads::RunResult mpb = pi->run(workloads::Mode::RcceMpb, 8, config, &drifted);
+  EXPECT_TRUE(mpb.verified);  // fallback still computes correctly...
+  EXPECT_EQ(mpb.plan_regions_unrealized, 1u);  // ...but the drift is visible
+  // Off chip the region demotes to plain uncached words, which is exactly
+  // the fallback: nothing is lost, so nothing is counted...
+  const workloads::RunResult off =
       pi->run(workloads::Mode::RcceOffChip, 8, config, &drifted);
-  EXPECT_TRUE(run.verified);  // fallback still computes correctly...
-  EXPECT_EQ(run.plan_regions_unrealized, 1u);  // ...but the drift is visible
+  EXPECT_TRUE(off.verified);
+  EXPECT_EQ(off.plan_regions_unrealized, 0u);
+  // ...unless its off-chip class is cached.
+  ExecutionPlan cached_offchip = drifted;
+  cached_offchip.regions[0].offchip = PlacementClass::kOffChipCached;
+  const workloads::RunResult cached =
+      pi->run(workloads::Mode::RcceOffChip, 8, config, &cached_offchip);
+  EXPECT_TRUE(cached.verified);
+  EXPECT_EQ(cached.plan_regions_unrealized, 1u);
 }
 
 // --- hand plans: each twin's hand-written Fig. 6.2 placement ----------------
