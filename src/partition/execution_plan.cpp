@@ -103,11 +103,10 @@ std::vector<int> ExecutionPlan::mpbScopeOwners(int ue, int num_ues) const {
   return std::move(sets.put);
 }
 
-bool ExecutionPlan::anyMpbTraffic() const {
-  for (const RegionPlan& r : regions) {
-    if (r.onChip() && r.pattern != MpbPattern::kNone) return true;
-  }
-  return false;
+ExecutionPlan ExecutionPlan::realized(bool onchip_memory) const {
+  ExecutionPlan plan = *this;
+  for (RegionPlan& r : plan.regions) r.placement = r.realized(onchip_memory);
+  return plan;
 }
 
 std::string ExecutionPlan::toJson(int num_ues) const {

@@ -132,7 +132,10 @@ struct ExecutionPlan {
   /// engine reach sets. Sorted, duplicate-free.
   [[nodiscard]] std::vector<int> mpbScopeOwners(int ue, int num_ues) const;
 
-  [[nodiscard]] bool anyMpbTraffic() const;
+  /// The plan a run realizes: every region's `placement` replaced by the
+  /// class the run gives it (RegionPlan::realized), so a run without
+  /// on-chip memory declares no MPB owners for its demoted regions.
+  [[nodiscard]] ExecutionPlan realized(bool onchip_memory) const;
 
   /// Structured rendering of the whole contract: a JSON object with one
   /// entry per region (name, bytes, placement class, MPB pattern,

@@ -14,6 +14,7 @@
 // allocate during initialization.
 #pragma once
 
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -136,6 +137,8 @@ class ShmArray {
   [[nodiscard]] T* hostData() {
     return reinterpret_cast<T*>(machine_->shmData(base_));
   }
+  /// Leave the array out of race checking (SccMachine::setShmDrfExempt).
+  void exemptFromRaceCheck() const { machine_->setShmDrfExempt(base_, byteOffset(count_)); }
 
   [[nodiscard]] sim::SubTask read(sim::CoreContext& ctx, std::size_t i, T* out) const {
     return ctx.shmRead(byteOffset(i), out, sizeof(T));
@@ -194,7 +197,7 @@ class MpbArray {
 
   [[nodiscard]] std::size_t sizePerUe() const { return count_; }
 
-  [[nodiscard]] T* hostData(int ue) {
+  [[nodiscard]] T* hostData(int ue) const {
     return reinterpret_cast<T*>(machine_->mpbData(ue, base_));
   }
 
@@ -224,6 +227,131 @@ class MpbArray {
   sim::SccMachine* machine_ = nullptr;
   std::uint64_t base_ = 0;
   std::size_t count_ = 0;
+};
+
+/// One shared variable of a translated program as its ExecutionPlan region
+/// places it: the one place where a placement class and an MPB pattern
+/// become runtime calls. The array resolves its class once, from the
+/// region of the plan the run realizes (ExecutionPlan::realized), and
+/// always allocates the off-chip master, registered under the region's
+/// name with its whole policy (ShmArray). An on-chip class adds an MPB
+/// block in every launched UE's slice, of `block` elements, or of the whole
+/// array when `block` is 0:
+///   * resident (block 0): the root funnel. Word accesses go to UE 0's
+///     slot, which holds the array, and hostData() is that slot.
+///   * staged (block > 0): the master stays off chip. Bulk accesses are
+///     DMA copies, readStaged() is the self-stage (deposit the block in the
+///     UE's own slot, read it back on chip), broadcast() the rotating
+///     broadcast. Word accesses reach the master.
+/// Off chip every access is word-granular (uncached, or through the swcache
+/// for a cached class), readStaged() does nothing and broadcast() reads the
+/// master. Word accessors return CoreContext's SubTask directly: no frame
+/// is added per access.
+template <typename T>
+class PlanArray {
+ public:
+  /// `region` is the realized plan's region (nullptr: not in the plan, an
+  /// off-chip-uncached, owner-compute array). A staged array given
+  /// `stage_with`, a staged array of the same run, shares its MPB block
+  /// instead of allocating its own (arrays staged one at a time).
+  PlanArray(RcceEnv& env, int num_ues, std::size_t count,
+            const partition::RegionPlan* region, const char* name, std::size_t block = 0,
+            const PlanArray* stage_with = nullptr)
+      : shm_(env, count,
+             region != nullptr ? region->placement : partition::PlacementClass::kOffChipUncached,
+             region != nullptr ? region->controller
+                               : partition::ControllerPlacement::kOwnerCompute,
+             region != nullptr ? region->pinned_controller : 0, name) {
+    if (!partition::isOnChip(shm_.placement())) return;
+    realization_ = block == 0 ? Realization::kResident : Realization::kStaged;
+    if (stage_with != nullptr && stage_with->realization_ == Realization::kStaged &&
+        realization_ == Realization::kStaged) {
+      mpb_ = stage_with->mpb_;
+    } else {
+      mpb_ = MpbArray<T>(env, num_ues, block == 0 ? count : block);
+    }
+  }
+
+  /// Shared-DRAM offset of element `i` of the master.
+  [[nodiscard]] std::uint64_t byteOffset(std::size_t i) const { return shm_.byteOffset(i); }
+  /// Host-side (untimed) view of where the run keeps the values: UE 0's
+  /// slot for a resident array, the off-chip master otherwise.
+  [[nodiscard]] T* hostData() {
+    return realization_ == Realization::kResident ? mpb_.hostData(0) : shm_.hostData();
+  }
+
+  /// Leave the off-chip master out of race checking: for a deliberate
+  /// benign race the workload documents (SccMachine::setShmDrfExempt).
+  void exemptFromRaceCheck() const { shm_.exemptFromRaceCheck(); }
+
+  [[nodiscard]] sim::SubTask read(sim::CoreContext& ctx, std::size_t i, T* out) const {
+    return readBlock(ctx, i, 1, out);
+  }
+  /// Lazily started: co_await within the full expression (see ShmArray::write).
+  [[nodiscard]] sim::SubTask write(sim::CoreContext& ctx, std::size_t i,
+                                   const T& value) const {
+    return writeBlock(ctx, i, 1, &value);
+  }
+  [[nodiscard]] sim::SubTask readBlock(sim::CoreContext& ctx, std::size_t first,
+                                       std::size_t count, T* out) const {
+    return realization_ == Realization::kResident
+               ? mpb_.readBlock(ctx, 0, first, count, out)
+               : shm_.readBlock(ctx, first, count, out);
+  }
+  [[nodiscard]] sim::SubTask writeBlock(sim::CoreContext& ctx, std::size_t first,
+                                        std::size_t count, const T* src) const {
+    return realization_ == Realization::kResident
+               ? mpb_.writeBlock(ctx, 0, first, count, src)
+               : shm_.writeBlock(ctx, first, count, src);
+  }
+  /// A block moved as one DMA copy when staged, word by word otherwise.
+  [[nodiscard]] sim::CoreContext::OpAwaiter readBulk(sim::CoreContext& ctx,
+                                                     std::size_t first, std::size_t count,
+                                                     T* out) const {
+    if (realization_ == Realization::kStaged) return shm_.readBulk(ctx, first, count, out);
+    return {ctx.machine().engine(), readBlock(ctx, first, count, out)};
+  }
+  [[nodiscard]] sim::CoreContext::OpAwaiter writeBulk(sim::CoreContext& ctx,
+                                                      std::size_t first, std::size_t count,
+                                                      const T* src) const {
+    if (realization_ == Realization::kStaged) return shm_.writeBulk(ctx, first, count, src);
+    return {ctx.machine().engine(), writeBlock(ctx, first, count, src)};
+  }
+  /// Self-stage of the `count` elements a readBulk just brought to `buf`:
+  /// the DMA lands them in this UE's own slot (an untimed deposit: the bulk
+  /// copy carried the cost), and the core reads them back on chip into
+  /// `buf`. Nothing when not staged.
+  [[nodiscard]] sim::SubTask readStaged(sim::CoreContext& ctx, std::size_t count,
+                                        T* buf) const {
+    if (realization_ != Realization::kStaged) return {};
+    std::memcpy(mpb_.hostData(ctx.ue()), buf, count * sizeof(T));
+    return mpb_.readBlock(ctx, ctx.ue(), 0, count, buf);
+  }
+  /// Rotating broadcast of [first, first + count) to every UE: when staged,
+  /// `owner` publishes it from its own slot, every UE meets at the barrier,
+  /// and the others fetch it on chip; otherwise every UE reads it itself.
+  [[nodiscard]] sim::SubTask broadcast(sim::CoreContext& ctx, int owner, std::size_t first,
+                                       std::size_t count, T* out) const {
+    if (realization_ != Realization::kStaged) return readBlock(ctx, first, count, out);
+    return publishThenFetch(ctx, owner, first, count, out);
+  }
+
+ private:
+  enum class Realization : std::uint8_t { kOffChip, kResident, kStaged };
+
+  sim::SubTask publishThenFetch(sim::CoreContext& ctx, int owner, std::size_t first,
+                                std::size_t count, T* out) const {
+    if (ctx.ue() == owner) {
+      co_await shm_.readBulk(ctx, first, count, out);
+      co_await mpb_.writeBlock(ctx, owner, 0, count, out);
+    }
+    co_await ctx.barrier();
+    if (ctx.ue() != owner) co_await mpb_.readBlock(ctx, owner, 0, count, out);
+  }
+
+  ShmArray<T> shm_;
+  MpbArray<T> mpb_;
+  Realization realization_ = Realization::kOffChip;
 };
 
 }  // namespace hsm::rcce

@@ -379,8 +379,10 @@ class CoreContext {
 /// ports, so traffic on unrelated tiles' ports cannot truncate its coalesced
 /// chunk runs. It is a promise: accesses outside it are still serviced but
 /// counted in mpbScopeViolations() (they void the port-isolation
-/// guarantee). No plan means the unrestricted launch (every port). The plan
-/// pointer is borrowed — it must outlive the run.
+/// guarantee). No plan means the unrestricted launch (every port). Hand it
+/// the plan the run realizes (ExecutionPlan::realized): a region demoted
+/// off chip must promise no MPB traffic. The plan pointer is borrowed and
+/// read only during launch().
 struct LaunchSpec {
   using CoreProgram = std::function<SimTask(CoreContext&)>;
 
@@ -513,6 +515,11 @@ class SccMachine {
   /// non-zero count voids the port-isolation timing guarantee of that run.
   [[nodiscard]] std::uint64_t mpbScopeViolations() const {
     return mpb_scope_violations_;
+  }
+  /// The MPB port resource ids launch() declared as `ue`'s scope (sorted;
+  /// empty for a UE with no promised MPB traffic, and without a plan).
+  [[nodiscard]] const std::vector<std::uint32_t>& mpbScopePorts(int ue) const {
+    return ue_port_reach_.at(static_cast<std::size_t>(ue));
   }
 
   // -- per-controller shared-DRAM traffic --

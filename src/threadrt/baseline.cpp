@@ -68,10 +68,6 @@ sim::SyncBarrier::Awaiter ThreadContext::barrier() {
   return rt_.machine().barrier().arrive();
 }
 
-std::uint8_t* ThreadContext::hostMem(std::uint64_t addr) {
-  return rt_.machine().privData(0, addr);
-}
-
 SingleCoreRuntime::SingleCoreRuntime(sim::SccConfig config)
     : machine_(config) {}
 

@@ -10,6 +10,7 @@
 // yields. Context-switch overhead is added per expired scheduler quantum.
 #pragma once
 
+#include <coroutine>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -20,15 +21,19 @@ namespace hsm::threadrt {
 
 class SingleCoreRuntime;
 
-/// Per-logical-thread view. API mirrors sim::CoreContext so benchmark
-/// kernels can be written once against either context type.
+/// Per-logical-thread view: the pthread binding's context. Its API mirrors
+/// sim::CoreContext (ue/numUes, compute, lockAcquire/lockRelease, barrier),
+/// and ProcessArray mirrors rcce::PlanArray, so each paper program's kernel
+/// is written once and runs here and on the RCCE machine
+/// (workloads/binding.h).
 class ThreadContext {
  public:
   ThreadContext(SingleCoreRuntime& rt, int tid, int num_threads)
       : rt_(rt), tid_(tid), num_threads_(num_threads) {}
 
-  [[nodiscard]] int tid() const { return tid_; }
-  [[nodiscard]] int numThreads() const { return num_threads_; }
+  /// The thread's id and the thread count (a CoreContext's UE and UE count).
+  [[nodiscard]] int ue() const { return tid_; }
+  [[nodiscard]] int numUes() const { return num_threads_; }
 
   [[nodiscard]] sim::ResumeAt compute(std::uint64_t core_cycles);
   [[nodiscard]] sim::ResumeAt computeOps(std::uint64_t count, sim::OpClass cls);
@@ -58,9 +63,6 @@ class ThreadContext {
   /// pthread_barrier_wait across the logical threads.
   [[nodiscard]] sim::SyncBarrier::Awaiter barrier();
 
-  /// Untimed view of the process address space (setup/verification).
-  [[nodiscard]] std::uint8_t* hostMem(std::uint64_t addr);
-
  private:
   SingleCoreRuntime& rt_;
   int tid_;
@@ -83,11 +85,84 @@ class SingleCoreRuntime {
   [[nodiscard]] sim::ResourceTimeline& coreTimeline() { return core_; }
   [[nodiscard]] int numThreads() const { return num_threads_; }
 
+  /// The process image reaches at least `end` (a ProcessArray's last byte).
+  void declareProcessMemory(std::uint64_t end) {
+    if (end > process_end_) process_end_ = end;
+  }
+  /// Untimed pointer to `addr` of the process memory (core 0's private
+  /// memory). The first call reserves the whole declared image in one
+  /// piece, so pointers into arrays declared before it stay valid and the
+  /// image is never copied while it grows array by array.
+  [[nodiscard]] std::uint8_t* processMemory(std::uint64_t addr) {
+    machine_.reservePrivate(0, process_end_);
+    return machine_.privData(0, addr);
+  }
+
  private:
   sim::SccMachine machine_;
   sim::ResourceTimeline core_;
   std::vector<std::unique_ptr<ThreadContext>> contexts_;
   int num_threads_ = 0;
+  std::uint64_t process_end_ = 0;
+};
+
+/// Typed view of an array in the process memory the threads share, at a
+/// fixed address of core 0's private memory: the pthread binding's array,
+/// with rcce::PlanArray's accessors. Every access is a cacheable load or
+/// store through core 0's hierarchy, so a word, a block, a bulk copy and a
+/// broadcast are the same memRead/memWrite, and there is no MPB block to
+/// stage through.
+template <typename T>
+class ProcessArray {
+ public:
+  ProcessArray(SingleCoreRuntime& rt, std::uint64_t addr, std::size_t count)
+      : rt_(&rt), addr_(addr) {
+    rt.declareProcessMemory(addr + count * sizeof(T));
+  }
+
+  /// Untimed view for setup and verification
+  /// (SingleCoreRuntime::processMemory).
+  [[nodiscard]] T* hostData() { return reinterpret_cast<T*>(rt_->processMemory(addr_)); }
+  /// The race checker exempts shared-DRAM ranges only: process memory
+  /// keeps every check.
+  void exemptFromRaceCheck() const {}
+
+  [[nodiscard]] sim::ResumeAt read(ThreadContext& ctx, std::size_t i, T* out) const {
+    return readBlock(ctx, i, 1, out);
+  }
+  [[nodiscard]] sim::ResumeAt write(ThreadContext& ctx, std::size_t i, const T& value) const {
+    return writeBlock(ctx, i, 1, &value);
+  }
+  [[nodiscard]] sim::ResumeAt readBlock(ThreadContext& ctx, std::size_t first,
+                                        std::size_t count, T* out) const {
+    return ctx.memRead(addr(first), out, count * sizeof(T));
+  }
+  [[nodiscard]] sim::ResumeAt writeBlock(ThreadContext& ctx, std::size_t first,
+                                         std::size_t count, const T* src) const {
+    return ctx.memWrite(addr(first), src, count * sizeof(T));
+  }
+  [[nodiscard]] sim::ResumeAt readBulk(ThreadContext& ctx, std::size_t first,
+                                       std::size_t count, T* out) const {
+    return readBlock(ctx, first, count, out);
+  }
+  [[nodiscard]] sim::ResumeAt writeBulk(ThreadContext& ctx, std::size_t first,
+                                        std::size_t count, const T* src) const {
+    return writeBlock(ctx, first, count, src);
+  }
+  [[nodiscard]] std::suspend_never readStaged(ThreadContext& /*ctx*/, std::size_t /*count*/,
+                                              T* /*buf*/) const {
+    return {};
+  }
+  [[nodiscard]] sim::ResumeAt broadcast(ThreadContext& ctx, int /*owner*/, std::size_t first,
+                                        std::size_t count, T* out) const {
+    return readBlock(ctx, first, count, out);
+  }
+
+ private:
+  [[nodiscard]] std::uint64_t addr(std::size_t i) const { return addr_ + i * sizeof(T); }
+
+  SingleCoreRuntime* rt_;
+  std::uint64_t addr_;
 };
 
 }  // namespace hsm::threadrt

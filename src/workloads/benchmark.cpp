@@ -16,7 +16,7 @@ const char* modeName(Mode mode) {
 }
 
 void runAndRecord(RunResult& result, sim::SccMachine& machine,
-                  const partition::ExecutionPlan& plan, Mode mode) {
+                  const partition::ExecutionPlan& realized) {
   result.makespan = machine.run();
   result.metrics = sim::obs::collectMetrics(machine);
   const auto counter = [&result](const char* name) -> std::uint64_t {
@@ -30,8 +30,8 @@ void runAndRecord(RunResult& result, sim::SccMachine& machine,
   const auto cv = result.metrics.sim_gauges.find("controller_load_cv");
   result.controller_load_cv = cv != result.metrics.sim_gauges.end() ? cv->second : 0.0;
   using partition::PlacementClass;
-  for (const partition::RegionPlan& r : plan.regions) {
-    const PlacementClass cls = r.realized(mode != Mode::RcceOffChip);
+  for (const partition::RegionPlan& r : realized.regions) {
+    const PlacementClass cls = r.placement;
     const bool routed = r.controller != partition::ControllerPlacement::kOwnerCompute;
     const bool consequential =
         cls == PlacementClass::kOffChipCached ||
@@ -69,13 +69,9 @@ RunResult Benchmark::run(Mode mode, int units, const sim::SccConfig& config,
   return result;
 }
 
-partition::PlacementClass resolvePlacement(const partition::ExecutionPlan& plan,
-                                           const char* name, Mode mode) {
-  using partition::PlacementClass;
-  const partition::RegionPlan* r = plan.find(name);
+partition::ExecutionPlan realizedPlan(const partition::ExecutionPlan& plan, Mode mode) {
   // Fig. 6.1 (RcceOffChip) has no on-chip placement.
-  return r != nullptr ? r->realized(mode != Mode::RcceOffChip)
-                      : PlacementClass::kOffChipUncached;
+  return plan.realized(mode != Mode::RcceOffChip);
 }
 
 Slice blockSlice(std::size_t n, int units, int u) {

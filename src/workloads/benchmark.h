@@ -1,16 +1,21 @@
 // The paper's benchmark suite (§5.2): Count Primes, Pi Approximation,
 // 3-5-Sum, Dot Product, LU Decomposition, and the Stream memory benchmark.
 //
-// Each benchmark runs in three modes:
-//   * PthreadSingleCore — N threads multiplexed on one core (the paper's
-//     evaluation baseline);
-//   * RcceOffChip — N cores, shared data in off-chip DRAM: the plan's
-//     on-chip regions take their off-chip class, uncached words unless the
-//     plan says otherwise (the Fig. 6.1 configuration);
-//   * RcceMpb — N cores, the plan's on-chip regions staged through /
-//     resident in the MPB (the Fig. 6.2 configuration under handPlan()).
+// Each benchmark is one kernel coroutine, written once against a binding
+// (workloads/binding.h), and runs in three modes:
+//   * PthreadSingleCore — the pthread binding: N threads multiplexed on one
+//     core, arrays in process memory (the paper's evaluation baseline);
+//   * RcceOffChip — the RCCE binding on N cores, shared data in off-chip
+//     DRAM: the plan's on-chip regions take their off-chip class, uncached
+//     words unless the plan says otherwise (the Fig. 6.1 configuration);
+//   * RcceMpb — the RCCE binding with the plan's on-chip regions staged
+//     through / resident in the MPB (the Fig. 6.2 configuration under
+//     handPlan()).
 // Both RCCE modes take an ExecutionPlan, the one channel for placement:
-// the translator's derived plan, or the twin's own handPlan().
+// the translator's derived plan, or the twin's own handPlan(). The RCCE
+// binding's rcce::PlanArray turns each region's class into runtime calls;
+// the barriers only the RCCE program has (the translator's join) are
+// nothing in the pthread binding.
 // All modes compute real results that are verified against references.
 #pragma once
 
@@ -19,7 +24,6 @@
 #include <vector>
 
 #include "partition/execution_plan.h"
-#include "rcce/rcce.h"
 #include "sim/machine.h"
 #include "sim/obs/metrics.h"
 #include "sim/scc_config.h"
@@ -51,8 +55,8 @@ struct RunResult {
   /// Plan regions with runtime consequences (an on-chip MPB pattern,
   /// cached routing or a routing placement) that no allocation of this
   /// workload registered by name. Name drift between the translated source
-  /// and the workload twin would otherwise silently disable the plan —
-  /// resolvePlacement falls back to off-chip-uncached on a failed lookup.
+  /// and the workload twin would otherwise silently disable the plan — an
+  /// array whose name the plan lacks is off-chip-uncached (rcce::PlanArray).
   std::uint64_t plan_regions_unrealized = 0;
   // -- fault-tolerant run mode (config.fault armed; zero otherwise; the
   // injected/recovered/retry counts are in metrics.sim_counters) --
@@ -76,12 +80,12 @@ struct RunResult {
 };
 
 /// Run a launched `machine` to completion and fill `result` from it — the
-/// one call every RCCE-mode workload makes after launch: the makespan; the
-/// full metrics snapshot (sim::obs::collectMetrics) with the robustness
-/// counters (MPB scope violations, fault-injection/recovery stats, races,
-/// controller load) read back out of it, so RunResult and MetricsSnapshot
-/// can never disagree; and plan_regions_unrealized, the plan's regions
-/// whose class in `mode` (RegionPlan::realized) is consequential (an
+/// RCCE binding's run (RcceBinding::run): the makespan; the full metrics
+/// snapshot (sim::obs::collectMetrics) with the robustness counters (MPB
+/// scope violations, fault-injection/recovery stats, races, controller
+/// load) read back out of it, so RunResult and MetricsSnapshot can never
+/// disagree; and plan_regions_unrealized, the regions of `realized` (the
+/// plan the run realizes, realizedPlan) whose class is consequential (an
 /// on-chip MPB pattern, cached routing, or a non-default controller
 /// placement) that no allocation registered by name
 /// (SccMachine::shmRegionNamed). Regions with no runtime behavior in this
@@ -89,7 +93,7 @@ struct RunResult {
 /// on-chip region demoted to plain uncached words in RcceOffChip) don't
 /// count: failing to look them up changes nothing.
 void runAndRecord(RunResult& result, sim::SccMachine& machine,
-                  const partition::ExecutionPlan& plan, Mode mode);
+                  const partition::ExecutionPlan& realized);
 
 /// Compose RunResult::detail from the workload's functional value string and
 /// the sim-domain metric summary already collected into `result.metrics`
@@ -110,8 +114,8 @@ class Benchmark {
   /// translator→runtime contract (docs/execution_plan.md), required in the
   /// RCCE modes and ignored by PthreadSingleCore: per-variable placement
   /// classes choose the MPB/staged/uncached/cached realization of each
-  /// shared region (resolvePlacement), the plan's per-UE owner sets become
-  /// the machine's declared MPB scope (tight per-port reach; violations
+  /// shared region (rcce::PlanArray), the realized plan's per-UE owner sets
+  /// become the machine's declared MPB scope (tight per-port reach; violations
   /// reported in the result), and cached regions route through the swcache.
   /// In RcceOffChip mode on-chip placements take their region's off-chip
   /// class (RegionPlan::offchip) — the Fig. 6.1 configuration — while
@@ -129,30 +133,11 @@ class Benchmark {
                                           const partition::ExecutionPlan& plan) const = 0;
 };
 
-/// Placement of workload region `name` under `plan` in `mode`: the class
-/// the run realizes (RegionPlan::realized) when the region is present,
-/// off-chip-uncached otherwise. RcceOffChip has no on-chip placement, so an
-/// on-chip class resolves to the region's off-chip class there.
-[[nodiscard]] partition::PlacementClass resolvePlacement(
-    const partition::ExecutionPlan& plan, const char* name, Mode mode);
-
-/// Allocate a workload's shared array for plan region `name`: plan-carrying
-/// (placement attribute, and the region registered once with its
-/// cacheability, controller placement and name) under resolvePlacement's
-/// class; a region the plan does not name is an off-chip-uncached,
-/// owner-compute array. The name feeds the region profile
-/// (config.region_metrics), race reports (config.drf_check) and
-/// runAndRecord's plan_regions_unrealized.
-template <typename T>
-[[nodiscard]] rcce::ShmArray<T> makeShmArray(rcce::RcceEnv& env, std::size_t count,
-                                             const partition::ExecutionPlan& plan,
-                                             const char* name, Mode mode) {
-  const partition::RegionPlan* r = plan.find(name);
-  return rcce::ShmArray<T>(
-      env, count, resolvePlacement(plan, name, mode),
-      r != nullptr ? r->controller : partition::ControllerPlacement::kOwnerCompute,
-      r != nullptr ? r->pinned_controller : 0, name);
-}
+/// The plan a run in `mode` realizes (ExecutionPlan::realized): RcceOffChip
+/// has no on-chip placement, so an on-chip region takes its off-chip class
+/// there. What the RCCE binding allocates from, launches with and records.
+[[nodiscard]] partition::ExecutionPlan realizedPlan(const partition::ExecutionPlan& plan,
+                                                   Mode mode);
 
 // Factories. `scale` multiplies the default problem size (1.0 = the sizes
 // used by the bench harness; tests use smaller scales).

@@ -10,12 +10,8 @@
 // Eratosthenes.
 #include "workloads/count_primes.h"
 
-#include <cstring>
-
-#include "rcce/rcce.h"
-#include "sim/machine.h"
-#include "threadrt/baseline.h"
 #include "workloads/benchmark.h"
+#include "workloads/binding.h"
 
 namespace hsm::workloads {
 
@@ -53,37 +49,10 @@ struct PrimesParams {
 // simulated division cost exactly. `spf` is the owning CountPrimes object's
 // table, which outlives every run it launches.
 
-sim::SimTask primesThread(threadrt::ThreadContext& ctx, PrimesParams p,
+template <typename B>
+sim::SimTask primesKernel(typename B::Context& ctx, PrimesParams p,
                           const std::vector<std::uint32_t>* spf,
-                          std::uint64_t count_addr) {
-  const Slice s = blockSlice(p.limit - 1, ctx.numThreads(), ctx.tid());
-  const std::size_t lo = 2 + s.first;
-  const std::size_t hi = 2 + s.last;
-  long long primes = 0;
-  constexpr std::size_t kBatch = 64;
-  for (std::size_t i = lo; i < hi; i += kBatch) {
-    const std::size_t end = std::min(i + kBatch, hi);
-    std::uint64_t divisions = 0;
-    for (std::size_t c = i; c < end; ++c) {
-      const auto [is_prime, trials] = primeTrials(*spf, c);
-      primes += is_prime ? 1 : 0;
-      divisions += trials;
-    }
-    co_await ctx.computeOps(divisions, sim::OpClass::IntDiv);
-    co_await ctx.computeOps(divisions, sim::OpClass::IntAlu);
-  }
-  co_await ctx.lockAcquire(kSumLock);
-  long long global = 0;
-  co_await ctx.memRead(count_addr, &global, sizeof(global));
-  global += primes;
-  co_await ctx.memWrite(count_addr, &global, sizeof(global));
-  co_await ctx.lockRelease(kSumLock);
-}
-
-sim::SimTask primesRcce(sim::CoreContext& ctx, PrimesParams p,
-                        const std::vector<std::uint32_t>* spf,
-                        rcce::ShmArray<long long> acc,
-                        rcce::MpbArray<long long> mpb_acc, bool use_mpb) {
+                          ArrayOf<B, long long> total) {
   const Slice s = blockSlice(p.limit - 1, ctx.numUes(), ctx.ue());
   const std::size_t lo = 2 + s.first;
   const std::size_t hi = 2 + s.last;
@@ -102,17 +71,11 @@ sim::SimTask primesRcce(sim::CoreContext& ctx, PrimesParams p,
   }
   co_await ctx.lockAcquire(kSumLock);
   long long global = 0;
-  if (use_mpb) {
-    co_await mpb_acc.read(ctx, 0, 0, &global);
-    global += primes;
-    co_await mpb_acc.write(ctx, 0, 0, global);
-  } else {
-    co_await acc.read(ctx, 0, &global);
-    global += primes;
-    co_await acc.write(ctx, 0, global);
-  }
+  co_await total.read(ctx, 0, &global);
+  global += primes;
+  co_await total.write(ctx, 0, global);
   co_await ctx.lockRelease(kSumLock);
-  co_await ctx.barrier();
+  co_await B::joinBarrier(ctx);
 }
 
 class CountPrimes final : public Benchmark {
@@ -133,37 +96,19 @@ class CountPrimes final : public Benchmark {
  private:
   [[nodiscard]] RunResult execute(Mode mode, int units, const sim::SccConfig& config,
                                   const partition::ExecutionPlan& plan) const override {
-    RunResult result;
     const PrimesParams p = params_;
-
-    long long computed = 0;
-    if (mode == Mode::PthreadSingleCore) {
-      threadrt::SingleCoreRuntime rt(config);
-      const std::uint64_t count_addr = 0;
-      std::memset(rt.machine().privData(0, count_addr), 0, sizeof(long long));
-      rt.launch(units, [&](threadrt::ThreadContext& ctx) {
-        return primesThread(ctx, p, &spf_, count_addr);
+    return runBound(mode, units, config, plan, [&]<typename B>(B& bind, RunResult& result) {
+      ArrayOf<B, long long> total =
+          bind.template array<long long>({.name = "total", .count = 1, .priv_addr = 0});
+      *total.hostData() = 0;
+      bind.launch([&](typename B::Context& ctx) {
+        return primesKernel<B>(ctx, p, &spf_, total);
       });
-      result.makespan = rt.run();
-      std::memcpy(&computed, rt.machine().privData(0, count_addr), sizeof(long long));
-    } else {
-      sim::SccMachine machine(config);
-      rcce::RcceEnv env(machine);
-      const bool use_mpb = partition::isOnChip(resolvePlacement(plan, "total", mode));
-      rcce::ShmArray<long long> acc = makeShmArray<long long>(env, 1, plan, "total", mode);
-      rcce::MpbArray<long long> mpb_acc(env, units, 1);
-      *acc.hostData() = 0;
-      *mpb_acc.hostData(0) = 0;
-      machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
-        return primesRcce(ctx, p, &spf_, acc, mpb_acc, use_mpb);
-      }).withPlan(&plan));
-      runAndRecord(result, machine, plan, mode);
-      computed = use_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
-    }
-
-    result.verified = computed == sievePrimeCount(p.limit);
-    deriveDetail(result, "primes=" + std::to_string(computed));
-    return result;
+      bind.run(result);
+      const long long computed = *total.hostData();
+      result.verified = computed == sievePrimeCount(p.limit);
+      deriveDetail(result, "primes=" + std::to_string(computed));
+    });
   }
 
   static PrimesParams scaledParams(double scale) {

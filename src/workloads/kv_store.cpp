@@ -5,9 +5,7 @@
 #include <map>
 #include <utility>
 
-#include "rcce/rcce.h"
-#include "sim/machine.h"
-#include "threadrt/baseline.h"
+#include "workloads/binding.h"
 
 namespace hsm::workloads {
 namespace {
@@ -60,10 +58,10 @@ void buildSlab(const KvParams& p, std::uint64_t* slots) {
   }
 }
 
-sim::SimTask kvRcce(sim::CoreContext& ctx, KvParams p, ZipfCdf cdf, std::uint32_t mask,
-                    rcce::ShmArray<std::uint64_t> index,
-                    rcce::ShmArray<std::uint64_t> slots,
-                    rcce::ShmArray<std::uint64_t> checks) {
+template <typename B>
+sim::SimTask kvKernel(typename B::Context& ctx, KvParams p, ZipfCdf cdf, std::uint32_t mask,
+                      ArrayOf<B, std::uint64_t> index, ArrayOf<B, std::uint64_t> slots,
+                      ArrayOf<B, std::uint64_t> checks) {
   ZipfGenerator zipf(std::move(cdf), ueSeed(p.seed, ctx.ue()));
   std::uint64_t chk = 0;
   std::uint64_t item[kWordsPerItem];
@@ -89,39 +87,50 @@ sim::SimTask kvRcce(sim::CoreContext& ctx, KvParams p, ZipfCdf cdf, std::uint32_
     }
   }
   co_await checks.write(ctx, static_cast<std::size_t>(ctx.ue()), chk);
-  co_await ctx.barrier();
+  co_await B::joinBarrier(ctx);
 }
 
-sim::SimTask kvThread(threadrt::ThreadContext& ctx, KvParams p, ZipfCdf cdf,
-                      std::uint32_t mask, std::uint64_t index0, std::uint64_t slots0,
-                      std::uint64_t checks0) {
-  ZipfGenerator zipf(std::move(cdf), ueSeed(p.seed, ctx.tid()));
-  std::uint64_t chk = 0;
-  std::uint64_t item[kWordsPerItem];
-  for (std::uint32_t i = 0; i < p.ops_per_ue; ++i) {
-    const std::uint32_t key = zipf.next();
-    std::uint64_t h = kvMix64(key) & mask;
-    std::uint64_t entry = 0;
-    for (;;) {
-      co_await ctx.memRead(index0 + h * 8, &entry, sizeof(entry));
-      co_await ctx.computeOps(2, sim::OpClass::IntAlu);
-      if ((entry >> 32) == static_cast<std::uint64_t>(key) + 1) break;
-      h = (h + 1) & mask;
-    }
-    const auto slot = static_cast<std::uint32_t>(entry & 0xFFFFFFFFULL);
-    const std::uint64_t item_addr = slots0 + slot * kWordsPerItem * 8;
-    if (opIsGet(p, ctx.tid(), i)) {
-      co_await ctx.memRead(item_addr, item, sizeof(item));
-      for (std::size_t w = 0; w < kWordsPerItem; ++w) chk = kvMix64(chk ^ item[w]);
-      co_await ctx.computeOps(kWordsPerItem, sim::OpClass::IntAlu);
-    } else {
-      for (std::size_t w = 0; w < kWordsPerItem; ++w) item[w] = canonicalWord(key, w);
-      co_await ctx.computeOps(kWordsPerItem, sim::OpClass::IntAlu);
-      co_await ctx.memWrite(item_addr, item, sizeof(item));
-    }
-  }
-  co_await ctx.memWrite(checks0 + static_cast<std::uint64_t>(ctx.tid()) * 8, &chk,
-                        sizeof(chk));
+template <typename B>
+struct KvArrays {
+  ArrayOf<B, std::uint64_t> index;
+  ArrayOf<B, std::uint64_t> slots;
+  ArrayOf<B, std::uint64_t> checks;
+};
+
+/// Allocate and prepopulate the KV regions in binding `bind`, then launch
+/// `ues` copies of the kernel. In the pthread process the index starts at
+/// 4096, with the slab and the check cells after it.
+template <typename B>
+KvArrays<B> launchKv(B& bind, const KvParams& p, int ues, const ZipfCdf& cdf) {
+  const std::uint32_t cap = indexCapacity(p.num_keys);
+  const std::uint32_t mask = cap - 1;
+  const std::size_t slot_words = static_cast<std::size_t>(p.num_keys) * kWordsPerItem;
+  const std::uint64_t index0 = 4096;
+  const std::uint64_t slots0 = index0 + static_cast<std::uint64_t>(cap) * 8;
+  KvArrays<B> kv{
+      bind.template array<std::uint64_t>(
+          {.name = "kv_index", .count = cap, .priv_addr = index0}),
+      bind.template array<std::uint64_t>(
+          {.name = "kv_slots", .count = slot_words, .priv_addr = slots0}),
+      bind.template array<std::uint64_t>({.name = "kv_checks",
+                                          .count = static_cast<std::size_t>(ues),
+                                          .priv_addr = slots0 + slot_words * 8})};
+  buildIndex(p, kv.index.hostData(), cap);
+  buildSlab(p, kv.slots.hostData());
+  std::memset(kv.checks.hostData(), 0, static_cast<std::size_t>(ues) * 8);
+  // Deliberate benign race: PUTs store the key's CANONICAL value, so two UEs
+  // writing the same slot unsynchronized always land identical idempotent
+  // bytes (that is the workload's last-writer-wins contract, and what the
+  // GET-side checksum verifies). Exempt the slab so the race detector does
+  // not flag the contract the benchmark intentionally exercises; kv_index is
+  // read-only after setup and kv_checks is per-UE disjoint — both clean.
+  kv.slots.exemptFromRaceCheck();
+  // launch() invokes the program synchronously per context; the coroutine
+  // copies the arrays into its frame.
+  bind.launch([&](typename B::Context& ctx) {
+    return kvKernel<B>(ctx, p, cdf, mask, kv.index, kv.slots, kv.checks);
+  });
+  return kv;
 }
 
 class KvStore final : public Benchmark {
@@ -142,53 +151,20 @@ class KvStore final : public Benchmark {
  private:
   [[nodiscard]] RunResult execute(Mode mode, int units, const sim::SccConfig& config,
                                   const partition::ExecutionPlan& plan) const override {
-    RunResult result;
     const KvParams p = params_;
-    const std::uint32_t cap = indexCapacity(p.num_keys);
-    const std::uint32_t mask = cap - 1;
     const ZipfCdf cdf = makeZipfCdf(p.num_keys, p.alpha);
-
-    std::vector<std::uint64_t> computed(static_cast<std::size_t>(units), 0);
-    bool slab_canonical = true;
-    if (mode == Mode::PthreadSingleCore) {
-      threadrt::SingleCoreRuntime rt(config);
-      const std::uint64_t index0 = 4096;
-      const std::uint64_t slots0 = index0 + static_cast<std::uint64_t>(cap) * 8;
-      const std::uint64_t checks0 =
-          slots0 + static_cast<std::uint64_t>(p.num_keys) * kWordsPerItem * 8;
-      rt.machine().reservePrivate(0, checks0 + static_cast<std::size_t>(units) * 8);
-      buildIndex(p, reinterpret_cast<std::uint64_t*>(rt.machine().privData(0, index0)),
-                 cap);
-      buildSlab(p, reinterpret_cast<std::uint64_t*>(rt.machine().privData(0, slots0)));
-      std::memset(rt.machine().privData(0, checks0), 0,
-                  static_cast<std::size_t>(units) * 8);
-      rt.launch(units, [&](threadrt::ThreadContext& ctx) {
-        return kvThread(ctx, p, cdf, mask, index0, slots0, checks0);
-      });
-      result.makespan = rt.run();
-      std::memcpy(computed.data(), rt.machine().privData(0, checks0),
-                  static_cast<std::size_t>(units) * 8);
-      const auto* slab =
-          reinterpret_cast<const std::uint64_t*>(rt.machine().privData(0, slots0));
-      slab_canonical = slabCanonical(p, slab);
-    } else {
-      sim::SccMachine machine(config);
-      const KvLayout layout = setupKvRcce(machine, p, units, plan, mode, cdf);
-      runAndRecord(result, machine, plan, mode);
-      std::memcpy(computed.data(), machine.shmData(layout.checks_offset),
-                  static_cast<std::size_t>(units) * 8);
-      slab_canonical = slabCanonical(
-          p, reinterpret_cast<const std::uint64_t*>(
-                 machine.shmData(layout.slots_offset)));
-    }
-
-    result.verified = slab_canonical && computed == referenceChecksums(cdf, units);
-    deriveDetail(result,
-                 "chk0=" + std::to_string(computed.empty() ? 0 : computed[0]) +
-                     " ops=" +
-                     std::to_string(static_cast<std::uint64_t>(p.ops_per_ue) *
-                                    static_cast<std::uint64_t>(units)));
-    return result;
+    return runBound(mode, units, config, plan, [&]<typename B>(B& bind, RunResult& result) {
+      KvArrays<B> kv = launchKv(bind, p, units, cdf);
+      bind.run(result);
+      std::vector<std::uint64_t> computed(kv.checks.hostData(),
+                                          kv.checks.hostData() + units);
+      result.verified = slabCanonical(p, kv.slots.hostData()) &&
+                        computed == referenceChecksums(cdf, units);
+      deriveDetail(result,
+                   "chk0=" + std::to_string(computed[0]) + " ops=" +
+                       std::to_string(static_cast<std::uint64_t>(p.ops_per_ue) *
+                                      static_cast<std::uint64_t>(units)));
+    });
   }
 
   static bool slabCanonical(const KvParams& p, const std::uint64_t* slab) {
@@ -234,35 +210,10 @@ partition::ExecutionPlan kvStorePlan(const KvParams& params,
 
 KvLayout setupKvRcce(sim::SccMachine& machine, const KvParams& params, int ues,
                      const partition::ExecutionPlan& plan, Mode mode, ZipfCdf cdf) {
-  const KvParams p = params;
-  if (cdf == nullptr) cdf = makeZipfCdf(p.num_keys, p.alpha);
-  const std::uint32_t cap = indexCapacity(p.num_keys);
-  const std::uint32_t mask = cap - 1;
-  rcce::RcceEnv env(machine);
-  rcce::ShmArray<std::uint64_t> index =
-      makeShmArray<std::uint64_t>(env, cap, plan, "kv_index", mode);
-  rcce::ShmArray<std::uint64_t> slots = makeShmArray<std::uint64_t>(
-      env, static_cast<std::size_t>(p.num_keys) * kWordsPerItem, plan, "kv_slots", mode);
-  rcce::ShmArray<std::uint64_t> checks = makeShmArray<std::uint64_t>(
-      env, static_cast<std::size_t>(ues), plan, "kv_checks", mode);
-  buildIndex(p, index.hostData(), cap);
-  buildSlab(p, slots.hostData());
-  std::memset(checks.hostData(), 0, static_cast<std::size_t>(ues) * 8);
-  // Deliberate benign race: PUTs store the key's CANONICAL value, so two UEs
-  // writing the same slot unsynchronized always land identical idempotent
-  // bytes (that is the workload's last-writer-wins contract, and what the
-  // GET-side checksum verifies). Exempt the slab so the race detector does
-  // not flag the contract the benchmark intentionally exercises; kv_index is
-  // read-only after setup and kv_checks is per-UE disjoint — both clean.
-  machine.setShmDrfExempt(
-      slots.byteOffset(0),
-      slots.byteOffset(0) + static_cast<std::uint64_t>(p.num_keys) * kWordsPerItem * 8);
-  // launch() invokes the program lambda synchronously per context; the
-  // coroutine copies the ShmArrays into its frame, so the locals may die.
-  machine.launch(sim::LaunchSpec(ues, [&](sim::CoreContext& ctx) {
-                   return kvRcce(ctx, p, cdf, mask, index, slots, checks);
-                 }).withPlan(&plan));
-  return KvLayout{index.byteOffset(0), slots.byteOffset(0), checks.byteOffset(0)};
+  if (cdf == nullptr) cdf = makeZipfCdf(params.num_keys, params.alpha);
+  RcceBinding bind(machine, ues, plan, mode);
+  const KvArrays<RcceBinding> kv = launchKv(bind, params, ues, cdf);
+  return KvLayout{kv.index.byteOffset(0), kv.slots.byteOffset(0), kv.checks.byteOffset(0)};
 }
 
 std::uint64_t kvReferenceChecksum(const KvParams& params, const ZipfCdf& cdf, int ue) {

@@ -115,8 +115,8 @@ struct KvLayout {
 };
 
 /// Allocate and prepopulate the KV regions on `machine`, then launch `ues`
-/// UEs of the RCCE kernel under `plan` — the Benchmark's RCCE realization,
-/// also exposed for harnesses that own the machine and read its stats
+/// UEs of the KV kernel's RCCE binding under the plan realized for `mode` —
+/// the Benchmark's RCCE run, also exposed for harnesses that own the machine and read its stats
 /// (bench/scenarios.h's `kv_zipf_8ue`). The caller runs machine.run();
 /// kvReferenceChecksum replays the expected per-UE results. `cdf` is the
 /// run's shared makeZipfCdf(params.num_keys, params.alpha) table; null

@@ -4,13 +4,10 @@
 // only stage the pivot row — the paper's "very slight performance
 // improvement" case in Fig. 6.2.
 #include <cmath>
-#include <cstring>
 #include <vector>
 
-#include "rcce/rcce.h"
-#include "sim/machine.h"
-#include "threadrt/baseline.h"
 #include "workloads/benchmark.h"
+#include "workloads/binding.h"
 
 namespace hsm::workloads {
 namespace {
@@ -49,58 +46,23 @@ bool verifyLu(const double* m, std::size_t n) {
   return true;
 }
 
-sim::SimTask luThread(threadrt::ThreadContext& ctx, LuParams p, std::uint64_t m0) {
-  const std::size_t n = p.n;
-  const int P = ctx.numThreads();
-  const int me = ctx.tid();
-  std::vector<double> row_k(n), row_i(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t len = n - k;
-    co_await ctx.memRead(m0 + (k * n + k) * 8, row_k.data(), len * 8);
-    for (std::size_t i = k + 1; i < n; ++i) {
-      if (static_cast<int>(i % static_cast<std::size_t>(P)) != me) continue;
-      co_await ctx.memRead(m0 + (i * n + k) * 8, row_i.data(), len * 8);
-      const double factor = row_i[0] / row_k[0];
-      row_i[0] = factor;
-      for (std::size_t j = 1; j < len; ++j) row_i[j] -= factor * row_k[j];
-      co_await ctx.computeOps(1, sim::OpClass::FpDiv);
-      co_await ctx.computeOps(2 * (len - 1), sim::OpClass::FpAdd);
-      co_await ctx.memWrite(m0 + (i * n + k) * 8, row_i.data(), len * 8);
-    }
-    // The pthread program synchronizes workers between elimination steps
-    // (pthread_barrier_wait); required for correctness on any schedule.
-    co_await ctx.barrier();
-  }
-}
-
-sim::SimTask luRcce(sim::CoreContext& ctx, LuParams p, rcce::ShmArray<double> m,
-                    rcce::MpbArray<double> pivot_stage, bool use_mpb) {
+template <typename B>
+sim::SimTask luKernel(typename B::Context& ctx, LuParams p, ArrayOf<B, double> m) {
   const std::size_t n = p.n;
   const int P = ctx.numUes();
   const int me = ctx.ue();
   std::vector<double> row_k(n), row_i(n);
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t len = n - k;
+    // Under MPB placement the pivot row is staged in its owner's MPB once
+    // and everyone else fetches it on chip instead of re-reading DRAM.
     const int pivot_owner = static_cast<int>(k % static_cast<std::size_t>(P));
-    if (use_mpb) {
-      // The pivot row is staged in its owner's MPB once; everyone else
-      // fetches it on-chip instead of re-reading off-chip DRAM.
-      if (me == pivot_owner) {
-        co_await m.readBulk(ctx, k * n + k, len, row_k.data());
-        co_await pivot_stage.writeBlock(ctx, me, 0, len, row_k.data());
-      }
-      co_await ctx.barrier();
-      if (me != pivot_owner) {
-        co_await pivot_stage.readBlock(ctx, pivot_owner, 0, len, row_k.data());
-      }
-    } else {
-      co_await m.readBlock(ctx, k * n + k, len, row_k.data());
-    }
+    co_await m.broadcast(ctx, pivot_owner, k * n + k, len, row_k.data());
     for (std::size_t i = k + 1; i < n; ++i) {
       if (static_cast<int>(i % static_cast<std::size_t>(P)) != me) continue;
       // The working rows exceed any MPB slice, so row updates stay in
-      // off-chip shared memory in both configurations — only the pivot row
-      // staging differs (hence the paper's "very slight" MPB gain for LU).
+      // off-chip shared memory in both RCCE configurations — only the pivot
+      // row staging differs (hence the paper's "very slight" MPB gain).
       co_await m.readBlock(ctx, i * n + k, len, row_i.data());
       const double factor = row_i[0] / row_k[0];
       row_i[0] = factor;
@@ -109,6 +71,8 @@ sim::SimTask luRcce(sim::CoreContext& ctx, LuParams p, rcce::ShmArray<double> m,
       co_await ctx.computeOps(2 * (len - 1), sim::OpClass::FpAdd);
       co_await m.writeBlock(ctx, i * n + k, len, row_i.data());
     }
+    // The pthread program synchronizes workers between elimination steps
+    // (pthread_barrier_wait); required for correctness on any schedule.
     co_await ctx.barrier();
   }
 }
@@ -134,38 +98,17 @@ class LuDecomposition final : public Benchmark {
  private:
   [[nodiscard]] RunResult execute(Mode mode, int units, const sim::SccConfig& config,
                                   const partition::ExecutionPlan& plan) const override {
-    RunResult result;
     const LuParams p = params_;
-
-    bool verified = false;
-    if (mode == Mode::PthreadSingleCore) {
-      threadrt::SingleCoreRuntime rt(config);
-      const std::uint64_t m0 = 0;
-      rt.machine().reservePrivate(0, p.n * p.n * 8);
-      auto* m_host = reinterpret_cast<double*>(rt.machine().privData(0, m0));
-      initMatrix(m_host, p.n);
-      rt.launch(units, [&](threadrt::ThreadContext& ctx) {
-        return luThread(ctx, p, m0);
-      });
-      result.makespan = rt.run();
-      verified = verifyLu(reinterpret_cast<double*>(rt.machine().privData(0, m0)), p.n);
-    } else {
-      sim::SccMachine machine(config);
-      rcce::RcceEnv env(machine);
-      const bool use_mpb = partition::isOnChip(resolvePlacement(plan, "m", mode));
-      rcce::ShmArray<double> m = makeShmArray<double>(env, p.n * p.n, plan, "m", mode);
-      rcce::MpbArray<double> pivot_stage(env, units, p.n);
+    return runBound(mode, units, config, plan, [&]<typename B>(B& bind, RunResult& result) {
+      // Staged, a UE's MPB block holds one pivot row.
+      ArrayOf<B, double> m = bind.template array<double>(
+          {.name = "m", .count = p.n * p.n, .priv_addr = 0, .block = p.n});
       initMatrix(m.hostData(), p.n);
-      machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
-        return luRcce(ctx, p, m, pivot_stage, use_mpb);
-      }).withPlan(&plan));
-      runAndRecord(result, machine, plan, mode);
-      verified = verifyLu(m.hostData(), p.n);
-    }
-
-    result.verified = verified;
-    deriveDetail(result, verified ? "lu=ok" : "lu=MISMATCH");
-    return result;
+      bind.launch([&](typename B::Context& ctx) { return luKernel<B>(ctx, p, m); });
+      bind.run(result);
+      result.verified = verifyLu(m.hostData(), p.n);
+      deriveDetail(result, result.verified ? "lu=ok" : "lu=MISMATCH");
+    });
   }
 
   LuParams params_;

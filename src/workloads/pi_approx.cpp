@@ -3,12 +3,9 @@
 // the paper's best case (~32x on 32 cores, Fig. 6.1; near-linear core
 // scaling, Fig. 6.3).
 #include <cmath>
-#include <cstring>
 
-#include "rcce/rcce.h"
-#include "sim/machine.h"
-#include "threadrt/baseline.h"
 #include "workloads/benchmark.h"
+#include "workloads/binding.h"
 
 namespace hsm::workloads {
 namespace {
@@ -30,29 +27,8 @@ double partialSum(const PiParams& p, const Slice& s) {
   return sum;
 }
 
-sim::SimTask piThread(threadrt::ThreadContext& ctx, PiParams p,
-                      std::uint64_t sum_addr) {
-  const Slice s = blockSlice(p.steps, ctx.numThreads(), ctx.tid());
-  double sum = 0.0;
-  const double step = 1.0 / static_cast<double>(p.steps);
-  for (std::size_t i = s.first; i < s.last; i += kChunk) {
-    const std::size_t c = std::min(kChunk, s.last - i);
-    sum += partialSum(p, Slice{i, i + c});
-    co_await ctx.computeOps(c, sim::OpClass::FpDiv);
-    co_await ctx.computeOps(3 * c, sim::OpClass::FpAdd);
-    co_await ctx.computeOps(2 * c, sim::OpClass::FpMul);
-  }
-  // Accumulate into the shared sum under the process mutex.
-  co_await ctx.lockAcquire(kSumLock);
-  double global = 0.0;
-  co_await ctx.memRead(sum_addr, &global, sizeof(double));
-  global += sum * step;
-  co_await ctx.memWrite(sum_addr, &global, sizeof(double));
-  co_await ctx.lockRelease(kSumLock);
-}
-
-sim::SimTask piRcce(sim::CoreContext& ctx, PiParams p, rcce::ShmArray<double> acc,
-                    rcce::MpbArray<double> mpb_acc, bool use_mpb) {
+template <typename B>
+sim::SimTask piKernel(typename B::Context& ctx, PiParams p, ArrayOf<B, double> gsum) {
   const Slice s = blockSlice(p.steps, ctx.numUes(), ctx.ue());
   double sum = 0.0;
   const double step = 1.0 / static_cast<double>(p.steps);
@@ -63,21 +39,15 @@ sim::SimTask piRcce(sim::CoreContext& ctx, PiParams p, rcce::ShmArray<double> ac
     co_await ctx.computeOps(3 * c, sim::OpClass::FpAdd);
     co_await ctx.computeOps(2 * c, sim::OpClass::FpMul);
   }
-  // The translated program accumulates into explicitly shared memory under
-  // a test-and-set lock (the pthread mutex after MutexToLockPass).
+  // Accumulate into the shared sum under the mutex (a test-and-set lock
+  // after MutexToLockPass).
   co_await ctx.lockAcquire(kSumLock);
   double global = 0.0;
-  if (use_mpb) {
-    co_await mpb_acc.read(ctx, 0, 0, &global);
-    global += sum * step;
-    co_await mpb_acc.write(ctx, 0, 0, global);
-  } else {
-    co_await acc.read(ctx, 0, &global);
-    global += sum * step;
-    co_await acc.write(ctx, 0, global);
-  }
+  co_await gsum.read(ctx, 0, &global);
+  global += sum * step;
+  co_await gsum.write(ctx, 0, global);
   co_await ctx.lockRelease(kSumLock);
-  co_await ctx.barrier();
+  co_await B::joinBarrier(ctx);
 }
 
 class PiApprox final : public Benchmark {
@@ -100,37 +70,17 @@ class PiApprox final : public Benchmark {
  private:
   [[nodiscard]] RunResult execute(Mode mode, int units, const sim::SccConfig& config,
                                   const partition::ExecutionPlan& plan) const override {
-    RunResult result;
     const PiParams p = params_;
-
-    double computed = 0.0;
-    if (mode == Mode::PthreadSingleCore) {
-      threadrt::SingleCoreRuntime rt(config);
-      const std::uint64_t sum_addr = 0;
-      std::memset(rt.machine().privData(0, sum_addr), 0, sizeof(double));
-      rt.launch(units, [&](threadrt::ThreadContext& ctx) {
-        return piThread(ctx, p, sum_addr);
-      });
-      result.makespan = rt.run();
-      std::memcpy(&computed, rt.machine().privData(0, sum_addr), sizeof(double));
-    } else {
-      sim::SccMachine machine(config);
-      rcce::RcceEnv env(machine);
-      const bool use_mpb = partition::isOnChip(resolvePlacement(plan, "gsum", mode));
-      rcce::ShmArray<double> acc = makeShmArray<double>(env, 1, plan, "gsum", mode);
-      rcce::MpbArray<double> mpb_acc(env, units, 1);
-      *acc.hostData() = 0.0;
-      *mpb_acc.hostData(0) = 0.0;
-      machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
-        return piRcce(ctx, p, acc, mpb_acc, use_mpb);
-      }).withPlan(&plan));
-      runAndRecord(result, machine, plan, mode);
-      computed = use_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
-    }
-
-    result.verified = std::abs(computed - M_PI) < 1e-5;
-    deriveDetail(result, "pi=" + std::to_string(computed));
-    return result;
+    return runBound(mode, units, config, plan, [&]<typename B>(B& bind, RunResult& result) {
+      ArrayOf<B, double> gsum =
+          bind.template array<double>({.name = "gsum", .count = 1, .priv_addr = 0});
+      *gsum.hostData() = 0.0;
+      bind.launch([&](typename B::Context& ctx) { return piKernel<B>(ctx, p, gsum); });
+      bind.run(result);
+      const double computed = *gsum.hostData();
+      result.verified = std::abs(computed - M_PI) < 1e-5;
+      deriveDetail(result, "pi=" + std::to_string(computed));
+    });
   }
 
   PiParams params_;

@@ -4,13 +4,10 @@
 // configuration moves data with bulk row-buffer-friendly copies staged
 // through the on-chip buffer — the largest Fig. 6.2 winner.
 #include <cmath>
-#include <cstring>
 #include <vector>
 
-#include "rcce/rcce.h"
-#include "sim/machine.h"
-#include "threadrt/baseline.h"
 #include "workloads/benchmark.h"
+#include "workloads/binding.h"
 
 namespace hsm::workloads {
 namespace {
@@ -56,134 +53,51 @@ bool checkArrays(const double* a, const double* b, const double* c, std::size_t 
   return true;
 }
 
-// --- baseline: process memory, cacheable, one core -------------------------
-
-sim::SimTask streamThread(threadrt::ThreadContext& ctx, StreamParams p,
-                          std::uint64_t a0, std::uint64_t b0, std::uint64_t c0) {
-  const Slice s = blockSlice(p.n, ctx.numThreads(), ctx.tid());
-  std::vector<double> in1(kChunk), in2(kChunk), out(kChunk);
-  // Four kernels, barrier-free in the original pthread program (each thread
-  // owns a disjoint slice; threads join between kernels via pthread_join in
-  // the source — the single-core baseline serializes anyway).
-  for (int kernel = 0; kernel < 4; ++kernel) {
-    for (std::size_t j = s.first; j < s.last; j += kChunk) {
-      const std::size_t c = std::min(kChunk, s.last - j);
-      switch (kernel) {
-        case 0:  // c[j] = a[j]
-          co_await ctx.memRead(a0 + j * 8, in1.data(), c * 8);
-          co_await ctx.memWrite(c0 + j * 8, in1.data(), c * 8);
-          break;
-        case 1:  // b[j] = 3*c[j]
-          co_await ctx.memRead(c0 + j * 8, in1.data(), c * 8);
-          for (std::size_t k = 0; k < c; ++k) out[k] = kScalar * in1[k];
-          co_await ctx.computeOps(c, sim::OpClass::FpMul);
-          co_await ctx.memWrite(b0 + j * 8, out.data(), c * 8);
-          break;
-        case 2:  // c[j] = a[j] + b[j]
-          co_await ctx.memRead(a0 + j * 8, in1.data(), c * 8);
-          co_await ctx.memRead(b0 + j * 8, in2.data(), c * 8);
-          for (std::size_t k = 0; k < c; ++k) out[k] = in1[k] + in2[k];
-          co_await ctx.computeOps(c, sim::OpClass::FpAdd);
-          co_await ctx.memWrite(c0 + j * 8, out.data(), c * 8);
-          break;
-        case 3:  // a[j] = b[j] + 3*c[j]
-          co_await ctx.memRead(b0 + j * 8, in1.data(), c * 8);
-          co_await ctx.memRead(c0 + j * 8, in2.data(), c * 8);
-          for (std::size_t k = 0; k < c; ++k) out[k] = in1[k] + kScalar * in2[k];
-          co_await ctx.computeOps(c, sim::OpClass::FpAdd);
-          co_await ctx.computeOps(c, sim::OpClass::FpMul);
-          co_await ctx.memWrite(a0 + j * 8, out.data(), c * 8);
-          break;
-      }
-    }
-  }
-}
-
-// --- RCCE: shared arrays, off-chip words or MPB-staged bulk ----------------
-
-sim::SimTask streamRcce(sim::CoreContext& ctx, StreamParams p,
-                        rcce::ShmArray<double> a, rcce::ShmArray<double> b,
-                        rcce::ShmArray<double> c, rcce::MpbArray<double> stage,
-                        bool use_mpb) {
+// Under MPB placement the bulk copies land blocks in this core's MPB slice
+// (DMA-style), and kernels 0 and 1 then read their staged block on chip;
+// kernels 2 and 3 take their bulk-copied blocks straight to registers.
+// Kernels have cross-slice dependencies only at the kernel boundary: the
+// pthread program joins its threads there, the translated one meets at a
+// barrier.
+template <typename B>
+sim::SimTask streamKernel(typename B::Context& ctx, StreamParams p, ArrayOf<B, double> a,
+                          ArrayOf<B, double> b, ArrayOf<B, double> c) {
   const Slice s = blockSlice(p.n, ctx.numUes(), ctx.ue());
   std::vector<double> in1(kChunk), in2(kChunk), out(kChunk);
-  const int me = ctx.ue();
-  // The bulk copy is a DMA into this core's MPB slice: its DRAM-side cost
-  // is the bulk op; depositing into the slice's backing store is untimed.
-  auto deposit = [&](const double* data, std::size_t count) {
-    std::memcpy(stage.hostData(me), data, count * sizeof(double));
-  };
-
   for (int kernel = 0; kernel < 4; ++kernel) {
     for (std::size_t j = s.first; j < s.last; j += kChunk) {
       const std::size_t cnt = std::min(kChunk, s.last - j);
-      if (use_mpb) {
-        // Bulk copies land blocks in this core's MPB slice (DMA-style);
-        // the core then touches them on-chip.
-        switch (kernel) {
-          case 0:
-            co_await a.readBulk(ctx, j, cnt, in1.data());
-            deposit(in1.data(), cnt);
-            co_await stage.readBlock(ctx, me, 0, cnt, in1.data());
-            co_await c.writeBulk(ctx, j, cnt, in1.data());
-            break;
-          case 1:
-            co_await c.readBulk(ctx, j, cnt, in1.data());
-            deposit(in1.data(), cnt);
-            co_await stage.readBlock(ctx, me, 0, cnt, in1.data());
-            for (std::size_t k = 0; k < cnt; ++k) out[k] = kScalar * in1[k];
-            co_await ctx.computeOps(cnt, sim::OpClass::FpMul);
-            co_await b.writeBulk(ctx, j, cnt, out.data());
-            break;
-          case 2:
-            co_await a.readBulk(ctx, j, cnt, in1.data());
-            co_await b.readBulk(ctx, j, cnt, in2.data());
-            for (std::size_t k = 0; k < cnt; ++k) out[k] = in1[k] + in2[k];
-            co_await ctx.computeOps(cnt, sim::OpClass::FpAdd);
-            co_await c.writeBulk(ctx, j, cnt, out.data());
-            break;
-          case 3:
-            co_await b.readBulk(ctx, j, cnt, in1.data());
-            co_await c.readBulk(ctx, j, cnt, in2.data());
-            for (std::size_t k = 0; k < cnt; ++k) out[k] = in1[k] + kScalar * in2[k];
-            co_await ctx.computeOps(cnt, sim::OpClass::FpAdd);
-            co_await ctx.computeOps(cnt, sim::OpClass::FpMul);
-            co_await a.writeBulk(ctx, j, cnt, out.data());
-            break;
-        }
-      } else {
-        switch (kernel) {
-          case 0:
-            co_await a.readBlock(ctx, j, cnt, in1.data());
-            co_await c.writeBlock(ctx, j, cnt, in1.data());
-            break;
-          case 1:
-            co_await c.readBlock(ctx, j, cnt, in1.data());
-            for (std::size_t k = 0; k < cnt; ++k) out[k] = kScalar * in1[k];
-            co_await ctx.computeOps(cnt, sim::OpClass::FpMul);
-            co_await b.writeBlock(ctx, j, cnt, out.data());
-            break;
-          case 2:
-            co_await a.readBlock(ctx, j, cnt, in1.data());
-            co_await b.readBlock(ctx, j, cnt, in2.data());
-            for (std::size_t k = 0; k < cnt; ++k) out[k] = in1[k] + in2[k];
-            co_await ctx.computeOps(cnt, sim::OpClass::FpAdd);
-            co_await c.writeBlock(ctx, j, cnt, out.data());
-            break;
-          case 3:
-            co_await b.readBlock(ctx, j, cnt, in1.data());
-            co_await c.readBlock(ctx, j, cnt, in2.data());
-            for (std::size_t k = 0; k < cnt; ++k) out[k] = in1[k] + kScalar * in2[k];
-            co_await ctx.computeOps(cnt, sim::OpClass::FpAdd);
-            co_await ctx.computeOps(cnt, sim::OpClass::FpMul);
-            co_await a.writeBlock(ctx, j, cnt, out.data());
-            break;
-        }
+      switch (kernel) {
+        case 0:  // c[j] = a[j]
+          co_await a.readBulk(ctx, j, cnt, in1.data());
+          co_await a.readStaged(ctx, cnt, in1.data());
+          co_await c.writeBulk(ctx, j, cnt, in1.data());
+          break;
+        case 1:  // b[j] = 3*c[j]
+          co_await c.readBulk(ctx, j, cnt, in1.data());
+          co_await c.readStaged(ctx, cnt, in1.data());
+          for (std::size_t k = 0; k < cnt; ++k) out[k] = kScalar * in1[k];
+          co_await ctx.computeOps(cnt, sim::OpClass::FpMul);
+          co_await b.writeBulk(ctx, j, cnt, out.data());
+          break;
+        case 2:  // c[j] = a[j] + b[j]
+          co_await a.readBulk(ctx, j, cnt, in1.data());
+          co_await b.readBulk(ctx, j, cnt, in2.data());
+          for (std::size_t k = 0; k < cnt; ++k) out[k] = in1[k] + in2[k];
+          co_await ctx.computeOps(cnt, sim::OpClass::FpAdd);
+          co_await c.writeBulk(ctx, j, cnt, out.data());
+          break;
+        case 3:  // a[j] = b[j] + 3*c[j]
+          co_await b.readBulk(ctx, j, cnt, in1.data());
+          co_await c.readBulk(ctx, j, cnt, in2.data());
+          for (std::size_t k = 0; k < cnt; ++k) out[k] = in1[k] + kScalar * in2[k];
+          co_await ctx.computeOps(cnt, sim::OpClass::FpAdd);
+          co_await ctx.computeOps(cnt, sim::OpClass::FpMul);
+          co_await a.writeBulk(ctx, j, cnt, out.data());
+          break;
       }
     }
-    // Kernels have cross-slice dependencies only at the kernel boundary;
-    // the translated program synchronizes with a barrier.
-    co_await ctx.barrier();
+    co_await B::joinBarrier(ctx);
   }
 }
 
@@ -209,46 +123,22 @@ class Stream final : public Benchmark {
  private:
   [[nodiscard]] RunResult execute(Mode mode, int units, const sim::SccConfig& config,
                                   const partition::ExecutionPlan& plan) const override {
-    RunResult result;
     const StreamParams p = params_;
-
-    bool verified = false;
-    if (mode == Mode::PthreadSingleCore) {
-      threadrt::SingleCoreRuntime rt(config);
-      const std::uint64_t a0 = 0;
-      const std::uint64_t b0 = a0 + p.n * 8;
-      const std::uint64_t c0 = b0 + p.n * 8;
-      rt.machine().reservePrivate(0, c0 + p.n * 8);
-      initArrays(reinterpret_cast<double*>(rt.machine().privData(0, a0)),
-                 reinterpret_cast<double*>(rt.machine().privData(0, b0)),
-                 reinterpret_cast<double*>(rt.machine().privData(0, c0)), p.n);
-      rt.launch(units, [&](threadrt::ThreadContext& ctx) {
-        return streamThread(ctx, p, a0, b0, c0);
-      });
-      result.makespan = rt.run();
-      verified = checkArrays(reinterpret_cast<double*>(rt.machine().privData(0, a0)),
-                             reinterpret_cast<double*>(rt.machine().privData(0, b0)),
-                             reinterpret_cast<double*>(rt.machine().privData(0, c0)),
-                             p.n);
-    } else {
-      sim::SccMachine machine(config);
-      rcce::RcceEnv env(machine);
-      const bool use_mpb = partition::isOnChip(resolvePlacement(plan, "a", mode));
-      rcce::ShmArray<double> a = makeShmArray<double>(env, p.n, plan, "a", mode);
-      rcce::ShmArray<double> b = makeShmArray<double>(env, p.n, plan, "b", mode);
-      rcce::ShmArray<double> c = makeShmArray<double>(env, p.n, plan, "c", mode);
-      rcce::MpbArray<double> stage(env, units, kChunk);
+    return runBound(mode, units, config, plan, [&]<typename B>(B& bind, RunResult& result) {
+      const std::size_t bytes = p.n * sizeof(double);
+      ArrayOf<B, double> a = bind.template array<double>(
+          {.name = "a", .count = p.n, .priv_addr = 0, .block = kChunk});
+      // The kernels stage one block at a time: all three arrays share a's.
+      ArrayOf<B, double> b = bind.template array<double>(
+          {.name = "b", .count = p.n, .priv_addr = bytes, .block = kChunk}, &a);
+      ArrayOf<B, double> c = bind.template array<double>(
+          {.name = "c", .count = p.n, .priv_addr = 2 * bytes, .block = kChunk}, &a);
       initArrays(a.hostData(), b.hostData(), c.hostData(), p.n);
-      machine.launch(sim::LaunchSpec(units, [&](sim::CoreContext& ctx) {
-        return streamRcce(ctx, p, a, b, c, stage, use_mpb);
-      }).withPlan(&plan));
-      runAndRecord(result, machine, plan, mode);
-      verified = checkArrays(a.hostData(), b.hostData(), c.hostData(), p.n);
-    }
-
-    result.verified = verified;
-    deriveDetail(result, verified ? "arrays=ok" : "arrays=MISMATCH");
-    return result;
+      bind.launch([&](typename B::Context& ctx) { return streamKernel<B>(ctx, p, a, b, c); });
+      bind.run(result);
+      result.verified = checkArrays(a.hostData(), b.hostData(), c.hostData(), p.n);
+      deriveDetail(result, result.verified ? "arrays=ok" : "arrays=MISMATCH");
+    });
   }
 
   StreamParams params_;

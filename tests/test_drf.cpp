@@ -1016,14 +1016,14 @@ TEST(DrfMachine, CachedSlotsFalseShareLineModeOnly) {
 
 sim::SimTask racyThread(threadrt::ThreadContext& ctx, std::uint64_t addr) {
   long long v = 0;
-  co_await ctx.compute(100 + static_cast<std::uint64_t>(ctx.tid()) * 50);
+  co_await ctx.compute(100 + static_cast<std::uint64_t>(ctx.ue()) * 50);
   co_await ctx.memRead(addr, &v, sizeof(v));
   v += 1;
   co_await ctx.memWrite(addr, &v, sizeof(v));
 }
 
 sim::SimTask mutexedThread(threadrt::ThreadContext& ctx, std::uint64_t addr) {
-  co_await ctx.compute(100 + static_cast<std::uint64_t>(ctx.tid()) * 50);
+  co_await ctx.compute(100 + static_cast<std::uint64_t>(ctx.ue()) * 50);
   co_await ctx.lockAcquire(0);
   long long v = 0;
   co_await ctx.memRead(addr, &v, sizeof(v));

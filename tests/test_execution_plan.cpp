@@ -3,7 +3,8 @@
 //   * the translator derives the expected plan for every paper benchmark;
 //   * per-variable cacheability matches the stage-2 sharing classification
 //     (read-mostly → cached off chip, thread-written → never cached);
-//   * resolvePlacement realizes the off-chip class only in RcceOffChip;
+//   * the realized plan takes the off-chip class only in RcceOffChip, and
+//     an RcceOffChip launch declares no MPB scope;
 //   * plan-driven workload runs verify with ZERO scope violations (the
 //     derived owner sets cover all observed MPB traffic);
 //   * each workload's hand plan lints clean against its translated source
@@ -20,6 +21,7 @@
 #include "sim/machine.h"
 #include "translator/translator.h"
 #include "workloads/benchmark.h"
+#include "workloads/binding.h"
 #include "workloads/kv_store.h"
 
 namespace hsm {
@@ -35,16 +37,7 @@ translator::TranslationResult translateBenchmark(const std::string& name) {
   return t.translate(workloads::pthreadSource(name), name + ".c");
 }
 
-std::unique_ptr<workloads::Benchmark> makeBenchmark(const std::string& name,
-                                                    double scale) {
-  if (name == "PiApprox") return workloads::makePiApprox(scale);
-  if (name == "3-5-Sum") return workloads::makeSum35(scale);
-  if (name == "CountPrimes") return workloads::makeCountPrimes(scale);
-  if (name == "Stream") return workloads::makeStream(scale);
-  if (name == "DotProduct") return workloads::makeDotProduct(scale);
-  if (name == "LU") return workloads::makeLuDecomposition(scale);
-  return nullptr;
-}
+sim::SimTask touchNothing(sim::CoreContext& ctx) { co_await ctx.compute(1); }
 
 // --- owner-set materialization ----------------------------------------------
 
@@ -75,8 +68,7 @@ TEST(ExecutionPlan, OffChipRegionsGenerateNoOwners) {
   const ExecutionPlan plan{
       {RegionPlan{"c", PlacementClass::kOffChipCached, MpbPattern::kNone, 4096},
        RegionPlan{"u", PlacementClass::kOffChipUncached, MpbPattern::kNone, 64}}};
-  EXPECT_TRUE(plan.mpbScopeOwners(0, 8).empty());
-  EXPECT_FALSE(plan.anyMpbTraffic());
+  for (int ue = 0; ue < 8; ++ue) EXPECT_TRUE(plan.mpbScopeOwners(ue, 8).empty()) << ue;
 }
 
 TEST(ExecutionPlan, UnionAcrossRegionsIsSortedUnique) {
@@ -239,13 +231,11 @@ TEST(ExecutionPlanDerivation, ControllerPlacementFollowsSharingTables) {
   EXPECT_EQ(offchip_entries, 2u);
 }
 
-// resolvePlacement realizes a region's class per mode: its placement under
-// RcceMpb, its off-chip class under RcceOffChip; a default off-chip class
-// is the plain demotion hand plans always had, and an unnamed region is
-// off-chip-uncached in both.
-TEST(ExecutionPlan, ResolvePlacementRealizesTheOffChipClassOffChip) {
+// The plan a run realizes (workloads::realizedPlan): each region's
+// placement under RcceMpb, its off-chip class under RcceOffChip; a default
+// off-chip class is the plain demotion hand plans always had.
+TEST(ExecutionPlan, RealizedPlanTakesTheOffChipClassOffChip) {
   using workloads::Mode;
-  using workloads::resolvePlacement;
   RegionPlan staged{"s", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 64};
   staged.offchip = PlacementClass::kOffChipCached;
   const ExecutionPlan plan{
@@ -253,22 +243,41 @@ TEST(ExecutionPlan, ResolvePlacementRealizesTheOffChipClassOffChip) {
        RegionPlan{"h", PlacementClass::kOnChipStaged, MpbPattern::kSelfStage, 64},
        RegionPlan{"r", PlacementClass::kOnChipResident, MpbPattern::kRootFunnel, 8},
        RegionPlan{"c", PlacementClass::kOffChipCached, MpbPattern::kNone, 64}}};
-  EXPECT_EQ(resolvePlacement(plan, "s", Mode::RcceMpb), PlacementClass::kOnChipStaged);
-  EXPECT_EQ(resolvePlacement(plan, "s", Mode::RcceOffChip), PlacementClass::kOffChipCached);
+  const ExecutionPlan mpb = workloads::realizedPlan(plan, Mode::RcceMpb);
+  const ExecutionPlan off = workloads::realizedPlan(plan, Mode::RcceOffChip);
+  EXPECT_EQ(mpb.find("s")->placement, PlacementClass::kOnChipStaged);
+  EXPECT_EQ(off.find("s")->placement, PlacementClass::kOffChipCached);
   // Hand-plan regions (default off-chip class) resolve exactly as before.
-  EXPECT_EQ(resolvePlacement(plan, "h", Mode::RcceMpb), PlacementClass::kOnChipStaged);
-  EXPECT_EQ(resolvePlacement(plan, "h", Mode::RcceOffChip),
-            PlacementClass::kOffChipUncached);
-  EXPECT_EQ(resolvePlacement(plan, "r", Mode::RcceMpb), PlacementClass::kOnChipResident);
-  EXPECT_EQ(resolvePlacement(plan, "r", Mode::RcceOffChip),
-            PlacementClass::kOffChipUncached);
+  EXPECT_EQ(mpb.find("h")->placement, PlacementClass::kOnChipStaged);
+  EXPECT_EQ(off.find("h")->placement, PlacementClass::kOffChipUncached);
+  EXPECT_EQ(mpb.find("r")->placement, PlacementClass::kOnChipResident);
+  EXPECT_EQ(off.find("r")->placement, PlacementClass::kOffChipUncached);
   // An off-chip placement ignores the off-chip class in both modes.
-  EXPECT_EQ(resolvePlacement(plan, "c", Mode::RcceMpb), PlacementClass::kOffChipCached);
-  EXPECT_EQ(resolvePlacement(plan, "c", Mode::RcceOffChip), PlacementClass::kOffChipCached);
-  EXPECT_EQ(resolvePlacement(plan, "missing", Mode::RcceMpb),
-            PlacementClass::kOffChipUncached);
-  EXPECT_EQ(resolvePlacement(plan, "missing", Mode::RcceOffChip),
-            PlacementClass::kOffChipUncached);
+  EXPECT_EQ(mpb.find("c")->placement, PlacementClass::kOffChipCached);
+  EXPECT_EQ(off.find("c")->placement, PlacementClass::kOffChipCached);
+  // Realizing is idempotent, and only the placement changes.
+  EXPECT_EQ(off.realized(true).toJson(8), off.toJson(8));
+  EXPECT_EQ(off.find("s")->pattern, MpbPattern::kSelfStage);
+  // RcceMpb declares the plan's owners; RcceOffChip declares none.
+  EXPECT_EQ(mpb.mpbScopeOwners(5, 8), plan.mpbScopeOwners(5, 8));
+  for (int ue = 0; ue < 8; ++ue) EXPECT_TRUE(off.mpbScopeOwners(ue, 8).empty()) << ue;
+}
+
+// The Fig. 6.1 run of the derived DotProduct plan declares no MPB scope:
+// its staged vectors and root-funnelled `partial` run as off-chip words, so
+// no UE may reach a tile port (the plan itself names owners {0, ue}).
+TEST(ExecutionPlan, OffChipRunDeclaresNoMpbScope) {
+  const translator::TranslationResult r = translateBenchmark("DotProduct");
+  ASSERT_TRUE(r.ok) << r.diagnostics;
+  ASSERT_FALSE(r.execution_plan.mpbScopeOwners(3, 32).empty());
+  sim::SccMachine machine;
+  workloads::RcceBinding bind(machine, 32, r.execution_plan, workloads::Mode::RcceOffChip);
+  bind.launch([](sim::CoreContext& ctx) { return touchNothing(ctx); });
+  for (int ue = 0; ue < 32; ++ue) {
+    EXPECT_TRUE(machine.mpbScopePorts(ue).empty()) << "UE " << ue;
+  }
+  (void)machine.run();
+  EXPECT_EQ(machine.mpbScopeViolations(), 0u);
 }
 
 // The KV store's plan (workloads::kvStorePlan): all three regions off-chip
@@ -280,7 +289,7 @@ TEST(ExecutionPlan, KvStorePlanControllerPlacements) {
   for (const ControllerPlacement cp :
        {ControllerPlacement::kStriped, ControllerPlacement::kOwnerCompute}) {
     const ExecutionPlan plan = workloads::kvStorePlan(workloads::KvParams{}, cp);
-    EXPECT_FALSE(plan.anyMpbTraffic());
+    for (int ue = 0; ue < 8; ++ue) EXPECT_TRUE(plan.mpbScopeOwners(ue, 8).empty()) << ue;
     for (const RegionPlan& region : plan.regions) EXPECT_FALSE(region.cachedInSomeRun());
     for (int ue = 0; ue < 8; ++ue) {
       EXPECT_TRUE(plan.mpbScopeOwners(ue, 8).empty());
@@ -303,11 +312,10 @@ constexpr double kScale = 0.05;
 
 TEST(PlanDrivenExecution, AllBenchmarksVerifyWithZeroScopeViolations) {
   const sim::SccConfig config;
-  for (const std::string& name : workloads::pthreadSourceNames()) {
+  for (const auto& bench : workloads::standardSuite(kScale)) {
+    const std::string name = bench->name();
     const translator::TranslationResult r = translateBenchmark(name);
     ASSERT_TRUE(r.ok) << name << ": " << r.diagnostics;
-    const auto bench = makeBenchmark(name, kScale);
-    ASSERT_NE(bench, nullptr);
     for (const workloads::Mode mode :
          {workloads::Mode::RcceOffChip, workloads::Mode::RcceMpb}) {
       const workloads::RunResult run =
@@ -355,11 +363,10 @@ TEST(PlanDrivenExecution, UnrecognizedConsequentialRegionIsCounted) {
 
 TEST(Workloads, HandPlansLintCleanAndInScope) {
   const sim::SccConfig config;
-  for (const std::string& name : workloads::pthreadSourceNames()) {
+  for (const auto& bench : workloads::standardSuite(kScale)) {
+    const std::string name = bench->name();
     const translator::TranslationResult r = translateBenchmark(name);
     ASSERT_TRUE(r.ok) << name << ": " << r.diagnostics;
-    const auto bench = makeBenchmark(name, kScale);
-    ASSERT_NE(bench, nullptr);
     const ExecutionPlan plan = bench->handPlan();
     EXPECT_FALSE(plan.regions.empty()) << name;
     const partition::LintResult lint =

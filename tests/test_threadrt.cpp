@@ -48,8 +48,8 @@ TEST(SingleCoreRuntime, ContextSwitchOverheadGrowsWithRuntime) {
 }
 
 SimTask writerThread(ThreadContext& ctx, std::uint64_t addr) {
-  const int value = 7 + ctx.tid();
-  co_await ctx.memWrite(addr + static_cast<std::uint64_t>(ctx.tid()) * 4, &value, 4);
+  const int value = 7 + ctx.ue();
+  co_await ctx.memWrite(addr + static_cast<std::uint64_t>(ctx.ue()) * 4, &value, 4);
 }
 
 TEST(SingleCoreRuntime, ThreadsShareProcessMemory) {
@@ -87,9 +87,9 @@ TEST(SingleCoreRuntime, MutexProtectedCounterExact) {
 }
 
 SimTask barrierThread(ThreadContext& ctx, std::vector<sim::Tick>* after) {
-  co_await ctx.compute(static_cast<std::uint64_t>(ctx.tid() + 1) * 500);
+  co_await ctx.compute(static_cast<std::uint64_t>(ctx.ue() + 1) * 500);
   co_await ctx.barrier();
-  (*after)[static_cast<std::size_t>(ctx.tid())] = 1;
+  (*after)[static_cast<std::size_t>(ctx.ue())] = 1;
 }
 
 TEST(SingleCoreRuntime, BarrierAcrossLogicalThreads) {
@@ -101,7 +101,7 @@ TEST(SingleCoreRuntime, BarrierAcrossLogicalThreads) {
 }
 
 SimTask syncedThread(ThreadContext& ctx) {
-  co_await ctx.compute(static_cast<std::uint64_t>(ctx.tid() + 1) * 500);
+  co_await ctx.compute(static_cast<std::uint64_t>(ctx.ue() + 1) * 500);
   co_await ctx.lockAcquire(0);
   co_await ctx.compute(200);
   co_await ctx.lockRelease(0);

@@ -19,40 +19,32 @@ namespace {
 constexpr double kTestScale = 0.05;  // keep simulations fast in unit tests
 
 struct ModeCase {
-  const char* benchmark;
+  std::size_t program;  ///< index into standardSuite()
+  std::string benchmark;
   Mode mode;
 };
 
 class EveryBenchmarkEveryMode : public ::testing::TestWithParam<ModeCase> {};
 
-std::unique_ptr<Benchmark> make(const std::string& name, double scale) {
-  if (name == "PiApprox") return makePiApprox(scale);
-  if (name == "3-5-Sum") return makeSum35(scale);
-  if (name == "CountPrimes") return makeCountPrimes(scale);
-  if (name == "Stream") return makeStream(scale);
-  if (name == "DotProduct") return makeDotProduct(scale);
-  if (name == "LU") return makeLuDecomposition(scale);
-  return nullptr;
-}
-
 TEST_P(EveryBenchmarkEveryMode, ComputesVerifiedResult) {
   const ModeCase& c = GetParam();
-  const auto bench = make(c.benchmark, kTestScale);
-  ASSERT_NE(bench, nullptr);
+  const auto suite = standardSuite(kTestScale);
+  const Benchmark& bench = *suite.at(c.program);
+  ASSERT_EQ(bench.name(), c.benchmark);
   const sim::SccConfig config;
-  const partition::ExecutionPlan plan = bench->handPlan();
-  const RunResult r = bench->run(c.mode, 8, config, &plan);
+  const partition::ExecutionPlan plan = bench.handPlan();
+  const RunResult r = bench.run(c.mode, 8, config, &plan);
   EXPECT_TRUE(r.verified) << r.benchmark << " " << modeName(r.mode) << ": " << r.detail;
   EXPECT_GT(r.makespan, 0u);
 }
 
 std::vector<ModeCase> allCases() {
   std::vector<ModeCase> cases;
-  for (const char* name :
-       {"PiApprox", "3-5-Sum", "CountPrimes", "Stream", "DotProduct", "LU"}) {
+  const auto suite = standardSuite(kTestScale);
+  for (std::size_t i = 0; i < suite.size(); ++i) {
     for (const Mode mode :
          {Mode::PthreadSingleCore, Mode::RcceOffChip, Mode::RcceMpb}) {
-      cases.push_back(ModeCase{name, mode});
+      cases.push_back(ModeCase{i, suite[i]->name(), mode});
     }
   }
   return cases;
