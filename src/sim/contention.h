@@ -1,12 +1,12 @@
-// Joint replay of k transaction runs contending for one serially-reusable
-// resource (a memory controller or an MPB port) — the arithmetic core of
-// SccMachine's one batching rule (header comment at SccMachine::TxnRun).
-// Pure: it touches only the members and the ResourceTimeline it is handed,
-// so tests can drive it directly against a transaction-by-transaction
-// oracle.
+// Joint replay of k >= 1 transaction runs contending for one
+// serially-reusable resource (a memory controller or an MPB port): the
+// replay step of SccMachine::timedRun, the one batching rule (header comment
+// at SccMachine::RunKind). A caller with no peer to interleave replays as
+// the one-member set. Pure: it touches only the members and the
+// ResourceTimeline it is handed, so tests can drive it directly against a
+// transaction-by-transaction oracle.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -61,53 +61,12 @@ struct JointReplay {
 /// The replay jumps that many windows less one in O(M), no jumped
 /// transaction issuing at or after `horizon`, and finishes one transaction
 /// at a time, so the finisher and every member's final state are exactly
-/// the stepwise replay's. Stall draws are keyed per request, so an armed
-/// `stall` disables jumps.
+/// the stepwise replay's. A lone member's window is its one pick: its run
+/// jumps at the first step, after the live caller's first, that moves its t
+/// and the timeline's nextFree() by the same Δ. Stall draws are keyed per
+/// request, so an armed `stall` disables jumps.
 JointReplay replayJointRuns(std::vector<ReplayMember>& members,
                             ResourceTimeline& timeline, Tick horizon = Engine::kNever,
                             const ReplayStallFn& stall = {});
-
-/// replayJointRuns for a lone member (no peers): the single-task horizon
-/// loop, without the window bookkeeping. With no other member there is no
-/// tie-break, so every step is the same translation-invariant map of (t,
-/// nextFree()): once a step moves both by the same Δ, every later step
-/// repeats it, and the loop jumps the rest of the run less one step, short
-/// of `horizon`, in closed form. Same result as replayJointRuns on {m};
-/// inline because uncontended runs of a few transactions call it once per
-/// event.
-inline JointReplay replayLoneRun(ReplayMember& m, ResourceTimeline& timeline,
-                                 Tick horizon = Engine::kNever,
-                                 const ReplayStallFn& stall = {}) {
-  JointReplay out{0, 0};
-  bool jump = !stall;
-  for (;;) {
-    if (m.t >= horizon && !(m.is_self && m.done == 0)) break;
-    const Tick before_t = m.t;
-    const Tick before_free = timeline.nextFree();
-    const Tick arrival = m.t + m.overhead + m.hop;
-    Tick svc = m.service;
-    if (stall) svc += stall(m, arrival, timeline.requests());
-    m.t = timeline.acquire(arrival, svc) + m.hop;
-    ++m.done;
-    ++out.stepped;
-    if (--m.remaining == 0) break;
-    const Tick delta = timeline.nextFree() - before_free;
-    if (!jump || m.t - before_t != delta) continue;
-    jump = false;
-    std::size_t k = m.remaining - 1;
-    if (m.t >= horizon) {
-      k = 0;
-    } else if (horizon != Engine::kNever && delta > 0) {
-      k = std::min<std::size_t>(k, (horizon - 1 - m.t) / delta + 1);
-    }
-    m.t += k * delta;
-    m.done += k;
-    m.remaining -= k;
-    timeline.advance(k * delta, k * m.service, k);
-    out.txns += k;
-  }
-  out.txns += out.stepped;
-  return out;
-}
 
 }  // namespace hsm::sim

@@ -229,9 +229,10 @@ CoreContext::OpAwaiter CoreContext::privTouch(std::uint64_t addr, std::size_t by
 /// Fault-free ops drive it inline (no extra coroutine frame);
 /// verifiedTransfer drives it once per attempt. A write's payload lands
 /// before the run and a read's result after it; a bulk burst copies inside
-/// shmBulkCompletion.
+/// shmBulkCompletion. Swcache line transfers (fills and write-backs) are a
+/// timing-only run: their data moves in the functional phase.
 struct CoreContext::Transfer {
-  enum class Run : std::uint8_t { kShmWords, kMpbChunks, kShmBulk };
+  enum class Run : std::uint8_t { kShmWords, kMpbChunks, kSwcacheLines, kShmBulk };
   Run run;
   int owner;             ///< kMpbChunks: UE owning the MPB slice
   std::uint64_t offset;  ///< shared-DRAM offset / offset in the owner's slice
@@ -243,6 +244,10 @@ struct CoreContext::Transfer {
   std::size_t left = 0;   ///< transactions still to service this attempt
   std::uint64_t cur = 0;  ///< offset of the next uncached word
 
+  /// `n` swcache line transfers against the core's own controller.
+  static Transfer lines(std::size_t n) {
+    return {Run::kSwcacheLines, 0, 0, nullptr, nullptr, 0, false, n};
+  }
   [[nodiscard]] std::uint8_t* memory(SccMachine& m) const {
     return run == Run::kMpbChunks ? m.mpbData(owner, offset) : m.shmData(offset);
   }
@@ -257,34 +262,68 @@ struct CoreContext::Transfer {
     cur = offset;
     if (run != Run::kShmBulk && write && src != nullptr) std::memcpy(memory(m), src, bytes);
   }
-  /// Service the next batch (as many transactions as the coalescing
-  /// horizon proves safe, issuing the first at ctx.now(): the lag is paid
-  /// in this event or by the suspension); returns the resume.
+  /// Service the next batch through SccMachine::timedRun (as many
+  /// transactions as the batching rule proves exact, issuing the first at
+  /// ctx.now(): the lag is paid in this event or by the suspension);
+  /// returns the resume.
   ResumeAt step(CoreContext& ctx) {
     SccMachine& m = ctx.machine_;
     const Tick start = ctx.now();
     ctx.lag_ = 0;
-    std::size_t done = 1;
+    SccMachine::RunParams params;
+    std::size_t max_txns = left;
     switch (run) {
       case Run::kShmWords: {
-        const ResumeAt resume = m.shmWordsAtCompletion(ctx.core_, start, cur, left, &done);
-        cur += static_cast<std::uint64_t>(done) * m.config().shm_transaction_bytes;
-        left -= done;
-        return resume;
+        // Without a routing placement: the exact legacy path,
+        // offset-independent requester-local routing.
+        std::uint32_t mc = m.controllerOfCore(ctx.core_);
+        if (m.ctrl_placement_active_) {
+          // A first-touch claim must be made in engine order, at `start`:
+          // pay the lag by suspending first.
+          if (start > m.engine().now() && m.firstTouchUnclaimed(cur)) {
+            return ResumeAt{m.engine(), start};
+          }
+          mc = m.controllerForShmAccess(ctx.core_, cur);
+          // Striped / first-touch regions switch controllers at stripe
+          // boundaries, so one run must not cross the current stripe's end.
+          // Accesses never straddle a region boundary (regions are whole
+          // translated variables), so a single range lookup covers the run.
+          const std::size_t txn = m.config().shm_transaction_bytes;
+          const std::uint64_t stripe_bytes = m.config().shm_controller_stripe_bytes;
+          const std::uint64_t stripe_end = (cur / stripe_bytes + 1) * stripe_bytes;
+          max_txns = std::min(
+              max_txns, static_cast<std::size_t>((stripe_end - cur + txn - 1) / txn));
+        }
+        params = m.wordRun(ctx.core_, mc);
+        break;
       }
       case Run::kMpbChunks: {
-        const ResumeAt resume =
-            m.mpbChunksCompletion(ctx.core_, ctx.ue_, owner, start, left, &done);
-        left -= done;
-        return resume;
-      }
-      case Run::kShmBulk:
+        params = m.chunkRun(ctx.core_, owner);
+        // The declared scope is a promise the engine's reach sets rely on
+        // (an empty declared set promises no MPB traffic at all); still
+        // service the access, but flag that port isolation is void.
+        const auto ue = static_cast<std::size_t>(ctx.ue_);
+        if (m.mpb_scope_declared_ && ue < m.ue_port_reach_.size() &&
+            !std::binary_search(m.ue_port_reach_[ue].begin(), m.ue_port_reach_[ue].end(),
+                                params.resource)) {
+          ++m.mpb_scope_violations_;
+        }
         break;
+      }
+      case Run::kSwcacheLines:
+        params = m.lineRun(ctx.core_);
+        break;
+      case Run::kShmBulk:
+        // A bulk burst is one transaction (its lag was paid before: bulk()).
+        left = 0;
+        return ResumeAt{m.engine(),
+                        m.shmBulkCompletion(ctx.core_, start, offset, bytes, write, out, src)};
     }
-    // A bulk burst is one transaction (its lag was paid before: bulk()).
-    left = 0;
-    return ResumeAt{m.engine(),
-                    m.shmBulkCompletion(ctx.core_, start, offset, bytes, write, out, src)};
+    std::size_t done = 0;
+    const ResumeAt resume = m.timedRun(params, start, max_txns, &done);
+    cur += static_cast<std::uint64_t>(done) * m.config().shm_transaction_bytes;
+    left -= done;
+    return resume;
   }
   void end(SccMachine& m) {
     if (run != Run::kShmBulk && !write && out != nullptr) std::memcpy(out, memory(m), bytes);
@@ -439,7 +478,8 @@ SubTask CoreContext::swcacheRw(std::uint64_t offset, void* out, const void* src,
   // Timed phase: aggregated hit-touch time first (local work, like a
   // compute), then the batched line transfers.
   co_await spend(machine_.swcacheHitTicks(plan.hit_touches));
-  for (std::size_t lines = plan.line_txns; lines > 0;) co_await lineStep(lines);
+  Transfer x = Transfer::lines(plan.line_txns);
+  for (x.begin(machine_); x.left > 0;) co_await x.step(*this);
   if (machine_.observing()) {
     machine_.recordOp(core_, obs::TraceEvent{t0, now(), offset, plan.hit_touches,
                                              plan.line_txns, machine_.controllerOfCore(core_),
@@ -448,31 +488,15 @@ SubTask CoreContext::swcacheRw(std::uint64_t offset, void* out, const void* src,
   }
 }
 
-ResumeAt CoreContext::lineStep(std::size_t& lines) {
-  const Tick start = now();
-  lag_ = 0;
-  std::size_t serviced = 0;
-  const ResumeAt resume = machine_.swcacheLinesCompletion(core_, start, lines, &serviced);
-  lines -= serviced;
-  return resume;
-}
-
-SubTask CoreContext::swcacheLines(std::size_t lines) {
-  while (lines > 0) co_await lineStep(lines);
-}
-
 SubTask CoreContext::swcacheRelease() {
   FaultInjector& inj = machine_.faultInjector();
   const Tick t0 = now();
-  std::size_t lines = 0;
-  if (inj.anyArmed() && inj.armed(FaultClass::kSwcacheFlush)) {
-    lines = machine_.swcacheFlushChecked(core_, flush_seq_++);
-  } else {
-    lines = machine_.swcacheFlush(core_);
-  }
-  co_await swcacheLines(lines);
+  Transfer x = Transfer::lines(inj.anyArmed() && inj.armed(FaultClass::kSwcacheFlush)
+                                   ? machine_.swcacheFlushChecked(core_, flush_seq_++)
+                                   : machine_.swcacheFlush(core_));
+  for (x.begin(machine_); x.left > 0;) co_await x.step(*this);
   if (machine_.observing()) {
-    machine_.recordOp(core_, obs::TraceEvent{t0, now(), lines, 0, 0,
+    machine_.recordOp(core_, obs::TraceEvent{t0, now(), x.units, 0, 0,
                                              machine_.controllerOfCore(core_),
                                              obs::TraceEventKind::kSwcacheFlush});
   }
@@ -513,7 +537,8 @@ SubTask CoreContext::bulkFenced(std::uint64_t offset, void* out, const void* src
   // partially-overlapped lines correct.
   const Tick t0 = now();
   if (machine_.swcacheActive()) {
-    co_await swcacheLines(machine_.swcacheSyncRange(core_, offset, bytes, write));
+    Transfer wb = Transfer::lines(machine_.swcacheSyncRange(core_, offset, bytes, write));
+    for (wb.begin(machine_); wb.left > 0;) co_await wb.step(*this);
   }
   Transfer x{Transfer::Run::kShmBulk, 0, offset, out, src, bytes, write, 1};
   std::uint32_t attempts = 1;
@@ -1085,51 +1110,33 @@ Tick SccMachine::privAccessCompletion(int core, Tick start, std::uint64_t addr,
   return t;
 }
 
+Tick SccMachine::stallTicks(std::uint32_t resource, std::size_t task, Tick arrival,
+                            std::uint64_t request, Tick service) {
+  const Tick extra = fault_.stallTicks(resource, request, arrival, service);
+  if (extra > 0) {
+    fault_.noteInjected(FaultClass::kMcStall);
+    fault_.stats().stall_ticks += extra;
+    if (obs::TraceRecorder* tr = tracer(engine_)) {
+      tr->record(task, obs::TraceEvent{arrival, arrival, extra, 0, 0, resource,
+                                       obs::TraceEventKind::kMcStall});
+    }
+  }
+  return extra;
+}
+
 ResumeAt SccMachine::timedRun(const RunParams& run, Tick start, std::size_t max_txns,
                               std::size_t* done) {
-  // The one batching rule (header comment at RunKind). Most calls are a
-  // short run with no record and no armed stall: the per-event path.
-  const std::size_t self = engine_.currentTaskId();
-  if (self >= run_of_task_.size()) run_of_task_.resize(self + 1, kNoRun);
-  if (run_of_task_[self] == kNoRun && (!config_.coalescing || max_txns <= kShortRun) &&
-      !fault_.armed(FaultClass::kMcStall)) {
-    return oneTxn(run, start, max_txns, 0, done);
-  }
-  return replayedRun(run, start, max_txns, done);
-}
-
-ResumeAt SccMachine::oneTxn(const RunParams& run, Tick start, std::size_t left,
-                            std::size_t reported, std::size_t* done) {
-  // A start past the running event's Tick is a lag (only ever with
-  // coalescing on). A short run issues in the running event only strictly
-  // before the engine's cheap lower bound on the horizon (a full horizon
-  // scan per short access costs more host time than the event it would
-  // save); otherwise it pays its lag by suspending.
-  if (start > engine_.now() && start >= engine_.horizonLowerBound(run.resource)) {
-    *done = 0;
-    return ResumeAt{engine_, start, scopeAfter(run, start, left)};
-  }
-  ++tally_[static_cast<std::size_t>(run.kind)].events;
-  const std::uint32_t mcs = config_.num_mem_controllers;
-  ResourceTimeline& timeline =
-      run.resource < mcs ? mc_[run.resource] : mpb_port_[run.resource - mcs];
-  const Tick t = timeline.acquire(start + run.overhead + run.hop, run.service) + run.hop;
-  countTxns(run.resource, run.kind, 1);
-  *done = reported + 1;
-  return ResumeAt{engine_, t, scopeAfter(run, t, left - 1)};
-}
-
-ResumeAt SccMachine::replayedRun(const RunParams& run, Tick start, std::size_t max_txns,
-                                 std::size_t* done) {
+  // The one batching rule (header comment at RunKind).
   const std::uint32_t resource = run.resource;
   const std::uint32_t mcs = config_.num_mem_controllers;
   ResourceTimeline& timeline = resource < mcs ? mc_[resource] : mpb_port_[resource - mcs];
   RunTally& tally = tally_[static_cast<std::size_t>(run.kind)];
   const std::size_t self = engine_.currentTaskId();
+  if (self >= run_of_task_.size()) run_of_task_.resize(self + 1, kNoRun);
   std::vector<TxnRun>& runs = runs_[resource];
-  // The caller's own record: a continuation, a run registered when its lag
-  // could not be paid, or transactions a peer's replay already serviced for
-  // it (its pending event was deferred to their end, which is now).
+  // 1. The caller's own record: a continuation, a run registered when its
+  // lag could not be paid, or transactions a peer's replay already serviced
+  // for it (its pending event was deferred to their end, which is now).
   std::size_t reported = 0;
   if (const std::size_t i = run_of_task_[self]; i != kNoRun) {
     assert(runs[i].task == self && runs[i].t == start &&
@@ -1145,95 +1152,88 @@ ResumeAt SccMachine::replayedRun(const RunParams& run, Tick start, std::size_t m
     *done = reported;
     return ResumeAt{engine_, start};
   }
-  // With coalescing off, or with a run too short to repay a horizon query
-  // (kShortRun), this is the per-event reference path: one transaction, and
-  // never a registered run.
   const std::size_t left = max_txns - reported;
-  const std::size_t want = config_.coalescing && left > kShortRun ? left : 1;
-  const bool stalls = fault_.armed(FaultClass::kMcStall);
-  if (want == 1 && !stalls) return oneTxn(run, start, left, reported, done);
-  // A start past the running event's Tick is a lag (only ever with
-  // coalescing on; a record's start is always its event's Tick, and an
-  // armed stall stops the folding).
-  const bool lagged = start > engine_.now();
-  // One horizon scan: the members are the caller and every registered run
-  // with transactions left (a finished one is a non-member until it
-  // resumes); H is the horizon over everyone else.
-  Tick horizon = Engine::kNever;
-  Tick peers_next = Engine::kNever;
-  if (want > 1) {
-    replay_tasks_.assign(1, self);
-    replay_runs_.clear();
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const TxnRun& r = runs[i];
-      if (r.remaining == 0) continue;
-      peers_next = std::min(peers_next, r.t);
-      replay_tasks_.push_back(r.task);
-      replay_runs_.push_back(i);
-    }
-    // Any H at or below `start` replays the same (only the caller's first
-    // transaction) and decides a lag the same, so the scan may stop there.
-    horizon = engine_.nextEventTimeFor(resource, replay_tasks_, start);
-    // The single-task horizon is H bounded by every peer's next issue: a
-    // lag is paid in this event only strictly before it.
-    if (lagged && start >= std::min(horizon, peers_next)) {
-      run_of_task_[self] = runs.size();
-      runs.push_back({self, run, start, left, 0});
-      *done = 0;
-      return ResumeAt{engine_, start, scopeAfter(run, start, left)};
-    }
-  }
-  ++tally.events;
   // Memory-controller stall faults: keyed by (resource id, per-resource
   // transaction index). The transaction order per resource is identical
   // across coalescing modes (the coalescing invariant), so the stall
-  // schedule — and therefore every Tick — is too.
+  // schedule, and with it every Tick, is too. An armed fault stops the
+  // folding, so a stalled run never starts on a lag.
+  const bool stalls = fault_.armed(FaultClass::kMcStall);
+
+  // 2. The per-event path: one transaction in the running event, no horizon
+  // scan, no registered run. A lag (a start past the running event's Tick)
+  // is paid in this event only strictly before the engine's cheap lower
+  // bound on the horizon; otherwise the task suspends to it.
+  if (!config_.coalescing || left <= kShortRun) {
+    if (start > engine_.now() && start >= engine_.horizonLowerBound(resource)) {
+      *done = 0;
+      return ResumeAt{engine_, start, scopeAfter(run, start, left)};
+    }
+    ++tally.events;
+    const Tick arrival = start + run.overhead + run.hop;
+    Tick service = run.service;
+    if (stalls) service += stallTicks(resource, self, arrival, timeline.requests(), service);
+    const Tick t = timeline.acquire(arrival, service) + run.hop;
+    countTxns(resource, run.kind, 1);
+    *done = reported + 1;
+    return ResumeAt{engine_, t, scopeAfter(run, t, left - 1)};
+  }
+
+  // 3. Members and one horizon scan: the caller and every registered run
+  // with transactions left (a finished one is a non-member until it
+  // resumes); H is the horizon over everyone else. Any H at or below
+  // `start` replays the same (only the caller's first transaction) and
+  // decides a lag the same, so the scan may stop there.
+  replay_tasks_.assign(1, self);
+  replay_runs_.clear();
+  Tick peers_next = Engine::kNever;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const TxnRun& r = runs[i];
+    if (r.remaining == 0) continue;
+    peers_next = std::min(peers_next, r.t);
+    replay_tasks_.push_back(r.task);
+    replay_runs_.push_back(i);
+  }
+  const Tick horizon = engine_.nextEventTimeFor(resource, replay_tasks_, start);
+  // 4. Lag: paid in this event only strictly before the single-task horizon,
+  // H bounded by every peer's next issue. Otherwise the run is registered
+  // at its start, so a peer's replay carries it in (t, task id) order.
+  if (start > engine_.now() && start >= std::min(horizon, peers_next)) {
+    run_of_task_[self] = runs.size();
+    runs.push_back({self, run, start, left, 0});
+    *done = 0;
+    return ResumeAt{engine_, start, scopeAfter(run, start, left)};
+  }
+  // 5. Replay: the caller alone when H falls strictly before every peer's
+  // next issue (no peer could issue inside the replay), else jointly.
+  ++tally.events;
+  std::vector<ReplayMember>& members = replay_members_;
+  members.assign(1, ReplayMember{self, start, run.overhead, run.hop, run.service, left, true});
+  if (peers_next <= horizon) {
+    for (const std::size_t i : replay_runs_) {
+      const TxnRun& r = runs[i];
+      members.push_back({r.task, r.t, r.run.overhead, r.run.hop, r.run.service, r.remaining,
+                         false});
+    }
+  }
   ReplayStallFn stall;
   if (stalls) {
-    obs::TraceRecorder* tr = tracer(engine_);
-    stall = [this, tr, resource](const ReplayMember& m, Tick arrival, std::uint64_t request) {
-      const Tick extra = fault_.stallTicks(resource, request, arrival, m.service);
-      if (extra > 0) {
-        fault_.noteInjected(FaultClass::kMcStall);
-        fault_.stats().stall_ticks += extra;
-        if (tr != nullptr) {
-          tr->record(m.task, obs::TraceEvent{arrival, arrival, extra, 0, 0, resource,
-                                             obs::TraceEventKind::kMcStall});
-        }
-      }
-      return extra;
+    stall = [this, resource](const ReplayMember& m, Tick arrival, std::uint64_t request) {
+      return stallTicks(resource, m.task, arrival, request, m.service);
     };
-  }
-  const auto settleSelf = [&](const ReplayMember& m) {
-    countTxns(resource, run.kind, m.done);
-    if (m.remaining > 0) {
-      run_of_task_[self] = runs.size();
-      runs.push_back({self, run, m.t, m.remaining, 0});
-    }
-    *done = reported + m.done;
-    return ResumeAt{engine_, m.t, scopeAfter(run, m.t, left - m.done)};
-  };
-  // The caller's first transaction is acquired in the running event (at
-  // `start`), so a single one needs neither peers nor a horizon. Otherwise
-  // the caller replays alone up to H when that falls strictly before every
-  // peer's next issue: no peer could issue inside the joint replay.
-  ReplayMember self_run{self, start, run.overhead, run.hop, run.service, want, true};
-  if (peers_next == Engine::kNever || horizon < peers_next) {
-    replayLoneRun(self_run, timeline, horizon, stall);
-    return settleSelf(self_run);
-  }
-  std::vector<ReplayMember>& members = replay_members_;
-  members.assign(1, self_run);
-  for (const std::size_t i : replay_runs_) {
-    const TxnRun& r = runs[i];
-    members.push_back({r.task, r.t, r.run.overhead, r.run.hop, r.run.service, r.remaining,
-                       false});
   }
   replayJointRuns(members, timeline, horizon, stall);
 
-  // members[0] is the caller; settling it appends to runs, so the peers'
-  // saved indices stay valid.
-  const ResumeAt resume = settleSelf(members[0]);
+  // 6. Settle. members[0] is the caller; registering its rest appends to
+  // runs, so the peers' saved indices stay valid.
+  const ReplayMember& me = members[0];
+  countTxns(resource, run.kind, me.done);
+  if (me.remaining > 0) {
+    run_of_task_[self] = runs.size();
+    runs.push_back({self, run, me.t, me.remaining, 0});
+  }
+  *done = reported + me.done;
+  const ResumeAt resume{engine_, me.t, scopeAfter(run, me.t, me.remaining)};
   for (std::size_t i = 1; i < members.size(); ++i) {
     const ReplayMember& m = members[i];
     if (m.done == 0) continue;  // untouched: its record and pending event still hold
@@ -1253,38 +1253,6 @@ bool SccMachine::firstTouchUnclaimed(std::uint64_t offset) const {
          !first_touch_claims_.contains(offset / config_.shm_controller_stripe_bytes);
 }
 
-ResumeAt SccMachine::shmWordsAtCompletion(int core, Tick start, std::uint64_t offset,
-                                          std::size_t max_words, std::size_t* words_done) {
-  // Without a routing placement: the exact legacy path, offset-independent
-  // requester-local routing.
-  std::uint32_t mc_id = core_mc_[static_cast<std::size_t>(core)];
-  if (ctrl_placement_active_) {
-    if (start > engine_.now() && firstTouchUnclaimed(offset)) {
-      // The claim must be made in engine order, at `start`: pay the lag by
-      // suspending first.
-      *words_done = 0;
-      return ResumeAt{engine_, start};
-    }
-    mc_id = controllerForShmAccess(core, offset);
-    // Striped / first-touch regions switch controllers at stripe
-    // boundaries, so one run must not cross the current stripe's end.
-    // Accesses never straddle a region boundary (regions are whole
-    // translated variables), so a single range lookup covers the run.
-    const std::size_t txn = config_.shm_transaction_bytes;
-    const std::uint64_t stripe_bytes = config_.shm_controller_stripe_bytes;
-    const std::uint64_t stripe_end = (offset / stripe_bytes + 1) * stripe_bytes;
-    const auto to_stripe_end =
-        static_cast<std::size_t>((stripe_end - offset + txn - 1) / txn);
-    if (max_words > to_stripe_end) max_words = to_stripe_end;
-  }
-  return timedRun(wordRun(core, mc_id), start, max_words, words_done);
-}
-
-ResumeAt SccMachine::swcacheLinesCompletion(int core, Tick start, std::size_t max_lines,
-                                            std::size_t* lines_done) {
-  return timedRun(lineRun(core), start, max_lines, lines_done);
-}
-
 SccMachine::RunParams SccMachine::chunkRun(int core, int owner_ue) const {
   const std::uint32_t owner_core = coreOfUe(owner_ue);
   const std::uint32_t hops = mesh_.hopsBetweenCores(static_cast<std::uint32_t>(core), owner_core);
@@ -1292,21 +1260,6 @@ SccMachine::RunParams SccMachine::chunkRun(int core, int owner_ue) const {
           mpb_overhead_ticks_,
           mesh_clock_.cycles(static_cast<std::uint64_t>(config_.mesh_hop_cycles) * hops),
           chunk_service_ticks_};
-}
-
-ResumeAt SccMachine::mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
-                                         std::size_t max_chunks, std::size_t* chunks_done) {
-  const RunParams run = chunkRun(core, owner_ue);
-  const auto u = static_cast<std::size_t>(ue);
-  if (mpb_scope_declared_ && u < ue_port_reach_.size() &&
-      !std::binary_search(ue_port_reach_[u].begin(), ue_port_reach_[u].end(),
-                          run.resource)) {
-    // The declared scope was a promise the engine's reach sets rely on
-    // (an empty declared set promises no MPB traffic at all); still service
-    // the access, but flag that port isolation is void.
-    ++mpb_scope_violations_;
-  }
-  return timedRun(run, start, max_chunks, chunks_done);
 }
 
 Tick SccMachine::shmBulkCompletion(int core, Tick start, std::uint64_t offset,

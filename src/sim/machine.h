@@ -305,7 +305,9 @@ class CoreContext {
   /// injected core freeze (transient = a simulated stall; permanent = never
   /// resumes). Only awaited when the injector is armed.
   SubTask faultPreOp();
-  /// One attempt of a data transfer: copy plus timed run (machine.cpp).
+  /// One attempt of a data transfer (copy plus timed run) or a run of
+  /// swcache line transfers: the one loop that steps every timed run
+  /// through SccMachine::timedRun (machine.cpp).
   struct Transfer;
   /// shmRead/shmWrite/mpbRead/mpbWrite: race check, fault pre-op, swcache
   /// routing, the transfer, then the operation record.
@@ -327,16 +329,11 @@ class CoreContext {
   /// re-enters the operation's entry function with no lag left).
   template <typename Op>
   SubTask afterLag(Op op);
-  /// Issue the next batch of `lines` swcache line transfers at now() (the
-  /// lag is paid by it) and count off those serviced.
-  ResumeAt lineStep(std::size_t& lines);
   /// Shared-memory access through the software-managed cache: functional
   /// phase first (line store <-> backing), then the timed phase charges hit
   /// touches and batched line transfers.
   SubTask swcacheRw(std::uint64_t offset, void* out, const void* src,
                     std::size_t bytes, bool write);
-  /// Charge `lines` batched swcache line transfers (fills/write-backs).
-  SubTask swcacheLines(std::size_t lines);
   /// Release point: functionally flush dirty lines, then charge the
   /// write-back transfers.
   SubTask swcacheRelease();
@@ -474,7 +471,7 @@ class SccMachine {
   [[nodiscard]] TasLock& lock(int id);
 
   /// A timed run with at most this many transactions left takes the
-  /// per-event path even with coalescing on (header comment at TxnRun):
+  /// per-event path even with coalescing on (header comment at RunKind):
   /// one transaction per event, no horizon query, no registered run.
   /// Measured on kv_zipf's 32-UE pass (4-vCPU Xeon VM, GCC 12.2, Release,
   /// TSC-instrumented): a joint-replay call cost ~990 cycles, a
@@ -712,38 +709,61 @@ class SccMachine {
   // on a controller, MPB chunks on a tile port — is a run of back-to-back
   // transactions on one serially-reusable resource: transaction i+1 is
   // issued `overhead + hop` after transaction i completes, is serviced for
-  // `service`, and is seen `hop` later. The per-event reference path (off)
-  // suspends once per transaction. With coalescing on, each call of
-  // timedRun replays as many of them as one rule proves exact, in three
-  // steps:
-  //   1. Members: the caller, plus every task with transactions left in a
-  //      run registered on the same resource (runs_, one table per engine
-  //      resource). A registered task's pending event is exactly the issue
-  //      of its next transaction, whatever the run's kind, overhead or
-  //      service, so words and lines share a controller's table.
-  //   2. H = Engine::nextEventTimeFor(resource, members): the earliest
-  //      instant any non-member that reaches the resource could run. A
-  //      member's pending slot does not count and, as a waker, a member
-  //      contributes kNever — members are mid-run until the replay's first
-  //      finisher, so a lock one holds or a barrier one has not reached
-  //      cannot release inside the replay.
-  //   3. replayJointRuns (sim/contention.h) on the resource's own timeline:
-  //      every member's transactions in engine order — (issue Tick, task
-  //      id), the caller's first transaction first at its tick — each
-  //      committed only while it issues before H, ending at the first
-  //      finished run (a finished member may at once add traffic the
-  //      replay cannot see). Periodic rounds are jumped in closed form.
+  // `service`, and is seen `hop` later. CoreContext steps every such run
+  // through timedRun, which makes one decision per call:
+  //   1. Record: the caller first takes the transactions a peer's replay
+  //      already serviced for it (its run record in runs_, one table per
+  //      engine resource; its pending event was deferred to their end).
+  //   2. Gate: with coalescing off, or with at most kShortRun transactions
+  //      left, the call takes the per-event path: one transaction, no
+  //      horizon scan, no registered run (a short run does not repay the
+  //      scan and the record), with any armed kMcStall applied to it. A lag
+  //      (below) is paid in the running event only strictly before
+  //      Engine::horizonLowerBound(resource) — the earliest pending event of
+  //      any task reaching the resource, 0 while one of them is parked, and
+  //      never above the single-task horizon; otherwise the task suspends to
+  //      it. Every other call replays (steps 3-6).
+  //   3. Members and horizon: the caller, plus every task with transactions
+  //      left in a run registered on the same resource. A registered task's
+  //      pending event is exactly the issue of its next transaction, whatever
+  //      the run's kind, overhead or service, so words and lines share a
+  //      controller's table. One scan gives H =
+  //      Engine::nextEventTimeFor(resource, members): the earliest instant
+  //      any non-member that reaches the resource could run. A member's
+  //      pending slot does not count and, as a waker, a member contributes
+  //      kNever — members are mid-run until the replay's first finisher, so
+  //      a lock one holds or a barrier one has not reached cannot release
+  //      inside the replay. With a closed pattern (every non-member parked
+  //      behind a member) H is kNever.
+  //   4. Lag: a caller whose compute was folded into its lag (CoreContext)
+  //      starts at now() + lag. It issues inside the running event only when
+  //      that instant falls strictly before the single-task horizon — H
+  //      bounded by every peer's next issue — so no other task could have
+  //      touched the resource first, and no equal-Tick tie arises. Otherwise
+  //      the call services nothing: the task suspends to that instant, and
+  //      its run is registered there at once (done = 0), so a peer's replay
+  //      carries it as a member in (t, task id) order instead of stopping at
+  //      its event.
+  //   5. Replay: replayJointRuns (sim/contention.h) on the resource's own
+  //      timeline runs every member's transactions in engine order — (issue
+  //      Tick, task id), the caller's first transaction first at its tick —
+  //      each committed only while it issues before H, ending at the first
+  //      finished run (a finished member may at once add traffic the replay
+  //      cannot see). When H falls strictly before every peer's next issue,
+  //      no peer can issue inside the replay and the member set is the
+  //      caller alone. Periodic rounds are jumped in closed form.
+  //   6. Settle: the caller's rest is registered as its record, and each
+  //      peer the replay advanced keeps its count in its record and has its
+  //      pending event deferred to where its replayed run stopped
+  //      (Engine::deferPending).
   // No other coroutine touches the timeline before H, and the members touch
   // nothing else, so the replay reproduces the per-event acquire sequence
   // exactly: same arrivals, same requests() indices (the kMcStall draw
-  // keys), same completions. Each member the replay advanced keeps its
-  // count in its record and has its pending event deferred to where its
-  // replayed run stopped (Engine::deferPending); when it resumes there,
-  // timedRun reports those transactions and carries on from that instant.
-  // When H falls strictly before every peer's next issue, no peer can issue
-  // inside the joint replay and the caller replays alone to H
-  // (replayLoneRun); with a closed pattern (every non-member parked behind a
-  // member) H is kNever. One horizon scan per call serves both.
+  // keys), same completions. Every batch size is exact, so the gate moves
+  // event counts only, never a Tick. Data ops still execute in each task's
+  // program order but no longer interleave across tasks transaction by
+  // transaction, so functional results are preserved for data-race-free
+  // programs (the contract the swcache states in docs/memory_model.md).
   //
   // Run scopes: every pending event a call files — the caller's own resume
   // and each advanced peer's deferred one — carries the scope (resource,
@@ -752,31 +772,6 @@ class SccMachine {
   // the overhead, both hops and the service (a stall only adds), so the
   // task can act on no other resource before then, and other resources'
   // horizons count it there (Engine::nextEventTimeFor).
-  //
-  // Lag: a caller whose compute was folded into its lag (CoreContext)
-  // starts at now() + lag. A run longer than kShortRun issues inside the
-  // running event when that instant falls strictly before the single-task
-  // horizon — H above, bounded by every peer's next issue — so no other task
-  // could have touched the resource first, and no equal-Tick tie arises.
-  // Otherwise the call services nothing: the task suspends to that instant,
-  // and the run is registered there at once (done = 0), so a peer's replay
-  // carries it as a member in (t, task id) order instead of stopping at its
-  // event. A shorter run asks the engine's cheap sufficient condition
-  // instead of a horizon scan (on kv_zipf's 4-word items a scan per access
-  // cost more host time than the event it saved): it issues its first
-  // transaction in the running event when that instant falls strictly
-  // before Engine::horizonLowerBound(resource) — the earliest pending event
-  // of any task reaching the resource, 0 while one of them is parked, and
-  // never above the single-task horizon — and otherwise suspends to it.
-  //
-  // A call with at most kShortRun transactions left takes the per-event
-  // path (one transaction, no registered run, no horizon query): a short
-  // run does not repay the query and the record. Every batch size is exact,
-  // so the gate moves event counts only, never a Tick. Data ops still
-  // execute in each task's program order but no longer interleave across
-  // tasks transaction by transaction, so functional results are preserved
-  // for data-race-free programs (the contract the swcache states in
-  // docs/memory_model.md).
   enum class RunKind : std::uint8_t { kWord, kLine, kChunk };
   /// What a run's transactions cost: the one record a call, its registered
   /// TxnRun and every later call continuing it share.
@@ -801,28 +796,6 @@ class SccMachine {
   }
   [[nodiscard]] RunParams chunkRun(int core, int owner_ue) const;
 
-  /// Service up to `max_words` uncached word transactions of the access at
-  /// `offset` starting at `start`, as many per event as timedRun proves
-  /// safe (none when a lag cannot be paid in the running event). With no
-  /// non-default placement registered the serving controller is the core's
-  /// own (the legacy requester-local path); otherwise it is the one
-  /// `controllerForShmAccess(core, offset)` chooses, and the run is capped
-  /// at the current stripe boundary (striped / first-touch regions change
-  /// controllers mid-region). Stores how many were serviced in
-  /// `*words_done` and returns the resume after them. The arithmetic is the
-  /// exact per-word recurrence, so Ticks match the per-event path bit for
-  /// bit.
-  ResumeAt shmWordsAtCompletion(int core, Tick start, std::uint64_t offset,
-                                std::size_t max_words, std::size_t* words_done);
-  /// MPB twin of shmWordsAtCompletion: up to `max_chunks` cache-line chunks
-  /// of `ue`'s transfer against owner_ue's tile port.
-  ResumeAt mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
-                               std::size_t max_chunks, std::size_t* chunks_done);
-  /// Swcache twin of shmWordsAtCompletion: up to `max_lines` swcache line
-  /// transfers (fills or dirty write-backs) against the core's memory
-  /// controller.
-  ResumeAt swcacheLinesCompletion(int core, Tick start, std::size_t max_lines,
-                                  std::size_t* lines_done);
   /// One bulk burst: one setup round trip, then lines at row-buffer-hit
   /// rates (a single acquire, so nothing to batch).
   Tick shmBulkCompletion(int core, Tick start, std::uint64_t offset, std::size_t bytes,
@@ -842,16 +815,11 @@ class SccMachine {
   /// event cannot pay: then none). Stores how many in `*done` and returns
   /// the resume after the last, with the task's run scope.
   ResumeAt timedRun(const RunParams& run, Tick start, std::size_t max_txns, std::size_t* done);
-  /// timedRun's per-event path, for a caller with `left` transactions
-  /// left after `reported` ones a peer's replay serviced: one transaction
-  /// in the running event, or none when a lagged `start` is not strictly
-  /// before Engine::horizonLowerBound.
-  ResumeAt oneTxn(const RunParams& run, Tick start, std::size_t left, std::size_t reported,
-                  std::size_t* done);
-  /// timedRun's general path: a registered record, a batched run, or an
-  /// armed memory-controller stall.
-  ResumeAt replayedRun(const RunParams& run, Tick start, std::size_t max_txns,
-                       std::size_t* done);
+  /// The armed kMcStall fault's extra service for `task`'s request number
+  /// `request` on `resource`, arriving at `arrival` (0 = none); counts and
+  /// traces an injected stall.
+  Tick stallTicks(std::uint32_t resource, std::size_t task, Tick arrival,
+                  std::uint64_t request, Tick service);
   /// The scope of a task left with `k` transactions of `run` at `t` (none
   /// with coalescing off, where no horizon is ever asked, or k = 0).
   [[nodiscard]] RunScope scopeAfter(const RunParams& run, Tick t, std::size_t k) const {

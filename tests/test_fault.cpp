@@ -5,6 +5,7 @@
 // reporting (docs/fault_model.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -293,6 +294,59 @@ TEST(FaultMachine, McStallAddsDeterministicLatency) {
   EXPECT_EQ(faulty.stats.unrecovered, 0u);
 }
 
+SimTask readWords(CoreContext& ctx, std::uint64_t base, std::size_t words) {
+  std::vector<std::uint64_t> buf(words);
+  co_await ctx.shmRead(base, buf.data(), words * sizeof(std::uint64_t));
+}
+
+// Every controller request stalls (rate 1.0) on a lone UE's uncached read
+// of kShortRun words, which takes the per-event path whatever the
+// coalescing mode, and of kShortRun + 1 words, which coalescing replays.
+// The makespan must equal the per-request recurrence computed here from
+// FaultInjector::stallTicks: a path that dropped the stall would still agree
+// with itself across coalescing modes, but not with this.
+TEST(FaultMachine, McStallOnEveryRequestMatchesRecurrence) {
+  for (const std::size_t words : {SccMachine::kShortRun, SccMachine::kShortRun + 1}) {
+    for (const bool coalescing : {true, false}) {
+      SccConfig cfg;
+      cfg.coalescing = coalescing;
+      cfg.fault.enabled = true;
+      cfg.fault.mc_stall.rate = 1.0;
+      const std::string what =
+          std::to_string(words) + " words, coalescing " + (coalescing ? "on" : "off");
+      SccMachine m(cfg);
+      const std::uint64_t base = m.shmalloc(words * sizeof(std::uint64_t));
+      m.launch(LaunchSpec(1, [=](CoreContext& ctx) { return readWords(ctx, base, words); }));
+      const Tick makespan = m.run();
+
+      const MeshTopology mesh(cfg);
+      const std::uint32_t core = mesh.coreForUe(0, 1);
+      const std::uint32_t mc = mesh.controllerOfCore(core);
+      const Tick overhead = cfg.coreClock().cycles(cfg.uncached_word_core_overhead_cycles);
+      const Tick hop = cfg.meshClock().cycles(static_cast<std::uint64_t>(cfg.mesh_hop_cycles) *
+                                              mesh.hopsFromCoreToController(core, mc));
+      const Tick service = cfg.dramClock().cycles(cfg.dram_word_service_cycles);
+      const FaultInjector inj(cfg.fault);
+      Tick t = 0;
+      Tick free = 0;
+      Tick stalled = 0;
+      for (std::size_t i = 0; i < words; ++i) {
+        const Tick arrival = t + overhead + hop;
+        const Tick extra = inj.stallTicks(mc, i, arrival, service);
+        EXPECT_GT(extra, 0u) << what << " request " << i;
+        free = std::max(arrival, free) + service + extra;
+        t = free + hop;
+        stalled += extra;
+      }
+      EXPECT_EQ(makespan, t) << what;
+      EXPECT_EQ(m.faultStats().stall_ticks, stalled) << what;
+      EXPECT_EQ(m.faultStats().injected[static_cast<std::size_t>(FaultClass::kMcStall)], words)
+          << what;
+      EXPECT_EQ(m.shmWordsSimulated(), words) << what;
+    }
+  }
+}
+
 TEST(FaultMachine, TransientFreezeDelaysButCompletes) {
   FaultPlan plan;
   plan.enabled = true;
@@ -432,6 +486,40 @@ TEST(FaultMachine, GenerousSyncTimeoutDoesNotFire) {
   EXPECT_NO_THROW(m.run());
 }
 
+
+SimTask barrierLoop(CoreContext& ctx, int episodes) {
+  for (int i = 0; i < episodes; ++i) co_await ctx.barrier();
+}
+
+// SccConfig::watchdog_events_per_tick reaches the engine: with free barrier
+// flags every episode of a finite barrier loop wakes all four UEs at Tick
+// 0, so 64 episodes fire far more than 100 events without time advancing.
+// The watchdog must name every task; with the knob off the same program
+// completes.
+TEST(FaultMachine, WatchdogKnobRaisesOnSameTickBarrierStorm) {
+  for (const std::uint64_t limit : {std::uint64_t{100}, std::uint64_t{0}}) {
+    SccConfig cfg;
+    cfg.barrier_flag_core_cycles = 0;
+    cfg.watchdog_events_per_tick = limit;
+    SccMachine m(cfg);
+    m.launch(LaunchSpec(4, [](CoreContext& ctx) { return barrierLoop(ctx, 64); }));
+    if (limit == 0) {
+      EXPECT_EQ(m.run(), 0u);
+      EXPECT_EQ(m.barrier().episodes(), 64u);
+      continue;
+    }
+    try {
+      m.run();
+      FAIL() << "expected WatchdogError";
+    } catch (const WatchdogError& e) {
+      EXPECT_EQ(e.kind(), SimHangError::Kind::kWatchdog);
+      EXPECT_EQ(e.report().at, 0u);
+      std::vector<std::size_t> tasks;
+      for (const HangReport::Waiter& w : e.report().waiters) tasks.push_back(w.task);
+      EXPECT_EQ(tasks, (std::vector<std::size_t>{0, 1, 2, 3})) << e.what();
+    }
+  }
+}
 
 // --- pinned verified paths ----------------------------------------------------
 

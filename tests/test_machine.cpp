@@ -1841,15 +1841,6 @@ JointReplay expectReplayMatchesOracle(const ReplayCase& c, const std::string& wh
     txns += b.done;
   }
   EXPECT_EQ(r.txns, txns) << what;
-  if (c.members.size() == 1) {
-    ReplayCase lone = c;
-    EXPECT_EQ(replayLoneRun(lone.members[0], lone.timeline, c.horizon).txns, txns) << what;
-    EXPECT_EQ(lone.timeline.nextFree(), oracle.timeline.nextFree()) << what;
-    EXPECT_EQ(lone.timeline.totalBusy(), oracle.timeline.totalBusy()) << what;
-    EXPECT_EQ(lone.timeline.requests(), oracle.timeline.requests()) << what;
-    EXPECT_EQ(lone.members[0].t, oracle.members[0].t) << what;
-    EXPECT_EQ(lone.members[0].done, oracle.members[0].done) << what;
-  }
   if (finished != nullptr) {
     *finished = std::any_of(jumped.members.begin(), jumped.members.end(),
                             [](const ReplayMember& m) { return m.remaining == 0; });
@@ -1925,10 +1916,10 @@ TEST(ContentionReplay, SaturatedRoundJumpFires) {
   }
 }
 
-// A lone run (no peers: the single-task horizon loop) jumps in closed form
-// too, and a horizon stops it exactly where the stepwise loop stops — both
-// through replayJointRuns and through replayLoneRun, the lone run's own
-// loop, on saturated, idle and zero-latency controllers.
+// A lone run (no peers: the one-member set SccMachine::timedRun replays a
+// caller alone with) jumps in closed form too, and a horizon stops it
+// exactly where the stepwise loop stops, on saturated, idle and
+// zero-latency controllers.
 TEST(ContentionReplay, LoneRunJumpsToItsHorizon) {
   for (const Tick horizon : {Engine::kNever, Tick{1'000'000'000 + 5'000'000}}) {
     ReplayCase c;
