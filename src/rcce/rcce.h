@@ -69,19 +69,15 @@ class RcceEnv {
 /// barrier and the release flush dirty cached lines first, the barrier and
 /// the acquire self-invalidate clean lines after — so releaseLock is
 /// awaitable too and MUST be co_awaited (a discarded return value releases
-/// nothing). With no cached region they forward to the raw sync
-/// operations, frame-free.
-[[nodiscard]] inline sim::CoreContext::SyncAwaiter barrier(sim::CoreContext& ctx) {
-  return ctx.barrier();
-}
+/// nothing). With no cached region they cost the raw sync operation's
+/// events and Ticks.
+[[nodiscard]] inline sim::SubTask barrier(sim::CoreContext& ctx) { return ctx.barrier(); }
 
-[[nodiscard]] inline sim::CoreContext::SyncAwaiter acquireLock(sim::CoreContext& ctx,
-                                                               int lock) {
+[[nodiscard]] inline sim::SubTask acquireLock(sim::CoreContext& ctx, int lock) {
   return ctx.lockAcquire(lock);
 }
 
-[[nodiscard]] inline sim::CoreContext::SyncAwaiter releaseLock(sim::CoreContext& ctx,
-                                                               int lock) {
+[[nodiscard]] inline sim::SubTask releaseLock(sim::CoreContext& ctx, int lock) {
   return ctx.lockRelease(lock);
 }
 
@@ -163,18 +159,14 @@ class ShmArray {
     return ctx.shmWrite(byteOffset(first), src, count * sizeof(T));
   }
   /// RCCE-style bulk copy (sequential burst, row-buffer friendly). Bypasses
-  /// the swcache but stays coherent with this core's cached lines.
-  [[nodiscard]] sim::CoreContext::OpAwaiter readBulk(sim::CoreContext& ctx,
-                                                       std::size_t first,
-                                                       std::size_t count, T* out) const {
+  /// the swcache but stays coherent with this core's cached lines. Lazily
+  /// started, like every access: co_await within the full expression.
+  [[nodiscard]] sim::SubTask readBulk(sim::CoreContext& ctx, std::size_t first,
+                                      std::size_t count, T* out) const {
     return ctx.shmReadBulk(byteOffset(first), out, count * sizeof(T));
   }
-  [[nodiscard]] sim::CoreContext::OpAwaiter writeBulk(sim::CoreContext& ctx,
-                                                        std::size_t first,
-                                                        std::size_t count,
-                                                        const T* src) const {
-    // With the swcache enabled this is lazily started — co_await within the
-    // full expression, do not store past `src`'s lifetime.
+  [[nodiscard]] sim::SubTask writeBulk(sim::CoreContext& ctx, std::size_t first,
+                                       std::size_t count, const T* src) const {
     return ctx.shmWriteBulk(byteOffset(first), src, count * sizeof(T));
   }
 
@@ -305,17 +297,15 @@ class PlanArray {
                : shm_.writeBlock(ctx, first, count, src);
   }
   /// A block moved as one DMA copy when staged, word by word otherwise.
-  [[nodiscard]] sim::CoreContext::OpAwaiter readBulk(sim::CoreContext& ctx,
-                                                     std::size_t first, std::size_t count,
-                                                     T* out) const {
+  [[nodiscard]] sim::SubTask readBulk(sim::CoreContext& ctx, std::size_t first,
+                                      std::size_t count, T* out) const {
     if (realization_ == Realization::kStaged) return shm_.readBulk(ctx, first, count, out);
-    return {ctx.machine().engine(), readBlock(ctx, first, count, out)};
+    return readBlock(ctx, first, count, out);
   }
-  [[nodiscard]] sim::CoreContext::OpAwaiter writeBulk(sim::CoreContext& ctx,
-                                                      std::size_t first, std::size_t count,
-                                                      const T* src) const {
+  [[nodiscard]] sim::SubTask writeBulk(sim::CoreContext& ctx, std::size_t first,
+                                       std::size_t count, const T* src) const {
     if (realization_ == Realization::kStaged) return shm_.writeBulk(ctx, first, count, src);
-    return {ctx.machine().engine(), writeBlock(ctx, first, count, src)};
+    return writeBlock(ctx, first, count, src);
   }
   /// Self-stage of the `count` elements a readBulk just brought to `buf`:
   /// the DMA lands them in this UE's own slot (an untimed deposit: the bulk

@@ -153,12 +153,6 @@ ResumeAt CoreContext::payLag() {
   return machine_.engine().resumeAt(t);
 }
 
-template <typename Op>
-SubTask CoreContext::afterLag(Op op) {
-  co_await payLag();
-  co_await op();
-}
-
 SubTask CoreContext::faultPreOp() {
   FaultInjector& inj = machine_.faultInjector();
   const std::uint64_t op = timed_op_seq_++;
@@ -195,34 +189,26 @@ ResumeAt CoreContext::computeOps(std::uint64_t count, OpClass cls) {
   return compute(count * opCycles(machine_.config(), cls));
 }
 
-CoreContext::OpAwaiter CoreContext::privRead(std::uint64_t addr, void* out,
-                                             std::size_t bytes) {
-  Engine& engine = machine_.engine();
-  if (lag_ > 0) {
-    return OpAwaiter(engine, afterLag([=, this] { return privRead(addr, out, bytes); }));
-  }
-  return OpAwaiter(engine, machine_.privAccessCompletion(core_, now(), addr, bytes, false,
-                                                         out, nullptr));
+SubTask CoreContext::privRead(std::uint64_t addr, void* out, std::size_t bytes) {
+  machine_.checkPrivRange(addr, bytes);
+  return priv(addr, out, nullptr, bytes, false);
 }
 
-CoreContext::OpAwaiter CoreContext::privWrite(std::uint64_t addr, const void* src,
-                                              std::size_t bytes) {
-  Engine& engine = machine_.engine();
-  if (lag_ > 0) {
-    return OpAwaiter(engine, afterLag([=, this] { return privWrite(addr, src, bytes); }));
-  }
-  return OpAwaiter(engine, machine_.privAccessCompletion(core_, now(), addr, bytes, true,
-                                                         nullptr, src));
+SubTask CoreContext::privWrite(std::uint64_t addr, const void* src, std::size_t bytes) {
+  machine_.checkPrivRange(addr, bytes);
+  return priv(addr, nullptr, src, bytes, true);
 }
 
-CoreContext::OpAwaiter CoreContext::privTouch(std::uint64_t addr, std::size_t bytes,
-                                              bool write) {
-  Engine& engine = machine_.engine();
-  if (lag_ > 0) {
-    return OpAwaiter(engine, afterLag([=, this] { return privTouch(addr, bytes, write); }));
-  }
-  return OpAwaiter(engine, machine_.privAccessCompletion(core_, now(), addr, bytes, write,
-                                                         nullptr, nullptr));
+SubTask CoreContext::privTouch(std::uint64_t addr, std::size_t bytes, bool write) {
+  machine_.checkPrivRange(addr, bytes);
+  return priv(addr, nullptr, nullptr, bytes, write);
+}
+
+SubTask CoreContext::priv(std::uint64_t addr, void* out, const void* src, std::size_t bytes,
+                          bool write) {
+  if (lag_ > 0) co_await payLag();
+  co_await machine_.engine().resumeAt(
+      machine_.privAccessCompletion(core_, now(), addr, bytes, write, out, src));
 }
 
 /// One attempt of a data transfer: the functional copy plus its timed run.
@@ -502,18 +488,6 @@ SubTask CoreContext::swcacheRelease() {
   }
 }
 
-bool CoreContext::OpAwaiter::await_ready() const noexcept {
-  if (body_) return body_.await_ready();
-  // Zero-cost completions continue inline, exactly like ResumeAt.
-  return when_ <= engine_.now();
-}
-
-std::coroutine_handle<> CoreContext::OpAwaiter::await_suspend(std::coroutine_handle<> h) {
-  if (body_) return body_.await_suspend(h);
-  engine_.schedule(when_, h);
-  return std::noop_coroutine();
-}
-
 namespace {
 
 /// Span of a bulk burst: a=offset b=lines.
@@ -528,14 +502,26 @@ obs::TraceEvent bulkSpan(SccMachine& m, int core, Tick start, Tick end,
 
 }  // namespace
 
-SubTask CoreContext::bulkFenced(std::uint64_t offset, void* out, const void* src,
-                                std::size_t bytes, bool write) {
+SubTask CoreContext::shmReadBulk(std::uint64_t offset, void* out, std::size_t bytes) {
+  checkShmRange(offset, bytes);
+  return bulk(offset, out, nullptr, bytes, false);
+}
+
+SubTask CoreContext::shmWriteBulk(std::uint64_t offset, const void* src, std::size_t bytes) {
+  checkShmRange(offset, bytes);
+  return bulk(offset, nullptr, src, bytes, true);
+}
+
+SubTask CoreContext::bulk(std::uint64_t offset, void* out, const void* src,
+                          std::size_t bytes, bool write) {
+  if (lag_ > 0) co_await payLag();
+  const Tick t0 = now();
+  machine_.noteDrf(drf::kSpaceShm, offset, bytes, write, t0);
   // Bulk read: write back overlapping dirty lines so the burst observes this
   // core's own program-order-earlier writes (clean copies may stay). Bulk
   // write: additionally drop every overlapping line — the burst supersedes
   // any cached copy, and the prior write-back keeps untouched bytes of
   // partially-overlapped lines correct.
-  const Tick t0 = now();
   if (machine_.swcacheActive()) {
     Transfer wb = Transfer::lines(machine_.swcacheSyncRange(core_, offset, bytes, write));
     for (wb.begin(machine_); wb.left > 0;) co_await wb.step(*this);
@@ -555,106 +541,27 @@ SubTask CoreContext::bulkFenced(std::uint64_t offset, void* out, const void* src
   }
 }
 
-CoreContext::OpAwaiter CoreContext::shmReadBulk(std::uint64_t offset, void* out,
-                                                std::size_t bytes) {
-  checkShmRange(offset, bytes);
-  return bulk(offset, out, nullptr, bytes, false);
-}
-
-CoreContext::OpAwaiter CoreContext::shmWriteBulk(std::uint64_t offset, const void* src,
-                                                 std::size_t bytes) {
-  checkShmRange(offset, bytes);
-  return bulk(offset, nullptr, src, bytes, true);
-}
-
-CoreContext::OpAwaiter CoreContext::bulk(std::uint64_t offset, void* out, const void* src,
-                                         std::size_t bytes, bool write) {
-  Engine& engine = machine_.engine();
-  if (lag_ > 0) {
-    return OpAwaiter(engine,
-                     afterLag([=, this] { return bulk(offset, out, src, bytes, write); }));
-  }
-  machine_.noteDrf(drf::kSpaceShm, offset, bytes, write, now());
-  // With faults armed a write takes the fenced path, which verifies it.
-  if (machine_.swcacheActive() || (write && machine_.faultsActive())) {
-    return OpAwaiter(engine, bulkFenced(offset, out, src, bytes, write));
-  }
-  const Tick t0 = now();
-  const Tick done = machine_.shmBulkCompletion(core_, t0, offset, bytes, write, out, src);
-  if (machine_.observing()) {
-    machine_.recordOp(core_, bulkSpan(machine_, core_, t0, done, offset, bytes, write));
-  }
-  return OpAwaiter(engine, done);
-}
-
-bool CoreContext::SyncAwaiter::await_ready() {
-  if (reconcile_) return reconcile_.await_ready();
-  if (op_ == Op::kRelease) {
-    // No reconciliation: release is synchronous, exactly the pre-swcache
-    // behavior — perform it here and never suspend.
-    ctx_.machine_.lock(lock_id_).release();
-    return true;
-  }
-  return false;
-}
-
-std::coroutine_handle<> CoreContext::SyncAwaiter::await_suspend(
-    std::coroutine_handle<> h) {
-  if (reconcile_) return reconcile_.await_suspend(h);
-  if (op_ == Op::kBarrier) {
-    ctx_.machine_.barrier().arrive().await_suspend(h);
-  } else {
-    ctx_.machine_.lock(lock_id_).acquire().await_suspend(h);
-  }
-  return std::noop_coroutine();
-}
-
-// A sync operation with a lag to pay suspends to now() first and then
-// re-enters here with none (the reconciliation, if any, runs after it).
-CoreContext::SyncAwaiter CoreContext::barrier() {
-  using Op = SyncAwaiter::Op;
-  if (lag_ > 0) return SyncAwaiter(*this, Op::kBarrier, 0, afterLag([this] { return barrier(); }));
-  return SyncAwaiter(*this, Op::kBarrier, 0,
-                     machine_.swcacheActive() ? barrierReconcile() : SubTask{});
-}
-
-CoreContext::SyncAwaiter CoreContext::lockAcquire(int lock_id) {
-  using Op = SyncAwaiter::Op;
-  if (lag_ > 0) {
-    return SyncAwaiter(*this, Op::kAcquire, lock_id,
-                       afterLag([this, lock_id] { return lockAcquire(lock_id); }));
-  }
-  return SyncAwaiter(*this, Op::kAcquire, lock_id,
-                     machine_.swcacheActive() ? lockAcquireReconcile(lock_id) : SubTask{});
-}
-
-CoreContext::SyncAwaiter CoreContext::lockRelease(int lock_id) {
-  using Op = SyncAwaiter::Op;
-  if (lag_ > 0) {
-    return SyncAwaiter(*this, Op::kRelease, lock_id,
-                       afterLag([this, lock_id] { return lockRelease(lock_id); }));
-  }
-  return SyncAwaiter(*this, Op::kRelease, lock_id,
-                     machine_.swcacheActive() ? lockReleaseReconcile(lock_id) : SubTask{});
-}
-
-SubTask CoreContext::barrierReconcile() {
+SubTask CoreContext::barrier() {
+  if (lag_ > 0) co_await payLag();
   // A barrier is both a release (writes before it must become visible) and
   // an acquire (reads after it must not see stale lines).
-  co_await swcacheRelease();
+  const bool reconcile = machine_.swcacheActive();
+  if (reconcile) co_await swcacheRelease();
   co_await machine_.barrier().arrive();
-  machine_.swcacheAcquire(core_);
+  if (reconcile) machine_.swcacheAcquire(core_);
 }
 
-SubTask CoreContext::lockAcquireReconcile(int lock_id) {
+SubTask CoreContext::lockAcquire(int lock_id) {
+  if (lag_ > 0) co_await payLag();
   co_await machine_.lock(lock_id).acquire();
-  machine_.swcacheAcquire(core_);
+  if (machine_.swcacheActive()) machine_.swcacheAcquire(core_);
 }
 
-SubTask CoreContext::lockReleaseReconcile(int lock_id) {
+SubTask CoreContext::lockRelease(int lock_id) {
+  if (lag_ > 0) co_await payLag();
   // The flush completes BEFORE the lock is released: the next holder's
   // acquire-side invalidation then refills from reconciled DRAM.
-  co_await swcacheRelease();
+  if (machine_.swcacheActive()) co_await swcacheRelease();
   machine_.lock(lock_id).release();
 }
 
@@ -852,16 +759,26 @@ void SccMachine::reservePrivate(int core, std::size_t bytes) {
   if (mem.size() < bytes) mem.resize(bytes, 0);
 }
 
-std::uint8_t* SccMachine::privData(int core, std::uint64_t addr) {
+std::uint8_t* SccMachine::privData(int core, std::uint64_t addr, std::size_t bytes) {
   auto& mem = private_mem_[static_cast<std::size_t>(core)];
-  if (addr >= mem.size()) {
+  const std::uint64_t end = addr + std::max<std::size_t>(bytes, 1);
+  if (end < addr) throw std::out_of_range("private memory address");
+  if (end > mem.size()) {
     std::size_t target = mem.empty() ? 4096 : mem.size();
-    while (target <= addr) target *= 2;
+    while (target < end) target *= 2;
     if (target > config_.private_mem_bytes) target = config_.private_mem_bytes;
-    if (addr >= target) throw std::out_of_range("private memory address");
+    if (end > target) throw std::out_of_range("private memory address");
     mem.resize(target, 0);
   }
   return &mem[addr];
+}
+
+void SccMachine::checkPrivRange(std::uint64_t addr, std::size_t bytes) const {
+  const std::uint64_t cap = config_.private_mem_bytes;
+  if (addr > cap || bytes > cap - addr) {
+    throw std::out_of_range("private access " + rangeText(addr, bytes) + " passes the " +
+                            std::to_string(cap) + "-byte private memory");
+  }
 }
 
 void SccMachine::setupBarrier(std::vector<std::size_t> participant_tasks) {
@@ -1102,10 +1019,11 @@ Tick SccMachine::privAccessCompletion(int core, Tick start, std::uint64_t addr,
     t = mc.acquire(request_arrival, priv_fill_ticks_[r2.writeback ? 1 : 0]) + hop_one_way;
   }
 
+  if (bytes == 0) return t;
   if (write && data_in != nullptr) {
-    std::memcpy(privData(core, addr), data_in, bytes);
+    std::memcpy(privData(core, addr, bytes), data_in, bytes);
   } else if (!write && data_out != nullptr) {
-    std::memcpy(data_out, privData(core, addr), bytes);
+    std::memcpy(data_out, privData(core, addr, bytes), bytes);
   }
   return t;
 }

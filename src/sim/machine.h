@@ -160,24 +160,6 @@ class CoreContext {
   /// in without suspending (its lag; see below).
   [[nodiscard]] Tick now() const;
 
-  /// Awaitable of a timed operation: with its completion Tick computed
-  /// eagerly it suspends straight to it, frame-free; otherwise it runs the
-  /// operation's coroutine (a fenced bulk transfer, or one that pays the
-  /// lag first).
-  class [[nodiscard]] OpAwaiter {
-   public:
-    OpAwaiter(Engine& engine, Tick when) : engine_(engine), when_(when) {}
-    OpAwaiter(Engine& engine, SubTask body) : engine_(engine), body_(std::move(body)) {}
-    [[nodiscard]] bool await_ready() const noexcept;
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h);
-    void await_resume() const noexcept {}
-
-   private:
-    Engine& engine_;
-    Tick when_ = 0;
-    SubTask body_;  ///< engaged only on the coroutine path
-  };
-
   // -- computation --
   // With coalescing on and no armed fault or sync timeout
   // (SccMachine::foldsCompute) a compute does not suspend: it adds to the
@@ -186,21 +168,26 @@ class CoreContext {
   // SccMachine::kShortRun issues its first transaction at now() inside the
   // running event when no other task could touch that resource first, and
   // so does a shorter run when no task reaching the resource is parked or
-  // has an event at or before now() (SccMachine::timedRun); every other
-  // operation suspends to now() first, and a task ending with a lag
-  // completes at now(). The race detector
-  // checks an access issued ahead of the engine's clock when the engine
-  // reaches its Tick (SccMachine::flushDrf). Otherwise every compute is its
-  // own event.
+  // has an event at or before now() (SccMachine::timedRun). Every other
+  // operation below is a SubTask whose body pays the lag first, with one
+  // suspension to now(), and a task ending with a lag completes at now().
+  // Every operation is lazily started: co_await it within the full
+  // expression that makes it (it reads its buffers when first awaited).
+  // The race detector checks an access issued ahead of the engine's clock
+  // when the engine reaches its Tick (SccMachine::flushDrf). Otherwise
+  // every compute is its own event.
   [[nodiscard]] ResumeAt compute(std::uint64_t core_cycles);
   [[nodiscard]] ResumeAt computeOps(std::uint64_t count, OpClass cls);
 
   // -- private cacheable memory --
-  [[nodiscard]] OpAwaiter privRead(std::uint64_t addr, void* out, std::size_t bytes);
-  [[nodiscard]] OpAwaiter privWrite(std::uint64_t addr, const void* src, std::size_t bytes);
+  // Each throws std::out_of_range before it touches any state when
+  // [addr, addr+bytes) passes the core's private memory
+  // (SccConfig::private_mem_bytes).
+  [[nodiscard]] SubTask privRead(std::uint64_t addr, void* out, std::size_t bytes);
+  [[nodiscard]] SubTask privWrite(std::uint64_t addr, const void* src, std::size_t bytes);
   /// Timing-only streaming access over [addr, addr+bytes), no data movement
   /// (for kernels that keep their live values in registers).
-  [[nodiscard]] OpAwaiter privTouch(std::uint64_t addr, std::size_t bytes, bool write);
+  [[nodiscard]] SubTask privTouch(std::uint64_t addr, std::size_t bytes, bool write);
 
   // -- shared off-chip DRAM --
   // Default (hardware-uncached) routing is word-granular: every word is an
@@ -234,11 +221,9 @@ class CoreContext {
   /// setup and then streams lines at row-buffer-hit service rates. Bypasses
   /// the swcache but stays coherent with this core's own cached lines
   /// (overlapping dirty lines are written back first; a bulk write also
-  /// invalidates overlapping cached copies). With no swcache, no armed
-  /// fault (for a write) and no lag, the completion is computed eagerly.
-  [[nodiscard]] OpAwaiter shmReadBulk(std::uint64_t offset, void* out, std::size_t bytes);
-  [[nodiscard]] OpAwaiter shmWriteBulk(std::uint64_t offset, const void* src,
-                                       std::size_t bytes);
+  /// invalidates overlapping cached copies).
+  [[nodiscard]] SubTask shmReadBulk(std::uint64_t offset, void* out, std::size_t bytes);
+  [[nodiscard]] SubTask shmWriteBulk(std::uint64_t offset, const void* src, std::size_t bytes);
 
   // -- MPB (on-chip shared SRAM) --
   // Chunk-granular: every cache-line-sized chunk is an independent blocking
@@ -258,33 +243,13 @@ class CoreContext {
   // lockAcquire() self-invalidate clean lines once the acquire completes.
   // The swcache discipline requires synchronizing through these wrappers —
   // touching machine().barrier()/lock() directly skips reconciliation.
-  //
-  // The returned SyncAwaiter dispatches: with the swcache disabled and no
-  // lag to pay it forwards straight to the underlying SyncBarrier/TasLock
-  // operation — no coroutine frame, no extra events, no extra Ticks, so the
-  // uncached modes stay bit-identical AND the sync hot path stays
-  // allocation-free; otherwise it runs a coroutine (suspend to now() first
-  // when there is a lag, then the reconciliation when the swcache is
-  // enabled). Either way it MUST be co_awaited (a discarded lockRelease
-  // releases nothing).
-  class [[nodiscard]] SyncAwaiter {
-   public:
-    enum class Op : std::uint8_t { kBarrier, kAcquire, kRelease };
-    SyncAwaiter(CoreContext& ctx, Op op, int lock_id, SubTask reconcile)
-        : ctx_(ctx), op_(op), lock_id_(lock_id), reconcile_(std::move(reconcile)) {}
-    [[nodiscard]] bool await_ready();
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h);
-    void await_resume() const noexcept {}
-
-   private:
-    CoreContext& ctx_;
-    Op op_;
-    int lock_id_;
-    SubTask reconcile_;  ///< engaged only with the swcache enabled or a lag to pay
-  };
-  [[nodiscard]] SyncAwaiter barrier();
-  [[nodiscard]] SyncAwaiter lockAcquire(int lock_id);
-  [[nodiscard]] SyncAwaiter lockRelease(int lock_id);
+  // Each is one coroutine: pay the lag, flush (release side, swcache
+  // active), the sync operation, invalidate (acquire side). With no cached
+  // region the coroutine adds no event and no Tick to the sync operation.
+  // It MUST be co_awaited (a discarded lockRelease releases nothing).
+  [[nodiscard]] SubTask barrier();
+  [[nodiscard]] SubTask lockAcquire(int lock_id);
+  [[nodiscard]] SubTask lockRelease(int lock_id);
 
  private:
   friend class SccMachine;  // run() settles a trailing lag
@@ -318,17 +283,19 @@ class CoreContext {
   /// before each retry. Stores the attempts made in `attempts`.
   SubTask verifiedTransfer(FaultClass cls, std::uint64_t& seq, Transfer& x, void* landed,
                            const void* expected, std::uint32_t& attempts);
-  /// shmReadBulk/shmWriteBulk: the fenced coroutine or the eager burst.
-  OpAwaiter bulk(std::uint64_t offset, void* out, const void* src, std::size_t bytes,
-                 bool write);
+  /// privRead/privWrite/privTouch after their range check: one access
+  /// through the core's private caches.
+  SubTask priv(std::uint64_t addr, void* out, const void* src, std::size_t bytes,
+               bool write);
+  /// shmReadBulk/shmWriteBulk after their range check: the race check, then
+  /// the coherence fence (overlapping cached lines synced, swcache active)
+  /// and the bypassing burst, verified when a write's fault class is armed.
+  SubTask bulk(std::uint64_t offset, void* out, const void* src, std::size_t bytes,
+               bool write);
   /// Spend `dt` of local work: folded into the lag, or one suspension.
   ResumeAt spend(Tick dt);
   /// Suspend to now(), clearing the lag.
   ResumeAt payLag();
-  /// `op()`'s operation after paying the lag with one suspension (`op`
-  /// re-enters the operation's entry function with no lag left).
-  template <typename Op>
-  SubTask afterLag(Op op);
   /// Shared-memory access through the software-managed cache: functional
   /// phase first (line store <-> backing), then the timed phase charges hit
   /// touches and batched line transfers.
@@ -337,14 +304,6 @@ class CoreContext {
   /// Release point: functionally flush dirty lines, then charge the
   /// write-back transfers.
   SubTask swcacheRelease();
-  /// Coherence-fenced bulk transfer behind OpAwaiter (swcache enabled or
-  /// faults armed): sync overlapping cached lines, then the bypassing burst.
-  SubTask bulkFenced(std::uint64_t offset, void* out, const void* src,
-                     std::size_t bytes, bool write);
-  // Reconciliation coroutines behind SyncAwaiter (swcache enabled only).
-  SubTask barrierReconcile();
-  SubTask lockAcquireReconcile(int lock_id);
-  SubTask lockReleaseReconcile(int lock_id);
 
   SccMachine& machine_;
   int ue_;
@@ -435,10 +394,15 @@ class SccMachine {
   /// Host-side direct access to shared DRAM (test setup/verification).
   [[nodiscard]] std::uint8_t* shmData(std::uint64_t offset) { return &shared_dram_[offset]; }
   [[nodiscard]] std::uint8_t* mpbData(int ue, std::uint64_t offset);
+  /// `core`'s private memory at `addr`, grown to cover [addr, addr+bytes);
+  /// throws std::out_of_range past SccConfig::private_mem_bytes.
   /// WARNING: grows the private backing store on demand — growing
   /// invalidates previously returned pointers. Call reservePrivate first
   /// when taking multiple pointers.
-  [[nodiscard]] std::uint8_t* privData(int core, std::uint64_t addr);
+  [[nodiscard]] std::uint8_t* privData(int core, std::uint64_t addr, std::size_t bytes = 1);
+  /// The range check of a timed private access: std::out_of_range when
+  /// [addr, addr+bytes) passes SccConfig::private_mem_bytes.
+  void checkPrivRange(std::uint64_t addr, std::size_t bytes) const;
   /// Pre-size a core's private memory so privData pointers stay stable.
   void reservePrivate(int core, std::size_t bytes);
 
@@ -559,8 +523,8 @@ class SccMachine {
   // -- software-managed shared-memory cache --
   /// Any core-side cache instances exist (at least one region registered
   /// cached): sync points then reconcile and bulk transfers fence. False
-  /// keeps every sync/bulk path frame-free and Tick-bit-identical to the
-  /// uncached-only machine.
+  /// skips both, so every sync and bulk operation costs the events and
+  /// Ticks of the uncached-only machine.
   [[nodiscard]] bool swcacheActive() const { return !swcache_.empty(); }
   /// Routing of the region containing `offset`.
   [[nodiscard]] bool shmCached(std::uint64_t offset) const {

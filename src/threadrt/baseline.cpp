@@ -33,6 +33,7 @@ sim::ResumeAt ThreadContext::computeOps(std::uint64_t count, sim::OpClass cls) {
 
 sim::ResumeAt ThreadContext::memRead(std::uint64_t addr, void* out, std::size_t bytes) {
   sim::SccMachine& m = rt_.machine();
+  m.checkPrivRange(addr, bytes);
   // Threadrt's process memory is one shared address space across the
   // logical threads; the sync edges come free through the machine's
   // TasLock/SyncBarrier, which threadrt reuses.
@@ -47,6 +48,7 @@ sim::ResumeAt ThreadContext::memRead(std::uint64_t addr, void* out, std::size_t 
 sim::ResumeAt ThreadContext::memWrite(std::uint64_t addr, const void* src,
                                       std::size_t bytes) {
   sim::SccMachine& m = rt_.machine();
+  m.checkPrivRange(addr, bytes);
   m.noteDrf(sim::drf::kSpacePriv, addr, bytes, /*write=*/true, m.engine().now());
   const sim::Tick done = serialize(
       rt_.coreTimeline(), m.engine().now(), [&](sim::Tick start) {

@@ -38,18 +38,19 @@ class ThreadContext {
   [[nodiscard]] sim::ResumeAt compute(std::uint64_t core_cycles);
   [[nodiscard]] sim::ResumeAt computeOps(std::uint64_t count, sim::OpClass cls);
   /// Process memory (the threads' shared address space): cacheable,
-  /// core 0's hierarchy.
+  /// core 0's hierarchy. Each throws std::out_of_range before it touches
+  /// any state when [addr, addr+bytes) passes SccConfig::private_mem_bytes.
   [[nodiscard]] sim::ResumeAt memRead(std::uint64_t addr, void* out, std::size_t bytes);
   [[nodiscard]] sim::ResumeAt memWrite(std::uint64_t addr, const void* src,
                                        std::size_t bytes);
   /// A pthread mutex on a single core: uncontended fast path cost.
   [[nodiscard]] sim::TasLock::Awaiter lockAcquire(int lock_id);
-  /// Awaitable for call-site symmetry with CoreContext::lockRelease (which
-  /// became awaitable for the swcache release-point flush) so kernels stay
+  /// Awaitable for call-site symmetry with CoreContext::lockRelease (a
+  /// SubTask, since it may flush the swcache and pay a lag) so kernels stay
   /// writable once against either context. Process memory is cacheable and
-  /// hardware-coherent on one core, so no reconciliation happens here: the
-  /// release runs in await_ready and the awaiter never suspends — no
-  /// coroutine frame, same cost as the old plain call.
+  /// hardware-coherent on one core and a thread folds no compute, so there
+  /// is nothing to pay or reconcile here: the release runs in await_ready
+  /// and the awaiter never suspends.
   struct [[nodiscard]] ReleaseAwaiter {
     SingleCoreRuntime& rt;
     int lock_id;

@@ -36,6 +36,16 @@ partition::MemoryPlan makePlan(const analysis::AnalysisResult& analysis,
   return partition::SizeAscendingPlanner{}.plan(shared, options.memory);
 }
 
+/// The runtime contract of `plan`. An off-chip-only translation realizes it
+/// without on-chip memory, as a Mode::RcceOffChip run does: its emitted C
+/// shmallocs every shared variable, so no region may stay on chip.
+partition::ExecutionPlan makeExecutionPlan(const analysis::AnalysisResult& analysis,
+                                           partition::MemoryPlan& plan,
+                                           const TranslatorOptions& options) {
+  partition::ExecutionPlan execution_plan = partition::deriveExecutionPlan(analysis, plan);
+  return options.offchip_only ? execution_plan.realized(false) : execution_plan;
+}
+
 }  // namespace
 
 TranslationResult Translator::analyzeOnly(const std::string& source,
@@ -52,7 +62,7 @@ TranslationResult Translator::analyzeOnly(const std::string& source,
   analysis::Analyzer analyzer;
   result.analysis = analyzer.analyze(context);
   result.plan = makePlan(result.analysis, options_);
-  result.execution_plan = partition::deriveExecutionPlan(result.analysis, result.plan);
+  result.execution_plan = makeExecutionPlan(result.analysis, result.plan, options_);
   result.diagnostics = diags.format(buffer);
   result.ok = true;
   return result;
@@ -75,7 +85,7 @@ TranslationResult Translator::translate(const std::string& source,
   result.plan = makePlan(result.analysis, options_);
   // Derive the runtime contract BEFORE stage 5: the passes rename main and
   // strip pthread bookkeeping, and the derivation reads both.
-  result.execution_plan = partition::deriveExecutionPlan(result.analysis, result.plan);
+  result.execution_plan = makeExecutionPlan(result.analysis, result.plan, options_);
 
   transform::PassContext pass_ctx{.ast = context,
                                   .analysis = result.analysis,

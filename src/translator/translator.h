@@ -23,7 +23,8 @@ struct TranslatorOptions {
   /// size-ascending Algorithm 3 (ablation knob).
   bool frequency_aware_partitioning = false;
   /// Skip Stage 4/5 on-chip placement entirely: everything shared goes to
-  /// off-chip shared memory (the paper's Fig. 6.1 configuration).
+  /// off-chip shared memory (the paper's Fig. 6.1 configuration), and the
+  /// execution plan is the one such a run realizes (ExecutionPlan::realized).
   bool offchip_only = false;
 };
 

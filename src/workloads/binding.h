@@ -87,7 +87,7 @@ class RcceBinding {
     machine_.launch(sim::LaunchSpec(units_, std::move(program)).withPlan(&realized_));
   }
   void run(RunResult& result) { runAndRecord(result, machine_, realized_); }
-  static sim::CoreContext::SyncAwaiter joinBarrier(Context& ctx) { return ctx.barrier(); }
+  static sim::SubTask joinBarrier(Context& ctx) { return ctx.barrier(); }
 
  private:
   sim::SccMachine& machine_;

@@ -424,11 +424,13 @@ TEST(Machine, LockRejectsIdOutsideCores) {
 
 // Every data operation checks its range in its plain entry function, before
 // the race check or any other state change: past the shared-memory break,
-// an owner outside the launched UEs, past the owner's MPB slice. The
-// in-range edges still pass.
+// an owner outside the launched UEs, past the owner's MPB slice, past the
+// core's private memory (an access that starts inside it and straddles its
+// end too). The in-range edges still pass.
 TEST(Machine, DataOpsRejectOutOfRangeBeforeAnyStateChange) {
   SccConfig cfg;
   cfg.drf_check = true;
+  cfg.private_mem_bytes = 8192;
   SccMachine machine(cfg);
   const std::uint64_t brk = machine.shmalloc(64) + 64;
   CoreContext ctx(machine, 0, 2, 0);
@@ -443,9 +445,34 @@ TEST(Machine, DataOpsRejectOutOfRangeBeforeAnyStateChange) {
   EXPECT_THROW((void)ctx.mpbRead(2, 0, v, 8), std::out_of_range);
   EXPECT_THROW((void)ctx.mpbRead(-1, 0, v, 8), std::out_of_range);
   EXPECT_THROW((void)ctx.mpbWrite(1, slice - 4, v, 8), std::out_of_range);
+  const std::uint64_t cap = cfg.private_mem_bytes;
+  EXPECT_THROW((void)ctx.privWrite(cap - 4, v, 8), std::out_of_range);
+  EXPECT_THROW((void)ctx.privRead(cap - 4, v, 8), std::out_of_range);
+  EXPECT_THROW((void)ctx.privTouch(cap, 8, true), std::out_of_range);
   EXPECT_EQ(machine.drfChecker().accessesChecked(), 0u);
+  EXPECT_FALSE(machine.privateCachesBuilt(0));
   EXPECT_NO_THROW((void)ctx.shmRead(brk - 8, v, 8));
   EXPECT_NO_THROW((void)ctx.mpbRead(1, slice - 8, v, 8));
+  EXPECT_NO_THROW((void)ctx.privWrite(cap - 8, v, 8));
+}
+
+SimTask privStraddleGrowthStep(CoreContext& ctx, std::uint64_t* readback) {
+  const std::uint64_t value = 0x0123456789ABCDEFull;
+  co_await ctx.privWrite(4092, &value, sizeof(value));
+  co_await ctx.privRead(4092, readback, sizeof(*readback));
+}
+
+// A fresh core's private memory grows in steps from 4 KB: an access that
+// starts inside a step and ends past it grows the store over its whole
+// range (fails under AddressSanitizer if only its first byte is covered).
+TEST(Machine, PrivateAccessAcrossTheFirstGrowthStepStaysInBounds) {
+  SccMachine machine;
+  std::uint64_t readback = 0;
+  machine.launch(LaunchSpec(1, [&](CoreContext& ctx) {
+    return privStraddleGrowthStep(ctx, &readback);
+  }));
+  machine.run();
+  EXPECT_EQ(readback, 0x0123456789ABCDEFull);
 }
 
 /// One out-of-range operation inside a task: 0 = an MPB put to UE 48 on a
@@ -886,15 +913,18 @@ struct LagResult {
   std::vector<int> order;   ///< kernel-defined order (lock grants)
   std::uint64_t events = 0;
   std::uint64_t word_events = 0;
+  std::uint64_t first_word = 0;  ///< the block's first word after the run
 };
 
-/// Runs `kernel(ctx, base, &result)` on `ues` UEs over a 64 KB shared block.
+/// Runs `kernel(ctx, base, &result)` on `ues` UEs over a 64 KB shared block,
+/// registered cached when `cached`.
 template <typename Kernel>
-LagResult runLagKernel(bool coalescing, int ues, Kernel kernel) {
+LagResult runLagKernel(bool coalescing, int ues, Kernel kernel, bool cached = false) {
   SccConfig cfg;
   cfg.coalescing = coalescing;
   SccMachine machine(cfg);
   const std::uint64_t base = machine.shmalloc(64 * 1024);
+  if (cached) machine.addShmRegion({.begin = base, .end = base + 64 * 1024, .cached = true});
   LagResult r;
   r.marks.assign(static_cast<std::size_t>(ues), 0);
   machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) { return kernel(ctx, base, &r); }));
@@ -904,6 +934,7 @@ LagResult runLagKernel(bool coalescing, int ues, Kernel kernel) {
   }
   r.events = machine.engine().eventsProcessed();
   r.word_events = machine.shmWordEvents();
+  std::memcpy(&r.first_word, machine.shmData(base), sizeof(r.first_word));
   return r;
 }
 
@@ -1084,6 +1115,41 @@ TEST(Machine, SyncAfterComputePaysTheLag) {
   expectSameTicks(on, off);
   EXPECT_EQ(off.order.size(), 6u);
   EXPECT_LT(on.events, off.events);
+}
+
+/// The same sync sequence over a cached block: a compute before each of
+/// lockAcquire, lockRelease and barrier, and a cached read-modify-write of
+/// the block's first word inside the critical section (a hit adds to the
+/// lag too).
+SimTask lagThroughCachedSync(CoreContext& ctx, std::uint64_t base, LagResult* r) {
+  const auto ue = static_cast<std::uint64_t>(ctx.ue());
+  co_await ctx.compute(60 + ue * 45);
+  co_await ctx.lockAcquire(0);
+  r->order.push_back(ctx.ue());
+  std::uint64_t v = 0;
+  co_await ctx.shmRead(base, &v, 8);
+  ++v;
+  co_await ctx.shmWrite(base, &v, 8);
+  co_await ctx.compute(20);
+  co_await ctx.lockRelease(0);
+  co_await ctx.compute(ue * 17);
+  co_await ctx.barrier();
+  r->marks[static_cast<std::size_t>(ue)] = ctx.now();
+}
+
+// Each sync operation pays its lag first and then reconciles: the release
+// side flushes the dirty counter line, the acquire side invalidates, so
+// every holder reads its predecessor's count. Grant order, marks and
+// completions are the reference path's.
+TEST(Machine, SyncAfterComputeUnderACachedRegionPaysTheLag) {
+  const LagResult on = runLagKernel(true, 4, lagThroughCachedSync, /*cached=*/true);
+  const LagResult off = runLagKernel(false, 4, lagThroughCachedSync, /*cached=*/true);
+  expectSameTicks(on, off);
+  EXPECT_EQ(on.order.size(), 4u);
+  EXPECT_EQ(on.first_word, 4u);
+  EXPECT_EQ(off.first_word, 4u);
+  EXPECT_EQ(off.events, 35u);
+  EXPECT_EQ(on.events, 31u);
 }
 
 /// Computes before a private write, a private read, a private touch and a

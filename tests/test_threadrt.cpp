@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "threadrt/baseline.h"
@@ -62,6 +63,23 @@ TEST(SingleCoreRuntime, ThreadsShareProcessMemory) {
     std::memcpy(&v, rt.machine().privData(0, static_cast<std::uint64_t>(tid) * 4), 4);
     EXPECT_EQ(v, 7 + tid);
   }
+}
+
+// A process-memory access that starts inside the private memory and ends
+// past it throws before any state change: no race check, no core time.
+TEST(SingleCoreRuntime, MemAccessPastPrivateMemoryRejectedBeforeAnyStateChange) {
+  sim::SccConfig config;
+  config.drf_check = true;
+  config.private_mem_bytes = 8192;
+  SingleCoreRuntime rt(config);
+  ThreadContext ctx(rt, 0, 1);
+  std::uint64_t v[2] = {};
+  EXPECT_THROW((void)ctx.memWrite(config.private_mem_bytes - 4, v, 8), std::out_of_range);
+  EXPECT_THROW((void)ctx.memRead(config.private_mem_bytes - 4, v, 8), std::out_of_range);
+  EXPECT_THROW((void)ctx.memRead(config.private_mem_bytes, v, 1), std::out_of_range);
+  EXPECT_EQ(rt.machine().drfChecker().accessesChecked(), 0u);
+  EXPECT_EQ(rt.coreTimeline().nextFree(), 0u);
+  EXPECT_FALSE(rt.machine().privateCachesBuilt(0));
 }
 
 SimTask mutexThread(ThreadContext& ctx, std::uint64_t addr) {

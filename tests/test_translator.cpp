@@ -127,6 +127,30 @@ TEST(TranslatorExample41, ThreadFunctionBodyPreserved) {
   EXPECT_EQ(out.find("pthread_exit"), std::string::npos);
 }
 
+// An off-chip-only translation shmallocs every shared variable, so its
+// execution plan is the one an off-chip run realizes: no region on chip,
+// from translate and from analyzeOnly alike.
+TEST(Translator, OffChipOnlyPlanKeepsEveryRegionOffChip) {
+  TranslatorOptions options;
+  options.offchip_only = true;
+  const Translator translator(options);
+  for (const std::string& name : workloads::pthreadSourceNames()) {
+    const std::string source = workloads::pthreadSource(name);
+    const TranslationResult translated = translator.translate(source, name + ".c");
+    const TranslationResult analyzed = translator.analyzeOnly(source, name + ".c");
+    ASSERT_TRUE(translated.ok) << name << translated.diagnostics;
+    ASSERT_TRUE(analyzed.ok) << name << analyzed.diagnostics;
+    EXPECT_FALSE(translated.execution_plan.regions.empty()) << name;
+    for (const TranslationResult* r : {&translated, &analyzed}) {
+      for (const partition::RegionPlan& region : r->execution_plan.regions) {
+        EXPECT_FALSE(partition::isOnChip(region.placement)) << name << " " << region.name;
+      }
+    }
+    EXPECT_EQ(translated.output_source.find("RCCE_malloc("), std::string::npos) << name;
+    EXPECT_NE(translated.output_source.find("RCCE_shmalloc("), std::string::npos) << name;
+  }
+}
+
 TEST(Translator, MutexBecomesTasLock) {
   Translator translator;
   const TranslationResult r =
